@@ -12,7 +12,7 @@
 GO ?= go
 RACE_PKGS = ./internal/cache ./internal/dnsserver ./internal/obs ./internal/report \
 	./internal/parallel ./internal/features ./internal/ml ./internal/classify \
-	./internal/stream ./internal/alert
+	./internal/stream ./internal/alert ./internal/world ./internal/dnssim
 
 .PHONY: verify fmt vet lint build test race bench bench-check budget prof-artifacts docs determinism chaos fuzz cover tracecheck trace-artifacts soak
 

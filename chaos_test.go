@@ -36,10 +36,10 @@ func counterValue(t *testing.T, snapJSON []byte, metric string) int64 {
 }
 
 // TestChaosMatrix runs the pipeline under fault profiles {none, lossy,
-// servfail-storm} × seeds {1, 2, 3} × workers {1, 8}. For every
-// (profile, seed) pair the 8-worker run must reproduce the sequential
-// run's bytes, and faulted cells must show their injections and the
-// resolver's retries in the metrics.
+// servfail-storm} × seeds {1, 2, 3} × workers {1, 2, 8}. For every
+// (profile, seed) pair the 2- and 8-worker runs must reproduce the
+// sequential run's bytes, and faulted cells must show their injections
+// and the resolver's retries in the metrics.
 func TestChaosMatrix(t *testing.T) {
 	for _, fspec := range []string{"", "lossy@1", "servfail-storm@1"} {
 		for _, seed := range []uint64{1, 2, 3} {
@@ -47,12 +47,14 @@ func TestChaosMatrix(t *testing.T) {
 			if len(wantReport) == 0 {
 				t.Fatalf("faults=%q seed=%d: empty classification report", fspec, seed)
 			}
-			gotSnap, gotReport := pipelineRun(t, seed, 8, fspec)
-			if !bytes.Equal(gotSnap, wantSnap) {
-				t.Errorf("faults=%q seed=%d: SnapshotJSON differs between workers 1 and 8", fspec, seed)
-			}
-			if !bytes.Equal(gotReport, wantReport) {
-				t.Errorf("faults=%q seed=%d: classification report differs between workers 1 and 8", fspec, seed)
+			for _, w := range []int{2, 8} {
+				gotSnap, gotReport := pipelineRun(t, seed, w, fspec)
+				if !bytes.Equal(gotSnap, wantSnap) {
+					t.Errorf("faults=%q seed=%d: SnapshotJSON differs between workers 1 and %d", fspec, seed, w)
+				}
+				if !bytes.Equal(gotReport, wantReport) {
+					t.Errorf("faults=%q seed=%d: classification report differs between workers 1 and %d", fspec, seed, w)
+				}
 			}
 
 			switch fspec {

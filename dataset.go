@@ -63,10 +63,11 @@ type DatasetSpec struct {
 	// (§VI-B). Negative disables teams; 0 uses the world default.
 	TeamProb float64
 
-	// Workers bounds the goroutines each pipeline stage (extract, train,
-	// validate, classify) may use; <= 0 uses runtime.GOMAXPROCS(0) and 1
-	// reproduces the sequential code path exactly. Every worker count
-	// yields byte-identical snapshots, models, and metrics.
+	// Workers bounds the goroutines the world simulation's resolver
+	// shards and each pipeline stage (extract, train, validate, classify)
+	// may use; <= 0 uses runtime.GOMAXPROCS(0) and 1 runs every stage
+	// inline. Every worker count yields byte-identical records,
+	// snapshots, models, and metrics.
 	Workers int
 
 	// Faults degrades the simulated DNS path with a seeded fault plan,
@@ -381,6 +382,7 @@ func BuildInstrumented(spec DatasetSpec, reg *obs.Registry, tr *trace.Tracer, ac
 		cfg.ClassPopulation[cls] = scaled
 	}
 	cfg.QMinFraction = spec.QMinFraction
+	cfg.Workers = spec.Workers
 	if spec.TeamProb != 0 {
 		cfg.Teams = spec.TeamProb
 		if cfg.Teams < 0 {
@@ -420,6 +422,7 @@ func BuildInstrumented(spec DatasetSpec, reg *obs.Registry, tr *trace.Tracer, ac
 		tr = trace.New(spec.Seed, uint64(spec.Trace))
 	}
 	w.SetTracer(tr)
+	w.SetAccountant(acct)
 	w.Run()
 
 	d := &Dataset{Spec: spec, World: w, obs: reg, tracer: tr, acct: acct, alertRules: alertRules}

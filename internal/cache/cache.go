@@ -1,13 +1,16 @@
-// Package cache implements the TTL cache used by simulated recursive
-// resolvers.
+// Package cache implements the TTL caches of recursive resolvers.
 //
 // DNS caching is the dominant attenuator of backscatter (§II, §IV-D):
 // whether an authority sees a reverse query at all depends on what the
 // querier's resolver still holds — the final PTR record, or any NS
-// delegation along the in-addr.arpa chain. The cache supports positive and
-// negative entries (NXDomain results are cached too, per RFC 2308), uses
-// the simulator's explicit clock, and bounds memory with random eviction
-// of expired-first entries.
+// delegation along the in-addr.arpa chain. Entries are positive or
+// negative (NXDomain results are cached too, per RFC 2308), run on the
+// simulator's explicit clock, and are bounded per owner with
+// expired-first eviction.
+//
+// Table is the store itself, shared by all simulated resolvers of a
+// shard; Cache is one resolver's private table that also keeps the cached
+// values, which the live recursor answers from.
 package cache
 
 import (
@@ -24,184 +27,54 @@ type Entry struct {
 
 // Cache is a TTL cache with bounded size, keyed by compact uint64 zone/
 // record identifiers (resolvers issue millions of lookups, so keys avoid
-// string construction). It is not safe for concurrent use; the simulator
-// drives each resolver from one goroutine.
+// string construction). It is not safe for concurrent use.
 type Cache struct {
-	max     int
-	entries map[uint64]Entry
-
-	hits, misses, expired uint64
-
-	m *cacheMetrics
-}
-
-// Key tiers: callers tag keys in bits 40+ (1 = PTR record, 2 = /8 zone
-// delegation, 3 = /16 zone delegation — the scheme both dnssim resolvers
-// and the live recursor use), which is what makes per-zone cache metrics
-// possible without string keys.
-var tierNames = [4]string{"other", "ptr", "z8", "z16"}
-
-// tierOf maps a cache key to its metric tier index.
-func tierOf(key uint64) int {
-	if t := key >> 40; t >= 1 && t <= 3 {
-		return int(t)
-	}
-	return 0
-}
-
-// cacheMetrics holds the pre-resolved counters of one instrumented cache.
-// All methods are no-ops on a nil receiver, so the uninstrumented hot
-// path pays one pointer test.
-type cacheMetrics struct {
-	hits    [4]*obs.Counter
-	negHits [4]*obs.Counter
-	misses  [4]*obs.Counter
-	// evictions is per cache, not per tier: the eviction victim comes from
-	// Go's random map iteration, so a tier split would vary run to run and
-	// break snapshot determinism. The count itself is deterministic (one
-	// per over-capacity insert).
-	evictions *obs.Counter
-}
-
-// SetMetrics instruments the cache: hits, negative hits, and misses are
-// counted per key tier under cache_*_total{cache=name,
-// tier=ptr|z8|z16|other}; evictions per cache under
-// cache_evictions_total{cache=name}. Caches sharing a name (every
-// simulated resolver, say) share counters — the registry dedups by
-// identity. A nil registry leaves the cache uninstrumented.
-func (c *Cache) SetMetrics(reg *obs.Registry, name string) {
-	if reg == nil {
-		c.m = nil
-		return
-	}
-	m := &cacheMetrics{evictions: reg.Counter("cache_evictions_total", obs.L("cache", name))}
-	for ti, tier := range tierNames {
-		ls := []obs.Label{obs.L("cache", name), obs.L("tier", tier)}
-		m.hits[ti] = reg.Counter("cache_hits_total", ls...)
-		m.negHits[ti] = reg.Counter("cache_negative_hits_total", ls...)
-		m.misses[ti] = reg.Counter("cache_misses_total", ls...)
-	}
-	c.m = m
-}
-
-func (m *cacheMetrics) hit(key uint64, negative bool) {
-	if m == nil {
-		return
-	}
-	t := tierOf(key)
-	m.hits[t].Inc()
-	if negative {
-		m.negHits[t].Inc()
-	}
-}
-
-func (m *cacheMetrics) miss(key uint64) {
-	if m == nil {
-		return
-	}
-	m.misses[tierOf(key)].Inc()
-}
-
-func (m *cacheMetrics) evict() {
-	if m == nil {
-		return
-	}
-	m.evictions.Inc()
+	t *Table[string]
 }
 
 // New returns a cache holding at most max entries. max <= 0 means
 // unbounded.
 func New(max int) *Cache {
-	return &Cache{max: max, entries: make(map[uint64]Entry)}
+	t := newTable[string](max, 64)
+	t.NewOwner()
+	return &Cache{t: t}
 }
+
+// SetMetrics instruments the cache under cache_*_total{cache=name}; see
+// Table.SetMetrics.
+func (c *Cache) SetMetrics(reg *obs.Registry, name string) { c.t.SetMetrics(reg, name) }
 
 // Get returns the live entry for key at time now. Expired entries are
 // removed and reported as misses.
 func (c *Cache) Get(key uint64, now simtime.Time) (Entry, bool) {
-	e, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		c.m.miss(key)
+	s := c.t.live(0, key, now)
+	if s == nil {
 		return Entry{}, false
 	}
-	if !now.Before(e.Expires) {
-		delete(c.entries, key)
-		c.expired++
-		c.misses++
-		c.m.miss(key)
-		return Entry{}, false
-	}
-	c.hits++
-	c.m.hit(key, e.Negative)
-	return e, true
+	return Entry{Value: s.val, Negative: s.negative(), Expires: s.expires()}, true
 }
 
 // Put stores a positive entry with the given TTL. A TTL <= 0 stores
-// nothing (the zero-TTL PTR records of the paper's controlled experiment
-// disable caching entirely).
+// nothing and clears any previous entry.
 func (c *Cache) Put(key uint64, value string, ttl simtime.Duration, now simtime.Time) {
-	if ttl <= 0 {
-		delete(c.entries, key)
-		return
-	}
-	c.insert(key, Entry{Value: value, Expires: now.Add(ttl)}, now)
+	c.t.Put(0, key, value, ttl, now)
 }
 
 // PutNegative stores an NXDomain result for the negative-cache TTL.
 func (c *Cache) PutNegative(key uint64, ttl simtime.Duration, now simtime.Time) {
-	if ttl <= 0 {
-		delete(c.entries, key)
-		return
-	}
-	c.insert(key, Entry{Negative: true, Expires: now.Add(ttl)}, now)
-}
-
-func (c *Cache) insert(key uint64, e Entry, now simtime.Time) {
-	if c.max > 0 && len(c.entries) >= c.max {
-		if _, exists := c.entries[key]; !exists {
-			c.evict(now)
-		}
-	}
-	c.entries[key] = e
-}
-
-// evict removes one entry, preferring an expired one. Go's random map
-// iteration order provides the victim sampling; determinism of the overall
-// simulation does not depend on which victim is chosen, only on what the
-// cache answers, and expired-vs-live preference keeps answers stable.
-func (c *Cache) evict(now simtime.Time) {
-	var victim uint64
-	found := false
-	scanned := 0
-	for k, e := range c.entries {
-		if !now.Before(e.Expires) {
-			delete(c.entries, k)
-			c.expired++
-			c.m.evict()
-			return
-		}
-		if !found {
-			victim, found = k, true
-		}
-		if scanned++; scanned >= 8 {
-			break
-		}
-	}
-	if found {
-		delete(c.entries, victim)
-		c.m.evict()
-	}
+	c.t.PutNegative(0, key, ttl, now)
 }
 
 // Len returns the number of stored entries, counting expired-but-unswept.
-func (c *Cache) Len() int { return len(c.entries) }
+func (c *Cache) Len() int { return c.t.used }
 
 // Stats returns cumulative hit/miss/expiry counters.
 func (c *Cache) Stats() (hits, misses, expired uint64) {
-	return c.hits, c.misses, c.expired
+	return c.t.hits, c.t.misses, c.t.expired
 }
 
 // Flush drops every entry.
 func (c *Cache) Flush() {
-	clear(c.entries)
+	clear(c.t.slots)
+	c.t.used, c.t.owned[0] = 0, 0
 }

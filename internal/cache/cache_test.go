@@ -69,7 +69,7 @@ func TestOverwrite(t *testing.T) {
 	if e.Value != "new" {
 		t.Errorf("value = %q", e.Value)
 	}
-	if !c.entries[7].Expires.After(140) {
+	if !e.Expires.After(140) {
 		t.Error("overwrite did not refresh expiry")
 	}
 }

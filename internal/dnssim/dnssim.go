@@ -44,8 +44,6 @@ type Config struct {
 	// ServFailTTL is how long a resolver remembers that a final
 	// authority is unreachable before retrying.
 	ServFailTTL simtime.Duration
-	// ResolverCacheMax bounds each resolver's cache entries.
-	ResolverCacheMax int
 	// Retry is the per-level query retry policy, consulted only when a
 	// fault plan is installed (a fault-free network answers the first
 	// try, as all earlier PRs assumed).
@@ -108,11 +106,10 @@ func (p RetryPolicy) Backoff(n int) simtime.Duration {
 // days, /16 delegations six hours, servfail retry after five minutes.
 func DefaultConfig() Config {
 	return Config{
-		NationalNSTTL:    2 * simtime.Day,
-		FinalNSTTL:       6 * simtime.Hour,
-		ServFailTTL:      5 * simtime.Minute,
-		ResolverCacheMax: 4096,
-		Retry:            DefaultRetry(),
+		NationalNSTTL: 2 * simtime.Day,
+		FinalNSTTL:    6 * simtime.Hour,
+		ServFailTTL:   5 * simtime.Minute,
+		Retry:         DefaultRetry(),
 	}
 }
 
@@ -248,21 +245,53 @@ type Resolver struct {
 	// the full reverse name.
 	QNameMin bool
 
-	cache *cache.Cache
-	st    *rng.Stream
+	caches *Caches
+	owner  int // this resolver's id in caches
+	st     *rng.Stream
 }
 
-// NewResolver returns a resolver with its own cache and random stream.
+// Caches is the flat cache table a group of resolvers share (one per
+// world shard): no per-resolver map, no pointers for the collector to
+// trace. Each resolver's entries are bounded separately.
+type Caches = cache.Table[struct{}]
+
+// CacheMetricName is the cache= label every simulated resolver's cache
+// counters aggregate under — the population view §IV-D cares about.
+const CacheMetricName = "resolver"
+
+// NewCaches returns an empty table whose resolvers each hold at most
+// perResolverMax entries.
+func NewCaches(perResolverMax int) *Caches { return cache.NewTable[struct{}](perResolverMax) }
+
+// NewResolver returns a resolver with a private cache table and its own
+// random stream.
 func NewResolver(addr ipaddr.Addr, busyness, preferM float64, cacheMax int, st *rng.Stream) *Resolver {
-	return &Resolver{Addr: addr, Busyness: busyness, PreferM: preferM,
-		cache: cache.New(cacheMax), st: st}
+	return NewResolverIn(NewCaches(cacheMax), addr, busyness, preferM, st)
 }
 
-// SetCacheMetrics instruments this resolver's cache under the shared
-// "resolver" cache name — every simulated resolver aggregates into the
-// same per-tier counters, which is the population view §IV-D cares about.
+// NewResolverIn returns a resolver caching in the shared table c.
+func NewResolverIn(c *Caches, addr ipaddr.Addr, busyness, preferM float64, st *rng.Stream) *Resolver {
+	return &Resolver{Addr: addr, Busyness: busyness, PreferM: preferM,
+		caches: c, owner: c.NewOwner(), st: st}
+}
+
+// SetCacheMetrics instruments the table this resolver caches in under
+// CacheMetricName.
 func (r *Resolver) SetCacheMetrics(reg *obs.Registry) {
-	r.cache.SetMetrics(reg, "resolver")
+	r.caches.SetMetrics(reg, CacheMetricName)
+}
+
+func (r *Resolver) cached(key uint64, now simtime.Time) bool {
+	_, _, ok := r.caches.Get(r.owner, key, now)
+	return ok
+}
+
+func (r *Resolver) put(key uint64, ttl simtime.Duration, now simtime.Time) {
+	r.caches.Put(r.owner, key, struct{}{}, r.capTTL(ttl), now)
+}
+
+func (r *Resolver) putNegative(key uint64, ttl simtime.Duration, now simtime.Time) {
+	r.caches.PutNegative(r.owner, key, ttl, now)
 }
 
 // Hierarchy is the simulated reverse-DNS tree with attached sensors.
@@ -276,32 +305,17 @@ type Hierarchy struct {
 	national map[string]*Sensor // country code -> sensor
 	finals   map[uint16]*Sensor // /16 -> sensor (instrumented final zones)
 
-	// profCache memoizes Profile per originator. A profile is "fixed by
-	// whoever runs its final authority" — a pure function of the address
-	// for the simulation's lifetime — so caching only removes the repeat
-	// string construction inside ProfileFuncs, never changes an answer.
-	profCache map[ipaddr.Addr]OriginatorProfile
-
 	faults *faults.Plan
 	m      *hierMetrics
 	tracer *trace.Tracer
-}
 
-// profile returns the originator's cached profile, consulting the
-// ProfileFunc once per distinct address.
-func (h *Hierarchy) profile(orig ipaddr.Addr) OriginatorProfile {
-	if p, ok := h.profCache[orig]; ok {
-		return p
-	}
-	p := h.Profile(orig)
-	h.profCache[orig] = p
-	return p
+	taps []Tap // Resolve's scratch
 }
 
 // SetTracer installs (or, with nil, removes) the end-to-end lookup
-// tracer. Resolve begins a trace per uncached lookup; callers that want
-// to annotate the trace with upstream context (world activity) begin it
-// themselves via Tracer().Begin and call ResolveTraced.
+// tracer. Resolve begins a trace per lookup; callers that want to annotate
+// the trace with upstream context (world activity) begin it themselves via
+// Tracer().Begin and call Walk.
 func (h *Hierarchy) SetTracer(t *trace.Tracer) { h.tracer = t }
 
 // Tracer returns the installed tracer (nil when tracing is off).
@@ -420,12 +434,11 @@ func NewHierarchy(g *geo.Registry, cfg Config, profile ProfileFunc) *Hierarchy {
 		profile = DefaultProfile
 	}
 	return &Hierarchy{
-		Geo:       g,
-		Cfg:       cfg,
-		Profile:   profile,
-		national:  make(map[string]*Sensor),
-		finals:    make(map[uint16]*Sensor),
-		profCache: make(map[ipaddr.Addr]OriginatorProfile),
+		Geo:      g,
+		Cfg:      cfg,
+		Profile:  profile,
+		national: make(map[string]*Sensor),
+		finals:   make(map[uint16]*Sensor),
 	}
 }
 
@@ -444,8 +457,8 @@ func (h *Hierarchy) AttachFinal(slash16 uint16, s *Sensor) {
 	h.finals[slash16] = s
 }
 
-// Zone cache-key helpers: tag in the high bits, zone identity below. Keys
-// live in each resolver's private cache.
+// Zone cache-key helpers: tag in the high bits, zone identity below; the
+// cache table adds the resolver's id above both.
 func ptrKey(o ipaddr.Addr) uint64 { return 1<<40 | uint64(o) }
 func z8Key(o ipaddr.Addr) uint64  { return 2<<40 | uint64(o.Slash8()) }
 func z16Key(o ipaddr.Addr) uint64 { return 3<<40 | uint64(o.Slash16()) }
@@ -471,20 +484,134 @@ func bgWarm(r *Resolver, zoneKey uint64, ttl simtime.Duration, now simtime.Time)
 	return float64(draw>>11)/(1<<53) < r.Busyness
 }
 
+// Subject is the resolver-independent half of a lookup: what the
+// hierarchy knows about the originator whose reverse name is asked for —
+// its DNS profile and the sensors at its national and final authorities.
+// A caller resolving one originator many times (a campaign's events)
+// builds it once with Hierarchy.Subject; a zero Subject carrying only Orig
+// is filled by the first walk that misses the PTR cache.
+type Subject struct {
+	Orig ipaddr.Addr
+
+	ready    bool
+	profile  OriginatorProfile
+	national *Sensor
+	final    *Sensor
+}
+
+// Subject resolves orig's profile and authorities as of now; a later
+// change of the ProfileFunc's answer needs a new Subject.
+func (h *Hierarchy) Subject(orig ipaddr.Addr) Subject {
+	sub := Subject{Orig: orig}
+	h.fill(&sub)
+	return sub
+}
+
+func (h *Hierarchy) fill(sub *Subject) {
+	sub.profile = h.Profile(sub.Orig)
+	sub.national = h.national[h.Geo.Country(sub.Orig)]
+	sub.final = h.finals[sub.Orig.Slash16()]
+	sub.ready = true
+}
+
+// Tap is one query arriving at a sensed authority, produced by Walk and
+// not yet shown to the sensor. Whether the sensor keeps it depends on the
+// arrival order across all resolvers (1:N sampling counts arrivals), so
+// walks only collect taps, possibly on several goroutines, and Deliver
+// applies them in the global order their Seq gives.
+type Tap struct {
+	// Seq is the caller's order key for the lookup that produced the tap.
+	Seq uint32
+
+	rcode   uint8
+	event   int32   // tc's tentative sensor event
+	sensor  *Sensor // nil: the lookup ended; commit tc
+	at      simtime.Time
+	orig    ipaddr.Addr
+	querier ipaddr.Addr
+	tc      *trace.Ctx
+}
+
+// Deliver shows taps to their sensors in slice order, confirming the
+// trace event of each record a sensor keeps and committing each finished
+// trace. Not safe for concurrent use: sensors and the tracer's ring are
+// shared by every resolver.
+func Deliver(taps []Tap) {
+	for i := range taps {
+		p := &taps[i]
+		if p.sensor == nil {
+			p.tc.Commit()
+		} else if p.sensor.Observe(p.at, p.orig, p.querier, p.rcode) {
+			p.tc.Keep(int(p.event), p.orig, p.querier)
+		}
+	}
+}
+
+// lookup is the state of one walk.
+type lookup struct {
+	h    *Hierarchy
+	out  *[]Tap
+	seq  uint32
+	r    *Resolver
+	orig ipaddr.Addr // not the *Subject: a pointer here would escape with tc
+	// dup: a retransmitting stub re-sends this lookup's queries ~3 s
+	// later, before any answer has been cached.
+	dup bool
+	tc  *trace.Ctx
+}
+
+// observe taps the query answered at t (and its retransmitted twin) for
+// sensor s; a nil s is an authority nobody instrumented.
+func (x *lookup) observe(s *Sensor, t simtime.Time, rcode uint8) {
+	if s == nil {
+		return
+	}
+	x.tap(s, t, rcode)
+	if x.dup {
+		x.tap(s, t.Add(3), rcode)
+	}
+}
+
+func (x *lookup) tap(s *Sensor, t simtime.Time, rcode uint8) {
+	*x.out = append(*x.out, Tap{Seq: x.seq, sensor: s, at: t, orig: x.orig, querier: x.r.Addr,
+		rcode: rcode, tc: x.tc, event: int32(x.tc.Tap(s.Name, rcode, t))})
+}
+
+// endTrace ends a lookup's trace; the commit waits for Deliver so traces
+// reach the tracer in global order.
+func endTrace(out *[]Tap, seq uint32, tc *trace.Ctx, now simtime.Time, queries int) {
+	if tc != nil {
+		tc.Done(now, queries)
+		*out = append(*out, Tap{Seq: seq, tc: tc})
+	}
+}
+
+func (x *lookup) finish(now simtime.Time, queries int) int {
+	endTrace(x.out, x.seq, x.tc, now, queries)
+	return queries
+}
+
+// giveUp negative-caches the name after a level exhausted its retries —
+// the same rate limit the dead-final path always used.
+func (x *lookup) giveUp(now simtime.Time, queries int) int {
+	x.r.putNegative(ptrKey(x.orig), x.h.Cfg.ServFailTTL, now)
+	return x.finish(now, queries)
+}
+
 // exchange runs the query/retry loop against one authority level. It
 // sends up to Retry.Attempts queries (exactly one when no fault plan is
 // installed — the polite network of earlier PRs is byte-identical),
-// backing off with the capped exponential policy between tries. obsv is
-// called for each answer that actually arrives, with the instant it
+// backing off with the capped exponential policy between tries. Each
+// answer that actually arrives is tapped for sensor s with the instant it
 // arrives and its rcode; dead authorities and dropped packets produce no
 // observation, SERVFAIL answers observe with RCodeServFail, and
 // truncated answers are re-asked over TCP (one extra query, one extra
 // observation a second later). Every attempt, injected fault, and answer
-// is annotated on tc (a nil tc traces nothing). It returns whether a
-// clean answer arrived, when it arrived, and how many queries were sent.
-func (h *Hierarchy) exchange(r *Resolver, orig ipaddr.Addr, li int, zone uint64,
-	hidden bool, rcode uint8, unreachable bool,
-	obsv func(simtime.Time, uint8), now simtime.Time, tc *trace.Ctx) (ok bool, done simtime.Time, sent int) {
+// is annotated on the trace. It returns whether a clean answer arrived,
+// when it arrived, and how many queries were sent.
+func (x *lookup) exchange(li int, zone uint64, hidden bool, rcode uint8, unreachable bool,
+	s *Sensor, now simtime.Time) (ok bool, done simtime.Time, sent int) {
+	h, tc := x.h, x.tc
 	lv := hierLevels[li]
 	if h.faults == nil {
 		h.m.query(li, hidden, now)
@@ -495,13 +622,13 @@ func (h *Hierarchy) exchange(r *Resolver, orig ipaddr.Addr, li int, zone uint64,
 			tc.GiveUp(lv, now)
 			return false, now, 1
 		}
-		obsv(now, rcode)
+		x.observe(s, now, rcode)
 		tc.Answer(lv, rcode, 0, now)
 		return true, now, 1
 	}
 
 	pol := h.Cfg.Retry.normalized()
-	res, sub := uint64(r.Addr), uint64(orig)
+	res, sub := uint64(x.r.Addr), uint64(x.orig)
 	t := now
 	for attempt := 0; attempt < pol.Attempts; attempt++ {
 		if attempt > 0 {
@@ -531,12 +658,12 @@ func (h *Hierarchy) exchange(r *Resolver, orig ipaddr.Addr, li int, zone uint64,
 		at := t.Add(lat)
 		if h.faults.ServFails(li, zone, t, attempt) {
 			tc.Fault(lv, attempt+1, "servfail", at)
-			obsv(at, dnswire.RCodeServFail)
+			x.observe(s, at, dnswire.RCodeServFail)
 			tc.Answer(lv, dnswire.RCodeServFail, lat, at)
 			t = at
 			continue
 		}
-		obsv(at, rcode)
+		x.observe(s, at, rcode)
 		tc.Answer(lv, rcode, lat, at)
 		if h.faults.TruncateAnswer(li, res, sub, at) {
 			// TC answer: re-ask the same authority over TCP. The TCP
@@ -547,7 +674,7 @@ func (h *Hierarchy) exchange(r *Resolver, orig ipaddr.Addr, li int, zone uint64,
 			h.m.query(li, hidden, at)
 			sent++
 			at = at.Add(1)
-			obsv(at, rcode)
+			x.observe(s, at, rcode)
 			tc.Answer(lv, rcode, 0, at)
 		}
 		return true, at, sent
@@ -561,54 +688,61 @@ func (h *Hierarchy) exchange(r *Resolver, orig ipaddr.Addr, li int, zone uint64,
 // record at each authority the query reaches. It returns the number of
 // authority queries sent (0 when the answer was fully cached). When a
 // fault plan is installed, any level that exhausts its retries aborts the
-// lookup: the resolver negative-caches the name for ServFailTTL — the
-// same rate limit the dead-final path always used — and the giveup is
-// counted in resolver_gaveup_total. With a tracer installed, Resolve
-// begins a trace for the lookup (subject to head sampling).
+// lookup: the resolver negative-caches the name for ServFailTTL and the
+// giveup is counted in resolver_gaveup_total. With a tracer installed,
+// Resolve begins a trace for the lookup (subject to head sampling). It is
+// Walk followed at once by Deliver, for callers with one lookup at a time.
 func (h *Hierarchy) Resolve(r *Resolver, orig ipaddr.Addr, now simtime.Time) int {
-	return h.ResolveTraced(r, orig, now, h.tracer.Begin(r.Addr, orig, now))
+	sub := Subject{Orig: orig}
+	h.taps = h.taps[:0]
+	queries := h.Walk(&h.taps, 0, r, &sub, now, h.tracer.Begin(r.Addr, orig, now))
+	if len(h.taps) > 0 {
+		Deliver(h.taps)
+	}
+	return queries
 }
 
-// ResolveTraced is Resolve with a caller-supplied trace context, for
-// callers (world activity) that begin the trace themselves to annotate
-// it with upstream context. A nil tc traces nothing; the resolution path
-// is identical either way.
-func (h *Hierarchy) ResolveTraced(r *Resolver, orig ipaddr.Addr, now simtime.Time, tc *trace.Ctx) int {
-	if _, ok := r.cache.Get(ptrKey(orig), now); ok {
-		h.m.resolve(true, now)
-		tc.CacheHit(now)
-		tc.Finish(now, 0)
-		return 0
+// Walk is the resolver's half of a lookup of sub.Orig by r at time now:
+// it consults and updates only r's own cache entries and random stream,
+// and appends a Tap tagged seq to out for every query that reaches a
+// sensed authority. Walks of different resolvers may therefore run
+// concurrently as long as each goroutine has its own out and cache table;
+// the sensors see nothing until Deliver. tc is the lookup's trace
+// context, begun by the caller; nil traces nothing and the resolution
+// path is identical either way. It returns the number of authority
+// queries sent.
+func (h *Hierarchy) Walk(out *[]Tap, seq uint32, r *Resolver, sub *Subject, now simtime.Time, tc *trace.Ctx) int {
+	if !r.cached(ptrKey(sub.Orig), now) {
+		return h.walkUp(out, seq, r, sub, now, tc)
 	}
-	h.m.resolve(false, now)
+	h.m.resolve(true, now)
+	tc.CacheHit(now)
+	endTrace(out, seq, tc, now, 0)
+	return 0
+}
 
-	// A retransmitting stub re-sends this lookup's queries ~3 s later,
-	// before any answer has been cached.
-	dup := r.RetransmitProb > 0 && r.st.Bool(r.RetransmitProb)
-	observe := func(s *Sensor, t simtime.Time, rcode uint8) {
-		if s == nil {
-			return
-		}
-		if s.Observe(t, orig, r.Addr, rcode) {
-			tc.Sensor(s.Name, orig, r.Addr, rcode, t)
-		}
-		if dup {
-			if s.Observe(t.Add(3), orig, r.Addr, rcode) {
-				tc.Sensor(s.Name, orig, r.Addr, rcode, t.Add(3))
-			}
-		}
+// walkUp is Walk past a PTR-cache miss: up the tree as far as the
+// resolver's cached delegations make it go, then the final authority. It
+// is apart from Walk so the common cached lookup does not pay for this
+// function's frame.
+func (h *Hierarchy) walkUp(out *[]Tap, seq uint32, r *Resolver, sub *Subject, now simtime.Time, tc *trace.Ctx) int {
+	h.m.resolve(false, now)
+	if !sub.ready {
+		h.fill(sub)
 	}
+	orig := sub.Orig
+	x := lookup{h: h, out: out, seq: seq, r: r, orig: orig, tc: tc}
+	x.dup = r.RetransmitProb > 0 && r.st.Bool(r.RetransmitProb)
 
 	queries := 0
 	cur := now
 	// Find the most specific cached (or background-warmed) delegation.
-	_, have16 := r.cache.Get(z16Key(orig), now)
-	_, have8 := r.cache.Get(z8Key(orig), now)
+	have16 := r.cached(z16Key(orig), now)
+	have8 := r.cached(z8Key(orig), now)
 	if !have8 && bgWarm(r, z8Key(orig), h.Cfg.NationalNSTTL, now) {
 		have8 = true
 	}
 
-	country := h.Geo.Country(orig)
 	if !have8 && !have16 {
 		// Root-level query: the resolver learns the /8 delegation. A
 		// minimizing resolver asks only for "1.in-addr.arpa", which the
@@ -620,49 +754,37 @@ func (h *Hierarchy) ResolveTraced(r *Resolver, orig ipaddr.Addr, now simtime.Tim
 		if r.QNameMin {
 			root = nil
 		}
-		ok, done, sent := h.exchange(r, orig, 0, z8Key(orig), r.QNameMin,
-			dnswire.RCodeNoError,
-			false, func(t simtime.Time, rc uint8) { observe(root, t, rc) }, cur, tc)
+		ok, done, sent := x.exchange(0, z8Key(orig), r.QNameMin, dnswire.RCodeNoError, false, root, cur)
 		queries += sent
 		if !ok {
-			r.cache.PutNegative(ptrKey(orig), h.Cfg.ServFailTTL, cur)
-			tc.Finish(cur, queries)
-			return queries
+			return x.giveUp(cur, queries)
 		}
 		cur = done
-		r.cache.Put(z8Key(orig), country, r.capTTL(h.Cfg.NationalNSTTL), now)
-		have8 = true
+		r.put(z8Key(orig), h.Cfg.NationalNSTTL, now)
 	}
 	if !have16 {
 		// National registry query: learn the /16 delegation. Minimizing
 		// resolvers reveal only the /16 here — not attributable.
-		nat := h.national[country]
+		nat := sub.national
 		if r.QNameMin {
 			nat = nil
 		}
-		ok, done, sent := h.exchange(r, orig, 1, z8Key(orig), r.QNameMin,
-			dnswire.RCodeNoError,
-			false, func(t simtime.Time, rc uint8) { observe(nat, t, rc) }, cur, tc)
+		ok, done, sent := x.exchange(1, z8Key(orig), r.QNameMin, dnswire.RCodeNoError, false, nat, cur)
 		queries += sent
 		if !ok {
-			r.cache.PutNegative(ptrKey(orig), h.Cfg.ServFailTTL, cur)
-			tc.Finish(cur, queries)
-			return queries
+			return x.giveUp(cur, queries)
 		}
 		cur = done
-		r.cache.Put(z16Key(orig), "final", r.capTTL(h.Cfg.FinalNSTTL), now)
+		r.put(z16Key(orig), h.Cfg.FinalNSTTL, now)
 	}
 
 	// Final authority query for the PTR record itself.
-	p := h.profile(orig)
+	p := &sub.profile
 	rcode := dnswire.RCodeNoError
 	if !p.HasName {
 		rcode = dnswire.RCodeNXDomain
 	}
-	fin := h.finals[orig.Slash16()]
-	ok, done, sent := h.exchange(r, orig, 2, z16Key(orig), false, rcode,
-		p.FinalUnreachable,
-		func(t simtime.Time, rc uint8) { observe(fin, t, rc) }, cur, tc)
+	ok, done, sent := x.exchange(2, z16Key(orig), false, rcode, p.FinalUnreachable, sub.final, cur)
 	queries += sent
 	if !ok {
 		// Timeout at the dead (or fault-exhausted) final: nothing arrives
@@ -670,17 +792,14 @@ func (h *Hierarchy) ResolveTraced(r *Resolver, orig ipaddr.Addr, now simtime.Tim
 		// dnssim_final_timeouts_total; remember it briefly so retries are
 		// rate-limited.
 		h.m.finalTimeout(cur)
-		r.cache.PutNegative(ptrKey(orig), h.Cfg.ServFailTTL, cur)
-		tc.Finish(cur, queries)
-		return queries
+		return x.giveUp(cur, queries)
 	}
 	if p.HasName {
-		r.cache.Put(ptrKey(orig), p.Name, r.capTTL(p.TTL), done)
+		r.put(ptrKey(orig), p.TTL, done)
 	} else {
-		r.cache.PutNegative(ptrKey(orig), r.capTTL(p.NegTTL), done)
+		r.putNegative(ptrKey(orig), r.capTTL(p.NegTTL), done)
 	}
-	tc.Finish(done, queries)
-	return queries
+	return x.finish(done, queries)
 }
 
 func (r *Resolver) capTTL(ttl simtime.Duration) simtime.Duration {

@@ -348,3 +348,37 @@ func TestHierarchyMetricsCachedAndQMin(t *testing.T) {
 		t.Errorf("qmin-hidden queries = %d, want 2", got)
 	}
 }
+
+// TestWalkDefersToDeliver: walks only collect taps — no sensor counts an
+// arrival until Deliver — and a 1:2 sampler decides by the order taps are
+// delivered in, not the order their walks ran in.
+func TestWalkDefersToDeliver(t *testing.T) {
+	run := func(reverse bool) ipaddr.Addr {
+		h, _, _, _, _, orig := testHierarchy(cachedProfile)
+		final := NewSensor("final", 2)
+		h.AttachFinal(orig.Slash16(), final)
+		var taps [2][]Tap
+		for i := range taps {
+			r := NewResolver(ipaddr.Addr(0x0a000001+i), 0, 0, 64, rng.New(uint64(i)))
+			sub := h.Subject(orig)
+			if n := h.Walk(&taps[i], uint32(i), r, &sub, 1000, nil); n != 3 {
+				t.Fatalf("cold walk sent %d queries, want 3", n)
+			}
+		}
+		if final.Seen() != 0 {
+			t.Fatal("a sensor saw a query before Deliver")
+		}
+		if reverse {
+			taps[0], taps[1] = taps[1], taps[0]
+		}
+		Deliver(taps[0])
+		Deliver(taps[1])
+		if final.Seen() != 2 || final.Len() != 1 {
+			t.Fatalf("1:2 sensor saw %d and kept %d, want 2 and 1", final.Seen(), final.Len())
+		}
+		return final.Records()[0].Querier
+	}
+	if a, b := run(false), run(true); a == b {
+		t.Errorf("the sampled record came from %v whichever walk was delivered second", a)
+	}
+}

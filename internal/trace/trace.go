@@ -165,7 +165,6 @@ type Ctx struct {
 	tr     *Tracer
 	id     ID
 	t0     simtime.Time
-	seq    int
 	events []Event
 }
 
@@ -193,13 +192,12 @@ func (c *Ctx) ID() ID {
 	return c.id
 }
 
-// add stamps the event with the trace identity and the next sequence
-// number and buffers it.
+// add stamps the event with the trace identity and buffers it. Sequence
+// numbers are assigned at Commit, once it is known which tentative sensor
+// events survive.
 func (c *Ctx) add(ev Event) {
 	ev.T0 = c.t0
 	ev.Trace = c.id
-	ev.Seq = c.seq
-	c.seq++
 	c.events = append(c.events, ev)
 }
 
@@ -280,28 +278,70 @@ func (c *Ctx) Serve(authority, rcode string, now simtime.Time) {
 // (originator, querier, time) so the pipeline can join its provenance
 // back to this trace.
 func (c *Ctx) Sensor(authority string, orig, querier ipaddr.Addr, rcode uint8, now simtime.Time) {
+	c.Keep(c.Tap(authority, rcode, now), orig, querier)
+}
+
+// Tap buffers a tentative sensor event — a query reached the named
+// authority, but whether its sensor keeps a record (sampling counts
+// arrivals across all resolvers) is not known yet — and returns its
+// handle. Keep confirms it; Commit drops the taps never confirmed. The
+// sharded simulator taps while resolver shards run in parallel and keeps
+// during the ordered merge.
+func (c *Ctx) Tap(authority string, rcode uint8, now simtime.Time) int {
+	if c == nil {
+		return 0
+	}
+	// An empty Kind marks the event tentative.
+	c.add(Event{Time: now, Authority: authority, RCode: RCodeName(rcode)})
+	return len(c.events) - 1
+}
+
+// Keep confirms a tapped sensor event and indexes the kept record's
+// (originator, querier, time) under this trace.
+func (c *Ctx) Keep(tap int, orig, querier ipaddr.Addr) {
 	if c == nil {
 		return
 	}
-	c.add(Event{Time: now, Kind: KindSensor, Authority: authority, RCode: RCodeName(rcode)})
+	ev := &c.events[tap]
+	ev.Kind = KindSensor
 	c.tr.mu.Lock()
-	k := recKey{orig: orig, querier: querier, at: now}
+	k := recKey{orig: orig, querier: querier, at: ev.Time}
 	if _, dup := c.tr.index[k]; !dup {
 		c.tr.index[k] = recRef{id: c.id, t0: c.t0}
 	}
 	c.tr.mu.Unlock()
 }
 
-// Finish commits the trace: appends the terminal "done" event carrying
-// the total simulated duration and the number of upstream queries sent,
-// then hands the events to the tracer (evicting the oldest committed
-// trace when the ring is bounded and full).
+// Finish ends and commits the trace: Done, then Commit.
 func (c *Ctx) Finish(now simtime.Time, queries int) {
+	c.Done(now, queries)
+	c.Commit()
+}
+
+// Done appends the terminal "done" event carrying the total simulated
+// duration and the number of upstream queries sent.
+func (c *Ctx) Done(now simtime.Time, queries int) {
 	if c == nil {
 		return
 	}
 	c.add(Event{Time: now, Kind: KindDone, Dur: now.Sub(c.t0), Queries: queries})
-	tr := Trace{ID: c.id, T0: c.t0, Events: c.events}
+}
+
+// Commit numbers the surviving events in order and hands them to the
+// tracer (evicting the oldest committed trace when the ring is bounded
+// and full).
+func (c *Ctx) Commit() {
+	if c == nil {
+		return
+	}
+	kept := c.events[:0]
+	for _, ev := range c.events {
+		if ev.Kind != "" {
+			ev.Seq = len(kept)
+			kept = append(kept, ev)
+		}
+	}
+	tr := Trace{ID: c.id, T0: c.t0, Events: kept}
 	t := c.tr
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -286,3 +286,42 @@ func TestGiveUpAndServeEvents(t *testing.T) {
 		}
 	}
 }
+
+// TestTapKeepCommit: a tentative sensor event survives Commit only when
+// kept, survivors are numbered consecutively in path order, and only kept
+// records join the record index.
+func TestTapKeepCommit(t *testing.T) {
+	tr := New(1, 1)
+	c := tr.Begin(1, 2, 10)
+	c.Query("root", 1, 10)
+	dropped := c.Tap("m-root", 0, 10)
+	kept := c.Tap("m-root", 0, 13)
+	c.Answer("root", 0, 0, 10)
+	c.Done(13, 1)
+	if tr.Len() != 0 {
+		t.Fatal("Done committed the trace")
+	}
+	c.Keep(kept, 2, 1)
+	c.Commit()
+
+	got, _ := tr.committed()
+	if len(got) != 1 {
+		t.Fatalf("committed %d traces, want 1", len(got))
+	}
+	var kinds []string
+	for i, ev := range got[0].Events {
+		if ev.Seq != i {
+			t.Errorf("event %d has seq %d", i, ev.Seq)
+		}
+		kinds = append(kinds, ev.Kind)
+	}
+	if want := "lookup query sensor answer done"; strings.Join(kinds, " ") != want {
+		t.Errorf("events = %v, want %s", kinds, want)
+	}
+	if _, _, ok := tr.RecordID(2, 1, 13); !ok {
+		t.Error("kept record is not indexed")
+	}
+	if _, _, ok := tr.RecordID(2, 1, 10); ok {
+		t.Errorf("tap %d was never kept but its record is indexed", dropped)
+	}
+}

@@ -22,14 +22,22 @@ type Querier struct {
 	Name     string // reverse name; empty for NXDomain/Unreach
 	Country  string
 	Resolver *dnssim.Resolver
+
+	shard uint8 // which of the world's simShards walks this resolver
 }
 
 // poolKey identifies a querier slot by (category, country, popularity
-// rank), packed for cheap hashing on the per-touch hot path.
+// rank).
 type poolKey struct {
 	cat     qname.Category
 	country int // index into geo.Countries
 	rank    int
+}
+
+// packed folds the key into one word, which the runtime's maps hash far
+// faster than a three-field struct on the per-touch hot path.
+func (k poolKey) packed() uint64 {
+	return uint64(k.cat)<<48 | uint64(k.country)<<32 | uint64(uint32(k.rank))
 }
 
 // querierPool lazily materializes the world's querier population. A slot's
@@ -43,8 +51,14 @@ type querierPool struct {
 	zipfS        float64
 	qminFraction float64
 
-	byKey  map[poolKey]*Querier
+	// zipf[k] is the smallest 53-bit draw whose rank is <= k; see zipfRank.
+	zipf []uint64
+
+	byKey  map[uint64]*Querier // by poolKey.packed
 	byAddr map[ipaddr.Addr]*Querier
+
+	// caches[s] holds the resolver caches of every querier in shard s.
+	caches [simShards]*dnssim.Caches
 
 	// names canonicalizes the registered domains inside generated
 	// querier names across the whole pool — one shared copy per
@@ -52,35 +66,35 @@ type querierPool struct {
 	// pool seed; value-transparent, so names are byte-identical with or
 	// without it.
 	names *intern.Table
-
-	obs *obs.Registry // instruments resolver caches as slots materialize
 }
 
-// setMetrics instruments the caches of every materialized resolver and of
-// all resolvers created afterwards; they aggregate under the shared
-// "resolver" cache name. A nil registry stops instrumenting new slots
-// (already-materialized resolvers keep their counters).
+// resolverCacheMax bounds each simulated resolver's cache entries.
+const resolverCacheMax = 2048
+
+// setMetrics instruments every resolver cache, materialized or not; they
+// aggregate under dnssim.CacheMetricName. A nil registry uninstruments.
 func (p *querierPool) setMetrics(reg *obs.Registry) {
-	p.obs = reg
-	if reg == nil {
-		return
-	}
-	for _, q := range p.byAddr {
-		q.Resolver.SetCacheMetrics(reg)
+	for _, c := range p.caches {
+		c.SetMetrics(reg, dnssim.CacheMetricName)
 	}
 }
 
 func newQuerierPool(g *geo.Registry, src *rng.Source, ranks int, zipfS float64) *querierPool {
 	seed := src.Stream("querier-pool").Uint64()
-	return &querierPool{
+	p := &querierPool{
 		geo:    g,
 		seed:   seed,
 		ranks:  ranks,
 		zipfS:  zipfS,
-		byKey:  make(map[poolKey]*Querier),
+		zipf:   zipfThresholds(ranks, zipfS),
+		byKey:  make(map[uint64]*Querier),
 		byAddr: make(map[ipaddr.Addr]*Querier),
 		names:  intern.New(seed),
 	}
+	for s := range p.caches {
+		p.caches[s] = dnssim.NewCaches(resolverCacheMax)
+	}
+	return p
 }
 
 func mix64(a, b uint64) uint64 {
@@ -91,7 +105,7 @@ func mix64(a, b uint64) uint64 {
 
 // get returns the querier for a slot, creating it on first use.
 func (p *querierPool) get(k poolKey) *Querier {
-	if q, ok := p.byKey[k]; ok {
+	if q, ok := p.byKey[k.packed()]; ok {
 		return q
 	}
 	st := rng.New(mix64(p.seed, mix64(uint64(k.cat)<<32|uint64(k.rank), uint64(k.country)+0x1b3)))
@@ -126,12 +140,17 @@ func (p *querierPool) get(k poolKey) *Querier {
 		busy = 0.97
 	}
 
+	// The shard is a stable hash of the resolver address into a fixed
+	// count, so which resolvers share a walk never depends on the worker
+	// count (determinism rule 4).
+	shard := uint8(mix64(uint64(addr), 0x5a17) % simShards)
 	q := &Querier{
 		Addr:     addr,
 		Category: k.cat,
 		Name:     name,
 		Country:  geo.CountryCode(k.country),
-		Resolver: dnssim.NewResolver(addr, busy, preferM(p.geo.Region(addr)), 2048, rng.New(st.Uint64())),
+		Resolver: dnssim.NewResolverIn(p.caches[shard], addr, busy, preferM(p.geo.Region(addr)), rng.New(st.Uint64())),
+		shard:    shard,
 	}
 	// Some queriers ignore DNS timeout rules and re-query aggressively
 	// (§III-C). Firewalls and home gear logging per connection are the
@@ -155,10 +174,7 @@ func (p *querierPool) get(k poolKey) *Querier {
 	if p.qminFraction > 0 && st.Bool(p.qminFraction) {
 		q.Resolver.QNameMin = true
 	}
-	if p.obs != nil {
-		q.Resolver.SetCacheMetrics(p.obs)
-	}
-	p.byKey[k] = q
+	p.byKey[k.packed()] = q
 	p.byAddr[addr] = q
 	return q
 }
@@ -197,18 +213,54 @@ func (p *querierPool) forTarget(orig ipaddr.Addr, mix *classMix, target ipaddr.A
 	return p.get(poolKey{cat: cat, country: country, rank: rank})
 }
 
-// zipfRank draws a Zipf(s)-distributed rank in [0, ranks) from a hash. The
-// inverse-CDF of the continuous power law gives rank ~ u^{-1/(s-1)};
-// out-of-range draws re-hash (rejection), preserving the tail shape.
-func (p *querierPool) zipfRank(h uint64) int {
-	for i := 0; i < 64; i++ {
-		u := float64(h>>11) / (1 << 53)
-		if u == 0 {
-			u = 1e-12
+// zipfDraw is the inverse-CDF of the continuous power law, rank ~
+// u^{-1/(s-1)}, on a 53-bit draw x (u = x / 2^53). The result is at or
+// beyond ranks when the draw falls outside the pool.
+func zipfDraw(x uint64, s float64) int {
+	u := float64(x) / (1 << 53)
+	if u == 0 {
+		u = 1e-12
+	}
+	return int(math.Pow(u, -1/(s-1))) - 1
+}
+
+// zipfThresholds tabulates zipfDraw: entry k is the smallest draw whose
+// rank is <= k (ranks fall as draws grow). Each entry starts from the
+// analytic inverse and is then walked to the exact boundary of zipfDraw
+// itself, so a table lookup returns precisely what the formula would.
+func zipfThresholds(ranks int, s float64) []uint64 {
+	th := make([]uint64, ranks)
+	for k := range th {
+		x := uint64(math.Pow(float64(k+2), -(s-1)) * (1 << 53))
+		for x > 0 && zipfDraw(x-1, s) <= k {
+			x--
 		}
-		r := int(math.Pow(u, -1/(p.zipfS-1))) - 1
-		if r < p.ranks {
-			return r
+		for zipfDraw(x, s) > k {
+			x++
+		}
+		th[k] = x
+	}
+	return th
+}
+
+// zipfRank draws a Zipf(s)-distributed rank in [0, ranks) from a hash:
+// the smallest k whose threshold the draw reaches. Out-of-range draws
+// re-hash (rejection), preserving the tail shape.
+func (p *querierPool) zipfRank(h uint64) int {
+	th := p.zipf
+	for i := 0; i < 64; i++ {
+		if x := h >> 11; x >= th[len(th)-1] {
+			// th descends; binary search for the first entry <= x.
+			lo, hi := 0, len(th)-1
+			for lo < hi {
+				mid := int(uint(lo+hi) >> 1)
+				if th[mid] <= x {
+					hi = mid
+				} else {
+					lo = mid + 1
+				}
+			}
+			return lo
 		}
 		h = mix64(h, uint64(i)+1)
 	}

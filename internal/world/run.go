@@ -6,6 +6,7 @@ import (
 	"dnsbackscatter/internal/activity"
 	"dnsbackscatter/internal/dnssim"
 	"dnsbackscatter/internal/ipaddr"
+	"dnsbackscatter/internal/parallel"
 	"dnsbackscatter/internal/qname"
 	"dnsbackscatter/internal/rng"
 	"dnsbackscatter/internal/simtime"
@@ -22,36 +23,72 @@ func (w *World) pickTarget(global bool, home string, st *rng.Stream) ipaddr.Addr
 	return ipaddr.Addr(st.Uint64())
 }
 
-// touch routes one activity event through the reacting querier's resolver,
-// producing backscatter at whichever authorities see the lookup. Scanning
-// and misbehaving-P2P touches also feed the darknet: each touch stands for
-// a much larger raw probe volume, thinned at the darknet's space fraction.
-func (w *World) touch(c *activity.Campaign, e activity.Event) {
-	w.m.event(e.Time)
-	mix := w.mixes[c.Originator]
-	q := w.pool.forTarget(c.Originator, &mix, e.Target)
-	// Begin the lookup's trace here rather than inside Resolve so the
-	// campaign activity that provoked it is annotated on the span.
-	tc := w.Hier.Tracer().Begin(q.Resolver.Addr, c.Originator, e.Time)
-	tc.Activity(c.Class.String(), c.Port)
-	w.Hier.ResolveTraced(q.Resolver, c.Originator, e.Time, tc)
-	// TTL-violating queriers re-resolve while handling one event (log
-	// flushes, per-connection lookups); their repeats are what push the
-	// paper's queries-per-querier to 3-5 for hammering activity.
-	if ttl := q.Resolver.MaxPTRTTL; ttl > 0 {
-		end := w.Cfg.Start.Add(w.Cfg.Duration)
-		requeries := 1
-		if q.Category == qname.FW || q.Category == qname.Home {
-			requeries = 3 // per-connection log lookups
-		}
-		for k := 1; k <= requeries; k++ {
-			rt := e.Time.Add(simtime.Duration(k) * (ttl + 30))
-			if !rt.Before(end) {
-				break
-			}
-			w.Hier.Resolve(q.Resolver, c.Originator, rt)
-		}
+// The simulation runs in three phases per batch of events — generate,
+// resolve in shards, merge — so that the resolver walks, which own all the
+// cache state and most of the time, can run side by side.
+
+// simShards is the fixed number of resolver shards. Every resolver belongs
+// to one shard by a stable hash of its address; a shard owns its resolvers'
+// caches and random streams outright, so shards share no mutable state.
+const simShards = 16
+
+// batchEvents caps how many events are generated before the shards run,
+// which bounds the request and tap buffers whatever the world's size.
+const batchEvents = 1 << 15
+
+// campaignCtx is what every event of one campaign shares: hoisted out of
+// the per-event path when the campaign's run of events begins.
+type campaignCtx struct {
+	c   *activity.Campaign
+	mix classMix
+	sub dnssim.Subject // the originator's profile and sensors
+}
+
+// request is one activity event routed to the querier that reacts to it.
+type request struct {
+	seq uint32 // position in the batch: the global order key
+	ctx int32  // index into batch.ctxs
+	t   simtime.Time
+	q   *Querier
+}
+
+// batch is a run of consecutive events in generation order, split by
+// resolver shard.
+type batch struct {
+	ctxs   []campaignCtx
+	order  []uint8 // order[seq] is the shard holding request seq
+	shards [simShards]struct {
+		reqs []request
+		taps []dnssim.Tap // in request order, hence ascending Seq
 	}
+}
+
+// touch is the generate phase for one activity event: everything that
+// depends on the order events are generated in but not on any resolver's
+// state. It counts the event, maps the target to the reacting querier
+// (pool materialization order feeds address-collision avoidance), queues
+// the lookup on the querier's shard, and feeds the darknet — scanning and
+// misbehaving-P2P touches each stand for a much larger raw probe volume,
+// thinned at the darknet's space fraction with draws from one shared
+// stream.
+func (w *World) touch(c *activity.Campaign, e activity.Event) {
+	b := &w.batch
+	if len(b.order) == batchEvents {
+		w.flush()
+	}
+	n := len(b.ctxs)
+	if n == 0 || b.ctxs[n-1].c != c {
+		b.ctxs = append(b.ctxs, campaignCtx{c: c, mix: w.mixes[c.Originator], sub: w.Hier.Subject(c.Originator)})
+		n++
+	}
+	cc := &b.ctxs[n-1]
+
+	w.m.event(e.Time)
+	q := w.pool.forTarget(c.Originator, &cc.mix, e.Target)
+	sh := &b.shards[q.shard]
+	sh.reqs = append(sh.reqs, request{seq: uint32(len(b.order)), ctx: int32(n - 1), t: e.Time, q: q})
+	b.order = append(b.order, q.shard)
+
 	if w.Dark != nil {
 		switch c.Class {
 		case activity.Scan:
@@ -70,6 +107,85 @@ func (w *World) touch(c *activity.Campaign, e activity.Event) {
 			w.Dark.Observe(c.Originator, e.Target)
 		}
 	}
+}
+
+// flush runs the resolve and merge phases over the pending batch.
+func (w *World) flush() {
+	b := &w.batch
+	if len(b.order) == 0 {
+		return
+	}
+	pool := parallel.Pool{Workers: w.Cfg.Workers, Stage: "world-sim", Acct: w.acct}
+	if w.m != nil {
+		pool.Obs = w.m.reg
+	}
+	pool.Each(simShards, w.resolve)
+
+	// Merge: sensors sample by global arrival order and the tracer commits
+	// in it, so taps are delivered request by request in generation order.
+	// Each shard's taps already ascend by Seq, so one cursor per shard
+	// makes this a single pass.
+	var next [simShards]int
+	for seq, s := range b.order {
+		taps := b.shards[s].taps
+		i := next[s]
+		j := i
+		for j < len(taps) && taps[j].Seq == uint32(seq) {
+			j++
+		}
+		if j > i {
+			dnssim.Deliver(taps[i:j])
+			next[s] = j
+		}
+	}
+
+	b.ctxs = b.ctxs[:0]
+	b.order = b.order[:0]
+	for s := range b.shards {
+		b.shards[s].reqs = b.shards[s].reqs[:0]
+		b.shards[s].taps = b.shards[s].taps[:0]
+	}
+}
+
+// resolve is the resolve phase for shard s: each queued event's reverse
+// lookup walks the reacting querier's resolver, producing backscatter taps
+// at whichever authorities see it. It touches only the shard's own
+// resolvers (caches, streams) and tap buffer; the hierarchy, the batch's
+// campaign contexts and the fault plan are read-only here.
+func (w *World) resolve(s int) {
+	sh := &w.batch.shards[s]
+	// Append through a local slice header: the shards' headers sit side by
+	// side in the batch, and neighbours are written from different cores.
+	taps := sh.taps
+	h, tr := w.Hier, w.Hier.Tracer()
+	end := w.Cfg.Start.Add(w.Cfg.Duration)
+	for i := range sh.reqs {
+		rq := &sh.reqs[i]
+		cc := &w.batch.ctxs[rq.ctx]
+		r, orig := rq.q.Resolver, cc.sub.Orig
+		// Begin the lookup's trace here rather than inside the walk so the
+		// campaign activity that provoked it is annotated on the span.
+		tc := tr.Begin(r.Addr, orig, rq.t)
+		tc.Activity(cc.c.Class.String(), cc.c.Port)
+		h.Walk(&taps, rq.seq, r, &cc.sub, rq.t, tc)
+		// TTL-violating queriers re-resolve while handling one event (log
+		// flushes, per-connection lookups); their repeats are what push the
+		// paper's queries-per-querier to 3-5 for hammering activity.
+		if ttl := r.MaxPTRTTL; ttl > 0 {
+			requeries := 1
+			if rq.q.Category == qname.FW || rq.q.Category == qname.Home {
+				requeries = 3 // per-connection log lookups
+			}
+			for k := 1; k <= requeries; k++ {
+				rt := rq.t.Add(simtime.Duration(k) * (ttl + 30))
+				if !rt.Before(end) {
+					break
+				}
+				h.Walk(&taps, rq.seq, r, &cc.sub, rt, tr.Begin(r.Addr, orig, rt))
+			}
+		}
+	}
+	sh.taps = taps
 }
 
 // profileForClass flavors an originator's reverse-DNS posture by class,
@@ -188,6 +304,7 @@ func (w *World) Run() {
 		return
 	}
 	w.ran = true
+	defer w.acct.Start("world-sim").End()
 
 	// Initial population. Exponential lifetimes are memoryless, so fresh
 	// spawns at t0 have exactly the steady-state residual-lifetime
@@ -225,6 +342,7 @@ func (w *World) Run() {
 			}
 		}
 	}
+	w.flush()
 
 	if w.m != nil {
 		for _, c := range w.Campaigns {

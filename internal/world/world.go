@@ -21,6 +21,7 @@ import (
 	"dnsbackscatter/internal/geo"
 	"dnsbackscatter/internal/ipaddr"
 	"dnsbackscatter/internal/obs"
+	"dnsbackscatter/internal/prof"
 	"dnsbackscatter/internal/rng"
 	"dnsbackscatter/internal/simtime"
 	"dnsbackscatter/internal/trace"
@@ -93,6 +94,11 @@ type Config struct {
 	// and national sensors. The paper's §VII flags this as a future
 	// constraint on backscatter; 0 matches the 2014-era measurements.
 	QMinFraction float64
+
+	// Workers bounds the goroutines the resolver shards run on; <= 0 uses
+	// runtime.GOMAXPROCS(0) and 1 runs them inline. No output byte
+	// depends on it.
+	Workers int
 }
 
 // DefaultConfig returns a small world good for tests and examples: two
@@ -161,9 +167,11 @@ type World struct {
 	darkSt   *rng.Stream
 	nextTeam int
 
-	m *worldMetrics
+	m    *worldMetrics
+	acct *prof.Accountant
 
-	ran bool
+	batch batch // events generated but not yet resolved; see run.go
+	ran   bool
 }
 
 // worldMetrics holds the world's pre-resolved counters and gauges. All
@@ -206,6 +214,11 @@ func (w *World) SetMetrics(reg *obs.Registry) {
 	}
 	w.m = m
 }
+
+// SetAccountant reports the simulation's shard runs as stage "world-sim"
+// on the ops channel (shard counts, concurrent-worker peaks). Nil, the
+// default, accounts nothing.
+func (w *World) SetAccountant(a *prof.Accountant) { w.acct = a }
 
 // SetTracer installs the end-to-end lookup tracer on the DNS hierarchy;
 // every activity-driven reverse lookup then begins a trace annotated with

@@ -48,11 +48,12 @@ func TestDeterminism(t *testing.T) {
 	b := New(smallConfig())
 	a.Run()
 	b.Run()
-	if len(a.BRoot.Records()) != len(b.BRoot.Records()) {
-		t.Fatalf("record counts differ: %d vs %d", len(a.BRoot.Records()), len(b.BRoot.Records()))
+	ra, rb := a.BRoot.Records(), b.BRoot.Records()
+	if len(ra) != len(rb) {
+		t.Fatalf("record counts differ: %d vs %d", len(ra), len(rb))
 	}
-	for i := range a.BRoot.Records() {
-		if a.BRoot.Records()[i] != b.BRoot.Records()[i] {
+	for i := range ra {
+		if ra[i] != rb[i] {
 			t.Fatalf("record %d differs", i)
 		}
 	}

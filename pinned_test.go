@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"sort"
 	"testing"
 
@@ -23,16 +24,14 @@ type worldPins struct {
 	Obs              uint64 // every metric line plus the windowed series
 }
 
-func fnvOf(write func(h *bytes.Buffer)) uint64 {
-	var b bytes.Buffer
-	write(&b)
+func fnvOf(write func(w io.Writer)) uint64 {
 	h := fnv.New64a()
-	h.Write(b.Bytes())
+	write(h)
 	return h.Sum64()
 }
 
 func recordsPin(recs []backscatter.Record) uint64 {
-	return fnvOf(func(b *bytes.Buffer) {
+	return fnvOf(func(b io.Writer) {
 		for _, r := range recs {
 			fmt.Fprintf(b, "%d %d %d %s %d\n", r.Time, r.Originator, r.Querier, r.Authority, r.RCode)
 		}
@@ -59,9 +58,9 @@ func pinsOf(t *testing.T, spec backscatter.DatasetSpec) (worldPins, uint64) {
 		BRoot: recordsPin(w.BRoot.Records()),
 		MRoot: recordsPin(w.MRoot.Records()),
 		JP:    recordsPin(w.National["jp"].Records()),
-		Trace: fnvOf(func(b *bytes.Buffer) { b.Write(ds.Tracer().JSONL()) }),
+		Trace: fnvOf(func(b io.Writer) { b.Write(ds.Tracer().JSONL()) }),
 	}
-	p.Labels = fnvOf(func(b *bytes.Buffer) {
+	p.Labels = fnvOf(func(b io.Writer) {
 		addrs := make([]backscatter.Addr, 0, len(ds.Labels.Labels))
 		for a := range ds.Labels.Labels {
 			addrs = append(addrs, a)
@@ -71,7 +70,7 @@ func pinsOf(t *testing.T, spec backscatter.DatasetSpec) (worldPins, uint64) {
 			fmt.Fprintf(b, "%d %s\n", a, ds.Labels.Labels[a])
 		}
 	})
-	p.Obs = fnvOf(func(b *bytes.Buffer) {
+	p.Obs = fnvOf(func(b io.Writer) {
 		for _, line := range bytes.SplitAfter(reg.Snapshot(), []byte("\n")) {
 			if !bytes.Contains(line, worldSimStage) {
 				b.Write(line)

@@ -62,7 +62,7 @@ func TestResourcesReport(t *testing.T) {
 	for _, s := range report.Stages {
 		byStage[s.Stage] = s
 	}
-	for _, stage := range []string{"dedup", "filter", "extract", "train", "classify"} {
+	for _, stage := range []string{"world-sim", "dedup", "filter", "extract", "train", "classify"} {
 		s, ok := byStage[stage]
 		if !ok {
 			t.Errorf("stage %q missing from resource report (have %v)", stage, report.Stages)
@@ -72,8 +72,10 @@ func TestResourcesReport(t *testing.T) {
 			t.Errorf("stage %q recorded no completed calls", stage)
 		}
 	}
-	if s := byStage["extract"]; s.Shards == 0 || s.WorkerPeak == 0 {
-		t.Errorf("extract stage missed pool accounting: %+v", s)
+	for _, stage := range []string{"world-sim", "extract"} {
+		if s := byStage[stage]; s.Shards == 0 || s.WorkerPeak == 0 {
+			t.Errorf("%s stage missed pool accounting: %+v", stage, s)
+		}
 	}
 
 	plain := backscatter.Build(seedMatrixSpec(7, 1, ""))
