@@ -14,7 +14,7 @@ RACE_PKGS = ./internal/cache ./internal/dnsserver ./internal/obs ./internal/repo
 	./internal/parallel ./internal/features ./internal/ml ./internal/classify \
 	./internal/stream ./internal/alert ./internal/world ./internal/dnssim
 
-.PHONY: verify fmt vet lint build test race bench bench-check budget prof-artifacts docs determinism chaos fuzz cover tracecheck trace-artifacts soak
+.PHONY: verify fmt vet lint build test race bench bench-check budget prof-artifacts docs determinism chaos fuzz cover tracecheck trace-artifacts soak loc
 
 verify: fmt vet lint build test race fuzz tracecheck budget docs
 	@echo "verify: all checks passed"
@@ -87,15 +87,26 @@ docs:
 
 # End-to-end worker-count determinism under the race detector — the
 # CI job runs this with GOMAXPROCS=2 so parallel paths really interleave.
-# TestScratchReuseInvariance extends the matrix with the PR 8 contract:
-# disabling every scratch-reuse/pooling optimization (DatasetSpec.NoReuse)
-# changes no output byte. TestStreamWorkerDeterminism extends it to the
+# TestWarmExtractorMatchesFresh extends the matrix with the PR 8 contract:
+# scratch reuse changes no output byte — an extractor warm from earlier
+# intervals returns what a freshly constructed one does, interval by
+# interval. TestStreamWorkerDeterminism extends it to the
 # PR 9 streaming engine: byte-identical snapshots, status, and replay
 # comparisons at workers {1, 8}. TestAlertDeterminism extends it to the
 # PR 10 alert engine: byte-identical transition logs with a full
 # pending -> firing -> resolved cycle under servfail-storm.
 determinism:
-	$(GO) test -race -run 'TestSeedMatrixDeterminism|TestScratchReuseInvariance|TestStreamWorkerDeterminism|TestAlertDeterminism' -v .
+	$(GO) test -race -run 'TestSeedMatrixDeterminism|TestWarmExtractorMatchesFresh|TestStreamWorkerDeterminism|TestAlertDeterminism' -v .
+
+# Non-test Go lines per layer — the table ROADMAP item 3 tracks and every
+# PR quotes in CHANGES.md — with the total outside the benchmark.
+loc:
+	@total=0; for d in . internal/* cmd/* examples/*; do \
+		n=$$(ls $$d/*.go 2>/dev/null | grep -v _test.go | xargs -r cat | wc -l); \
+		[ $$n -gt 0 ] || continue; \
+		printf '%-24s %6d\n' $$d $$n; \
+		case $$d in cmd/bsperf) ;; *) total=$$((total+n)) ;; esac; \
+	done; printf '%-24s %6d\n' 'total sans cmd/bsperf' $$total
 
 # Chaos seed matrix: the full pipeline under deterministic fault
 # profiles (none / lossy / servfail-storm) × seeds × worker counts,

@@ -353,6 +353,30 @@ func profileLoop(cont *prof.Continuous, window time.Duration) {
 	}
 }
 
+// sensorSink is the observation tap: windowed record counters (fed each
+// record's own timestamp — an operational main may window on wall time;
+// the library's determinism rules bind simulations, not servers), the
+// streaming engine, then the log, or stdout without one. Nil reg and eng
+// are skipped.
+func sensorSink(reg *obs.Registry, eng *stream.Engine, lw *dnslog.Writer) dnsserver.Sink {
+	recTotal := reg.Counter("served_records_total")
+	recNX := reg.Counter("served_records_nxdomain_total")
+	return func(r dnslog.Record) {
+		recTotal.IncAt(r.Time)
+		if r.RCode == 3 {
+			recNX.IncAt(r.Time)
+		}
+		if eng != nil {
+			eng.Ingest([]dnslog.Record{r})
+		}
+		if lw == nil {
+			fmt.Printf("%s\tPTR %s\tfrom %s\trcode %d\n", r.Time, r.Originator, r.Querier, r.RCode)
+		} else if err := lw.Write(r); err != nil {
+			fmt.Fprintln(os.Stderr, "bsserve: log:", err)
+		}
+	}
+}
+
 func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:5353", "UDP listen address")
@@ -397,15 +421,6 @@ func main() {
 		return p
 	}
 
-	s, err := dnsserver.Listen(*addr, *name, profile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bsserve:", err)
-		os.Exit(1)
-	}
-	defer s.Close()
-	// Install faults before metrics so SetMetrics registers the plan's
-	// counters and they appear (at zero) in the first /metrics scrape.
-	s.SetFaults(plan)
 	if plan != nil {
 		fmt.Fprintf(os.Stderr, "bsserve: injecting faults: %s\n", plan)
 	}
@@ -452,26 +467,18 @@ func main() {
 		})
 	}
 
-	// Windowed record counters, fed from the sink below with each
-	// record's own timestamp (an operational main may window on wall
-	// time; the library's determinism rules bind simulations, not
-	// servers).
-	var recTotal, recNX *obs.Counter
+	var reg *obs.Registry
+	var tr *trace.Tracer
 	var eng *stream.Engine
 	var ready atomic.Bool
 	if *httpAddr != "" {
-		reg := obs.NewRegistry()
+		reg = obs.NewRegistry()
 		reg.SetClock(simtime.Wall) // operational main: wall-backed spans
-		s.SetMetrics(reg)
 		win := obs.NewWindow(simtime.Duration(*window / time.Second))
 		reg.SetWindow(win)
-		recTotal = reg.Counter("served_records_total")
-		recNX = reg.Counter("served_records_nxdomain_total")
-		var tr *trace.Tracer
 		if *trSamp > 0 {
 			tr = trace.New(*seed, *trSamp)
 			tr.SetMax(*trKeep)
-			s.SetTracer(tr)
 		}
 		if *streamOn {
 			eng = mkEngine(reg)
@@ -493,16 +500,6 @@ func main() {
 		eng = mkEngine(nil)
 	}
 
-	observe := func(r dnslog.Record) {
-		recTotal.IncAt(simtime.Time(r.Time))
-		if r.RCode == 3 {
-			recNX.IncAt(simtime.Time(r.Time))
-		}
-		if eng != nil {
-			eng.Ingest([]dnslog.Record{r})
-		}
-	}
-
 	var lw *dnslog.Writer
 	if *logPath != "" {
 		f, err := os.OpenFile(*logPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -513,22 +510,25 @@ func main() {
 		defer f.Close()
 		lw = dnslog.NewWriter(f)
 		defer lw.Flush()
-		s.SetSink(func(r dnslog.Record) {
-			observe(r)
-			if err := lw.Write(r); err != nil {
-				fmt.Fprintln(os.Stderr, "bsserve: log:", err)
-			}
-		})
-	} else {
-		s.SetSink(func(r dnslog.Record) {
-			observe(r)
-			fmt.Printf("%s\tPTR %s\tfrom %s\trcode %d\n",
-				simtime.Time(r.Time).String(), r.Originator, r.Querier, r.RCode)
-		})
 	}
 
-	// Serving state is fully loaded — zone, faults, sink, tracer — so
-	// flip readiness and let /readyz answer 200.
+	// Zone, faults, metrics, tracer and sink are all part of the server
+	// before it reads its first datagram: every query it counts it also
+	// logs.
+	s, err := dnsserver.Listen(*addr, dnsserver.Config{
+		Authority: *name,
+		Handler:   dnsserver.FinalHandler(profile),
+		Sink:      sensorSink(reg, eng, lw),
+		Obs:       reg,
+		Tracer:    tr,
+		Faults:    plan,
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bsserve:", err)
+		os.Exit(1)
+	}
+	defer s.Close()
+
 	ready.Store(true)
 
 	fmt.Fprintf(os.Stderr, "bsserve: authoritative for in-addr.arpa on %s (seed %d)\n", s.Addr(), *seed)

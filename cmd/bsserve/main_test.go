@@ -1,14 +1,18 @@
 package main
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dnsbackscatter/internal/alert"
 	"dnsbackscatter/internal/dnslog"
+	"dnsbackscatter/internal/dnsserver"
+	"dnsbackscatter/internal/dnssim"
 	"dnsbackscatter/internal/geo"
 	"dnsbackscatter/internal/ipaddr"
 	"dnsbackscatter/internal/obs"
@@ -267,5 +271,47 @@ func TestAlertsRoute(t *testing.T) {
 	bare := newMux(nil, nil, nil, nil, nil, nil, nil)
 	if code, _, _ := getFull(t, bare, "/alerts"); code != http.StatusNotFound {
 		t.Fatalf("/alerts without engine = %d, want 404", code)
+	}
+}
+
+// TestTallyMatchesLogFromFirstDatagram pins what the shutdown tally
+// promises: the server is bound with its sink already in place, so the
+// queries it counts and the records it logs agree from the first datagram
+// (with the sink installed after the bind, as it once was, a fixed-port
+// restart under load served queries it never logged).
+func TestTallyMatchesLogFromFirstDatagram(t *testing.T) {
+	var log bytes.Buffer
+	lw := dnslog.NewWriter(&log)
+	reg := obs.NewRegistry()
+	s, err := dnsserver.Listen("127.0.0.1:0", dnsserver.Config{
+		Authority: "final",
+		Handler: dnsserver.FinalHandler(func(a ipaddr.Addr) dnssim.OriginatorProfile {
+			return dnssim.OriginatorProfile{HasName: true, Name: "host.example.net"}
+		}),
+		Sink: sensorSink(reg, nil, lw),
+		Obs:  reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &dnsserver.Client{Timeout: time.Second}
+	const n = 25
+	for i := 0; i < n; i++ {
+		if _, _, _, err := c.LookupPTR(s.Addr().String(), ipaddr.FromOctets(198, 51, 100, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := lw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	logged := uint64(bytes.Count(log.Bytes(), []byte("\n")))
+	if s.Queries() != n || logged != s.Queries() {
+		t.Errorf("served %d queries, logged %d records, sent %d", s.Queries(), logged, n)
+	}
+	if got := reg.Counter("served_records_total").Value(); got != logged {
+		t.Errorf("served_records_total = %d, log has %d", got, logged)
 	}
 }

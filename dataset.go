@@ -85,12 +85,6 @@ type DatasetSpec struct {
 	// byte-identical at any worker count.
 	Trace int
 
-	// NoReuse disables the extraction pipeline's scratch reuse (columnar
-	// shard buffers, vector scratch pools), allocating fresh memory per
-	// batch instead. Output is byte-identical either way; the flag exists
-	// so invariance tests can prove it. Production runs leave it false.
-	NoReuse bool
-
 	// Alerts attaches a declarative alert/SLO rule file (the alerts.rules
 	// grammar; see ParseAlertRules) evaluated on demand by
 	// Dataset.Alerts against the build's windowed metrics and traces.
@@ -119,14 +113,6 @@ func (s DatasetSpec) WithParallelism(n int) DatasetSpec {
 // "profile@seed" fault spec (see Faults).
 func (s DatasetSpec) WithFaults(spec string) DatasetSpec {
 	s.Faults = spec
-	return s
-}
-
-// WithoutScratchReuse returns a copy whose extraction pipeline allocates
-// fresh buffers per batch instead of reusing scratch (see NoReuse).
-// Output bytes are identical; only allocation behavior changes.
-func (s DatasetSpec) WithoutScratchReuse() DatasetSpec {
-	s.NoReuse = true
 	return s
 }
 
@@ -305,9 +291,9 @@ type Dataset struct {
 	Labels *groundtruth.LabeledSet
 
 	whole      *Snapshot
-	obs        *obs.Registry    // non-nil when built with BuildObserved
-	tracer     *trace.Tracer    // non-nil when built with tracing enabled
-	acct       *prof.Accountant // non-nil when built with BuildInstrumented
+	obs        *obs.Registry    // Instruments.Obs
+	tracer     *trace.Tracer    // non-nil when Spec.Trace > 0
+	acct       *prof.Accountant // Instruments.Acct
 	alertRules []alert.Rule     // parsed from Spec.Alerts, nil when disabled
 
 	truthOnce sync.Once
@@ -326,41 +312,41 @@ func heartbleedBurst(scanPop int) world.Burst {
 	}
 }
 
+// Instruments is what a build records into besides its outputs. The zero
+// value records nothing.
+type Instruments struct {
+	// Obs, when non-nil, receives the deterministic metrics of the world,
+	// hierarchy, resolver caches, and the Figure 2 pipeline stages
+	// (dedup/filter/extract, and classify via TrainClassifier); later
+	// pipeline runs on the dataset keep recording. With a deterministic
+	// clock (TickClock), the full snapshot is a pure function of the spec.
+	Obs *obs.Registry
+	// Acct, when non-nil, accumulates per-stage resource accounting for
+	// the simulation and the pipeline stages (dedup, filter, extract, and
+	// train / validate / classify through TrainClassifier and friends):
+	// alloc deltas, GC cycles, goroutine and pool-worker high-water marks.
+	// The accountant is the repository's *ops* channel: its readings
+	// depend on scheduling and GC timing, so they are reported only via
+	// Resources(), never folded into the deterministic obs snapshot,
+	// traces, or time series.
+	Acct *prof.Accountant
+}
+
 // Build simulates the dataset. Large specs (M-sampled, B-multi-year) take
 // tens of seconds; use Scaled for tests.
-func Build(spec DatasetSpec) *Dataset { return BuildObserved(spec, nil) }
+func Build(spec DatasetSpec) *Dataset { return BuildWith(spec, Instruments{}) }
 
-// BuildObserved is Build with an observability registry attached: the
-// world, hierarchy, resolver caches, and the Figure 2 pipeline stages
-// (dedup/filter/extract, and classify via TrainClassifier) all record
-// into reg, and later pipeline runs on this dataset keep recording. A nil
-// reg is exactly Build. With a deterministic clock (TickClock), the full
-// snapshot is a pure function of the spec. When spec.Trace > 0 a tracer
-// is created from spec.Seed automatically (see BuildTraced).
+// BuildObserved is Build recording into an observability registry; a nil
+// reg is exactly Build.
 func BuildObserved(spec DatasetSpec, reg *obs.Registry) *Dataset {
-	return BuildTraced(spec, reg, nil)
+	return BuildWith(spec, Instruments{Obs: reg})
 }
 
-// BuildTraced is BuildObserved with an explicit tracer: every simulated
-// lookup threads through tr (activity annotation, cache hits, per-level
-// hops, faults, sensor taps) and the pipeline stages annotate record
-// provenance. A nil tr creates one from spec.Seed when spec.Trace > 0;
-// pass a pre-configured tracer to control ring capacity (SetMax) before
-// the build commits traces.
-func BuildTraced(spec DatasetSpec, reg *obs.Registry, tr *trace.Tracer) *Dataset {
-	return BuildInstrumented(spec, reg, tr, nil)
-}
-
-// BuildInstrumented is BuildTraced with a resource accountant attached:
-// the Figure 2 pipeline stages (dedup, filter, extract, and train /
-// validate / classify through TrainClassifier and friends) accumulate
-// per-stage resource accounting — alloc deltas, GC cycles, goroutine
-// and pool-worker high-water marks — into acct. The accountant is the
-// repository's *ops* channel: its readings depend on scheduling and GC
-// timing, so they are reported only via Resources(), never folded into
-// the deterministic obs snapshot, traces, or time series. A nil acct is
-// exactly BuildTraced.
-func BuildInstrumented(spec DatasetSpec, reg *obs.Registry, tr *trace.Tracer, acct *prof.Accountant) *Dataset {
+// BuildWith is Build recording into in. When spec.Trace > 0 every
+// simulated lookup also threads through a tracer created from spec.Seed
+// (activity annotation, cache hits, per-level hops, faults, sensor taps)
+// and the pipeline stages annotate record provenance; see Dataset.Tracer.
+func BuildWith(spec DatasetSpec, in Instruments) *Dataset {
 	if spec.Scale <= 0 {
 		spec.Scale = 1
 	}
@@ -416,16 +402,15 @@ func BuildInstrumented(spec DatasetSpec, reg *obs.Registry, tr *trace.Tracer, ac
 		}
 	}
 
-	w := world.New(cfg)
-	w.SetMetrics(reg)
-	if tr == nil && spec.Trace > 0 {
+	var tr *trace.Tracer
+	if spec.Trace > 0 {
 		tr = trace.New(spec.Seed, uint64(spec.Trace))
 	}
-	w.SetTracer(tr)
-	w.SetAccountant(acct)
+	cfg.Obs, cfg.Tracer, cfg.Acct = in.Obs, tr, in.Acct
+	w := world.New(cfg)
 	w.Run()
 
-	d := &Dataset{Spec: spec, World: w, obs: reg, tracer: tr, acct: acct, alertRules: alertRules}
+	d := &Dataset{Spec: spec, World: w, obs: in.Obs, tracer: tr, acct: in.Acct, alertRules: alertRules}
 	switch spec.Authority {
 	case "jp":
 		d.Records = w.National["jp"].Records()
@@ -438,11 +423,10 @@ func BuildInstrumented(spec DatasetSpec, reg *obs.Registry, tr *trace.Tracer, ac
 	}
 
 	d.Extractor = features.NewExtractor(w.Geo, w.QuerierName)
-	d.Extractor.Obs = reg
+	d.Extractor.Obs = in.Obs
 	d.Extractor.Tracer = tr
-	d.Extractor.Acct = acct
+	d.Extractor.Acct = in.Acct
 	d.Extractor.Workers = spec.Workers
-	d.Extractor.NoReuse = spec.NoReuse
 	if spec.MinQueriers > 0 {
 		d.Extractor.MinQueriers = spec.MinQueriers
 	}
@@ -508,13 +492,3 @@ func (d *Dataset) ReverseQueries() uint64 {
 
 // LogRecord re-exports dnslog parsing for tools.
 func LogRecord(line string) (Record, error) { return dnslog.ParseRecord(line) }
-
-// NewStreamExtractor returns a bounded-memory streaming extractor wired to
-// this dataset's geo registry and querier-name source. Feed records with
-// Observe and call Snapshot at interval boundaries; vectors are
-// approximate (HLL footprints, sampled statics) but classifier-compatible.
-func (d *Dataset) NewStreamExtractor() *StreamExtractor {
-	x := features.NewStreamExtractor(d.World.Geo, d.World.QuerierName)
-	x.MinQueriers = d.Extractor.MinQueriers
-	return x
-}

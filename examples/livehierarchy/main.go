@@ -15,6 +15,8 @@ import (
 )
 
 func main() {
+	// Each server is handed its sink when it is started, so no query it
+	// answers goes unlogged.
 	var mu sync.Mutex
 	counts := map[string]int{}
 	sink := func(name string) backscatter.AuthoritySink {
@@ -33,12 +35,11 @@ func main() {
 				Name:    "origin-" + a.String() + ".example.net",
 				TTL:     3600,
 			}
-		})
+		}, sink("final"))
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer final.Close()
-	final.SetSink(sink("final"))
 
 	// National registry: delegates every /16 of /8 100 to the final.
 	national, err := backscatter.ListenReferralAuthority("127.0.0.1:0", "national",
@@ -51,12 +52,11 @@ func main() {
 			return backscatter.Delegation{
 				Zone: zone, NS: "ns.final.example", Addr: final.Addr(), TTL: 6 * 3600,
 			}, true
-		})
+		}, sink("national"))
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer national.Close()
-	national.SetSink(sink("national"))
 
 	// Root: delegates /8 100 to the national registry.
 	root, err := backscatter.ListenReferralAuthority("127.0.0.1:0", "root",
@@ -68,12 +68,11 @@ func main() {
 				Zone: "100.in-addr.arpa", NS: "ns.registry.example",
 				Addr: national.Addr(), TTL: 2 * 86400,
 			}, true
-		})
+		}, sink("root"))
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer root.Close()
-	root.SetSink(sink("root"))
 
 	fmt.Printf("live hierarchy: root %s → national %s → final %s\n\n",
 		root.Addr(), national.Addr(), final.Addr())

@@ -1,8 +1,8 @@
 // Streaming: run the sensor the way an operator would at the paper's real
 // volumes (Table I: billions of queries) — parse a wire-format capture
-// stream record by record through a bounded-memory extractor
-// (HyperLogLog footprints + bottom-k querier samples), then classify the
-// approximate vectors with a model trained on exact ones.
+// stream through the bounded-memory streaming engine (HyperLogLog
+// footprints + bottom-k querier samples), then classify the approximate
+// vectors with a model trained on exact ones.
 package main
 
 import (
@@ -28,19 +28,19 @@ func main() {
 	fmt.Printf("capture stream: %d records, %.1f MB\n",
 		len(ds.Records), float64(capture.Len())/(1<<20))
 
-	// Stream it through the bounded extractor.
-	stream := ds.NewStreamExtractor()
+	// Stream it through the bounded engine.
+	sspec := backscatter.DefaultStreamSpec()
+	stream := ds.NewStream(sspec, nil)
 	recs, err := backscatter.ReadCapture(&capture)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, r := range recs {
-		stream.Observe(r)
-	}
-	approx := stream.Snapshot(spec.Start, spec.Duration)
+	stream.Ingest(recs)
+	stream.Tick(spec.Start.Add(spec.Duration))
+	approx := stream.Vectors()
 	exact := ds.Whole().Vectors
 	fmt.Printf("originators: %d exact vs %d streamed (threshold ≥%d queriers)\n",
-		len(exact), len(approx), stream.MinQueriers)
+		len(exact), len(approx), ds.Extractor.MinQueriers)
 
 	// Footprint accuracy of the HLL estimates.
 	exactBy := make(map[backscatter.Addr]int)
@@ -86,5 +86,5 @@ func main() {
 			agree, scored, 100*float64(agree)/float64(scored))
 	}
 	fmt.Println("\nthe streaming sensor holds fixed state per originator regardless of volume:")
-	fmt.Printf("  2 KB HLL + %d-querier sample + persistence bitset\n", stream.SampleK)
+	fmt.Printf("  2 KB HLL + %d-querier sample + persistence counter\n", sspec.SampleK)
 }

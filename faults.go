@@ -11,7 +11,8 @@ type (
 	// windows, flap periods).
 	FaultProfile = faults.Profile
 	// FaultPlan is an immutable seeded fault schedule; nil injects
-	// nothing. Install on live servers with AuthorityServer.SetFaults.
+	// nothing. Live servers take one as dnsserver.Config.Faults
+	// (bsserve -faults).
 	FaultPlan = faults.Plan
 )
 

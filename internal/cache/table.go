@@ -3,6 +3,7 @@ package cache
 import (
 	"math/bits"
 
+	"dnsbackscatter/internal/ipaddr"
 	"dnsbackscatter/internal/obs"
 	"dnsbackscatter/internal/simtime"
 )
@@ -232,11 +233,20 @@ func (t *Table[V]) evict(owner int, k uint64, now simtime.Time) {
 	}
 }
 
-// Key tiers: callers tag keys in bits 40+ (1 = PTR record, 2 = /8 zone
-// delegation, 3 = /16 zone delegation — the scheme both dnssim resolvers
-// and the live recursor use), which is what makes per-zone cache metrics
-// possible without string keys.
+// Key tiers: a resolver's cache key is a tag in bits 40+ (the index into
+// tierNames) over the zone's identity — built only by the three functions
+// below, for simulated resolvers and the live recursor alike — which is
+// what makes per-zone cache metrics possible without string keys.
 var tierNames = [4]string{"other", "ptr", "z8", "z16"}
+
+// PTRKey is the key of o's PTR record.
+func PTRKey(o ipaddr.Addr) uint64 { return 1<<40 | uint64(o) }
+
+// Zone8Key is the key of the delegation of o's /8 reverse zone.
+func Zone8Key(o ipaddr.Addr) uint64 { return 2<<40 | uint64(o.Slash8()) }
+
+// Zone16Key is the key of the delegation of o's /16 reverse zone.
+func Zone16Key(o ipaddr.Addr) uint64 { return 3<<40 | uint64(o.Slash16()) }
 
 // tierOf maps a cache key to its metric tier index.
 func tierOf(key uint64) int {

@@ -29,32 +29,63 @@ import (
 	"dnsbackscatter/internal/trace"
 )
 
-// Sink receives one record per observed reverse query. Implementations
-// must be safe for concurrent use; Server serializes calls itself, so a
-// plain function closing over a slice is fine when only one Server logs
-// to it.
+// Sink receives one record per observed reverse query. The server
+// serializes calls itself (its UDP loop and its TCP connections share the
+// one sink), so a plain function closing over a slice is fine when only
+// one Server logs to it.
 type Sink func(dnslog.Record)
 
 // Handler produces the response for one parsed query. resp == nil with
-// answer == false means stay silent (an unreachable authority); rec, when
-// non-nil, is delivered to the sensor sink.
+// answer == false means stay silent (an unreachable authority). rec, when
+// non-nil, is the sensor observation: the handler sets its Originator and
+// RCode, the server stamps Time, Querier and Authority and delivers it to
+// the sink.
 type Handler func(q *dnswire.Message, peer *net.UDPAddr) (resp *dnswire.Message, rec *dnslog.Record, answer bool)
+
+// Config is everything a Server is wired to. It is fixed before the serve
+// goroutines start, so the first datagram already sees all of it.
+type Config struct {
+	// Authority names the sensor in emitted records and metric labels.
+	Authority string
+	// Handler answers queries: FinalHandler for a zone's own authority,
+	// ReferralHandler for the root and national registries. Nil is
+	// FinalHandler(nil), the default synthetic zone.
+	Handler Handler
+	// Sink, when non-nil, is the observation tap.
+	Sink Sink
+	// Clock is the record-timestamp source. Nil is simtime.Wall, what live
+	// deployments want; simulations inject their explicit clock so served
+	// traffic is timestamped in simulated seconds and replays are
+	// deterministic.
+	Clock func() simtime.Time
+	// Obs, when non-nil, counts well-formed queries, dropped datagrams,
+	// silent (unreachable-authority) handlings, TCP queries and responses
+	// by rcode, all labeled with Authority, plus the fault plan's
+	// injections.
+	Obs *obs.Registry
+	// Tracer, when non-nil, begins a trace for every well-formed query
+	// (subject to its head sampling) carrying the peer querier, the
+	// queried originator, any server-side injected faults, the sensor
+	// record, and the serve outcome. Timestamps come from Clock.
+	Tracer *trace.Tracer
+	// Faults, when non-nil, is a deterministic fault plan on the UDP
+	// serving path: dead epochs and dropped datagrams answer with silence,
+	// SERVFAIL faults replace the response, truncation faults set TC and
+	// strip the record sections so clients must re-ask over TCP. The TCP
+	// path is never faulted — it is the recovery transport.
+	Faults *faults.Plan
+}
 
 // Server is an authoritative reverse-DNS server over UDP, with a TCP
 // listener on the same port for truncation fallback (RFC 1035 §4.2.2
 // two-byte length framing).
 type Server struct {
-	conn      *net.UDPConn
-	tcp       net.Listener // nil when the TCP port was unavailable
-	authority string
+	conn *net.UDPConn
+	tcp  net.Listener // nil when the TCP port was unavailable
+	cfg  Config       // read-only once Listen returns
+	m    serverMetrics
 
-	mu       sync.Mutex
-	handler  Handler               // guarded by mu
-	sink     Sink                  // guarded by mu
-	clock    func() simtime.Time   // guarded by mu
-	metrics  *serverMetrics        // guarded by mu
-	faults   *faults.Plan          // guarded by mu
-	tracer   *trace.Tracer         // guarded by mu
+	mu       sync.Mutex            // serializes cfg.Sink calls; guards tcpConns
 	tcpConns map[net.Conn]struct{} // guarded by mu
 
 	queries uint64 // atomic
@@ -64,31 +95,10 @@ type Server struct {
 	done   sync.WaitGroup
 }
 
-// Listen binds a final-authority server to addr (e.g. "127.0.0.1:0").
-// profile supplies the zone contents; nil uses dnssim.DefaultProfile.
-// authority names the sensor in emitted records.
-func Listen(addr, authority string, profile dnssim.ProfileFunc) (*Server, error) {
-	if profile == nil {
-		profile = dnssim.DefaultProfile
-	}
-	s, err := ListenHandler(addr, authority, nil)
-	if err != nil {
-		return nil, err
-	}
-	s.SetHandler(s.finalHandler(profile))
-	return s, nil
-}
-
-// SetHandler installs or replaces the query handler.
-func (s *Server) SetHandler(h Handler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.handler = h
-}
-
-// ListenHandler binds a server with an arbitrary handler (referral servers
-// use this). A nil handler must be installed before traffic arrives.
-func ListenHandler(addr, authority string, h Handler) (*Server, error) {
+// Listen binds a server to addr (e.g. "127.0.0.1:0"), wires it to cfg, and
+// only then starts serving: no query is answered by a half-configured
+// server.
+func Listen(addr string, cfg Config) (*Server, error) {
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("dnsserver: %w", err)
@@ -97,13 +107,21 @@ func ListenHandler(addr, authority string, h Handler) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dnsserver: %w", err)
 	}
+	if cfg.Handler == nil {
+		cfg.Handler = FinalHandler(nil)
+	}
+	if cfg.Clock == nil {
+		cfg.Clock = simtime.Wall
+	}
+	if cfg.Obs != nil {
+		cfg.Faults.SetMetrics(cfg.Obs) // guarded: servers may share one plan
+	}
 	s := &Server{
-		conn:      conn,
-		handler:   h,
-		authority: authority,
-		clock:     simtime.Wall,
-		tcpConns:  make(map[net.Conn]struct{}),
-		closed:    make(chan struct{}),
+		conn:     conn,
+		cfg:      cfg,
+		m:        newServerMetrics(cfg.Obs, cfg.Authority),
+		tcpConns: make(map[net.Conn]struct{}),
+		closed:   make(chan struct{}),
 	}
 	// TCP rides the same port for TC fallback. Best effort: a server
 	// whose TCP port is taken still works for every untruncated answer.
@@ -117,52 +135,13 @@ func ListenHandler(addr, authority string, h Handler) (*Server, error) {
 	return s, nil
 }
 
-// SetFaults installs a deterministic fault plan on the UDP serving path
-// (nil removes it): dead epochs and dropped datagrams answer with
-// silence, SERVFAIL faults replace the response, truncation faults set
-// TC and strip the record sections so clients must re-ask over TCP. The
-// TCP path is never faulted — it is the recovery transport.
-func (s *Server) SetFaults(p *faults.Plan) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.faults = p
-}
-
-// SetTracer installs (or, with nil, removes) the end-to-end tracer on
-// the serving path: every well-formed query begins a trace (subject to
-// the tracer's head sampling) carrying the peer querier, the queried
-// originator, any server-side injected faults, the sensor record, and
-// the serve outcome. Timestamps come from the server clock.
-func (s *Server) SetTracer(t *trace.Tracer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tracer = t
-}
-
 // Addr returns the bound address.
 func (s *Server) Addr() *net.UDPAddr { return s.conn.LocalAddr().(*net.UDPAddr) }
 
-// SetSink installs the observation tap.
-func (s *Server) SetSink(sink Sink) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sink = sink
-}
-
-// SetClock replaces the record-timestamp source. Live deployments keep the
-// default simtime.Wall; simulations inject their explicit clock so served
-// traffic is timestamped in simulated seconds and replays are
-// deterministic.
-func (s *Server) SetClock(clock func() simtime.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.clock = clock
-}
-
-// serverMetrics holds the server's pre-resolved observability counters.
-// The rcode family is filled lazily under rmu (the UDP and TCP serving
-// goroutines both respond), so only response codes actually sent appear
-// in snapshots.
+// serverMetrics holds the server's pre-resolved counters: all nil, and so
+// no-ops, on an uninstrumented server. The rcode family is filled on first
+// use (the UDP and TCP serving goroutines both respond), so only response
+// codes actually sent appear in snapshots.
 type serverMetrics struct {
 	reg       *obs.Registry
 	authority string
@@ -170,74 +149,36 @@ type serverMetrics struct {
 	dropped   *obs.Counter
 	silent    *obs.Counter
 	tcp       *obs.Counter
-
-	rmu       sync.Mutex
-	responses [16]*obs.Counter // guarded by rmu; indexed by rcode, lazily filled
+	responses [16]atomic.Pointer[obs.Counter] // indexed by rcode
 }
 
-func (m *serverMetrics) queriesInc() {
-	if m != nil {
-		m.queries.Inc()
+func newServerMetrics(reg *obs.Registry, authority string) serverMetrics {
+	la := obs.L("authority", authority)
+	return serverMetrics{
+		reg:       reg,
+		authority: authority,
+		queries:   reg.Counter("dnsserver_queries_total", la),
+		dropped:   reg.Counter("dnsserver_dropped_total", la),
+		silent:    reg.Counter("dnsserver_silent_total", la),
+		tcp:       reg.Counter("dnsserver_tcp_queries_total", la),
 	}
 }
 
-func (m *serverMetrics) droppedInc() {
-	if m != nil {
-		m.dropped.Inc()
-	}
-}
-
-func (m *serverMetrics) silentInc() {
-	if m != nil {
-		m.silent.Inc()
-	}
-}
-
-func (m *serverMetrics) tcpInc() {
-	if m != nil {
-		m.tcp.Inc()
-	}
-}
-
-// rcode returns the response counter for one 4-bit rcode, filling the
-// slot on first use.
+// rcode returns the response counter for one 4-bit rcode.
 func (m *serverMetrics) rcode(rc uint8) *obs.Counter {
-	if m == nil {
+	if m.reg == nil {
 		return nil
 	}
-	i := rc & 0xf
-	m.rmu.Lock()
-	c := m.responses[i]
+	p := &m.responses[rc&0xf]
+	c := p.Load()
 	if c == nil {
+		// The registry hands every caller the same counter for one name
+		// and label set, so a racing first use stores the same pointer.
 		c = m.reg.Counter("dnsserver_responses_total",
-			obs.L("authority", m.authority), obs.L("rcode", strconv.Itoa(int(i))))
-		m.responses[i] = c
+			obs.L("authority", m.authority), obs.L("rcode", strconv.Itoa(int(rc&0xf))))
+		p.Store(c)
 	}
-	m.rmu.Unlock()
 	return c
-}
-
-// SetMetrics instruments the server: well-formed queries, dropped
-// datagrams, silent (unreachable-authority) handlings, and responses by
-// rcode, all labeled with the server's authority name. Call it before
-// traffic arrives; a nil registry uninstruments.
-func (s *Server) SetMetrics(reg *obs.Registry) {
-	var m *serverMetrics
-	if reg != nil {
-		la := obs.L("authority", s.authority)
-		m = &serverMetrics{
-			reg:       reg,
-			authority: s.authority,
-			queries:   reg.Counter("dnsserver_queries_total", la),
-			dropped:   reg.Counter("dnsserver_dropped_total", la),
-			silent:    reg.Counter("dnsserver_silent_total", la),
-			tcp:       reg.Counter("dnsserver_tcp_queries_total", la),
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.metrics = m
-	s.faults.SetMetrics(reg)
 }
 
 // Queries returns how many well-formed DNS queries arrived.
@@ -291,96 +232,106 @@ func (s *Server) serve() {
 			}
 			return
 		}
-		s.mu.Lock()
-		h, m, fp, clock, tr := s.handler, s.metrics, s.faults, s.clock, s.tracer
-		s.mu.Unlock()
-		if err := dnswire.DecodeInto(buf[:n], &msg); err != nil {
-			atomic.AddUint64(&s.dropped, 1)
-			m.droppedInc()
-			continue
+		if reply := s.exchange(buf[:n], peer, false, &msg, enc, out[:0]); reply != nil {
+			out = reply // keep the grown buffer
+			_, _ = s.conn.WriteToUDP(out, peer)
 		}
-		if msg.Header.QR || len(msg.Questions) != 1 {
-			atomic.AddUint64(&s.dropped, 1)
-			m.droppedInc()
-			continue
-		}
-		atomic.AddUint64(&s.queries, 1)
-		m.queriesInc()
+	}
+}
 
-		if h == nil {
-			continue
+// exchange takes one received message through the server — tally, fault
+// plan, handler, sensor record, trace — and returns the response appended
+// to out, or nil when nothing is to be sent: a malformed message, an
+// unreachable authority, a query the plan made vanish. It reads the
+// server's wiring without a lock; msg and enc are the calling loop's
+// scratch.
+func (s *Server) exchange(wire []byte, peer *net.UDPAddr, tcp bool, msg *dnswire.Message, enc *dnswire.Encoder, out []byte) []byte {
+	m, tr, fp := &s.m, s.cfg.Tracer, s.cfg.Faults
+	if err := dnswire.DecodeInto(wire, msg); err != nil || msg.Header.QR || len(msg.Questions) != 1 {
+		atomic.AddUint64(&s.dropped, 1)
+		m.dropped.Inc()
+		return nil
+	}
+	atomic.AddUint64(&s.queries, 1)
+	m.queries.Inc()
+	if tcp {
+		m.tcp.Inc()
+		fp = nil // TCP is the recovery transport: never faulted
+	}
+
+	// One clock read covers faults and tracing for this query (the
+	// sensor record keeps its own read).
+	var qnow simtime.Time
+	if fp != nil || tr != nil {
+		qnow = s.cfg.Clock()
+	}
+	var tc *trace.Ctx
+	if tr != nil {
+		tc = tr.Begin(peerQuerier(peer), queryOrig(msg), qnow)
+		if tcp {
+			tc.TCP("server", 1, qnow)
 		}
-		// One clock read covers faults and tracing for this query (the
-		// sensor record keeps its own read, as before).
-		var qnow simtime.Time
-		if fp != nil || tr != nil {
-			qnow = clock()
+	}
+	// Fault pre-checks: a dead epoch or lost datagram means this
+	// query effectively never arrived — no record, no answer.
+	var fsub, fpeer uint64
+	if fp != nil {
+		fsub = faults.KeyString(msg.Questions[0].Name)
+		fpeer = faults.KeyString(peer.String())
+		if fp.IsDead(0, fsub, qnow) {
+			m.silent.Inc()
+			tc.Fault("server", 1, "dead", qnow)
+			tc.Finish(qnow, 1)
+			return nil
 		}
-		var tc *trace.Ctx
-		if tr != nil {
-			tc = tr.Begin(peerQuerier(peer), queryOrig(&msg), qnow)
+		if fp.Drop(0, fpeer, fsub, qnow, 0) {
+			m.silent.Inc()
+			tc.Fault("server", 1, "loss", qnow)
+			tc.Finish(qnow, 1)
+			return nil
 		}
-		// Fault pre-checks: a dead epoch or lost datagram means this
-		// query effectively never arrived — no record, no answer.
-		var fsub, fpeer uint64
-		if fp != nil {
-			fsub = faults.KeyString(msg.Questions[0].Name)
-			fpeer = faults.KeyString(peer.String())
-			if fp.IsDead(0, fsub, qnow) {
-				m.silentInc()
-				tc.Fault("server", 1, "dead", qnow)
-				tc.Finish(qnow, 1)
-				continue
+	}
+	resp, rec, answer := s.cfg.Handler(msg, peer)
+	if fp != nil && answer && resp != nil {
+		if fp.ServFails(0, fsub, qnow, 0) {
+			tc.Fault("server", 1, "servfail", qnow)
+			resp = dnswire.NewResponse(msg, dnswire.RCodeServFail)
+			if rec != nil {
+				rec.RCode = dnswire.RCodeServFail
 			}
-			if fp.Drop(0, fpeer, fsub, qnow, 0) {
-				m.silentInc()
-				tc.Fault("server", 1, "loss", qnow)
-				tc.Finish(qnow, 1)
-				continue
-			}
+		} else if fp.TruncateAnswer(0, fpeer, fsub, qnow) {
+			// TC over UDP: keep the header and question, drop the
+			// records, and let the client re-ask over TCP.
+			tc.Fault("server", 1, "truncate", qnow)
+			tcr := *resp
+			tcr.Header.TC = true
+			tcr.Answers, tcr.Authority, tcr.Additional = nil, nil, nil
+			resp = &tcr
 		}
-		resp, rec, answer := h(&msg, peer)
-		if fp != nil && answer && resp != nil {
-			if fp.ServFails(0, fsub, qnow, 0) {
-				tc.Fault("server", 1, "servfail", qnow)
-				resp = dnswire.NewResponse(&msg, dnswire.RCodeServFail)
-				if rec != nil {
-					rec.RCode = dnswire.RCodeServFail
-				}
-			} else if fp.TruncateAnswer(0, fpeer, fsub, qnow) {
-				// TC over UDP: keep the header and question, drop the
-				// records, and let the client re-ask over TCP.
-				tc.Fault("server", 1, "truncate", qnow)
-				tcr := *resp
-				tcr.Header.TC = true
-				tcr.Answers, tcr.Authority, tcr.Additional = nil, nil, nil
-				resp = &tcr
-			}
-		}
-		if rec != nil {
-			tc.Sensor(s.authority, rec.Originator, rec.Querier, rec.RCode, rec.Time)
+	}
+	if rec != nil {
+		rec.Time, rec.Querier, rec.Authority = s.cfg.Clock(), peerQuerier(peer), s.cfg.Authority
+		tc.Sensor(rec.Authority, rec.Originator, rec.Querier, rec.RCode, rec.Time)
+		if s.cfg.Sink != nil {
 			s.mu.Lock()
-			if s.sink != nil {
-				s.sink(*rec)
-			}
+			s.cfg.Sink(*rec)
 			s.mu.Unlock()
 		}
-		if !answer {
-			m.silentInc()
-			tc.Serve(s.authority, "silent", qnow)
-			tc.Finish(qnow, 1)
-			continue // unreachable-authority simulation: stay silent
-		}
-		out = out[:0]
-		out, err = enc.Encode(resp, out)
-		if err != nil {
-			continue
-		}
-		m.rcode(resp.Header.RCode).Inc()
-		tc.Serve(s.authority, trace.RCodeName(resp.Header.RCode), qnow)
-		tc.Finish(qnow, 1)
-		_, _ = s.conn.WriteToUDP(out, peer)
 	}
+	if !answer {
+		m.silent.Inc()
+		tc.Serve(s.cfg.Authority, "silent", qnow)
+		tc.Finish(qnow, 1)
+		return nil // unreachable-authority simulation: stay silent
+	}
+	out, err := enc.Encode(resp, out)
+	if err != nil {
+		return nil
+	}
+	m.rcode(resp.Header.RCode).Inc()
+	tc.Serve(s.cfg.Authority, trace.RCodeName(resp.Header.RCode), qnow)
+	tc.Finish(qnow, 1)
+	return out
 }
 
 // peerQuerier extracts the querier's IPv4 address from a UDP peer (0 for
@@ -466,92 +417,43 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 		if _, err := io.ReadFull(conn, buf); err != nil {
 			return
 		}
-		s.mu.Lock()
-		h, m, clock, tr := s.handler, s.metrics, s.clock, s.tracer
-		s.mu.Unlock()
-		if err := dnswire.DecodeInto(buf, &msg); err != nil {
-			atomic.AddUint64(&s.dropped, 1)
-			m.droppedInc()
-			return
-		}
-		if msg.Header.QR || len(msg.Questions) != 1 || h == nil {
-			atomic.AddUint64(&s.dropped, 1)
-			m.droppedInc()
-			return
-		}
-		atomic.AddUint64(&s.queries, 1)
-		m.queriesInc()
-		m.tcpInc()
-		var tc *trace.Ctx
-		var qnow simtime.Time
-		if tr != nil {
-			qnow = clock()
-			tc = tr.Begin(peerQuerier(peer), queryOrig(&msg), qnow)
-			tc.TCP("server", 1, qnow)
-		}
-		resp, rec, answer := h(&msg, peer)
-		if rec != nil {
-			tc.Sensor(s.authority, rec.Originator, rec.Querier, rec.RCode, rec.Time)
-			s.mu.Lock()
-			if s.sink != nil {
-				s.sink(*rec)
-			}
-			s.mu.Unlock()
-		}
-		if !answer {
-			m.silentInc()
-			tc.Serve(s.authority, "silent", qnow)
-			tc.Finish(qnow, 1)
-			return
-		}
 		// Encode standalone, then frame: name-compression offsets are
 		// absolute buffer positions, so the body must start at offset 0.
-		var err error
-		body, err = enc.Encode(resp, body[:0])
-		if err != nil {
+		if body = s.exchange(buf, peer, true, &msg, enc, body[:0]); body == nil {
 			return
 		}
 		out = append(out[:0], byte(len(body)>>8), byte(len(body)))
 		out = append(out, body...)
-		m.rcode(resp.Header.RCode).Inc()
-		tc.Serve(s.authority, trace.RCodeName(resp.Header.RCode), qnow)
-		tc.Finish(qnow, 1)
 		if _, err := conn.Write(out); err != nil {
 			return
 		}
 	}
 }
 
-// record builds the sensor record for a reverse query from peer.
-func (s *Server) record(orig ipaddr.Addr, peer *net.UDPAddr) *dnslog.Record {
-	querier := ipaddr.Addr(0)
-	if v4 := peer.IP.To4(); v4 != nil {
-		querier = ipaddr.FromOctets(v4[0], v4[1], v4[2], v4[3])
+// reverseOrig parses the originator out of a reverse PTR query; when q is
+// anything else it returns the FORMERR response to send instead.
+func reverseOrig(q *dnswire.Message) (ipaddr.Addr, *dnswire.Message) {
+	if dnswire.IsReversePTRQuery(q) {
+		if orig, err := ipaddr.FromReverseName(q.Questions[0].Name); err == nil {
+			return orig, nil
+		}
 	}
-	s.mu.Lock()
-	clock := s.clock
-	s.mu.Unlock()
-	return &dnslog.Record{
-		Time:       clock(),
-		Originator: orig,
-		Querier:    querier,
-		Authority:  s.authority,
-	}
+	return 0, dnswire.NewResponse(q, dnswire.RCodeFormErr)
 }
 
-// finalHandler answers PTR queries authoritatively from profiles and
-// records every reverse query at the sink.
-func (s *Server) finalHandler(profile dnssim.ProfileFunc) Handler {
+// FinalHandler answers PTR queries authoritatively from profile (nil uses
+// dnssim.DefaultProfile) and records every reverse query.
+func FinalHandler(profile dnssim.ProfileFunc) Handler {
+	if profile == nil {
+		profile = dnssim.DefaultProfile
+	}
 	return func(q *dnswire.Message, peer *net.UDPAddr) (*dnswire.Message, *dnslog.Record, bool) {
-		if !dnswire.IsReversePTRQuery(q) {
-			return dnswire.NewResponse(q, dnswire.RCodeFormErr), nil, true
-		}
-		orig, err := ipaddr.FromReverseName(q.Questions[0].Name)
-		if err != nil {
-			return dnswire.NewResponse(q, dnswire.RCodeFormErr), nil, true
+		orig, formErr := reverseOrig(q)
+		if formErr != nil {
+			return formErr, nil, true
 		}
 		p := profile(orig)
-		rec := s.record(orig, peer)
+		rec := &dnslog.Record{Originator: orig}
 
 		switch {
 		case p.FinalUnreachable:

@@ -27,18 +27,21 @@ func testProfile(a ipaddr.Addr) dnssim.OriginatorProfile {
 
 func startServer(t *testing.T) (*Server, string, *[]dnslog.Record, *sync.Mutex) {
 	t.Helper()
-	s, err := Listen("127.0.0.1:0", "final-test", testProfile)
+	var mu sync.Mutex
+	var recs []dnslog.Record
+	s, err := Listen("127.0.0.1:0", Config{
+		Authority: "final-test",
+		Handler:   FinalHandler(testProfile),
+		Sink: func(r dnslog.Record) {
+			mu.Lock()
+			recs = append(recs, r)
+			mu.Unlock()
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	var mu sync.Mutex
-	var recs []dnslog.Record
-	s.SetSink(func(r dnslog.Record) {
-		mu.Lock()
-		recs = append(recs, r)
-		mu.Unlock()
-	})
 	return s, s.Addr().String(), &recs, &mu
 }
 
@@ -197,18 +200,17 @@ func TestCloseIdempotent(t *testing.T) {
 // pipeline over the captured records — the full operational path: UDP
 // queries → sensor sink → dnslog records.
 func TestServedWorldEndToEnd(t *testing.T) {
-	s, err := Listen("127.0.0.1:0", "final-e2e", nil)
+	var mu sync.Mutex
+	var recs []dnslog.Record
+	s, err := Listen("127.0.0.1:0", Config{Authority: "final-e2e", Sink: func(r dnslog.Record) {
+		mu.Lock()
+		recs = append(recs, r)
+		mu.Unlock()
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	var mu sync.Mutex
-	var recs []dnslog.Record
-	s.SetSink(func(r dnslog.Record) {
-		mu.Lock()
-		recs = append(recs, r)
-		mu.Unlock()
-	})
 	c := &Client{Timeout: time.Second, Retries: 0}
 	answered := 0
 	for i := 0; i < 40; i++ {
@@ -225,5 +227,41 @@ func TestServedWorldEndToEnd(t *testing.T) {
 	mu.Unlock()
 	if n < answered {
 		t.Errorf("sink saw %d records for %d answers", n, answered)
+	}
+}
+
+// TestFirstQueryAfterListenIsLogged pins the wiring order: sink and clock
+// are part of the server before its serve loop starts, so the very first
+// query after Listen returns is recorded, stamped by the configured clock.
+// (With sink and clock installed by setters after Listen, a query arriving
+// in between was answered and counted but never logged.)
+func TestFirstQueryAfterListenIsLogged(t *testing.T) {
+	const at = simtime.Time(1_400_000_000)
+	logged := make(chan dnslog.Record, 1) // one query, one record
+	s, err := Listen("127.0.0.1:0", Config{
+		Authority: "first",
+		Handler:   FinalHandler(testProfile),
+		Sink:      func(r dnslog.Record) { logged <- r },
+		Clock:     func() simtime.Time { return at },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c := &Client{Timeout: time.Second}
+	if _, _, _, err := c.LookupPTR(s.Addr().String(), ipaddr.MustParse("192.0.2.1")); err != nil {
+		t.Fatal(err)
+	}
+	// The sink runs before the answer is written, so the record is there.
+	select {
+	case r := <-logged:
+		if r.Time != at || r.Authority != "first" || r.Originator != ipaddr.MustParse("192.0.2.1") {
+			t.Errorf("first record = %+v, want time %d from authority first", r, at)
+		}
+	default:
+		t.Fatal("the first query was answered but not logged")
+	}
+	if got := s.Queries(); got != 1 {
+		t.Errorf("served %d queries, want 1", got)
 	}
 }

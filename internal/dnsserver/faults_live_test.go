@@ -13,11 +13,17 @@ import (
 	"dnsbackscatter/internal/simtime"
 )
 
-// startFinal binds a final authority whose every originator has a PTR.
-func startFinal(t *testing.T) *Server {
+// startFinal binds a final authority whose every originator has a PTR,
+// serving under the given fault profile and counting into reg.
+func startFinal(t *testing.T, fault faults.Profile, reg *obs.Registry) *Server {
 	t.Helper()
-	s, err := Listen("127.0.0.1:0", "final", func(a ipaddr.Addr) dnssim.OriginatorProfile {
-		return dnssim.OriginatorProfile{HasName: true, Name: "host-" + a.String() + ".example.net", TTL: simtime.Hour}
+	s, err := Listen("127.0.0.1:0", Config{
+		Authority: "final",
+		Handler: FinalHandler(func(a ipaddr.Addr) dnssim.OriginatorProfile {
+			return dnssim.OriginatorProfile{HasName: true, Name: "host-" + a.String() + ".example.net", TTL: simtime.Hour}
+		}),
+		Faults: faults.New(fault, 1),
+		Obs:    reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -31,10 +37,8 @@ func startFinal(t *testing.T) *Server {
 // onto TCP, where it gets the full answer; both sides count the
 // fallback.
 func TestTruncationFallsBackToTCP(t *testing.T) {
-	s := startFinal(t)
 	reg := obs.NewRegistry()
-	s.SetFaults(faults.New(faults.Profile{Name: "tc", Truncate: 1.0}, 1))
-	s.SetMetrics(reg)
+	s := startFinal(t, faults.Profile{Name: "tc", Truncate: 1.0}, reg)
 
 	c := &Client{Timeout: 500 * time.Millisecond, Obs: reg}
 	target, rcode, _, err := c.LookupPTR(s.Addr().String(), ipaddr.MustParse("100.50.3.4"))
@@ -64,10 +68,8 @@ func TestTruncationFallsBackToTCP(t *testing.T) {
 // up with ErrTimeout, and both the injections and the giveup are
 // counted.
 func TestServerDropsFaultedQueries(t *testing.T) {
-	s := startFinal(t)
 	reg := obs.NewRegistry()
-	s.SetFaults(faults.New(faults.Profile{Name: "blackhole", Loss: 1.0}, 1))
-	s.SetMetrics(reg)
+	s := startFinal(t, faults.Profile{Name: "blackhole", Loss: 1.0}, reg)
 
 	c := &Client{Timeout: 50 * time.Millisecond, Retries: 1, Obs: reg}
 	_, _, sent, err := c.LookupPTR(s.Addr().String(), ipaddr.MustParse("100.50.3.4"))
@@ -92,10 +94,8 @@ func TestServerDropsFaultedQueries(t *testing.T) {
 // 2, and a recursor treats it as a brief negative-cache entry instead of
 // chasing referrals.
 func TestServerServFailFault(t *testing.T) {
-	s := startFinal(t)
 	reg := obs.NewRegistry()
-	s.SetFaults(faults.New(faults.Profile{Name: "storm", ServFail: 1.0}, 1))
-	s.SetMetrics(reg)
+	s := startFinal(t, faults.Profile{Name: "storm", ServFail: 1.0}, reg)
 
 	c := &Client{Timeout: 500 * time.Millisecond, Obs: reg}
 	_, rcode, _, err := c.LookupPTR(s.Addr().String(), ipaddr.MustParse("100.50.3.4"))
@@ -106,7 +106,7 @@ func TestServerServFailFault(t *testing.T) {
 		t.Fatalf("rcode = %d, want SERVFAIL", rcode)
 	}
 
-	r := NewRecursor(s.Addr().String())
+	r := NewRecursor(nil, nil, s.Addr().String())
 	r.Client.Timeout = 400 * time.Millisecond
 	_, tr, err := r.ResolvePTR(ipaddr.MustParse("100.50.3.4"), 1000)
 	if err == nil {
@@ -127,13 +127,14 @@ func TestServerServFailFault(t *testing.T) {
 // some lookups may fail with ErrTimeout, none may fail any other way,
 // and most succeed via retries.
 func TestRecursorSurvivesLossyPath(t *testing.T) {
-	h := startHierarchy(t)
 	plan := faults.New(faults.Profile{Name: "lossy", Loss: 0.20}, 42)
 	reg := obs.NewRegistry()
-	for _, s := range []*Server{h.root, h.national, h.final} {
-		s.SetFaults(plan)
-	}
-	h.final.SetMetrics(reg)
+	h := startHierarchyWith(t, func(level string, cfg *Config) {
+		cfg.Faults = plan
+		if level == "final" {
+			cfg.Obs = reg
+		}
+	})
 
 	r := newRecursor(h)
 	// The server's drop draw is keyed by wall second, so retransmits

@@ -8,6 +8,7 @@ import (
 
 	"dnsbackscatter/internal/cache"
 	"dnsbackscatter/internal/dnslog"
+	"dnsbackscatter/internal/dnssim"
 	"dnsbackscatter/internal/dnswire"
 	"dnsbackscatter/internal/ipaddr"
 	"dnsbackscatter/internal/obs"
@@ -38,24 +39,16 @@ type Delegation struct {
 // reports that this server has none (lame delegation).
 type PickFunc func(ipaddr.Addr) (Delegation, bool)
 
-// InstallReferralHandler wires a referral handler for pick onto s.
-func InstallReferralHandler(s *Server, pick PickFunc) {
-	s.SetHandler(ReferralHandler(s, pick))
-}
-
 // ReferralHandler answers reverse queries with a referral toward the
 // originator's zone, recording each query at the sensor — the behavior of
 // the root and national authorities the paper instruments.
-func ReferralHandler(s *Server, pick PickFunc) Handler {
+func ReferralHandler(pick PickFunc) Handler {
 	return func(q *dnswire.Message, peer *net.UDPAddr) (*dnswire.Message, *dnslog.Record, bool) {
-		if !dnswire.IsReversePTRQuery(q) {
-			return dnswire.NewResponse(q, dnswire.RCodeFormErr), nil, true
+		orig, formErr := reverseOrig(q)
+		if formErr != nil {
+			return formErr, nil, true
 		}
-		orig, err := ipaddr.FromReverseName(q.Questions[0].Name)
-		if err != nil {
-			return dnswire.NewResponse(q, dnswire.RCodeFormErr), nil, true
-		}
-		rec := s.record(orig, peer)
+		rec := &dnslog.Record{Originator: orig}
 		del, ok := pick(orig)
 		if !ok {
 			rec.RCode = dnswire.RCodeNXDomain
@@ -152,80 +145,38 @@ type Recursor struct {
 	NegTTL simtime.Duration
 
 	cache  *cache.Cache
-	m      *recursorMetrics
+	m      recursorMetrics
 	tracer *trace.Tracer
 }
 
-// SetTracer installs (or, with nil, removes) the end-to-end tracer:
-// every uncached ResolvePTR begins a trace whose events are the hops of
-// the live referral chain (root → national → final), so delegation walks
-// are visible span by span. The recursor itself is the querier, so the
-// trace's querier address is zero.
-func (r *Recursor) SetTracer(t *trace.Tracer) { r.tracer = t }
-
-// NewRecursor returns a recursor with a fresh cache.
-func NewRecursor(roots ...string) *Recursor {
-	return &Recursor{Roots: roots, NegTTL: 5 * simtime.Minute, cache: cache.New(8192)}
-}
-
-// recursorMetrics holds the recursor's pre-resolved counters. Nil-receiver
-// methods keep the uninstrumented path to one pointer test.
+// recursorMetrics holds the recursor's pre-resolved counters: all nil, and
+// so no-ops, on an uninstrumented recursor.
 type recursorMetrics struct {
 	hits     *obs.Counter
 	misses   *obs.Counter
-	upstream [3]*obs.Counter // root, national, final
+	upstream [3]*obs.Counter // by dnssim.Levels index
 }
 
-// SetMetrics instruments the recursor: full-answer cache hits and misses
-// (recursor_cache_{hits,misses}_total), upstream queries by hierarchy
-// level (recursor_upstream_queries_total{level=root|national|final},
-// retransmits included — the live view of §IV-D attenuation), per-tier
-// cache traffic via cache.SetMetrics, and the client's retransmits. A nil
-// registry uninstruments.
-func (r *Recursor) SetMetrics(reg *obs.Registry) {
-	if reg == nil {
-		r.m = nil
-		r.Client.Obs = nil
-		r.cache.SetMetrics(nil, "")
-		return
-	}
+// NewRecursor returns a recursor with a fresh cache, rooted at the given
+// server addresses. reg, when non-nil, counts full-answer cache hits and
+// misses (recursor_cache_{hits,misses}_total), upstream queries by
+// hierarchy level (recursor_upstream_queries_total{level=root|national|
+// final}, retransmits included — the live view of §IV-D attenuation),
+// per-tier cache traffic and the client's retransmits. tr, when non-nil,
+// begins a trace for every ResolvePTR whose events are the hops of the
+// live referral chain; the recursor itself is the querier, so the trace's
+// querier address is zero.
+func NewRecursor(reg *obs.Registry, tr *trace.Tracer, roots ...string) *Recursor {
+	r := &Recursor{Roots: roots, NegTTL: 5 * simtime.Minute, cache: cache.New(8192), tracer: tr}
 	r.Client.Obs = reg
 	r.cache.SetMetrics(reg, "recursor")
-	m := &recursorMetrics{
-		hits:   reg.Counter("recursor_cache_hits_total"),
-		misses: reg.Counter("recursor_cache_misses_total"),
+	r.m.hits = reg.Counter("recursor_cache_hits_total")
+	r.m.misses = reg.Counter("recursor_cache_misses_total")
+	for i, level := range dnssim.Levels {
+		r.m.upstream[i] = reg.Counter("recursor_upstream_queries_total", obs.L("level", level))
 	}
-	for i, level := range [3]string{"root", "national", "final"} {
-		m.upstream[i] = reg.Counter("recursor_upstream_queries_total", obs.L("level", level))
-	}
-	r.m = m
+	return r
 }
-
-func (m *recursorMetrics) answered(hit bool) {
-	if m == nil {
-		return
-	}
-	if hit {
-		m.hits.Inc()
-	} else {
-		m.misses.Inc()
-	}
-}
-
-func (m *recursorMetrics) sent(level, n int) {
-	if m == nil || n <= 0 {
-		return
-	}
-	if level < 0 || level > 2 {
-		level = 2
-	}
-	m.upstream[level].Add(uint64(n))
-}
-
-// Cache keys mirror the simulator's tagging scheme.
-func rcPTRKey(o ipaddr.Addr) uint64 { return 1<<40 | uint64(o) }
-func rcZ8Key(o ipaddr.Addr) uint64  { return 2<<40 | uint64(o.Slash8()) }
-func rcZ16Key(o ipaddr.Addr) uint64 { return 3<<40 | uint64(o.Slash16()) }
 
 // maxChase bounds referral chains against delegation loops.
 const maxChase = 8
@@ -237,8 +188,8 @@ const maxChase = 8
 func (r *Recursor) ResolvePTR(addr ipaddr.Addr, now simtime.Time) (string, Trace, error) {
 	var tr Trace
 	tc := r.tracer.Begin(0, addr, now)
-	if e, ok := r.cache.Get(rcPTRKey(addr), now); ok {
-		r.m.answered(true)
+	if e, ok := r.cache.Get(cache.PTRKey(addr), now); ok {
+		r.m.hits.Inc()
 		tc.CacheHit(now)
 		tc.Finish(now, 0)
 		if e.Negative {
@@ -246,14 +197,14 @@ func (r *Recursor) ResolvePTR(addr ipaddr.Addr, now simtime.Time) (string, Trace
 		}
 		return e.Value, tr, nil
 	}
-	r.m.answered(false)
+	r.m.misses.Inc()
 
 	// Deepest cached delegation wins; otherwise start at a root.
 	server := ""
-	level := 0 // 0 root, 1 national, 2 final
-	if e, ok := r.cache.Get(rcZ16Key(addr), now); ok {
+	level := 0 // index into dnssim.Levels
+	if e, ok := r.cache.Get(cache.Zone16Key(addr), now); ok {
 		server, level = e.Value, 2
-	} else if e, ok := r.cache.Get(rcZ8Key(addr), now); ok {
+	} else if e, ok := r.cache.Get(cache.Zone8Key(addr), now); ok {
 		server, level = e.Value, 1
 	} else {
 		if len(r.Roots) == 0 {
@@ -262,16 +213,6 @@ func (r *Recursor) ResolvePTR(addr ipaddr.Addr, now simtime.Time) (string, Trace
 		server, level = r.Roots[0], 0
 	}
 
-	levelName := func(l int) string {
-		switch l {
-		case 0:
-			return "root"
-		case 1:
-			return "national"
-		default:
-			return "final"
-		}
-	}
 	for hop := 0; hop < maxChase; hop++ {
 		switch level {
 		case 0:
@@ -281,34 +222,34 @@ func (r *Recursor) ResolvePTR(addr ipaddr.Addr, now simtime.Time) (string, Trace
 		default:
 			tr.Final = true
 		}
-		tc.Query(levelName(level), hop+1, now)
+		tc.Query(dnssim.Levels[level], hop+1, now)
 		msg, sent, err := r.Client.queryPTR(server, addr)
 		tr.Queries += sent
-		r.m.sent(level, sent)
+		r.m.upstream[level].Add(uint64(sent))
 		if err != nil {
 			// Unreachable authority: remember briefly, as stubs do.
-			r.cache.PutNegative(rcPTRKey(addr), r.NegTTL, now)
-			tc.Fault(levelName(level), hop+1, "unreachable", now)
-			tc.GiveUp(levelName(level), now)
+			r.cache.PutNegative(cache.PTRKey(addr), r.NegTTL, now)
+			tc.Fault(dnssim.Levels[level], hop+1, "unreachable", now)
+			tc.GiveUp(dnssim.Levels[level], now)
 			tc.Finish(now, tr.Queries)
 			return "", tr, err
 		}
-		tc.Answer(levelName(level), msg.Header.RCode, 0, now)
+		tc.Answer(dnssim.Levels[level], msg.Header.RCode, 0, now)
 		switch {
 		case len(msg.Answers) > 0 && msg.Answers[0].Type == dnswire.TypePTR:
 			ttl := simtime.Duration(msg.Answers[0].TTL)
-			r.cache.Put(rcPTRKey(addr), msg.Answers[0].Target, ttl, now)
+			r.cache.Put(cache.PTRKey(addr), msg.Answers[0].Target, ttl, now)
 			tc.Finish(now, tr.Queries)
 			return msg.Answers[0].Target, tr, nil
 		case msg.Header.RCode == dnswire.RCodeNXDomain:
-			r.cache.PutNegative(rcPTRKey(addr), r.NegTTL, now)
+			r.cache.PutNegative(cache.PTRKey(addr), r.NegTTL, now)
 			tc.Finish(now, tr.Queries)
 			return "", tr, nil
 		case msg.Header.RCode == dnswire.RCodeServFail:
 			// A storming authority: remember the failure briefly (the
 			// live ServFailTTL analogue) instead of chasing referrals.
-			r.cache.PutNegative(rcPTRKey(addr), r.NegTTL, now)
-			tc.Fault(levelName(level), hop+1, "servfail", now)
+			r.cache.PutNegative(cache.PTRKey(addr), r.NegTTL, now)
+			tc.Fault(dnssim.Levels[level], hop+1, "servfail", now)
 			tc.Finish(now, tr.Queries)
 			return "", tr, fmt.Errorf("dnsserver: SERVFAIL from %s", server)
 		default:
@@ -319,16 +260,16 @@ func (r *Recursor) ResolvePTR(addr ipaddr.Addr, now simtime.Time) (string, Trace
 			// Zone depth tells the cache tier: "1.in-addr.arpa" has 3
 			// labels (a /8 zone), "2.1.in-addr.arpa" has 4 (a /16 zone).
 			if labelCount(zone) >= 4 {
-				r.cache.Put(rcZ16Key(addr), next.String(), ttl, now)
+				r.cache.Put(cache.Zone16Key(addr), next.String(), ttl, now)
 				level = 2
 			} else {
-				r.cache.Put(rcZ8Key(addr), next.String(), ttl, now)
+				r.cache.Put(cache.Zone8Key(addr), next.String(), ttl, now)
 				level = 1
 			}
 			server = next.String()
 		}
 	}
-	tc.GiveUp(levelName(level), now)
+	tc.GiveUp(dnssim.Levels[level], now)
 	tc.Finish(now, tr.Queries)
 	return "", tr, fmt.Errorf("dnsserver: referral chain exceeded %d hops", maxChase)
 }

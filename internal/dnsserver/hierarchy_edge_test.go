@@ -3,6 +3,7 @@ package dnsserver
 import (
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,8 +19,7 @@ import (
 // response.
 func referralOf(t *testing.T, del Delegation, ok bool) *dnswire.Message {
 	t.Helper()
-	s := &Server{authority: "edge", clock: simtime.Wall}
-	h := ReferralHandler(s, func(ipaddr.Addr) (Delegation, bool) { return del, ok })
+	h := ReferralHandler(func(ipaddr.Addr) (Delegation, bool) { return del, ok })
 	q := dnswire.NewPTRQuery(1, ipaddr.MustParse("100.50.3.4").ReverseName())
 	resp, _, answer := h(q, &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 5353})
 	if !answer || resp == nil {
@@ -82,16 +82,16 @@ func TestReferralTargetMalformed(t *testing.T) {
 // TestRecursorLameDelegation pins the error path for an authority that
 // answers NoError with no referral and no answer.
 func TestRecursorLameDelegation(t *testing.T) {
-	lame, err := ListenHandler("127.0.0.1:0", "lame", nil)
+	lame, err := Listen("127.0.0.1:0", Config{Authority: "lame",
+		Handler: func(q *dnswire.Message, peer *net.UDPAddr) (*dnswire.Message, *dnslog.Record, bool) {
+			return dnswire.NewResponse(q, dnswire.RCodeNoError), nil, true
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { lame.Close() })
-	lame.SetHandler(func(q *dnswire.Message, peer *net.UDPAddr) (*dnswire.Message, *dnslog.Record, bool) {
-		return dnswire.NewResponse(q, dnswire.RCodeNoError), nil, true
-	})
 
-	r := NewRecursor(lame.Addr().String())
+	r := NewRecursor(nil, nil, lame.Addr().String())
 	r.Client.Timeout = 300 * time.Millisecond
 	_, _, rerr := r.ResolvePTR(ipaddr.MustParse("100.50.3.4"), 0)
 	if rerr == nil || !strings.Contains(rerr.Error(), "lame") {
@@ -102,18 +102,21 @@ func TestRecursorLameDelegation(t *testing.T) {
 // TestRecursorDelegationLoop pins the maxChase bound: a server that
 // refers every query to itself must not hang the recursor.
 func TestRecursorDelegationLoop(t *testing.T) {
-	var loop *Server
-	loop, err := ListenHandler("127.0.0.1:0", "loop", nil)
+	// The handler exists before the server it refers to does, so the
+	// address reaches it through an atomic once Listen has returned.
+	var self atomic.Pointer[net.UDPAddr]
+	loop, err := Listen("127.0.0.1:0", Config{Authority: "loop",
+		Handler: ReferralHandler(func(ipaddr.Addr) (Delegation, bool) {
+			return Delegation{Zone: "100.in-addr.arpa", NS: "ns.loop.example",
+				Addr: self.Load(), TTL: simtime.Hour}, true
+		})})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { loop.Close() })
-	loop.SetHandler(ReferralHandler(loop, func(ipaddr.Addr) (Delegation, bool) {
-		return Delegation{Zone: "100.in-addr.arpa", NS: "ns.loop.example",
-			Addr: loop.Addr(), TTL: simtime.Hour}, true
-	}))
+	self.Store(loop.Addr())
 
-	r := NewRecursor(loop.Addr().String())
+	r := NewRecursor(nil, nil, loop.Addr().String())
 	r.Client.Timeout = 300 * time.Millisecond
 	_, tr, rerr := r.ResolvePTR(ipaddr.MustParse("100.50.3.4"), 0)
 	if rerr == nil || !strings.Contains(rerr.Error(), "referral chain") {
@@ -138,17 +141,17 @@ func TestRecursorDeadDelegation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref, err := ListenHandler("127.0.0.1:0", "ref", nil)
+	ref, err := Listen("127.0.0.1:0", Config{Authority: "ref",
+		Handler: ReferralHandler(func(ipaddr.Addr) (Delegation, bool) {
+			return Delegation{Zone: "100.in-addr.arpa", NS: "ns.dead.example",
+				Addr: deadAddr, TTL: simtime.Hour}, true
+		})})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ref.Close() })
-	ref.SetHandler(ReferralHandler(ref, func(ipaddr.Addr) (Delegation, bool) {
-		return Delegation{Zone: "100.in-addr.arpa", NS: "ns.dead.example",
-			Addr: deadAddr, TTL: simtime.Hour}, true
-	}))
 
-	r := NewRecursor(ref.Addr().String())
+	r := NewRecursor(nil, nil, ref.Addr().String())
 	r.Client.Timeout = 80 * time.Millisecond
 	_, _, rerr := r.ResolvePTR(ipaddr.MustParse("100.50.3.4"), 0)
 	if rerr == nil {
@@ -164,9 +167,10 @@ func TestRecursorDeadDelegation(t *testing.T) {
 // TestEmptyZoneAnswersNXDomain pins the final authority's behavior for a
 // zone with no names at all.
 func TestEmptyZoneAnswersNXDomain(t *testing.T) {
-	s, err := Listen("127.0.0.1:0", "empty", func(ipaddr.Addr) dnssim.OriginatorProfile {
-		return dnssim.OriginatorProfile{} // no PTR for anyone
-	})
+	s, err := Listen("127.0.0.1:0", Config{Authority: "empty",
+		Handler: FinalHandler(func(ipaddr.Addr) dnssim.OriginatorProfile {
+			return dnssim.OriginatorProfile{} // no PTR for anyone
+		})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,8 +189,11 @@ func TestEmptyZoneAnswersNXDomain(t *testing.T) {
 // national registry whose every UDP answer is truncated still delegates
 // correctly because the client re-asks over TCP.
 func TestRecursorThroughTruncatingNational(t *testing.T) {
-	h := startHierarchy(t)
-	h.national.SetFaults(faults.New(faults.Profile{Name: "tc", Truncate: 1.0}, 1))
+	h := startHierarchyWith(t, func(level string, cfg *Config) {
+		if level == "national" {
+			cfg.Faults = faults.New(faults.Profile{Name: "tc", Truncate: 1.0}, 1)
+		}
+	})
 
 	r := newRecursor(h)
 	target, tr, err := r.ResolvePTR(ipaddr.MustParse("100.50.3.4"), 1000)

@@ -10,6 +10,7 @@ import (
 	"dnsbackscatter/internal/ipaddr"
 	"dnsbackscatter/internal/obs"
 	"dnsbackscatter/internal/simtime"
+	"dnsbackscatter/internal/trace"
 )
 
 // liveHierarchy is a three-level reverse-DNS deployment on loopback: one
@@ -25,41 +26,43 @@ type liveHierarchy struct {
 }
 
 func startHierarchy(t *testing.T) *liveHierarchy {
+	return startHierarchyWith(t, func(string, *Config) {})
+}
+
+// startHierarchyWith lets wire add instruments (faults, registry, tracer)
+// to each level's config before that level's server starts.
+func startHierarchyWith(t *testing.T, wire func(level string, cfg *Config)) *liveHierarchy {
 	t.Helper()
 	h := &liveHierarchy{records: make(map[string][]dnslog.Record)}
-	sinkFor := func(name string) Sink {
-		return func(r dnslog.Record) {
+	listen := func(name string, handler Handler) *Server {
+		cfg := Config{Authority: name, Handler: handler, Sink: func(r dnslog.Record) {
 			h.mu.Lock()
 			h.records[name] = append(h.records[name], r)
 			h.mu.Unlock()
+		}}
+		wire(name, &cfg)
+		s, err := Listen("127.0.0.1:0", cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		t.Cleanup(func() { s.Close() })
+		return s
 	}
 
 	// Final authority: every /16 under /8s 100-101 answers from a fixed
 	// profile (1 h PTR TTL).
-	final, err := Listen("127.0.0.1:0", "final", func(a ipaddr.Addr) dnssim.OriginatorProfile {
+	final := listen("final", FinalHandler(func(a ipaddr.Addr) dnssim.OriginatorProfile {
 		return dnssim.OriginatorProfile{
 			HasName: true,
 			Name:    "origin-" + a.String() + ".example.net",
 			TTL:     simtime.Hour,
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { final.Close() })
-	final.SetSink(sinkFor("final"))
+	}))
 	h.final = final
 
 	// National registry: refers every /16 it covers to the final server,
 	// with a 6 h delegation TTL.
-	national, err := ListenHandler("127.0.0.1:0", "national", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { national.Close() })
-	national.SetSink(sinkFor("national"))
-	national.SetHandler(ReferralHandler(national, func(a ipaddr.Addr) (Delegation, bool) {
+	national := listen("national", ReferralHandler(func(a ipaddr.Addr) (Delegation, bool) {
 		if a.Slash8() != 100 && a.Slash8() != 101 {
 			return Delegation{}, false
 		}
@@ -70,13 +73,7 @@ func startHierarchy(t *testing.T) *liveHierarchy {
 	h.national = national
 
 	// Root: refers /8s 100-101 to the national registry, 2 d TTL.
-	root, err := ListenHandler("127.0.0.1:0", "root", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { root.Close() })
-	root.SetSink(sinkFor("root"))
-	root.SetHandler(ReferralHandler(root, func(a ipaddr.Addr) (Delegation, bool) {
+	root := listen("root", ReferralHandler(func(a ipaddr.Addr) (Delegation, bool) {
 		if a.Slash8() != 100 && a.Slash8() != 101 {
 			return Delegation{}, false
 		}
@@ -108,7 +105,7 @@ func (h *liveHierarchy) count(authority string) int {
 }
 
 func newRecursor(h *liveHierarchy) *Recursor {
-	r := NewRecursor(h.root.Addr().String())
+	r := NewRecursor(nil, nil, h.root.Addr().String())
 	r.Client.Timeout = 400 * time.Millisecond
 	return r
 }
@@ -230,7 +227,7 @@ func TestRecursorOutsideDelegation(t *testing.T) {
 }
 
 func TestRecursorNoRoots(t *testing.T) {
-	r := NewRecursor()
+	r := NewRecursor(nil, nil)
 	if _, _, err := r.ResolvePTR(ipaddr.MustParse("100.1.2.3"), 0); err == nil {
 		t.Error("rootless recursor resolved")
 	}
@@ -268,13 +265,11 @@ func TestConcurrentRecursors(t *testing.T) {
 // upstream-query counters, recursor cache hit/miss counters, and the
 // instrumented servers' query/response counters.
 func TestRecursorMetrics(t *testing.T) {
-	h := startHierarchy(t)
-	r := newRecursor(h)
 	reg := obs.NewRegistry()
-	r.SetMetrics(reg)
-	h.root.SetMetrics(reg)
-	h.national.SetMetrics(reg)
-	h.final.SetMetrics(reg)
+	h := startHierarchyWith(t, func(_ string, cfg *Config) { cfg.Obs = reg })
+	tr := trace.New(1, 1)
+	r := NewRecursor(reg, tr, h.root.Addr().String())
+	r.Client.Timeout = 400 * time.Millisecond
 
 	orig := ipaddr.MustParse("100.50.3.4")
 	if _, _, err := r.ResolvePTR(orig, 0); err != nil { // cold: full walk
@@ -291,6 +286,9 @@ func TestRecursorMetrics(t *testing.T) {
 	counter := func(name string, labels ...obs.Label) uint64 {
 		t.Helper()
 		return reg.Counter(name, labels...).Value()
+	}
+	if got := tr.Len(); got != 3 {
+		t.Errorf("recursor committed %d traces, want one per resolution", got)
 	}
 	if got := counter("recursor_cache_hits_total"); got != 1 {
 		t.Errorf("recursor hits = %d, want 1", got)

@@ -48,6 +48,24 @@ type Config struct {
 	// fault plan is installed (a fault-free network answers the first
 	// try, as all earlier PRs assumed).
 	Retry RetryPolicy
+
+	// Faults, when non-nil, is a deterministic fault plan applied to every
+	// authority exchange. Faults activate the Retry backoff policy: dropped
+	// or dead exchanges retry up to Retry.Attempts times, each retry
+	// counted in resolver_retries_total, exhaustion in
+	// resolver_gaveup_total, truncation-forced TCP re-asks in
+	// resolver_tcp_fallbacks_total.
+	Faults *faults.Plan
+	// Obs, when non-nil, counts lookups started, lookups answered wholly
+	// from the resolver cache, authority queries per hierarchy level
+	// (dnssim_queries_total{level=root|national|final} — the §IV-D
+	// attenuation is the ratio of these), upper-tree queries hidden by
+	// QNAME minimization, and the fault plan's injections.
+	Obs *obs.Registry
+	// Tracer, when non-nil, is the end-to-end lookup tracer. Resolve begins
+	// a trace per lookup; callers that want to annotate the trace with
+	// upstream context (world activity) begin it themselves and call Walk.
+	Tracer *trace.Tracer
 }
 
 // RetryPolicy is a capped exponential backoff for authority queries:
@@ -260,25 +278,24 @@ type Caches = cache.Table[struct{}]
 const CacheMetricName = "resolver"
 
 // NewCaches returns an empty table whose resolvers each hold at most
-// perResolverMax entries.
-func NewCaches(perResolverMax int) *Caches { return cache.NewTable[struct{}](perResolverMax) }
+// perResolverMax entries, counting into reg under CacheMetricName when reg
+// is non-nil.
+func NewCaches(perResolverMax int, reg *obs.Registry) *Caches {
+	c := cache.NewTable[struct{}](perResolverMax)
+	c.SetMetrics(reg, CacheMetricName)
+	return c
+}
 
 // NewResolver returns a resolver with a private cache table and its own
 // random stream.
 func NewResolver(addr ipaddr.Addr, busyness, preferM float64, cacheMax int, st *rng.Stream) *Resolver {
-	return NewResolverIn(NewCaches(cacheMax), addr, busyness, preferM, st)
+	return NewResolverIn(NewCaches(cacheMax, nil), addr, busyness, preferM, st)
 }
 
 // NewResolverIn returns a resolver caching in the shared table c.
 func NewResolverIn(c *Caches, addr ipaddr.Addr, busyness, preferM float64, st *rng.Stream) *Resolver {
 	return &Resolver{Addr: addr, Busyness: busyness, PreferM: preferM,
 		caches: c, owner: c.NewOwner(), st: st}
-}
-
-// SetCacheMetrics instruments the table this resolver caches in under
-// CacheMetricName.
-func (r *Resolver) SetCacheMetrics(reg *obs.Registry) {
-	r.caches.SetMetrics(reg, CacheMetricName)
 }
 
 func (r *Resolver) cached(key uint64, now simtime.Time) bool {
@@ -305,21 +322,9 @@ type Hierarchy struct {
 	national map[string]*Sensor // country code -> sensor
 	finals   map[uint16]*Sensor // /16 -> sensor (instrumented final zones)
 
-	faults *faults.Plan
-	m      *hierMetrics
-	tracer *trace.Tracer
-
+	m    *hierMetrics
 	taps []Tap // Resolve's scratch
 }
-
-// SetTracer installs (or, with nil, removes) the end-to-end lookup
-// tracer. Resolve begins a trace per lookup; callers that want to annotate
-// the trace with upstream context (world activity) begin it themselves via
-// Tracer().Begin and call Walk.
-func (h *Hierarchy) SetTracer(t *trace.Tracer) { h.tracer = t }
-
-// Tracer returns the installed tracer (nil when tracing is off).
-func (h *Hierarchy) Tracer() *trace.Tracer { return h.tracer }
 
 // hierMetrics holds the hierarchy's pre-resolved counters. Nil receiver =
 // uninstrumented; every method is then a no-op.
@@ -331,23 +336,17 @@ type hierMetrics struct {
 	gaveup        *obs.Counter
 	tcpFallbacks  *obs.Counter
 	finalTimeouts *obs.Counter
-	level         [3]*obs.Counter // root, national, final
+	level         [3]*obs.Counter // by Levels index
 }
 
-// hierLevels orders the per-level query counters top-down, matching the
-// attenuation ordering of Figure 1: root sees least, final sees all.
-var hierLevels = [3]string{"root", "national", "final"}
+// Levels names the hierarchy's authority levels top-down, matching the
+// attenuation ordering of Figure 1: root sees least, final sees all. The
+// simulated walk and the live recursor label metrics and trace hops by it.
+var Levels = [3]string{"root", "national", "final"}
 
-// SetMetrics instruments the hierarchy: lookups started, lookups answered
-// wholly from the resolver cache, authority queries per hierarchy level
-// (dnssim_queries_total{level=root|national|final} — the §IV-D
-// attenuation is the ratio of these), and upper-tree queries hidden by
-// QNAME minimization. A nil registry uninstruments.
-func (h *Hierarchy) SetMetrics(reg *obs.Registry) {
+func newHierMetrics(reg *obs.Registry) *hierMetrics {
 	if reg == nil {
-		h.m = nil
-		h.faults.SetMetrics(nil)
-		return
+		return nil
 	}
 	m := &hierMetrics{
 		resolves:      reg.Counter("dnssim_resolves_total"),
@@ -358,22 +357,10 @@ func (h *Hierarchy) SetMetrics(reg *obs.Registry) {
 		tcpFallbacks:  reg.Counter("resolver_tcp_fallbacks_total"),
 		finalTimeouts: reg.Counter("dnssim_final_timeouts_total"),
 	}
-	for i, lv := range hierLevels {
+	for i, lv := range Levels {
 		m.level[i] = reg.Counter("dnssim_queries_total", obs.L("level", lv))
 	}
-	h.m = m
-	h.faults.SetMetrics(reg)
-}
-
-// SetFaults installs a deterministic fault plan on every authority
-// exchange (nil removes it). Faults activate the Config.Retry backoff
-// policy: dropped or dead exchanges retry up to Retry.Attempts times,
-// each retry counted in resolver_retries_total, exhaustion in
-// resolver_gaveup_total, truncation-forced TCP re-asks in
-// resolver_tcp_fallbacks_total. Install before SetMetrics (or call
-// SetMetrics again after) so the plan's injection counters register.
-func (h *Hierarchy) SetFaults(p *faults.Plan) {
-	h.faults = p
+	return m
 }
 
 // The metric methods carry the simulated instant of the event they count
@@ -390,7 +377,7 @@ func (m *hierMetrics) resolve(cached bool, now simtime.Time) {
 	}
 }
 
-// query counts one authority query at level li (index into hierLevels);
+// query counts one authority query at level li (index into Levels);
 // hidden marks upper-tree queries whose reverse name QNAME minimization
 // stripped of the originator.
 func (m *hierMetrics) query(li int, hidden bool, now simtime.Time) {
@@ -427,11 +414,15 @@ func (m *hierMetrics) finalTimeout(now simtime.Time) {
 	}
 }
 
-// NewHierarchy builds a hierarchy over the geo registry. profile may be nil
-// to use DefaultProfile.
+// NewHierarchy builds a hierarchy over the geo registry, wired to cfg's
+// fault plan, registry and tracer. profile may be nil to use
+// DefaultProfile.
 func NewHierarchy(g *geo.Registry, cfg Config, profile ProfileFunc) *Hierarchy {
 	if profile == nil {
 		profile = DefaultProfile
+	}
+	if cfg.Obs != nil {
+		cfg.Faults.SetMetrics(cfg.Obs) // guarded: a plan may be shared
 	}
 	return &Hierarchy{
 		Geo:      g,
@@ -439,6 +430,7 @@ func NewHierarchy(g *geo.Registry, cfg Config, profile ProfileFunc) *Hierarchy {
 		Profile:  profile,
 		national: make(map[string]*Sensor),
 		finals:   make(map[uint16]*Sensor),
+		m:        newHierMetrics(cfg.Obs),
 	}
 }
 
@@ -456,12 +448,6 @@ func (h *Hierarchy) AttachNational(country string, s *Sensor) {
 func (h *Hierarchy) AttachFinal(slash16 uint16, s *Sensor) {
 	h.finals[slash16] = s
 }
-
-// Zone cache-key helpers: tag in the high bits, zone identity below; the
-// cache table adds the resolver's id above both.
-func ptrKey(o ipaddr.Addr) uint64 { return 1<<40 | uint64(o) }
-func z8Key(o ipaddr.Addr) uint64  { return 2<<40 | uint64(o.Slash8()) }
-func z16Key(o ipaddr.Addr) uint64 { return 3<<40 | uint64(o.Slash16()) }
 
 // hash64 mixes two values splitmix-style for deterministic side draws.
 func hash64(a, b uint64) uint64 {
@@ -594,7 +580,7 @@ func (x *lookup) finish(now simtime.Time, queries int) int {
 // giveUp negative-caches the name after a level exhausted its retries —
 // the same rate limit the dead-final path always used.
 func (x *lookup) giveUp(now simtime.Time, queries int) int {
-	x.r.putNegative(ptrKey(x.orig), x.h.Cfg.ServFailTTL, now)
+	x.r.putNegative(cache.PTRKey(x.orig), x.h.Cfg.ServFailTTL, now)
 	return x.finish(now, queries)
 }
 
@@ -611,9 +597,9 @@ func (x *lookup) giveUp(now simtime.Time, queries int) int {
 // when it arrived, and how many queries were sent.
 func (x *lookup) exchange(li int, zone uint64, hidden bool, rcode uint8, unreachable bool,
 	s *Sensor, now simtime.Time) (ok bool, done simtime.Time, sent int) {
-	h, tc := x.h, x.tc
-	lv := hierLevels[li]
-	if h.faults == nil {
+	h, tc, fp := x.h, x.tc, x.h.Cfg.Faults
+	lv := Levels[li]
+	if fp == nil {
 		h.m.query(li, hidden, now)
 		tc.Query(lv, 1, now)
 		if unreachable {
@@ -638,7 +624,7 @@ func (x *lookup) exchange(li int, zone uint64, hidden bool, rcode uint8, unreach
 		h.m.query(li, hidden, t)
 		tc.Query(lv, attempt+1, t)
 		sent++
-		if unreachable || h.faults.IsDead(li, zone, t) {
+		if unreachable || fp.IsDead(li, zone, t) {
 			// Authority dark: the query times out silently.
 			fk := "dead"
 			if unreachable {
@@ -647,16 +633,16 @@ func (x *lookup) exchange(li int, zone uint64, hidden bool, rcode uint8, unreach
 			tc.Fault(lv, attempt+1, fk, t)
 			continue
 		}
-		if h.faults.Drop(li, res, sub, t, attempt) {
+		if fp.Drop(li, res, sub, t, attempt) {
 			tc.Fault(lv, attempt+1, "loss", t)
 			continue // datagram lost in flight: timeout, then retry
 		}
-		lat := h.faults.LatencyFor(li, res, sub, t, attempt)
+		lat := fp.LatencyFor(li, res, sub, t, attempt)
 		if lat > 0 {
 			tc.Fault(lv, attempt+1, "latency", t)
 		}
 		at := t.Add(lat)
-		if h.faults.ServFails(li, zone, t, attempt) {
+		if fp.ServFails(li, zone, t, attempt) {
 			tc.Fault(lv, attempt+1, "servfail", at)
 			x.observe(s, at, dnswire.RCodeServFail)
 			tc.Answer(lv, dnswire.RCodeServFail, lat, at)
@@ -665,7 +651,7 @@ func (x *lookup) exchange(li int, zone uint64, hidden bool, rcode uint8, unreach
 		}
 		x.observe(s, at, rcode)
 		tc.Answer(lv, rcode, lat, at)
-		if h.faults.TruncateAnswer(li, res, sub, at) {
+		if fp.TruncateAnswer(li, res, sub, at) {
 			// TC answer: re-ask the same authority over TCP. The TCP
 			// exchange succeeds and the authority logs a second query.
 			h.m.tcpFallback(at)
@@ -695,7 +681,7 @@ func (x *lookup) exchange(li int, zone uint64, hidden bool, rcode uint8, unreach
 func (h *Hierarchy) Resolve(r *Resolver, orig ipaddr.Addr, now simtime.Time) int {
 	sub := Subject{Orig: orig}
 	h.taps = h.taps[:0]
-	queries := h.Walk(&h.taps, 0, r, &sub, now, h.tracer.Begin(r.Addr, orig, now))
+	queries := h.Walk(&h.taps, 0, r, &sub, now, h.Cfg.Tracer.Begin(r.Addr, orig, now))
 	if len(h.taps) > 0 {
 		Deliver(h.taps)
 	}
@@ -712,7 +698,7 @@ func (h *Hierarchy) Resolve(r *Resolver, orig ipaddr.Addr, now simtime.Time) int
 // path is identical either way. It returns the number of authority
 // queries sent.
 func (h *Hierarchy) Walk(out *[]Tap, seq uint32, r *Resolver, sub *Subject, now simtime.Time, tc *trace.Ctx) int {
-	if !r.cached(ptrKey(sub.Orig), now) {
+	if !r.cached(cache.PTRKey(sub.Orig), now) {
 		return h.walkUp(out, seq, r, sub, now, tc)
 	}
 	h.m.resolve(true, now)
@@ -737,9 +723,9 @@ func (h *Hierarchy) walkUp(out *[]Tap, seq uint32, r *Resolver, sub *Subject, no
 	queries := 0
 	cur := now
 	// Find the most specific cached (or background-warmed) delegation.
-	have16 := r.cached(z16Key(orig), now)
-	have8 := r.cached(z8Key(orig), now)
-	if !have8 && bgWarm(r, z8Key(orig), h.Cfg.NationalNSTTL, now) {
+	have16 := r.cached(cache.Zone16Key(orig), now)
+	have8 := r.cached(cache.Zone8Key(orig), now)
+	if !have8 && bgWarm(r, cache.Zone8Key(orig), h.Cfg.NationalNSTTL, now) {
 		have8 = true
 	}
 
@@ -754,13 +740,13 @@ func (h *Hierarchy) walkUp(out *[]Tap, seq uint32, r *Resolver, sub *Subject, no
 		if r.QNameMin {
 			root = nil
 		}
-		ok, done, sent := x.exchange(0, z8Key(orig), r.QNameMin, dnswire.RCodeNoError, false, root, cur)
+		ok, done, sent := x.exchange(0, cache.Zone8Key(orig), r.QNameMin, dnswire.RCodeNoError, false, root, cur)
 		queries += sent
 		if !ok {
 			return x.giveUp(cur, queries)
 		}
 		cur = done
-		r.put(z8Key(orig), h.Cfg.NationalNSTTL, now)
+		r.put(cache.Zone8Key(orig), h.Cfg.NationalNSTTL, now)
 	}
 	if !have16 {
 		// National registry query: learn the /16 delegation. Minimizing
@@ -769,13 +755,13 @@ func (h *Hierarchy) walkUp(out *[]Tap, seq uint32, r *Resolver, sub *Subject, no
 		if r.QNameMin {
 			nat = nil
 		}
-		ok, done, sent := x.exchange(1, z8Key(orig), r.QNameMin, dnswire.RCodeNoError, false, nat, cur)
+		ok, done, sent := x.exchange(1, cache.Zone8Key(orig), r.QNameMin, dnswire.RCodeNoError, false, nat, cur)
 		queries += sent
 		if !ok {
 			return x.giveUp(cur, queries)
 		}
 		cur = done
-		r.put(z16Key(orig), h.Cfg.FinalNSTTL, now)
+		r.put(cache.Zone16Key(orig), h.Cfg.FinalNSTTL, now)
 	}
 
 	// Final authority query for the PTR record itself.
@@ -784,7 +770,7 @@ func (h *Hierarchy) walkUp(out *[]Tap, seq uint32, r *Resolver, sub *Subject, no
 	if !p.HasName {
 		rcode = dnswire.RCodeNXDomain
 	}
-	ok, done, sent := x.exchange(2, z16Key(orig), false, rcode, p.FinalUnreachable, sub.final, cur)
+	ok, done, sent := x.exchange(2, cache.Zone16Key(orig), false, rcode, p.FinalUnreachable, sub.final, cur)
 	queries += sent
 	if !ok {
 		// Timeout at the dead (or fault-exhausted) final: nothing arrives
@@ -795,9 +781,9 @@ func (h *Hierarchy) walkUp(out *[]Tap, seq uint32, r *Resolver, sub *Subject, no
 		return x.giveUp(cur, queries)
 	}
 	if p.HasName {
-		r.put(ptrKey(orig), p.TTL, done)
+		r.put(cache.PTRKey(orig), p.TTL, done)
 	} else {
-		r.putNegative(ptrKey(orig), r.capTTL(p.NegTTL), done)
+		r.putNegative(cache.PTRKey(orig), r.capTTL(p.NegTTL), done)
 	}
 	return x.finish(done, queries)
 }

@@ -27,12 +27,11 @@ func mustPlan(t *testing.T, spec string) *faults.Plan {
 // resolver's giveup as resolver_gaveup_total — with no fault plan
 // installed at all.
 func TestDeadFinalTimeoutCounted(t *testing.T) {
-	h, _, _, _, final, orig := testHierarchy(
+	reg := obs.NewRegistry()
+	h, _, _, _, final, orig := wiredHierarchy(nil, reg,
 		func(ipaddr.Addr) OriginatorProfile {
 			return OriginatorProfile{FinalUnreachable: true}
 		})
-	reg := obs.NewRegistry()
-	h.SetMetrics(reg)
 	r := newResolver(0, 0)
 	if n := h.Resolve(r, orig, 0); n != 3 {
 		t.Fatalf("sent %d queries, want 3", n)
@@ -60,10 +59,8 @@ func TestDeadFinalTimeoutCounted(t *testing.T) {
 // returns the registry and total queries sent.
 func faultedRun(t *testing.T, spec string, seedBase uint64, n int) (*obs.Registry, *Sensor, int) {
 	t.Helper()
-	h, _, _, _, final, _ := testHierarchy(cachedProfile)
-	h.SetFaults(mustPlan(t, spec))
 	reg := obs.NewRegistry()
-	h.SetMetrics(reg)
+	h, _, _, _, final, _ := wiredHierarchy(mustPlan(t, spec), reg, cachedProfile)
 	queries := 0
 	// Distinct resolvers + distinct originators in the instrumented /16
 	// keep every lookup cold at the final level.
@@ -143,8 +140,7 @@ func TestTruncationForcesTCPFallback(t *testing.T) {
 // different fault seed diverges.
 func TestFaultedResolveDeterministic(t *testing.T) {
 	run := func(spec string) ([]int, *Sensor) {
-		h, _, _, _, final, _ := testHierarchy(cachedProfile)
-		h.SetFaults(mustPlan(t, spec))
+		h, _, _, _, final, _ := wiredHierarchy(mustPlan(t, spec), nil, cachedProfile)
 		counts := make([]int, 0, 300)
 		for i := 0; i < 300; i++ {
 			r := NewResolver(ipaddr.FromOctets(10, 1, byte(i>>8), byte(i)), 0, 0, 64, rng.New(uint64(i)))
@@ -185,11 +181,9 @@ func TestFaultedResolveDeterministic(t *testing.T) {
 // fault-induced failure: a lookup that gives up is negative-cached just
 // like a dead final, so the resolver does not hammer a broken path.
 func TestFaultExhaustionNegativeCaches(t *testing.T) {
-	h, _, _, _, _, orig := testHierarchy(cachedProfile)
 	// A plan that drops everything: every exchange exhausts its retries.
-	h.SetFaults(faults.New(faults.Profile{Name: "blackhole", Loss: 1.0}, 1))
 	reg := obs.NewRegistry()
-	h.SetMetrics(reg)
+	h, _, _, _, _, orig := wiredHierarchy(faults.New(faults.Profile{Name: "blackhole", Loss: 1.0}, 1), reg, cachedProfile)
 	r := newResolver(0, 0)
 	n := h.Resolve(r, orig, 0)
 	if n != 3 {

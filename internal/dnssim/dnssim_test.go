@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dnsbackscatter/internal/dnswire"
+	"dnsbackscatter/internal/faults"
 	"dnsbackscatter/internal/geo"
 	"dnsbackscatter/internal/ipaddr"
 	"dnsbackscatter/internal/obs"
@@ -12,8 +13,16 @@ import (
 )
 
 func testHierarchy(profile ProfileFunc) (*Hierarchy, *Sensor, *Sensor, map[string]*Sensor, *Sensor, ipaddr.Addr) {
+	return wiredHierarchy(nil, nil, profile)
+}
+
+// wiredHierarchy is testHierarchy constructed with a fault plan and a
+// registry (either may be nil).
+func wiredHierarchy(plan *faults.Plan, reg *obs.Registry, profile ProfileFunc) (*Hierarchy, *Sensor, *Sensor, map[string]*Sensor, *Sensor, ipaddr.Addr) {
 	g := geo.NewRegistry(42)
-	h := NewHierarchy(g, DefaultConfig(), profile)
+	cfg := DefaultConfig()
+	cfg.Faults, cfg.Obs = plan, reg
+	h := NewHierarchy(g, cfg, profile)
 	b := NewSensor("b-root", 1)
 	m := NewSensor("m-root", 1)
 	h.AttachRoots(b, m)
@@ -290,15 +299,13 @@ func BenchmarkResolveCached(b *testing.B) {
 // delegation TTLs reach the final authority only, so
 // dnssim_queries_total{level=final} outgrows root and national.
 func TestHierarchyMetricsAttenuation(t *testing.T) {
-	h, _, _, _, _, orig := testHierarchy(
+	reg := obs.NewRegistry()
+	h, _, _, _, _, orig := wiredHierarchy(nil, reg,
 		func(ipaddr.Addr) OriginatorProfile {
 			// Zero PTR TTL isolates delegation caching.
 			return OriginatorProfile{HasName: true, Name: "x", TTL: 0, NegTTL: 0}
 		})
-	reg := obs.NewRegistry()
-	h.SetMetrics(reg)
-	r := newResolver(0, 0)
-	r.SetCacheMetrics(reg)
+	r := NewResolverIn(NewCaches(1024, reg), ipaddr.MustParse("10.0.0.53"), 0, 0, rng.New(7))
 
 	for i := 0; i < 10; i++ {
 		h.Resolve(r, orig, simtime.Time(i)*60)
@@ -332,9 +339,8 @@ func TestHierarchyMetricsAttenuation(t *testing.T) {
 // TestHierarchyMetricsCachedAndQMin covers the cached-resolve counter and
 // the QNAME-minimization visibility counter.
 func TestHierarchyMetricsCachedAndQMin(t *testing.T) {
-	h, _, _, _, _, orig := testHierarchy(cachedProfile)
 	reg := obs.NewRegistry()
-	h.SetMetrics(reg)
+	h, _, _, _, _, orig := wiredHierarchy(nil, reg, cachedProfile)
 	r := newResolver(0, 0)
 	r.QNameMin = true
 	h.Resolve(r, orig, 1000)

@@ -129,21 +129,16 @@ type Extractor struct {
 	// are committed under the tracer lock and rendered as a sorted
 	// multiset, so output bytes never depend on worker interleaving.
 	Tracer *trace.Tracer
-	// NoReuse disables the columnar scratch buffers that Extract
-	// otherwise reuses across calls (per-shard aggregates, the record
-	// partition buffer, per-worker vector scratch). Output bytes are
-	// identical either way — reuse is an ops-only optimization — and the
-	// invariance tests set NoReuse to prove it. Leave false in
-	// production.
-	NoReuse bool
 
-	// scratch is the cross-call columnar state. An Extractor must not
-	// run Extract concurrently with itself (distinct Extractors are
-	// fine); the per-shard entries are touched by at most one worker per
-	// call because shards fan out by index.
+	// scratch is the cross-call columnar state: reuse is an ops-only
+	// optimization, so a warm Extractor and a fresh one return identical
+	// bytes for the same interval. An Extractor must not run Extract
+	// concurrently with itself (distinct Extractors are fine); the
+	// per-shard entries are touched by at most one worker per call
+	// because shards fan out by index.
 	scratch struct {
 		recs   []dnslog.Record
-		shards [extractShards]*shardScratch
+		shards [Shards]*shardScratch
 		work   []*originatorAgg
 		uq     []ipaddr.Addr
 		uas    []int
@@ -175,26 +170,51 @@ type originatorAgg struct {
 	refs map[trace.ID]simtime.Time
 }
 
-// extractShards is the fixed originator-shard count for the dedup and
-// filter stages. It is constant — not derived from Workers — so the
-// shard metrics and every intermediate result are identical whatever
-// the worker count; workers merely drain the shards faster.
-const extractShards = 16
+// Shards is the fixed originator-shard count of the dedup and filter
+// stages here and of the streaming engine. It is constant — not derived
+// from Workers — so the shard metrics and every intermediate result are
+// identical whatever the worker count; workers merely drain the shards
+// faster.
+const Shards = 16
 
-// shardOf deterministically assigns an originator to a shard. The 30 s
+// ShardOf deterministically assigns an originator to a shard. The 30 s
 // dedup window is per (originator, querier), so splitting the record
 // stream by originator preserves every keep/drop decision.
-func shardOf(a ipaddr.Addr) int {
+func ShardOf(a ipaddr.Addr) int {
 	z := uint64(a) * 0x9e3779b97f4a7c15
 	z ^= z >> 29
-	return int(z % extractShards)
+	return int(z % Shards)
+}
+
+// Partition splits recs by originator shard into *buf, which it grows as
+// needed and otherwise reuses, and returns each shard's records (slices of
+// *buf, valid until the next call with the same buf). Count, prefix-sum,
+// fill: stable, so each shard keeps the stream's order.
+func Partition(recs []dnslog.Record, buf *[]dnslog.Record) (parts [Shards][]dnslog.Record) {
+	var counts [Shards]int
+	for i := range recs {
+		counts[ShardOf(recs[i].Originator)]++
+	}
+	if cap(*buf) < len(recs) {
+		*buf = make([]dnslog.Record, len(recs))
+	}
+	off := 0
+	for s, n := range counts {
+		parts[s] = (*buf)[off : off : off+n]
+		off += n
+	}
+	for _, r := range recs {
+		s := ShardOf(r.Originator)
+		parts[s] = append(parts[s], r)
+	}
+	return parts
 }
 
 // shardScratch is one shard's dedup/filter state: an index from
 // originator to its slot in a flat aggregate column, the shard's deduper,
 // and the shard-level unique querier/AS/country views (sorted slices —
 // only their lengths feed the interval normalizers). Everything is
-// reused across Extract calls unless the extractor sets NoReuse.
+// reused across Extract calls.
 type shardScratch struct {
 	kept  int
 	idx   map[ipaddr.Addr]int32
@@ -240,34 +260,19 @@ func (sh *shardScratch) agg(orig ipaddr.Addr) *originatorAgg {
 	return a
 }
 
-// shardFor hands out shard s's scratch, fresh when NoReuse is set or on
-// first use, reset otherwise.
+// shardFor hands out shard s's scratch, made on first use and reset for
+// the new interval.
 func (x *Extractor) shardFor(s int) *shardScratch {
-	if sh := x.scratch.shards[s]; sh != nil && !x.NoReuse {
-		sh.reset(x.DedupWindow)
-		return sh
-	}
-	sh := &shardScratch{
-		idx:   make(map[ipaddr.Addr]int32),
-		dedup: dnslog.NewDeduper(x.DedupWindow),
-	}
-	if !x.NoReuse {
+	sh := x.scratch.shards[s]
+	if sh == nil {
+		sh = &shardScratch{
+			idx:   make(map[ipaddr.Addr]int32),
+			dedup: dnslog.NewDeduper(x.DedupWindow),
+		}
 		x.scratch.shards[s] = sh
 	}
+	sh.reset(x.DedupWindow)
 	return sh
-}
-
-// recordBuf returns the shared partition backing array with room for n
-// records, growing (or, under NoReuse, allocating fresh) as needed.
-func (x *Extractor) recordBuf(n int) []dnslog.Record {
-	if x.NoReuse || cap(x.scratch.recs) < n {
-		buf := make([]dnslog.Record, n)
-		if !x.NoReuse {
-			x.scratch.recs = buf
-		}
-		return buf
-	}
-	return x.scratch.recs[:n]
 }
 
 // sortUniq sorts s and compacts adjacent duplicates in place, returning
@@ -295,37 +300,18 @@ func (x *Extractor) Extract(recs []dnslog.Record, start simtime.Time, dur simtim
 	pool := parallel.Pool{Workers: x.Workers, Obs: x.Obs, Acct: x.Acct}
 
 	// Dedup stage: partition the stream by originator into one shared
-	// backing array (count, prefix-sum, fill — stable, so each shard
-	// stays time-ordered per pair), then dedup and aggregate each shard
-	// independently into its reusable columnar scratch.
+	// backing array (each shard stays time-ordered per pair), then dedup
+	// and aggregate each shard independently into its reusable columnar
+	// scratch.
 	sp := x.Obs.StartSpan("dedup")
 	tok := x.Acct.Start("dedup")
-	var counts, offs [extractShards]int
-	for i := range recs {
-		counts[shardOf(recs[i].Originator)]++
-	}
-	for s := 1; s < extractShards; s++ {
-		offs[s] = offs[s-1] + counts[s-1]
-	}
-	buf := x.recordBuf(len(recs))
-	var parts [extractShards][]dnslog.Record
-	{
-		pos := offs
-		for _, r := range recs {
-			s := shardOf(r.Originator)
-			buf[pos[s]] = r
-			pos[s]++
-		}
-		for s := 0; s < extractShards; s++ {
-			parts[s] = buf[offs[s] : offs[s]+counts[s]]
-		}
-	}
-	shards := make([]*shardScratch, extractShards)
+	parts := Partition(recs, &x.scratch.recs)
+	var shards [Shards]*shardScratch
 	for s := range shards {
 		shards[s] = x.shardFor(s)
 	}
 	pool.Stage = "dedup"
-	pool.Each(extractShards, func(s int) {
+	pool.Each(Shards, func(s int) {
 		sh := shards[s]
 		for _, r := range parts[s] {
 			var id trace.ID
@@ -376,7 +362,7 @@ func (x *Extractor) Extract(recs []dnslog.Record, start simtime.Time, dur simtim
 	sp = x.Obs.StartSpan("filter")
 	tok = x.Acct.Start("filter")
 	pool.Stage = "filter"
-	pool.Each(extractShards, func(s int) {
+	pool.Each(Shards, func(s int) {
 		sh := shards[s]
 		// Sort-compact each aggregate's raw querier/bucket columns into
 		// their unique sets, then build the shard-level views from every
@@ -424,9 +410,7 @@ func (x *Extractor) Extract(recs []dnslog.Record, start simtime.Time, dur simtim
 		}
 	}
 	uq, uas, ucc = sortUniq(uq), sortUniq(uas), sortUniq(ucc)
-	if !x.NoReuse {
-		x.scratch.uq, x.scratch.uas, x.scratch.ucc = uq, uas, ucc
-	}
+	x.scratch.uq, x.scratch.uas, x.scratch.ucc = uq, uas, ucc
 	totalBuckets := int(dur / (10 * simtime.Minute))
 	if totalBuckets < 1 {
 		totalBuckets = 1
@@ -451,9 +435,7 @@ func (x *Extractor) Extract(recs []dnslog.Record, start simtime.Time, dur simtim
 	slices.SortFunc(work, func(a, b *originatorAgg) int {
 		return cmp.Compare(a.orig, b.orig)
 	})
-	if !x.NoReuse {
-		x.scratch.work = work
-	}
+	x.scratch.work = work
 	pool.Stage = "extract"
 	out := parallel.Map(pool, len(work), func(i int) *Vector {
 		a := work[i]
@@ -461,15 +443,7 @@ func (x *Extractor) Extract(recs []dnslog.Record, start simtime.Time, dur simtim
 		x.emitRefs(a, "extract", "vector", v.Queriers, start)
 		return v
 	})
-	// Deterministic order: by footprint descending, address ascending.
-	slices.SortFunc(out, func(a, b *Vector) int {
-		switch {
-		case a.Queriers != b.Queriers:
-			return b.Queriers - a.Queriers
-		default:
-			return cmp.Compare(a.Originator, b.Originator)
-		}
-	})
+	SortVectors(out)
 	tok.End()
 	sp.End()
 	return out
@@ -490,9 +464,9 @@ func (x *Extractor) emitRefs(a *originatorAgg, stage, outcome string, queriers i
 	}
 }
 
-// vecScratch is per-worker extract-stage scratch: /24 and /8 run-length
-// counts plus AS/country gather buffers. Pooled because the extract
-// fan-out has no per-worker identity; pooling is ops-only and invisible
+// vecScratch is per-worker scratch for one vector computation: /24 and /8
+// run-length counts plus AS/country gather buffers. Pooled because the
+// fan-outs have no per-worker identity; pooling is ops-only and invisible
 // to output bytes.
 type vecScratch struct {
 	cs24 []int
@@ -503,32 +477,23 @@ type vecScratch struct {
 
 var vecScratchPool = sync.Pool{New: func() any { return new(vecScratch) }}
 
-// vector computes one originator's feature vector. a.queriers must be the
-// sorted unique querier set (filter stage output): sorting groups equal
-// /24 and /8 prefixes contiguously, so the entropy inputs are run lengths
-// — no per-originator count maps. Every accumulation is either integer
-// or order-normalized (normEntropy sorts its counts), so the result is
-// byte-identical to the map-based computation.
-func (x *Extractor) vector(a *originatorAgg, totalAS, totalCountry, totalQueriers, totalBuckets int) *Vector {
-	v := &Vector{Originator: a.orig, Queriers: a.nq, Queries: a.queries}
-
-	var s *vecScratch
-	if x.NoReuse {
-		s = new(vecScratch)
-	} else {
-		s = vecScratchPool.Get().(*vecScratch)
-	}
+// scan reads a sorted set of distinct queriers: it adds each one's name
+// category to x's static block as a count, and leaves in s the run lengths
+// of equal /24 and /8 prefixes (sorting groups them contiguously, so the
+// entropy inputs need no per-originator count maps) and the sorted unique
+// ASes and countries.
+func (s *vecScratch) scan(g *geo.Registry, nameOf NameFunc, queriers []ipaddr.Addr, x *[NumFeatures]float64) {
 	cs24, cs8 := s.cs24[:0], s.cs8[:0]
 	asns, ccs := s.asns[:0], s.ccs[:0]
 	var prev24 uint32
 	var prev8 byte
-	for i, q := range a.queriers {
-		name, unreach := x.NameOf(q)
+	for i, q := range queriers {
+		name, unreach := nameOf(q)
 		cat := qname.Classify(name)
 		if unreach {
 			cat = qname.Unreach
 		}
-		v.X[int(cat)]++
+		x[int(cat)]++
 		if p := q.Slash24(); i == 0 || p != prev24 {
 			cs24 = append(cs24, 1)
 			prev24 = p
@@ -541,11 +506,21 @@ func (x *Extractor) vector(a *originatorAgg, totalAS, totalCountry, totalQuerier
 		} else {
 			cs8[len(cs8)-1]++
 		}
-		asns = append(asns, x.Geo.ASN(q))
-		ccs = append(ccs, x.Geo.Country(q))
+		asns = append(asns, g.ASN(q))
+		ccs = append(ccs, g.Country(q))
 	}
-	asns = sortUniq(asns)
-	ccs = sortUniq(ccs)
+	s.cs24, s.cs8, s.asns, s.ccs = cs24, cs8, sortUniq(asns), sortUniq(ccs)
+}
+
+// vector computes one originator's feature vector. a.queriers must be the
+// sorted unique querier set (filter stage output). Every accumulation is
+// either integer or order-normalized (normEntropy sorts its counts), so
+// the result does not depend on any iteration order.
+func (x *Extractor) vector(a *originatorAgg, totalAS, totalCountry, totalQueriers, totalBuckets int) *Vector {
+	v := &Vector{Originator: a.orig, Queriers: a.nq, Queries: a.queries}
+	s := vecScratchPool.Get().(*vecScratch)
+	defer vecScratchPool.Put(s)
+	s.scan(x.Geo, x.NameOf, a.queriers, &v.X)
 	n := float64(a.nq)
 	for i := 0; i < NumStatic; i++ {
 		v.X[i] /= n
@@ -554,19 +529,15 @@ func (x *Extractor) vector(a *originatorAgg, totalAS, totalCountry, totalQuerier
 	d := v.X[NumStatic:]
 	d[DynQueriesPerQuerier] = float64(a.queries) / n
 	d[DynPersistence] = float64(a.nbuckets) / float64(totalBuckets)
-	d[DynLocalEntropy] = normEntropy(cs24, a.nq, 1<<24)
-	d[DynGlobalEntropy] = normEntropy(cs8, a.nq, 256)
-	d[DynUniqueASes] = ratio(len(asns), totalAS)
-	d[DynUniqueCountries] = ratio(len(ccs), totalCountry)
-	if len(ccs) > 0 && totalQueriers > 0 {
-		d[DynQueriersPerCountry] = n / float64(len(ccs)) / float64(totalQueriers)
+	d[DynLocalEntropy] = normEntropy(s.cs24, a.nq, 1<<24)
+	d[DynGlobalEntropy] = normEntropy(s.cs8, a.nq, 256)
+	d[DynUniqueASes] = ratio(len(s.asns), totalAS)
+	d[DynUniqueCountries] = ratio(len(s.ccs), totalCountry)
+	if len(s.ccs) > 0 && totalQueriers > 0 {
+		d[DynQueriersPerCountry] = n / float64(len(s.ccs)) / float64(totalQueriers)
 	}
-	if len(asns) > 0 && totalQueriers > 0 {
-		d[DynQueriersPerAS] = n / float64(len(asns)) / float64(totalQueriers)
-	}
-	s.cs24, s.cs8, s.asns, s.ccs = cs24, cs8, asns, ccs
-	if !x.NoReuse {
-		vecScratchPool.Put(s)
+	if len(s.asns) > 0 && totalQueriers > 0 {
+		d[DynQueriersPerAS] = n / float64(len(s.asns)) / float64(totalQueriers)
 	}
 	return v
 }
@@ -578,29 +549,11 @@ func ratio(a, b int) float64 {
 	return float64(a) / float64(b)
 }
 
-// normEntropy24 is the Shannon entropy of querier /24 prefixes, normalized
-// to [0, 1] by the maximum achievable for n queriers.
-func normEntropy24(counts map[uint32]int, n int) float64 {
-	cs := make([]int, 0, len(counts))
-	for _, c := range counts {
-		cs = append(cs, c)
-	}
-	return normEntropy(cs, n, 1<<24)
-}
-
-func normEntropy8(counts map[byte]int, n int) float64 {
-	cs := make([]int, 0, len(counts))
-	for _, c := range counts {
-		cs = append(cs, c)
-	}
-	return normEntropy(cs, n, 256)
-}
-
 // normEntropy computes Shannon entropy over counts (which sum to n) and
 // normalizes by log2(min(n, space)) — the entropy of n queriers spread as
-// evenly as the prefix space allows. Counts arrive in map-iteration
-// order, so they are sorted first: float summation order then never
-// depends on map layout, keeping vectors byte-identical run to run.
+// evenly as the prefix space allows. The counts are sorted first, so the
+// float summation depends only on their multiset, never on the order the
+// caller met the prefixes in.
 func normEntropy(counts []int, n, space int) float64 {
 	if n <= 1 {
 		return 0

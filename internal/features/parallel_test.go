@@ -96,7 +96,7 @@ func TestExtractShardingPreservesDedup(t *testing.T) {
 	if kept != want {
 		t.Errorf("sharded dedup kept %d records, global dedup keeps %d", kept, want)
 	}
-	if got := reg.Counter("parallel_shards_total", obs.L("stage", "dedup")).Value(); got != extractShards {
-		t.Errorf("dedup parallel_shards_total = %d, want %d", got, extractShards)
+	if got := reg.Counter("parallel_shards_total", obs.L("stage", "dedup")).Value(); got != Shards {
+		t.Errorf("dedup parallel_shards_total = %d, want %d", got, Shards)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"dnsbackscatter/internal/geo"
 	"dnsbackscatter/internal/ipaddr"
-	"dnsbackscatter/internal/qname"
 	"dnsbackscatter/internal/simtime"
 )
 
@@ -14,10 +13,8 @@ import (
 // observation interval: the HLL footprint estimate, the exact
 // deduplicated query count, the distinct 10-minute persistence buckets,
 // and the bottom-k uniform sample of distinct queriers. It is the
-// hand-off type between sketch holders (the in-package StreamExtractor,
-// the sharded stream engine) and the shared vector computation below —
-// graduating the stream extractor's snapshot math into code both paths
-// share.
+// hand-off type between the sketch holder (the stream engine) and the
+// vector computation below.
 type SketchStats struct {
 	Originator ipaddr.Addr
 	Estimate   int // HLL unique-querier estimate
@@ -87,42 +84,32 @@ func SketchVector(g *geo.Registry, nameOf NameFunc, st SketchStats, norms Sketch
 	est := st.Estimate
 	v := &Vector{Originator: st.Originator, Queriers: est, Queries: st.Queries}
 
-	counts24 := make(map[uint32]int)
-	counts8 := make(map[byte]int)
-	ases := make(map[int]struct{})
-	countries := make(map[string]struct{})
-	for _, q := range st.Sample {
-		name, unreach := nameOf(q)
-		cat := qname.Classify(name)
-		if unreach {
-			cat = qname.Unreach
-		}
-		v.X[int(cat)]++
-		counts24[q.Slash24()]++
-		counts8[q.Slash8()]++
-		ases[g.ASN(q)] = struct{}{}
-		countries[g.Country(q)] = struct{}{}
-	}
+	sample := slices.Clone(st.Sample)
+	slices.Sort(sample)
+	s := vecScratchPool.Get().(*vecScratch)
+	defer vecScratchPool.Put(s)
+	s.scan(g, nameOf, sample, &v.X)
+	nAS, nCountry := len(s.asns), len(s.ccs)
 	for i := 0; i < NumStatic; i++ {
 		v.X[i] /= float64(n)
 	}
 	d := v.X[NumStatic:]
 	d[DynQueriesPerQuerier] = float64(st.Queries) / float64(est)
 	d[DynPersistence] = float64(st.Buckets) / float64(norms.TotalBuckets)
-	d[DynLocalEntropy] = normEntropy24(counts24, n)
-	d[DynGlobalEntropy] = normEntropy8(counts8, n)
+	d[DynLocalEntropy] = normEntropy(s.cs24, n, 1<<24)
+	d[DynGlobalEntropy] = normEntropy(s.cs8, n, 256)
 	// Dispersion scales from the sample to the full footprint.
 	scale := float64(est) / float64(n)
-	d[DynUniqueASes] = ratio(int(float64(len(ases))*scale+0.5), norms.TotalAS)
+	d[DynUniqueASes] = ratio(int(float64(nAS)*scale+0.5), norms.TotalAS)
 	if d[DynUniqueASes] > 1 {
 		d[DynUniqueASes] = 1
 	}
-	d[DynUniqueCountries] = ratio(len(countries), norms.TotalCountry)
-	if len(countries) > 0 && norms.TotalQueriers > 0 {
-		d[DynQueriersPerCountry] = float64(est) / float64(len(countries)) / float64(norms.TotalQueriers)
+	d[DynUniqueCountries] = ratio(nCountry, norms.TotalCountry)
+	if nCountry > 0 && norms.TotalQueriers > 0 {
+		d[DynQueriersPerCountry] = float64(est) / float64(nCountry) / float64(norms.TotalQueriers)
 	}
-	if len(ases) > 0 && norms.TotalQueriers > 0 {
-		estAS := float64(len(ases)) * scale
+	if nAS > 0 && norms.TotalQueriers > 0 {
+		estAS := float64(nAS) * scale
 		d[DynQueriersPerAS] = float64(est) / estAS / float64(norms.TotalQueriers)
 	}
 	return v

@@ -43,7 +43,7 @@ type Store struct {
 	// N keeps the deterministic 1/N. Set it before the first Get.
 	Trace int
 	// Acct, when non-nil, attaches this resource accountant to every
-	// dataset the store builds (BuildInstrumented), so one bsrepro run
+	// dataset the store builds (Instruments.Acct), so one bsrepro run
 	// accumulates per-stage resource accounting across experiments on
 	// the ops channel. Set it before the first Get.
 	Acct *backscatter.Accountant
@@ -67,9 +67,9 @@ func (s *Store) Get(spec backscatter.DatasetSpec) *backscatter.Dataset {
 	if d, ok := s.ds[spec.Name]; ok {
 		return d
 	}
-	d := backscatter.BuildInstrumented(
+	d := backscatter.BuildWith(
 		spec.Scaled(s.Scale).WithParallelism(s.Workers).WithFaults(s.Faults).WithTracing(s.Trace),
-		s.Obs, nil, s.Acct)
+		backscatter.Instruments{Obs: s.Obs, Acct: s.Acct})
 	s.ds[spec.Name] = d
 	return d
 }

@@ -93,16 +93,10 @@ type Config struct {
 	Acct *prof.Accountant
 }
 
-// engineShards is the fixed originator-shard count, independent of
-// Workers so all intermediate state is worker-count invariant.
-const engineShards = 16
-
-// shardOf deterministically assigns an originator to a shard.
-func shardOf(a ipaddr.Addr) int {
-	z := uint64(a) * 0x9e3779b97f4a7c15
-	z ^= z >> 29
-	return int(z % engineShards)
-}
+// engineShards is the fixed originator-shard count — the extractor's, so
+// one partition routine serves both — independent of Workers so all
+// intermediate state is worker-count invariant.
+const engineShards = features.Shards
 
 // dedupSlot is one sliding-window last-seen entry.
 type dedupSlot struct {
@@ -145,6 +139,8 @@ type Engine struct {
 
 	mu     sync.Mutex
 	shards [engineShards]*shard
+	// partBuf backs ingestLocked's per-shard record runs. Guarded by mu.
+	partBuf []dnslog.Record
 	// epochStart is the current epoch's start (floored to Epoch);
 	// watermark the maximum record time seen. Guarded by mu.
 	epochStart simtime.Time
@@ -273,38 +269,11 @@ func (e *Engine) ingestLocked(recs []dnslog.Record) {
 		}
 	}
 	tok := e.cfg.Acct.Start("stream-ingest")
-	var parts [engineShards][]dnslog.Record
-	if len(recs) < 256 {
-		// Small batches: a per-shard filtered pass beats partitioning.
-		for s := range parts {
-			parts[s] = recs
-		}
-	} else {
-		var counts, offs [engineShards]int
-		for i := range recs {
-			counts[shardOf(recs[i].Originator)]++
-		}
-		for s := 1; s < engineShards; s++ {
-			offs[s] = offs[s-1] + counts[s-1]
-		}
-		buf := make([]dnslog.Record, len(recs))
-		pos := offs
-		for _, r := range recs {
-			s := shardOf(r.Originator)
-			buf[pos[s]] = r
-			pos[s]++
-		}
-		for s := range parts {
-			parts[s] = buf[offs[s] : offs[s]+counts[s]]
-		}
-	}
+	parts := features.Partition(recs, &e.partBuf)
 	pool := parallel.Pool{Workers: e.cfg.Workers, Obs: e.cfg.Obs, Stage: "stream-ingest", Acct: e.cfg.Acct}
 	pool.Each(engineShards, func(s int) {
 		sh := e.shards[s]
 		for _, r := range parts[s] {
-			if shardOf(r.Originator) != s {
-				continue // only in the small-batch unpartitioned path
-			}
 			sh.observe(r, &e.cfg)
 		}
 	})

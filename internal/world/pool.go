@@ -71,15 +71,9 @@ type querierPool struct {
 // resolverCacheMax bounds each simulated resolver's cache entries.
 const resolverCacheMax = 2048
 
-// setMetrics instruments every resolver cache, materialized or not; they
-// aggregate under dnssim.CacheMetricName. A nil registry uninstruments.
-func (p *querierPool) setMetrics(reg *obs.Registry) {
-	for _, c := range p.caches {
-		c.SetMetrics(reg, dnssim.CacheMetricName)
-	}
-}
-
-func newQuerierPool(g *geo.Registry, src *rng.Source, ranks int, zipfS float64) *querierPool {
+// newQuerierPool returns an empty pool whose resolver caches, materialized
+// or not, count into reg (nil: uninstrumented).
+func newQuerierPool(g *geo.Registry, src *rng.Source, ranks int, zipfS float64, reg *obs.Registry) *querierPool {
 	seed := src.Stream("querier-pool").Uint64()
 	p := &querierPool{
 		geo:    g,
@@ -92,7 +86,7 @@ func newQuerierPool(g *geo.Registry, src *rng.Source, ranks int, zipfS float64) 
 		names:  intern.New(seed),
 	}
 	for s := range p.caches {
-		p.caches[s] = dnssim.NewCaches(resolverCacheMax)
+		p.caches[s] = dnssim.NewCaches(resolverCacheMax, reg)
 	}
 	return p
 }

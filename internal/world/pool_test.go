@@ -12,7 +12,7 @@ import (
 
 func newTestPool(seed uint64) *querierPool {
 	g := geo.NewRegistry(seed)
-	return newQuerierPool(g, rng.NewSource(seed), 4096, 1.4)
+	return newQuerierPool(g, rng.NewSource(seed), 4096, 1.4, nil)
 }
 
 // TestPoolOrderIndependence: a querier's identity must be a pure function

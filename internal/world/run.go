@@ -115,10 +115,7 @@ func (w *World) flush() {
 	if len(b.order) == 0 {
 		return
 	}
-	pool := parallel.Pool{Workers: w.Cfg.Workers, Stage: "world-sim", Acct: w.acct}
-	if w.m != nil {
-		pool.Obs = w.m.reg
-	}
+	pool := parallel.Pool{Workers: w.Cfg.Workers, Obs: w.Cfg.Obs, Stage: "world-sim", Acct: w.Cfg.Acct}
 	pool.Each(simShards, w.resolve)
 
 	// Merge: sensors sample by global arrival order and the tracer commits
@@ -157,7 +154,7 @@ func (w *World) resolve(s int) {
 	// Append through a local slice header: the shards' headers sit side by
 	// side in the batch, and neighbours are written from different cores.
 	taps := sh.taps
-	h, tr := w.Hier, w.Hier.Tracer()
+	h, tr := w.Hier, w.Cfg.Tracer
 	end := w.Cfg.Start.Add(w.Cfg.Duration)
 	for i := range sh.reqs {
 		rq := &sh.reqs[i]
@@ -304,7 +301,7 @@ func (w *World) Run() {
 		return
 	}
 	w.ran = true
-	defer w.acct.Start("world-sim").End()
+	defer w.Cfg.Acct.Start("world-sim").End()
 
 	// Initial population. Exponential lifetimes are memoryless, so fresh
 	// spawns at t0 have exactly the steady-state residual-lifetime

@@ -47,12 +47,9 @@ func TestRunWorkerInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Faults = plan
+		reg, tr := obs.NewRegistry(), trace.New(cfg.Seed, 16)
+		cfg.Faults, cfg.Obs, cfg.Tracer = plan, reg, tr
 		w := New(cfg)
-		reg := obs.NewRegistry()
-		w.SetMetrics(reg)
-		tr := trace.New(cfg.Seed, 16)
-		w.SetTracer(tr)
 		w.Run()
 		events := reg.Counter("world_events_total").Value()
 		shards := reg.Counter("parallel_shards_total", obs.L("stage", "world-sim")).Value()
@@ -137,9 +134,9 @@ func TestZipfTableExact(t *testing.T) {
 // the single-thread gains (flat caches, Zipf table) both share.
 func BenchmarkWorldRun(b *testing.B) {
 	reg := obs.NewRegistry()
-	counted := New(weekConfig(1))
-	counted.SetMetrics(reg)
-	counted.Run()
+	cfg := weekConfig(1)
+	cfg.Obs = reg
+	New(cfg).Run()
 	events := float64(reg.Counter("world_events_total").Value())
 
 	for _, workers := range []int{1, 2} {

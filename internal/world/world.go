@@ -72,7 +72,9 @@ type Config struct {
 
 	Bursts []Burst
 
-	// Hierarchy overrides dnssim caching parameters when non-zero.
+	// Hierarchy overrides dnssim caching parameters when non-zero. New
+	// fills its Faults, Obs and Tracer from the fields of the same name
+	// below.
 	Hierarchy dnssim.Config
 
 	// Faults, when non-nil, degrades the DNS path with the plan's seeded
@@ -99,6 +101,24 @@ type Config struct {
 	// runtime.GOMAXPROCS(0) and 1 runs them inline. No output byte
 	// depends on it.
 	Workers int
+
+	// Obs, when non-nil, instruments the world and everything beneath it:
+	// activity events (world_events_total), campaign births per class
+	// (world_campaign_births_total{class=...}), campaigns ending inside the
+	// simulated span (world_campaign_deaths_total), population gauges
+	// (world_campaigns, world_queriers), plus the hierarchy's per-level
+	// query counters and the shared resolver-cache counters. The counters
+	// are pure functions of the world seed and config, so two identically
+	// configured worlds produce identical snapshots.
+	Obs *obs.Registry
+	// Tracer, when non-nil, is the end-to-end lookup tracer: every
+	// activity-driven reverse lookup begins a trace annotated with its
+	// campaign class and port.
+	Tracer *trace.Tracer
+	// Acct, when non-nil, reports the simulation's shard runs as stage
+	// "world-sim" on the ops channel (shard counts, concurrent-worker
+	// peaks).
+	Acct *prof.Accountant
 }
 
 // DefaultConfig returns a small world good for tests and examples: two
@@ -167,8 +187,7 @@ type World struct {
 	darkSt   *rng.Stream
 	nextTeam int
 
-	m    *worldMetrics
-	acct *prof.Accountant
+	m *worldMetrics
 
 	batch batch // events generated but not yet resolved; see run.go
 	ran   bool
@@ -177,7 +196,6 @@ type World struct {
 // worldMetrics holds the world's pre-resolved counters and gauges. All
 // methods are no-ops on a nil receiver.
 type worldMetrics struct {
-	reg       *obs.Registry
 	events    *obs.Counter
 	deaths    *obs.Counter
 	births    [activity.NumClasses]*obs.Counter
@@ -185,24 +203,11 @@ type worldMetrics struct {
 	queriers  *obs.Gauge
 }
 
-// SetMetrics instruments the world and everything beneath it: activity
-// events (world_events_total), campaign births per class
-// (world_campaign_births_total{class=...}), campaigns ending inside the
-// simulated span (world_campaign_deaths_total), population gauges
-// (world_campaigns, world_queriers), plus the hierarchy's per-level query
-// counters and the shared resolver-cache counters. Call it before Run; a
-// nil registry uninstruments. The counters are pure functions of the world
-// seed and config, so two identically configured worlds produce identical
-// snapshots.
-func (w *World) SetMetrics(reg *obs.Registry) {
-	w.Hier.SetMetrics(reg)
-	w.pool.setMetrics(reg)
+func newWorldMetrics(reg *obs.Registry) *worldMetrics {
 	if reg == nil {
-		w.m = nil
-		return
+		return nil
 	}
 	m := &worldMetrics{
-		reg:       reg,
 		events:    reg.Counter("world_events_total"),
 		deaths:    reg.Counter("world_campaign_deaths_total"),
 		campaigns: reg.Gauge("world_campaigns"),
@@ -212,18 +217,8 @@ func (w *World) SetMetrics(reg *obs.Registry) {
 		m.births[cls] = reg.Counter("world_campaign_births_total",
 			obs.L("class", cls.String()))
 	}
-	w.m = m
+	return m
 }
-
-// SetAccountant reports the simulation's shard runs as stage "world-sim"
-// on the ops channel (shard counts, concurrent-worker peaks). Nil, the
-// default, accounts nothing.
-func (w *World) SetAccountant(a *prof.Accountant) { w.acct = a }
-
-// SetTracer installs the end-to-end lookup tracer on the DNS hierarchy;
-// every activity-driven reverse lookup then begins a trace annotated with
-// its campaign class and port. Nil removes it.
-func (w *World) SetTracer(t *trace.Tracer) { w.Hier.SetTracer(t) }
 
 func (m *worldMetrics) event(now simtime.Time) {
 	if m != nil {
@@ -237,7 +232,9 @@ func (m *worldMetrics) birth(cls activity.Class, now simtime.Time) {
 	}
 }
 
-// New builds a world from cfg. Sensors are attached but empty until Run.
+// New builds a world from cfg, wired to cfg's fault plan, registry, tracer
+// and accountant (which it hands down to the hierarchy and the resolver
+// caches). Sensors are attached but empty until Run.
 func New(cfg Config) *World {
 	if cfg.RateScale <= 0 {
 		cfg.RateScale = 1
@@ -267,13 +264,15 @@ func New(cfg Config) *World {
 		src:      src,
 		spawnSt:  src.Stream("spawn"),
 		nextTeam: 1,
+		m:        newWorldMetrics(cfg.Obs),
 	}
 	if cfg.DarknetSlash8 != 0 {
 		w.Dark = darknet.NewPaperDarknets(cfg.DarknetSlash8)
 		w.darkSt = src.Stream("darknet")
 	}
-	w.Hier = dnssim.NewHierarchy(g, cfg.Hierarchy, w.profileFor)
-	w.Hier.SetFaults(cfg.Faults)
+	hc := cfg.Hierarchy
+	hc.Faults, hc.Obs, hc.Tracer = cfg.Faults, cfg.Obs, cfg.Tracer
+	w.Hier = dnssim.NewHierarchy(g, hc, w.profileFor)
 	end := cfg.Start.Add(cfg.Duration)
 	w.BRoot = dnssim.NewSensor("b-root", 1)
 	w.BRoot.End = end
@@ -281,7 +280,7 @@ func New(cfg Config) *World {
 	w.MRoot.End = end
 	w.Hier.AttachRoots(w.BRoot, w.MRoot)
 	w.AttachNational("jp")
-	w.pool = newQuerierPool(g, src, cfg.QuerierRanks, cfg.ZipfS)
+	w.pool = newQuerierPool(g, src, cfg.QuerierRanks, cfg.ZipfS, cfg.Obs)
 	w.pool.qminFraction = cfg.QMinFraction
 	return w
 }

@@ -1,78 +1,68 @@
-// Scratch-reuse invariance: the PR 8 acceptance bar for the allocation
-// blitz. Every pooled or reused buffer in the pipeline — columnar shard
-// scratch, vector scratch, intern tables, encode pools — is an ops-only
-// optimization, so a run with reuse disabled (DatasetSpec.NoReuse) must
-// produce byte-identical observability snapshots, trace JSONL, and
-// classification reports at every worker count.
+// Scratch-reuse invariance: every buffer the extraction pipeline keeps
+// from one Extract call to the next — the record partition, the columnar
+// shard aggregates, the interval-union and work lists — is an ops-only
+// optimization. The proof is a reference the test builds itself: an
+// Extractor that has already run other intervals must return, interval by
+// interval, exactly what a freshly constructed one returns, and leave the
+// same metrics and trace annotations behind.
 package backscatter_test
 
 import (
 	"bytes"
-	"fmt"
-	"sort"
+	"reflect"
 	"testing"
 
 	backscatter "dnsbackscatter"
+	"dnsbackscatter/internal/features"
 )
 
-// reuseRun executes the full pipeline for one (seed, workers, noReuse)
-// cell with tracing on and returns the three artifacts compared by the
-// invariance matrix.
-func reuseRun(t *testing.T, seed uint64, workers int, noReuse bool) (snapJSON, jsonl, report []byte) {
-	t.Helper()
-	reg := backscatter.NewRegistry()
-	reg.SetClock(backscatter.TickClock(1))
-	spec := seedMatrixSpec(seed, workers, "").WithTracing(4)
-	if noReuse {
-		spec = spec.WithoutScratchReuse()
-	}
-	ds := backscatter.BuildObserved(spec, reg)
-	tr := ds.Tracer()
-	if tr == nil {
-		t.Fatalf("seed=%d workers=%d: WithTracing(4) built no tracer", seed, workers)
-	}
+// TestWarmExtractorMatchesFresh runs workers {1, 8} with tracing on. Two
+// identical builds give two identical (registry, tracer) pairs; the first
+// build's own Extractor — warm from the build's interval snapshots — then
+// extracts three consecutive intervals of very different sizes (large,
+// small, medium, so scratch left by a larger interval would show in the
+// next), while the second build gets a new Extractor for every interval.
+func TestWarmExtractorMatchesFresh(t *testing.T) {
+	for _, w := range []int{1, 8} {
+		build := func() (*backscatter.Dataset, *backscatter.Registry) {
+			reg := backscatter.NewRegistry()
+			reg.SetClock(backscatter.TickClock(1))
+			return backscatter.BuildObserved(seedMatrixSpec(1404, w, "").WithTracing(4), reg), reg
+		}
+		warmDS, warmReg := build()
+		freshDS, freshReg := build()
+		spec := warmDS.Spec
+		if warmDS.Tracer() == nil || len(warmDS.Records) == 0 {
+			t.Fatalf("workers=%d: the build produced no tracer or no records", w)
+		}
 
-	model, err := ds.TrainClassifier(3)
-	if err != nil {
-		t.Fatalf("seed=%d workers=%d noReuse=%v: train: %v", seed, workers, noReuse, err)
-	}
-	labels := model.ClassifyAll(ds.Whole())
-	addrs := make([]backscatter.Addr, 0, len(labels))
-	for a := range labels {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	var b bytes.Buffer
-	for _, a := range addrs {
-		fmt.Fprintf(&b, "%s\t%s\n", a, labels[a])
-	}
-	return reg.SnapshotJSON(), tr.JSONL(), b.Bytes()
-}
+		cuts := []backscatter.Duration{0, spec.Duration * 6 / 10, spec.Duration * 7 / 10, spec.Duration}
+		for i := 1; i < len(cuts); i++ {
+			start, dur := spec.Start.Add(cuts[i-1]), cuts[i]-cuts[i-1]
+			var recs []backscatter.Record
+			for _, r := range warmDS.Records {
+				if !r.Time.Before(start) && r.Time.Before(start.Add(dur)) {
+					recs = append(recs, r)
+				}
+			}
+			fresh := features.NewExtractor(freshDS.World.Geo, freshDS.World.QuerierName)
+			fresh.MinQueriers, fresh.Workers = warmDS.Extractor.MinQueriers, w
+			fresh.Obs, fresh.Tracer = freshReg, freshDS.Tracer()
 
-// TestScratchReuseInvariance runs workers {1, 8} × 2 seeds and asserts
-// that disabling scratch reuse changes no output byte in the snapshot,
-// the trace JSONL, or the classification report.
-func TestScratchReuseInvariance(t *testing.T) {
-	for _, seed := range []uint64{1404, 7} {
-		for _, w := range []int{1, 8} {
-			wantSnap, wantJSONL, wantReport := reuseRun(t, seed, w, false)
-			if len(wantReport) == 0 {
-				t.Fatalf("seed=%d workers=%d: empty classification report", seed, w)
+			want := fresh.Extract(recs, start, dur)
+			got := warmDS.Extractor.Extract(recs, start, dur)
+			if len(want) == 0 {
+				t.Fatalf("workers=%d interval %d: no analyzable originator among %d records", w, i, len(recs))
 			}
-			if len(wantJSONL) == 0 {
-				t.Fatalf("seed=%d workers=%d: empty trace JSONL", seed, w)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("workers=%d interval %d (%d records): warm extractor's vectors differ from a fresh one's", w, i, len(recs))
 			}
-			gotSnap, gotJSONL, gotReport := reuseRun(t, seed, w, true)
-			if !bytes.Equal(gotSnap, wantSnap) {
-				t.Errorf("seed=%d workers=%d: SnapshotJSON differs with NoReuse", seed, w)
-			}
-			if !bytes.Equal(gotJSONL, wantJSONL) {
-				t.Errorf("seed=%d workers=%d: trace JSONL differs with NoReuse", seed, w)
-			}
-			if !bytes.Equal(gotReport, wantReport) {
-				t.Errorf("seed=%d workers=%d: classification report differs with NoReuse:\n--- reuse ---\n%s--- noReuse ---\n%s",
-					seed, w, wantReport, gotReport)
-			}
+		}
+		if !bytes.Equal(warmReg.SnapshotJSON(), freshReg.SnapshotJSON()) {
+			t.Errorf("workers=%d: SnapshotJSON differs between warm and fresh extractors", w)
+		}
+		if !bytes.Equal(warmDS.Tracer().JSONL(), freshDS.Tracer().JSONL()) {
+			t.Errorf("workers=%d: trace JSONL differs between warm and fresh extractors", w)
 		}
 	}
 }

@@ -28,28 +28,21 @@ type (
 )
 
 // ListenFinalAuthority starts a UDP final authority answering PTR queries
-// from profile (nil = a deterministic synthetic zone). Its sink observes
-// the backscatter of whatever activity drives lookups at it.
-func ListenFinalAuthority(addr, sensorName string, profile func(Addr) OriginatorProfile) (*AuthorityServer, error) {
-	var pf dnssim.ProfileFunc
-	if profile != nil {
-		pf = profile
-	}
-	return dnsserver.Listen(addr, sensorName, pf)
+// from profile (nil = a deterministic synthetic zone). sink (nil = none)
+// observes the backscatter of whatever activity drives lookups at it,
+// from the first query on.
+func ListenFinalAuthority(addr, sensorName string, profile func(Addr) OriginatorProfile, sink AuthoritySink) (*AuthorityServer, error) {
+	return dnsserver.Listen(addr, dnsserver.Config{Authority: sensorName, Handler: dnsserver.FinalHandler(profile), Sink: sink})
 }
 
 // ListenReferralAuthority starts a UDP referral server (a root or national
 // registry): pick returns the delegation covering each queried originator,
-// or false for undelegated space (answered NXDomain).
-func ListenReferralAuthority(addr, sensorName string, pick func(Addr) (Delegation, bool)) (*AuthorityServer, error) {
-	s, err := dnsserver.ListenHandler(addr, sensorName, nil)
-	if err != nil {
-		return nil, err
-	}
-	dnsserver.InstallReferralHandler(s, pick)
-	return s, nil
+// or false for undelegated space (answered NXDomain). sink is as for
+// ListenFinalAuthority.
+func ListenReferralAuthority(addr, sensorName string, pick func(Addr) (Delegation, bool), sink AuthoritySink) (*AuthorityServer, error) {
+	return dnsserver.Listen(addr, dnsserver.Config{Authority: sensorName, Handler: dnsserver.ReferralHandler(pick), Sink: sink})
 }
 
 // NewRecursor returns a caching recursive resolver rooted at the given
 // server addresses.
-func NewRecursor(roots ...string) *Recursor { return dnsserver.NewRecursor(roots...) }
+func NewRecursor(roots ...string) *Recursor { return dnsserver.NewRecursor(nil, nil, roots...) }

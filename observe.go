@@ -35,8 +35,8 @@ func WallClock() obs.Clock { return simtime.Wall }
 // dataset was built without one (plain Build).
 func (d *Dataset) Metrics() *Registry { return d.obs }
 
-// Tracing re-exports, mirroring the obs aliases above. See BuildTraced
-// and DatasetSpec.Trace for attaching a tracer to a simulated dataset.
+// Tracing re-exports, mirroring the obs aliases above. See
+// DatasetSpec.Trace for tracing a simulated dataset.
 type (
 	// Tracer records deterministic end-to-end lookup traces; every
 	// method on a nil Tracer is a no-op, so tracing costs one nil check
@@ -51,10 +51,6 @@ type (
 	// Timeseries is the parsed JSON document a Window snapshot encodes.
 	Timeseries = obs.Timeseries
 )
-
-// NewTracer returns a tracer keeping the deterministic 1/sample of
-// lookups (sample <= 1 traces everything); seed must match the world's.
-func NewTracer(seed, sample uint64) *Tracer { return trace.New(seed, sample) }
 
 // NewWindow returns a time-series window bucketing metric writes every
 // width of simulated time.

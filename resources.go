@@ -9,7 +9,7 @@ import (
 // readings (alloc deltas, GC cycles, goroutine and worker peaks) depend
 // on scheduling and GC timing — they travel on a separate ops channel
 // (Resources / ResourceReport) and never enter snapshots, traces, or
-// time series. See BuildInstrumented for attaching an accountant to a
+// time series. See Instruments for attaching an accountant to a
 // simulated dataset.
 type (
 	// Accountant accumulates per-stage resource accounting for the
@@ -24,12 +24,11 @@ type (
 )
 
 // NewAccountant returns an empty resource accountant; attach it with
-// BuildInstrumented.
+// BuildWith.
 func NewAccountant() *Accountant { return prof.New() }
 
 // Resources snapshots the per-stage resource accounting recorded so far
-// on this dataset's accountant. Without BuildInstrumented the report is
-// empty.
+// on this dataset's accountant. Without one the report is empty.
 func (d *Dataset) Resources() ResourceReport { return d.acct.Report() }
 
 // Accountant returns the accountant this dataset records into, or nil

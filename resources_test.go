@@ -19,7 +19,7 @@ func instrumentedRun(t *testing.T, acct *backscatter.Accountant) (snap, jsonl, s
 	reg.SetClock(backscatter.TickClock(1))
 	reg.SetWindow(backscatter.NewWindow(6 * 3600))
 	spec := seedMatrixSpec(7, 4, "lossy@1").WithTracing(4)
-	ds := backscatter.BuildInstrumented(spec, reg, nil, acct)
+	ds := backscatter.BuildWith(spec, backscatter.Instruments{Obs: reg, Acct: acct})
 	m, err := ds.TrainClassifier(3)
 	if err != nil {
 		t.Fatalf("train: %v", err)

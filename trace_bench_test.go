@@ -22,8 +22,9 @@ import (
 func benchResolve(b *testing.B, tr *trace.Tracer) {
 	b.Helper()
 	g := geo.NewRegistry(1)
-	h := dnssim.NewHierarchy(g, dnssim.DefaultConfig(), nil)
-	h.SetTracer(tr)
+	cfg := dnssim.DefaultConfig()
+	cfg.Tracer = tr
+	h := dnssim.NewHierarchy(g, cfg, nil)
 	r := dnssim.NewResolver(ipaddr.MustParse("10.1.2.3"), 0.2, 0.5, 2048, rng.New(7))
 	b.ReportAllocs()
 	b.ResetTimer()
