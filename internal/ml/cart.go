@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"slices"
 	"sync"
 
 	"dnsbackscatter/internal/rng"
@@ -79,18 +78,14 @@ func (c CART) Train(d *Dataset, st *rng.Stream) Classifier {
 // TrainTree grows the tree and returns the concrete type (forests need the
 // importances).
 func (c CART) TrainTree(d *Dataset, st *rng.Stream) *Tree {
-	idx := make([]int, d.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	return c.trainTree(d, idx, st)
+	return c.trainTree(d, st, false)
 }
 
-// trainTree grows a tree over the given sample rows (which may repeat —
-// forests pass bootstrap draws directly, avoiding a per-tree Dataset
-// copy). idx is consumed as working storage: the builder partitions it in
-// place, so callers must not reuse it afterwards.
-func (c CART) trainTree(d *Dataset, idx []int, st *rng.Stream) *Tree {
+// trainTree grows a tree over every row of d once or, with bootstrap set,
+// over d.Len() rows drawn from st with replacement — a forest's bagging
+// draw, taken as per-row multiplicities, so no index slice and no Dataset
+// copy is materialised.
+func (c CART) trainTree(d *Dataset, st *rng.Stream, bootstrap bool) *Tree {
 	cfg := c.Config
 	if cfg.MinLeaf < 1 {
 		cfg.MinLeaf = 1
@@ -98,17 +93,42 @@ func (c CART) trainTree(d *Dataset, idx []int, st *rng.Stream) *Tree {
 	if cfg.MinSplit < 2 {
 		cfg.MinSplit = 2
 	}
-	t := &Tree{importance: make([]float64, d.NumFeatures())}
+	r := d.ranked()
+	t := &Tree{importance: make([]float64, r.nf)}
 	b := builderPool.Get().(*treeBuilder)
-	b.d, b.cfg, b.st, b.tree, b.total = d, cfg, st, t, len(idx)
+	b.r, b.y, b.cfg, b.st, b.tree, b.total = r, d.Y, cfg, st, t, r.n
 	b.counts = sized(b.counts, d.NumClasses)
 	b.leftCounts = sized(b.leftCounts, d.NumClasses)
-	b.vals = sizedFV(b.vals, len(idx))
-	b.feats = sized(b.feats, d.NumFeatures())
-	b.spill = sized(b.spill, len(idx))[:0]
+	b.present = sized(b.present, d.NumClasses)
+	b.feats = sized(b.feats, r.nf)
+	b.weight = sized(b.weight, r.n)
+	if bootstrap {
+		clear(b.weight)
+		for range r.n {
+			b.weight[st.Intn(r.n)]++
+		}
+	} else {
+		for i := range b.weight {
+			b.weight[i] = 1
+		}
+	}
+	// Filter the dataset's ranking down to the m drawn rows, list by list.
+	b.seg = sized(b.seg, r.nf*r.n)
+	var m int
+	for f := 0; f < r.nf; f++ {
+		seg := b.seg[f*r.n:]
+		m = 0
+		for _, row := range r.order[f*r.n : (f+1)*r.n] {
+			seg[m] = row
+			if b.weight[row] > 0 {
+				m++
+			}
+		}
+	}
+	b.spill = sized(b.spill, m)
 	b.arena = nil // nodes belong to the returned tree; never recycled
-	t.root = b.grow(idx, 0)
-	b.d, b.st, b.tree, b.arena = nil, nil, nil, nil
+	t.root = b.grow(0, m, 0)
+	b.r, b.y, b.st, b.tree, b.arena = nil, nil, nil, nil, nil
 	builderPool.Put(b)
 	return t
 }
@@ -120,44 +140,42 @@ func (c CART) trainTree(d *Dataset, idx []int, st *rng.Stream) *Tree {
 var builderPool = sync.Pool{New: func() any { return new(treeBuilder) }}
 
 // sized returns s resized to n, reallocating only when capacity is short.
-func sized(s []int, n int) []int {
+func sized[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return s[:n]
-}
-
-func sizedFV(s []fv, n int) []fv {
-	if cap(s) < n {
-		return make([]fv, n)
-	}
-	return s[:n]
-}
-
-// fv pairs one sample's feature value with its label for the split scan.
-type fv struct {
-	v float64
-	y int
 }
 
 // treeBuilder carries per-tree state plus the scratch buffers the grow
 // loop reuses for every node. Nodes come from a chunked arena, so a tree
 // costs a handful of allocations rather than several per node.
 //
+// The tree's sample is weight (how often the bootstrap drew each row) and
+// seg: for every feature, the m drawn rows in ascending order of that
+// feature, filtered from the dataset's ranking. A node is a range [lo, hi)
+// of all those lists at once — the same rows in each, ordered by each
+// feature — so a split scans its candidates' ranges in place and then
+// partitions every list's range stably into the children's. Nothing is
+// sorted after the dataset's one ranking.
+//
 //bslint:hotpath
 type treeBuilder struct {
-	d     *Dataset
+	r     *ranked
+	y     []int
 	cfg   CARTConfig
 	st    *rng.Stream
 	tree  *Tree
-	total int
+	total int // rows in the sample, counting repeats
 
-	counts     []int  // per-node class histogram (reused down the recursion)
-	leftCounts []int  // split-scan left-side histogram
-	vals       []fv   // split-scan value/label pairs
-	feats      []int  // feature scan order (reshuffled per split)
-	spill      []int  // stable-partition spill buffer
-	arena      []node // current node arena chunk
+	weight     []int32 // per dataset row: multiplicity in the sample
+	seg        []int32 // seg[f*r.n:][:m]: the m drawn rows ascending by feature f
+	spill      []int32 // stable-partition spill buffer
+	counts     []int   // per-node class histogram (reused down the recursion)
+	leftCounts []int   // split-scan left-side histogram
+	present    []int   // classes with a nonzero count in the node, ascending
+	feats      []int   // feature scan order (reshuffled per split)
+	arena      []node  // current node arena chunk
 }
 
 // Node-arena chunk sizing: start small so shallow trees waste little
@@ -186,17 +204,13 @@ func (b *treeBuilder) newNode() *node {
 	return &b.arena[len(b.arena)-1]
 }
 
-// gini computes Gini impurity from class counts over n samples.
-func gini(counts []int, n int) float64 {
-	if n == 0 {
-		return 0
-	}
-	g := 1.0
-	for _, c := range counts {
-		p := float64(c) / float64(n)
-		g -= p * p
-	}
-	return g
+// list returns the range [lo, hi) of feature f's list.
+func (b *treeBuilder) list(f, lo, hi int) []int32 { return b.seg[f*b.r.n+lo : f*b.r.n+hi] }
+
+func (b *treeBuilder) leaf(label int) *node {
+	n := b.newNode()
+	*n = node{feature: -1, label: label}
+	return n
 }
 
 func majorityLabel(counts []int) int {
@@ -209,73 +223,100 @@ func majorityLabel(counts []int) int {
 	return best
 }
 
-// grow builds the subtree over idx, partitioning idx in place (stable, so
-// recursion sees samples in the same relative order the append-based
-// builder produced).
+// grow builds the subtree over the rows in [lo, hi) of every feature's
+// list and partitions those ranges between its children.
 //
 //bslint:hotpath
-func (b *treeBuilder) grow(idx []int, depth int) *node {
+func (b *treeBuilder) grow(lo, hi, depth int) *node {
 	counts := b.counts
-	for i := range counts {
-		counts[i] = 0
-	}
-	for _, i := range idx {
-		counts[b.d.Y[i]]++
+	clear(counts)
+	n := 0
+	for _, row := range b.list(0, lo, hi) {
+		w := int(b.weight[row])
+		counts[b.y[row]] += w
+		n += w
 	}
 	label := majorityLabel(counts)
-	leaf := func() *node {
-		n := b.newNode()
-		*n = node{feature: -1, label: label}
-		return n
+	if n < b.cfg.MinSplit || (b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) {
+		return b.leaf(label)
 	}
-	if len(idx) < b.cfg.MinSplit || (b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) {
-		return leaf()
-	}
-	parentGini := gini(counts, len(idx))
-	if parentGini == 0 {
-		return leaf()
-	}
-
-	feat, thr, gain := b.bestSplit(idx, counts, parentGini)
-	if feat < 0 {
-		return leaf()
-	}
-
-	// Stable in-place partition: left-side rows compact to the front,
-	// right-side rows pass through the spill buffer, both keeping their
-	// relative order.
-	spill := b.spill[:0]
-	nl := 0
-	for _, i := range idx {
-		if b.d.X[i][feat] <= thr {
-			idx[nl] = i
-			nl++
-		} else {
-			spill = append(spill, i)
+	// Gini impurity, summed over the classes present: an absent class's
+	// term would subtract exactly 0.0.
+	present, parentGini := b.present[:0], 1.0
+	for c, k := range counts {
+		if k > 0 {
+			present = append(present, c)
+			p := float64(k) / float64(n)
+			parentGini -= p * p
 		}
 	}
-	copy(idx[nl:], spill)
-	if nl < b.cfg.MinLeaf || len(idx)-nl < b.cfg.MinLeaf {
-		return leaf()
+	if parentGini == 0 {
+		return b.leaf(label)
 	}
-	b.tree.importance[feat] += gain * float64(len(idx)) / float64(b.total)
-	n := b.newNode()
-	*n = node{feature: feat, threshold: thr, label: label}
-	n.left = b.grow(idx[:nl], depth+1)
-	n.right = b.grow(idx[nl:], depth+1)
-	return n
+
+	feat, thr, gain := b.bestSplit(lo, hi, n, present, parentGini)
+	if feat < 0 {
+		return b.leaf(label)
+	}
+
+	// The rows going left are a prefix of feat's own range. It is measured
+	// with the comparison Predict will make, not taken from the scan: a
+	// midpoint can round up onto the next value.
+	seg, col := b.list(feat, lo, hi), b.r.col(feat)
+	nl, cut := 0, 0
+	for cut < len(seg) && col[seg[cut]] <= thr {
+		nl += int(b.weight[seg[cut]])
+		cut++
+	}
+	if nl < b.cfg.MinLeaf || n-nl < b.cfg.MinLeaf {
+		return b.leaf(label)
+	}
+	b.tree.importance[feat] += gain * float64(n) / float64(b.total)
+	nd := b.newNode()
+	*nd = node{feature: feat, threshold: thr, label: label}
+	for f := 0; f < b.r.nf; f++ {
+		if f != feat {
+			b.partition(b.list(f, lo, hi), col, thr)
+		}
+	}
+	nd.left = b.grow(lo, lo+cut, depth+1)
+	nd.right = b.grow(lo+cut, hi, depth+1)
+	return nd
 }
 
-// bestSplit scans (a possibly random subset of) features for the split
-// maximizing Gini gain. Thresholds are midpoints between consecutive
-// distinct sorted values. All working storage is builder scratch; the
-// sort is reflection-free. Tie order within equal feature values never
-// reaches the result: gains are evaluated only at distinct-value
-// boundaries, from integer class counts.
+// partition moves the rows of seg that the split (col <= thr) sends left
+// to the front and the rest behind them, both keeping their order, so each
+// child's range is still ascending by the list's own feature. Every row is
+// written to both sides and only the cursors depend on the comparison: the
+// loop has no branch to mispredict.
 //
 //bslint:hotpath
-func (b *treeBuilder) bestSplit(idx []int, parentCounts []int, parentGini float64) (feat int, thr, gain float64) {
-	nf := b.d.NumFeatures()
+func (b *treeBuilder) partition(seg []int32, col []float64, thr float64) {
+	spill := b.spill[:len(seg)]
+	nl, nr := 0, 0
+	for _, row := range seg {
+		l := 0
+		if col[row] <= thr {
+			l = 1
+		}
+		seg[nl] = row
+		spill[nr] = row
+		nl += l
+		nr += 1 - l
+	}
+	copy(seg[nl:], spill[:nr])
+}
+
+// bestSplit scans (a possibly random subset of) features for the split of
+// the node [lo, hi) maximizing Gini gain. Thresholds are midpoints between
+// consecutive distinct values of a feature's range, which is already in
+// ascending order. Tie order within equal feature values never reaches
+// the result: gains are evaluated only at distinct-value boundaries, from
+// integer class counts.
+//
+//bslint:hotpath
+func (b *treeBuilder) bestSplit(lo, hi, n int, present []int, parentGini float64) (feat int, thr, gain float64) {
+	nf := b.r.nf
 	feats := b.feats
 	for i := range feats {
 		feats[i] = i
@@ -286,63 +327,42 @@ func (b *treeBuilder) bestSplit(idx []int, parentCounts []int, parentGini float6
 	}
 
 	feat = -1
-	n := len(idx)
-	vals := b.vals[:n]
-	leftCounts := b.leftCounts
-
+	parentCounts, leftCounts := b.counts, b.leftCounts
+	last := hi - lo - 1
 	for _, f := range feats {
-		for i, row := range idx {
-			vals[i] = fv{v: b.d.X[row][f], y: b.d.Y[row]}
-		}
-		slices.SortFunc(vals, func(a, c fv) int {
-			switch {
-			case a.v < c.v:
-				return -1
-			case a.v > c.v:
-				return 1
-			default:
-				return 0
-			}
-		})
-		if vals[0].v == vals[n-1].v {
+		seg, col := b.list(f, lo, hi), b.r.col(f)
+		if col[seg[0]] == col[seg[last]] {
 			continue
 		}
-		for i := range leftCounts {
-			leftCounts[i] = 0
+		for _, c := range present {
+			leftCounts[c] = 0
 		}
 		nLeft := 0
-		for i := 0; i < n-1; i++ {
-			leftCounts[vals[i].y]++
-			nLeft++
-			if vals[i].v == vals[i+1].v {
+		next := col[seg[0]]
+		for i := 0; i < last; i++ {
+			row, v := seg[i], next
+			next = col[seg[i+1]]
+			w := int(b.weight[row])
+			leftCounts[b.y[row]] += w
+			nLeft += w
+			if v == next {
 				continue
 			}
 			nRight := n - nLeft
-			gl := giniLeft(leftCounts, nLeft)
-			gr := giniRight(parentCounts, leftCounts, nRight)
+			gl, gr := 1.0, 1.0
+			for _, c := range present {
+				pl := float64(leftCounts[c]) / float64(nLeft)
+				gl -= pl * pl
+				pr := float64(parentCounts[c]-leftCounts[c]) / float64(nRight)
+				gr -= pr * pr
+			}
 			g := parentGini - (float64(nLeft)*gl+float64(nRight)*gr)/float64(n)
 			if g > gain {
 				gain = g
 				feat = f
-				thr = (vals[i].v + vals[i+1].v) / 2
+				thr = (v + next) / 2
 			}
 		}
 	}
 	return feat, thr, gain
-}
-
-func giniLeft(left []int, n int) float64 { return gini(left, n) }
-
-// giniRight derives the right-side impurity from parent minus left counts
-// without allocating.
-func giniRight(parent, left []int, n int) float64 {
-	if n == 0 {
-		return 0
-	}
-	g := 1.0
-	for i := range parent {
-		p := float64(parent[i]-left[i]) / float64(n)
-		g -= p * p
-	}
-	return g
 }

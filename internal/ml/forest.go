@@ -3,7 +3,6 @@ package ml
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"dnsbackscatter/internal/obs"
 	"dnsbackscatter/internal/parallel"
@@ -41,10 +40,6 @@ type Forest struct {
 
 // Name implements Trainer.
 func (Forest) Name() string { return "RF" }
-
-// bootPool recycles bootstrap index slices across trees (ops-only; each
-// slice is fully overwritten before use).
-var bootPool = sync.Pool{New: func() any { return new([]int) }}
 
 // ForestModel is a trained forest.
 type ForestModel struct {
@@ -89,29 +84,10 @@ func (f Forest) TrainForest(d *Dataset, st *rng.Stream) *ForestModel {
 	for t := range seeds {
 		seeds[t] = st.Uint64()
 	}
-	n := d.Len()
 	tok := cfg.Acct.Start("train")
 	pool := parallel.Pool{Workers: cfg.Workers, Obs: cfg.Obs, Stage: "train", Acct: cfg.Acct}
 	m.trees = parallel.Map(pool, cfg.Trees, func(t int) *Tree {
-		ts := rng.New(seeds[t])
-		// Bootstrap rows feed trainTree directly — no per-tree Dataset
-		// copy. Row order matches what Subset would materialize, so the
-		// trained tree is byte-identical to the copying path. The index
-		// slice is pure working storage (trainTree never retains it), so
-		// it cycles through a pool across trees.
-		bp := bootPool.Get().(*[]int)
-		boot := *bp
-		if cap(boot) < n {
-			boot = make([]int, n)
-		}
-		boot = boot[:n]
-		for i := range boot {
-			boot[i] = ts.Intn(n)
-		}
-		tree := cart.trainTree(d, boot, ts)
-		*bp = boot
-		bootPool.Put(bp)
-		return tree
+		return cart.trainTree(d, rng.New(seeds[t]), true)
 	})
 	// Importances merge sequentially in tree order: float summation
 	// order is fixed, so the totals match bit for bit across runs.

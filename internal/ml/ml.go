@@ -9,9 +9,12 @@
 package ml
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"dnsbackscatter/internal/obs"
 	"dnsbackscatter/internal/parallel"
@@ -21,13 +24,27 @@ import (
 
 // Dataset is a labeled design matrix. Labels are small ints in
 // [0, NumClasses).
+//
+// X and Y are immutable from the first Train on the dataset or on any
+// Subset of it: the tree trainers rank every feature column once, on
+// first use, and every later tree, split and subset reuses that ranking.
+// A Dataset must not be copied by value.
 type Dataset struct {
 	X          [][]float64
 	Y          []int
 	NumClasses int
+
+	rankOnce sync.Once
+	rank     *ranked
+	// parent and rows are what Subset leaves for ranked to derive from;
+	// both are nil on a dataset that ranks itself.
+	parent *Dataset
+	rows   []int
 }
 
-// NewDataset validates and wraps the inputs.
+// NewDataset validates and wraps the inputs. Every feature value must be
+// finite: a NaN compares equal to everything, so one would leave its
+// column — and every tree trained on it — in input-order garbage.
 func NewDataset(x [][]float64, y []int, numClasses int) (*Dataset, error) {
 	if len(x) != len(y) {
 		return nil, fmt.Errorf("ml: %d rows but %d labels", len(x), len(y))
@@ -36,9 +53,17 @@ func NewDataset(x [][]float64, y []int, numClasses int) (*Dataset, error) {
 		return nil, fmt.Errorf("ml: empty dataset")
 	}
 	w := len(x[0])
+	if w == 0 {
+		return nil, fmt.Errorf("ml: rows have no features")
+	}
 	for i, row := range x {
 		if len(row) != w {
 			return nil, fmt.Errorf("ml: row %d has width %d, want %d", i, len(row), w)
+		}
+		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("ml: feature value %v at row %d, column %d", v, i, j)
+			}
 		}
 	}
 	for i, label := range y {
@@ -60,15 +85,78 @@ func (d *Dataset) NumFeatures() int {
 	return len(d.X[0])
 }
 
-// Subset returns the dataset restricted to the given row indices. Rows are
-// shared, not copied.
+// Subset returns the dataset restricted to the given row indices, which
+// may repeat. Rows are shared, not copied, and so is the column ranking:
+// the subset filters d's instead of sorting again.
 func (d *Dataset) Subset(idx []int) *Dataset {
 	x := make([][]float64, len(idx))
 	y := make([]int, len(idx))
 	for i, j := range idx {
 		x[i], y[i] = d.X[j], d.Y[j]
 	}
-	return &Dataset{X: x, Y: y, NumClasses: d.NumClasses}
+	return &Dataset{X: x, Y: y, NumClasses: d.NumClasses, parent: d, rows: slices.Clone(idx)}
+}
+
+// ranked is the view of a Dataset the tree builder trains from: the
+// design matrix column by column, and per column the rows in ascending
+// order of value. It is built once per dataset and then only read.
+type ranked struct {
+	n, nf int
+	vals  []float64 // column-major: vals[f*n+i] = X[i][f]
+	order []int32   // order[f*n:(f+1)*n]: rows ascending by column f, ties by row
+}
+
+// col returns column f of the design matrix.
+func (r *ranked) col(f int) []float64 { return r.vals[f*r.n : (f+1)*r.n] }
+
+// ranked returns d's column ranking, building it on first use: sorted
+// for a dataset made by NewDataset, filtered in O(F·N) from the parent's
+// for one made by Subset — so the splits of a validation, the trees of
+// each forest and the forests of a vote share one sort.
+func (d *Dataset) ranked() *ranked {
+	d.rankOnce.Do(func() {
+		n, nf := d.Len(), d.NumFeatures()
+		r := &ranked{n: n, nf: nf, vals: make([]float64, nf*n), order: make([]int32, nf*n)}
+		for f := 0; f < nf; f++ {
+			col, ord := r.col(f), r.order[f*n:(f+1)*n]
+			for i, row := range d.X {
+				col[i], ord[i] = row[f], int32(i)
+			}
+			if d.parent == nil { // else filterColumns overwrites ord
+				slices.SortStableFunc(ord, func(a, b int32) int { return cmp.Compare(col[a], col[b]) })
+			}
+		}
+		if d.parent != nil {
+			r.filterColumns(d.parent.ranked(), d.rows)
+			d.parent, d.rows = nil, nil
+		}
+		d.rank = r
+	})
+	return d.rank
+}
+
+// filterColumns fills r.order for the subset holding p's rows `rows` (in
+// that order, repeats allowed): walk each of p's columns in rank order
+// and emit the subset positions of every row met. Equal values keep p's
+// tie order, then position order.
+func (r *ranked) filterColumns(p *ranked, rows []int) {
+	// The positions holding p's row i are first[i], link[first[i]], ...
+	// in ascending order; -1 ends the chain.
+	first, link := make([]int32, p.n), make([]int32, len(rows))
+	for i := range first {
+		first[i] = -1
+	}
+	for j := len(rows) - 1; j >= 0; j-- {
+		link[j], first[rows[j]] = first[rows[j]], int32(j)
+	}
+	for f := 0; f < r.nf; f++ {
+		out := r.order[f*r.n : f*r.n : (f+1)*r.n]
+		for _, i := range p.order[f*p.n : (f+1)*p.n] {
+			for j := first[i]; j >= 0; j = link[j] {
+				out = append(out, j)
+			}
+		}
+	}
 }
 
 // ClassCounts returns the per-class sample counts.
@@ -155,47 +243,27 @@ type Metrics struct {
 }
 
 // Score computes Metrics from a confusion matrix. Per-class precision with
-// no predicted positives, or recall with no true members, contributes zero
-// (the conservative convention).
+// no predicted positives contributes zero (the conservative convention);
+// classes absent from truth stay out of the macro averages.
 func (c *Confusion) Score() Metrics {
-	k := len(c.Counts)
-	var correct, total int
-	var precSum, recSum, f1Sum float64
-	classes := 0
-	for cls := 0; cls < k; cls++ {
-		tp := c.Counts[cls][cls]
-		var fn, fp int
-		for j := 0; j < k; j++ {
-			if j != cls {
-				fn += c.Counts[cls][j]
-				fp += c.Counts[j][cls]
-			}
+	var m Metrics
+	var correct, total, classes int
+	for _, pc := range c.PerClass() {
+		if pc.Support == 0 {
+			continue
 		}
-		correct += tp
-		total += tp + fn
-		if tp+fn == 0 {
-			continue // class absent from truth: skip in macro average
-		}
+		correct += c.Counts[pc.Class][pc.Class]
+		total += pc.Support
 		classes++
-		var prec, rec float64
-		if tp+fp > 0 {
-			prec = float64(tp) / float64(tp+fp)
-		}
-		rec = float64(tp) / float64(tp+fn)
-		precSum += prec
-		recSum += rec
-		if prec+rec > 0 {
-			f1Sum += 2 * prec * rec / (prec + rec)
-		}
-	}
-	m := Metrics{}
-	if total > 0 {
-		m.Accuracy = float64(correct) / float64(total)
+		m.Precision += pc.Precision
+		m.Recall += pc.Recall
+		m.F1 += pc.F1
 	}
 	if classes > 0 {
-		m.Precision = precSum / float64(classes)
-		m.Recall = recSum / float64(classes)
-		m.F1 = f1Sum / float64(classes)
+		m.Accuracy = float64(correct) / float64(total)
+		m.Precision /= float64(classes)
+		m.Recall /= float64(classes)
+		m.F1 /= float64(classes)
 	}
 	return m
 }
@@ -254,11 +322,7 @@ func EvaluateConfusion(clf Classifier, d *Dataset, rows []int) *Confusion {
 
 // Evaluate runs clf over the test rows of d and scores it.
 func Evaluate(clf Classifier, d *Dataset, rows []int) Metrics {
-	conf := NewConfusion(d.NumClasses)
-	for _, i := range rows {
-		conf.Add(d.Y[i], clf.Predict(d.X[i]))
-	}
-	return conf.Score()
+	return EvaluateConfusion(clf, d, rows).Score()
 }
 
 // PredictBatch classifies every row of xs under the pool, returning

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"dnsbackscatter/internal/rng"
@@ -47,7 +48,18 @@ func TestNewDatasetValidation(t *testing.T) {
 	if _, err := NewDataset([][]float64{{1}}, []int{5}, 2); err == nil {
 		t.Error("out-of-range label accepted")
 	}
-	d, err := NewDataset([][]float64{{1, 2}, {3, 4}}, []int{0, 1}, 2)
+	if _, err := NewDataset([][]float64{{}, {}}, []int{0, 1}, 2); err == nil {
+		t.Error("rows without features accepted")
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := NewDataset([][]float64{{1, 2, 3}, {4, 5, bad}, {7, 8, 9}}, []int{0, 1, 0}, 2)
+		if err == nil {
+			t.Errorf("feature value %v accepted", bad)
+		} else if msg := err.Error(); !strings.Contains(msg, "row 1") || !strings.Contains(msg, "column 2") {
+			t.Errorf("feature value %v: error %q does not name row 1, column 2", bad, msg)
+		}
+	}
+	d, err := NewDataset([][]float64{{1, 2}, {3, math.Copysign(0, -1)}}, []int{0, 1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,6 +83,86 @@ func TestSubsetAndClassCounts(t *testing.T) {
 	if sub.Y[0] != 0 || sub.Y[1] != 1 || sub.Y[2] != 2 {
 		t.Error("subset labels wrong")
 	}
+}
+
+// checkRanking compares d's ranking with one sorted from scratch over the
+// same rows. The two may order equal values differently, so per column
+// it asks for a permutation of the rows that reads the same values.
+func checkRanking(t *testing.T, what string, d *Dataset) {
+	t.Helper()
+	got := d.ranked()
+	fresh := &Dataset{X: d.X, Y: d.Y, NumClasses: d.NumClasses}
+	want := fresh.ranked()
+	if got.n != d.Len() || got.nf != d.NumFeatures() || len(got.order) != len(want.order) {
+		t.Fatalf("%s: ranking is %d x %d with %d ranks, dataset is %d x %d", what, got.n, got.nf, len(got.order), d.Len(), d.NumFeatures())
+	}
+	for f := 0; f < got.nf; f++ {
+		seen := make([]bool, got.n)
+		for k := 0; k < got.n; k++ {
+			row, wantRow := got.order[f*got.n+k], want.order[f*got.n+k]
+			if seen[row] {
+				t.Fatalf("%s: column %d ranks row %d twice", what, f, row)
+			}
+			seen[row] = true
+			if got.col(f)[row] != d.X[row][f] {
+				t.Fatalf("%s: column %d row %d holds %v, X has %v", what, f, row, got.col(f)[row], d.X[row][f])
+			}
+			if d.X[row][f] != d.X[wantRow][f] {
+				t.Fatalf("%s: column %d rank %d is row %d (%v), sorted from scratch it is row %d (%v)",
+					what, f, k, row, d.X[row][f], wantRow, d.X[wantRow][f])
+			}
+		}
+	}
+}
+
+// TestSubsetRanking: a subset's ranking, filtered from its parent's, is
+// the ranking of its rows — whether the rows are a sorted sample, repeat,
+// arrive out of order, leave classes empty or are empty themselves, and
+// through a chain of subsets whose middle link was never trained on.
+func TestSubsetRanking(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		st := rng.New(seed)
+		d := tiedDataset(st)
+		checkRanking(t, "whole", d)
+		train, test := StratifiedSplit(d, 0.6, st)
+		boot := make([]int, d.Len())
+		for i := range boot {
+			boot[i] = st.Intn(d.Len())
+		}
+		var oneClass []int
+		for i, y := range d.Y {
+			if y == d.Y[0] {
+				oneClass = append(oneClass, i)
+			}
+		}
+		for name, rows := range map[string][]int{
+			"train": train, "test": test, "bootstrap": boot, "one class": oneClass,
+			"shuffled": st.Perm(d.Len()), "empty": {},
+		} {
+			sub := d.Subset(rows)
+			checkRanking(t, name, sub)
+			if len(rows) == 0 {
+				continue
+			}
+			// A subset of the subset, first ranked through a fresh chain
+			// (neither link ranked yet), then through the ranked one.
+			again := make([]int, 1+st.Intn(2*len(rows)))
+			for i := range again {
+				again[i] = st.Intn(len(rows))
+			}
+			checkRanking(t, name+" of a fresh subset", d.Subset(rows).Subset(again))
+			checkRanking(t, name+" of a ranked subset", sub.Subset(again))
+		}
+	}
+}
+
+// TestSubsetDoesNotAliasRows: the caller may reuse its index slice.
+func TestSubsetDoesNotAliasRows(t *testing.T) {
+	d := blobs(3, 10, 4, 1, 0.1, 1)
+	rows := []int{3, 14, 25, 7}
+	sub := d.Subset(rows)
+	clear(rows)
+	checkRanking(t, "after the caller cleared its slice", sub)
 }
 
 func TestStratifiedSplit(t *testing.T) {

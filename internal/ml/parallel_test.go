@@ -20,16 +20,17 @@ func forestFingerprint(t *testing.T, m *ForestModel, d *Dataset) ([]int, []float
 
 // TestForestWorkerCountInvariant is the train-stage determinism bar:
 // per-tree seeded streams make the forest byte-identical no matter how
-// many workers trained it.
+// many workers trained it. Every worker count gets a dataset of its own,
+// so the column ranking is first touched by that many trees at once.
 func TestForestWorkerCountInvariant(t *testing.T) {
-	d := blobs(4, 30, 6, 1.5, 0.4, 7)
-	base := Forest{Config: ForestConfig{Trees: 40, Workers: 1}}.
-		TrainForest(d, rng.New(99))
-	wantPreds, wantImp := forestFingerprint(t, base, d)
-	for _, w := range []int{2, 4, 8} {
-		m := Forest{Config: ForestConfig{Trees: 40, Workers: w}}.
-			TrainForest(d, rng.New(99))
-		preds, imp := forestFingerprint(t, m, d)
+	train := func(w int) ([]int, []float64) {
+		d := blobs(4, 30, 6, 1.5, 0.4, 7)
+		m := Forest{Config: ForestConfig{Trees: 40, Workers: w}}.TrainForest(d, rng.New(99))
+		return forestFingerprint(t, m, d)
+	}
+	wantPreds, wantImp := train(1)
+	for _, w := range []int{2, 8} {
+		preds, imp := train(w)
 		for i := range preds {
 			if preds[i] != wantPreds[i] {
 				t.Fatalf("workers=%d: prediction[%d] = %d, want %d", w, i, preds[i], wantPreds[i])
@@ -61,12 +62,14 @@ func TestMajorityWorkerCountInvariant(t *testing.T) {
 
 // TestValidatorWorkerCountInvariant checks parallel cross-validation:
 // per-fold seeds fixed before fan-out give identical mean±std for every
-// worker count, and CrossValidate is exactly the one-worker case.
+// worker count, and CrossValidate is exactly the one-worker case. Every
+// worker count gets a dataset of its own, so the folds' subsets derive
+// their rankings from a parent first ranked by that many folds at once.
 func TestValidatorWorkerCountInvariant(t *testing.T) {
-	d := blobs(3, 40, 6, 2, 0.3, 17)
 	tr := Forest{Config: ForestConfig{Trees: 15}}
-	want := CrossValidate(tr, d, 0.6, 6, rng.New(5))
-	for _, w := range []int{2, 4} {
+	want := CrossValidate(tr, blobs(3, 40, 6, 2, 0.3, 17), 0.6, 6, rng.New(5))
+	for _, w := range []int{1, 2, 8} {
+		d := blobs(3, 40, 6, 2, 0.3, 17)
 		got := Validator{Trainer: tr, TrainFrac: 0.6, Runs: 6, Workers: w}.Run(d, rng.New(5))
 		if got != want {
 			t.Fatalf("workers=%d: validation result %+v, want %+v", w, got, want)

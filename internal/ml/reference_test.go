@@ -162,13 +162,7 @@ func TestTreeMatchesReference(t *testing.T) {
 						st, refSt := rng.New(seed*31), rng.New(seed*31)
 						n := d.Len()
 
-						idx := seqInts(n)
-						if bootstrap {
-							for i := range idx {
-								idx[i] = st.Intn(n)
-							}
-						}
-						tree := CART{Config: cfg}.trainTree(d, idx, st)
+						tree := CART{Config: cfg}.trainTree(d, st, bootstrap)
 
 						refIdx := seqInts(n)
 						if bootstrap {
