@@ -14,6 +14,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -142,7 +143,6 @@ type Extractor struct {
 		work   []*originatorAgg
 		uq     []ipaddr.Addr
 		uas    []int
-		ucc    []string
 	}
 }
 
@@ -212,8 +212,8 @@ func Partition(recs []dnslog.Record, buf *[]dnslog.Record) (parts [Shards][]dnsl
 
 // shardScratch is one shard's dedup/filter state: an index from
 // originator to its slot in a flat aggregate column, the shard's deduper,
-// and the shard-level unique querier/AS/country views (sorted slices —
-// only their lengths feed the interval normalizers). Everything is
+// and the shard-level unique querier/AS/country views (sorted slices and
+// a set — only their sizes feed the interval normalizers). Everything is
 // reused across Extract calls.
 type shardScratch struct {
 	kept  int
@@ -222,7 +222,7 @@ type shardScratch struct {
 	dedup *dnslog.Deduper
 	addrs []ipaddr.Addr // shard-unique queriers (sorted)
 	asns  []int         // shard-unique ASNs (sorted)
-	ccs   []string      // shard-unique countries (sorted)
+	ccs   countrySet    // shard-unique countries
 }
 
 // reset readies the scratch for a new interval, keeping every map bucket
@@ -235,7 +235,7 @@ func (sh *shardScratch) reset(w simtime.Duration) {
 	sh.dedup.Reset()
 	sh.addrs = sh.addrs[:0]
 	sh.asns = sh.asns[:0]
-	sh.ccs = sh.ccs[:0]
+	sh.ccs = 0
 }
 
 // agg returns the aggregate slot for orig, creating (or recycling) one on
@@ -282,6 +282,19 @@ func sortUniq[T cmp.Ordered](s []T) []T {
 	slices.Sort(s)
 	return slices.Compact(s)
 }
+
+// countrySet is a set of countries, one bit per geo.Countries index.
+type countrySet uint64
+
+func init() {
+	if len(geo.Countries) > 64 {
+		panic("features: countrySet holds 64 countries, geo.Countries has more")
+	}
+}
+
+func (c *countrySet) add(g *geo.Registry, a ipaddr.Addr) { *c |= 1 << uint(g.CountryIndex(a)) }
+
+func (c countrySet) len() int { return bits.OnesCount64(uint64(c)) }
 
 // Extract computes vectors for every analyzable originator in recs, which
 // must be time-ordered per (originator, querier) pair (sensor output is).
@@ -381,10 +394,9 @@ func (x *Extractor) Extract(recs []dnslog.Record, start simtime.Time, dur simtim
 		sh.addrs = sortUniq(sh.addrs)
 		for _, q := range sh.addrs {
 			sh.asns = append(sh.asns, x.Geo.ASN(q))
-			sh.ccs = append(sh.ccs, x.Geo.Country(q))
+			sh.ccs.add(x.Geo, q)
 		}
 		sh.asns = sortUniq(sh.asns)
-		sh.ccs = sortUniq(sh.ccs)
 		for i := range sh.aggs {
 			a := &sh.aggs[i]
 			if a.nq < x.MinQueriers {
@@ -397,20 +409,21 @@ func (x *Extractor) Extract(recs []dnslog.Record, start simtime.Time, dur simtim
 	})
 	// Union across shards: concatenate the per-shard sorted unique views
 	// and compact once — only the lengths feed the normalizers.
-	uq, uas, ucc := x.scratch.uq[:0], x.scratch.uas[:0], x.scratch.ucc[:0]
+	uq, uas := x.scratch.uq[:0], x.scratch.uas[:0]
+	var ucc countrySet
 	analyzable := 0
 	for _, sh := range shards {
 		uq = append(uq, sh.addrs...)
 		uas = append(uas, sh.asns...)
-		ucc = append(ucc, sh.ccs...)
+		ucc |= sh.ccs
 		for i := range sh.aggs {
 			if sh.aggs[i].kept {
 				analyzable++
 			}
 		}
 	}
-	uq, uas, ucc = sortUniq(uq), sortUniq(uas), sortUniq(ucc)
-	x.scratch.uq, x.scratch.uas, x.scratch.ucc = uq, uas, ucc
+	uq, uas = sortUniq(uq), sortUniq(uas)
+	x.scratch.uq, x.scratch.uas = uq, uas
 	totalBuckets := int(dur / (10 * simtime.Minute))
 	if totalBuckets < 1 {
 		totalBuckets = 1
@@ -439,7 +452,7 @@ func (x *Extractor) Extract(recs []dnslog.Record, start simtime.Time, dur simtim
 	pool.Stage = "extract"
 	out := parallel.Map(pool, len(work), func(i int) *Vector {
 		a := work[i]
-		v := x.vector(a, len(uas), len(ucc), len(uq), totalBuckets)
+		v := x.vector(a, len(uas), ucc.len(), len(uq), totalBuckets)
 		x.emitRefs(a, "extract", "vector", v.Queriers, start)
 		return v
 	})
@@ -464,36 +477,69 @@ func (x *Extractor) emitRefs(a *originatorAgg, stage, outcome string, queriers i
 	}
 }
 
-// vecScratch is per-worker scratch for one vector computation: /24 and /8
-// run-length counts plus AS/country gather buffers. Pooled because the
-// fan-outs have no per-worker identity; pooling is ops-only and invisible
-// to output bytes.
+// Sampled is one distinct querier as the vector computation reads it: the
+// address in the high bits, the category of its reverse name in the low
+// eight — so a set of them sorts by address as plain integers, and a name
+// is classified once however often its querier is scanned.
+type Sampled uint64
+
+// SampleOf names and classifies q. A querier whose reverse authority cannot
+// be reached is Unreach whatever nameOf made of it.
+func SampleOf(nameOf NameFunc, q ipaddr.Addr) Sampled {
+	name, unreach := nameOf(q)
+	cat := qname.Classify(name)
+	if unreach {
+		cat = qname.Unreach
+	}
+	return Sampled(q)<<8 | Sampled(cat)
+}
+
+// Addr returns the querier's address.
+func (s Sampled) Addr() ipaddr.Addr { return ipaddr.Addr(s >> 8) }
+
+// Category returns the querier's name category.
+func (s Sampled) Category() qname.Category { return qname.Category(s & 0xff) }
+
+// Summary is everything a feature vector takes from a set of distinct
+// queriers and nothing of the interval around them: the queriers per name
+// category, the normalized entropies of their /24 and /8 prefixes, and
+// how many ASes and countries they span. The rest of a vector is O(1)
+// arithmetic against interval normalizers.
+type Summary struct {
+	N                           int
+	Static                      [NumStatic]int
+	LocalEntropy, GlobalEntropy float64
+	ASes, Countries             int
+}
+
+// vecScratch is per-worker scratch for one summary: the querier set in
+// address order, /24 and /8 run-length counts, and an AS gather buffer.
+// Pooled because the fan-outs have no per-worker identity; pooling is
+// ops-only and invisible to output bytes.
 type vecScratch struct {
-	cs24 []int
-	cs8  []int
-	asns []int
-	ccs  []string
+	sample []Sampled
+	cs24   []int
+	cs8    []int
+	asns   []int
 }
 
 var vecScratchPool = sync.Pool{New: func() any { return new(vecScratch) }}
 
-// scan reads a sorted set of distinct queriers: it adds each one's name
-// category to x's static block as a count, and leaves in s the run lengths
-// of equal /24 and /8 prefixes (sorting groups them contiguously, so the
-// entropy inputs need no per-originator count maps) and the sorted unique
-// ASes and countries.
-func (s *vecScratch) scan(g *geo.Registry, nameOf NameFunc, queriers []ipaddr.Addr, x *[NumFeatures]float64) {
-	cs24, cs8 := s.cs24[:0], s.cs8[:0]
-	asns, ccs := s.asns[:0], s.ccs[:0]
+// summarize reads s.sample, a set of distinct queriers in address order.
+// Sorting groups equal /24 and /8 prefixes contiguously, so the entropy
+// inputs are run lengths and need no per-originator count maps; it groups
+// most of an AS too, so sortUniq is left with one entry per run.
+//
+//bslint:hotpath
+func (s *vecScratch) summarize(g *geo.Registry) Summary {
+	sm := Summary{N: len(s.sample)}
+	cs24, cs8, asns := s.cs24[:0], s.cs8[:0], s.asns[:0]
+	var ccs countrySet
 	var prev24 uint32
 	var prev8 byte
-	for i, q := range queriers {
-		name, unreach := nameOf(q)
-		cat := qname.Classify(name)
-		if unreach {
-			cat = qname.Unreach
-		}
-		x[int(cat)]++
+	for i, sq := range s.sample {
+		q := sq.Addr()
+		sm.Static[sq.Category()]++
 		if p := q.Slash24(); i == 0 || p != prev24 {
 			cs24 = append(cs24, 1)
 			prev24 = p
@@ -506,10 +552,26 @@ func (s *vecScratch) scan(g *geo.Registry, nameOf NameFunc, queriers []ipaddr.Ad
 		} else {
 			cs8[len(cs8)-1]++
 		}
-		asns = append(asns, g.ASN(q))
-		ccs = append(ccs, g.Country(q))
+		if asn := g.ASN(q); len(asns) == 0 || asns[len(asns)-1] != asn {
+			asns = append(asns, asn)
+		}
+		ccs.add(g, q)
 	}
-	s.cs24, s.cs8, s.asns, s.ccs = cs24, cs8, sortUniq(asns), sortUniq(ccs)
+	sm.LocalEntropy = normEntropy(cs24, sm.N, 1<<24)
+	sm.GlobalEntropy = normEntropy(cs8, sm.N, 256)
+	sm.ASes, sm.Countries = len(sortUniq(asns)), ccs.len()
+	s.cs24, s.cs8, s.asns = cs24, cs8, asns
+	return sm
+}
+
+// fill writes the summary's share of a vector: the static fractions and
+// the two entropies.
+func (sm *Summary) fill(v *Vector) {
+	for i, n := range sm.Static {
+		v.X[i] = float64(n) / float64(sm.N)
+	}
+	v.X[NumStatic+DynLocalEntropy] = sm.LocalEntropy
+	v.X[NumStatic+DynGlobalEntropy] = sm.GlobalEntropy
 }
 
 // vector computes one originator's feature vector. a.queriers must be the
@@ -520,24 +582,24 @@ func (x *Extractor) vector(a *originatorAgg, totalAS, totalCountry, totalQuerier
 	v := &Vector{Originator: a.orig, Queriers: a.nq, Queries: a.queries}
 	s := vecScratchPool.Get().(*vecScratch)
 	defer vecScratchPool.Put(s)
-	s.scan(x.Geo, x.NameOf, a.queriers, &v.X)
-	n := float64(a.nq)
-	for i := 0; i < NumStatic; i++ {
-		v.X[i] /= n
+	s.sample = s.sample[:0]
+	for _, q := range a.queriers {
+		s.sample = append(s.sample, SampleOf(x.NameOf, q))
 	}
+	sm := s.summarize(x.Geo)
+	sm.fill(v)
 
+	n := float64(a.nq)
 	d := v.X[NumStatic:]
 	d[DynQueriesPerQuerier] = float64(a.queries) / n
 	d[DynPersistence] = float64(a.nbuckets) / float64(totalBuckets)
-	d[DynLocalEntropy] = normEntropy(s.cs24, a.nq, 1<<24)
-	d[DynGlobalEntropy] = normEntropy(s.cs8, a.nq, 256)
-	d[DynUniqueASes] = ratio(len(s.asns), totalAS)
-	d[DynUniqueCountries] = ratio(len(s.ccs), totalCountry)
-	if len(s.ccs) > 0 && totalQueriers > 0 {
-		d[DynQueriersPerCountry] = n / float64(len(s.ccs)) / float64(totalQueriers)
+	d[DynUniqueASes] = ratio(sm.ASes, totalAS)
+	d[DynUniqueCountries] = ratio(sm.Countries, totalCountry)
+	if sm.Countries > 0 && totalQueriers > 0 {
+		d[DynQueriersPerCountry] = n / float64(sm.Countries) / float64(totalQueriers)
 	}
-	if len(s.asns) > 0 && totalQueriers > 0 {
-		d[DynQueriersPerAS] = n / float64(len(s.asns)) / float64(totalQueriers)
+	if sm.ASes > 0 && totalQueriers > 0 {
+		d[DynQueriersPerAS] = n / float64(sm.ASes) / float64(totalQueriers)
 	}
 	return v
 }
@@ -559,10 +621,15 @@ func normEntropy(counts []int, n, space int) float64 {
 		return 0
 	}
 	sort.Ints(counts)
-	h := 0.0
+	// Equal counts are adjacent now and contribute equal terms: one
+	// logarithm per distinct count, the same sum term by term.
+	h, term, prev := 0.0, 0.0, 0
 	for _, c := range counts {
-		p := float64(c) / float64(n)
-		h -= p * math.Log2(p)
+		if c != prev {
+			p := float64(c) / float64(n)
+			term, prev = p*math.Log2(p), c
+		}
+		h -= term
 	}
 	denom := math.Log2(math.Min(float64(n), float64(space)))
 	if denom <= 0 {

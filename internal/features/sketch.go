@@ -12,15 +12,16 @@ import (
 // SketchStats is the sketch-derived summary of one originator over an
 // observation interval: the HLL footprint estimate, the exact
 // deduplicated query count, the distinct 10-minute persistence buckets,
-// and the bottom-k uniform sample of distinct queriers. It is the
-// hand-off type between the sketch holder (the stream engine) and the
-// vector computation below.
+// and the bottom-k uniform sample of distinct queriers, each classified
+// when it entered the sample. It is the hand-off type between the sketch
+// holder (the stream engine) and the vector computation below; Sample may
+// be a view of the holder's state, read here and never kept.
 type SketchStats struct {
 	Originator ipaddr.Addr
 	Estimate   int // HLL unique-querier estimate
 	Queries    int // deduplicated query count
 	Buckets    int // distinct 10-minute buckets observed
-	Sample     []ipaddr.Addr
+	Sample     []Sampled
 }
 
 // SketchNorms holds the interval-level normalizers the dynamic features
@@ -36,68 +37,98 @@ type SketchNorms struct {
 
 // NormsFromStats computes interval normalizers from every originator's
 // sketch stats (analyzable or not — the paper's normalizers count all
-// observed queriers). Set sizes and integer-valued sums are
-// order-insensitive, so the result is identical however stats is
-// ordered.
+// observed queriers). They are sizes of sets over the union of the
+// samples, which no sample's own change updates in place, so every epoch
+// recomputes them: one radix sort of all sampled addresses, then a scan.
+// Set sizes and integer-valued sums are order-insensitive, so the result
+// is identical however stats is ordered.
 func NormsFromStats(g *geo.Registry, stats []SketchStats, dur simtime.Duration) SketchNorms {
-	norms := SketchNorms{TotalBuckets: int(dur / (10 * simtime.Minute))}
-	if norms.TotalBuckets < 1 {
-		norms.TotalBuckets = 1
-	}
-	allAS := make(map[int]struct{})
-	allCountry := make(map[string]struct{})
-	allQueriers := make(map[ipaddr.Addr]struct{})
-	var hllMass, sampleMass float64
+	norms := SketchNorms{TotalBuckets: max(1, int(dur/(10*simtime.Minute)))}
+	total := 0
+	var hllMass float64
 	for _, st := range stats {
 		hllMass += float64(st.Estimate)
-		sampleMass += float64(len(st.Sample))
-		for _, q := range st.Sample {
-			if _, seen := allQueriers[q]; seen {
-				continue
-			}
-			allQueriers[q] = struct{}{}
-			allAS[g.ASN(q)] = struct{}{}
-			allCountry[g.Country(q)] = struct{}{}
+		total += len(st.Sample)
+	}
+	all := make([]uint32, 0, total)
+	for _, st := range stats {
+		for _, sq := range st.Sample {
+			all = append(all, uint32(sq.Addr()))
 		}
 	}
-	norms.TotalAS = len(allAS)
-	norms.TotalCountry = len(allCountry)
-	norms.TotalQueriers = len(allQueriers)
-	if sampleMass > 0 {
-		norms.TotalQueriers = int(float64(norms.TotalQueriers) * hllMass / sampleMass)
+	all = radixSort(all, make([]uint32, total))
+	var asns []int
+	var countries countrySet
+	for i, q := range all {
+		if i > 0 && q == all[i-1] {
+			continue
+		}
+		norms.TotalQueriers++
+		if asn := g.ASN(ipaddr.Addr(q)); len(asns) == 0 || asns[len(asns)-1] != asn {
+			asns = append(asns, asn)
+		}
+		countries.add(g, ipaddr.Addr(q))
+	}
+	norms.TotalAS, norms.TotalCountry = len(sortUniq(asns)), countries.len()
+	if total > 0 {
+		norms.TotalQueriers = int(float64(norms.TotalQueriers) * hllMass / float64(total))
 	}
 	return norms
 }
 
+// radixSort sorts a ascending in three 11-bit passes through tmp, which
+// must be as long, and returns whichever of the two holds the result.
+func radixSort(a, tmp []uint32) []uint32 {
+	for shift := 0; shift < 32; shift += 11 {
+		var next [1<<11 + 1]int
+		for _, v := range a {
+			next[v>>shift&(1<<11-1)+1]++
+		}
+		for d := 1; d < len(next); d++ {
+			next[d] += next[d-1]
+		}
+		for _, v := range a {
+			d := v >> shift & (1<<11 - 1)
+			tmp[next[d]] = v
+			next[d]++
+		}
+		a, tmp = tmp[:len(a)], a
+	}
+	return a
+}
+
+// Summarize scans a querier sample, in any order, into its Summary — the
+// only part of a sketch vector whose cost grows with the sample, and a
+// function of the sample alone: a holder may keep it until the sample
+// changes.
+func Summarize(g *geo.Registry, sample []Sampled) Summary {
+	s := vecScratchPool.Get().(*vecScratch)
+	defer vecScratchPool.Put(s)
+	s.sample = append(s.sample[:0], sample...)
+	slices.Sort(s.sample)
+	return s.summarize(g)
+}
+
 // SketchVector computes one originator's feature vector from its sketch
-// stats: static fractions, entropies, and dispersion come from the
-// bottom-k sample (scaled to the footprint estimate where the feature
-// is a count), Queriers carries the HLL estimate. Returns nil when the
-// sample is empty. The computation is a pure function of (stats, norms):
-// every accumulation is integer or order-normalized (normEntropy sorts),
-// so byte-identical inputs give byte-identical vectors.
-func SketchVector(g *geo.Registry, nameOf NameFunc, st SketchStats, norms SketchNorms) *Vector {
-	n := len(st.Sample)
+// stats and the Summary of st.Sample: static fractions, entropies, and
+// dispersion come from the bottom-k sample (scaled to the footprint
+// estimate where the feature is a count), Queriers carries the HLL
+// estimate. Returns nil when the sample is empty. The computation is a
+// pure function of (stats, norms): every accumulation is integer or
+// order-normalized (normEntropy sorts), so byte-identical inputs give
+// byte-identical vectors.
+func SketchVector(st SketchStats, sm *Summary, norms SketchNorms) *Vector {
+	n := sm.N
 	if n == 0 {
 		return nil
 	}
 	est := st.Estimate
 	v := &Vector{Originator: st.Originator, Queriers: est, Queries: st.Queries}
-
-	sample := slices.Clone(st.Sample)
-	slices.Sort(sample)
-	s := vecScratchPool.Get().(*vecScratch)
-	defer vecScratchPool.Put(s)
-	s.scan(g, nameOf, sample, &v.X)
-	nAS, nCountry := len(s.asns), len(s.ccs)
-	for i := 0; i < NumStatic; i++ {
-		v.X[i] /= float64(n)
-	}
+	sm.fill(v)
+	nAS, nCountry := sm.ASes, sm.Countries
 	d := v.X[NumStatic:]
 	d[DynQueriesPerQuerier] = float64(st.Queries) / float64(est)
 	d[DynPersistence] = float64(st.Buckets) / float64(norms.TotalBuckets)
-	d[DynLocalEntropy] = normEntropy(s.cs24, n, 1<<24)
-	d[DynGlobalEntropy] = normEntropy(s.cs8, n, 256)
 	// Dispersion scales from the sample to the full footprint.
 	scale := float64(est) / float64(n)
 	d[DynUniqueASes] = ratio(int(float64(nAS)*scale+0.5), norms.TotalAS)

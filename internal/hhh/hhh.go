@@ -20,7 +20,9 @@
 package hhh
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"dnsbackscatter/internal/hll"
@@ -236,30 +238,23 @@ func (s *Sketch) Merge(other *Sketch) {
 		for _, sl := range merged {
 			all = append(all, sl)
 		}
-		// Keep the largest cap slots; the same total order as eviction,
-		// inverted, so the survivors are deterministic.
-		cp := a.cap
-		sortSlotsDesc(all, a)
-		if len(all) > cp {
-			all = all[:cp]
-		}
-		a.slots = a.slots[:0]
+		// Keep the largest cap slots. The eviction order is total over
+		// distinct prefixes, so the survivors are deterministic, and a
+		// slice ascending in it is already the min-heap.
+		slices.SortFunc(all, func(x, y slot) int {
+			switch {
+			case a.less(x, y):
+				return -1
+			case a.less(y, x):
+				return 1
+			}
+			return 0
+		})
+		all = all[max(0, len(all)-a.cap):]
+		a.slots = append(a.slots[:0], all...)
 		clear(a.pos)
-		for _, sl := range all {
-			a.slots = append(a.slots, sl)
-			a.pos[sl.prefix] = len(a.slots) - 1
-			a.siftUp(len(a.slots) - 1)
-		}
-	}
-}
-
-// sortSlotsDesc orders slots by the inverse eviction order: biggest
-// count first, ties by seeded hash then prefix ascending.
-func sortSlotsDesc(sl []slot, su *summary) {
-	// Insertion sort keeps this dependency-free; summaries are small.
-	for i := 1; i < len(sl); i++ {
-		for j := i; j > 0 && su.less(sl[j-1], sl[j]); j-- {
-			sl[j], sl[j-1] = sl[j-1], sl[j]
+		for i, sl := range a.slots {
+			a.pos[sl.prefix] = i
 		}
 	}
 }
@@ -277,26 +272,12 @@ func (s *Sketch) Level(bits uint8) []Entry {
 		for _, sl := range su.slots {
 			out = append(out, Entry{Prefix: ipaddr.Addr(sl.prefix), Bits: bits, Count: sl.count, Err: sl.err})
 		}
-		sortEntries(out)
+		slices.SortFunc(out, func(a, b Entry) int {
+			return cmp.Or(cmp.Compare(b.Count, a.Count), cmp.Compare(a.Prefix, b.Prefix))
+		})
 		return out
 	}
 	return nil
-}
-
-// sortEntries orders entries count descending, prefix ascending.
-func sortEntries(es []Entry) {
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && entryLess(es[j], es[j-1]); j-- {
-			es[j], es[j-1] = es[j-1], es[j]
-		}
-	}
-}
-
-func entryLess(a, b Entry) bool {
-	if a.Count != b.Count {
-		return a.Count > b.Count
-	}
-	return a.Prefix < b.Prefix
 }
 
 // Heavy returns the level's candidates whose count reaches phi*Total.

@@ -47,15 +47,19 @@ func MustNew(p uint8) *Sketch {
 	return s
 }
 
-// Add observes a 64-bit hashed item. Callers hash their values (the
+// Add observes a 64-bit hashed item and reports whether a register rose:
+// Estimate is a function of the registers alone, so it is unchanged after
+// any run of Adds that all reported false. Callers hash their values (the
 // sensor uses the splitmix finalizer over querier addresses).
-func (s *Sketch) Add(hash uint64) {
+func (s *Sketch) Add(hash uint64) bool {
 	idx := hash >> (64 - s.p)
 	rest := hash<<s.p | 1<<(s.p-1) // guard bit keeps clz defined
 	rank := uint8(bits.LeadingZeros64(rest)) + 1
-	if rank > s.registers[idx] {
-		s.registers[idx] = rank
+	if rank <= s.registers[idx] {
+		return false
 	}
+	s.registers[idx] = rank
+	return true
 }
 
 // alpha is the bias-correction constant for m registers.

@@ -238,3 +238,81 @@ func TestBottomKClampAndReset(t *testing.T) {
 		t.Fatalf("Len=%d after reuse, want 1", b.Len())
 	}
 }
+
+// TestBottomKAddContracts pins what a caller with an expensive value
+// relies on: Add reports a change exactly when Hashes() changed, Admits
+// predicts that report without a value, a refused or duplicate hash leaves
+// the sample alone, and a duplicate keeps the value that came first.
+func TestBottomKAddContracts(t *testing.T) {
+	for _, k := range []int{1, 8, 64} {
+		b := NewBottomK[int](k)
+		st := rng.New(uint64(k))
+		for i := 0; i < 2000; i++ {
+			h := Hash64(uint64(st.Intn(300))) // ~300 distinct items, so most offers repeat
+			before := slices.Clone(b.Hashes())
+			kept, held := 0, slices.Contains(before, h)
+			if held {
+				kept = b.Values()[slices.Index(before, h)]
+			}
+			admits := b.Admits(h)
+			if !slices.Equal(b.Hashes(), before) {
+				t.Fatalf("k=%d: Admits changed the sample", k)
+			}
+			changed := b.Add(h, i+1)
+			if changed != admits {
+				t.Fatalf("k=%d offer %d: Admits said %v, Add reported %v", k, i, admits, changed)
+			}
+			if changed == slices.Equal(b.Hashes(), before) {
+				t.Fatalf("k=%d offer %d: Add reported %v, Hashes() changed: %v", k, i, changed, !changed)
+			}
+			if len(before) == k && h >= before[k-1] && changed {
+				t.Fatalf("k=%d offer %d: a hash at or above the k-th smallest was admitted", k, i)
+			}
+			if held && b.Values()[slices.Index(b.Hashes(), h)] != kept {
+				t.Fatalf("k=%d offer %d: a duplicate replaced the first value", k, i)
+			}
+			if len(b.Values()) != len(b.Hashes()) || !slices.IsSorted(b.Hashes()) {
+				t.Fatalf("k=%d offer %d: views out of step or out of order", k, i)
+			}
+		}
+		if b.Len() != k {
+			t.Fatalf("k=%d: sample holds %d after 300 distinct items", k, b.Len())
+		}
+	}
+}
+
+// TestBottomKGrowsOnDemand pins the memory contract the streaming engine
+// sizes itself by: an originator with three queriers pays for three.
+func TestBottomKGrowsOnDemand(t *testing.T) {
+	b := NewBottomK[uint64](256)
+	for v := uint64(0); v < 3; v++ {
+		b.Add(Hash64(v), v)
+	}
+	if c := cap(b.Values()) + cap(b.Hashes()); c > 16 {
+		t.Fatalf("a 3-item sample of capacity 256 holds %d slots", c)
+	}
+}
+
+// TestSketchAddReportsRegisterChange: Add is true exactly when a register
+// rose, and while it is false the estimate cannot move.
+func TestSketchAddReportsRegisterChange(t *testing.T) {
+	s := MustNew(6) // 64 registers, so both outcomes are frequent
+	st := rng.New(11)
+	rose := 0
+	for i := 0; i < 5000; i++ {
+		before, est := s.Clone(), s.Estimate()
+		changed := s.Add(Hash64(uint64(st.Intn(2000))))
+		if changed == s.Equal(before) {
+			t.Fatalf("add %d: reported %v, registers changed: %v", i, changed, !changed)
+		}
+		if !changed && s.Estimate() != est {
+			t.Fatalf("add %d: estimate moved %d -> %d with no register change", i, est, s.Estimate())
+		}
+		if changed {
+			rose++
+		}
+	}
+	if rose == 0 || rose == 5000 {
+		t.Fatalf("%d of 5000 adds raised a register: one outcome went untested", rose)
+	}
+}

@@ -67,39 +67,22 @@ func ParseCategory(s string) (Category, bool) {
 	return 0, false
 }
 
-// keyword matches a token exactly, or by prefix when the paper's list has
-// a trailing '*' (send*).
-type keyword struct {
-	text   string
-	prefix bool
-}
-
-func kws(words ...string) []keyword {
-	out := make([]keyword, len(words))
-	for i, w := range words {
-		if strings.HasSuffix(w, "*") {
-			out[i] = keyword{text: w[:len(w)-1], prefix: true}
-		} else {
-			out[i] = keyword{text: w}
-		}
-	}
-	return out
-}
-
-// tokenRules are the keyword lists from §III-C, in rule order.
+// tokenRules are the keyword lists from §III-C, in rule order. A keyword
+// matches a token exactly, or by prefix when the paper's list has a
+// trailing '*' (send*).
 var tokenRules = []struct {
 	cat      Category
-	keywords []keyword
+	keywords []string
 }{
-	{Home, kws("ap", "cable", "cpe", "customer", "dsl", "dynamic", "fiber",
-		"flets", "home", "host", "ip", "net", "pool", "pop", "retail", "user")},
-	{Mail, kws("mail", "mx", "smtp", "post", "correo", "poczta", "send*",
-		"lists", "newsletter", "zimbra", "mta", "pop", "imap")},
-	{NS, kws("cns", "dns", "ns", "cache", "resolv", "name")},
-	{FW, kws("firewall", "wall", "fw")},
-	{Antispam, kws("ironport", "spam")},
-	{WWW, kws("www")},
-	{NTP, kws("ntp")},
+	{Home, []string{"ap", "cable", "cpe", "customer", "dsl", "dynamic", "fiber",
+		"flets", "home", "host", "ip", "net", "pool", "pop", "retail", "user"}},
+	{Mail, []string{"mail", "mx", "smtp", "post", "correo", "poczta", "send*",
+		"lists", "newsletter", "zimbra", "mta", "pop", "imap"}},
+	{NS, []string{"cns", "dns", "ns", "cache", "resolv", "name"}},
+	{FW, []string{"firewall", "wall", "fw"}},
+	{Antispam, []string{"ironport", "spam"}},
+	{WWW, []string{"www"}},
+	{NTP, []string{"ntp"}},
 }
 
 // suffixRules classify infrastructure by registered-domain suffix
@@ -151,41 +134,62 @@ func Classify(name string) Category {
 	return Other
 }
 
-// classifyComponent checks one dot-separated component against the token
-// rules. Tokens are maximal alphabetic runs, so "home1-2-3-4" yields the
-// token "home" and "ironport" stays a single token (never matching "ip").
-func classifyComponent(comp string) (Category, bool) {
-	for _, r := range tokenRules {
+// exactRule maps a keyword to the index of the first token rule listing
+// it ("pop" is both home and mail: home, the earlier rule, owns it);
+// prefixRules holds the trailing-'*' keywords with theirs.
+var exactRule, prefixRules = indexTokenRules()
+
+type prefixRule struct {
+	text string
+	rule int
+}
+
+func indexTokenRules() (map[string]int, []prefixRule) {
+	exact := make(map[string]int)
+	var prefixes []prefixRule
+	for ri, r := range tokenRules {
 		for _, kw := range r.keywords {
-			if componentHasKeyword(comp, kw) {
-				return r.cat, true
+			if text, ok := strings.CutSuffix(kw, "*"); ok {
+				prefixes = append(prefixes, prefixRule{text, ri})
+			} else if _, listed := exact[kw]; !listed {
+				exact[kw] = ri
 			}
 		}
 	}
-	return 0, false
+	return exact, prefixes
 }
 
-func componentHasKeyword(comp string, kw keyword) bool {
-	for i := 0; i < len(comp); {
+// classifyComponent checks one dot-separated component against the token
+// rules. Tokens are maximal alphabetic runs, so "home1-2-3-4" yields the
+// token "home" and "ironport" stays a single token (never matching "ip").
+// The component is tokenised once: "the first rule in order that any token
+// matches" is the minimum over tokens of each token's first rule.
+func classifyComponent(comp string) (Category, bool) {
+	best := len(tokenRules)
+	for i := 0; i < len(comp) && best > 0; {
 		if !isAlpha(comp[i]) {
 			i++
 			continue
 		}
-		j := i
+		j := i + 1
 		for j < len(comp) && isAlpha(comp[j]) {
 			j++
 		}
 		tok := comp[i:j]
-		if kw.prefix {
-			if strings.HasPrefix(tok, kw.text) {
-				return true
+		if ri, ok := exactRule[tok]; ok && ri < best {
+			best = ri
+		}
+		for _, p := range prefixRules {
+			if p.rule < best && strings.HasPrefix(tok, p.text) {
+				best = p.rule
 			}
-		} else if tok == kw.text {
-			return true
 		}
 		i = j
 	}
-	return false
+	if best == len(tokenRules) {
+		return 0, false
+	}
+	return tokenRules[best].cat, true
 }
 
 func isAlpha(c byte) bool {

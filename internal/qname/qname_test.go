@@ -1,6 +1,7 @@
 package qname
 
 import (
+	"strings"
 	"testing"
 
 	"dnsbackscatter/internal/ipaddr"
@@ -185,12 +186,134 @@ func TestDomainUsesCCTLD(t *testing.T) {
 	}
 }
 
+// referenceClassify is the matcher Classify replaced, kept as the oracle:
+// the same prelude and suffix rules, then every component re-tokenised
+// once for each keyword of each rule, in rule order.
+func referenceClassify(name string) Category {
+	if name == "" {
+		return NXDomain
+	}
+	name = strings.ToLower(strings.TrimSuffix(name, "."))
+	for _, r := range suffixRules {
+		for _, suf := range r.suffixes {
+			if strings.HasSuffix(name, suf) {
+				return r.cat
+			}
+		}
+	}
+	for _, comp := range strings.Split(name, ".") {
+		for _, r := range tokenRules {
+			for _, kw := range r.keywords {
+				if referenceHasKeyword(comp, kw) {
+					return r.cat
+				}
+			}
+		}
+	}
+	return Other
+}
+
+func referenceHasKeyword(comp, kw string) bool {
+	text, prefix := strings.CutSuffix(kw, "*")
+	for i := 0; i < len(comp); {
+		if !isAlpha(comp[i]) {
+			i++
+			continue
+		}
+		j := i
+		for j < len(comp) && isAlpha(comp[j]) {
+			j++
+		}
+		tok := comp[i:j]
+		if prefix {
+			if strings.HasPrefix(tok, text) {
+				return true
+			}
+		} else if tok == text {
+			return true
+		}
+		i = j
+	}
+	return false
+}
+
+// TestClassifyMatchesReference compares the single-pass tokeniser with the
+// keyword-by-keyword reference on every category the generator can name,
+// over 20 seeds, and on hand cases aimed at where one pass could differ.
+func TestClassifyMatchesReference(t *testing.T) {
+	check := func(name string) {
+		t.Helper()
+		if got, want := Classify(name), referenceClassify(name); got != want {
+			t.Errorf("Classify(%q) = %v, reference says %v", name, got, want)
+		}
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		g, st := NewGenerator(rng.New(seed)), rng.New(seed+100)
+		for cat := Category(0); cat < NumCategories; cat++ {
+			for i := 0; i < 50; i++ {
+				check(g.Name(cat, ipaddr.Addr(st.Uint64()), "jp"))
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		want Category
+	}{
+		{"MaIl7.Example.JP.", Mail},                 // mixed case, trailing dot
+		{"pop.example.com", Home},                   // listed by home and by mail
+		{"pop3-imap.example.com", Home},             // a later token must not raise the rule
+		{"imap-pop3.example.com", Home},             // nor an earlier one hide it
+		{"sender7.example.com", Mail},               // send* by prefix
+		{"send.example.com", Mail},                  // the bare prefix
+		{"sen.example.com", Other},                  // shorter than the prefix
+		{"ironport.example.com", Antispam},          // never "ip"
+		{"ip-ironport.example.com", Home},           // unless ip is a token of its own
+		{"ntp-www-fw.example.com", FW},              // lowest rule of three tokens
+		{"a1b2mx3.example.com", Mail},               // digits break tokens
+		{"x--dsl__7.example.com", Home},             // so do hyphens and underscores
+		{"a..b", Other},                             // empty components
+		{"..mail", Mail},                            //
+		{".", Other},                                // the root alone
+		{"zeus.ns.example.com", NS},                 // a later component, when the first has none
+		{"www.mail.example.com", WWW},               // the leftmost matching component wins
+		{"mail.deploy.akamaitechnologies.com", CDN}, // a suffix rule beats a token
+		{"ns1.google.com.", Google},                 //
+		{"ma\x00il.example.com", Other},             // bytes that are not letters break tokens
+		{"ma\xffil\xc4\xb0.example.com", Other},     //
+	} {
+		check(c.name)
+		if got := Classify(c.name); got != c.want {
+			t.Errorf("Classify(%q) = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// FuzzClassify holds Classify to the reference on arbitrary strings. The
+// seeds are keyword fragments and separators, so mutation assembles names
+// that straddle rules.
+func FuzzClassify(f *testing.F) {
+	for _, seed := range []string{"", ".", "pop", "send", "sendx", "ip", "ironport", "mail-ns", "www.ntp",
+		"dsl1-2.fw", "A.B.", "cache9.amazonaws.com", ".google.com", "x.1e100.net.", "imap\x00pop", "\xff.mx"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		if got, want := Classify(name), referenceClassify(name); got != want {
+			t.Fatalf("Classify(%q) = %v, reference says %v", name, got, want)
+		}
+	})
+}
+
+// BenchmarkClassify covers the spread of costs: a first-rule hit, a
+// one-token mail name, a suffix hit, and — the expensive end — names no
+// rule matches, whose every token of every component is looked up.
 func BenchmarkClassify(b *testing.B) {
 	names := []string{
 		"home1-2-3-4.telecom5.jp",
 		"mail.example.com",
 		"a10-2-3-4.deploy.akamaitechnologies.com",
 		"zeus17.example.com",
+		"srv12-core.vpn3.metro41.co.jp", // other, five components
+		"db7.node-eagle.orbit9.de",      // other, three components ahead of the TLD
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

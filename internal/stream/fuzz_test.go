@@ -54,7 +54,9 @@ func hostileNames(a ipaddr.Addr) (string, bool) {
 // engine and checks the safety contract: no panics on any byte soup,
 // the tracked-originator count never exceeds the hard bound, and
 // snapshots stay canonical — repeated rendering and a fresh replay of
-// the same batches are byte-identical.
+// the same batches are byte-identical. It also holds the engine to
+// TestRescoreHistoryInvariant on the same input: the last of however many
+// ten-minute re-scores the records forced equals one cold score.
 func FuzzStreamIngest(f *testing.F) {
 	// Seeds: empty, an ordered burst, duplicate+reversed timestamps, and
 	// a boundary-hopping pair (also checked in as files under testdata).
@@ -80,20 +82,27 @@ func FuzzStreamIngest(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		batch, maxOrig, recs := decodeFuzz(data)
-		mk := func() *Engine {
-			return New(Config{
-				Geo:            geo.NewRegistry(9),
-				NameOf:         hostileNames,
-				Scorer:         parityScorer{},
-				MinQueriers:    2,
-				MaxOriginators: maxOrig,
-				SampleK:        8,
-				HHHCapacity:    16,
-				DedupSlots:     1 << 10,
-				Epoch:          10 * simtime.Minute,
-				Seed:           1,
-				Workers:        1, // worker invariance is pinned by TestWorkerDeterminism
-			})
+		cfg := Config{
+			Geo:            geo.NewRegistry(9),
+			NameOf:         hostileNames,
+			Scorer:         parityScorer{},
+			MinQueriers:    2,
+			MaxOriginators: maxOrig,
+			SampleK:        8,
+			HHHCapacity:    16,
+			DedupSlots:     1 << 10,
+			Epoch:          10 * simtime.Minute,
+			Seed:           1,
+			Workers:        1, // worker invariance is pinned by TestWorkerDeterminism
+		}
+		// One record at time 0 ahead of the input starts every engine on
+		// the same epoch floor, whatever its epoch; final is the first
+		// epoch boundary beyond every record.
+		recs = append([]dnslog.Record{{}}, recs...)
+		epoch := simtime.Time(cfg.Epoch)
+		final := epoch
+		for _, r := range recs {
+			final = max(final, r.Time-r.Time%epoch+epoch)
 		}
 		run := func(e *Engine) {
 			for i := 0; i < len(recs); i += batch {
@@ -106,18 +115,21 @@ func FuzzStreamIngest(f *testing.F) {
 					t.Fatalf("tracked %d exceeds bound %d after batch %d", got, max, i/batch)
 				}
 			}
-			e.Tick(e.Status().Watermark + 1)
+			e.Tick(final)
 		}
-		e1 := mk()
+		e1 := New(cfg)
 		run(e1)
 		snap := e1.Snapshot()
 		if again := e1.Snapshot(); !bytes.Equal(snap, again) {
 			t.Fatal("snapshot is not idempotent")
 		}
-		e2 := mk()
+		e2 := New(cfg)
 		run(e2)
 		if replay := e2.Snapshot(); !bytes.Equal(snap, replay) {
 			t.Fatal("replaying identical batches changed snapshot bytes")
+		}
+		if d := diffVectors(e1.Vectors(), coldScore(t, cfg, recs, batch, final)); d != "" {
+			t.Fatalf("%d re-scores and one cold score disagree: %s", e1.Status().Epochs, d)
 		}
 	})
 }

@@ -52,11 +52,16 @@ type Scorer interface {
 }
 
 // Config parameterizes an Engine. Zero values take the documented
-// defaults; Geo and NameOf are required.
+// defaults; Geo and NameOf are required, and both must be pure for the
+// engine's lifetime: a querier's name is read once, when it enters an
+// originator's sample, and its AS and country whenever a sample is
+// summarized, so an answer that changed later would make a vector depend
+// on when its originator was last touched.
 type Config struct {
 	// Geo resolves querier addresses to AS and country.
 	Geo *geo.Registry
-	// NameOf resolves querier reverse names for static features.
+	// NameOf resolves querier reverse names for static features. It runs
+	// on the ingest workers, so it must be safe for concurrent use.
 	NameOf features.NameFunc
 	// Scorer, when non-nil, classifies analyzable originators at every
 	// epoch tick. Nil keeps sketches without verdicts.
@@ -109,12 +114,30 @@ type dedupSlot struct {
 // unbounded streams; buckets arriving out of order behind the high-water
 // bucket are not re-counted (a vanishing undercount on sensor feeds,
 // which are near-ordered).
+//
+// est and summary cache what a re-score derives from the two sketches;
+// ingest marks each stale when it changes the sketch under it, so an epoch
+// pays for the originators that moved, not for every one tracked.
 type agg struct {
 	queriers   *hll.Sketch
-	sample     *hll.BottomK[ipaddr.Addr]
+	sample     *hll.BottomK[features.Sampled]
 	queries    int
 	lastBucket int
 	nbuckets   int
+
+	est          uint64
+	summary      features.Summary
+	estStale     bool
+	summaryStale bool
+}
+
+// estimate returns the HLL footprint, recomputed only if a register rose
+// since it was last read.
+func (a *agg) estimate() uint64 {
+	if a.estStale {
+		a.est, a.estStale = a.queriers.Estimate(), false
+	}
+	return a.est
 }
 
 // shard is one originator partition: its slice of the dedup table, its
@@ -281,7 +304,11 @@ func (e *Engine) ingestLocked(recs []dnslog.Record) {
 	e.cfg.Obs.Counter("stream_records_total").Add(uint64(len(recs)))
 }
 
-// observe feeds one record into a shard: sliding dedup, then sketches.
+// observe feeds one record into a shard: sliding dedup, then sketches. A
+// querier is named and classified here, and only when the originator's
+// sample admits it — every later epoch reads the category from the sample.
+//
+//bslint:hotpath
 func (sh *shard) observe(r dnslog.Record, cfg *Config) {
 	if cfg.DedupWindow > 0 {
 		key := hll.Hash64(uint64(r.Originator)<<32 ^ uint64(r.Querier))
@@ -295,21 +322,17 @@ func (sh *shard) observe(r dnslog.Record, cfg *Config) {
 	sh.kept++
 	a := sh.aggs[r.Originator]
 	if a == nil {
-		if len(sh.aggs) >= sh.cap {
-			sh.evict()
-		}
-		a = &agg{
-			queriers: hll.MustNew(11),
-			sample:   hll.NewBottomK[ipaddr.Addr](cfg.SampleK),
-			// lastBucket below any real bucket so the first record counts.
-			lastBucket: -1 << 62,
-		}
-		sh.aggs[r.Originator] = a
+		a = sh.track(r.Originator, cfg.SampleK)
 	}
 	a.queries++
 	h := hll.Hash64(uint64(r.Querier))
-	a.queriers.Add(h)
-	a.sample.Add(h, r.Querier)
+	if a.queriers.Add(h) {
+		a.estStale = true
+	}
+	if a.sample.Admits(h) {
+		a.sample.Add(h, features.SampleOf(cfg.NameOf, r.Querier))
+		a.summaryStale = true
+	}
 	if b := r.Time.TenMinuteBucket(); b > a.lastBucket {
 		a.lastBucket = b
 		a.nbuckets++
@@ -318,6 +341,22 @@ func (sh *shard) observe(r dnslog.Record, cfg *Config) {
 	// originators later evicted from the agg table stays aggregated.
 	sh.hhhOrig.Add(r.Originator, 1)
 	sh.hhhQry.Add(r.Querier, 1)
+}
+
+// track starts an originator's evidence, evicting first if the shard is
+// full.
+func (sh *shard) track(orig ipaddr.Addr, sampleK int) *agg {
+	if len(sh.aggs) >= sh.cap {
+		sh.evict()
+	}
+	a := &agg{
+		queriers: hll.MustNew(11),
+		sample:   hll.NewBottomK[features.Sampled](sampleK),
+		// lastBucket below any real bucket so the first record counts.
+		lastBucket: -1 << 62,
+	}
+	sh.aggs[orig] = a
+	return a
 }
 
 // evict drops the quarter of the shard's originators with the smallest
@@ -330,7 +369,7 @@ func (sh *shard) evict() {
 	}
 	all := make([]entry, 0, len(sh.aggs))
 	for a, ag := range sh.aggs {
-		all = append(all, entry{a, ag.queriers.Estimate()})
+		all = append(all, entry{a, ag.estimate()})
 	}
 	slices.SortFunc(all, func(x, y entry) int {
 		if x.n != y.n {
@@ -363,6 +402,20 @@ func (e *Engine) Tick(at simtime.Time) {
 	}
 }
 
+// gather lists the shard's originators into out, which has room for them.
+// Each sample is a view of its sketch, good until ingest resumes.
+func (sh *shard) gather(out []features.SketchStats) {
+	for orig, a := range sh.aggs {
+		out = append(out, features.SketchStats{
+			Originator: orig,
+			Estimate:   int(a.estimate()),
+			Queries:    a.queries,
+			Buckets:    a.nbuckets,
+			Sample:     a.sample.Values(),
+		})
+	}
+}
+
 // rescoreLocked classifies the tracked population from current sketch
 // state and updates verdict/churn series. Callers hold e.mu.
 func (e *Engine) rescoreLocked(at simtime.Time) {
@@ -370,23 +423,20 @@ func (e *Engine) rescoreLocked(at simtime.Time) {
 	e.epochs++
 	e.lastScore = at
 
-	// Gather stats shard by shard in fixed order, then sort: the input
-	// to norm and vector computation is canonical whatever the map
-	// iteration produced.
-	var stats []features.SketchStats
-	tracked := 0
-	for _, sh := range e.shards {
-		tracked += len(sh.aggs)
-		for orig, a := range sh.aggs {
-			stats = append(stats, features.SketchStats{
-				Originator: orig,
-				Estimate:   int(a.queriers.Estimate()),
-				Queries:    a.queries,
-				Buckets:    a.nbuckets,
-				Sample:     a.sample.Values(),
-			})
-		}
+	// Gather stats shard by shard, each into its own run of one buffer and
+	// on a worker of its own as in ingest, then sort: the input to norm
+	// and vector computation is canonical whatever the map iteration
+	// produced. The gather is uninstrumented: parallel_shards_total of
+	// this stage counts analyzable originators.
+	var off [engineShards + 1]int
+	for s, sh := range e.shards {
+		off[s+1] = off[s] + len(sh.aggs)
 	}
+	tracked := off[engineShards]
+	stats := make([]features.SketchStats, tracked)
+	parallel.Pool{Workers: e.cfg.Workers}.Each(engineShards, func(s int) {
+		e.shards[s].gather(stats[off[s]:off[s]:off[s+1]])
+	})
 	slices.SortFunc(stats, func(a, b features.SketchStats) int {
 		return cmp.Compare(a.Originator, b.Originator)
 	})
@@ -402,25 +452,36 @@ func (e *Engine) rescoreLocked(at simtime.Time) {
 			analyzable = append(analyzable, st)
 		}
 	}
+	// Vector and verdict per originator on the pool; the serial tail only
+	// tallies. A summary is recomputed only if its sample changed.
+	classes := make([]activity.Class, len(analyzable))
 	pool := parallel.Pool{Workers: e.cfg.Workers, Obs: e.cfg.Obs, Stage: "stream-rescore", Acct: e.cfg.Acct}
 	vecs := parallel.Map(pool, len(analyzable), func(i int) *features.Vector {
-		return features.SketchVector(e.cfg.Geo, e.cfg.NameOf, analyzable[i], norms)
+		st := analyzable[i]
+		a := e.shards[features.ShardOf(st.Originator)].aggs[st.Originator]
+		if a.summaryStale {
+			a.summary, a.summaryStale = features.Summarize(e.cfg.Geo, st.Sample), false
+		}
+		v := features.SketchVector(st, &a.summary, norms)
+		if v != nil && e.cfg.Scorer != nil {
+			classes[i] = e.cfg.Scorer.Classify(v)
+		}
+		return v
 	})
 	out := vecs[:0]
-	for _, v := range vecs {
+	for i, v := range vecs {
 		if v != nil {
+			classes[len(out)] = classes[i]
 			out = append(out, v)
 		}
 	}
-	features.SortVectors(out)
-	e.vectors = out
 
 	if e.cfg.Scorer != nil {
 		verdicts := make(map[ipaddr.Addr]activity.Class, len(out))
 		var perClass [activity.NumClasses]uint64
 		churned := 0
-		for _, v := range out {
-			c := e.cfg.Scorer.Classify(v)
+		for i, v := range out {
+			c := classes[i]
 			verdicts[v.Originator] = c
 			perClass[c]++
 			if prev, ok := e.verdicts[v.Originator]; ok && prev != c {
@@ -436,6 +497,8 @@ func (e *Engine) rescoreLocked(at simtime.Time) {
 		}
 		e.cfg.Obs.Counter("stream_verdict_churn_total").AddAt(uint64(churned), at)
 	}
+	features.SortVectors(out)
+	e.vectors = out
 	e.cfg.Obs.Counter("stream_epochs_total").IncAt(at)
 	e.cfg.Obs.Gauge("stream_tracked_originators").SetAt(int64(tracked), at)
 	tok.End()

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -322,6 +323,54 @@ func BenchmarkEngineIngest(b *testing.B) {
 	}
 	if kept := e.Status().Kept; kept != uint64(b.N*len(recs)) {
 		b.Fatalf("kept %d of %d records: the benchmark measured dedup hits", kept, b.N*len(recs))
+	}
+}
+
+// BenchmarkEngineRescore times one epoch re-score of 4096 tracked,
+// analyzable originators, of which the given share received a new querier
+// since the last one (ingest itself is untimed). The spread between the
+// sub-cases is what the engine's stale bits buy; the 0 % case is the floor
+// every epoch pays for gathering, norms and the scorer.
+func BenchmarkEngineRescore(b *testing.B) {
+	for _, share := range []int{0, 10, 100} {
+		b.Run(fmt.Sprintf("touched=%d%%", share), func(b *testing.B) {
+			const nOrig = 4096
+			cfg := testConfig(0)
+			cfg.Epoch = 1 << 40
+			cfg.MaxOriginators = 2 * nOrig
+			e := New(cfg)
+			st := rng.New(1)
+			at := simtime.Time(0)
+			fresh := func(o int) dnslog.Record {
+				return dnslog.Record{Time: at, Originator: ipaddr.FromOctets(192, byte(o>>8), byte(o), 1),
+					Querier: ipaddr.Addr(st.Uint64())}
+			}
+			var recs []dnslog.Record
+			for o := 0; o < nOrig; o++ {
+				for q := 0; q < 24; q++ {
+					recs = append(recs, fresh(o))
+				}
+			}
+			e.Ingest(recs)
+			at++
+			e.Tick(at)
+			if got := e.Status().Analyzable; got != nOrig {
+				b.Fatalf("%d of %d originators analyzable", got, nOrig)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				recs = recs[:0]
+				for o := 0; o < nOrig*share/100; o++ {
+					recs = append(recs, fresh(o))
+				}
+				e.Ingest(recs)
+				at++
+				b.StartTimer()
+				e.Tick(at)
+			}
+		})
 	}
 }
 

@@ -58,7 +58,10 @@ func DefaultStreamSpec() StreamSpec {
 // registry, querier-name source, analyzability threshold, seed, and
 // observability sinks. scorer may be a trained *Model or nil (sketches
 // without verdicts). Feed records with Ingest; epoch boundaries re-score
-// automatically and Tick forces a final score.
+// automatically and Tick forces a final score. The engine reads a
+// querier's name once, when the querier enters an originator's sample, so
+// it must be fed after the world is built: World.QuerierName is a pure
+// function of the address from then on (stream.Config.NameOf).
 //
 //bslint:detroot
 func (d *Dataset) NewStream(spec StreamSpec, scorer StreamScorer) *StreamEngine {
