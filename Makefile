@@ -63,7 +63,8 @@ cover:
 		-pkgfloor dnsbackscatter/cmd/bsserve=35 < cover-packages.txt
 	@rm -f cover-packages.txt
 
-# Short fuzz smoke on the wire codec, the streaming engine and the name
+# Short fuzz smoke on the wire codec, the streaming engine, the
+# heavy-hitters sketch (against its linear-scan reference) and the name
 # classifier (against its keyword-by-keyword reference): ten seconds per
 # target. Crashers land in the package's testdata/fuzz/ and
 # from then on run as plain regression tests on every `go test`.
@@ -71,6 +72,7 @@ fuzz:
 	$(GO) test ./internal/dnswire -run '^$$' -fuzz FuzzDecode -fuzztime 10s
 	$(GO) test ./internal/dnswire -run '^$$' -fuzz FuzzRoundTrip -fuzztime 10s
 	$(GO) test ./internal/stream -run '^$$' -fuzz FuzzStreamIngest -fuzztime 10s
+	$(GO) test ./internal/hhh -run '^$$' -fuzz FuzzSketchOps -fuzztime 10s
 	$(GO) test ./internal/qname -run '^$$' -fuzz FuzzClassify -fuzztime 10s
 
 # Streaming-engine soak: ~700k records across 12 epochs at >10x the

@@ -414,11 +414,7 @@ func main() {
 	// A seeded profile source: the same deterministic reverse-zone
 	// distribution the simulator uses, re-keyed by this server's seed.
 	profile := func(a ipaddr.Addr) dnssim.OriginatorProfile {
-		p := dnssim.DefaultProfile(a + ipaddr.Addr(*seed))
-		if p.HasName {
-			p.Name = "host-" + a.String() + ".example.net"
-		}
-		return p
+		return dnssim.SeededProfile(a, *seed)
 	}
 
 	if plan != nil {

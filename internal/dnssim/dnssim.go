@@ -149,8 +149,13 @@ type ProfileFunc func(ipaddr.Addr) OriginatorProfile
 // DefaultProfile derives a deterministic, plausible profile from the
 // address alone: ~80% of originators have reverse names, TTLs drawn from
 // common operational values, and a few percent sit behind dead servers.
-func DefaultProfile(a ipaddr.Addr) OriginatorProfile {
-	h := hash64(uint64(a), 0x9d5f)
+func DefaultProfile(a ipaddr.Addr) OriginatorProfile { return SeededProfile(a, 0) }
+
+// SeededProfile is DefaultProfile for a zone re-keyed by seed: a's posture
+// (named or not, TTLs, dead authority) is the one DefaultProfile gives the
+// address a + seed, wrapping at 2^32, while the name is a's own.
+func SeededProfile(a ipaddr.Addr, seed uint64) OriginatorProfile {
+	h := hash64(uint64(a+ipaddr.Addr(seed)), 0x9d5f)
 	var p OriginatorProfile
 	switch {
 	case h%100 < 78:

@@ -246,6 +246,33 @@ func TestDefaultProfileDeterministic(t *testing.T) {
 	}
 }
 
+// TestSeededProfileMatchesRekeyedDefault pins SeededProfile to what
+// bsserve's zone closure computed before it existed — DefaultProfile of
+// a + seed with the name rebuilt from a — so no served or logged byte moves.
+// The seeds include one above 2^32 (only its low half re-keys) and
+// addresses that a + seed wraps.
+func TestSeededProfileMatchesRekeyedDefault(t *testing.T) {
+	for _, seed := range []uint64{1404, 1<<32 + 7, 0xfffffffe} {
+		for i := 0; i < 10000; i++ {
+			a := ipaddr.Addr(uint32(i) * 2654435761)
+			if i < 16 {
+				a = ipaddr.Addr(0xffffffff - uint32(i)) // a + seed passes 2^32
+			}
+			want := DefaultProfile(a + ipaddr.Addr(seed))
+			if want.HasName {
+				want.Name = "host-" + a.String() + ".example.net"
+			}
+			if got := SeededProfile(a, seed); got != want {
+				t.Fatalf("SeededProfile(%v, %d) = %+v, want %+v", a, seed, got, want)
+			}
+		}
+	}
+	a := ipaddr.MustParse("192.0.2.1")
+	if SeededProfile(a, 0) != DefaultProfile(a) {
+		t.Error("seed 0 is not DefaultProfile")
+	}
+}
+
 func TestDefaultProfileMix(t *testing.T) {
 	var named, nameless, unreach int
 	for i := 0; i < 10000; i++ {

@@ -14,9 +14,14 @@
 // and any prefix whose true mass exceeds Total/capacity is guaranteed a
 // slot. Eviction picks the minimum slot by (count, seeded splitmix64
 // hash of the prefix, prefix) — a total order with no dependence on map
-// iteration or arrival interleaving, so two sketches fed the same
-// multiset of addresses are identical and snapshots are byte-stable at
-// any worker count.
+// iteration, so a sketch is a function of the sequence of operations on
+// it: the same sequence gives identical sketches, and snapshots are
+// byte-stable at any worker count. While no level has evicted, counts are
+// exact and only the multiset of addresses matters; once one has, an
+// arbitrary reordering can change which near-minimum slot an eviction
+// hits. Merge is commutative (a into b and b into a hold the same slots),
+// and a many-way merge is order-free while the union fits the capacity;
+// past it the engine's fixed shard order is what keeps the bytes stable.
 package hhh
 
 import (
@@ -45,25 +50,28 @@ func (e Entry) String() string {
 	return fmt.Sprintf("%s/%d %d±%d", e.Prefix, e.Bits, e.Count, e.Err)
 }
 
-// slot is one tracked prefix in a level summary.
+// slot is one tracked prefix in a level summary. A slot keeps its index
+// for life: a newcomer that evicts a prefix takes over its slot in place.
 type slot struct {
 	prefix uint32
+	hpos   int32 // index of the slot's heap entry, once the heap exists
 	count  uint64
 	err    uint64
 	tie    uint64 // seeded hash of the prefix, the deterministic tiebreak
 }
 
-// summary is a space-saving counter set with a position-tracked min-heap,
-// so eviction of the minimum slot is O(log capacity) per update.
-type summary struct {
-	cap   int
-	slots []slot // min-heap ordered by less
-	pos   map[uint32]int
+// entry is one slot's place in the eviction heap. It carries the whole
+// ordering key, so a sift reads the heap array alone.
+type entry struct {
+	count  uint64
+	tie    uint64
+	prefix uint32
+	slot   int32
 }
 
-// less orders the eviction heap: smallest count first, seeded hash then
+// less is the eviction order: smallest count first, seeded hash then
 // prefix breaking ties so the victim never depends on arrival order.
-func (su *summary) less(a, b slot) bool {
+func (a entry) less(b entry) bool {
 	if a.count != b.count {
 		return a.count < b.count
 	}
@@ -73,61 +81,89 @@ func (su *summary) less(a, b slot) bool {
 	return a.prefix < b.prefix
 }
 
-func (su *summary) swap(i, j int) {
-	su.slots[i], su.slots[j] = su.slots[j], su.slots[i]
-	su.pos[su.slots[i].prefix] = i
-	su.pos[su.slots[j].prefix] = j
+// summary is a space-saving counter set. The victim of an eviction is the
+// unique minimum of a total order, so the structure that finds it is free:
+// slots sit wherever they were first appended, pos is written only when a
+// prefix enters or leaves, and the min-heap over the slots is built when
+// the summary first has to evict — a level that never fills pays a lookup
+// and an increment per update and nothing else. Merge and Reset drop the
+// heap (heap[:0]); while it exists it has one entry per slot.
+type summary struct {
+	cap   int
+	slots []slot
+	pos   map[uint32]int32 // prefix → index in slots
+	heap  []entry
 }
 
-func (su *summary) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !su.less(su.slots[i], su.slots[p]) {
-			return
-		}
-		su.swap(i, p)
-		i = p
-	}
-}
-
+// siftDown restores heap order below i after heap[i]'s key rose. Counts
+// only grow and a newcomer enters at the root, so nothing ever sifts up.
+//
+//bslint:hotpath
 func (su *summary) siftDown(i int) {
-	n := len(su.slots)
+	h := su.heap
+	e := h[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && su.less(su.slots[l], su.slots[small]) {
-			small = l
+		c := 2*i + 1
+		if c >= len(h) {
+			break
 		}
-		if r < n && su.less(su.slots[r], su.slots[small]) {
-			small = r
+		if r := c + 1; r < len(h) && h[r].less(h[c]) {
+			c = r
 		}
-		if small == i {
-			return
+		if !h[c].less(e) {
+			break
 		}
-		su.swap(i, small)
-		i = small
+		h[i] = h[c]
+		su.slots[h[i].slot].hpos = int32(i)
+		i = c
+	}
+	h[i] = e
+	su.slots[e.slot].hpos = int32(i)
+}
+
+// heapify builds the eviction heap over the slots, O(cap).
+func (su *summary) heapify() {
+	su.heap = slices.Grow(su.heap[:0], len(su.slots))
+	for i := range su.slots {
+		sl := &su.slots[i]
+		sl.hpos = int32(i)
+		su.heap = append(su.heap, entry{count: sl.count, tie: sl.tie, prefix: sl.prefix, slot: int32(i)})
+	}
+	for i := len(su.heap)/2 - 1; i >= 0; i-- {
+		su.siftDown(i)
 	}
 }
 
-// add offers n observations of prefix with tiebreak hash tie.
-func (su *summary) add(prefix uint32, tie, n uint64) {
+// add offers n observations of prefix, whose tiebreak is hashed from seed
+// and level only if it has to be inserted.
+//
+//bslint:hotpath
+func (su *summary) add(prefix uint32, n, seed uint64, li int) {
 	if i, ok := su.pos[prefix]; ok {
-		su.slots[i].count += n
-		su.siftDown(i)
+		sl := &su.slots[i]
+		sl.count += n
+		if len(su.heap) > 0 {
+			su.heap[sl.hpos].count = sl.count
+			su.siftDown(int(sl.hpos))
+		}
 		return
 	}
+	tie := tieOf(seed, li, prefix)
 	if len(su.slots) < su.cap {
+		su.pos[prefix] = int32(len(su.slots))
 		su.slots = append(su.slots, slot{prefix: prefix, count: n, tie: tie})
-		su.pos[prefix] = len(su.slots) - 1
-		su.siftUp(len(su.slots) - 1)
 		return
 	}
-	// Evict the deterministic minimum: the newcomer inherits its count
-	// as over-estimate and records it as the error bound.
-	victim := su.slots[0]
-	delete(su.pos, victim.prefix)
-	su.slots[0] = slot{prefix: prefix, count: victim.count + n, err: victim.count, tie: tie}
-	su.pos[prefix] = 0
+	// Evict the deterministic minimum: the newcomer takes its slot,
+	// inherits its count as over-estimate and records it as the error bound.
+	if len(su.heap) == 0 {
+		su.heapify()
+	}
+	v := su.heap[0]
+	delete(su.pos, v.prefix)
+	su.pos[prefix] = v.slot
+	su.slots[v.slot] = slot{prefix: prefix, count: v.count + n, err: v.count, tie: tie}
+	su.heap[0] = entry{count: v.count + n, tie: tie, prefix: prefix, slot: v.slot}
 	su.siftDown(0)
 }
 
@@ -137,7 +173,61 @@ func (su *summary) min() uint64 {
 	if len(su.slots) < su.cap {
 		return 0
 	}
-	return su.slots[0].count
+	m := su.slots[0].count
+	for _, sl := range su.slots[1:] {
+		m = min(m, sl.count)
+	}
+	return m
+}
+
+// merge folds b into su by the rule Sketch.Merge documents. It needs no
+// scratch index: b's prefixes are distinct, so each is looked up once in
+// su's own pos, and eviction order matters only if the union outgrows the
+// capacity.
+func (su *summary) merge(b *summary) {
+	minA, minB := su.min(), b.min()
+	su.heap = su.heap[:0]
+	for i := range su.slots {
+		su.slots[i].count += minB
+		su.slots[i].err += minB
+	}
+	held := len(su.slots)
+	for _, sl := range b.slots {
+		if i, ok := su.pos[sl.prefix]; ok {
+			// b does hold it: its own count and error replace the minimum
+			// charged above (sl.count ≥ minB, and the error was just raised
+			// by minB, so neither difference wraps).
+			a := &su.slots[i]
+			a.count += sl.count - minB
+			a.err = a.err - minB + sl.err
+			continue
+		}
+		su.slots = append(su.slots, slot{prefix: sl.prefix, count: sl.count + minA, err: sl.err + minA, tie: sl.tie})
+	}
+	if len(su.slots) <= su.cap {
+		for i := held; i < len(su.slots); i++ {
+			su.pos[su.slots[i].prefix] = int32(i)
+		}
+		return
+	}
+	// Keep the largest cap slots: evict the union's minimum until it fits.
+	// The eviction order is total over distinct prefixes, so the survivors
+	// are deterministic. They then close ranks, which moves them off the
+	// indices the heap and pos know.
+	su.heapify()
+	for len(su.heap) > su.cap {
+		su.slots[su.heap[0].slot].hpos = -1
+		last := len(su.heap) - 1
+		su.heap[0] = su.heap[last]
+		su.heap = su.heap[:last]
+		su.siftDown(0)
+	}
+	su.heap = su.heap[:0]
+	su.slots = slices.DeleteFunc(su.slots, func(sl slot) bool { return sl.hpos < 0 })
+	clear(su.pos)
+	for i, sl := range su.slots {
+		su.pos[sl.prefix] = int32(i)
+	}
 }
 
 // Sketch tracks heavy hitters at every level of Levels. The zero value
@@ -148,16 +238,15 @@ type Sketch struct {
 	levels [len(Levels)]summary
 }
 
-// New returns a sketch with the given per-level slot capacity
-// (capacity < 1 is clamped to 1) and tiebreak seed. Two sketches must
-// share a seed to merge.
+// New returns a sketch with the given per-level slot capacity (clamped to
+// [1, 2^30], so that the two summaries a merge joins index with an int32)
+// and tiebreak seed. Two sketches must share a seed to merge. A level's
+// memory grows with the prefixes it holds, up to the capacity.
 func New(capacity int, seed uint64) *Sketch {
-	if capacity < 1 {
-		capacity = 1
-	}
+	capacity = min(max(capacity, 1), 1<<30)
 	s := &Sketch{seed: seed}
 	for i := range s.levels {
-		s.levels[i] = summary{cap: capacity, pos: make(map[uint32]int, capacity)}
+		s.levels[i] = summary{cap: capacity, pos: make(map[uint32]int32)}
 	}
 	return s
 }
@@ -177,20 +266,23 @@ func prefixAt(a ipaddr.Addr, li int) uint32 {
 	return uint32(a) &^ (1<<(32-bits) - 1)
 }
 
-// Add observes address a with weight n at every level. Unlike RHHH's
-// randomized single-level update, all levels update on every call:
-// deterministic, and cheap at four levels.
+// Add observes address a with weight n at every level; n = 0 observes
+// nothing and changes nothing. Unlike RHHH's randomized single-level
+// update, all levels update on every call: deterministic, and cheap at
+// four levels.
 func (s *Sketch) Add(a ipaddr.Addr, n uint64) {
+	if n == 0 {
+		return
+	}
 	s.total += n
 	for li := range s.levels {
-		p := prefixAt(a, li)
-		s.levels[li].add(p, s.tie(li, p), n)
+		s.levels[li].add(prefixAt(a, li), n, s.seed, li)
 	}
 }
 
-// tie computes the seeded eviction tiebreak for a prefix at a level.
-func (s *Sketch) tie(li int, prefix uint32) uint64 {
-	return hll.Hash64(s.seed ^ uint64(Levels[li])<<32 ^ uint64(prefix))
+// tieOf computes the seeded eviction tiebreak for a prefix at a level.
+func tieOf(seed uint64, li int, prefix uint32) uint64 {
+	return hll.Hash64(seed ^ uint64(Levels[li])<<32 ^ uint64(prefix))
 }
 
 // Merge folds other into s using merged space-saving semantics (Cafaro
@@ -199,7 +291,8 @@ func (s *Sketch) tie(li int, prefix uint32) uint64 {
 // error (its true mass there is provably no larger). The merged summary
 // keeps the top-capacity slots, so the over-estimate invariant and the
 // Total/capacity presence guarantee carry over to the union stream.
-// Panics if the seeds differ — tiebreaks would be incoherent.
+// Panics if the seeds differ — tiebreaks would be incoherent. other is
+// only read, and must not be s itself.
 func (s *Sketch) Merge(other *Sketch) {
 	if other == nil {
 		return
@@ -209,53 +302,7 @@ func (s *Sketch) Merge(other *Sketch) {
 	}
 	s.total += other.total
 	for li := range s.levels {
-		a, b := &s.levels[li], &other.levels[li]
-		minA, minB := a.min(), b.min()
-		inB := make(map[uint32]slot, len(b.slots))
-		for _, sl := range b.slots {
-			inB[sl.prefix] = sl
-		}
-		merged := make(map[uint32]slot, len(a.slots)+len(b.slots))
-		for _, sl := range a.slots {
-			if bs, ok := inB[sl.prefix]; ok {
-				sl.count += bs.count
-				sl.err += bs.err
-			} else {
-				sl.count += minB
-				sl.err += minB
-			}
-			merged[sl.prefix] = sl
-		}
-		for _, sl := range b.slots {
-			if _, ok := merged[sl.prefix]; ok {
-				continue
-			}
-			sl.count += minA
-			sl.err += minA
-			merged[sl.prefix] = sl
-		}
-		all := make([]slot, 0, len(merged))
-		for _, sl := range merged {
-			all = append(all, sl)
-		}
-		// Keep the largest cap slots. The eviction order is total over
-		// distinct prefixes, so the survivors are deterministic, and a
-		// slice ascending in it is already the min-heap.
-		slices.SortFunc(all, func(x, y slot) int {
-			switch {
-			case a.less(x, y):
-				return -1
-			case a.less(y, x):
-				return 1
-			}
-			return 0
-		})
-		all = all[max(0, len(all)-a.cap):]
-		a.slots = append(a.slots[:0], all...)
-		clear(a.pos)
-		for i, sl := range a.slots {
-			a.pos[sl.prefix] = i
-		}
+		s.levels[li].merge(&other.levels[li])
 	}
 }
 
@@ -298,8 +345,9 @@ func (s *Sketch) Heavy(bits uint8, phi float64) []Entry {
 
 // AppendText appends the sketch's canonical rendering to dst: one
 // "prefix/bits count err" line per slot, levels widest-last, each level
-// in Level order. Byte-identical across runs, worker counts, and merge
-// orders for the same observed multiset.
+// in Level order. Byte-identical across runs and worker counts for the
+// same sequence of operations; the package comment says what reordering
+// preserves.
 func (s *Sketch) AppendText(dst []byte) []byte {
 	for _, bits := range Levels {
 		for _, e := range s.Level(bits) {
@@ -320,7 +368,8 @@ func (s *Sketch) AppendText(dst []byte) []byte {
 func (s *Sketch) Reset() {
 	s.total = 0
 	for i := range s.levels {
-		s.levels[i].slots = s.levels[i].slots[:0]
-		clear(s.levels[i].pos)
+		su := &s.levels[i]
+		su.slots, su.heap = su.slots[:0], su.heap[:0]
+		clear(su.pos)
 	}
 }

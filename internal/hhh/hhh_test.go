@@ -2,6 +2,7 @@ package hhh
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -144,6 +145,14 @@ func TestOrderInvariance(t *testing.T) {
 	// eviction hits mid-stream, so full permutation invariance is not
 	// claimed — only invariance over the dedup-grouping above and over
 	// merge order (TestMergeGuarantees), which is what sharding needs.
+	//
+	// While no level has evicted, counts are exact and any order will do.
+	quiet := zipfStream(11, 100, 4000)
+	reversed := slices.Clone(quiet)
+	slices.Reverse(reversed)
+	if !bytes.Equal(feed(New(128, 11), quiet, 1).AppendText(nil), feed(New(128, 11), reversed, 1).AppendText(nil)) {
+		t.Error("snapshot depends on arrival order although no level filled")
+	}
 }
 
 // TestMergeGuarantees splits a stream in two, merges the halves, and
@@ -180,6 +189,25 @@ func TestMergeGuarantees(t *testing.T) {
 				t.Errorf("/%d %v: merged lower bound %d exceeds true %d", bits, e.Prefix, e.Count-e.Err, truth)
 			}
 		}
+	}
+}
+
+// TestZeroWeightAdd pins that observing nothing changes nothing: no slot
+// spent below capacity, no eviction at it (a slot must stand for observed
+// mass, which Merge's bounds assume).
+func TestZeroWeightAdd(t *testing.T) {
+	s := New(2, 1)
+	s.Add(ipaddr.MustParse("10.0.0.1"), 0)
+	if s.Total() != 0 || len(s.Level(32)) != 0 {
+		t.Fatalf("Add(a, 0) on an empty sketch left %v", s.Level(32))
+	}
+	s.Add(ipaddr.MustParse("10.0.0.1"), 5)
+	s.Add(ipaddr.MustParse("172.16.0.1"), 7)
+	before := s.AppendText(nil)
+	s.Add(ipaddr.MustParse("192.168.0.1"), 0) // every level but /8 is full
+	s.Add(ipaddr.MustParse("10.0.0.1"), 0)
+	if after := s.AppendText(nil); !bytes.Equal(before, after) || s.Total() != 12 {
+		t.Errorf("Add(a, 0) on a full sketch changed it:\n%s\nto\n%s", before, after)
 	}
 }
 
@@ -227,5 +255,44 @@ func TestSmallAndReset(t *testing.T) {
 	s.Add(a, 1)
 	if s.Total() != 1 {
 		t.Errorf("Total=%d after reuse, want 1", s.Total())
+	}
+}
+
+// BenchmarkSketchAdd times one Add (four level updates) on the two regimes
+// the engine's sketches live in: quiet, 50 prefixes that never fill a
+// level, where a structure kept for eviction is pure overhead; and churn, a
+// 43 k-address Zipf stream through 1,024 slots, the querier side, where
+// three of the four levels evict continuously.
+func BenchmarkSketchAdd(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		pop  int
+	}{{"quiet", 50}, {"churn", 43000}} {
+		b.Run(c.name, func(b *testing.B) {
+			items := zipfStream(1, c.pop, 1<<18)
+			s := feed(New(1024, 1), items, 1) // warm: every level as full as it gets
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Add(items[i&(len(items)-1)], 1)
+			}
+		})
+	}
+}
+
+// BenchmarkSketchMerge times what one Snapshot does per address space:
+// sixteen churned shard sketches merged into a fresh one.
+func BenchmarkSketchMerge(b *testing.B) {
+	var parts [16]*Sketch
+	for i := range parts {
+		parts[i] = feed(New(1024, 1), zipfStream(uint64(i)+1, 43000, 1<<16), 1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out := New(1024, 1)
+		for _, p := range parts {
+			out.Merge(p)
+		}
 	}
 }

@@ -44,6 +44,9 @@ func refMin(lv []refSlot, capacity int) uint64 {
 }
 
 func (r *refSketch) add(a ipaddr.Addr, n uint64) {
+	if n == 0 {
+		return // nothing observed
+	}
 	r.total += n
 	for li := range r.levels {
 		p := prefixAt(a, li)

@@ -27,6 +27,9 @@ import (
 type Sketch struct {
 	p         uint8
 	registers []uint8
+	// hist[r] counts the registers holding rank r (ranks end at 65−p ≤ 61):
+	// what Estimate sums, kept current wherever a register is written.
+	hist [64]uint32
 }
 
 // New returns a sketch with 2^p registers. p must be in [4, 18]; p=11
@@ -35,7 +38,9 @@ func New(p uint8) (*Sketch, error) {
 	if p < 4 || p > 18 {
 		return nil, fmt.Errorf("hll: precision %d outside [4, 18]", p)
 	}
-	return &Sketch{p: p, registers: make([]uint8, 1<<p)}, nil
+	s := &Sketch{p: p, registers: make([]uint8, 1<<p)}
+	s.hist[0] = 1 << p
+	return s, nil
 }
 
 // MustNew is New for static configuration; it panics on error.
@@ -55,10 +60,13 @@ func (s *Sketch) Add(hash uint64) bool {
 	idx := hash >> (64 - s.p)
 	rest := hash<<s.p | 1<<(s.p-1) // guard bit keeps clz defined
 	rank := uint8(bits.LeadingZeros64(rest)) + 1
-	if rank <= s.registers[idx] {
+	old := s.registers[idx]
+	if rank <= old {
 		return false
 	}
 	s.registers[idx] = rank
+	s.hist[old&63]--
+	s.hist[rank&63]++
 	return true
 }
 
@@ -79,21 +87,37 @@ func alpha(m int) float64 {
 // Estimate returns the cardinality estimate.
 func (s *Sketch) Estimate() uint64 {
 	m := float64(len(s.registers))
-	var sum float64
-	zeros := 0
-	for _, r := range s.registers {
-		sum += 1 / float64(uint64(1)<<r)
-		if r == 0 {
-			zeros++
-		}
-	}
-	e := alpha(len(s.registers)) * m * m / sum
+	e := alpha(len(s.registers)) * m * m / s.harmonic()
 	// Small-range correction: linear counting while registers are sparse.
-	if e <= 2.5*m && zeros > 0 {
+	if zeros := s.hist[0]; e <= 2.5*m && zeros > 0 {
 		e = m * math.Log(m/float64(zeros))
 	}
 	return uint64(e + 0.5)
 }
+
+// harmonic returns Σ 2^−register off the rank histogram, as Σ hist[r]·2^−r
+// — 64 multiplications where a loop over the registers divides 2^p times —
+// in two halves, ranks ≤ 32 and above. Each half adds at most 2^18
+// multiples of 2^−32 (2^−63) that are each at most 1 (2^−33), so every
+// partial sum fits a float64 exactly and the order of addition is
+// immaterial; adding the halves rounds once. The result is therefore the
+// correctly rounded sum, and the exact one — which summing register by
+// register gives too — whenever p plus the largest rank is at most 53: at
+// p = 11 that is every sketch with no rank above 42, which one hash in 2^42
+// reaches.
+func (s *Sketch) harmonic() float64 {
+	var hi, lo float64
+	for r := 0; r <= 32; r++ {
+		hi += float64(s.hist[r]) * pow2neg(r)
+	}
+	for r := 33; r < len(s.hist); r++ {
+		lo += float64(s.hist[r]) * pow2neg(r)
+	}
+	return hi + lo
+}
+
+// pow2neg returns 2^−r for 0 ≤ r < 1023, exactly.
+func pow2neg(r int) float64 { return math.Float64frombits(uint64(1023-r) << 52) }
 
 // Merge folds other into s; both must share the precision.
 func (s *Sketch) Merge(other *Sketch) error {
@@ -101,8 +125,10 @@ func (s *Sketch) Merge(other *Sketch) error {
 		return fmt.Errorf("hll: merging precision %d into %d", other.p, s.p)
 	}
 	for i, r := range other.registers {
-		if r > s.registers[i] {
+		if old := s.registers[i]; r > old {
 			s.registers[i] = r
+			s.hist[old&63]--
+			s.hist[r&63]++
 		}
 	}
 	return nil
@@ -110,7 +136,7 @@ func (s *Sketch) Merge(other *Sketch) error {
 
 // Clone returns an independent copy of the sketch.
 func (s *Sketch) Clone() *Sketch {
-	c := &Sketch{p: s.p, registers: make([]uint8, len(s.registers))}
+	c := &Sketch{p: s.p, registers: make([]uint8, len(s.registers)), hist: s.hist}
 	copy(c.registers, s.registers)
 	return c
 }
@@ -141,9 +167,8 @@ func (s *Sketch) AppendBinary(dst []byte) []byte {
 
 // Reset clears the sketch for reuse.
 func (s *Sketch) Reset() {
-	for i := range s.registers {
-		s.registers[i] = 0
-	}
+	clear(s.registers)
+	s.hist = [64]uint32{0: 1 << s.p}
 }
 
 // SizeBytes reports the sketch's register memory.

@@ -2,6 +2,7 @@ package hll
 
 import (
 	"math"
+	"math/big"
 	"testing"
 
 	"dnsbackscatter/internal/rng"
@@ -139,6 +140,156 @@ func TestHash64Avalanche(t *testing.T) {
 	}
 }
 
+// referenceHarmonic is the harmonic sum as the HyperLogLog paper writes
+// it, one division per register in register order — what Estimate ran
+// before the rank histogram, kept as its oracle.
+func referenceHarmonic(s *Sketch) float64 {
+	var sum float64
+	for _, r := range s.registers {
+		sum += 1 / float64(uint64(1)<<r)
+	}
+	return sum
+}
+
+// referenceEstimate is Estimate over referenceHarmonic and a zero count
+// taken from the registers.
+func referenceEstimate(s *Sketch) uint64 {
+	m := float64(len(s.registers))
+	zeros := 0
+	for _, r := range s.registers {
+		if r == 0 {
+			zeros++
+		}
+	}
+	e := alpha(len(s.registers)) * m * m / referenceHarmonic(s)
+	if e <= 2.5*m && zeros > 0 {
+		e = m * math.Log(m/float64(zeros))
+	}
+	return uint64(e + 0.5)
+}
+
+// roundedHarmonic is the exact harmonic sum, rounded once to nearest even.
+func roundedHarmonic(s *Sketch) float64 {
+	sum := new(big.Float).SetPrec(256)
+	for _, r := range s.registers {
+		sum.Add(sum, new(big.Float).SetMantExp(big.NewFloat(1), -int(r)))
+	}
+	f, _ := sum.Float64()
+	return f
+}
+
+// checkEstimate holds s to the reference bit for bit — the sum, not only
+// the rounded estimate — and its histogram to a recount of the registers.
+func checkEstimate(t *testing.T, s *Sketch, when string) {
+	t.Helper()
+	var hist [64]uint32
+	for _, r := range s.registers {
+		hist[r]++
+	}
+	if hist != s.hist {
+		t.Fatalf("%s: histogram %v, registers recount to %v", when, s.hist, hist)
+	}
+	if got, want := s.harmonic(), referenceHarmonic(s); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s: harmonic sum %x, register loop %x", when, got, want)
+	}
+	if got, want := s.Estimate(), referenceEstimate(s); got != want {
+		t.Fatalf("%s: Estimate %d, reference %d", when, got, want)
+	}
+}
+
+// withRank is a hash that lands in register idx of a 2^p-register sketch
+// with exactly the given rank (1 ≤ rank ≤ 65−p; the largest is a hash whose
+// bits after the index are all zero).
+func withRank(p uint8, idx uint64, rank int) uint64 {
+	h := idx << (64 - p)
+	if rank <= 64-int(p) {
+		h |= 1 << (64 - int(p) - rank)
+	}
+	return h
+}
+
+func TestEstimateMatchesReference(t *testing.T) {
+	for _, p := range []uint8{4, 11, 14, 18} {
+		st := rng.New(uint64(p))
+		s := MustNew(p)
+		checkEstimate(t, s, "empty")
+		n := 0
+		for _, upTo := range []int{1, 20, 1000, 1000000} {
+			for ; n < upTo; n++ {
+				s.Add(Hash64(st.Uint64()))
+			}
+			checkEstimate(t, s, "after adds")
+		}
+		c := s.Clone()
+		checkEstimate(t, c, "clone")
+		o := MustNew(p)
+		for i := 0; i < 3000; i++ {
+			o.Add(Hash64(st.Uint64()))
+		}
+		if err := o.Merge(s); err != nil {
+			t.Fatal(err)
+		}
+		checkEstimate(t, o, "merged")
+		s.Reset()
+		checkEstimate(t, s, "reset")
+		checkEstimate(t, c, "clone after the original reset")
+		// Few registers, so most adds raise one: the histogram is checked
+		// after every single operation.
+		for i := 0; i < 400; i++ {
+			switch k := st.Intn(50); {
+			case k == 0:
+				s.Reset()
+			case k == 1:
+				if err := s.Merge(o); err != nil {
+					t.Fatal(err)
+				}
+			case k == 2:
+				s = s.Clone()
+			default:
+				s.Add(Hash64(st.Uint64()))
+			}
+			checkEstimate(t, s, "random op")
+		}
+	}
+}
+
+// TestEstimateBeyondExactRange pins the documented behaviour once p plus
+// the largest rank passes 53 and the sum no longer fits a float64: the
+// histogram sum is the correctly rounded one.
+func TestEstimateBeyondExactRange(t *testing.T) {
+	// What a sketch would need to get there by chance: 1,000 items and one
+	// register at rank 54. The stray 2^−54 is far below half an ulp of the
+	// sum, so the register loop agrees.
+	s := MustNew(11)
+	for i := 0; i < 1000; i++ {
+		s.Add(Hash64(uint64(i)))
+	}
+	s.Add(withRank(11, 7, 54))
+	if s.registers[7] != 54 {
+		t.Fatalf("register 7 holds rank %d, want 54", s.registers[7])
+	}
+	if got, want := s.harmonic(), roundedHarmonic(s); got != want {
+		t.Errorf("harmonic sum %x, correctly rounded %x", got, want)
+	}
+	checkEstimate(t, s, "rank 54 at p=11")
+
+	// A construction where the order of addition does matter: one register
+	// at rank 1 and fifteen at rank 54. Register by register, each 2^−54 is
+	// half an ulp of 0.5 and rounds away; together they are 7.5 ulps.
+	s = MustNew(4)
+	s.Add(withRank(4, 0, 1))
+	for i := uint64(1); i < 16; i++ {
+		s.Add(withRank(4, i, 54))
+	}
+	got := s.harmonic()
+	if want := roundedHarmonic(s); got != want {
+		t.Errorf("harmonic sum %x, correctly rounded %x", got, want)
+	}
+	if loop := referenceHarmonic(s); loop != 0.5 || got == loop {
+		t.Errorf("register loop gives %x and the histogram %x: the case no longer separates them", loop, got)
+	}
+}
+
 func BenchmarkAdd(b *testing.B) {
 	s := MustNew(11)
 	for i := 0; i < b.N; i++ {
@@ -147,12 +298,23 @@ func BenchmarkAdd(b *testing.B) {
 }
 
 func BenchmarkEstimate(b *testing.B) {
-	s := MustNew(11)
-	for i := 0; i < 100000; i++ {
-		s.Add(Hash64(uint64(i)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.Estimate()
+	// sparse is the analyzability gate's regime (most tracked originators
+	// sit near 20 queriers); dense has every register set.
+	for _, c := range []struct {
+		name  string
+		items int
+	}{{"sparse", 20}, {"dense", 100000}} {
+		b.Run(c.name, func(b *testing.B) {
+			s := MustNew(11)
+			for i := 0; i < c.items; i++ {
+				s.Add(Hash64(uint64(i)))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sink = s.Estimate()
+			}
+		})
 	}
 }
+
+var sink uint64
