@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dnsbackscatter/internal/hll"
 	"dnsbackscatter/internal/ipaddr"
 	"dnsbackscatter/internal/rng"
 )
@@ -259,22 +260,27 @@ func TestSmallAndReset(t *testing.T) {
 }
 
 // BenchmarkSketchAdd times one Add (four level updates) on the two regimes
-// the engine's sketches live in: quiet, 50 prefixes that never fill a
-// level, where a structure kept for eviction is pure overhead; and churn, a
+// the engine's sketches live in: quiet, 50 prefixes drawn evenly, which
+// never fill a level but whose counts keep overtaking one another — so
+// anything kept in eviction order is reshuffled for nothing; and churn, a
 // 43 k-address Zipf stream through 1,024 slots, the querier side, where
 // three of the four levels evict continuously.
 func BenchmarkSketchAdd(b *testing.B) {
+	st := rng.New(1)
+	quiet := make([]ipaddr.Addr, 1<<18)
+	for i := range quiet {
+		quiet[i] = ipaddr.Addr(hll.Hash64(uint64(st.Intn(50))))
+	}
 	for _, c := range []struct {
-		name string
-		pop  int
-	}{{"quiet", 50}, {"churn", 43000}} {
+		name  string
+		items []ipaddr.Addr
+	}{{"quiet", quiet}, {"churn", zipfStream(1, 43000, 1<<18)}} {
 		b.Run(c.name, func(b *testing.B) {
-			items := zipfStream(1, c.pop, 1<<18)
-			s := feed(New(1024, 1), items, 1) // warm: every level as full as it gets
+			s := feed(New(1024, 1), c.items, 1) // warm: every level as full as it gets
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.Add(items[i&(len(items)-1)], 1)
+				s.Add(c.items[i&(len(c.items)-1)], 1)
 			}
 		})
 	}
