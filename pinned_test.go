@@ -14,6 +14,8 @@ import (
 	"testing"
 
 	backscatter "dnsbackscatter"
+	"dnsbackscatter/internal/faults"
+	"dnsbackscatter/internal/world"
 )
 
 // worldPins holds one FNV-1a digest per output surface of a build.
@@ -22,6 +24,18 @@ type worldPins struct {
 	Labels           uint64 // curated ground truth, sorted by originator
 	Trace            uint64 // trace JSONL
 	Obs              uint64 // every metric line plus the windowed series
+}
+
+// filePins holds what the sensors counted before sampling (Table I reads
+// these through Dataset.ReverseQueries) and FNV-1a digests of the
+// dataset's records in both on-disk formats.
+type filePins struct {
+	Seen         [3]uint64 // b-root, m-root, jp
+	Log, Capture uint64    // WriteLog and WriteCapture bytes of ds.Records
+}
+
+func seenBy(w *world.World) [3]uint64 {
+	return [3]uint64{w.BRoot.Seen(), w.MRoot.Seen(), w.National["jp"].Seen()}
 }
 
 func fnvOf(write func(w io.Writer)) uint64 {
@@ -43,13 +57,22 @@ func recordsPin(recs []backscatter.Record) uint64 {
 // were recorded on did not register.
 var worldSimStage = []byte(`stage="world-sim"`)
 
-func pinsOf(t *testing.T, spec backscatter.DatasetSpec) (worldPins, uint64) {
+// pinsOf digests one build. Labels, Trace, Obs and the two file digests
+// come from the dataset itself; the per-sensor record digests come from a
+// second, uninstrumented world on the configuration the build derived,
+// because a dataset holds the records of its own authority only.
+func pinsOf(t *testing.T, spec backscatter.DatasetSpec) (worldPins, filePins, uint64) {
 	t.Helper()
 	reg := backscatter.NewRegistry()
 	reg.SetClock(backscatter.TickClock(1))
 	reg.SetWindow(backscatter.NewWindow(6 * 3600))
 	ds := backscatter.BuildObserved(spec, reg)
-	w := ds.World
+
+	cfg := ds.World.Cfg
+	cfg.Obs, cfg.Tracer, cfg.Acct = nil, nil, nil
+	cfg.Faults, _ = faults.Parse(spec.Faults) // the build's plan counts into reg
+	w := world.New(cfg)
+	w.Run()
 	if w.BRoot.Len() == 0 || w.MRoot.Len() == 0 || w.National["jp"].Len() == 0 {
 		t.Fatalf("%s: a sensor recorded nothing; its pin would be vacuous", spec.Name)
 	}
@@ -59,6 +82,29 @@ func pinsOf(t *testing.T, spec backscatter.DatasetSpec) (worldPins, uint64) {
 		MRoot: recordsPin(w.MRoot.Records()),
 		JP:    recordsPin(w.National["jp"].Records()),
 		Trace: fnvOf(func(b io.Writer) { b.Write(ds.Tracer().JSONL()) }),
+	}
+	sensor := map[string]int{"b-root": 0, "m-root": 1, "jp": 2}[spec.Authority]
+	if got, want := recordsPin(ds.Records), [3]uint64{p.BRoot, p.MRoot, p.JP}[sensor]; got != want {
+		t.Errorf("%s: ds.Records digest %#x, the %s sensor's in an all-sensor world %#x", spec.Name, got, spec.Authority, want)
+	}
+	f := filePins{
+		Seen: seenBy(w),
+		Log: fnvOf(func(b io.Writer) {
+			if err := backscatter.WriteLog(b, ds.Records); err != nil {
+				t.Fatal(err)
+			}
+		}),
+		Capture: fnvOf(func(b io.Writer) {
+			if err := backscatter.WriteCapture(b, ds.Records); err != nil {
+				t.Fatal(err)
+			}
+		}),
+	}
+	if got := seenBy(ds.World); got != f.Seen {
+		t.Errorf("%s: the dataset's sensors saw %d queries, an all-sensor world's %d", spec.Name, got, f.Seen)
+	}
+	if got := ds.ReverseQueries(); got != f.Seen[sensor] {
+		t.Errorf("%s: ReverseQueries() = %d, the %s sensor saw %d", spec.Name, got, spec.Authority, f.Seen[sensor])
 	}
 	p.Labels = fnvOf(func(b io.Writer) {
 		addrs := make([]backscatter.Addr, 0, len(ds.Labels.Labels))
@@ -79,14 +125,16 @@ func pinsOf(t *testing.T, spec backscatter.DatasetSpec) (worldPins, uint64) {
 		b.Write(reg.Window().SnapshotJSON())
 	})
 	shards := reg.Counter("parallel_shards_total", backscatter.Label{Key: "stage", Value: "world-sim"}).Value()
-	return p, shards
+	return p, f, shards
 }
 
 // TestWorldOutputsPinned builds three small datasets that between them
 // enter every branch of the simulator's hot loop — 1:10 sampling with the
 // Heartbleed burst, fault injection with tracing, the national sensor
-// with darknet draws and scan teams — at workers {1, 2, 8}, and compares
-// every output surface with the recorded digests.
+// with darknet draws and scan teams, one per authority — at workers
+// {1, 2, 8}, and compares every output surface with the recorded digests.
+// The worldPins were recorded at PR 14; the filePins at PR 21, on the
+// 40-byte Record whose Authority was a string.
 func TestWorldOutputsPinned(t *testing.T) {
 	sampled := backscatter.MSampled().Scaled(0.08)
 	sampled.Start = backscatter.Date(2014, 3, 31, 0, 0)
@@ -101,19 +149,26 @@ func TestWorldOutputsPinned(t *testing.T) {
 		name string
 		spec backscatter.DatasetSpec
 		want worldPins
+		file filePins
 	}{
 		{"m-sampled", sampled, worldPins{BRoot: 0x2a55b8f71df0b3b4, MRoot: 0xfe752e163af3d874, JP: 0xe8cef398a947f1d7,
-			Labels: 0xaa0616ae47b1cf2c, Trace: 0xcbf29ce484222325, Obs: 0x2a65c0b03ea72c20}},
+			Labels: 0xaa0616ae47b1cf2c, Trace: 0xcbf29ce484222325, Obs: 0x2a65c0b03ea72c20},
+			filePins{Seen: [3]uint64{28103, 50800, 33741}, Log: 0x0e444f069b3c8a53, Capture: 0xd4ad128eba291e8a}},
 		{"lossy-traced", lossy, worldPins{BRoot: 0x9d4fd3afcc8ea09c, MRoot: 0x71205dc1d2ae2102, JP: 0x70c0c1d6ecd39fd2,
-			Labels: 0x4a95d5d00d8befd1, Trace: 0x20bda4d240d78e9a, Obs: 0xc25f58896a122b31}},
+			Labels: 0x4a95d5d00d8befd1, Trace: 0x20bda4d240d78e9a, Obs: 0xc25f58896a122b31},
+			filePins{Seen: [3]uint64{14609, 16467, 8585}, Log: 0x29f1f7c15df59821, Capture: 0xd517325cb959331a}},
 		{"jp-national", national, worldPins{BRoot: 0xaabfd293451e73d7, MRoot: 0x0dadaade291d0482, JP: 0x53ad7ca5131d9d83,
-			Labels: 0xad71894e2f745d57, Trace: 0xcbf29ce484222325, Obs: 0x347717e41673c833}},
+			Labels: 0xad71894e2f745d57, Trace: 0xcbf29ce484222325, Obs: 0x347717e41673c833},
+			filePins{Seen: [3]uint64{11471, 20086, 48395}, Log: 0x800980b817a5c144, Capture: 0xb0031a148cee9f06}},
 	} {
 		var shards1 uint64
 		for _, workers := range []int{1, 2, 8} {
-			got, shards := pinsOf(t, tc.spec.WithParallelism(workers))
+			got, file, shards := pinsOf(t, tc.spec.WithParallelism(workers))
 			if got != tc.want {
 				t.Errorf("%s workers=%d: outputs moved:\n got %#v\nwant %#v", tc.name, workers, got, tc.want)
+			}
+			if file != tc.file {
+				t.Errorf("%s workers=%d: counts or file bytes moved:\n got %#v\nwant %#v", tc.name, workers, file, tc.file)
 			}
 			if workers == 1 {
 				shards1 = shards
