@@ -9,6 +9,7 @@ import (
 	"dnsbackscatter/internal/alert"
 	"dnsbackscatter/internal/classify"
 	"dnsbackscatter/internal/dnslog"
+	"dnsbackscatter/internal/dnssim"
 	"dnsbackscatter/internal/faults"
 	"dnsbackscatter/internal/features"
 	"dnsbackscatter/internal/groundtruth"
@@ -407,20 +408,12 @@ func BuildWith(spec DatasetSpec, in Instruments) *Dataset {
 		tr = trace.New(spec.Seed, uint64(spec.Trace))
 	}
 	cfg.Obs, cfg.Tracer, cfg.Acct = in.Obs, tr, in.Acct
+	cfg.Keep = spec.Authority // a dataset is one vantage point
 	w := world.New(cfg)
-	w.Run()
-
 	d := &Dataset{Spec: spec, World: w, obs: in.Obs, tracer: tr, acct: in.Acct, alertRules: alertRules}
-	switch spec.Authority {
-	case "jp":
-		d.Records = w.National["jp"].Records()
-	case "b-root":
-		d.Records = w.BRoot.Records()
-	case "m-root":
-		d.Records = w.MRoot.Records()
-	default:
-		panic(fmt.Sprintf("backscatter: unknown authority %q", spec.Authority))
-	}
+	sensor := d.sensor()
+	w.Run()
+	d.Records = sensor.Take()
 
 	d.Extractor = features.NewExtractor(w.Geo, w.QuerierName)
 	d.Extractor.Obs = in.Obs
@@ -479,15 +472,19 @@ func (d *Dataset) TruthMap() map[Addr]Class {
 
 // ReverseQueries reports how many reverse queries arrived at the dataset's
 // authority before sampling (Table I's reverse-query column).
-func (d *Dataset) ReverseQueries() uint64 {
+func (d *Dataset) ReverseQueries() uint64 { return d.sensor().Seen() }
+
+// sensor returns the world's sensor at the dataset's authority.
+func (d *Dataset) sensor() *dnssim.Sensor {
 	switch d.Spec.Authority {
 	case "jp":
-		return d.World.National["jp"].Seen()
+		return d.World.National["jp"]
 	case "b-root":
-		return d.World.BRoot.Seen()
-	default:
-		return d.World.MRoot.Seen()
+		return d.World.BRoot
+	case "m-root":
+		return d.World.MRoot
 	}
+	panic(fmt.Sprintf("backscatter: unknown authority %q", d.Spec.Authority))
 }
 
 // LogRecord re-exports dnslog parsing for tools.

@@ -181,6 +181,10 @@ type Sensor struct {
 	// End, when nonzero, is the collection horizon: queries at or after
 	// it are not recorded (the capture stopped).
 	End simtime.Time
+	// CountOnly marks a sensor nobody reads records from: it applies the
+	// horizon, counts and samples exactly as its keeping twin would, and
+	// buffers nothing. Len, Records, Range and Take panic on it.
+	CountOnly bool
 
 	n   uint64
 	buf dnslog.Buffer
@@ -197,6 +201,8 @@ func NewSensor(name string, sample int) *Sensor {
 // Observe records one query, subject to sampling and the collection
 // horizon. It reports whether a record was actually kept — tracing uses
 // this to emit sensor events only for records the pipeline will see.
+//
+//bslint:hotpath
 func (s *Sensor) Observe(now simtime.Time, orig, querier ipaddr.Addr, rcode uint8) bool {
 	if s == nil {
 		return false
@@ -208,13 +214,9 @@ func (s *Sensor) Observe(now simtime.Time, orig, querier ipaddr.Addr, rcode uint
 	if s.Sample > 1 && s.n%uint64(s.Sample) != 0 {
 		return false
 	}
-	s.buf.Append(dnslog.Record{
-		Time:       now,
-		Originator: orig,
-		Querier:    querier,
-		Authority:  s.Name,
-		RCode:      rcode,
-	})
+	if !s.CountOnly {
+		s.buf.Append(dnslog.Record{Time: now, Originator: orig, Querier: querier, Authority: s.Name, RCode: rcode})
+	}
 	return true
 }
 
@@ -222,18 +224,34 @@ func (s *Sensor) Observe(now simtime.Time, orig, querier ipaddr.Addr, rcode uint
 // sampling.
 func (s *Sensor) Seen() uint64 { return s.n }
 
+// records returns the buffer of a sensor that keeps one.
+func (s *Sensor) records() *dnslog.Buffer {
+	if s.CountOnly {
+		panic("dnssim: sensor " + s.Name + " only counts; it holds no records")
+	}
+	return &s.buf
+}
+
 // Len returns the number of records kept so far.
-func (s *Sensor) Len() int { return s.buf.Len() }
+func (s *Sensor) Len() int { return s.records().Len() }
 
 // Records returns the kept records as one contiguous slice — a single
 // exact-size copy out of the sensor's chunked buffer. Call it once per
 // drain, not per record.
-func (s *Sensor) Records() []dnslog.Record { return s.buf.Flatten() }
+func (s *Sensor) Records() []dnslog.Record { return s.records().Flatten() }
+
+// Take is Records handing the records over: the sensor keeps counting but
+// holds none of them afterwards.
+func (s *Sensor) Take() []dnslog.Record {
+	out := s.records().Flatten()
+	s.buf = dnslog.Buffer{}
+	return out
+}
 
 // Range calls fn for each kept record with index >= from, in arrival
 // order, without copying. Incremental consumers (scan verification)
 // remember Len() as their base and range from it.
-func (s *Sensor) Range(from int, fn func(dnslog.Record)) { s.buf.Range(from, fn) }
+func (s *Sensor) Range(from int, fn func(dnslog.Record)) { s.records().Range(from, fn) }
 
 // Reset drops collected records but keeps counters and chunk storage, so
 // long simulations can drain sensors interval by interval without

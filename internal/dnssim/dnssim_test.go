@@ -1,8 +1,11 @@
 package dnssim
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
+	"dnsbackscatter/internal/dnslog"
 	"dnsbackscatter/internal/dnswire"
 	"dnsbackscatter/internal/faults"
 	"dnsbackscatter/internal/geo"
@@ -413,5 +416,69 @@ func TestWalkDefersToDeliver(t *testing.T) {
 	}
 	if a, b := run(false), run(true); a == b {
 		t.Errorf("the sampled record came from %v whichever walk was delivered second", a)
+	}
+}
+
+// A count-only sensor is its keeping twin minus the buffer: same horizon,
+// same count, same sampling decision for every query.
+func TestCountOnlySensor(t *testing.T) {
+	for _, sample := range []int{1, 10} {
+		keep, count := NewSensor("m-root", sample), NewSensor("m-root", sample)
+		keep.End, count.End = 500, 500
+		count.CountOnly = true
+		kept := 0
+		for i := 0; i < 1000; i++ {
+			now := simtime.Time(i)
+			if i%7 == 0 {
+				now = simtime.Time(1000 - i) // out of order, straddling End
+			}
+			k := keep.Observe(now, ipaddr.Addr(i), 9, 0)
+			if c := count.Observe(now, ipaddr.Addr(i), 9, 0); c != k {
+				t.Fatalf("sample %d, query %d at %d: count-only Observe = %v, keeping %v", sample, i, now, c, k)
+			}
+			if k {
+				kept++
+			}
+		}
+		if keep.Seen() != count.Seen() || keep.Seen() == 0 || keep.Seen() == 1000 {
+			t.Errorf("sample %d: Seen %d vs %d of 1000 with a horizon inside", sample, keep.Seen(), count.Seen())
+		}
+		if keep.Len() != kept {
+			t.Errorf("sample %d: kept %d, Observe said %d", sample, keep.Len(), kept)
+		}
+		for name, read := range map[string]func(){
+			"Len":     func() { count.Len() },
+			"Records": func() { count.Records() },
+			"Take":    func() { count.Take() },
+			"Range":   func() { count.Range(0, func(dnslog.Record) {}) },
+		} {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.Contains(msg, "m-root") {
+						t.Errorf("%s on a count-only sensor: recovered %q, want a panic naming it", name, msg)
+					}
+				}()
+				read()
+			}()
+		}
+	}
+}
+
+func TestSensorTake(t *testing.T) {
+	s := NewSensor("x", 1)
+	for i := 0; i < 5000; i++ { // more than one buffer chunk
+		s.Observe(simtime.Time(i), ipaddr.Addr(i), 2, 0)
+	}
+	want := s.Records()
+	got := s.Take()
+	if len(got) != 5000 || !slices.Equal(got, want) {
+		t.Fatalf("Take returned %d records, Records %d", len(got), len(want))
+	}
+	if s.Len() != 0 || s.Seen() != 5000 {
+		t.Errorf("after Take: Len %d, Seen %d; want 0 and 5000", s.Len(), s.Seen())
+	}
+	s.Observe(6000, 1, 2, 0)
+	if s.Len() != 1 || got[0].Time != 0 {
+		t.Errorf("a record after Take: Len %d, first taken record at %d", s.Len(), got[0].Time)
 	}
 }

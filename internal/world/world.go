@@ -72,6 +72,11 @@ type Config struct {
 
 	Bursts []Burst
 
+	// Keep names the one sensor whose records somebody reads ("jp",
+	// "b-root", "m-root", "final-xxxx"); every other sensor only counts.
+	// Empty keeps the records of all.
+	Keep string
+
 	// Hierarchy overrides dnssim caching parameters when non-zero. New
 	// fills its Faults, Obs and Tracer from the fields of the same name
 	// below.
@@ -273,11 +278,8 @@ func New(cfg Config) *World {
 	hc := cfg.Hierarchy
 	hc.Faults, hc.Obs, hc.Tracer = cfg.Faults, cfg.Obs, cfg.Tracer
 	w.Hier = dnssim.NewHierarchy(g, hc, w.profileFor)
-	end := cfg.Start.Add(cfg.Duration)
-	w.BRoot = dnssim.NewSensor("b-root", 1)
-	w.BRoot.End = end
-	w.MRoot = dnssim.NewSensor("m-root", cfg.MSample)
-	w.MRoot.End = end
+	w.BRoot = w.newSensor("b-root", 1)
+	w.MRoot = w.newSensor("m-root", cfg.MSample)
 	w.Hier.AttachRoots(w.BRoot, w.MRoot)
 	w.AttachNational("jp")
 	w.pool = newQuerierPool(g, src, cfg.QuerierRanks, cfg.ZipfS, cfg.Obs)
@@ -285,13 +287,21 @@ func New(cfg Config) *World {
 	return w
 }
 
+// newSensor returns a sensor that stops at the world's horizon and keeps
+// records only if Cfg.Keep says somebody reads them.
+func (w *World) newSensor(name string, sample int) *dnssim.Sensor {
+	s := dnssim.NewSensor(name, sample)
+	s.End = w.Cfg.Start.Add(w.Cfg.Duration)
+	s.CountOnly = w.Cfg.Keep != "" && w.Cfg.Keep != name
+	return s
+}
+
 // AttachNational adds a sensor for one country's registry zone.
 func (w *World) AttachNational(country string) *dnssim.Sensor {
 	if s, ok := w.National[country]; ok {
 		return s
 	}
-	s := dnssim.NewSensor(country, 1)
-	s.End = w.Cfg.Start.Add(w.Cfg.Duration)
+	s := w.newSensor(country, 1)
 	w.National[country] = s
 	w.Hier.AttachNational(country, s)
 	return s
@@ -302,8 +312,7 @@ func (w *World) AttachFinal(slash16 uint16) *dnssim.Sensor {
 	if s, ok := w.Finals[slash16]; ok {
 		return s
 	}
-	s := dnssim.NewSensor(fmt.Sprintf("final-%04x", slash16), 1)
-	s.End = w.Cfg.Start.Add(w.Cfg.Duration)
+	s := w.newSensor(fmt.Sprintf("final-%04x", slash16), 1)
 	w.Finals[slash16] = s
 	w.Hier.AttachFinal(slash16, s)
 	return s

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	backscatter "dnsbackscatter"
+	"dnsbackscatter/internal/dnssim"
 	"dnsbackscatter/internal/faults"
 	"dnsbackscatter/internal/world"
 )
@@ -60,7 +61,7 @@ var worldSimStage = []byte(`stage="world-sim"`)
 // pinsOf digests one build. Labels, Trace, Obs and the two file digests
 // come from the dataset itself; the per-sensor record digests come from a
 // second, uninstrumented world on the configuration the build derived,
-// because a dataset holds the records of its own authority only.
+// because a build keeps the records of its own authority only.
 func pinsOf(t *testing.T, spec backscatter.DatasetSpec) (worldPins, filePins, uint64) {
 	t.Helper()
 	reg := backscatter.NewRegistry()
@@ -70,6 +71,7 @@ func pinsOf(t *testing.T, spec backscatter.DatasetSpec) (worldPins, filePins, ui
 
 	cfg := ds.World.Cfg
 	cfg.Obs, cfg.Tracer, cfg.Acct = nil, nil, nil
+	cfg.Keep = ""                             // every sensor's records, not only the dataset's
 	cfg.Faults, _ = faults.Parse(spec.Faults) // the build's plan counts into reg
 	w := world.New(cfg)
 	w.Run()
@@ -99,6 +101,12 @@ func pinsOf(t *testing.T, spec backscatter.DatasetSpec) (worldPins, filePins, ui
 				t.Fatal(err)
 			}
 		}),
+	}
+	for i, s := range []*dnssim.Sensor{ds.World.BRoot, ds.World.MRoot, ds.World.National["jp"]} {
+		if s.CountOnly == (i == sensor) || i == sensor && s.Len() != 0 {
+			t.Errorf("%s: sensor %s: count-only %v, want the build to have taken %s's records and kept no other's",
+				spec.Name, s.Name, s.CountOnly, spec.Authority)
+		}
 	}
 	if got := seenBy(ds.World); got != f.Seen {
 		t.Errorf("%s: the dataset's sensors saw %d queries, an all-sensor world's %d", spec.Name, got, f.Seen)
