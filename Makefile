@@ -12,7 +12,8 @@
 GO ?= go
 RACE_PKGS = ./internal/cache ./internal/dnsserver ./internal/obs ./internal/report \
 	./internal/parallel ./internal/features ./internal/ml ./internal/classify \
-	./internal/stream ./internal/alert ./internal/world ./internal/dnssim
+	./internal/stream ./internal/alert ./internal/world ./internal/dnssim \
+	./internal/dnslog ./internal/dnscap
 
 .PHONY: verify fmt vet lint build test race bench bench-check budget prof-artifacts docs determinism chaos fuzz cover tracecheck trace-artifacts soak loc
 
@@ -64,9 +65,9 @@ cover:
 	@rm -f cover-packages.txt
 
 # Short fuzz smoke on the wire codec, the streaming engine, the
-# heavy-hitters sketch (against its linear-scan reference) and the name
-# classifier (against its keyword-by-keyword reference): ten seconds per
-# target. Crashers land in the package's testdata/fuzz/ and
+# heavy-hitters sketch (against its linear-scan reference), the name
+# classifier (against its keyword-by-keyword reference) and the two record
+# parsers, log text and capture frames: ten seconds per target. Crashers land in the package's testdata/fuzz/ and
 # from then on run as plain regression tests on every `go test`.
 fuzz:
 	$(GO) test ./internal/dnswire -run '^$$' -fuzz FuzzDecode -fuzztime 10s
@@ -74,6 +75,8 @@ fuzz:
 	$(GO) test ./internal/stream -run '^$$' -fuzz FuzzStreamIngest -fuzztime 10s
 	$(GO) test ./internal/hhh -run '^$$' -fuzz FuzzSketchOps -fuzztime 10s
 	$(GO) test ./internal/qname -run '^$$' -fuzz FuzzClassify -fuzztime 10s
+	$(GO) test ./internal/dnslog -run '^$$' -fuzz FuzzParseRecord -fuzztime 10s
+	$(GO) test ./internal/dnscap -run '^$$' -fuzz FuzzReader -fuzztime 10s
 
 # Streaming-engine soak: ~700k records across 12 epochs at >10x the
 # engine's originator capacity, asserting the resource contract (hard

@@ -413,7 +413,8 @@ func BuildWith(spec DatasetSpec, in Instruments) *Dataset {
 	d := &Dataset{Spec: spec, World: w, obs: in.Obs, tracer: tr, acct: in.Acct, alertRules: alertRules}
 	sensor := d.sensor()
 	w.Run()
-	d.Records = sensor.Take()
+	d.Records = sensor.Records()
+	sensor.Reset() // the dataset owns them now
 
 	d.Extractor = features.NewExtractor(w.Geo, w.QuerierName)
 	d.Extractor.Obs = in.Obs

@@ -7,12 +7,18 @@
 //	uvarint frameLen | frame
 //
 // where each frame is a fixed 16-byte pseudo-header (timestamp, querier
-// address, authority id, rcode) followed by the DNS message in RFC 1035
-// wire format. The reader recovers dnslog.Records by parsing each message
-// with dnswire and extracting the originator from the PTR question's
-// in-addr.arpa name — exactly what a sensor tapping an authority's packet
-// feed does. Non-reverse queries in the stream are skipped, mirroring the
-// paper's "retain only reverse DNS queries" filtering.
+// address, authority id, rcode, frame kind) followed by the DNS message in
+// RFC 1035 wire format. The reader recovers dnslog.Records by parsing each
+// message with dnswire and extracting the originator from the PTR
+// question's in-addr.arpa name — exactly what a sensor tapping an
+// authority's packet feed does. Non-reverse queries in the stream are
+// skipped, mirroring the paper's "retain only reverse DNS queries"
+// filtering.
+//
+// Authority ids 0, 1 and 2 are dnslog.StandardAuthorities. Any other
+// sensor is named in the stream before its first frame, by a kindDefine
+// frame whose payload is the name, so a capture reads the same in every
+// process.
 package dnscap
 
 import (
@@ -28,39 +34,14 @@ import (
 	"dnsbackscatter/internal/simtime"
 )
 
-// Authority ids used in the pseudo-header. Strings stay out of the frame
-// so captures are compact.
-var authorityIDs = map[string]uint16{}
-var authorityNames []string
-
-// RegisterAuthority interns an authority name, returning its id. Safe to
-// call repeatedly; not safe for concurrent use with readers/writers.
-func RegisterAuthority(name string) uint16 {
-	if id, ok := authorityIDs[name]; ok {
-		return id
-	}
-	id := uint16(len(authorityNames))
-	authorityIDs[name] = id
-	authorityNames = append(authorityNames, name)
-	return id
-}
-
-// AuthorityName returns the interned name for an id.
-func AuthorityName(id uint16) (string, bool) {
-	if int(id) >= len(authorityNames) {
-		return "", false
-	}
-	return authorityNames[id], true
-}
-
-func init() {
-	// Stable ids for the standard sensors.
-	for _, n := range []string{"b-root", "m-root", "jp"} {
-		RegisterAuthority(n)
-	}
-}
-
 const headerLen = 16
+
+// Frame kinds, the header's last byte.
+const kindQuery, kindDefine = 0, 1
+
+// standard wire ids need no definition: id < standard is
+// dnslog.Authority(id + 1).
+const standard = uint16(len(dnslog.StandardAuthorities))
 
 // Writer emits capture frames.
 type Writer struct {
@@ -69,41 +50,57 @@ type Writer struct {
 	frame []byte
 	msg   dnswire.Message  // query scratch, rebuilt per frame
 	enc   *dnswire.Encoder // reused compression table
+	ids   map[dnslog.Authority]uint16
 	n     int
 }
 
 // NewWriter returns a capture writer.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{bw: bufio.NewWriterSize(w, 1<<16), enc: dnswire.NewEncoder()}
+	return &Writer{bw: bufio.NewWriterSize(w, 1<<16), enc: dnswire.NewEncoder(), ids: make(map[dnslog.Authority]uint16)}
 }
 
-// Write encodes one observed query as a frame.
-func (w *Writer) Write(r dnslog.Record) error {
-	id, ok := authorityIDs[r.Authority]
-	if !ok {
-		id = RegisterAuthority(r.Authority)
-	}
-	w.frame = w.frame[:0]
-	var hdr [headerLen]byte
-	binary.BigEndian.PutUint64(hdr[0:8], uint64(r.Time))
-	binary.BigEndian.PutUint32(hdr[8:12], uint32(r.Querier))
-	binary.BigEndian.PutUint16(hdr[12:14], id)
-	hdr[14] = r.RCode
-	hdr[15] = 0 // reserved
-	w.frame = append(w.frame, hdr[:]...)
+// header starts a new frame.
+func (w *Writer) header(t simtime.Time, querier ipaddr.Addr, id uint16, rcode, kind uint8) {
+	w.frame = binary.BigEndian.AppendUint64(w.frame[:0], uint64(t))
+	w.frame = binary.BigEndian.AppendUint32(w.frame, uint32(querier))
+	w.frame = binary.BigEndian.AppendUint16(w.frame, id)
+	w.frame = append(w.frame, rcode, kind)
+}
 
+// flush writes the frame out behind its length.
+func (w *Writer) flush() error {
+	w.buf = binary.AppendUvarint(w.buf[:0], uint64(len(w.frame)))
+	if _, err := w.bw.Write(w.buf); err != nil {
+		return err
+	}
+	_, err := w.bw.Write(w.frame)
+	return err
+}
+
+// Write encodes one observed query as a frame, after a definition frame
+// if its authority is new to the stream and not a standard one.
+func (w *Writer) Write(r dnslog.Record) error {
+	id := uint16(r.Authority) - 1
+	if id >= standard {
+		var ok bool
+		if id, ok = w.ids[r.Authority]; !ok {
+			id = standard + uint16(len(w.ids))
+			w.ids[r.Authority] = id
+			w.header(0, 0, id, 0, kindDefine)
+			w.frame = append(w.frame, r.Authority.String()...)
+			if err := w.flush(); err != nil {
+				return err
+			}
+		}
+	}
+	w.header(r.Time, r.Querier, id, r.RCode, kindQuery)
 	w.msg.SetPTRQuery(uint16(w.n), r.Originator.ReverseName())
 	var err error
 	w.frame, err = w.enc.Encode(&w.msg, w.frame)
 	if err != nil {
 		return fmt.Errorf("dnscap: %w", err)
 	}
-
-	w.buf = binary.AppendUvarint(w.buf[:0], uint64(len(w.frame)))
-	if _, err := w.bw.Write(w.buf); err != nil {
-		return err
-	}
-	if _, err := w.bw.Write(w.frame); err != nil {
+	if err := w.flush(); err != nil {
 		return err
 	}
 	w.n++
@@ -121,12 +118,13 @@ type Reader struct {
 	br      *bufio.Reader
 	msg     dnswire.Message
 	frame   []byte
+	defs    map[uint16]dnslog.Authority // the stream's definitions so far
 	skipped int
 }
 
 // NewReader returns a capture reader.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{br: bufio.NewReaderSize(r, 1<<16)}
+	return &Reader{br: bufio.NewReaderSize(r, 1<<16), defs: make(map[uint16]dnslog.Authority)}
 }
 
 // ErrBadFrame reports a malformed capture frame.
@@ -146,7 +144,7 @@ func (r *Reader) Read() (dnslog.Record, error) {
 		if err != nil {
 			return dnslog.Record{}, fmt.Errorf("%w: bad length: %v", ErrBadFrame, err)
 		}
-		if n < headerLen+12 || n > maxFrame {
+		if n < headerLen || n > maxFrame {
 			return dnslog.Record{}, fmt.Errorf("%w: frame length %d", ErrBadFrame, n)
 		}
 		if cap(r.frame) < int(n) {
@@ -157,16 +155,29 @@ func (r *Reader) Read() (dnslog.Record, error) {
 			return dnslog.Record{}, fmt.Errorf("%w: truncated frame: %v", ErrBadFrame, err)
 		}
 
+		id, kind := binary.BigEndian.Uint16(r.frame[12:14]), r.frame[15]
+		if kind == kindDefine && id >= standard {
+			a, err := dnslog.AuthorityOf(string(r.frame[headerLen:]))
+			if err != nil {
+				return dnslog.Record{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
+			}
+			r.defs[id] = a
+			continue
+		}
+		if kind != kindQuery || n < headerLen+12 {
+			return dnslog.Record{}, fmt.Errorf("%w: frame of kind %d and length %d for authority id %d", ErrBadFrame, kind, n, id)
+		}
 		var rec dnslog.Record
 		rec.Time = simtime.Time(binary.BigEndian.Uint64(r.frame[0:8]))
 		rec.Querier = ipaddr.Addr(binary.BigEndian.Uint32(r.frame[8:12]))
-		id := binary.BigEndian.Uint16(r.frame[12:14])
 		rec.RCode = r.frame[14]
-		name, ok := AuthorityName(id)
-		if !ok {
-			return dnslog.Record{}, fmt.Errorf("%w: unknown authority id %d", ErrBadFrame, id)
+		rec.Authority = dnslog.Authority(id + 1)
+		if id >= standard {
+			var ok bool
+			if rec.Authority, ok = r.defs[id]; !ok {
+				return dnslog.Record{}, fmt.Errorf("%w: authority id %d used before its definition", ErrBadFrame, id)
+			}
 		}
-		rec.Authority = name
 
 		if err := dnswire.DecodeInto(r.frame[headerLen:], &r.msg); err != nil {
 			return dnslog.Record{}, fmt.Errorf("%w: %v", ErrBadFrame, err)

@@ -2,7 +2,11 @@ package dnscap
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
+	"slices"
+	"sync"
 	"testing"
 
 	"dnsbackscatter/internal/dnslog"
@@ -21,7 +25,7 @@ func sample(n int) []dnslog.Record {
 			Time:       simtime.Time(1000 + i),
 			Originator: ipaddr.Addr(st.Uint64()),
 			Querier:    ipaddr.Addr(st.Uint64()),
-			Authority:  auths[i%len(auths)],
+			Authority:  dnslog.MustAuthority(auths[i%len(auths)]),
 			RCode:      uint8(i % 4),
 		}
 	}
@@ -58,7 +62,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestCustomAuthority(t *testing.T) {
-	rec := dnslog.Record{Time: 5, Originator: 1, Querier: 2, Authority: "final-cafe"}
+	rec := dnslog.Record{Time: 5, Originator: 1, Querier: 2, Authority: dnslog.MustAuthority("final-cafe")}
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	if err := w.Write(rec); err != nil {
@@ -69,7 +73,7 @@ func TestCustomAuthority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].Authority != "final-cafe" {
+	if len(got) != 1 || got[0] != rec {
 		t.Fatalf("got %+v", got)
 	}
 }
@@ -183,18 +187,92 @@ func TestFuzzReaderNeverPanics(t *testing.T) {
 	}
 }
 
-func TestAuthorityRegistry(t *testing.T) {
-	id := RegisterAuthority("test-auth-x")
-	if again := RegisterAuthority("test-auth-x"); again != id {
-		t.Error("re-registration changed id")
+// frameOf hand-builds one frame: header fields, then the payload.
+func frameOf(id uint16, kind byte, payload []byte) []byte {
+	var hdr [headerLen]byte
+	hdr[12], hdr[13], hdr[15] = byte(id>>8), byte(id), kind
+	frame := append(hdr[:], payload...)
+	return append(appendUvarint(nil, uint64(len(frame))), frame...)
+}
+
+func ptrQuery(t *testing.T, orig ipaddr.Addr) []byte {
+	t.Helper()
+	var m dnswire.Message
+	m.SetPTRQuery(1, orig.ReverseName())
+	b, err := m.Encode(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	name, ok := AuthorityName(id)
-	if !ok || name != "test-auth-x" {
-		t.Errorf("AuthorityName = %q, %v", name, ok)
+	return b
+}
+
+// A capture names its own non-standard authorities: id 7 means what the
+// stream says, not what this process happens to hold under any id.
+func TestAuthorityDefinedInStream(t *testing.T) {
+	for _, n := range []string{"local-a", "local-b", "local-c", "local-d", "local-e"} {
+		dnslog.MustAuthority(n) // whatever the local table holds
 	}
-	if _, ok := AuthorityName(60000); ok {
-		t.Error("bogus id resolved")
+	q := ptrQuery(t, ipaddr.MustParse("192.0.2.9"))
+	var stream []byte
+	stream = append(stream, frameOf(7, kindDefine, []byte("final-x"))...)
+	stream = append(stream, frameOf(7, kindQuery, q)...)
+	stream = append(stream, frameOf(2, kindQuery, q)...)
+	stream = append(stream, frameOf(7, kindDefine, []byte("final-y"))...) // a second writer's stream, appended
+	stream = append(stream, frameOf(7, kindQuery, q)...)
+	got, err := NewReader(bytes.NewReader(stream)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
 	}
+	var names []string
+	for _, r := range got {
+		names = append(names, r.Authority.String())
+	}
+	if want := []string{"final-x", "jp", "final-y"}; !slices.Equal(names, want) {
+		t.Errorf("authorities %q, want %q", names, want)
+	}
+
+	for name, bad := range map[string][]byte{
+		"undefined id":          frameOf(7, kindQuery, q),
+		"redefined standard id": frameOf(2, kindDefine, []byte("not-jp")),
+		"unknown frame kind":    frameOf(7, 2, q),
+		"name with a tab":       frameOf(7, kindDefine, []byte("a\tb")),
+		"name too long":         frameOf(7, kindDefine, bytes.Repeat([]byte("n"), 256)),
+	} {
+		if _, err := NewReader(bytes.NewReader(bad)).ReadAll(); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: err = %v, want ErrBadFrame", name, err)
+		}
+	}
+}
+
+// Writers share nothing but the dnslog name table; run with -race.
+func TestConcurrentWriters(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf bytes.Buffer
+			w := NewWriter(&buf)
+			var want []dnslog.Record
+			for i := 0; i < 200; i++ {
+				a, err := dnslog.AuthorityOf(fmt.Sprintf("final-%d", (g+i)%7))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				want = append(want, dnslog.Record{Time: simtime.Time(i), Originator: ipaddr.Addr(i + 1), Querier: 2, Authority: a})
+				if err := w.Write(want[i]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			w.Flush()
+			if got, err := NewReader(&buf).ReadAll(); err != nil || !slices.Equal(got, want) {
+				t.Errorf("writer %d: round trip of %d records returned %d, err %v", g, len(want), len(got), err)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func BenchmarkWrite(b *testing.B) {

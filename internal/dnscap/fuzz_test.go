@@ -19,9 +19,11 @@ func FuzzReader(f *testing.F) {
 			Time:       1000,
 			Originator: ipaddr.Addr(0x01020304 * uint32(i+1)),
 			Querier:    ipaddr.Addr(0x0a000001 + uint32(i)),
-			Authority:  "jp",
+			Authority:  dnslog.MustAuthority("jp"),
 		})
 	}
+	// A non-standard authority, so the corpus holds a definition frame.
+	_ = w.Write(dnslog.Record{Time: 1001, Originator: 1, Querier: 2, Authority: dnslog.MustAuthority("final-cafe")})
 	w.Flush()
 	f.Add(buf.Bytes())
 	f.Add([]byte{})

@@ -1,6 +1,6 @@
 package dnslog
 
-// bufChunk is the Buffer chunk size: 4096 records ≈ 256 KB per chunk,
+// bufChunk is the Buffer chunk size: 4096 records ≈ 96 KB per chunk,
 // large enough to amortize chunk overhead, small enough that the final
 // partial chunk wastes little.
 const bufChunk = 4096
@@ -16,46 +16,33 @@ const bufChunk = 4096
 // The zero value is ready to use. A Buffer is not safe for concurrent
 // use.
 type Buffer struct {
-	chunks [][]Record
-	cur    int // index of the chunk currently being filled
+	chunks [][]Record // every chunk but the last is full
 	n      int
 }
 
 // Append adds one record.
 func (b *Buffer) Append(r Record) {
-	if b.cur >= len(b.chunks) {
+	if b.n%bufChunk == 0 {
 		b.chunks = append(b.chunks, make([]Record, 0, bufChunk))
 	}
-	c := append(b.chunks[b.cur], r)
-	b.chunks[b.cur] = c
-	if len(c) == bufChunk {
-		b.cur++
-	}
+	last := &b.chunks[len(b.chunks)-1]
+	*last = append(*last, r)
 	b.n++
 }
 
-// Len returns the number of records appended since the last Reset.
+// Len returns the number of records appended.
 func (b *Buffer) Len() int { return b.n }
 
 // Range calls fn for each record with index >= from, in append order.
 // Every full chunk holds exactly bufChunk records, so from maps straight
 // to a chunk and offset.
 func (b *Buffer) Range(from int, fn func(Record)) {
-	if from < 0 {
-		from = 0
-	}
-	for ci := from / bufChunk; ci <= b.cur && ci < len(b.chunks); ci++ {
-		c := b.chunks[ci]
-		lo := 0
-		if ci == from/bufChunk {
-			lo = from % bufChunk
-		}
-		if lo > len(c) {
-			continue
-		}
-		for _, r := range c[lo:] {
+	from = min(max(from, 0), b.n)
+	for ci := from / bufChunk; ci < len(b.chunks); ci++ {
+		for _, r := range b.chunks[ci][from-ci*bufChunk:] {
 			fn(r)
 		}
+		from = (ci + 1) * bufChunk
 	}
 }
 
@@ -63,19 +50,8 @@ func (b *Buffer) Range(from int, fn func(Record)) {
 // exact-size allocation. The buffer is unchanged.
 func (b *Buffer) Flatten() []Record {
 	out := make([]Record, 0, b.n)
-	for ci := 0; ci <= b.cur && ci < len(b.chunks); ci++ {
-		out = append(out, b.chunks[ci]...)
+	for _, c := range b.chunks {
+		out = append(out, c...)
 	}
 	return out
-}
-
-// Reset drops the records but keeps every allocated chunk for reuse, so
-// interval-by-interval collection stops allocating once the busiest
-// interval has been seen.
-func (b *Buffer) Reset() {
-	for i := range b.chunks {
-		b.chunks[i] = b.chunks[i][:0]
-	}
-	b.cur = 0
-	b.n = 0
 }

@@ -71,30 +71,3 @@ func TestBufferRange(t *testing.T) {
 		}
 	}
 }
-
-// TestBufferReset pins the reuse contract: Reset drops records but keeps
-// chunk storage, and the buffer refills correctly afterwards.
-func TestBufferReset(t *testing.T) {
-	var b Buffer
-	fillBuffer(&b, bufChunk+5)
-	chunks := len(b.chunks)
-	b.Reset()
-	if b.Len() != 0 {
-		t.Fatalf("Len = %d after Reset, want 0", b.Len())
-	}
-	if got := b.Flatten(); len(got) != 0 {
-		t.Fatalf("Flatten after Reset returned %d records", len(got))
-	}
-	b.Range(0, func(Record) { t.Fatal("Range after Reset visited a record") })
-	if len(b.chunks) != chunks {
-		t.Fatalf("Reset dropped chunks: %d -> %d", chunks, len(b.chunks))
-	}
-	fillBuffer(&b, 3)
-	if b.Len() != 3 || len(b.chunks) != chunks {
-		t.Fatalf("refill: len=%d chunks=%d, want 3 records in %d reused chunks",
-			b.Len(), len(b.chunks), chunks)
-	}
-	if out := b.Flatten(); out[0].Time != 0 || out[2].Time != 2 {
-		t.Fatalf("refilled records wrong: %v", out)
-	}
-}

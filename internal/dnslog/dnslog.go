@@ -11,23 +11,23 @@ package dnslog
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
-	"dnsbackscatter/internal/intern"
 	"dnsbackscatter/internal/ipaddr"
 	"dnsbackscatter/internal/simtime"
 )
 
-// Record is one reverse DNS query observed at an authority.
+// Record is one reverse DNS query observed at an authority: 24 bytes and
+// no pointer, so the collector never scans a []Record.
 type Record struct {
 	Time       simtime.Time
 	Originator ipaddr.Addr // address whose reverse name was queried
 	Querier    ipaddr.Addr // source of the DNS query (recursive resolver)
-	Authority  string      // sensor name, e.g. "jp", "b-root", "m-root"
+	Authority  Authority   // sensor, e.g. "jp", "b-root", "m-root"
 	RCode      uint8       // response code returned by the authority
 }
 
@@ -50,7 +50,7 @@ func (r Record) AppendText(dst []byte) []byte {
 	dst = append(dst, '\t')
 	dst = append(dst, r.Querier.String()...)
 	dst = append(dst, '\t')
-	dst = append(dst, r.Authority...)
+	dst = append(dst, r.Authority.String()...)
 	dst = append(dst, '\t')
 	dst = strconv.AppendUint(dst, uint64(r.RCode), 10)
 	return dst
@@ -59,31 +59,74 @@ func (r Record) AppendText(dst []byte) []byte {
 // ErrBadRecord reports a malformed log line.
 var ErrBadRecord = errors.New("dnslog: malformed record")
 
-// ParseRecord parses one log line produced by AppendText.
-func ParseRecord(line string) (Record, error) {
+// ParseRecord parses one log line produced by AppendText, and only the
+// form AppendText writes: a line that parses renders back to itself.
+func ParseRecord(line string) (Record, error) { return parseRecord([]byte(line)) }
+
+// parseRecord is ParseRecord on the reader's line buffer: no string per
+// line, no field slice.
+//
+//bslint:hotpath
+func parseRecord(line []byte) (Record, error) {
 	var r Record
-	fields := strings.Split(line, "\t")
-	if len(fields) != 5 {
-		return r, fmt.Errorf("%w: %d fields", ErrBadRecord, len(fields))
+	var f [5][]byte
+	for i := range f[:4] {
+		tab := bytes.IndexByte(line, '\t')
+		if tab < 0 {
+			return r, fmt.Errorf("%w: %d fields", ErrBadRecord, i+1)
+		}
+		f[i], line = line[:tab], line[tab+1:]
 	}
-	ts, err := strconv.ParseInt(fields[0], 10, 64)
-	if err != nil {
-		return r, fmt.Errorf("%w: bad timestamp %q", ErrBadRecord, fields[0])
+	if bytes.IndexByte(line, '\t') >= 0 {
+		return r, fmt.Errorf("%w: more than 5 fields", ErrBadRecord)
 	}
-	r.Time = simtime.Time(ts)
-	if r.Originator, err = ipaddr.Parse(fields[1]); err != nil {
+	f[4] = line
+
+	ts, limit := f[0], uint64(1<<63-1)
+	if len(ts) > 0 && ts[0] == '-' {
+		ts, limit = ts[1:], 1<<63
+	}
+	t, ok := decimal(ts, limit)
+	if !ok || t == 0 && len(ts) < len(f[0]) {
+		return r, fmt.Errorf("%w: bad timestamp %q", ErrBadRecord, f[0])
+	}
+	r.Time = simtime.Time(t)
+	if len(ts) < len(f[0]) {
+		r.Time = -r.Time
+	}
+	var err error
+	if r.Originator, err = ipaddr.Parse(f[1]); err != nil {
 		return r, fmt.Errorf("%w: bad originator: %v", ErrBadRecord, err)
 	}
-	if r.Querier, err = ipaddr.Parse(fields[2]); err != nil {
+	if r.Querier, err = ipaddr.Parse(f[2]); err != nil {
 		return r, fmt.Errorf("%w: bad querier: %v", ErrBadRecord, err)
 	}
-	r.Authority = fields[3]
-	rc, err := strconv.ParseUint(fields[4], 10, 8)
-	if err != nil {
-		return r, fmt.Errorf("%w: bad rcode %q", ErrBadRecord, fields[4])
+	if r.Authority, err = authorities.id(f[3]); err != nil {
+		return r, err
+	}
+	rc, ok := decimal(f[4], 255)
+	if !ok {
+		return r, fmt.Errorf("%w: bad rcode %q", ErrBadRecord, f[4])
 	}
 	r.RCode = uint8(rc)
 	return r, nil
+}
+
+// decimal parses the canonical decimal form of a value up to limit: digits
+// only, no leading zero.
+func decimal(b []byte, limit uint64) (uint64, bool) {
+	if len(b) == 0 || len(b) > 1 && b[0] == '0' {
+		return 0, false
+	}
+	var v uint64
+	for _, c := range b {
+		d := uint64(c - '0')
+		if d > 9 || v > (limit-d)/10 {
+			return 0, false
+		}
+		v = v*10 + d
+	}
+	return v, true
 }
 
 // Writer streams records to an io.Writer, one line each.
@@ -115,36 +158,31 @@ func (w *Writer) Count() int { return w.n }
 // Flush flushes buffered output.
 func (w *Writer) Flush() error { return w.bw.Flush() }
 
-// Reader streams records from an io.Reader. Authority strings are
-// interned through a per-reader table: every record from the same sensor
-// shares one backing string instead of each keeping a substring that pins
-// its whole source line in memory.
+// Reader streams records from an io.Reader.
 type Reader struct {
-	sc    *bufio.Scanner
-	line  int
-	names *intern.Table
+	sc   *bufio.Scanner
+	line int
 }
 
 // NewReader returns a log reader over r.
 func NewReader(r io.Reader) *Reader {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	return &Reader{sc: sc, names: intern.New(0)}
+	return &Reader{sc: sc}
 }
 
 // Read returns the next record, or io.EOF when the stream is exhausted.
 func (r *Reader) Read() (Record, error) {
 	for r.sc.Scan() {
 		r.line++
-		line := strings.TrimSpace(r.sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimSpace(r.sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		rec, err := ParseRecord(line)
+		rec, err := parseRecord(line)
 		if err != nil {
 			return Record{}, fmt.Errorf("line %d: %w", r.line, err)
 		}
-		rec.Authority = r.names.Intern(rec.Authority)
 		return rec, nil
 	}
 	if err := r.sc.Err(); err != nil {

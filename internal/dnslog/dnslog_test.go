@@ -2,6 +2,7 @@ package dnslog
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ func rec(t int64, o, q string) Record {
 		Time:       simtime.Time(t),
 		Originator: ipaddr.MustParse(o),
 		Querier:    ipaddr.MustParse(q),
-		Authority:  "jp",
+		Authority:  MustAuthority("jp"),
 	}
 }
 
@@ -25,7 +26,7 @@ func TestRecordTextRoundTrip(t *testing.T) {
 		Time:       simtime.Date(2014, 4, 15, 11, 0),
 		Originator: ipaddr.MustParse("1.2.3.4"),
 		Querier:    ipaddr.MustParse("192.168.0.3"),
-		Authority:  "b-root",
+		Authority:  MustAuthority("b-root"),
 		RCode:      3,
 	}
 	line := string(r.AppendText(nil))
@@ -44,7 +45,7 @@ func TestRecordTextProperty(t *testing.T) {
 			Time:       simtime.Time(ts),
 			Originator: ipaddr.Addr(o),
 			Querier:    ipaddr.Addr(q),
-			Authority:  "m-root",
+			Authority:  MustAuthority("m-root"),
 			RCode:      rc,
 		}
 		got, err := ParseRecord(string(r.AppendText(nil)))
@@ -63,10 +64,30 @@ func TestParseRecordErrors(t *testing.T) {
 		"1\t1.2.3.4\tbadip\tjp\t0",
 		"1\t1.2.3.4\t5.6.7.8\tjp\t999",
 		"1\t1.2.3.4\t5.6.7.8\tjp\t0\textra",
+		// Only the form AppendText writes:
+		"+1\t1.2.3.4\t5.6.7.8\tjp\t0",
+		"01\t1.2.3.4\t5.6.7.8\tjp\t0",
+		"-0\t1.2.3.4\t5.6.7.8\tjp\t0",
+		"-\t1.2.3.4\t5.6.7.8\tjp\t0",
+		"9223372036854775808\t1.2.3.4\t5.6.7.8\tjp\t0",
+		"-9223372036854775809\t1.2.3.4\t5.6.7.8\tjp\t0",
+		"1\t01.2.3.4\t5.6.7.8\tjp\t0",
+		"1\t1.2.3.4\t5.6.7.08\tjp\t0",
+		"1\t1.2.3.4\t5.6.7.8\tjp\t00",
+		"1\t1.2.3.4\t5.6.7.8\tjp\t256",
+		"1\t1.2.3.4\t5.6.7.8\t" + strings.Repeat("n", 256) + "\t0",
 	}
 	for _, line := range bad {
-		if _, err := ParseRecord(line); err == nil {
-			t.Errorf("ParseRecord(%q) succeeded", line)
+		if _, err := ParseRecord(line); !errors.Is(err, ErrBadRecord) {
+			t.Errorf("ParseRecord(%q): err = %v, want ErrBadRecord", line, err)
+		}
+	}
+	for _, line := range []string{
+		"-9223372036854775808\t0.0.0.0\t255.255.255.255\t\t255",
+		"9223372036854775807\t1.2.3.4\t5.6.7.8\tfinal cafe #1\t0",
+	} {
+		if r, err := ParseRecord(line); err != nil || string(r.AppendText(nil)) != line {
+			t.Errorf("ParseRecord(%q) = %+v, %v", line, r, err)
 		}
 	}
 }

@@ -81,8 +81,9 @@ type Config struct {
 // two-byte length framing).
 type Server struct {
 	conn *net.UDPConn
-	tcp  net.Listener // nil when the TCP port was unavailable
-	cfg  Config       // read-only once Listen returns
+	tcp  net.Listener     // nil when the TCP port was unavailable
+	cfg  Config           // read-only once Listen returns
+	auth dnslog.Authority // cfg.Authority, as records carry it
 	m    serverMetrics
 
 	mu       sync.Mutex            // serializes cfg.Sink calls; guards tcpConns
@@ -99,6 +100,10 @@ type Server struct {
 // only then starts serving: no query is answered by a half-configured
 // server.
 func Listen(addr string, cfg Config) (*Server, error) {
+	auth, err := dnslog.AuthorityOf(cfg.Authority)
+	if err != nil {
+		return nil, fmt.Errorf("dnsserver: %w", err)
+	}
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("dnsserver: %w", err)
@@ -119,6 +124,7 @@ func Listen(addr string, cfg Config) (*Server, error) {
 	s := &Server{
 		conn:     conn,
 		cfg:      cfg,
+		auth:     auth,
 		m:        newServerMetrics(cfg.Obs, cfg.Authority),
 		tcpConns: make(map[net.Conn]struct{}),
 		closed:   make(chan struct{}),
@@ -310,8 +316,8 @@ func (s *Server) exchange(wire []byte, peer *net.UDPAddr, tcp bool, msg *dnswire
 		}
 	}
 	if rec != nil {
-		rec.Time, rec.Querier, rec.Authority = s.cfg.Clock(), peerQuerier(peer), s.cfg.Authority
-		tc.Sensor(rec.Authority, rec.Originator, rec.Querier, rec.RCode, rec.Time)
+		rec.Time, rec.Querier, rec.Authority = s.cfg.Clock(), peerQuerier(peer), s.auth
+		tc.Sensor(s.cfg.Authority, rec.Originator, rec.Querier, rec.RCode, rec.Time)
 		if s.cfg.Sink != nil {
 			s.mu.Lock()
 			s.cfg.Sink(*rec)

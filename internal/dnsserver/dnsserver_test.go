@@ -61,7 +61,7 @@ func TestLookupPositive(t *testing.T) {
 		t.Fatalf("sink saw %d records", len(*recs))
 	}
 	r := (*recs)[0]
-	if r.Originator != ipaddr.MustParse("192.0.2.1") || r.Authority != "final-test" {
+	if r.Originator != ipaddr.MustParse("192.0.2.1") || r.Authority.String() != "final-test" {
 		t.Errorf("record = %+v", r)
 	}
 	if r.Querier.Slash8() != 127 {
@@ -255,7 +255,7 @@ func TestFirstQueryAfterListenIsLogged(t *testing.T) {
 	// The sink runs before the answer is written, so the record is there.
 	select {
 	case r := <-logged:
-		if r.Time != at || r.Authority != "first" || r.Originator != ipaddr.MustParse("192.0.2.1") {
+		if r.Time != at || r.Authority.String() != "first" || r.Originator != ipaddr.MustParse("192.0.2.1") {
 			t.Errorf("first record = %+v, want time %d from authority first", r, at)
 		}
 	default:

@@ -183,11 +183,12 @@ type Sensor struct {
 	End simtime.Time
 	// CountOnly marks a sensor nobody reads records from: it applies the
 	// horizon, counts and samples exactly as its keeping twin would, and
-	// buffers nothing. Len, Records, Range and Take panic on it.
+	// buffers nothing. Len, Records and Range panic on it.
 	CountOnly bool
 
-	n   uint64
-	buf dnslog.Buffer
+	n    uint64
+	auth dnslog.Authority
+	buf  dnslog.Buffer
 }
 
 // NewSensor returns an in-memory sensor. sample < 1 is treated as 1.
@@ -195,7 +196,7 @@ func NewSensor(name string, sample int) *Sensor {
 	if sample < 1 {
 		sample = 1
 	}
-	return &Sensor{Name: name, Sample: sample}
+	return &Sensor{Name: name, Sample: sample, auth: dnslog.MustAuthority(name)}
 }
 
 // Observe records one query, subject to sampling and the collection
@@ -215,7 +216,7 @@ func (s *Sensor) Observe(now simtime.Time, orig, querier ipaddr.Addr, rcode uint
 		return false
 	}
 	if !s.CountOnly {
-		s.buf.Append(dnslog.Record{Time: now, Originator: orig, Querier: querier, Authority: s.Name, RCode: rcode})
+		s.buf.Append(dnslog.Record{Time: now, Originator: orig, Querier: querier, Authority: s.auth, RCode: rcode})
 	}
 	return true
 }
@@ -240,23 +241,14 @@ func (s *Sensor) Len() int { return s.records().Len() }
 // drain, not per record.
 func (s *Sensor) Records() []dnslog.Record { return s.records().Flatten() }
 
-// Take is Records handing the records over: the sensor keeps counting but
-// holds none of them afterwards.
-func (s *Sensor) Take() []dnslog.Record {
-	out := s.records().Flatten()
-	s.buf = dnslog.Buffer{}
-	return out
-}
-
 // Range calls fn for each kept record with index >= from, in arrival
 // order, without copying. Incremental consumers (scan verification)
 // remember Len() as their base and range from it.
 func (s *Sensor) Range(from int, fn func(dnslog.Record)) { s.records().Range(from, fn) }
 
-// Reset drops collected records but keeps counters and chunk storage, so
-// long simulations can drain sensors interval by interval without
-// reallocating.
-func (s *Sensor) Reset() { s.buf.Reset() }
+// Reset releases the collected records and keeps the counters: whoever
+// took Records() owns the only copy.
+func (s *Sensor) Reset() { s.buf = dnslog.Buffer{} }
 
 // Resolver is one querier's recursive resolution state.
 type Resolver struct {

@@ -1,7 +1,6 @@
 package dnssim
 
 import (
-	"slices"
 	"strings"
 	"testing"
 
@@ -234,10 +233,18 @@ func TestSensorSamplingDeterministic(t *testing.T) {
 
 func TestSensorReset(t *testing.T) {
 	s := NewSensor("x", 1)
-	s.Observe(0, 1, 2, 0)
+	for i := 0; i < 5000; i++ { // more than one buffer chunk
+		s.Observe(simtime.Time(i), ipaddr.Addr(i), 2, 0)
+	}
+	taken := s.Records()
 	s.Reset()
-	if len(s.Records()) != 0 || s.Seen() != 1 {
+	if len(s.Records()) != 0 || s.Seen() != 5000 {
 		t.Error("Reset must clear records but keep counters")
+	}
+	s.Observe(6000, 1, 2, 0)
+	if s.Len() != 1 || len(taken) != 5000 || taken[0].Time != 0 || taken[4999].Time != 4999 {
+		t.Errorf("after Reset and one query: Len %d; the %d records taken before run %d..%d",
+			s.Len(), len(taken), taken[0].Time, taken[len(taken)-1].Time)
 	}
 }
 
@@ -449,7 +456,6 @@ func TestCountOnlySensor(t *testing.T) {
 		for name, read := range map[string]func(){
 			"Len":     func() { count.Len() },
 			"Records": func() { count.Records() },
-			"Take":    func() { count.Take() },
 			"Range":   func() { count.Range(0, func(dnslog.Record) {}) },
 		} {
 			func() {
@@ -461,24 +467,5 @@ func TestCountOnlySensor(t *testing.T) {
 				read()
 			}()
 		}
-	}
-}
-
-func TestSensorTake(t *testing.T) {
-	s := NewSensor("x", 1)
-	for i := 0; i < 5000; i++ { // more than one buffer chunk
-		s.Observe(simtime.Time(i), ipaddr.Addr(i), 2, 0)
-	}
-	want := s.Records()
-	got := s.Take()
-	if len(got) != 5000 || !slices.Equal(got, want) {
-		t.Fatalf("Take returned %d records, Records %d", len(got), len(want))
-	}
-	if s.Len() != 0 || s.Seen() != 5000 {
-		t.Errorf("after Take: Len %d, Seen %d; want 0 and 5000", s.Len(), s.Seen())
-	}
-	s.Observe(6000, 1, 2, 0)
-	if s.Len() != 1 || got[0].Time != 0 {
-		t.Errorf("a record after Take: Len %d, first taken record at %d", s.Len(), got[0].Time)
 	}
 }

@@ -35,7 +35,7 @@ func mkRecs(orig string, nQueriers, queriesEach int) []dnslog.Record {
 		qa := ipaddr.FromOctets(10, byte(q/256), byte(q%256), byte(q%251))
 		for k := 0; k < queriesEach; k++ {
 			recs = append(recs, dnslog.Record{
-				Time: t, Originator: o, Querier: qa, Authority: "jp",
+				Time: t, Originator: o, Querier: qa, Authority: dnslog.MustAuthority("jp"),
 			})
 			t = t.Add(40) // outside the 30 s dedup window
 		}

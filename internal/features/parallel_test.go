@@ -23,7 +23,7 @@ func multiOrigRecs(nOrigs, nQueriers, queriesEach int) []dnslog.Record {
 			for q := 0; q < nQueriers; q++ {
 				qa := ipaddr.FromOctets(10, byte(o), byte(q/256), byte(q%256))
 				recs = append(recs, dnslog.Record{
-					Time: t, Originator: orig, Querier: qa, Authority: "jp",
+					Time: t, Originator: orig, Querier: qa, Authority: dnslog.MustAuthority("jp"),
 				})
 				t = t.Add(1) // inside the window: dedup must suppress repeats
 			}

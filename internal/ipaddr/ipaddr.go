@@ -44,8 +44,9 @@ func (a Addr) String() string {
 // ErrBadAddr reports a malformed dotted-quad string.
 var ErrBadAddr = errors.New("ipaddr: malformed IPv4 address")
 
-// Parse parses a dotted-quad IPv4 address.
-func Parse(s string) (Addr, error) {
+// Parse parses a dotted-quad IPv4 address in the form String writes: no
+// octet has a leading zero.
+func Parse[S ~string | ~[]byte](s S) (Addr, error) {
 	var a Addr
 	part := 0
 	val := -1
@@ -53,6 +54,9 @@ func Parse(s string) (Addr, error) {
 		c := s[i]
 		switch {
 		case c >= '0' && c <= '9':
+			if val == 0 {
+				return 0, fmt.Errorf("%w: leading zero in %q", ErrBadAddr, s)
+			}
 			if val < 0 {
 				val = 0
 			}
