@@ -67,8 +67,9 @@ cover:
 # Short fuzz smoke on the wire codec, the streaming engine, the
 # heavy-hitters sketch (against its linear-scan reference), the name
 # classifier (against its keyword-by-keyword reference) and the two record
-# parsers, log text and capture frames: ten seconds per target. Crashers land in the package's testdata/fuzz/ and
-# from then on run as plain regression tests on every `go test`.
+# parsers, log text and capture frames: ten seconds per target. Crashers
+# land in the package's testdata/fuzz/ and from then on run as plain
+# regression tests on every `go test`.
 fuzz:
 	$(GO) test ./internal/dnswire -run '^$$' -fuzz FuzzDecode -fuzztime 10s
 	$(GO) test ./internal/dnswire -run '^$$' -fuzz FuzzRoundTrip -fuzztime 10s

@@ -45,7 +45,7 @@ func (t *nameTable) id(name []byte) (Authority, error) {
 	case ok:
 		return a, nil
 	case len(name) > maxAuthorityName || bytes.ContainsAny(name, "\t\n"):
-		return 0, fmt.Errorf("%w: authority %q: over %d bytes, or a tab or newline in it", ErrBadRecord, name, maxAuthorityName)
+		return 0, fmt.Errorf("%w: authority %.40q: over %d bytes, or a tab or newline in it", ErrBadRecord, name, maxAuthorityName)
 	case len(t.names) == maxAuthorities:
 		return 0, fmt.Errorf("%w: more than %d authority names", ErrBadRecord, maxAuthorities)
 	}
