@@ -6,8 +6,8 @@
 #                    # internal/report rebuilds datasets under -race)
 #
 # `go build ./... && go test ./...` remains the quick inner loop; verify
-# adds formatting, go vet, bslint, and the race pass on the packages that
-# actually share state across goroutines.
+# adds formatting, the loc.budgets ceilings, go vet, bslint, and the race
+# pass on the packages that actually share state across goroutines.
 
 GO ?= go
 RACE_PKGS = ./internal/cache ./internal/dnsserver ./internal/obs ./internal/report \
@@ -15,9 +15,9 @@ RACE_PKGS = ./internal/cache ./internal/dnsserver ./internal/obs ./internal/repo
 	./internal/stream ./internal/alert ./internal/world ./internal/dnssim \
 	./internal/dnslog ./internal/dnscap ./internal/trace ./cmd/bsserve
 
-.PHONY: verify fmt vet lint build test race bench bench-check budget prof-artifacts docs determinism chaos fuzz cover tracecheck trace-artifacts soak loc
+.PHONY: verify fmt vet lint build test race bench-check budget prof-artifacts docs determinism chaos fuzz cover tracecheck trace-artifacts soak loc
 
-verify: fmt vet lint build test race fuzz tracecheck budget docs
+verify: fmt loc vet lint build test race fuzz tracecheck budget docs
 	@echo "verify: all checks passed"
 
 fmt:
@@ -87,10 +87,10 @@ fuzz:
 soak:
 	BS_SOAK=1 $(GO) test ./internal/stream -run TestStreamSoak -count=1 -v
 
-# Docs lint: exported-API doc comments (bslint apidoc) and Markdown
-# relative-link integrity (cmd/mdlint).
+# Docs lint: Markdown relative-link and file-reference integrity, plus
+# the hotpath inventory in PERFORMANCE.md (cmd/mdlint). Exported-API doc
+# comments are bslint's apidoc check, which `make lint` already runs.
 docs:
-	$(GO) run ./cmd/bslint -determinism=false -locksafe=false -errcheck=false ./...
 	$(GO) run ./cmd/mdlint
 
 # End-to-end worker-count determinism under the race detector — the
@@ -106,15 +106,21 @@ docs:
 determinism:
 	$(GO) test -race -run 'TestSeedMatrixDeterminism|TestWarmExtractorMatchesFresh|TestStreamWorkerDeterminism|TestAlertDeterminism' -v .
 
-# Non-test Go lines per layer — the table ROADMAP item 3 tracks and every
-# PR quotes in CHANGES.md — with the total outside the benchmark.
+# Non-test Go lines per layer — the table every PR quotes in CHANGES.md —
+# beside each layer's ceiling in loc.budgets, with the total outside the
+# benchmark. Part of verify: fails when a layer exceeds its ceiling or
+# has none. A PR that needs a layer to grow raises its line in the same
+# diff; a PR that deletes code lowers it.
 loc:
-	@total=0; for d in . internal/* cmd/* examples/*; do \
+	@total=0; fail=0; for d in . internal/* cmd/* examples/*; do \
 		n=$$(ls $$d/*.go 2>/dev/null | grep -v _test.go | xargs -r cat | wc -l); \
 		[ $$n -gt 0 ] || continue; \
-		printf '%-24s %6d\n' $$d $$n; \
+		max=$$(awk -v d=$$d '$$1 == d { print $$2 }' loc.budgets); \
+		printf '%-24s %6d %6s\n' $$d $$n "$$max"; \
+		if [ -z "$$max" ]; then echo "loc: $$d has no ceiling in loc.budgets"; fail=1; \
+		elif [ $$n -gt $$max ]; then echo "loc: $$d has $$n lines, over its ceiling of $$max"; fail=1; fi; \
 		case $$d in cmd/bsperf) ;; *) total=$$((total+n)) ;; esac; \
-	done; printf '%-24s %6d\n' 'total sans cmd/bsperf' $$total
+	done; printf '%-24s %6d\n' 'total sans cmd/bsperf' $$total; exit $$fail
 
 # Chaos seed matrix: the full pipeline under deterministic fault
 # profiles (none / lossy / servfail-storm) × seeds × worker counts,
@@ -141,29 +147,12 @@ trace-artifacts:
 		-timeseries timeseries.json -window 2h \
 		-alerts alerts.jsonl > /dev/null
 
-# Benchmark trajectory: run the paper-reproduction benchmark suite once
-# per benchmark and record name/ns/op/B/op/allocs into BENCH_PR8.json so
-# later PRs can diff performance against the checked-in BENCH_PR3/PR4/PR5
-# baselines. BS_SCALE tunes dataset size as usual; the BenchmarkParallel*
-# entries compare worker counts 1 and 8, and BenchmarkTraceOverhead
-# records the off/sampled/full tracing cost on the resolver hot path
-# (the disabled path must stay within noise of the PR 4 baseline).
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . | $(GO) run ./cmd/bsbench -o BENCH_PR8.json
-
-# Benchmark regression gate: run the suite once, then apply both gates to
-# the same output — the trajectory diff (bsbench -against latest, which
-# resolves to the newest checked-in BENCH_*.json; 15% alloc / 100% time
-# tolerance) and the absolute allocation budgets (bsprof -check against
-# alloc.budgets). The run is saved to a temp file so one bench pass feeds
-# both gates. `make bench` regenerates the reference after a deliberate
-# perf change, and the latest-resolution retargets this gate on its own.
+# Allocation-budget gate over the full benchmark suite: one pass, every
+# benchmark held to its alloc.budgets ceiling by bsprof -check. Wall time
+# is bsperf's to measure (BENCHMARK.json); a -benchtime 1x sample is not
+# a timing.
 bench-check:
-	@tmp=$$(mktemp); \
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . > $$tmp || { cat $$tmp; rm -f $$tmp; exit 1; }; \
-	$(GO) run ./cmd/bsbench -against latest < $$tmp || { rm -f $$tmp; exit 1; }; \
-	$(GO) run ./cmd/bsprof -check -budgets alloc.budgets -bench $$tmp || { rm -f $$tmp; exit 1; }; \
-	rm -f $$tmp
+	$(call budget-check,.)
 
 # Fast allocation-budget gate, part of verify: the BenchmarkParallel*
 # suite (seconds, and it covers the pipeline's hot fan-out paths) plus
@@ -172,15 +161,27 @@ bench-check:
 # bench-check / CI; budgeted benchmarks outside the subset are logged as
 # skipped.
 budget:
-	$(GO) test -run '^$$' -bench 'BenchmarkParallel|BenchmarkProfOverhead' -benchmem -benchtime 1x . | \
-		$(GO) run ./cmd/bsprof -check -budgets alloc.budgets
+	$(call budget-check,BenchmarkParallel|BenchmarkProfOverhead)
+
+# budget-check runs the benchmarks matching $(1) once with -benchmem and
+# hands the output to bsprof -check. The run goes through a file, so a
+# failing benchmark fails the gate instead of reading as skipped budgets.
+define budget-check
+	@out=$$(mktemp); \
+	$(GO) test -run '^$$' -bench '$(1)' -benchmem -benchtime 1x . > $$out || { cat $$out; rm -f $$out; exit 1; }; \
+	$(GO) run ./cmd/bsprof -check -budgets alloc.budgets -bench $$out; code=$$?; rm -f $$out; exit $$code
+endef
 
 # Resource-observatory artifacts for CI: a scaled reproduction run's
 # per-stage resource report (ops channel, scheduling-dependent) plus
-# heap and CPU profiles from the benchmark suite, for bsprof to inspect.
+# heap and CPU profiles from the benchmark suite, read with go tool
+# pprof: the flat allocation ranking, then the extract path's sites
+# (stacks crossing features, qname or geo).
 prof-artifacts:
 	$(GO) run ./cmd/bsrepro -scale 0.08 -experiment figure3 -resources resources.json > /dev/null
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelExtract' -benchmem -benchtime 1x \
 		-memprofile heap.pprof -cpuprofile cpu.pprof . > /dev/null
 	$(GO) run ./cmd/bsprof -report resources.json
-	$(GO) run ./cmd/bsprof -heap heap.pprof -paths -top 3
+	$(GO) tool pprof -top -nodecount 10 -sample_index alloc_space heap.pprof
+	$(GO) tool pprof -top -nodecount 3 -sample_index alloc_space \
+		-focus 'internal/(features|qname|geo)' heap.pprof

@@ -16,8 +16,6 @@
 //	bslint ./...                    # whole module (the default)
 //	bslint -json ./internal/...     # machine-readable findings
 //	bslint -determinism=false ./... # disable one check
-//	bslint -fix ./...               # apply mechanical autofixes
-//	bslint -write-baseline ./...    # grandfather current findings
 //	bslint -list                    # show registered checks
 //
 // Any package that fails to parse or type-check is fatal: bslint reports
@@ -31,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"dnsbackscatter/internal/lint"
 )
@@ -46,9 +43,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
 	list := fs.Bool("list", false, "list registered checks and exit")
 	dir := fs.String("C", ".", "directory inside the module to lint")
-	fix := fs.Bool("fix", false, "apply suggested fixes for mechanical findings and rewrite the files")
-	baselinePath := fs.String("baseline", "", "baseline file of grandfathered findings (default <module>/lint.baseline when present)")
-	writeBaseline := fs.Bool("write-baseline", false, "write current findings to the baseline file and exit")
 	enabled := map[string]*bool{}
 	for _, c := range lint.Checks() {
 		enabled[c.Name] = fs.Bool(c.Name, true, "enable the "+c.Name+" check: "+c.Doc)
@@ -94,51 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		flags[name] = *on
 	}
 	findings := lint.Run(pkgs, flags)
-
-	bp := *baselinePath
-	if bp == "" {
-		bp = filepath.Join(mod.Dir, "lint.baseline")
-	}
-	if *writeBaseline {
-		if err := lint.WriteBaseline(bp, findings, mod.Dir); err != nil {
-			fmt.Fprintln(stderr, "bslint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "bslint: wrote %d finding(s) to %s\n", len(findings), bp)
-		return 0
-	}
-	baseline, err := lint.LoadBaseline(bp)
-	if err != nil {
-		fmt.Fprintln(stderr, "bslint:", err)
-		return 2
-	}
-	findings, baselined := lint.FilterBaseline(findings, baseline, mod.Dir)
-	if len(baselined) > 0 {
-		fmt.Fprintf(stderr, "bslint: %d baselined finding(s) suppressed (burn them down, then -write-baseline)\n", len(baselined))
-	}
-
-	if *fix {
-		var fixable, remaining []lint.Finding
-		for _, f := range findings {
-			if f.Fix != nil {
-				fixable = append(fixable, f)
-			} else {
-				remaining = append(remaining, f)
-			}
-		}
-		files, err := lint.ApplyFixes(mod.Fset(), fixable)
-		if err != nil {
-			fmt.Fprintln(stderr, "bslint: fix:", err)
-			return 2
-		}
-		for _, f := range fixable {
-			fmt.Fprintf(stdout, "%s: fixed: %s\n", f.Pos, f.Fix.Message)
-		}
-		if len(files) > 0 {
-			fmt.Fprintf(stderr, "bslint: rewrote %d file(s)\n", len(files))
-		}
-		findings = remaining
-	}
 
 	if *jsonOut {
 		type jsonFinding struct {

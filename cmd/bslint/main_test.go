@@ -85,64 +85,6 @@ func TestRunLoadFailureIsFatal(t *testing.T) {
 	}
 }
 
-// TestRunBaselineFlow writes a baseline over existing findings and
-// asserts the next run suppresses exactly those, exiting 0.
-func TestRunBaselineFlow(t *testing.T) {
-	dir := writeModule(t, map[string]string{"p/p.go": dirtySrc})
-	bp := filepath.Join(dir, "lint.baseline")
-	code, _, stderr := runCLI(t, "-C", dir, "-write-baseline", "./...")
-	if code != 0 {
-		t.Fatalf("exit %d writing baseline; stderr=%q", code, stderr)
-	}
-	code, stdout, stderr := runCLI(t, "-C", dir, "./...")
-	if code != 0 {
-		t.Fatalf("exit %d with baselined findings, want 0; stdout=%q", code, stdout)
-	}
-	if !strings.Contains(stderr, "baselined finding(s) suppressed") {
-		t.Errorf("stderr does not mention the baselined findings: %q", stderr)
-	}
-	data, err := os.ReadFile(bp)
-	if err != nil {
-		t.Fatalf("baseline file not written: %v", err)
-	}
-	if !strings.Contains(string(data), "determinism\t") {
-		t.Errorf("baseline lacks the determinism fingerprint:\n%s", data)
-	}
-	// A fresh finding still fails even with the old one grandfathered.
-	extra := strings.Replace(dirtySrc, "func Stamp", "func Stamp2", 1)
-	if err := os.WriteFile(filepath.Join(dir, "p", "q.go"), []byte(extra), 0o644); err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
-	if code, _, _ = runCLI(t, "-C", dir, "./..."); code != 1 {
-		t.Fatalf("exit %d with a fresh finding beside a baselined one, want 1", code)
-	}
-}
-
-// TestRunFixRewrites applies the map-order autofix through the CLI and
-// asserts the module lints clean afterwards.
-func TestRunFixRewrites(t *testing.T) {
-	dir := writeModule(t, map[string]string{"p/p.go": `package p
-
-func Keys(m map[string]int) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-`})
-	code, stdout, stderr := runCLI(t, "-C", dir, "-fix", "./...")
-	if code != 0 {
-		t.Fatalf("exit %d after -fix, want 0; stdout=%q stderr=%q", code, stdout, stderr)
-	}
-	if !strings.Contains(stdout, "fixed:") || !strings.Contains(stderr, "rewrote 1 file(s)") {
-		t.Errorf("fix run did not report the rewrite: stdout=%q stderr=%q", stdout, stderr)
-	}
-	if code, stdout, _ := runCLI(t, "-C", dir, "./..."); code != 0 {
-		t.Fatalf("exit %d re-linting the fixed module, want 0; stdout=%q", code, stdout)
-	}
-}
-
 // TestRunJSON pins the machine-readable findings shape the CI artifact
 // publishes.
 func TestRunJSON(t *testing.T) {

@@ -1,54 +1,34 @@
-// Command bsprof inspects the repo's resource-observatory artifacts:
-// pprof profiles (from bsserve's /profiles ring, CI, or `go test
-// -memprofile`), per-stage resource reports (bsrepro -resources), and
-// the checked-in allocation budgets.
+// Command bsprof reads two of the repo's resource-observatory artifacts:
+// per-stage resource reports (bsrepro -resources) and the checked-in
+// allocation budgets. Profiles (bsserve's /profiles ring, CI's
+// heap.pprof and cpu.pprof, `go test -memprofile`) are read with `go
+// tool pprof`; PERFORMANCE.md lists the commands.
 //
 // Modes:
 //
-//	bsprof -heap heap.pprof -top 10          # top allocation sites
-//	bsprof -heap heap.pprof -paths           # top sites per pipeline path
-//	bsprof -heap after.pprof -base before.pprof  # heap growth between snapshots
-//	bsprof -report resources.json            # per-stage resource table
+//	bsprof -report resources.json                    # per-stage resource table
 //	bsprof -check -budgets alloc.budgets <bench.txt  # allocation-budget gate
 //
-// The -paths view attributes each heap sample to a Figure 2 pipeline
-// path by the packages its stack crosses (extract = features/qname/geo,
-// qname-min = the dnssim resolver walk, and so on), then ranks leaf
-// allocation sites inside each path — "where do the extract stage's
-// bytes actually come from".
-//
-// The -check gate reads `go test -bench -benchmem` output (raw text or
-// a BENCH_*.json trajectory) and fails when any budgeted benchmark
-// exceeds its max B/op or allocs/op. Budgets live in alloc.budgets;
-// entries on only one side are logged, never silently dropped.
+// The -check gate reads raw `go test -bench -benchmem` output and fails
+// when any budgeted benchmark exceeds its max B/op or allocs/op, or
+// reports neither (a run without -benchmem), or when no budgeted
+// benchmark ran at all. Budgets live in alloc.budgets; entries on only
+// one side are logged, never silently dropped.
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 
-	"dnsbackscatter/internal/benchparse"
 	"dnsbackscatter/internal/prof"
 )
-
-// pipelinePaths attributes heap samples to Figure 2 pipeline paths by
-// the packages their stacks cross. Order is presentation order.
-var pipelinePaths = []struct {
-	name string
-	subs []string
-}{
-	{"dedup", []string{"dnsbackscatter/internal/dnslog"}},
-	{"extract", []string{"dnsbackscatter/internal/features", "dnsbackscatter/internal/qname", "dnsbackscatter/internal/geo"}},
-	{"qname-min", []string{"dnsbackscatter/internal/dnssim", "dnsbackscatter/internal/dnswire"}},
-	{"train", []string{"dnsbackscatter/internal/ml"}},
-	{"classify", []string{"dnsbackscatter/internal/classify"}},
-	{"world", []string{"dnsbackscatter/internal/world"}},
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
@@ -57,38 +37,25 @@ func main() {
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bsprof", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	heap := fs.String("heap", "", "pprof profile to rank allocation sites from")
-	base := fs.String("base", "", "earlier pprof profile; with -heap, rank the growth between them")
-	typ := fs.String("type", "alloc_space", "sample-type column to rank (alloc_space, alloc_objects, inuse_space, samples, ...)")
-	top := fs.Int("top", 10, "sites to print per ranking")
-	paths := fs.Bool("paths", false, "with -heap, rank sites per pipeline path instead of globally")
 	report := fs.String("report", "", "per-stage resource report JSON (bsrepro -resources) to print")
 	check := fs.Bool("check", false, "enforce alloc.budgets against bench output (stdin or -bench)")
 	budgets := fs.String("budgets", "alloc.budgets", "budget file for -check")
-	bench := fs.String("bench", "", "bench output for -check: raw `go test -bench` text or a BENCH_*.json trajectory (empty = stdin)")
+	bench := fs.String("bench", "", "raw `go test -bench -benchmem` output for -check (empty = stdin)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	did := false
+	if *report == "" && !*check {
+		fmt.Fprintln(stderr, "bsprof: nothing to do (want -report or -check; see -h)")
+		return 2
+	}
 	if *report != "" {
 		if code := runReport(*report, stdout, stderr); code != 0 {
 			return code
 		}
-		did = true
-	}
-	if *heap != "" {
-		if code := runHeap(*heap, *base, *typ, *top, *paths, stdout, stderr); code != 0 {
-			return code
-		}
-		did = true
 	}
 	if *check {
 		return runCheck(*budgets, *bench, stdin, stdout, stderr)
-	}
-	if !did {
-		fmt.Fprintln(stderr, "bsprof: nothing to do (want -heap, -report, or -check; see -h)")
-		return 2
 	}
 	return 0
 }
@@ -110,90 +77,40 @@ func runReport(path string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runHeap ranks allocation sites in a profile, optionally against a
-// base profile (growth) and optionally split per pipeline path.
-func runHeap(heapPath, basePath, typ string, top int, paths bool, stdout, stderr io.Writer) int {
-	p, code := loadProfile(heapPath, stderr)
-	if code != 0 {
-		return code
-	}
-	idx := p.TypeIndex(typ)
-	if idx < 0 {
-		fmt.Fprintf(stderr, "bsprof: %s has no %q sample type (has: %s)\n", heapPath, typ, strings.Join(p.SampleTypes, ", "))
-		return 2
-	}
+// benchResult is one benchmark line: the name with its GOMAXPROCS suffix
+// stripped, and the -benchmem columns when the run printed them.
+type benchResult struct {
+	name   string
+	bytes  float64
+	allocs int64
+	mem    bool
+}
 
-	if basePath != "" {
-		b, code := loadProfile(basePath, stderr)
-		if code != 0 {
-			return code
+// benchLine matches standard testing benchmark output. The -benchmem
+// columns are optional, so a run without them is reported rather than
+// read as zero allocations.
+var benchLine = regexp.MustCompile(
+	`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+[\d.]+ ns/op(?:.*?\s([\d.]+) B/op\s+(\d+) allocs/op)?`)
+
+// readBench parses every benchmark line of raw `go test -bench` output,
+// in input order. Other lines are ignored.
+func readBench(r io.Reader) ([]benchResult, error) {
+	var out []benchResult
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	for sc.Scan() {
+		m := benchLine.FindStringSubmatch(sc.Text())
+		if m == nil {
+			continue
 		}
-		bIdx := b.TypeIndex(typ)
-		if bIdx != idx {
-			fmt.Fprintf(stderr, "bsprof: %s and %s disagree on sample types; diffing %q by matching index\n", basePath, heapPath, typ)
+		res := benchResult{name: m[1], mem: m[2] != ""}
+		if res.mem {
+			res.bytes, _ = strconv.ParseFloat(m[2], 64)
+			res.allocs, _ = strconv.ParseInt(m[3], 10, 64)
 		}
-		fmt.Fprintf(stdout, "top %d %s growth %s -> %s\n", top, typ, basePath, heapPath)
-		printSites(stdout, prof.DiffSites(b, p, idx, top))
-		return 0
+		out = append(out, res)
 	}
-
-	if paths {
-		fmt.Fprintf(stdout, "top %d %s sites per pipeline path (%s)\n", top, typ, heapPath)
-		for _, pp := range pipelinePaths {
-			sites := p.PathSites(idx, pp.subs, top)
-			fmt.Fprintf(stdout, "\n%s (%s):\n", pp.name, strings.Join(trimPkgs(pp.subs), ", "))
-			if len(sites) == 0 {
-				fmt.Fprintln(stdout, "  (no samples crossed this path)")
-				continue
-			}
-			printSites(stdout, sites)
-		}
-		return 0
-	}
-
-	fmt.Fprintf(stdout, "top %d %s sites (%s)\n", top, typ, heapPath)
-	printSites(stdout, p.TopSites(idx, top))
-	return 0
-}
-
-// trimPkgs shortens package paths for path headers (internal/features
-// instead of the full module path).
-func trimPkgs(subs []string) []string {
-	out := make([]string, len(subs))
-	for i, s := range subs {
-		out[i] = strings.TrimPrefix(s, "dnsbackscatter/")
-	}
-	return out
-}
-
-// loadProfile reads and parses one pprof file.
-func loadProfile(path string, stderr io.Writer) (*prof.Profile, int) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintln(stderr, "bsprof:", err)
-		return nil, 2
-	}
-	p, err := prof.ParseProfile(data)
-	if err != nil {
-		fmt.Fprintf(stderr, "bsprof: %s: %v\n", path, err)
-		return nil, 2
-	}
-	return p, 0
-}
-
-// printSites renders ranked sites, one per line.
-func printSites(w io.Writer, sites []prof.Site) {
-	for i, s := range sites {
-		fmt.Fprintf(w, "  %2d. %12s  %s\n", i+1, prof.SizeString(uint64(max64(s.Flat, 0))), s.Func)
-	}
-}
-
-// max64 clamps negative diff values for size rendering.
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return out, sc.Err()
 }
 
 // budget is one benchmark's allocation ceiling.
@@ -248,23 +165,28 @@ func runCheck(budgetPath, benchPath string, stdin io.Reader, stdout, stderr io.W
 		return 2
 	}
 
-	var results []benchparse.Result
+	in := stdin
 	if benchPath != "" {
-		results, err = benchparse.LoadFile(benchPath)
-	} else {
-		results, err = benchparse.Read(stdin)
+		f, err := os.Open(benchPath)
+		if err != nil {
+			fmt.Fprintln(stderr, "bsprof:", err)
+			return 2
+		}
+		defer f.Close() //nolint:errcheck — read-only descriptor, close cannot lose data
+		in = f
 	}
+	results, err := readBench(in)
 	if err != nil {
-		fmt.Fprintln(stderr, "bsprof:", err)
+		fmt.Fprintln(stderr, "bsprof: reading bench output:", err)
 		return 2
 	}
 
-	byName := make(map[string]benchparse.Result, len(results))
+	byName := make(map[string]benchResult, len(results))
 	for _, r := range results {
-		byName[r.Name] = r
+		byName[r.name] = r
 	}
 
-	violations, checked, skipped := 0, 0, 0
+	violations, checked, skipped, memless := 0, 0, 0, 0
 	for _, name := range order {
 		b := buds[name]
 		r, ok := byName[name]
@@ -275,22 +197,27 @@ func runCheck(budgetPath, benchPath string, stdin io.Reader, stdout, stderr io.W
 			skipped++
 			continue
 		}
+		if !r.mem {
+			fmt.Fprintf(stderr, "bsprof: %s has no B/op or allocs/op column (run go test with -benchmem)\n", name)
+			memless++
+			continue
+		}
 		checked++
-		if r.BytesPerOp > b.maxBytes {
+		if r.bytes > b.maxBytes {
 			fmt.Fprintf(stderr, "bsprof: OVER BUDGET: %s B/op %.0f > %.0f (+%.1f%%)\n",
-				name, r.BytesPerOp, b.maxBytes, (r.BytesPerOp/b.maxBytes-1)*100)
+				name, r.bytes, b.maxBytes, (r.bytes/b.maxBytes-1)*100)
 			violations++
 		}
-		if r.AllocsPerOp > b.maxAllocs {
+		if r.allocs > b.maxAllocs {
 			fmt.Fprintf(stderr, "bsprof: OVER BUDGET: %s allocs/op %d > %d\n",
-				name, r.AllocsPerOp, b.maxAllocs)
+				name, r.allocs, b.maxAllocs)
 			violations++
 		}
 	}
 	var unbudgeted []string
 	for _, r := range results {
-		if _, ok := buds[r.Name]; !ok && r.BytesPerOp > 0 {
-			unbudgeted = append(unbudgeted, r.Name)
+		if _, ok := buds[r.name]; !ok && r.bytes > 0 {
+			unbudgeted = append(unbudgeted, r.name)
 		}
 	}
 	sort.Strings(unbudgeted)
@@ -298,6 +225,10 @@ func runCheck(budgetPath, benchPath string, stdin io.Reader, stdout, stderr io.W
 		fmt.Fprintf(stderr, "bsprof: unbudgeted: %s (add to %s to gate it)\n", name, budgetPath)
 	}
 
+	if memless > 0 || checked == 0 {
+		fmt.Fprintf(stderr, "bsprof: %d budgeted benchmark(s) checked, %d without allocation columns\n", checked, memless)
+		return 2
+	}
 	if violations > 0 {
 		fmt.Fprintf(stderr, "bsprof: %d budget violation(s) against %s (%d checked, %d skipped, %d unbudgeted)\n",
 			violations, budgetPath, checked, skipped, len(unbudgeted))

@@ -4,138 +4,17 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
-	"sync"
 	"testing"
 
 	backscatter "dnsbackscatter"
 )
-
-func TestMain(m *testing.M) {
-	// Sample every allocation so the tiny test workload produces dense
-	// heap profiles; must be set before the workload allocates.
-	runtime.MemProfileRate = 1
-	os.Exit(m.Run())
-}
-
-// buildOnce runs one small pipeline (world with QNAME-minimizing
-// resolvers, extract, train, classify) so the heap profile contains
-// samples for every pipeline path bsprof attributes.
-var buildOnce sync.Once
-
-func runWorkload(t *testing.T) {
-	t.Helper()
-	buildOnce.Do(func() {
-		// 5% scale with the JP-dominant classes deepened pre-scale, the
-		// same shape the root determinism tests use to keep training
-		// feasible on a tiny world.
-		spec := backscatter.JPDitl().Scaled(0.05)
-		spec.QMinFraction = 0.4 // exercise the dnssim minimization walk
-		spec.MinQueriers = 10
-		spec.Population[backscatter.Spam] = 300
-		spec.Population[backscatter.Scan] = 300
-		spec.Population[backscatter.Mail] = 200
-		d := backscatter.Build(spec)
-		m, err := d.TrainClassifier(1)
-		if err != nil {
-			panic(err)
-		}
-		m.ClassifyAll(d.Whole())
-	})
-}
-
-// writeHeapProfile snapshots the live heap into a temp pprof file.
-func writeHeapProfile(t *testing.T) string {
-	t.Helper()
-	runtime.GC()
-	path := filepath.Join(t.TempDir(), "heap.pprof")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pprof.Lookup("heap").WriteTo(f, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
 
 func runBsprof(t *testing.T, stdin string, args ...string) (int, string, string) {
 	t.Helper()
 	var out, errb bytes.Buffer
 	code := run(args, strings.NewReader(stdin), &out, &errb)
 	return code, out.String(), errb.String()
-}
-
-// sitesUnder counts ranked site lines in the section headed by path.
-func sitesUnder(output, path string) int {
-	inSection := false
-	n := 0
-	for _, line := range strings.Split(output, "\n") {
-		switch {
-		case strings.HasPrefix(line, path+" ("):
-			inSection = true
-		case inSection && strings.HasPrefix(line, "  "):
-			if strings.Contains(line, ". ") {
-				n++
-			}
-		case inSection && line != "":
-			return n
-		}
-	}
-	return n
-}
-
-// TestHeapPaths pins the acceptance criterion: the per-path stage
-// report names the top-3 allocation sites for the extract and
-// QName-minimization paths of a real pipeline run.
-func TestHeapPaths(t *testing.T) {
-	runWorkload(t)
-	heap := writeHeapProfile(t)
-	code, stdout, stderr := runBsprof(t, "", "-heap", heap, "-paths", "-top", "3")
-	if code != 0 {
-		t.Fatalf("exit %d; stderr=%s", code, stderr)
-	}
-	for _, path := range []string{"extract", "qname-min", "train", "classify"} {
-		if got := sitesUnder(stdout, path); got < 3 {
-			t.Errorf("path %s lists %d sites, want 3:\n%s", path, got, stdout)
-		}
-	}
-}
-
-// TestHeapTopAndDiff drives the global ranking and the snapshot diff.
-func TestHeapTopAndDiff(t *testing.T) {
-	runWorkload(t)
-	before := writeHeapProfile(t)
-	sink := make([][]byte, 0, 64)
-	for i := 0; i < 64; i++ {
-		sink = append(sink, make([]byte, 16384))
-	}
-	after := writeHeapProfile(t)
-	_ = sink
-
-	code, stdout, stderr := runBsprof(t, "", "-heap", after, "-top", "5")
-	if code != 0 || !strings.Contains(stdout, "1.") {
-		t.Fatalf("top ranking: exit %d stdout=%q stderr=%q", code, stdout, stderr)
-	}
-	code, stdout, stderr = runBsprof(t, "", "-heap", after, "-base", before)
-	if code != 0 || !strings.Contains(stdout, "growth") {
-		t.Fatalf("diff: exit %d stdout=%q stderr=%q", code, stdout, stderr)
-	}
-	if !strings.Contains(stdout, "TestHeapTopAndDiff") {
-		t.Errorf("diff did not surface the allocating test function:\n%s", stdout)
-	}
-
-	if code, _, _ := runBsprof(t, "", "-heap", after, "-type", "nope"); code != 2 {
-		t.Errorf("unknown sample type: exit %d, want 2", code)
-	}
-	if code, _, _ := runBsprof(t, "", "-heap", filepath.Join(t.TempDir(), "missing")); code != 2 {
-		t.Errorf("missing profile: exit %d, want 2", code)
-	}
 }
 
 // TestReport pins the resource-report rendering path.
@@ -171,45 +50,108 @@ func writeBudgets(t *testing.T, content string) string {
 }
 
 // TestCheck drives the budget gate: pass, violation, skipped budget,
-// and unbudgeted benchmark are all visible.
+// unbudgeted benchmark, malformed budgets, and how bench lines are read.
 func TestCheck(t *testing.T) {
-	budgets := writeBudgets(t, `# name  max B/op  max allocs/op
+	t.Run("within budget", func(t *testing.T) {
+		budgets := writeBudgets(t, `# name  max B/op  max allocs/op
 BenchmarkParallelExtract/w1  25000000  6000
 BenchmarkGone                1000      10
 `)
-	code, stdout, stderr := runBsprof(t, benchRun, "-check", "-budgets", budgets)
-	if code != 0 {
-		t.Fatalf("within-budget run failed: stderr=%s", stderr)
-	}
-	if !strings.Contains(stdout, "1 skipped") || !strings.Contains(stdout, "1 unbudgeted") {
-		t.Errorf("summary hides skips: %q", stdout)
-	}
-	if !strings.Contains(stderr, "budget skipped: BenchmarkGone") {
-		t.Errorf("skipped budget not logged: %q", stderr)
-	}
-	if !strings.Contains(stderr, "unbudgeted: BenchmarkNewThing") {
-		t.Errorf("unbudgeted benchmark not logged: %q", stderr)
-	}
+		code, stdout, stderr := runBsprof(t, benchRun, "-check", "-budgets", budgets)
+		if code != 0 {
+			t.Fatalf("within-budget run failed: stderr=%s", stderr)
+		}
+		if !strings.Contains(stdout, "1 skipped") || !strings.Contains(stdout, "1 unbudgeted") {
+			t.Errorf("summary hides skips: %q", stdout)
+		}
+		if !strings.Contains(stderr, "budget skipped: BenchmarkGone") {
+			t.Errorf("skipped budget not logged: %q", stderr)
+		}
+		if !strings.Contains(stderr, "unbudgeted: BenchmarkNewThing") {
+			t.Errorf("unbudgeted benchmark not logged: %q", stderr)
+		}
+	})
 
-	tight := writeBudgets(t, "BenchmarkParallelExtract/w1 19000000 4000\n")
-	code, _, stderr = runBsprof(t, benchRun, "-check", "-budgets", tight)
-	if code != 1 {
-		t.Fatalf("over-budget run exited %d, want 1; stderr=%s", code, stderr)
-	}
-	if !strings.Contains(stderr, "OVER BUDGET") || !strings.Contains(stderr, "B/op") || !strings.Contains(stderr, "allocs/op") {
-		t.Errorf("violations not named: %q", stderr)
-	}
+	t.Run("over budget", func(t *testing.T) {
+		tight := writeBudgets(t, "BenchmarkParallelExtract/w1 19000000 4000\n")
+		code, _, stderr := runBsprof(t, benchRun, "-check", "-budgets", tight)
+		if code != 1 {
+			t.Fatalf("over-budget run exited %d, want 1; stderr=%s", code, stderr)
+		}
+		if !strings.Contains(stderr, "OVER BUDGET") || !strings.Contains(stderr, "B/op") || !strings.Contains(stderr, "allocs/op") {
+			t.Errorf("violations not named: %q", stderr)
+		}
+	})
 
-	if code, _, _ := runBsprof(t, benchRun, "-check", "-budgets", filepath.Join(t.TempDir(), "missing")); code != 2 {
-		t.Error("missing budget file did not exit 2")
-	}
-	bad := writeBudgets(t, "BenchmarkX 12\n")
-	if code, _, _ := runBsprof(t, benchRun, "-check", "-budgets", bad); code != 2 {
-		t.Error("malformed budget file did not exit 2")
-	}
+	t.Run("bad budget file", func(t *testing.T) {
+		if code, _, _ := runBsprof(t, benchRun, "-check", "-budgets", filepath.Join(t.TempDir(), "missing")); code != 2 {
+			t.Error("missing budget file did not exit 2")
+		}
+		bad := writeBudgets(t, "BenchmarkX 12\n")
+		if code, _, _ := runBsprof(t, benchRun, "-check", "-budgets", bad); code != 2 {
+			t.Error("malformed budget file did not exit 2")
+		}
+	})
+
+	// The GOMAXPROCS suffix goes, a digit-ending sub-benchmark name stays.
+	t.Run("gomaxprocs suffix", func(t *testing.T) {
+		budgets := writeBudgets(t, "BenchmarkExtract 100 10\nBenchmarkFast/w8 100 10\n")
+		run := "BenchmarkExtract-16   \t 12\t 95123456 ns/op\t 99 B/op\t  9 allocs/op\n" +
+			"BenchmarkFast/w8-4\t100\t12.5 ns/op\t200 B/op\t1 allocs/op\n"
+		code, _, stderr := runBsprof(t, run, "-check", "-budgets", budgets)
+		if code != 1 || !strings.Contains(stderr, "OVER BUDGET: BenchmarkFast/w8 B/op 200 > 100") {
+			t.Fatalf("exit %d, want 1 naming BenchmarkFast/w8; stderr=%s", code, stderr)
+		}
+		if strings.Contains(stderr, "budget skipped") {
+			t.Errorf("a suffixed name was not matched to its budget: %s", stderr)
+		}
+	})
+
+	// Lines of a run without -benchmem parse; unbudgeted ones pass.
+	t.Run("columns optional", func(t *testing.T) {
+		budgets := writeBudgets(t, "BenchmarkParallelExtract/w1 25000000 6000\n")
+		run := benchRun + "BenchmarkMemless-8\t100\t12.5 ns/op\n" +
+			"BenchmarkMetric-8\t10\t300 ns/op\t7.0 events/s\t64 B/op\t2 allocs/op\n"
+		code, stdout, stderr := runBsprof(t, run, "-check", "-budgets", budgets)
+		if code != 0 || !strings.Contains(stdout, "2 unbudgeted") {
+			t.Fatalf("exit %d stdout=%q stderr=%s", code, stdout, stderr)
+		}
+		if !strings.Contains(stderr, "unbudgeted: BenchmarkMetric") {
+			t.Errorf("columns after a custom metric not read: %s", stderr)
+		}
+	})
+
+	t.Run("non-benchmark lines ignored", func(t *testing.T) {
+		budgets := writeBudgets(t, "BenchmarkA 100 10\n")
+		run := "goos: linux\nok  \tdnsbackscatter\t1.2s\n--- BENCH: BenchmarkA-8\n" +
+			"    bench_test.go:12: BenchmarkA 1 1 ns/op 999 B/op 99 allocs/op\n" +
+			"BenchmarkA-8\t10\t100 ns/op\t50 B/op\t5 allocs/op\nPASS\n"
+		code, stdout, stderr := runBsprof(t, run, "-check", "-budgets", budgets)
+		if code != 0 || !strings.Contains(stdout, "all 1 budgeted") {
+			t.Fatalf("exit %d stdout=%q stderr=%s", code, stdout, stderr)
+		}
+	})
+
+	// A budgeted benchmark without allocation columns cannot pass as zero.
+	t.Run("missing columns", func(t *testing.T) {
+		budgets := writeBudgets(t, "BenchmarkParallelExtract/w1 25000000 6000\n")
+		run := "BenchmarkParallelExtract/w1-8\t50\t20000000 ns/op\n"
+		code, _, stderr := runBsprof(t, run, "-check", "-budgets", budgets)
+		if code != 2 || !strings.Contains(stderr, "BenchmarkParallelExtract/w1 has no B/op") {
+			t.Fatalf("exit %d, want 2 naming the benchmark; stderr=%s", code, stderr)
+		}
+	})
+
+	// A run that checks nothing (empty, or every budget skipped) fails.
+	t.Run("nothing checked", func(t *testing.T) {
+		budgets := writeBudgets(t, "BenchmarkGone 1000 10\n")
+		if code, _, stderr := runBsprof(t, benchRun, "-check", "-budgets", budgets); code != 2 {
+			t.Fatalf("exit %d, want 2; stderr=%s", code, stderr)
+		}
+	})
 }
 
-// TestCheckBenchFile pins -bench file input (text and trajectory JSON).
+// TestCheckBenchFile pins -bench file input.
 func TestCheckBenchFile(t *testing.T) {
 	budgets := writeBudgets(t, "BenchmarkParallelExtract/w1 25000000 6000\n")
 	benchPath := filepath.Join(t.TempDir(), "bench.txt")
@@ -219,6 +161,10 @@ func TestCheckBenchFile(t *testing.T) {
 	code, _, stderr := runBsprof(t, "", "-check", "-budgets", budgets, "-bench", benchPath)
 	if code != 0 {
 		t.Fatalf("exit %d; stderr=%s", code, stderr)
+	}
+	missing := filepath.Join(t.TempDir(), "missing")
+	if code, _, _ := runBsprof(t, "", "-check", "-budgets", budgets, "-bench", missing); code != 2 {
+		t.Errorf("missing bench file: exit %d, want 2", code)
 	}
 }
 

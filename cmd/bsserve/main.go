@@ -45,7 +45,7 @@
 //	bsserve -addr 127.0.0.1:5353 -http 127.0.0.1:8080 -profiles /tmp/bsprofiles
 //	curl http://127.0.0.1:8080/profiles              # ring listing
 //	curl -O http://127.0.0.1:8080/profiles/cpu-000001.pprof
-//	go run ./cmd/bsprof -heap heap-000002.pprof -paths
+//	go tool pprof -top -sample_index alloc_space heap-000002.pprof
 //
 // With -alerts (a rule file, or "default" for the built-in rules),
 // bsserve re-evaluates the rules against the live window every

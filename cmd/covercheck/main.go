@@ -8,9 +8,10 @@
 //	go test -cover ./... | covercheck -floor 80 -pkgfloor path/to/pkg=85
 //
 // -pkgfloor raises (or lowers) the floor for one package; repeat the flag
-// for several. Packages without test files (no "ok" line) are listed as
-// untested but do not fail the check: command mains and examples are
-// exercised by the build, not by unit tests.
+// for several. A -pkgfloor package with no coverage line fails the
+// check. Other packages without test files (no "ok" line) do not:
+// command mains and examples are exercised by the build, not by unit
+// tests.
 package main
 
 import (
@@ -19,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,20 +37,12 @@ type pkgCoverage struct {
 // Lines for untested packages or without a coverage figure return ok=false.
 func parseLine(line string) (c pkgCoverage, ok bool) {
 	f := strings.Fields(line)
-	if len(f) < 4 || f[0] != "ok" {
+	i := slices.Index(f, "coverage:")
+	if len(f) < 4 || f[0] != "ok" || i < 0 || i+1 >= len(f) {
 		return pkgCoverage{}, false
 	}
-	for i, tok := range f {
-		if tok != "coverage:" || i+1 >= len(f) {
-			continue
-		}
-		pct, err := strconv.ParseFloat(strings.TrimSuffix(f[i+1], "%"), 64)
-		if err != nil {
-			return pkgCoverage{}, false
-		}
-		return pkgCoverage{pkg: f[1], pct: pct}, true
-	}
-	return pkgCoverage{}, false
+	pct, err := strconv.ParseFloat(strings.TrimSuffix(f[i+1], "%"), 64)
+	return pkgCoverage{pkg: f[1], pct: pct}, err == nil
 }
 
 // floorMap is the repeatable -pkgfloor pkg=pct flag: per-package floors
@@ -108,26 +102,30 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	sort.Slice(covered, func(i, j int) bool { return covered[i].pkg < covered[j].pkg })
-	floorFor := func(pkg string) float64 {
-		if pct, ok := pkgFloors[pkg]; ok {
-			return pct
-		}
-		return *floor
-	}
-	var failed []pkgCoverage
+	var failed []string
 	for _, c := range covered {
+		pct, pinned := pkgFloors[c.pkg]
+		if !pinned {
+			pct = *floor
+		}
 		mark := "  "
-		if c.pct < floorFor(c.pkg) {
+		if c.pct < pct {
 			mark = "!!"
-			failed = append(failed, c)
+			failed = append(failed, fmt.Sprintf("%s at %.1f%% (floor %.0f%%)", c.pkg, c.pct, pct))
 		}
 		fmt.Fprintf(stdout, "%s %6.1f%%  %s\n", mark, c.pct, c.pkg)
 	}
-	if len(failed) > 0 {
-		fmt.Fprintf(stderr, "covercheck: %d package(s) below their floor:\n", len(failed))
-		for _, c := range failed {
-			fmt.Fprintf(stderr, "  %s at %.1f%% (floor %.0f%%)\n", c.pkg, c.pct, floorFor(c.pkg))
+	// A floor that names no covered package could never fail: a typo, or
+	// a package that was renamed, deleted or lost its tests.
+	n := len(failed)
+	for pkg := range pkgFloors {
+		if !slices.ContainsFunc(covered, func(c pkgCoverage) bool { return c.pkg == pkg }) {
+			failed = append(failed, pkg+" has a -pkgfloor but no coverage line")
 		}
+	}
+	sort.Strings(failed[n:])
+	if len(failed) > 0 {
+		fmt.Fprintf(stderr, "covercheck: %d floor(s) not met:\n  %s\n", len(failed), strings.Join(failed, "\n  "))
 		return 1
 	}
 	fmt.Fprintf(stdout, "covercheck: %d tested packages at or above their floors (default %.0f%%)\n", len(covered), *floor)

@@ -79,6 +79,24 @@ func TestRunFloors(t *testing.T) {
 	}
 }
 
+// TestRunFloorWithoutCoverage pins that a -pkgfloor naming a package
+// with no coverage line (a typo, or a package without tests) fails.
+func TestRunFloorWithoutCoverage(t *testing.T) {
+	code, _, stderr := runCovercheck(t, coverInput, "-floor", "80",
+		"-pkgfloor", "mod/internal/a=85", "-pkgfloor", "mod/internal/typo=85", "-pkgfloor", "mod/cmd/tool=50")
+	if code != 1 {
+		t.Fatalf("exit %d with floors on uncovered packages, want 1; stderr=%s", code, stderr)
+	}
+	for _, pkg := range []string{"mod/cmd/tool", "mod/internal/typo"} {
+		if !strings.Contains(stderr, pkg+" has a -pkgfloor but no coverage line") {
+			t.Errorf("stderr does not name %s: %s", pkg, stderr)
+		}
+	}
+	if strings.Contains(stderr, "mod/internal/a ") {
+		t.Errorf("a met floor was reported: %s", stderr)
+	}
+}
+
 // TestRunEmptyInput pins the guard against piping nothing in.
 func TestRunEmptyInput(t *testing.T) {
 	code, _, stderr := runCovercheck(t, "")

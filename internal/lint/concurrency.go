@@ -10,7 +10,7 @@ import (
 func init() {
 	Register(Check{
 		Name: "concurrency",
-		Doc:  "goroutine hygiene: no unbounded go-in-loop outside internal/parallel, no WaitGroup.Add inside the spawned goroutine, no lock copies, no defer-unlock in loops, no channel sends that can never drain",
+		Doc:  "goroutine hygiene: no unbounded go-in-loop outside internal/parallel, no WaitGroup.Add inside the spawned goroutine, no defer-unlock in loops, no channel sends that can never drain",
 		Run:  runConcurrency,
 	})
 }
@@ -47,7 +47,6 @@ func runConcurrency(pkg *Package) []Finding {
 			}
 			out = append(out, wgAddInGoroutineFindings(pkg, fd)...)
 			out = append(out, deferUnlockInLoopFindings(pkg, fd)...)
-			out = append(out, lockCopyFindings(pkg, fd)...)
 			out = append(out, deadSendFindings(pkg, fd)...)
 		}
 	}
@@ -187,35 +186,9 @@ func deferUnlockInLoopFindings(pkg *Package, fd *ast.FuncDecl) []Finding {
 	return out
 }
 
-// lockCopyFindings flags functions that copy a lock by value: parameters,
-// results, or receivers typed as (or containing) sync.Mutex, RWMutex,
-// WaitGroup, Once, or Cond without a pointer.
-func lockCopyFindings(pkg *Package, fd *ast.FuncDecl) []Finding {
-	var out []Finding
-	check := func(fields *ast.FieldList, kind string) {
-		if fields == nil {
-			return
-		}
-		for _, field := range fields.List {
-			t := pkg.Info.TypeOf(field.Type)
-			if lock := containsLock(t, 0); lock != "" {
-				out = append(out, Finding{
-					Pos:     pkg.Fset.Position(field.Pos()),
-					Message: kind + " copies sync." + lock + " by value; pass a pointer",
-				})
-			}
-		}
-	}
-	check(fd.Recv, "receiver")
-	check(fd.Type.Params, "parameter")
-	check(fd.Type.Results, "result")
-	return out
-}
-
 // syncTypeName returns the bare name of a sync package type ("Mutex",
 // "RWMutex", "WaitGroup", "Once", "Cond"), or "" for anything else.
-// Pointers are dereferenced: a *sync.Mutex is not a copy hazard but its
-// methods still identify the lock for the other lints.
+// Pointers are dereferenced, so a *sync.Mutex identifies its lock too.
 func syncTypeName(t types.Type) string {
 	if t == nil {
 		return ""
@@ -234,31 +207,6 @@ func syncTypeName(t types.Type) string {
 	switch obj.Name() {
 	case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond":
 		return obj.Name()
-	}
-	return ""
-}
-
-// containsLock reports the sync lock type a value of type t would copy,
-// looking one struct level deep (the common "struct with an embedded
-// mutex passed by value" mistake); "" when t is copy-safe.
-func containsLock(t types.Type, depth int) string {
-	if t == nil || depth > 2 {
-		return ""
-	}
-	if _, isPtr := t.(*types.Pointer); isPtr {
-		return ""
-	}
-	if name := syncTypeName(t); name != "" {
-		return name
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return ""
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if name := containsLock(st.Field(i).Type(), depth+1); name != "" {
-			return name
-		}
 	}
 	return ""
 }

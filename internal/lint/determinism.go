@@ -164,7 +164,6 @@ func mapOrderFindings(pkg *Package, fd *ast.FuncDecl) []Finding {
 			Pos: pkg.Fset.Position(site.rng.Pos()),
 			Message: "range over map appends to returned slice " + site.obj.Name() +
 				" without a sort; map order makes output nondeterministic",
-			Fix: mapOrderFix(pkg, fd, site),
 		})
 	}
 	return out

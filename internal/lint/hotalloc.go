@@ -1,7 +1,10 @@
 package lint
 
 import (
+	"bytes"
 	"go/ast"
+	"go/printer"
+	"go/token"
 	"go/types"
 )
 
@@ -64,16 +67,11 @@ func escapingLiteralFindings(pkg *Package, fd *ast.FuncDecl) []Finding {
 
 // appendGrowthFindings flags appends inside loops to slices declared in
 // this function without capacity: each growth step reallocates and
-// copies. When the loop ranges over a measurable operand the finding
-// carries an autofix rewriting the declaration to make(T, 0, len(x)).
+// copies.
 func appendGrowthFindings(pkg *Package, fd *ast.FuncDecl) []Finding {
-	// Slice declarations with no capacity hint: `var s []T`,
-	// `s := []T{}`, and `s := make([]T, 0)`.
-	type sliceDecl struct {
-		node     ast.Node // statement or spec to rewrite
-		typeExpr ast.Expr // the []T syntax
-	}
-	decls := map[types.Object]sliceDecl{}
+	// Slice declarations with no capacity hint — `var s []T`,
+	// `s := []T{}`, and `s := make([]T, 0)` — mapped to their []T syntax.
+	decls := map[types.Object]ast.Expr{}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.DeclStmt:
@@ -92,7 +90,7 @@ func appendGrowthFindings(pkg *Package, fd *ast.FuncDecl) []Finding {
 				}
 				for _, name := range vs.Names {
 					if obj := pkg.Info.Defs[name]; obj != nil {
-						decls[obj] = sliceDecl{n, vs.Type}
+						decls[obj] = vs.Type
 					}
 				}
 			}
@@ -111,7 +109,7 @@ func appendGrowthFindings(pkg *Package, fd *ast.FuncDecl) []Finding {
 			switch rhs := n.Rhs[0].(type) {
 			case *ast.CompositeLit:
 				if at, ok := rhs.Type.(*ast.ArrayType); ok && at.Len == nil && len(rhs.Elts) == 0 {
-					decls[obj] = sliceDecl{n, rhs.Type}
+					decls[obj] = rhs.Type
 				}
 			case *ast.CallExpr:
 				fn, ok := rhs.Fun.(*ast.Ident)
@@ -119,7 +117,7 @@ func appendGrowthFindings(pkg *Package, fd *ast.FuncDecl) []Finding {
 					return true
 				}
 				if at, ok := rhs.Args[0].(*ast.ArrayType); ok && at.Len == nil {
-					decls[obj] = sliceDecl{n, rhs.Args[0]}
+					decls[obj] = rhs.Args[0]
 				}
 			}
 		}
@@ -131,64 +129,48 @@ func appendGrowthFindings(pkg *Package, fd *ast.FuncDecl) []Finding {
 
 	var out []Finding
 	flagged := map[types.Object]bool{}
-	// depth counts enclosing loops; rng is the innermost loop when it is
-	// a range statement (the case the autofix can measure).
-	var inLoop func(n ast.Node, depth int, rng *ast.RangeStmt)
-	inLoop = func(n ast.Node, depth int, rng *ast.RangeStmt) {
+	// depth counts enclosing loops.
+	var inLoop func(n ast.Node, depth int)
+	inLoop = func(n ast.Node, depth int) {
 		switch n := n.(type) {
 		case *ast.RangeStmt:
-			walkChildren(n.Body, func(c ast.Node) { inLoop(c, depth+1, n) })
+			walkChildren(n.Body, func(c ast.Node) { inLoop(c, depth+1) })
 			return
 		case *ast.ForStmt:
-			walkChildren(n.Body, func(c ast.Node) { inLoop(c, depth+1, nil) })
+			walkChildren(n.Body, func(c ast.Node) { inLoop(c, depth+1) })
 			return
 		case *ast.AssignStmt:
 			if depth == 0 {
 				break // append outside any loop grows at most once; fine
 			}
 			for _, obj := range appendTargets(pkg, &ast.BlockStmt{List: []ast.Stmt{n}}) {
-				decl, tracked := decls[obj]
+				typeExpr, tracked := decls[obj]
 				if !tracked || flagged[obj] {
 					continue
 				}
 				flagged[obj] = true
 				out = append(out, Finding{
 					Pos:     pkg.Fset.Position(n.Pos()),
-					Message: "append to " + obj.Name() + " in a loop without preallocation; declare it with make(" + nodeText(pkg.Fset, decl.typeExpr) + ", 0, cap) in hotpath",
-					Fix:     preallocFix(pkg, obj, decl.node, decl.typeExpr, rng),
+					Message: "append to " + obj.Name() + " in a loop without preallocation; declare it with make(" + nodeText(pkg.Fset, typeExpr) + ", 0, cap) in hotpath",
 				})
 			}
 		}
-		walkChildren(n, func(c ast.Node) { inLoop(c, depth, rng) })
+		walkChildren(n, func(c ast.Node) { inLoop(c, depth) })
 	}
 	for _, stmt := range fd.Body.List {
-		inLoop(stmt, 0, nil)
+		inLoop(stmt, 0)
 	}
 	return out
 }
 
-// preallocFix rewrites the slice declaration to preallocate len(x)
-// capacity when the enclosing loop ranges over a slice or map x that is a
-// plain identifier or selector; anything fancier gets no autofix.
-func preallocFix(pkg *Package, obj types.Object, declNode ast.Node, typeExpr ast.Expr, loop *ast.RangeStmt) *Fix {
-	if loop == nil {
-		return nil
+// nodeText renders an AST node back to source, for messages that restate
+// part of the original (e.g. a slice's element type).
+func nodeText(fset *token.FileSet, n ast.Node) string {
+	var buf bytes.Buffer
+	if err := printer.Fprint(&buf, fset, n); err != nil {
+		return ""
 	}
-	switch ast.Unparen(loop.X).(type) {
-	case *ast.Ident, *ast.SelectorExpr:
-	default:
-		return nil
-	}
-	switch pkg.Info.TypeOf(loop.X).Underlying().(type) {
-	case *types.Slice, *types.Map, *types.Array:
-	default:
-		return nil
-	}
-	newText := obj.Name() + " := make(" + nodeText(pkg.Fset, typeExpr) + ", 0, len(" + nodeText(pkg.Fset, loop.X) + "))"
-	return &Fix{
-		Message: "preallocate " + obj.Name() + " with len(" + nodeText(pkg.Fset, loop.X) + ") capacity",
-		Edits:   []TextEdit{{Pos: declNode.Pos(), End: declNode.End(), NewText: newText}},
-	}
+	return buf.String()
 }
 
 // fmtAndStringFindings flags fmt package calls and string<->[]byte/[]rune

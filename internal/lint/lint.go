@@ -26,9 +26,6 @@ type Finding struct {
 	Pos     token.Position
 	Check   string
 	Message string
-	// Fix, when non-nil, is a mechanical rewrite that resolves the
-	// finding; cmd/bslint -fix applies it.
-	Fix *Fix
 }
 
 // String formats a finding as "file:line:col: [check] message", the
@@ -94,7 +91,7 @@ func ModuleChecks() []ModuleCheck {
 }
 
 // CheckNames returns every registered check name — per-package and
-// module-level — in registration order, for flag and baseline plumbing.
+// module-level — in registration order, for flag plumbing.
 func CheckNames() []string {
 	var names []string
 	for _, c := range registry {

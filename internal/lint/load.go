@@ -48,10 +48,6 @@ type Module struct {
 	active map[string]bool     // import-cycle guard
 }
 
-// Fset returns the module's file set, which maps every loaded package's
-// positions; ApplyFixes needs it to turn fix positions into byte offsets.
-func (m *Module) Fset() *token.FileSet { return m.fset }
-
 // LoadModule finds the module containing dir by walking up to the nearest
 // go.mod and returns a loader for it.
 func LoadModule(dir string) (*Module, error) {

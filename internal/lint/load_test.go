@@ -1,9 +1,29 @@
 package lint
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// writeTempModule materializes a throwaway module on disk, for loader
+// cases (broken packages, empty patterns) the fixture tree cannot hold.
+func writeTempModule(t *testing.T, files map[string]string) string {
+	t.Helper()
+	dir := t.TempDir()
+	files["go.mod"] = "module fixme\n\ngo 1.22\n"
+	for name, src := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatalf("MkdirAll: %v", err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatalf("WriteFile %s: %v", name, err)
+		}
+	}
+	return dir
+}
 
 // TestPackagesLoadErrorsAreCollected asserts the loader reports every
 // broken package — parse errors and type errors both — instead of

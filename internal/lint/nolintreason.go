@@ -66,8 +66,9 @@ func (n nolintComment) canonicalText() string {
 }
 
 // runNolintReason audits every nolint comment in the package: blanket
-// suppressions and missing reasons are findings; a well-reasoned comment
-// in non-canonical spelling gets a normalization autofix.
+// suppressions and missing reasons are findings, and so is a
+// well-reasoned comment in non-canonical spelling, whose finding names
+// the canonical one.
 func runNolintReason(pkg *Package) []Finding {
 	var out []Finding
 	for _, file := range pkg.Files {
@@ -93,10 +94,6 @@ func runNolintReason(pkg *Package) []Finding {
 					out = append(out, Finding{
 						Pos:     pos,
 						Message: "non-canonical nolint comment; normalize to `" + n.canonicalText() + "`",
-						Fix: &Fix{
-							Message: "normalize nolint comment",
-							Edits:   []TextEdit{{Pos: c.Pos(), End: c.End(), NewText: n.canonicalText()}},
-						},
 					})
 				}
 			}

@@ -78,26 +78,6 @@ func (s *store) bumpOnce(k string) {
 	s.m[k]++
 }
 
-func lockByValue(mu sync.Mutex) { // want "parameter copies sync.Mutex by value"
-	mu.Lock()
-	defer mu.Unlock()
-}
-
-type counter struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (c counter) get() int { // want "receiver copies sync.Mutex by value"
-	return c.n
-}
-
-func (c *counter) inc() { // pointer receiver: no copy
-	c.mu.Lock()
-	c.n++
-	c.mu.Unlock()
-}
-
 func deadSend() {
 	ch := make(chan int, 1)
 	ch <- 1 // want "nothing can drain it"

@@ -2,7 +2,7 @@
 // TestNolintReason asserts the expected findings directly (the findings
 // sit on comment positions, so the `// want` convention cannot annotate
 // them): blanket and bare nolint comments are findings, a non-canonical
-// spelling gets a normalization autofix, and reasoned canonical comments
+// spelling is one naming its canonical form, and reasoned canonical comments
 // — or ones naming nolintreason itself — pass.
 package nolintreason
 

@@ -245,7 +245,7 @@ func (c *Continuous) serveList(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "%d profiles in ring (download /profiles/<name>; parse with cmd/bsprof)\n", len(infos))
+	fmt.Fprintf(w, "%d profiles in ring (download /profiles/<name>; read with go tool pprof)\n", len(infos))
 	for _, p := range infos {
 		fmt.Fprintf(w, "%-6s %10d  %s\n", p.Kind, p.SizeBytes, p.Name)
 	}

@@ -1,7 +1,6 @@
 // Package prof is the reproduction's resource observatory: per-stage
 // accounting of memory, garbage collection, and goroutine consumption,
-// a continuous profiler with a bounded on-disk ring, and a minimal
-// parser for pprof profiles.
+// and a continuous profiler with a bounded on-disk ring.
 //
 // The paper's pipeline only matters at scale — billions of reverse
 // queries at B-Root and DITL — so the reproduction needs to know which
@@ -15,10 +14,8 @@
 //     dispatched, peak concurrent workers) per stage.
 //   - A Continuous profiler rotates CPU-profile windows and writes
 //     threshold/interval heap snapshots into a bounded on-disk ring,
-//     listed and downloadable over HTTP (see Continuous.Handler).
-//   - Profile parsing (ParseProfile) reads gzipped pprof protobuf so
-//     cmd/bsprof can rank and diff allocation sites with no
-//     dependencies outside the standard library.
+//     listed and downloadable over HTTP (see Continuous.Handler), and
+//     read with `go tool pprof`.
 //
 // Resource readings are scheduling-dependent by nature: how many bytes
 // a stage allocates before the GC runs, or how many goroutines coexist,

@@ -1,5 +1,5 @@
 // Parallel-stage benchmarks: the same extract/train/classify work at
-// worker counts 1 and 8, so BENCH_PR3.json records the speedup (or, on a
+// worker counts 1 and 8, so a bench run shows the speedup (or, on a
 // single-core runner, the overhead bound) of the sharded pipeline.
 //
 // The dataset is built once outside the timed region; each benchmark
