@@ -66,8 +66,9 @@ cover:
 
 # Short fuzz smoke on the wire codec, the streaming engine, the
 # heavy-hitters sketch (against its linear-scan reference), the name
-# classifier (against its keyword-by-keyword reference) and the two record
-# parsers, log text and capture frames: ten seconds per target. Crashers
+# classifier (against its keyword-by-keyword reference), the two record
+# parsers, log text and capture frames, and the two operator-written
+# inputs, alert rule files and fault specs: ten seconds per target. Crashers
 # land in the package's testdata/fuzz/ and from then on run as plain
 # regression tests on every `go test`.
 fuzz:
@@ -78,6 +79,8 @@ fuzz:
 	$(GO) test ./internal/qname -run '^$$' -fuzz FuzzClassify -fuzztime 10s
 	$(GO) test ./internal/dnslog -run '^$$' -fuzz FuzzParseRecord -fuzztime 10s
 	$(GO) test ./internal/dnscap -run '^$$' -fuzz FuzzReader -fuzztime 10s
+	$(GO) test ./internal/alert -run '^$$' -fuzz FuzzAlertParse -fuzztime 10s
+	$(GO) test ./internal/faults -run '^$$' -fuzz FuzzFaultsParse -fuzztime 10s
 
 # Streaming-engine soak: ~700k records across 12 epochs at >10x the
 # engine's originator capacity, asserting the resource contract (hard
@@ -157,18 +160,19 @@ bench-check:
 # Fast allocation-budget gate, part of verify: the BenchmarkParallel*
 # suite (seconds, and it covers the pipeline's hot fan-out paths) plus
 # BenchmarkProfOverhead, whose off case pins the zero-cost-when-disabled
-# accounting contract. Budgets for the rest of the suite are enforced by
+# accounting contract, and BenchmarkForestPredict (internal/ml), which
+# pins an allocation-free vote. Budgets for the rest of the suite are enforced by
 # bench-check / CI; budgeted benchmarks outside the subset are logged as
 # skipped.
 budget:
-	$(call budget-check,BenchmarkParallel|BenchmarkProfOverhead)
+	$(call budget-check,BenchmarkParallel|BenchmarkProfOverhead|BenchmarkForestPredict)
 
-# budget-check runs the benchmarks matching $(1) once with -benchmem and
-# hands the output to bsprof -check. The run goes through a file, so a
+# budget-check runs the benchmarks matching $(1) in the root package and
+# internal/ml once with -benchmem and hands the output to bsprof -check. The run goes through a file, so a
 # failing benchmark fails the gate instead of reading as skipped budgets.
 define budget-check
 	@out=$$(mktemp); \
-	$(GO) test -run '^$$' -bench '$(1)' -benchmem -benchtime 1x . > $$out || { cat $$out; rm -f $$out; exit 1; }; \
+	$(GO) test -run '^$$' -bench '$(1)' -benchmem -benchtime 1x . ./internal/ml > $$out || { cat $$out; rm -f $$out; exit 1; }; \
 	$(GO) run ./cmd/bsprof -check -budgets alloc.budgets -bench $$out; code=$$?; rm -f $$out; exit $$code
 endef
 

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"slices"
 	"sync"
 
 	"dnsbackscatter/internal/rng"
@@ -23,18 +24,19 @@ type CART struct {
 // Name implements Trainer.
 func (CART) Name() string { return "CART" }
 
-// node is one tree node; leaves have feature == -1.
+// node is one tree node, 16 bytes and no pointers. A tree is its nodes in
+// pre-order: node i's left child is node i+1 and its right child is node
+// right. Leaves have feature == -1.
 type node struct {
-	feature   int
 	threshold float64
-	left      *node
-	right     *node
-	label     int
+	right     int32
+	feature   int16
+	label     int16
 }
 
 // Tree is a trained decision tree.
 type Tree struct {
-	root *node
+	nodes []node // pre-order; nodes[0] is the root
 	// importance accumulates weighted Gini decrease per feature; forests
 	// aggregate it into Table IV's discriminative-feature ranking.
 	importance []float64
@@ -42,15 +44,15 @@ type Tree struct {
 
 // Predict implements Classifier.
 func (t *Tree) Predict(x []float64) int {
-	n := t.root
-	for n.feature >= 0 {
-		if x[n.feature] <= n.threshold {
-			n = n.left
+	nodes, i := t.nodes, 0
+	for nodes[i].feature >= 0 {
+		if x[nodes[i].feature] <= nodes[i].threshold {
+			i++
 		} else {
-			n = n.right
+			i = int(nodes[i].right)
 		}
 	}
-	return n.label
+	return int(nodes[i].label)
 }
 
 // Importance returns the tree's per-feature impurity decrease, normalized
@@ -126,17 +128,17 @@ func (c CART) trainTree(d *Dataset, st *rng.Stream, bootstrap bool) *Tree {
 		}
 	}
 	b.spill = sized(b.spill, m)
-	b.arena = nil // nodes belong to the returned tree; never recycled
-	t.root = b.grow(0, m, 0)
-	b.r, b.y, b.st, b.tree, b.arena = nil, nil, nil, nil, nil
+	b.nodes = b.nodes[:0]
+	b.grow(0, m, 0, 0)
+	t.nodes = slices.Clone(b.nodes)
+	b.r, b.y, b.st, b.tree = nil, nil, nil, nil
 	builderPool.Put(b)
 	return t
 }
 
-// builderPool recycles treeBuilder scratch across trees. Node arenas are
-// excluded — they are reachable from returned Trees. Pooling is ops-only:
-// scratch contents are fully overwritten before use, so results are
-// byte-identical with or without reuse.
+// builderPool recycles treeBuilder scratch across trees. Pooling is
+// ops-only: scratch contents are fully overwritten before use, so results
+// are byte-identical with or without reuse.
 var builderPool = sync.Pool{New: func() any { return new(treeBuilder) }}
 
 // sized returns s resized to n, reallocating only when capacity is short.
@@ -148,8 +150,8 @@ func sized[T any](s []T, n int) []T {
 }
 
 // treeBuilder carries per-tree state plus the scratch buffers the grow
-// loop reuses for every node. Nodes come from a chunked arena, so a tree
-// costs a handful of allocations rather than several per node.
+// loop reuses for every node. Nodes are appended to pooled scratch and
+// copied out once, so a tree costs one allocation for its nodes.
 //
 // The tree's sample is weight (how often the bootstrap drew each row) and
 // seg: for every feature, the m drawn rows in ascending order of that
@@ -157,7 +159,9 @@ func sized[T any](s []T, n int) []T {
 // of all those lists at once — the same rows in each, ordered by each
 // feature — so a split scans its candidates' ranges in place and then
 // partitions every list's range stably into the children's. Nothing is
-// sorted after the dataset's one ranking.
+// sorted after the dataset's one ranking. A list whose values are all
+// equal over a node's range is not partitioned: its range holds that one
+// value in every descendant, where the split scan skips it.
 //
 //bslint:hotpath
 type treeBuilder struct {
@@ -175,43 +179,11 @@ type treeBuilder struct {
 	leftCounts []int   // split-scan left-side histogram
 	present    []int   // classes with a nonzero count in the node, ascending
 	feats      []int   // feature scan order (reshuffled per split)
-	arena      []node  // current node arena chunk
-}
-
-// Node-arena chunk sizing: start small so shallow trees waste little
-// tail, double per chunk so deep trees take O(log n) chunk allocations.
-const (
-	arenaChunkMin = 32
-	arenaChunkMax = 1024
-)
-
-// newNode hands out the next arena slot. Chunks are never reallocated
-// (only replaced when full), so returned pointers stay valid for the
-// tree's lifetime.
-func (b *treeBuilder) newNode() *node {
-	if len(b.arena) == cap(b.arena) {
-		next := cap(b.arena) * 2
-		if next < arenaChunkMin {
-			next = arenaChunkMin
-		}
-		if next > arenaChunkMax {
-			next = arenaChunkMax
-		}
-		//nolint:hotalloc — one chunk per 32-1024 nodes, not per node
-		b.arena = make([]node, 0, next)
-	}
-	b.arena = b.arena[:len(b.arena)+1]
-	return &b.arena[len(b.arena)-1]
+	nodes      []node  // the tree so far, in pre-order
 }
 
 // list returns the range [lo, hi) of feature f's list.
 func (b *treeBuilder) list(f, lo, hi int) []int32 { return b.seg[f*b.r.n+lo : f*b.r.n+hi] }
-
-func (b *treeBuilder) leaf(label int) *node {
-	n := b.newNode()
-	*n = node{feature: -1, label: label}
-	return n
-}
 
 func majorityLabel(counts []int) int {
 	best, bestN := 0, -1
@@ -223,40 +195,45 @@ func majorityLabel(counts []int) int {
 	return best
 }
 
-// grow builds the subtree over the rows in [lo, hi) of every feature's
-// list and partitions those ranges between its children.
+// grow appends the subtree over the node [lo, hi) and partitions the
+// ranges of the lists that are not constant there between its children.
+// rows names a list holding exactly the node's rows in that range: the
+// parent's split feature's, which splits as a prefix and a suffix.
 //
 //bslint:hotpath
-func (b *treeBuilder) grow(lo, hi, depth int) *node {
+func (b *treeBuilder) grow(lo, hi, rows, depth int) {
 	counts := b.counts
 	clear(counts)
 	n := 0
-	for _, row := range b.list(0, lo, hi) {
+	for _, row := range b.list(rows, lo, hi) {
 		w := int(b.weight[row])
 		counts[b.y[row]] += w
 		n += w
 	}
 	label := majorityLabel(counts)
+	at := len(b.nodes)
+	b.nodes = append(b.nodes, node{feature: -1, label: int16(label)})
 	if n < b.cfg.MinSplit || (b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) {
-		return b.leaf(label)
+		return
 	}
 	// Gini impurity, summed over the classes present: an absent class's
 	// term would subtract exactly 0.0.
-	present, parentGini := b.present[:0], 1.0
+	present, parentGini, sq := b.present[:0], 1.0, 0
 	for c, k := range counts {
 		if k > 0 {
 			present = append(present, c)
+			sq += k * k
 			p := float64(k) / float64(n)
 			parentGini -= p * p
 		}
 	}
 	if parentGini == 0 {
-		return b.leaf(label)
+		return
 	}
 
-	feat, thr, gain := b.bestSplit(lo, hi, n, present, parentGini)
+	feat, thr, gain := b.bestSplit(lo, hi, n, sq, present, parentGini)
 	if feat < 0 {
-		return b.leaf(label)
+		return
 	}
 
 	// The rows going left are a prefix of feat's own range. It is measured
@@ -269,19 +246,18 @@ func (b *treeBuilder) grow(lo, hi, depth int) *node {
 		cut++
 	}
 	if nl < b.cfg.MinLeaf || n-nl < b.cfg.MinLeaf {
-		return b.leaf(label)
+		return
 	}
 	b.tree.importance[feat] += gain * float64(n) / float64(b.total)
-	nd := b.newNode()
-	*nd = node{feature: feat, threshold: thr, label: label}
+	b.nodes[at].feature, b.nodes[at].threshold = int16(feat), thr
 	for f := 0; f < b.r.nf; f++ {
-		if f != feat {
-			b.partition(b.list(f, lo, hi), col, thr)
+		if seg, own := b.list(f, lo, hi), b.r.col(f); f != feat && own[seg[0]] != own[seg[len(seg)-1]] {
+			b.partition(seg, col, thr)
 		}
 	}
-	nd.left = b.grow(lo, lo+cut, depth+1)
-	nd.right = b.grow(lo+cut, hi, depth+1)
-	return nd
+	b.grow(lo, lo+cut, feat, depth+1)
+	b.nodes[at].right = int32(len(b.nodes))
+	b.grow(lo+cut, hi, feat, depth+1)
 }
 
 // partition moves the rows of seg that the split (col <= thr) sends left
@@ -307,6 +283,12 @@ func (b *treeBuilder) partition(seg []int32, col []float64, thr float64) {
 	copy(seg[nl:], spill[:nr])
 }
 
+// screenMargin is how far below the best gain so far a boundary's exact
+// gain may lie and still have its float gain evaluated. It exceeds the
+// rounding error of the screen and of the float gain by five orders of
+// magnitude (DESIGN.md §5, "Tree training").
+const screenMargin = 1e-9
+
 // bestSplit scans (a possibly random subset of) features for the split of
 // the node [lo, hi) maximizing Gini gain. Thresholds are midpoints between
 // consecutive distinct values of a feature's range, which is already in
@@ -314,8 +296,14 @@ func (b *treeBuilder) partition(seg []int32, col []float64, thr float64) {
 // the result: gains are evaluated only at distinct-value boundaries, from
 // integer class counts.
 //
+// The weighted child impurity at a boundary is exactly n − sl/nL − sr/nR:
+// sl and sr sum the squared class counts on each side (sq, the node's, to
+// start), kept as integers row by row. A boundary that this shows cannot
+// come within screenMargin of the best gain is skipped without a division;
+// at the others the float gain and the strict g > gain decide.
+//
 //bslint:hotpath
-func (b *treeBuilder) bestSplit(lo, hi, n int, present []int, parentGini float64) (feat int, thr, gain float64) {
+func (b *treeBuilder) bestSplit(lo, hi, n, sq int, present []int, parentGini float64) (feat int, thr, gain float64) {
 	nf := b.r.nf
 	feats := b.feats
 	for i := range feats {
@@ -328,6 +316,8 @@ func (b *treeBuilder) bestSplit(lo, hi, n int, present []int, parentGini float64
 
 	feat = -1
 	parentCounts, leftCounts := b.counts, b.leftCounts
+	fn := float64(n)
+	qmin := fn - fn*(parentGini-gain+screenMargin)
 	last := hi - lo - 1
 	for _, f := range feats {
 		seg, col := b.list(f, lo, hi), b.r.col(f)
@@ -337,18 +327,25 @@ func (b *treeBuilder) bestSplit(lo, hi, n int, present []int, parentGini float64
 		for _, c := range present {
 			leftCounts[c] = 0
 		}
-		nLeft := 0
+		nLeft, sl, sr := 0, 0, sq
 		next := col[seg[0]]
 		for i := 0; i < last; i++ {
 			row, v := seg[i], next
 			next = col[seg[i+1]]
-			w := int(b.weight[row])
-			leftCounts[b.y[row]] += w
+			w, c := int(b.weight[row]), b.y[row]
+			l := leftCounts[c]
+			sl += (2*l + w) * w
+			sr -= (2*(parentCounts[c]-l) - w) * w
+			leftCounts[c] = l + w
 			nLeft += w
 			if v == next {
 				continue
 			}
 			nRight := n - nLeft
+			fl, fr := float64(nLeft), float64(nRight)
+			if float64(sl)*fr+float64(sr)*fl <= qmin*fl*fr {
+				continue
+			}
 			gl, gr := 1.0, 1.0
 			for _, c := range present {
 				pl := float64(leftCounts[c]) / float64(nLeft)
@@ -358,9 +355,8 @@ func (b *treeBuilder) bestSplit(lo, hi, n int, present []int, parentGini float64
 			}
 			g := parentGini - (float64(nLeft)*gl+float64(nRight)*gr)/float64(n)
 			if g > gain {
-				gain = g
-				feat = f
-				thr = (v + next) / 2
+				gain, feat, thr = g, f, (v+next)/2
+				qmin = fn - fn*(parentGini-gain+screenMargin)
 			}
 		}
 	}

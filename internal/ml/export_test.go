@@ -27,18 +27,15 @@ func WriteFloats(w io.Writer, vs ...float64) {
 	}
 }
 
+// MatchReference is reference_test.go's oracle comparison.
+var MatchReference = matchReference
+
 // WriteTree writes every node of t in preorder as (feature, threshold
 // bits, label), then every unnormalized importance bit.
 func WriteTree(w io.Writer, t *Tree) {
-	var walk func(n *node)
-	walk = func(n *node) {
+	for _, n := range t.nodes {
 		writeBits(w, uint64(int64(n.feature)), math.Float64bits(n.threshold), uint64(n.label))
-		if n.feature >= 0 {
-			walk(n.left)
-			walk(n.right)
-		}
 	}
-	walk(t.root)
 	WriteFloats(w, t.importance...)
 }
 

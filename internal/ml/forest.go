@@ -103,9 +103,11 @@ func (f Forest) TrainForest(d *Dataset, st *rng.Stream) *ForestModel {
 	return m
 }
 
-// Predict implements Classifier by majority vote over trees.
+// Predict implements Classifier by majority vote over trees, ties to the
+// lowest label. Up to 64 classes the tally lives on the stack.
 func (m *ForestModel) Predict(x []float64) int {
-	votes := make([]int, m.numClasses)
+	var buf [64]int
+	votes := append(buf[:0], make([]int, m.numClasses)...)
 	for _, t := range m.trees {
 		votes[t.Predict(x)]++
 	}

@@ -53,8 +53,8 @@ func NewDataset(x [][]float64, y []int, numClasses int) (*Dataset, error) {
 		return nil, fmt.Errorf("ml: empty dataset")
 	}
 	w := len(x[0])
-	if w == 0 {
-		return nil, fmt.Errorf("ml: rows have no features")
+	if w == 0 || w > math.MaxInt16 || numClasses > math.MaxInt16 { // trees store both as int16
+		return nil, fmt.Errorf("ml: %d features and %d classes; want 1 to %d of each", w, numClasses, math.MaxInt16)
 	}
 	for i, row := range x {
 		if len(row) != w {
@@ -459,17 +459,17 @@ func TrainMajorityWorkers(tr Trainer, d *Dataset, n, workers int, st *rng.Stream
 	})}
 }
 
-// Predict returns the majority vote.
+// Predict returns the majority vote, ties to the lowest label. The tally
+// is indexed by label and, for labels below 64, lives on the stack.
 func (m *Majority) Predict(x []float64) int {
-	votes := make(map[int]int)
+	var buf [64]int
+	votes := buf[:0]
 	for _, c := range m.Members {
-		votes[c.Predict(x)]++
-	}
-	best, bestN := 0, -1
-	for label, n := range votes {
-		if n > bestN || (n == bestN && label < best) {
-			best, bestN = label, n
+		label := c.Predict(x)
+		for len(votes) <= label {
+			votes = append(votes, 0)
 		}
+		votes[label]++
 	}
-	return best
+	return majorityLabel(votes)
 }

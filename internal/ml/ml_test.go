@@ -51,6 +51,9 @@ func TestNewDatasetValidation(t *testing.T) {
 	if _, err := NewDataset([][]float64{{}, {}}, []int{0, 1}, 2); err == nil {
 		t.Error("rows without features accepted")
 	}
+	if _, err := NewDataset([][]float64{{1}}, []int{0}, math.MaxInt16+1); err == nil {
+		t.Error("more classes than a tree's int16 label holds accepted")
+	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		_, err := NewDataset([][]float64{{1, 2, 3}, {4, 5, bad}, {7, 8, 9}}, []int{0, 1, 0}, 2)
 		if err == nil {
@@ -346,21 +349,18 @@ func TestTreeImportanceNormalized(t *testing.T) {
 func TestCARTDepthLimit(t *testing.T) {
 	d := blobs(2, 50, 4, 2, 0.3, 50)
 	tree := CART{Config: CARTConfig{MaxDepth: 1}}.TrainTree(d, rng.New(51))
-	depth := treeDepth(tree.root)
+	depth := treeDepth(tree.nodes, 0)
 	if depth > 1 {
 		t.Errorf("depth = %d with MaxDepth 1", depth)
 	}
 }
 
-func treeDepth(n *node) int {
-	if n == nil || n.feature < 0 {
+// treeDepth is the depth of the subtree at nodes[i].
+func treeDepth(nodes []node, i int) int {
+	if nodes[i].feature < 0 {
 		return 0
 	}
-	l, r := treeDepth(n.left), treeDepth(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
+	return 1 + max(treeDepth(nodes, i+1), treeDepth(nodes, int(nodes[i].right)))
 }
 
 func TestCARTPureLeafShortCircuit(t *testing.T) {
@@ -368,7 +368,7 @@ func TestCARTPureLeafShortCircuit(t *testing.T) {
 	y := []int{1, 1, 1}
 	d, _ := NewDataset(x, y, 2)
 	tree := CART{}.TrainTree(d, rng.New(1))
-	if tree.root.feature != -1 || tree.root.label != 1 {
+	if len(tree.nodes) != 1 || tree.nodes[0].feature != -1 || tree.nodes[0].label != 1 {
 		t.Error("pure dataset should yield a single leaf")
 	}
 }
@@ -394,6 +394,36 @@ func TestMajorityVote(t *testing.T) {
 	metrics := Evaluate(m, d, seqInts(d.Len()))
 	if metrics.Accuracy < 0.8 {
 		t.Errorf("majority ensemble accuracy = %v", metrics.Accuracy)
+	}
+}
+
+// constLabel is a classifier that always predicts itself.
+type constLabel int
+
+func (c constLabel) Predict([]float64) int { return int(c) }
+
+// TestMajorityTiesToLowestLabel pins the vote's tie rule, whatever order
+// the members vote in, for labels past the stack tally too.
+func TestMajorityTiesToLowestLabel(t *testing.T) {
+	for _, tc := range []struct {
+		votes []int
+		want  int
+	}{
+		{[]int{3, 1, 3, 1}, 1},
+		{[]int{1, 3, 1, 3}, 1},
+		{[]int{2, 0, 0, 2, 5}, 0},
+		{[]int{4, 4, 2}, 4},
+		{[]int{70, 7, 70, 7, 100}, 7},
+		{[]int{9}, 9},
+		{nil, 0},
+	} {
+		m := &Majority{}
+		for _, v := range tc.votes {
+			m.Members = append(m.Members, constLabel(v))
+		}
+		if got := m.Predict(nil); got != tc.want {
+			t.Errorf("votes %v: majority %d, want %d", tc.votes, got, tc.want)
+		}
 	}
 }
 
@@ -456,6 +486,7 @@ func BenchmarkForestPredict(b *testing.B) {
 	d := blobs(6, 30, 22, 1.5, 0.5, 100)
 	m := Forest{Config: ForestConfig{Trees: 50}}.TrainForest(d, rng.New(101))
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Predict(d.X[i%d.Len()])
 	}

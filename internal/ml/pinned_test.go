@@ -8,6 +8,7 @@ package ml_test
 
 import (
 	"hash/fnv"
+	"math"
 	"testing"
 
 	backscatter "dnsbackscatter"
@@ -73,6 +74,22 @@ func TestForestPinned(t *testing.T) {
 		if got := pinsOf(tc.d); got != tc.want {
 			t.Errorf("%s (%d rows x %d features): trained models moved:\n got %#v\nwant %#v",
 				tc.name, tc.d.Len(), tc.d.NumFeatures(), got, tc.want)
+		}
+	}
+}
+
+// TestTreeMatchesReferenceMDitl is TestTreeMatchesReference on the
+// production shape, which the split screen must hold on: the M-Root DITL
+// labelled set (12 classes, 22 features), with a forest tree's
+// MaxFeatures = round(√22) = 5, bootstrap on and off.
+func TestTreeMatchesReferenceMDitl(t *testing.T) {
+	d := mditl(t, 2, 250)
+	cfg := ml.CARTConfig{MaxFeatures: int(math.Round(math.Sqrt(float64(d.NumFeatures()))))}
+	for seed := uint64(1); seed <= 20; seed++ {
+		for _, bootstrap := range []bool{false, true} {
+			if diff := ml.MatchReference(d, cfg, seed, bootstrap); diff != "" {
+				t.Fatalf("seed %d bootstrap=%v: %s", seed, bootstrap, diff)
+			}
 		}
 	}
 }
