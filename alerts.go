@@ -43,31 +43,3 @@ const DefaultAlertRulesText = alert.DefaultRulesText
 // NewAlertEngine returns an engine over the given rules; empty rules
 // return nil, and a nil engine is a fully inert no-op on every method.
 func NewAlertEngine(rules []AlertRule) *AlertEngine { return alert.New(rules) }
-
-// Alerts replays the dataset's alert rules (Spec.Alerts; see WithAlerts)
-// against its windowed metrics and committed traces and returns the
-// evaluated engine. Each call re-evaluates from scratch, so the engine
-// reflects everything recorded up to now — after the build, and again
-// after later pipeline runs that keep recording into the same registry.
-//
-// Evaluation is clocked purely by simulated bucket time: the transition
-// log (Log, JSONL) is byte-identical at any worker count. Datasets built
-// without rules — or without an observability registry and window —
-// return nil, which is a safe no-op engine.
-//
-//bslint:detroot
-func (d *Dataset) Alerts() *AlertEngine {
-	if d == nil || len(d.alertRules) == 0 || d.obs == nil || d.obs.Window() == nil {
-		return nil
-	}
-	eng := alert.New(d.alertRules)
-	data := alert.Data{
-		Series:  d.obs.Window().Timeseries(),
-		Through: d.Spec.Start.Add(d.Spec.Duration),
-	}
-	if d.tracer != nil {
-		data.Exemplars = d.tracer.Exemplars
-	}
-	eng.Eval(data)
-	return eng
-}

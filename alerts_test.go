@@ -39,18 +39,25 @@ slo lookup-success
 `
 
 // alertRun builds one seed-matrix cell under servfail-storm with a
-// 450 s window and tracing, and returns the evaluated alert engine.
+// 450 s window and tracing, and evaluates the rules over the build's
+// window and traces through the span's end.
 func alertRun(t *testing.T, seed uint64, workers int) *backscatter.AlertEngine {
 	t.Helper()
+	rules, err := backscatter.ParseAlertRules(alertTestRules)
+	if err != nil {
+		t.Fatal(err)
+	}
 	reg := backscatter.NewRegistry()
 	reg.SetClock(backscatter.TickClock(1))
 	reg.SetWindow(backscatter.NewWindow(450))
-	spec := seedMatrixSpec(seed, workers, "servfail-storm@1").
-		WithTracing(4).WithAlerts(alertTestRules)
-	eng := backscatter.BuildObserved(spec, reg).Alerts()
-	if eng == nil {
-		t.Fatalf("seed=%d workers=%d: WithAlerts built no engine", seed, workers)
-	}
+	spec := seedMatrixSpec(seed, workers, "servfail-storm@1").WithTracing(4)
+	ds := backscatter.BuildObserved(spec, reg)
+	eng := backscatter.NewAlertEngine(rules)
+	eng.Eval(backscatter.AlertData{
+		Series:    reg.Window().Timeseries(),
+		Exemplars: ds.Tracer().Exemplars,
+		Through:   spec.Start.Add(spec.Duration),
+	})
 	return eng
 }
 
@@ -116,31 +123,14 @@ func TestAlertRulesFilePinned(t *testing.T) {
 	}
 }
 
-// TestAlertsDisabled pins the nil-engine contract end to end: no rules,
-// no registry, or no window all yield a nil engine whose every method is
-// a safe no-op.
+// TestAlertsDisabled pins the nil-engine contract: no rules yield a nil
+// engine whose every method is a safe no-op.
 func TestAlertsDisabled(t *testing.T) {
-	spec := backscatter.JPDitl().Scaled(0.01)
-	spec.MinQueriers = 10
-
-	reg := backscatter.NewRegistry()
-	reg.SetClock(backscatter.TickClock(1))
-	reg.SetWindow(backscatter.NewWindow(3600))
-	if eng := backscatter.BuildObserved(spec, reg).Alerts(); eng != nil {
-		t.Error("dataset without rules returned a live engine")
+	nilEng := backscatter.NewAlertEngine(nil)
+	if nilEng != nil {
+		t.Fatal("engine without rules is not nil")
 	}
-
-	// Rules but no registry, and rules with a window-less registry.
-	if ds := backscatter.Build(spec.WithAlerts("default")); ds.Alerts() != nil {
-		t.Error("dataset without a registry returned a live engine")
-	}
-	bare := backscatter.NewRegistry()
-	bare.SetClock(backscatter.TickClock(1))
-	if eng := backscatter.BuildObserved(spec.WithAlerts("default"), bare); eng.Alerts() != nil {
-		t.Error("dataset without a window returned a live engine")
-	}
-
-	var nilEng *backscatter.AlertEngine
+	nilEng.Eval(backscatter.AlertData{})
 	if nilEng.JSONL() != nil || nilEng.Log() != nil || nilEng.Firing() != 0 {
 		t.Error("nil engine leaked state")
 	}
@@ -149,19 +139,11 @@ func TestAlertsDisabled(t *testing.T) {
 	}
 }
 
-// TestWithAlertsInvalid pins the fail-fast contract: a malformed rule
-// file panics at build time with the offending line, exactly like a
-// malformed fault spec.
-func TestWithAlertsInvalid(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("bad rule text did not panic")
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "line ") {
-			t.Fatalf("panic %v does not carry a line number", r)
-		}
-	}()
-	spec := backscatter.JPDitl().Scaled(0.01).WithAlerts("alert broken\n  op ??\n")
-	backscatter.Build(spec)
+// TestParseAlertRulesInvalid pins that a malformed rule file is rejected
+// with the offending line.
+func TestParseAlertRulesInvalid(t *testing.T) {
+	_, err := backscatter.ParseAlertRules("alert broken\n  op ??\n")
+	if err == nil || !strings.Contains(err.Error(), "line ") {
+		t.Fatalf("err = %v, want one carrying a line number", err)
+	}
 }

@@ -1,6 +1,6 @@
 // Command bsprof reads two of the repo's resource-observatory artifacts:
 // per-stage resource reports (bsrepro -resources) and the checked-in
-// allocation budgets. Profiles (bsserve's /profiles ring, CI's
+// allocation budgets. Profiles (bsserve's /debug/pprof/ handlers, CI's
 // heap.pprof and cpu.pprof, `go test -memprofile`) are read with `go
 // tool pprof`; PERFORMANCE.md lists the commands.
 //

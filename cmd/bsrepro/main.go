@@ -222,16 +222,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bsrepro: wrote windowed time series (%s buckets) to %s\n", *window, *tsPath)
 	}
 	if *alPath != "" {
-		rules := alert.DefaultRules()
-		if *rulesPath != "" {
-			src, err := os.ReadFile(*rulesPath)
-			if err == nil {
-				rules, err = alert.Parse(string(src))
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bsrepro:", err)
-				os.Exit(2)
-			}
+		rules, err := alert.LoadRules(*rulesPath)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "bsrepro:", err)
+			os.Exit(2)
 		}
 		eng := alert.New(rules)
 		// Worst-offender exemplars merge across every traced dataset the

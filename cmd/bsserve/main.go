@@ -26,7 +26,9 @@
 //
 // /traces filters on originator=, querier=, rcode=, mindur= (seconds),
 // and limit=. Tracing keeps the most recent -trace-keep traces in a ring.
-// net/http/pprof profiling endpoints hang off /debug/pprof/.
+// net/http/pprof profiling endpoints hang off /debug/pprof/: read them
+// with `go tool pprof http://HOST/debug/pprof/profile?seconds=30` or
+// `.../debug/pprof/heap`, and -diff_base for growth between snapshots.
 //
 // With -stream, every observed record also feeds a bounded-memory
 // streaming classification engine (sliding dedup, per-originator
@@ -36,16 +38,6 @@
 //	bsserve -addr 127.0.0.1:5353 -http 127.0.0.1:8080 -stream
 //	curl http://127.0.0.1:8080/stream                # canonical snapshot
 //	curl http://127.0.0.1:8080/stream?format=json    # status document
-//
-// With -profiles DIR, bsserve continuously profiles itself: rolling
-// CPU-profile windows of -profile-window each, plus heap snapshots
-// gated on -heap-growth, all in a bounded on-disk ring of
-// -profile-keep files per kind. The ring is listed and downloadable:
-//
-//	bsserve -addr 127.0.0.1:5353 -http 127.0.0.1:8080 -profiles /tmp/bsprofiles
-//	curl http://127.0.0.1:8080/profiles              # ring listing
-//	curl -O http://127.0.0.1:8080/profiles/cpu-000001.pprof
-//	go tool pprof -top -sample_index alloc_space heap-000002.pprof
 //
 // With -alerts (a rule file, or "default" for the built-in rules),
 // bsserve re-evaluates the rules against the live window every
@@ -79,7 +71,6 @@ import (
 	"dnsbackscatter/internal/geo"
 	"dnsbackscatter/internal/ipaddr"
 	"dnsbackscatter/internal/obs"
-	"dnsbackscatter/internal/prof"
 	"dnsbackscatter/internal/simtime"
 	"dnsbackscatter/internal/stream"
 	"dnsbackscatter/internal/trace"
@@ -223,7 +214,7 @@ func serveIndex(routes [][2]string) http.HandlerFunc {
 // load balancers expect between "process is up" and "safe to route
 // to". /debug/ (pprof, expvar) delegates to the default mux, where
 // those packages self-register.
-func newMux(reg *obs.Registry, win *obs.Window, tr *trace.Tracer, cont *prof.Continuous, eng *stream.Engine, al *alert.Engine, ready *atomic.Bool) *http.ServeMux {
+func newMux(reg *obs.Registry, win *obs.Window, tr *trace.Tracer, eng *stream.Engine, al *alert.Engine, ready *atomic.Bool) *http.ServeMux {
 	mux := http.NewServeMux()
 	routes := [][2]string{
 		{"/healthz", "liveness: 200 once serving HTTP"},
@@ -256,12 +247,6 @@ func newMux(reg *obs.Registry, win *obs.Window, tr *trace.Tracer, cont *prof.Con
 	if tr != nil {
 		mux.HandleFunc("/traces", serveTraces(tr))
 		routes = append(routes, [2]string{"/traces", "recent span trees (originator=, rcode=, format=json)"})
-	}
-	if cont != nil {
-		h := cont.Handler()
-		mux.Handle("/profiles", h)
-		mux.Handle("/profiles/", h)
-		routes = append(routes, [2]string{"/profiles", "continuous-profiling ring listing + downloads"})
 	}
 	if eng != nil {
 		mux.HandleFunc("/stream", serveStream(eng))
@@ -300,19 +285,6 @@ func alertLoop(al *alert.Engine, win *obs.Window, tr *trace.Tracer, eng *stream.
 	}
 }
 
-// loadAlertRules resolves the -alerts flag: the built-in rule set for
-// "default", otherwise a rule file parsed from disk.
-func loadAlertRules(spec string) ([]alert.Rule, error) {
-	if spec == "default" {
-		return alert.DefaultRules(), nil
-	}
-	src, err := os.ReadFile(spec)
-	if err != nil {
-		return nil, err
-	}
-	return alert.Parse(string(src))
-}
-
 // serveHTTP publishes the registry on expvar and runs the HTTP server
 // until it fails or the process exits.
 func serveHTTP(httpAddr string, mux *http.ServeMux, reg *obs.Registry) {
@@ -329,28 +301,6 @@ func serveHTTP(httpAddr string, mux *http.ServeMux, reg *obs.Registry) {
 	fmt.Fprintf(os.Stderr, "bsserve: metrics on http://%s/metrics (pprof on /debug/pprof/)\n", httpAddr)
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fmt.Fprintln(os.Stderr, "bsserve: http:", err)
-	}
-}
-
-// profileLoop drives the continuous profiler: back-to-back CPU windows
-// of the given width, with a heap-growth check at each window boundary.
-// Wall-clock pacing lives here, in the operational main, so the prof
-// package itself stays free of real-time waits (and usable from
-// deterministic code).
-func profileLoop(cont *prof.Continuous, window time.Duration) {
-	for {
-		if err := cont.StartCPU(); err != nil {
-			fmt.Fprintln(os.Stderr, "bsserve: profiling stopped:", err)
-			return
-		}
-		time.Sleep(window)
-		if _, err := cont.StopCPU(); err != nil {
-			fmt.Fprintln(os.Stderr, "bsserve: profiling stopped:", err)
-			return
-		}
-		if _, _, err := cont.MaybeHeapSnapshot(); err != nil {
-			fmt.Fprintln(os.Stderr, "bsserve: heap snapshot:", err)
-		}
 	}
 }
 
@@ -387,15 +337,11 @@ func main() {
 		seed       = flag.Uint64("seed", 1404, "world seed for the zone contents")
 		logPath    = flag.String("log", "", "append observed backscatter records to this TSV file")
 		name       = flag.String("authority", "final", "authority name in emitted records")
-		httpAddr   = flag.String("http", "", "serve /metrics, /traces, /timeseries, /healthz, /readyz, /profiles, /debug/vars, and /debug/pprof on this address")
+		httpAddr   = flag.String("http", "", "serve /metrics, /traces, /timeseries, /healthz, /readyz, /debug/vars, and /debug/pprof on this address")
 		fspec      = flag.String("faults", "", `fault-injection profile@seed (e.g. "lossy@7"); empty disables`)
 		trSamp     = flag.Uint64("trace-sample", 1, "trace 1 in N queries (0 disables tracing); served on /traces")
 		trKeep     = flag.Int("trace-keep", 512, "bound the in-memory trace ring to the most recent N traces")
 		window     = flag.Duration("window", time.Minute, "bucket width for the /timeseries record series")
-		profDir    = flag.String("profiles", "", "continuously profile into this directory (served on /profiles); empty disables")
-		profWindow = flag.Duration("profile-window", 30*time.Second, "width of each rolling CPU-profile window")
-		profKeep   = flag.Int("profile-keep", 8, "bound the profile ring to N files per kind (cpu, heap)")
-		heapGrowth = flag.Int64("heap-growth", 16<<20, "heap snapshot when HeapAlloc grew this many bytes since the last one (0 snapshots every window)")
 		streamOn   = flag.Bool("stream", false, "feed observed records through the streaming classification engine (served on /stream)")
 		streamEp   = flag.Duration("stream-epoch", time.Hour, "record-time re-scoring cadence of the streaming engine")
 		streamMax  = flag.Int("stream-max", 1<<16, "bound the streaming engine's tracked originators")
@@ -423,26 +369,6 @@ func main() {
 
 	if plan != nil {
 		fmt.Fprintf(os.Stderr, "bsserve: injecting faults: %s\n", plan)
-	}
-
-	var cont *prof.Continuous
-	if *profDir != "" {
-		growth := *heapGrowth
-		if growth < 0 {
-			growth = 0
-		}
-		cont, err = prof.NewContinuous(prof.ContinuousConfig{
-			Dir:        *profDir,
-			MaxPerKind: *profKeep,
-			HeapGrowth: uint64(growth),
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bsserve:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "bsserve: continuous profiling into %s (%s CPU windows, %d files/kind)\n",
-			cont.Dir(), *profWindow, *profKeep)
-		go profileLoop(cont, *profWindow)
 	}
 
 	// The streaming engine classifies live backscatter in bounded
@@ -485,7 +411,7 @@ func main() {
 		}
 		var al *alert.Engine
 		if *alertSpec != "" {
-			rules, err := loadAlertRules(*alertSpec)
+			rules, err := alert.LoadRules(*alertSpec)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "bsserve:", err)
 				os.Exit(2)
@@ -495,7 +421,7 @@ func main() {
 				len(rules), *alertEvery)
 			go alertLoop(al, win, tr, eng, *alertEvery)
 		}
-		go serveHTTP(*httpAddr, newMux(reg, win, tr, cont, eng, al, &ready), reg)
+		go serveHTTP(*httpAddr, newMux(reg, win, tr, eng, al, &ready), reg)
 	} else if *streamOn {
 		eng = mkEngine(nil)
 	}

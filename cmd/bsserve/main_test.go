@@ -16,7 +16,6 @@ import (
 	"dnsbackscatter/internal/geo"
 	"dnsbackscatter/internal/ipaddr"
 	"dnsbackscatter/internal/obs"
-	"dnsbackscatter/internal/prof"
 	"dnsbackscatter/internal/rng"
 	"dnsbackscatter/internal/simtime"
 	"dnsbackscatter/internal/stream"
@@ -36,7 +35,7 @@ func get(t *testing.T, mux *http.ServeMux, path string) (int, string) {
 // of readiness.
 func TestHealthz(t *testing.T) {
 	var ready atomic.Bool
-	mux := newMux(nil, nil, nil, nil, nil, nil, &ready)
+	mux := newMux(nil, nil, nil, nil, nil, &ready)
 	if code, body := get(t, mux, "/healthz"); code != http.StatusOK || !strings.Contains(body, "ok") {
 		t.Fatalf("/healthz = %d %q", code, body)
 	}
@@ -47,7 +46,7 @@ func TestHealthz(t *testing.T) {
 // without one never reports ready).
 func TestReadyzFlips(t *testing.T) {
 	var ready atomic.Bool
-	mux := newMux(nil, nil, nil, nil, nil, nil, &ready)
+	mux := newMux(nil, nil, nil, nil, nil, &ready)
 	if code, body := get(t, mux, "/readyz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "loading") {
 		t.Fatalf("before flip: /readyz = %d %q", code, body)
 	}
@@ -55,7 +54,7 @@ func TestReadyzFlips(t *testing.T) {
 	if code, body := get(t, mux, "/readyz"); code != http.StatusOK || !strings.Contains(body, "ready") {
 		t.Fatalf("after flip: /readyz = %d %q", code, body)
 	}
-	nilMux := newMux(nil, nil, nil, nil, nil, nil, nil)
+	nilMux := newMux(nil, nil, nil, nil, nil, nil)
 	if code, _ := get(t, nilMux, "/readyz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("nil flag: /readyz = %d, want 503", code)
 	}
@@ -68,7 +67,7 @@ func TestMetricsAndTimeseries(t *testing.T) {
 	win := obs.NewWindow(simtime.Duration(60))
 	reg.SetWindow(win)
 	reg.Counter("served_records_total").IncAt(simtime.Time(5))
-	mux := newMux(reg, win, nil, nil, nil, nil, nil)
+	mux := newMux(reg, win, nil, nil, nil, nil)
 
 	if code, body := get(t, mux, "/metrics"); code != http.StatusOK || !strings.Contains(body, "served_records_total") {
 		t.Fatalf("/metrics = %d %q", code, body)
@@ -91,7 +90,7 @@ func TestMetricsAndTimeseries(t *testing.T) {
 // rejections.
 func TestTracesRoute(t *testing.T) {
 	tr := trace.New(1, 1)
-	mux := newMux(nil, nil, tr, nil, nil, nil, nil)
+	mux := newMux(nil, nil, tr, nil, nil, nil)
 	if code, body := get(t, mux, "/traces"); code != http.StatusOK || !strings.Contains(body, "traces held") {
 		t.Fatalf("/traces = %d %q", code, body)
 	}
@@ -103,31 +102,6 @@ func TestTracesRoute(t *testing.T) {
 	}
 	if code, _ := get(t, mux, "/traces?limit=bogus"); code != http.StatusBadRequest {
 		t.Fatalf("bad limit = %d, want 400", code)
-	}
-}
-
-// TestProfilesRoute pins the continuous-profiling ring mount: listing,
-// download, and the 404 for names outside the ring.
-func TestProfilesRoute(t *testing.T) {
-	cont, err := prof.NewContinuous(prof.ContinuousConfig{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	name, err := cont.HeapSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mux := newMux(nil, nil, nil, cont, nil, nil, nil)
-
-	code, body := get(t, mux, "/profiles")
-	if code != http.StatusOK || !strings.Contains(body, name) {
-		t.Fatalf("/profiles = %d %q", code, body)
-	}
-	if code, body := get(t, mux, "/profiles/"+name); code != http.StatusOK || len(body) == 0 {
-		t.Fatalf("download = %d (%d bytes)", code, len(body))
-	}
-	if code, _ := get(t, mux, "/profiles/no-such.pprof"); code != http.StatusNotFound {
-		t.Fatalf("unknown name = %d, want 404", code)
 	}
 }
 
@@ -151,7 +125,7 @@ func TestStreamRoute(t *testing.T) {
 	}
 	eng.Ingest(recs)
 	eng.Tick(simtime.Time(simtime.Hour))
-	mux := newMux(nil, nil, nil, nil, eng, nil, nil)
+	mux := newMux(nil, nil, nil, eng, nil, nil)
 
 	if code, body := get(t, mux, "/stream"); code != http.StatusOK || !strings.Contains(body, "originators") {
 		t.Fatalf("/stream = %d %q", code, body)
@@ -159,18 +133,18 @@ func TestStreamRoute(t *testing.T) {
 	if code, body := get(t, mux, "/stream?format=json"); code != http.StatusOK || !strings.Contains(body, "\"tracked\"") {
 		t.Fatalf("/stream?format=json = %d %q", code, body)
 	}
-	bare := newMux(nil, nil, nil, nil, nil, nil, nil)
+	bare := newMux(nil, nil, nil, nil, nil, nil)
 	if code, _ := get(t, bare, "/stream"); code != http.StatusNotFound {
 		t.Fatalf("/stream without engine = %d, want 404", code)
 	}
 }
 
-// TestProfilesUnmounted pins that a mux without a profiler 404s the
-// route instead of panicking.
+// TestProfilesUnmounted pins that /profiles, the route of a profile
+// ring bsserve no longer keeps, 404s: profiles come from /debug/pprof/.
 func TestProfilesUnmounted(t *testing.T) {
-	mux := newMux(nil, nil, nil, nil, nil, nil, nil)
+	mux := newMux(nil, nil, nil, nil, nil, nil)
 	if code, _ := get(t, mux, "/profiles"); code != http.StatusNotFound {
-		t.Fatalf("/profiles without ring = %d, want 404", code)
+		t.Fatalf("/profiles = %d, want 404", code)
 	}
 }
 
@@ -190,7 +164,7 @@ func TestIndexPage(t *testing.T) {
 	reg := obs.NewRegistry()
 	win := obs.NewWindow(simtime.Duration(60))
 	reg.SetWindow(win)
-	mux := newMux(reg, win, nil, nil, nil, nil, nil)
+	mux := newMux(reg, win, nil, nil, nil, nil)
 
 	code, body, ct := getFull(t, mux, "/")
 	if code != http.StatusOK || ct != "text/plain; charset=utf-8" {
@@ -217,7 +191,7 @@ func TestIndexPage(t *testing.T) {
 func TestMetricsContentTypes(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("served_records_total").Inc()
-	mux := newMux(reg, nil, nil, nil, nil, nil, nil)
+	mux := newMux(reg, nil, nil, nil, nil, nil)
 
 	code, body, ct := getFull(t, mux, "/metrics")
 	if code != http.StatusOK || ct != "text/plain; charset=utf-8" {
@@ -252,7 +226,7 @@ func TestAlertsRoute(t *testing.T) {
 	al.Eval(alert.Data{Series: obs.Timeseries{Width: 60, Series: []obs.Series{
 		{Metric: "m_total", Points: []obs.Point{{T: 0, V: 9}}},
 	}}})
-	mux := newMux(nil, nil, nil, nil, nil, al, nil)
+	mux := newMux(nil, nil, nil, nil, al, nil)
 
 	code, body, ct := getFull(t, mux, "/alerts")
 	if code != http.StatusOK || ct != "text/plain; charset=utf-8" || !strings.Contains(body, "hot") {
@@ -268,7 +242,7 @@ func TestAlertsRoute(t *testing.T) {
 	if _, body, _ := getFull(t, mux, "/alerts?severity=low&format=json"); strings.Contains(body, `"hot"`) {
 		t.Fatalf("severity filter leaked high rule:\n%s", body)
 	}
-	bare := newMux(nil, nil, nil, nil, nil, nil, nil)
+	bare := newMux(nil, nil, nil, nil, nil, nil)
 	if code, _, _ := getFull(t, bare, "/alerts"); code != http.StatusNotFound {
 		t.Fatalf("/alerts without engine = %d, want 404", code)
 	}

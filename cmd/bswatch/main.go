@@ -52,16 +52,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	rules := alert.DefaultRules()
-	if *rulesPath != "" {
-		src, err := os.ReadFile(*rulesPath)
-		if err == nil {
-			rules, err = alert.Parse(string(src))
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "bswatch:", err)
-			return 2
-		}
+	rules, err := alert.LoadRules(*rulesPath)
+	if err != nil {
+		fmt.Fprintln(stderr, "bswatch:", err)
+		return 2
 	}
 
 	raw, err := os.ReadFile(*tsPath)

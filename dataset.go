@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"dnsbackscatter/internal/activity"
-	"dnsbackscatter/internal/alert"
 	"dnsbackscatter/internal/classify"
 	"dnsbackscatter/internal/dnslog"
 	"dnsbackscatter/internal/dnssim"
@@ -85,15 +84,6 @@ type DatasetSpec struct {
 	// time), so the sampled subset — and the rendered JSONL — is
 	// byte-identical at any worker count.
 	Trace int
-
-	// Alerts attaches a declarative alert/SLO rule file (the alerts.rules
-	// grammar; see ParseAlertRules) evaluated on demand by
-	// Dataset.Alerts against the build's windowed metrics and traces.
-	// "default" selects the built-in DefaultAlertRules; empty disables
-	// alerting (Dataset.Alerts returns a nil, fully no-op engine).
-	// Evaluation is clocked purely by simulated time, so the transition
-	// log is byte-identical at any worker count.
-	Alerts string
 }
 
 // Scaled returns a copy with populations and rates multiplied by f — the
@@ -122,13 +112,6 @@ func (s DatasetSpec) WithFaults(spec string) DatasetSpec {
 // Trace).
 func (s DatasetSpec) WithTracing(n int) DatasetSpec {
 	s.Trace = n
-	return s
-}
-
-// WithAlerts returns a copy that evaluates the given alert/SLO rule
-// text ("default" for the built-in rules; see Alerts).
-func (s DatasetSpec) WithAlerts(rules string) DatasetSpec {
-	s.Alerts = rules
 	return s
 }
 
@@ -291,11 +274,10 @@ type Dataset struct {
 	// Labels is the expert curation over the whole span.
 	Labels *groundtruth.LabeledSet
 
-	whole      *Snapshot
-	obs        *obs.Registry    // Instruments.Obs
-	tracer     *trace.Tracer    // non-nil when Spec.Trace > 0
-	acct       *prof.Accountant // Instruments.Acct
-	alertRules []alert.Rule     // parsed from Spec.Alerts, nil when disabled
+	whole  *Snapshot
+	obs    *obs.Registry    // Instruments.Obs
+	tracer *trace.Tracer    // non-nil when Spec.Trace > 0
+	acct   *prof.Accountant // Instruments.Acct
 
 	truthOnce sync.Once
 	truth     map[Addr]Class
@@ -384,17 +366,6 @@ func BuildWith(spec DatasetSpec, in Instruments) *Dataset {
 		panic(fmt.Sprintf("backscatter: %v", err))
 	}
 	cfg.Faults = plan
-	var alertRules []alert.Rule
-	switch spec.Alerts {
-	case "":
-	case "default":
-		alertRules = alert.DefaultRules()
-	default:
-		alertRules, err = alert.Parse(spec.Alerts)
-		if err != nil {
-			panic(fmt.Sprintf("backscatter: %v", err))
-		}
-	}
 	if spec.Heartbleed {
 		hb := heartbleedBurst(cfg.ClassPopulation[Scan])
 		end := spec.Start.Add(spec.Duration)
@@ -410,7 +381,7 @@ func BuildWith(spec DatasetSpec, in Instruments) *Dataset {
 	cfg.Obs, cfg.Tracer, cfg.Acct = in.Obs, tr, in.Acct
 	cfg.Keep = spec.Authority // a dataset is one vantage point
 	w := world.New(cfg)
-	d := &Dataset{Spec: spec, World: w, obs: in.Obs, tracer: tr, acct: in.Acct, alertRules: alertRules}
+	d := &Dataset{Spec: spec, World: w, obs: in.Obs, tracer: tr, acct: in.Acct}
 	sensor := d.sensor()
 	w.Run()
 	d.Records = sensor.Records()

@@ -85,7 +85,7 @@ func ExampleDataset_NewStream() {
 	e := ds.NewStream(backscatter.StreamSpec{}, nil)
 	e.Ingest(ds.Records)
 	e.Tick(spec.Start.Add(spec.Duration))
-	fmt.Println(e.Tracked() > 0, len(e.Vectors()) > 10)
+	fmt.Println(e.Status().Tracked > 0, len(e.Vectors()) > 10)
 	// Output:
 	// true true
 }

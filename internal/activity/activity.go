@@ -138,15 +138,6 @@ type Campaign struct {
 	recentN int
 }
 
-// Seed fixes the campaign's private randomness. Campaigns constructed by
-// the world get distinct seeds; identical seeds replay identical events.
-func (c *Campaign) Seed(seed uint64) { c.seed = seed }
-
-// ActiveAt reports whether the campaign is running at t.
-func (c *Campaign) ActiveAt(t simtime.Time) bool {
-	return !t.Before(c.Start) && t.Before(c.End)
-}
-
 // Overlaps reports whether the campaign is active anywhere in [t0, t1).
 func (c *Campaign) Overlaps(t0, t1 simtime.Time) bool {
 	return c.Start.Before(t1) && t0.Before(c.End)

@@ -34,6 +34,7 @@ package alert
 
 import (
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 
@@ -230,8 +231,7 @@ func compare(v float64, op string, threshold float64) bool {
 // Parse reads rule-file text: stanzas opened by `alert NAME` or
 // `slo NAME` at column zero, followed by indented `key value` lines.
 // Blank lines and #-comments are ignored. Errors carry line numbers.
-// Empty input yields no rules and no error, so an unset
-// DatasetSpec.Alerts is simply "alerting off".
+// Empty input yields no rules and no error.
 func Parse(src string) ([]Rule, error) {
 	var (
 		rules []Rule
@@ -453,4 +453,17 @@ func DefaultRules() []Rule {
 		panic("alert: built-in ruleset invalid: " + err.Error())
 	}
 	return rules
+}
+
+// LoadRules resolves a rule-file flag: the built-in rules for "" or
+// "default", otherwise the named file parsed from disk.
+func LoadRules(name string) ([]Rule, error) {
+	if name == "" || name == "default" {
+		return DefaultRules(), nil
+	}
+	src, err := os.ReadFile(name)
+	if err != nil {
+		return nil, err
+	}
+	return Parse(string(src))
 }

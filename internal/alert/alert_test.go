@@ -3,7 +3,11 @@ package alert
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -106,6 +110,36 @@ func TestParseErrors(t *testing.T) {
 		if err != nil && !strings.Contains(err.Error(), "line ") {
 			t.Errorf("%s: err %v carries no line number", tc.name, err)
 		}
+	}
+}
+
+// TestLoadRules pins the rule-file flag every command resolves: the
+// built-in rules by default, a file parsed from disk otherwise, and the
+// read and parse errors passed through, the latter with its line.
+func TestLoadRules(t *testing.T) {
+	for _, name := range []string{"", "default"} {
+		rules, err := LoadRules(name)
+		if err != nil || len(rules) != len(DefaultRules()) {
+			t.Errorf("LoadRules(%q) = %d rules, %v; want the built-in set", name, len(rules), err)
+		}
+	}
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.rules")
+	if err := os.WriteFile(good, []byte(holdRule), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if rules, err := LoadRules(good); err != nil || len(rules) != 1 || rules[0].Name != "hold" {
+		t.Errorf("LoadRules(file) = %+v, %v", rules, err)
+	}
+	if _, err := LoadRules(filepath.Join(dir, "missing.rules")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("LoadRules(missing) err = %v, want not-exist", err)
+	}
+	bad := filepath.Join(dir, "bad.rules")
+	if err := os.WriteFile(bad, []byte("alert a\n  expr window(m)\n  op !=\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadRules(bad); err == nil || !strings.Contains(err.Error(), "line 3") {
+		t.Errorf("LoadRules(bad) err = %v, want one naming line 3", err)
 	}
 }
 
@@ -468,8 +502,8 @@ func TestStripCompression(t *testing.T) {
 	}
 	hist[300].s = StateFiring
 	spark, states, _ := strips(hist)
-	if len(spark) != maxCols || len(states) != maxCols {
-		t.Fatalf("strip lengths = %d/%d, want %d", len(spark), len(states), maxCols)
+	if len(spark) != obs.SparkCols || len(states) != obs.SparkCols {
+		t.Fatalf("strip lengths = %d/%d, want %d", len(spark), len(states), obs.SparkCols)
 	}
 	if !strings.Contains(states, "F") {
 		t.Fatalf("compressed strip lost the firing step: %q", states)

@@ -4,15 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"dnsbackscatter/internal/obs"
 	"dnsbackscatter/internal/simtime"
 )
-
-// sparkLevels mirrors internal/obs's plain-text sparkline rungs.
-const sparkLevels = `_.:-=+*#%@`
-
-// maxCols bounds rendered strips; longer histories compress by chunk
-// (values sum, states keep the worst).
-const maxCols = 120
 
 // stateChar is the state-strip glyph for one evaluation step.
 func stateChar(s State) byte {
@@ -40,23 +34,20 @@ func stateRank(s State) int {
 }
 
 // strips renders one rule's history as an aligned value sparkline and
-// state strip, compressed to at most maxCols columns.
+// state strip, compressed to at most obs.SparkCols columns (values sum,
+// states keep the worst).
 func strips(hist []histPoint) (spark, states string, vmax float64) {
 	if len(hist) == 0 {
 		return "", "", 0
 	}
-	n := len(hist)
-	if n > maxCols {
-		n = maxCols
-	}
+	n := min(len(hist), obs.SparkCols)
 	vals := make([]float64, n)
 	worst := make([]State, n)
 	for i := range worst {
 		worst[i] = StateInactive
 	}
 	for i, h := range hist {
-		// Chunk evaluation steps onto columns; the tail lands in the
-		// last column like obs.SparkSeries.
+		// Chunk evaluation steps onto columns, as obs.SparkSeries does.
 		c := i * n / len(hist)
 		vals[c] += h.v
 		if stateRank(h.s) > stateRank(worst[c]) {
@@ -66,19 +57,11 @@ func strips(hist []histPoint) (spark, states string, vmax float64) {
 			vmax = vals[c]
 		}
 	}
-	var sb, st strings.Builder
-	for i, v := range vals {
-		idx := 0
-		if vmax > 0 {
-			idx = int(v * float64(len(sparkLevels)-1) / vmax)
-			if idx < 0 {
-				idx = 0
-			}
-		}
-		sb.WriteByte(sparkLevels[idx])
-		st.WriteByte(stateChar(worst[i]))
+	st := make([]byte, n)
+	for i, s := range worst {
+		st[i] = stateChar(s)
 	}
-	return sb.String(), st.String(), vmax
+	return obs.Sparkline(vals), string(st), vmax
 }
 
 // RenderText renders the filtered engine state for operators: a summary

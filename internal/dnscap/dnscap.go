@@ -107,19 +107,15 @@ func (w *Writer) Write(r dnslog.Record) error {
 	return nil
 }
 
-// Count reports frames written.
-func (w *Writer) Count() int { return w.n }
-
 // Flush flushes buffered output.
 func (w *Writer) Flush() error { return w.bw.Flush() }
 
 // Reader parses capture frames back to records.
 type Reader struct {
-	br      *bufio.Reader
-	msg     dnswire.Message
-	frame   []byte
-	defs    map[uint16]dnslog.Authority // the stream's definitions so far
-	skipped int
+	br    *bufio.Reader
+	msg   dnswire.Message
+	frame []byte
+	defs  map[uint16]dnslog.Authority // the stream's definitions so far
 }
 
 // NewReader returns a capture reader.
@@ -183,7 +179,6 @@ func (r *Reader) Read() (dnslog.Record, error) {
 			return dnslog.Record{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
 		}
 		if !dnswire.IsReversePTRQuery(&r.msg) {
-			r.skipped++
 			continue // forward traffic is not backscatter
 		}
 		orig, err := ipaddr.FromReverseName(r.msg.Questions[0].Name)
@@ -194,9 +189,6 @@ func (r *Reader) Read() (dnslog.Record, error) {
 		return rec, nil
 	}
 }
-
-// Skipped reports how many non-reverse frames were filtered out.
-func (r *Reader) Skipped() int { return r.skipped }
 
 // ReadAll drains the stream.
 func (r *Reader) ReadAll() ([]dnslog.Record, error) {

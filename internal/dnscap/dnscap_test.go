@@ -41,9 +41,6 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.Count() != len(recs) {
-		t.Errorf("Count = %d", w.Count())
-	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -113,9 +110,6 @@ func TestSkipsForwardQueries(t *testing.T) {
 	}
 	if len(got) != 2 {
 		t.Fatalf("got %d records, want 2", len(got))
-	}
-	if r.Skipped() != 1 {
-		t.Errorf("Skipped = %d, want 1", r.Skipped())
 	}
 }
 

@@ -133,7 +133,6 @@ func decimal(b []byte, limit uint64) (uint64, bool) {
 type Writer struct {
 	bw  *bufio.Writer
 	buf []byte
-	n   int
 }
 
 // NewWriter returns a buffered log writer.
@@ -145,15 +144,9 @@ func NewWriter(w io.Writer) *Writer {
 func (w *Writer) Write(r Record) error {
 	w.buf = r.AppendText(w.buf[:0])
 	w.buf = append(w.buf, '\n')
-	if _, err := w.bw.Write(w.buf); err != nil {
-		return err
-	}
-	w.n++
-	return nil
+	_, err := w.bw.Write(w.buf)
+	return err
 }
-
-// Count returns how many records have been written.
-func (w *Writer) Count() int { return w.n }
 
 // Flush flushes buffered output.
 func (w *Writer) Flush() error { return w.bw.Flush() }

@@ -125,8 +125,8 @@ func TestForwardQueryRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := dnswire.Decode(buf[:n])
-	if err != nil {
+	var resp dnswire.Message
+	if err := dnswire.DecodeInto(buf[:n], &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Header.RCode != dnswire.RCodeFormErr {

@@ -327,15 +327,6 @@ func (e *encoder) rr(rr *RR) error {
 	return nil
 }
 
-// Decode parses a wire-format message, allocating a fresh Message.
-func Decode(data []byte) (*Message, error) {
-	var m Message
-	if err := DecodeInto(data, &m); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
 // DecodeInto parses data into m, reusing m's section slices. It rejects
 // trailing garbage so log replay catches corrupt records.
 func DecodeInto(data []byte, m *Message) error {

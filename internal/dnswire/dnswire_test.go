@@ -15,7 +15,8 @@ func TestPTRQueryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(wire)
+	got := new(Message)
+	err = DecodeInto(wire, got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,8 @@ func TestResponseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(wire)
+	got := new(Message)
+	err = DecodeInto(wire, got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +71,8 @@ func TestNXDomainResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(wire)
+	got := new(Message)
+	err = DecodeInto(wire, got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +95,8 @@ func TestCompressionSavesSpace(t *testing.T) {
 	if len(wire) >= 12+26+22+10+14 {
 		t.Errorf("no compression: %d bytes", len(wire))
 	}
-	got, err := Decode(wire)
+	got := new(Message)
+	err = DecodeInto(wire, got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +115,8 @@ func TestCompressionSharedSuffix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(wire)
+	got := new(Message)
+	err = DecodeInto(wire, got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +157,7 @@ func TestDecodeErrors(t *testing.T) {
 		{"trailing bytes", append(append([]byte(nil), valid...), 0xff)},
 	}
 	for _, c := range cases {
-		if _, err := Decode(c.data); err == nil {
+		if err := DecodeInto(c.data, new(Message)); err == nil {
 			t.Errorf("%s: decode succeeded", c.name)
 		}
 	}
@@ -163,7 +168,7 @@ func TestDecodeRejectsForwardPointer(t *testing.T) {
 	data := make([]byte, 12, 18)
 	data[5] = 1 // QDCount = 1
 	data = append(data, 0xc0, 12, 0, 12, 0, 1)
-	if _, err := Decode(data); err == nil {
+	if err := DecodeInto(data, new(Message)); err == nil {
 		t.Error("forward/self pointer accepted")
 	}
 }
@@ -172,7 +177,7 @@ func TestDecodeRejectsReservedLabelType(t *testing.T) {
 	data := make([]byte, 12, 18)
 	data[5] = 1
 	data = append(data, 0x80, 0, 0, 12, 0, 1)
-	if _, err := Decode(data); err == nil {
+	if err := DecodeInto(data, new(Message)); err == nil {
 		t.Error("reserved label type 0x80 accepted")
 	}
 }
@@ -180,7 +185,7 @@ func TestDecodeRejectsReservedLabelType(t *testing.T) {
 func TestDecodeRejectsAbsurdCounts(t *testing.T) {
 	data := make([]byte, 12)
 	data[4], data[5] = 0xff, 0xff // QDCount = 65535 in a 12-byte message
-	if _, err := Decode(data); err == nil {
+	if err := DecodeInto(data, new(Message)); err == nil {
 		t.Error("absurd QDCount accepted")
 	}
 }
@@ -215,7 +220,8 @@ func TestRootName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(wire)
+	got := new(Message)
+	err = DecodeInto(wire, got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +237,8 @@ func TestOpaqueRDataRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(wire)
+	got := new(Message)
+	err = DecodeInto(wire, got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +276,8 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := Decode(wire)
+		got := new(Message)
+		err = DecodeInto(wire, got)
 		return err == nil && got.Questions[0].Name == name && got.Header.ID == id
 	}, nil); err != nil {
 		t.Error(err)

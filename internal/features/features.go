@@ -66,9 +66,6 @@ func Names() []string {
 	return out
 }
 
-// IsStatic reports whether feature index i is a static (name) feature.
-func IsStatic(i int) bool { return i < NumStatic }
-
 // Vector is one originator's features over one observation interval.
 type Vector struct {
 	Originator ipaddr.Addr
@@ -639,13 +636,4 @@ func normEntropy(counts []int, n, space int) float64 {
 		return v
 	}
 	return 1
-}
-
-// TopN keeps the n originators with the most unique queriers (vectors are
-// already footprint-sorted).
-func TopN(vs []*Vector, n int) []*Vector {
-	if n >= len(vs) {
-		return vs
-	}
-	return vs[:n]
 }

@@ -65,9 +65,8 @@ var Countries = []Country{
 
 // Registry maps IPv4 addresses to countries and autonomous systems.
 type Registry struct {
-	countryOf [256]int16 // /8 -> index into Countries
-	asOf      []int32    // /16 -> ASN
-	numAS     int
+	countryOf [256]int16        // /8 -> index into Countries
+	asOf      []int32           // /16 -> ASN
 	byCountry map[string][]byte // country code -> /8 list
 }
 
@@ -123,7 +122,6 @@ func NewRegistry(seed uint64) *Registry {
 			asn++
 		}
 	}
-	r.numAS = int(asn - 1000)
 	return r
 }
 
@@ -156,12 +154,6 @@ func (r *Registry) CCTLD(a ipaddr.Addr) string {
 func (r *Registry) ASN(a ipaddr.Addr) int {
 	return int(r.asOf[a.Slash16()])
 }
-
-// NumASes returns how many distinct ASes exist in the registry.
-func (r *Registry) NumASes() int { return r.numAS }
-
-// NumCountries returns how many countries received at least one /8.
-func (r *Registry) NumCountries() int { return len(r.byCountry) }
 
 // Slash8sIn returns the /8 first-octets allocated to the country code, in
 // ascending order. It returns nil for unknown or unallocated countries.

@@ -79,11 +79,15 @@ func TestASesStayWithinSlash8(t *testing.T) {
 
 func TestCountsPositive(t *testing.T) {
 	r := NewRegistry(7)
-	if r.NumASes() < 256 {
-		t.Errorf("NumASes = %d, want at least one per /8", r.NumASes())
+	ases := map[int32]bool{}
+	for _, asn := range r.asOf {
+		ases[asn] = true
 	}
-	if r.NumCountries() < 10 {
-		t.Errorf("NumCountries = %d, want broad coverage", r.NumCountries())
+	if len(ases) < 256 {
+		t.Errorf("%d ASes, want at least one per /8", len(ases))
+	}
+	if len(r.byCountry) < 10 {
+		t.Errorf("%d countries, want broad coverage", len(r.byCountry))
 	}
 }
 

@@ -251,9 +251,6 @@ func New(capacity int, seed uint64) *Sketch {
 	return s
 }
 
-// Capacity returns the per-level slot capacity.
-func (s *Sketch) Capacity() int { return s.levels[0].cap }
-
 // Total returns the total mass observed (sum of Add weights).
 func (s *Sketch) Total() uint64 { return s.total }
 

@@ -226,8 +226,8 @@ func TestMergeSeedMismatchPanics(t *testing.T) {
 // levels, entry rendering, and Reset reuse.
 func TestSmallAndReset(t *testing.T) {
 	s := New(0, 5)
-	if s.Capacity() != 1 {
-		t.Fatalf("Capacity=%d, want clamp to 1", s.Capacity())
+	if s.levels[0].cap != 1 {
+		t.Fatalf("capacity=%d, want clamp to 1", s.levels[0].cap)
 	}
 	a := ipaddr.MustParse("10.1.2.3")
 	s.Add(a, 41)

@@ -171,9 +171,6 @@ func (s *Sketch) Reset() {
 	s.hist = [64]uint32{0: 1 << s.p}
 }
 
-// SizeBytes reports the sketch's register memory.
-func (s *Sketch) SizeBytes() int { return len(s.registers) }
-
 // Hash64 is the mixing function the sensor applies to addresses before
 // Add: the splitmix64 finalizer, a strong 64-bit avalanche.
 func Hash64(x uint64) uint64 {

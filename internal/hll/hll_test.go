@@ -117,8 +117,8 @@ func TestReset(t *testing.T) {
 }
 
 func TestSizeBytes(t *testing.T) {
-	if MustNew(11).SizeBytes() != 2048 {
-		t.Error("wrong register size")
+	if n := len(MustNew(11).registers); n != 2048 {
+		t.Errorf("precision 11 holds %d one-byte registers, want 2048", n)
 	}
 }
 

@@ -95,23 +95,6 @@ func calleeFunc(pkg *Package, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// Callers returns the nodes that call fn, sorted by position for
-// deterministic diagnostics.
-func (g *Graph) Callers(fn *types.Func) []*FuncNode {
-	var out []*FuncNode
-	seen := map[*types.Func]bool{}
-	for _, node := range g.Nodes {
-		for _, cs := range node.Calls {
-			if cs.Callee == fn && !seen[node.Fn] {
-				seen[node.Fn] = true
-				out = append(out, node)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Decl.Pos() < out[j].Decl.Pos() })
-	return out
-}
-
 // sortedNodes returns the graph's nodes in source order, the iteration
 // order every module check uses so findings come out deterministically.
 func (g *Graph) sortedNodes() []*FuncNode {

@@ -222,17 +222,6 @@ func NewConfusion(k int) *Confusion {
 // Add records one prediction.
 func (c *Confusion) Add(truth, pred int) { c.Counts[truth][pred]++ }
 
-// Total returns the number of recorded predictions.
-func (c *Confusion) Total() int {
-	n := 0
-	for _, row := range c.Counts {
-		for _, v := range row {
-			n += v
-		}
-	}
-	return n
-}
-
 // Metrics are the paper's evaluation numbers (§IV-C): accuracy plus
 // macro-averaged precision, recall, and F1 over classes present in truth.
 type Metrics struct {

@@ -97,16 +97,9 @@ type Gauge struct {
 	win atomic.Pointer[Window]
 }
 
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
 // SetAt stores v, attributing the reading to simulated time now so an
 // attached Window buckets it (last write in a bucket wins). Without a
-// window it is exactly Set.
+// window it only stores v.
 func (g *Gauge) SetAt(v int64, now simtime.Time) {
 	if g == nil {
 		return

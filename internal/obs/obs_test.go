@@ -25,7 +25,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Error("different labels returned the same counter")
 	}
 	g := r.Gauge("depth")
-	g.Set(7)
+	g.SetAt(7, 0)
 	g.Add(-3)
 	if got := g.Value(); got != 4 {
 		t.Errorf("gauge = %d, want 4", got)
@@ -35,7 +35,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Inc()
-	r.Gauge("y").Set(1)
+	r.Gauge("y").SetAt(1, 0)
 	r.Histogram("z").Observe(1)
 	r.SetClock(TickClock(1))
 	sp := r.StartSpan("s")
@@ -133,7 +133,7 @@ func feed(r *Registry) {
 		}
 		r.Histogram("batch_size").Observe(int64(i * i))
 	}
-	r.Gauge("campaigns", L("class", "scan")).Set(42)
+	r.Gauge("campaigns", L("class", "scan")).SetAt(42, 0)
 	for i := 0; i < 4; i++ {
 		sp := r.StartSpan("dedup")
 		r.now() // nested clock reading, like instrumented work would make

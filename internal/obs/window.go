@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -20,7 +21,7 @@ import (
 // nil *Window discards writes.
 //
 // Only call sites that carry a simulated timestamp feed the window (the
-// *At variants); plain Inc/Add/Set writes stay totals-only. That split is
+// *At variants); plain Inc/Add writes stay totals-only. That split is
 // deliberate: metrics whose values depend on scheduling (worker pools)
 // have no meaningful simulated time and must not leak wall-clock order
 // into a deterministic artifact.
@@ -42,14 +43,6 @@ func NewWindow(width simtime.Duration) *Window {
 		counters: make(map[string]map[simtime.Time]int64),
 		gauges:   make(map[string]map[simtime.Time]int64),
 	}
-}
-
-// Width returns the bucket width (0 for a nil window).
-func (w *Window) Width() simtime.Duration {
-	if w == nil {
-		return 0
-	}
-	return w.width
 }
 
 // bucket floors t to its containing interval start.
@@ -104,8 +97,8 @@ type Series struct {
 }
 
 // Timeseries is the windowed snapshot document: what SnapshotJSON writes
-// and ParseTimeseries reads. cmd/bstrend and bsserve's /timeseries both
-// speak exactly this document, so they cannot disagree.
+// and ParseTimeseries reads. bsserve's /timeseries and bswatch's replay
+// both speak exactly this document, so they cannot disagree.
 type Timeseries struct {
 	// Width is the bucket width in simulated seconds.
 	Width simtime.Duration `json:"width"`
@@ -144,71 +137,6 @@ func (w *Window) series() Timeseries {
 // return an empty document.
 func (w *Window) Timeseries() Timeseries { return w.series() }
 
-// Query returns one metric's windowed series with points in bucket
-// order, and whether the metric has recorded any bucket.
-func (w *Window) Query(metric string) (Series, bool) {
-	if w == nil {
-		return Series{}, false
-	}
-	w.mu.Lock()
-	src, ok := w.counters[metric]
-	if !ok {
-		src, ok = w.gauges[metric]
-	}
-	s := Series{Metric: metric, Points: make([]Point, 0, len(src))}
-	for t, v := range src {
-		s.Points = append(s.Points, Point{T: t, V: v})
-	}
-	w.mu.Unlock()
-	sort.Slice(s.Points, func(i, j int) bool { return s.Points[i].T < s.Points[j].T })
-	return s, ok
-}
-
-// Metrics returns the sorted identities of every windowed metric.
-func (w *Window) Metrics() []string {
-	if w == nil {
-		return nil
-	}
-	w.mu.Lock()
-	out := make([]string, 0, len(w.counters)+len(w.gauges))
-	for id := range w.counters {
-		out = append(out, id)
-	}
-	for id := range w.gauges {
-		out = append(out, id)
-	}
-	w.mu.Unlock()
-	sort.Strings(out)
-	return out
-}
-
-// Query returns the named series from a parsed document (series are
-// sorted by identity, so the lookup is a binary search).
-func (ts Timeseries) Query(metric string) (Series, bool) {
-	i := sort.Search(len(ts.Series), func(i int) bool { return ts.Series[i].Metric >= metric })
-	if i < len(ts.Series) && ts.Series[i].Metric == metric {
-		return ts.Series[i], true
-	}
-	return Series{}, false
-}
-
-// Range returns the earliest and latest bucket starts across every
-// series in the document; ok is false for an empty document.
-func (ts Timeseries) Range() (lo, hi simtime.Time, ok bool) {
-	for _, s := range ts.Series {
-		if len(s.Points) == 0 {
-			continue
-		}
-		first, last := s.Points[0].T, s.Points[len(s.Points)-1].T
-		if !ok {
-			lo, hi, ok = first, last, true
-			continue
-		}
-		lo, hi = min(lo, first), max(hi, last)
-	}
-	return lo, hi, ok
-}
-
 // Snapshot renders the window as sorted text, one bucket per line:
 //
 //	dnssim_queries_total{level="root"}[2014-04-07T00:00:00Z] 42
@@ -241,7 +169,7 @@ func (w *Window) SnapshotJSON() []byte {
 	return append(out, '\n')
 }
 
-// ParseTimeseries parses a SnapshotJSON document. Consumers (cmd/bstrend)
+// ParseTimeseries parses a SnapshotJSON document. Consumers (cmd/bswatch)
 // read the rendered document rather than re-aggregating, so every view of
 // a run's time series comes from one artifact.
 func ParseTimeseries(data []byte) (Timeseries, error) {
@@ -255,40 +183,45 @@ func ParseTimeseries(data []byte) (Timeseries, error) {
 // sparkLevels are the plain-text sparkline rungs, lowest to highest.
 const sparkLevels = `_.:-=+*#%@`
 
+// SparkCols bounds a series sparkline: longer ranges sum consecutive
+// buckets into each column.
+const SparkCols = 120
+
+// Sparkline renders vals as one rung per value, scaled so the largest
+// value takes the top rung; values at or below zero take the lowest. The
+// scaling divides in T, so integer counts round down exactly.
+func Sparkline[T int | int64 | float64](vals []T) string {
+	var vmax T
+	for _, v := range vals {
+		vmax = max(vmax, v)
+	}
+	b := make([]byte, len(vals))
+	for i, v := range vals {
+		idx := 0
+		if vmax > 0 && v > 0 {
+			idx = int(v * T(len(sparkLevels)-1) / vmax)
+		}
+		b[i] = sparkLevels[idx]
+	}
+	return string(b)
+}
+
 // SparkSeries renders one series as a plain-text sparkline over its
-// bucket range (missing buckets read as zero), annotated with the value
-// range, e.g. `_.:=@#:.  min=0 max=812`.
+// bucket range (missing buckets read as zero), annotated with the largest
+// column, e.g. `_.:=@#:.  max=812`. A range of N > SparkCols buckets puts
+// bucket i in column i*SparkCols/N.
 func SparkSeries(s Series, width simtime.Duration) string {
 	if len(s.Points) == 0 || width < 1 {
 		return ""
 	}
 	lo, hi := s.Points[0].T, s.Points[len(s.Points)-1].T
-	n := int((hi-lo)/simtime.Time(width)) + 1
-	const maxCols = 120
-	if n > maxCols {
-		n = maxCols
-	}
+	buckets := int((hi-lo)/simtime.Time(width)) + 1
+	n := min(buckets, SparkCols)
 	vals := make([]int64, n)
-	var vmax int64
 	for _, p := range s.Points {
-		i := int((p.T - lo) / simtime.Time(width))
-		if i >= n {
-			i = n - 1
-		}
-		vals[i] += p.V
-		if vals[i] > vmax {
-			vmax = vals[i]
-		}
+		vals[int((p.T-lo)/simtime.Time(width))*n/buckets] += p.V
 	}
-	var b strings.Builder
-	for _, v := range vals {
-		idx := 0
-		if vmax > 0 {
-			idx = int(v * int64(len(sparkLevels)-1) / vmax)
-		}
-		b.WriteByte(sparkLevels[idx])
-	}
-	return fmt.Sprintf("%s  max=%d", b.String(), vmax)
+	return fmt.Sprintf("%s  max=%d", Sparkline(vals), max(0, slices.Max(vals)))
 }
 
 // Sparklines renders every windowed series as a sorted block of

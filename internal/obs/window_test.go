@@ -39,7 +39,7 @@ func TestWindowGaugeLastWriteWins(t *testing.T) {
 	g.SetAt(5, 10)
 	g.SetAt(9, 55) // same bucket: overwrites
 	g.SetAt(2, 61) // next bucket
-	g.Set(42)      // plain write: totals-only
+	g.Add(1)       // plain write: totals-only
 	doc, err := ParseTimeseries(reg.Window().SnapshotJSON())
 	if err != nil {
 		t.Fatal(err)
@@ -68,9 +68,6 @@ func TestSetWindowRetrofitsExistingMetrics(t *testing.T) {
 
 func TestWindowNilSafety(t *testing.T) {
 	var w *Window
-	if w.Width() != 0 {
-		t.Error("nil Width != 0")
-	}
 	w.add("x", 1, 0)
 	w.set("x", 1, 0)
 	if len(w.Snapshot()) != 0 {
@@ -96,24 +93,24 @@ func TestWindowNilSafety(t *testing.T) {
 }
 
 func TestWindowWidthClamp(t *testing.T) {
-	if w := NewWindow(0); w.Width() != 1 {
-		t.Fatalf("Width = %d, want clamp to 1", w.Width())
+	if w := NewWindow(0); w.width != 1 {
+		t.Fatalf("width = %d, want clamp to 1", w.width)
 	}
 	// The clamp also guards the bucketing math: a clamped window still
 	// floors timestamps without dividing by zero.
 	w := NewWindow(-5)
-	if w.Width() != 1 {
-		t.Fatalf("Width = %d, want clamp to 1", w.Width())
+	if w.width != 1 {
+		t.Fatalf("width = %d, want clamp to 1", w.width)
 	}
 	w.add("m_total", 1, 42)
-	if s, ok := w.Query("m_total"); !ok || len(s.Points) != 1 || s.Points[0].T != 42 {
-		t.Fatalf("clamped-width write landed at %+v", s.Points)
+	if doc := w.Timeseries(); doc.Width != 1 || len(doc.Series) != 1 || doc.Series[0].Points[0].T != 42 {
+		t.Fatalf("clamped-width write landed at %+v", doc)
 	}
 }
 
 // TestWindowEmptySnapshot pins the empty-window renders the alert
 // engine and /timeseries rely on: a well-formed document with zero
-// series, an empty text snapshot, and an empty Range.
+// series and an empty text snapshot.
 func TestWindowEmptySnapshot(t *testing.T) {
 	w := NewWindow(60)
 	if got := string(w.Snapshot()); got != "" {
@@ -126,11 +123,8 @@ func TestWindowEmptySnapshot(t *testing.T) {
 	if doc.Width != 60 || len(doc.Series) != 0 {
 		t.Errorf("empty doc = %+v", doc)
 	}
-	if _, _, ok := w.Timeseries().Range(); ok {
-		t.Error("empty Range reported ok")
-	}
-	if got := w.Metrics(); len(got) != 0 {
-		t.Errorf("empty Metrics = %v", got)
+	if got := w.Timeseries(); got.Width != 60 || len(got.Series) != 0 {
+		t.Errorf("empty Timeseries = %+v", got)
 	}
 }
 
@@ -150,50 +144,42 @@ func TestWindowOutOfOrderWrites(t *testing.T) {
 	if !bytes.Equal(ordered.SnapshotJSON(), scrambled.SnapshotJSON()) {
 		t.Fatal("bucket order depends on write order")
 	}
-	s, ok := scrambled.Query("m_total")
-	if !ok {
-		t.Fatal("metric missing")
+	doc := scrambled.Timeseries()
+	if len(doc.Series) != 1 {
+		t.Fatalf("series = %+v", doc.Series)
 	}
-	for i := 1; i < len(s.Points); i++ {
-		if s.Points[i-1].T >= s.Points[i].T {
-			t.Fatalf("points unsorted: %+v", s.Points)
+	pts := doc.Series[0].Points
+	for i := 1; i < len(pts); i++ {
+		if pts[i-1].T >= pts[i].T {
+			t.Fatalf("points unsorted: %+v", pts)
 		}
 	}
-	if lo, hi, ok := scrambled.Timeseries().Range(); !ok || lo != 0 || hi != 40 {
-		t.Fatalf("Range = (%d, %d, %v), want (0, 40, true)", lo, hi, ok)
+	if lo, hi := pts[0].T, pts[len(pts)-1].T; lo != 0 || hi != 40 {
+		t.Fatalf("bucket range = (%d, %d), want (0, 40)", lo, hi)
 	}
 }
 
-// TestWindowQueryAPI pins the series-query surface: hit, miss, gauge
-// fallback, sorted Metrics, and the document-side binary search.
+// TestWindowQueryAPI pins the in-process document the alert engine
+// indexes: counters and gauges side by side, sorted by identity, each
+// series in bucket order, and an empty document from a nil window.
 func TestWindowQueryAPI(t *testing.T) {
 	w := NewWindow(10)
-	w.add("b_total", 2, 5)
 	w.add("b_total", 3, 15)
+	w.add("b_total", 2, 5)
 	w.set("a_gauge", 7, 25)
-	if s, ok := w.Query("b_total"); !ok || len(s.Points) != 2 || s.Points[1].V != 3 {
-		t.Fatalf("counter query = %+v, %v", s, ok)
-	}
-	if s, ok := w.Query("a_gauge"); !ok || len(s.Points) != 1 || s.Points[0].V != 7 {
-		t.Fatalf("gauge query = %+v, %v", s, ok)
-	}
-	if _, ok := w.Query("missing"); ok {
-		t.Error("missing metric reported ok")
-	}
-	if got := w.Metrics(); len(got) != 2 || got[0] != "a_gauge" || got[1] != "b_total" {
-		t.Fatalf("Metrics = %v", got)
-	}
 	doc := w.Timeseries()
-	if s, ok := doc.Query("b_total"); !ok || len(s.Points) != 2 {
-		t.Fatalf("doc query = %+v, %v", s, ok)
+	if doc.Width != 10 || len(doc.Series) != 2 {
+		t.Fatalf("doc = %+v", doc)
 	}
-	if _, ok := doc.Query("zzz"); ok {
-		t.Error("doc query invented a series")
+	if a := doc.Series[0]; a.Metric != "a_gauge" || len(a.Points) != 1 || a.Points[0] != (Point{T: 20, V: 7}) {
+		t.Fatalf("gauge series = %+v", a)
 	}
-	// Nil-window query surface.
+	if b := doc.Series[1]; b.Metric != "b_total" || len(b.Points) != 2 || b.Points[0] != (Point{T: 0, V: 2}) || b.Points[1] != (Point{T: 10, V: 3}) {
+		t.Fatalf("counter series = %+v", b)
+	}
 	var nilW *Window
-	if _, ok := nilW.Query("x"); ok || nilW.Metrics() != nil {
-		t.Error("nil window query surface not empty")
+	if got := nilW.Timeseries(); got.Width != 0 || len(got.Series) != 0 {
+		t.Errorf("nil window document = %+v", got)
 	}
 }
 
@@ -236,10 +222,28 @@ func TestSparkSeries(t *testing.T) {
 		t.Error("empty series rendered non-empty")
 	}
 
-	// Ranges wider than 120 columns compress into the last column.
+	// Ranges wider than SparkCols buckets compress proportionally.
 	wide := Series{Metric: "w", Points: []Point{{T: 0, V: 1}, {T: 10 * 1000, V: 3}}}
-	if out := SparkSeries(wide, 10); len(strings.Fields(out)[0]) != 120 {
-		t.Errorf("wide series strip = %d cols, want 120", len(strings.Fields(out)[0]))
+	if out := SparkSeries(wide, 10); len(strings.Fields(out)[0]) != SparkCols {
+		t.Errorf("wide series strip = %d cols, want %d", len(strings.Fields(out)[0]), SparkCols)
+	}
+
+	// Negative values (a falling gauge) take the lowest rung.
+	if got := SparkSeries(Series{Points: []Point{{T: 0, V: -4}, {T: 10, V: 8}}}, 10); got != "_@  max=8" {
+		t.Errorf("negative bucket = %q", got)
+	}
+}
+
+// TestSparkSeriesLongRange pins the proportional compression: 240
+// buckets of ones sum pairwise into 120 equal columns, where sending the
+// tail to the last column once rendered 119 lowest rungs and one '@'.
+func TestSparkSeriesLongRange(t *testing.T) {
+	var s Series
+	for i := 0; i < 240; i++ {
+		s.Points = append(s.Points, Point{T: simtime.Time(i * 60), V: 1})
+	}
+	if got, want := SparkSeries(s, 60), strings.Repeat("@", SparkCols)+"  max=2"; got != want {
+		t.Errorf("SparkSeries = %q, want %q", got, want)
 	}
 }
 

@@ -1,21 +1,16 @@
 // Package prof is the reproduction's resource observatory: per-stage
-// accounting of memory, garbage collection, and goroutine consumption,
-// and a continuous profiler with a bounded on-disk ring.
+// accounting of memory, garbage collection, and goroutine consumption.
 //
 // The paper's pipeline only matters at scale — billions of reverse
 // queries at B-Root and DITL — so the reproduction needs to know which
 // Figure 2 stage owns the bytes, the allocations, and the goroutines,
 // not just how long each stage took (package obs already times spans).
-// prof supplies that missing axis:
-//
-//   - An Accountant wraps pipeline stages and captures runtime.MemStats
-//     deltas (allocated bytes, mallocs/frees, GC cycles), heap and
-//     goroutine high-water marks, and the parallel fan-out (shards
-//     dispatched, peak concurrent workers) per stage.
-//   - A Continuous profiler rotates CPU-profile windows and writes
-//     threshold/interval heap snapshots into a bounded on-disk ring,
-//     listed and downloadable over HTTP (see Continuous.Handler), and
-//     read with `go tool pprof`.
+// prof supplies that missing axis: an Accountant wraps pipeline stages
+// and captures runtime.MemStats deltas (allocated bytes, mallocs/frees,
+// GC cycles), heap and goroutine high-water marks, and the parallel
+// fan-out (shards dispatched, peak concurrent workers) per stage.
+// Profiles are read with `go tool pprof` from the benchmarks or from a
+// live server's /debug/pprof/ handlers.
 //
 // Resource readings are scheduling-dependent by nature: how many bytes
 // a stage allocates before the GC runs, or how many goroutines coexist,
@@ -202,11 +197,6 @@ func maxInt(m *atomic.Int64, v int64) {
 		}
 	}
 }
-
-// Goroutines returns the current goroutine count — a convenience so
-// callers outside runtime-aware code (chaos tests, ops handlers) reach
-// it through the observatory.
-func Goroutines() int { return runtime.NumGoroutine() }
 
 // StableGoroutines returns the goroutine count after letting exiting
 // goroutines drain: it yields to the scheduler repeatedly and returns

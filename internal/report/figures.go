@@ -8,6 +8,7 @@ import (
 
 	backscatter "dnsbackscatter"
 
+	"dnsbackscatter/internal/obs"
 	"dnsbackscatter/internal/qname"
 	"dnsbackscatter/internal/simtime"
 )
@@ -132,7 +133,7 @@ func Figure5(s *Store) string {
 	}
 	out := header("Figure 5: benign labeled-example activity over time (Dataset: B-multi-year)")
 	out += fmt.Sprintf("curation at interval %d (%s)\n", curIdx, re[curIdx].Start)
-	out += "benign  " + sparkline(series) + "\n"
+	out += "benign  " + obs.Sparkline(series) + "\n"
 	out += decayLine(re, curIdx, func(r backscatter.Reappearance) int { return r.Benign }, perMonth) + "\n"
 	out += "expected shape: slow decay (paper: ~10%/month)\n"
 	return out
@@ -148,7 +149,7 @@ func Figure6(s *Store) string {
 	}
 	out := header("Figure 6: malicious labeled-example activity over time (Dataset: B-multi-year)")
 	out += fmt.Sprintf("curation at interval %d (%s)\n", curIdx, re[curIdx].Start)
-	out += "malicious  " + sparkline(series) + "\n"
+	out += "malicious  " + obs.Sparkline(series) + "\n"
 	out += decayLine(re, curIdx, func(r backscatter.Reappearance) int { return r.Malicious }, perMonth) + "\n"
 	out += "expected shape: sharp falloff (paper: ~50% within a month)\n"
 	return out
@@ -198,7 +199,7 @@ func Figure7(s *Store) string {
 			plus1mo: at(curIdx + perMonth), plus6mo: at(curIdx + 6*perMonth),
 			mean: mean, trained: trained,
 		})
-		out += fmt.Sprintf("%-12s %s\n", strat.String(), sparkline(series))
+		out += fmt.Sprintf("%-12s %s\n", strat.String(), obs.Sparkline(series))
 	}
 	t := &tw{}
 	t.row("strategy", "f@curation", "f@+1mo", "f@+6mo", "mean f (trained)", "intervals trained")
@@ -363,10 +364,10 @@ func Figure11(s *Store) string {
 		spams[i] = counts[backscatter.Spam]
 		mails[i] = counts[backscatter.Mail]
 	}
-	out += fmt.Sprintf("total %s\n", sparkline(totals))
-	out += fmt.Sprintf("scan  %s\n", sparkline(scans))
-	out += fmt.Sprintf("spam  %s\n", sparkline(spams))
-	out += fmt.Sprintf("mail  %s\n", sparkline(mails))
+	out += fmt.Sprintf("total %s\n", obs.Sparkline(totals))
+	out += fmt.Sprintf("scan  %s\n", obs.Sparkline(scans))
+	out += fmt.Sprintf("spam  %s\n", obs.Sparkline(spams))
+	out += fmt.Sprintf("mail  %s\n", obs.Sparkline(mails))
 
 	// Heartbleed: compare scan counts in the four weeks after 2014-04-07
 	// against the four weeks before.
@@ -455,7 +456,7 @@ func Figure13(s *Store) string {
 			}
 		}
 		out += fmt.Sprintf("%-16s %-6s dark=%d active %d/%d wk  %s\n",
-			c.addr, c.port, c.dark, active, weeks, sparkline(series))
+			c.addr, c.port, c.dark, active, weeks, obs.Sparkline(series))
 	}
 	out += "expected shape: persistent ssh/multi scanners plus short-lived burst scanners\n"
 	return out
@@ -507,7 +508,7 @@ func Figure14(s *Store) string {
 	}
 	for _, b := range top {
 		addr := backscatter.Addr(b.id << 8)
-		out += fmt.Sprintf("%-18s peak=%-3d %s\n", addr.String()+"/24", b.peak, sparkline(b.ser))
+		out += fmt.Sprintf("%-18s peak=%-3d %s\n", addr.String()+"/24", b.peak, obs.Sparkline(b.ser))
 	}
 	out += "expected shape: a few blocks host many concurrent scanners (teams), others single\n"
 	return out
@@ -552,7 +553,7 @@ func Figure16(s *Store) string {
 	for _, cs := range caseStudies(d) {
 		series := backscatter.TimeSeries(d.Records, cs.addr, d.Spec.Start, d.Spec.Duration, bucket)
 		amp := backscatter.DiurnalAmplitude(series, bucket)
-		t.rowf("%s\t%.2f\t%s", cs.name, amp, sparkline(series))
+		t.rowf("%s\t%.2f\t%s", cs.name, amp, obs.Sparkline(series))
 	}
 	out += t.String()
 	out += "expected shape: ad-tracker/cdn/mail diurnal; scan-ssh/spam flat\n"

@@ -194,26 +194,3 @@ func classOrder() []backscatter.Class {
 	}
 	return out
 }
-
-// sparkline renders counts as a compact trend strip.
-func sparkline(xs []int) string {
-	if len(xs) == 0 {
-		return ""
-	}
-	max := 0
-	for _, v := range xs {
-		if v > max {
-			max = v
-		}
-	}
-	if max == 0 {
-		return strings.Repeat("_", len(xs))
-	}
-	levels := []byte("_.:-=+*#%@")
-	var b strings.Builder
-	for _, v := range xs {
-		i := v * (len(levels) - 1) / max
-		b.WriteByte(levels[i])
-	}
-	return b.String()
-}

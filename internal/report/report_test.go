@@ -3,6 +3,8 @@ package report
 import (
 	"strings"
 	"testing"
+
+	"dnsbackscatter/internal/obs"
 )
 
 func TestRegistry(t *testing.T) {
@@ -44,14 +46,19 @@ func TestTableWriter(t *testing.T) {
 	}
 }
 
+// TestSparkline pins the count strips the figures print, one rung per
+// interval with no column cap.
 func TestSparkline(t *testing.T) {
-	if sparkline(nil) != "" {
+	if obs.Sparkline([]int(nil)) != "" {
 		t.Error("empty sparkline")
 	}
-	if got := sparkline([]int{0, 0}); got != "__" {
+	if got := obs.Sparkline([]int{0, 0}); got != "__" {
 		t.Errorf("zero sparkline = %q", got)
 	}
-	got := sparkline([]int{0, 5, 10})
+	if got := obs.Sparkline(make([]int, 300)); len(got) != 300 {
+		t.Errorf("300 intervals render %d columns", len(got))
+	}
+	got := obs.Sparkline([]int{0, 5, 10})
 	if len(got) != 3 || got[0] != '_' || got[2] != '@' {
 		t.Errorf("sparkline = %q", got)
 	}

@@ -41,12 +41,6 @@ func (t Time) Before(u Time) bool { return t < u }
 // After reports whether t follows u.
 func (t Time) After(u Time) bool { return t > u }
 
-// DayIndex returns the number of whole days since the Unix epoch.
-func (t Time) DayIndex() int { return int(t / Time(Day)) }
-
-// WeekIndex returns the number of whole weeks since the Unix epoch.
-func (t Time) WeekIndex() int { return int(t / Time(Week)) }
-
 // TenMinuteBucket returns the global index of t's 10-minute period, the
 // granularity of the paper's query-persistence feature (§III-C).
 func (t Time) TenMinuteBucket() int { return int(t / (10 * Time(Minute))) }

@@ -29,12 +29,6 @@ func TestBuckets(t *testing.T) {
 	if t0.TenMinuteBucket() != 0 || Time(599).TenMinuteBucket() != 0 || Time(600).TenMinuteBucket() != 1 {
 		t.Error("10-minute bucketing wrong at boundary")
 	}
-	if Time(86399).DayIndex() != 0 || Time(86400).DayIndex() != 1 {
-		t.Error("day index wrong at boundary")
-	}
-	if (Time(7*86400)-1).WeekIndex() != 0 || Time(7*86400).WeekIndex() != 1 {
-		t.Error("week index wrong at boundary")
-	}
 }
 
 func TestHourOfDay(t *testing.T) {

@@ -111,8 +111,8 @@ func FuzzStreamIngest(f *testing.F) {
 					j = len(recs)
 				}
 				e.Ingest(recs[i:j])
-				if got, max := e.Tracked(), e.MaxTracked(); got > max {
-					t.Fatalf("tracked %d exceeds bound %d after batch %d", got, max, i/batch)
+				if st := e.Status(); st.Tracked > st.MaxTracked {
+					t.Fatalf("tracked %d exceeds bound %d after batch %d", st.Tracked, st.MaxTracked, i/batch)
 				}
 			}
 			e.Tick(final)

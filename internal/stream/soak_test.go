@@ -81,8 +81,8 @@ func TestStreamSoak(t *testing.T) {
 			e.Ingest(recs[i:j])
 		}
 		tok.End()
-		if got, max := e.Tracked(), e.MaxTracked(); got > max {
-			t.Fatalf("epoch %d: tracked %d exceeds bound %d", ep, got, max)
+		if st := e.Status(); st.Tracked > st.MaxTracked {
+			t.Fatalf("epoch %d: tracked %d exceeds bound %d", ep, st.Tracked, st.MaxTracked)
 		}
 	}
 	e.Tick(simtime.Time(soakEpochs) * simtime.Time(simtime.Hour))

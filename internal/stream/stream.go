@@ -230,10 +230,6 @@ func nextPow2(n int) int {
 	return p
 }
 
-// MaxTracked is the engine's hard originator bound: the per-shard cap
-// times the shard count (≥ Config.MaxOriginators).
-func (e *Engine) MaxTracked() int { return e.shards[0].cap * engineShards }
-
 // Ingest feeds a batch of records through dedup into the sketches,
 // firing an epoch re-score whenever a record's timestamp crosses the
 // current epoch boundary. Records need not be globally ordered; the
@@ -502,17 +498,6 @@ func (e *Engine) rescoreLocked(at simtime.Time) {
 	e.cfg.Obs.Counter("stream_epochs_total").IncAt(at)
 	e.cfg.Obs.Gauge("stream_tracked_originators").SetAt(int64(tracked), at)
 	tok.End()
-}
-
-// Tracked reports how many originators currently hold sketch state.
-func (e *Engine) Tracked() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n := 0
-	for _, sh := range e.shards {
-		n += len(sh.aggs)
-	}
-	return n
 }
 
 // Vectors returns the last re-score's feature vectors in canonical

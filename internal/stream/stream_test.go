@@ -140,8 +140,8 @@ func TestOriginatorBound(t *testing.T) {
 		})
 	}
 	feedIn(e, recs, 512)
-	if got, max := e.Tracked(), e.MaxTracked(); got > max {
-		t.Fatalf("tracked %d exceeds hard bound %d", got, max)
+	if st := e.Status(); st.Tracked > st.MaxTracked {
+		t.Fatalf("tracked %d exceeds hard bound %d", st.Tracked, st.MaxTracked)
 	}
 	status := e.Status()
 	if status.Evictions == 0 {
@@ -260,8 +260,8 @@ func TestEpochJump(t *testing.T) {
 // before start, and the unscored snapshot path (nil Scorer).
 func TestDefaultsAndEmpty(t *testing.T) {
 	e := New(Config{Geo: geo.NewRegistry(1), NameOf: testNames})
-	if e.MaxTracked() < 1<<16 {
-		t.Fatalf("default MaxTracked %d < 2^16", e.MaxTracked())
+	if max := e.Status().MaxTracked; max < 1<<16 {
+		t.Fatalf("default MaxTracked %d < 2^16", max)
 	}
 	e.Ingest(nil)
 	e.Tick(50) // not started: no-op

@@ -335,10 +335,6 @@ func (w *World) QuerierName(a ipaddr.Addr) (name string, unreach bool) {
 	return w.pool.nameOf(a)
 }
 
-// QuerierCountry returns the country of a querier (used by spatial
-// features via the same geo registry the sensor would consult).
-func (w *World) QuerierCountry(a ipaddr.Addr) string { return w.Geo.Country(a) }
-
 // profileFor answers the hierarchy's profile queries: campaign originators
 // get class-flavored profiles assigned at spawn; everything else falls back
 // to the default distribution.
