@@ -1,6 +1,8 @@
 package report
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -106,18 +108,55 @@ func TestFigure4Shape(t *testing.T) {
 }
 
 // TestAllExperiments is the full sweep at a small scale: every experiment
-// must produce output without panicking, even on thin data. Skipped with
-// -short; takes a few minutes.
+// runs, even on thin data, and their concatenated output, as bsrepro
+// prints it, must equal testdata/experiments.golden byte for byte.
+// Regenerate deliberately with
+// BS_UPDATE_GOLDEN=1 go test -run TestAllExperiments ./internal/report.
+// Skipped with -short.
 func TestAllExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep skipped in -short mode")
 	}
 	s := NewStore(0.2)
+	var all strings.Builder
 	for _, e := range All() {
 		out := e.Run(s)
 		if len(out) == 0 {
 			t.Errorf("%s: empty output", e.Name)
 		}
-		t.Logf("%s: %d bytes", e.Name, len(out))
+		all.WriteString(out + "\n")
+	}
+	checkGolden(t, filepath.Join("testdata", "experiments.golden"), all.String())
+}
+
+// checkGolden compares got with the file at path, rewriting the file
+// first under BS_UPDATE_GOLDEN=1.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if os.Getenv("BS_UPDATE_GOLDEN") == "1" {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatalf("write golden: %v", err)
+		}
+		t.Logf("updated %s", path)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with BS_UPDATE_GOLDEN=1): %v", err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("%s differs at line %d:\n got: %q\nwant: %q", path, i+1, g, w)
+		}
 	}
 }
