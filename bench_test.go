@@ -55,7 +55,7 @@ func runExperiment(b *testing.B, name string) {
 	s := store()
 	var out string
 	for i := 0; i < b.N; i++ {
-		out = e.Run(s)
+		out = e.Run(s).String()
 	}
 	if testing.Verbose() {
 		fmt.Println(out)

@@ -1,5 +1,5 @@
 // Command bsrepro regenerates the paper's tables and figures from the
-// simulated datasets and prints them in paper-style rows/series.
+// simulated datasets and prints each experiment's report.Result as text.
 //
 // Usage:
 //
@@ -181,8 +181,7 @@ func main() {
 
 	for _, e := range todo {
 		start := time.Now()
-		out := e.Run(store)
-		fmt.Println(out)
+		fmt.Println(e.Run(store))
 		fmt.Fprintf(os.Stderr, "[%s done in %.1fs]\n\n", e.Name, time.Since(start).Seconds())
 		if *stats {
 			fmt.Fprintf(os.Stderr, "pipeline stages after %s (µs):\n%s\n", e.Name, reg.StageReport())

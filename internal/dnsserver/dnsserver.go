@@ -320,7 +320,7 @@ func (s *Server) serve(l *loop) {
 				s.flush(l)
 				continue
 			}
-			return // closed, or a socket error (ROADMAP item 2 b)
+			return // closed, or a socket error (ROADMAP: "A live sensor that classifies, fails loud and resumes")
 		}
 		l.reads++
 		rec, reply := s.exchange(buf[:n], peer, false, &msg, enc, out[:0])

@@ -19,20 +19,19 @@ func ablationRuns(s *Store) int {
 	return 8
 }
 
-// cvAccuracy cross-validates a forest on a design matrix.
-func cvAccuracy(ds *ml.Dataset, runs int, trees int, seed uint64) ml.ValidationResult {
+// cvCells cross-validates a forest on a design matrix and returns its
+// accuracy and F1 cells.
+func cvCells(s *Store, ds *ml.Dataset, trees int, seed uint64) []Cell {
 	tr := ml.Forest{Config: ml.ForestConfig{Trees: trees}}
-	return ml.CrossValidate(tr, ds, 0.6, runs, rng.New(seed))
+	res := ml.CrossValidate(tr, ds, 0.6, ablationRuns(s), rng.New(seed))
+	return []Cell{meanStd(res.Accuracy), meanStd(res.F1)}
 }
 
 // AblationDedup varies the 30 s deduplication window (§III-C) and measures
 // its effect on the rate features and accuracy.
-func AblationDedup(s *Store) string {
+func AblationDedup(s *Store) Result {
 	d := s.Get(backscatter.JPDitl())
-	runs := ablationRuns(s)
-	out := header("Ablation: per-(originator, querier) dedup window (Dataset: JP-ditl)")
-	t := &tw{}
-	t.row("window", "analyzable", "mean queries/querier", "accuracy", "F1")
+	t := &Table{Keys: 1, Header: []string{"window", "analyzable", "mean queries/querier", "accuracy", "F1"}}
 	for _, win := range []simtime.Duration{0, 30 * simtime.Second, 300 * simtime.Second} {
 		x := features.NewExtractor(d.World.Geo, d.World.QuerierName)
 		x.MinQueriers = d.Extractor.MinQueriers
@@ -47,41 +46,35 @@ func AblationDedup(s *Store) string {
 		}
 		p := classify.NewPipeline()
 		ds, _, err := p.TrainingSet(snap, d.Labels)
+		row := []Cell{{int(win), "%ds"}, {len(snap.Vectors), "%d"}, {qpq, "%.2f"}}
 		if err != nil {
-			t.rowf("%ds\t%d\t%.2f\t(untrainable)", win, len(snap.Vectors), qpq)
+			t.row(append(row, str("(untrainable)"))...)
 			continue
 		}
-		res := cvAccuracy(ds, runs, 60, 11)
-		t.rowf("%ds\t%d\t%.2f\t%.2f (%.2f)\t%.2f (%.2f)",
-			win, len(snap.Vectors), qpq, res.Accuracy.Mean, res.Accuracy.Std, res.F1.Mean, res.F1.Std)
+		t.row(append(row, cvCells(s, ds, 60, 11)...)...)
 	}
-	return out + t.String()
+	return tableResult("Ablation: per-(originator, querier) dedup window (Dataset: JP-ditl)", t)
 }
 
 // AblationThreshold varies the ≥20-querier analyzability threshold (§III-B).
-func AblationThreshold(s *Store) string {
+func AblationThreshold(s *Store) Result {
 	d := s.Get(backscatter.JPDitl())
-	runs := ablationRuns(s)
-	out := header("Ablation: analyzability threshold (min queriers per originator; Dataset: JP-ditl)")
-	t := &tw{}
-	t.row("min queriers", "analyzable", "accuracy", "F1")
+	t := &Table{Keys: 1, Header: []string{"min queriers", "analyzable", "accuracy", "F1"}}
 	for _, min := range []int{5, 10, 20, 50} {
 		x := features.NewExtractor(d.World.Geo, d.World.QuerierName)
 		x.MinQueriers = min
 		snap := classify.Snap(d.Records, x, d.Spec.Start, d.Spec.Duration)
 		p := classify.NewPipeline()
 		ds, _, err := p.TrainingSet(snap, d.Labels)
+		row := []Cell{{min, "%d"}, {len(snap.Vectors), "%d"}}
 		if err != nil {
-			t.rowf("%d\t%d\t(untrainable)", min, len(snap.Vectors))
+			t.row(append(row, str("(untrainable)"))...)
 			continue
 		}
-		res := cvAccuracy(ds, runs, 60, 13)
-		t.rowf("%d\t%d\t%.2f (%.2f)\t%.2f (%.2f)",
-			min, len(snap.Vectors), res.Accuracy.Mean, res.Accuracy.Std, res.F1.Mean, res.F1.Std)
+		t.row(append(row, cvCells(s, ds, 60, 13)...)...)
 	}
-	out += t.String()
-	out += "expected shape: lower thresholds admit more, noisier originators (§V-E)\n"
-	return out
+	return tableResult("Ablation: analyzability threshold (min queriers per originator; Dataset: JP-ditl)", t,
+		"expected shape: lower thresholds admit more, noisier originators (§V-E)")
 }
 
 // maskDataset zeroes a column range, removing those features from play
@@ -104,17 +97,14 @@ func maskDataset(ds *ml.Dataset, lo, hi int) *ml.Dataset {
 
 // AblationFeatures compares static-only, dynamic-only, and combined
 // feature sets.
-func AblationFeatures(s *Store) string {
+func AblationFeatures(s *Store) Result {
 	d := s.Get(backscatter.JPDitl())
-	runs := ablationRuns(s)
 	p := classify.NewPipeline()
 	ds, _, err := p.TrainingSet(d.Whole(), d.Labels)
 	if err != nil {
-		return header("Ablation: feature sets") + "untrainable\n"
+		return untrainable("Ablation: feature sets", "untrainable")
 	}
-	out := header("Ablation: static vs dynamic features (Dataset: JP-ditl)")
-	t := &tw{}
-	t.row("feature set", "columns", "accuracy", "F1")
+	t := &Table{Keys: 1, Header: []string{"feature set", "columns", "accuracy", "F1"}}
 	cases := []struct {
 		name  string
 		ds    *ml.Dataset
@@ -125,35 +115,26 @@ func AblationFeatures(s *Store) string {
 		{"dynamic only", maskDataset(ds, 0, features.NumStatic), features.NumDynamic},
 	}
 	for _, c := range cases {
-		res := cvAccuracy(c.ds, runs, 60, 17)
-		t.rowf("%s\t%d\t%.2f (%.2f)\t%.2f (%.2f)",
-			c.name, c.ncols, res.Accuracy.Mean, res.Accuracy.Std, res.F1.Mean, res.F1.Std)
+		t.row(append([]Cell{str(c.name), {c.ncols, "%d"}}, cvCells(s, c.ds, 60, 17)...)...)
 	}
-	out += t.String()
-	out += "expected shape: combined wins; statics carry most signal (Table IV ranks mail/home/nxdomain first)\n"
-	return out
+	return tableResult("Ablation: static vs dynamic features (Dataset: JP-ditl)", t,
+		"expected shape: combined wins; statics carry most signal (Table IV ranks mail/home/nxdomain first)")
 }
 
 // AblationForest varies Random Forest size.
-func AblationForest(s *Store) string {
+func AblationForest(s *Store) Result {
 	d := s.Get(backscatter.JPDitl())
-	runs := ablationRuns(s)
 	p := classify.NewPipeline()
 	ds, _, err := p.TrainingSet(d.Whole(), d.Labels)
 	if err != nil {
-		return header("Ablation: forest size") + "untrainable\n"
+		return untrainable("Ablation: forest size", "untrainable")
 	}
-	out := header("Ablation: Random Forest size (Dataset: JP-ditl)")
-	t := &tw{}
-	t.row("trees", "accuracy", "F1")
+	t := &Table{Keys: 1, Header: []string{"trees", "accuracy", "F1"}}
 	for _, trees := range []int{5, 20, 60, 150} {
-		res := cvAccuracy(ds, runs, trees, 19)
-		t.rowf("%d\t%.2f (%.2f)\t%.2f (%.2f)",
-			trees, res.Accuracy.Mean, res.Accuracy.Std, res.F1.Mean, res.F1.Std)
+		t.row(append([]Cell{{trees, "%d"}}, cvCells(s, ds, trees, 19)...)...)
 	}
-	out += t.String()
-	out += "expected shape: accuracy saturates by ~60 trees\n"
-	return out
+	return tableResult("Ablation: Random Forest size (Dataset: JP-ditl)", t,
+		"expected shape: accuracy saturates by ~60 trees")
 }
 
 // classGroup maps the 12 classes onto 5 coarse groups for the
@@ -177,13 +158,12 @@ func classGroup(c activity.Class) int {
 }
 
 // AblationClasses compares 12-class against merged 6-class accuracy.
-func AblationClasses(s *Store) string {
+func AblationClasses(s *Store) Result {
 	d := s.Get(backscatter.JPDitl())
-	runs := ablationRuns(s)
 	p := classify.NewPipeline()
 	ds12, _, err := p.TrainingSet(d.Whole(), d.Labels)
 	if err != nil {
-		return header("Ablation: class merging") + "untrainable\n"
+		return untrainable("Ablation: class merging", "untrainable")
 	}
 	y6 := make([]int, ds12.Len())
 	for i, y := range ds12.Y {
@@ -191,20 +171,15 @@ func AblationClasses(s *Store) string {
 	}
 	ds6, err := ml.NewDataset(ds12.X, y6, 5)
 	if err != nil {
-		return header("Ablation: class merging") + err.Error() + "\n"
+		return untrainable("Ablation: class merging", err.Error())
 	}
-	out := header("Ablation: 12 classes vs 5 merged groups (Dataset: JP-ditl)")
-	t := &tw{}
-	t.row("classes", "accuracy", "F1")
+	t := &Table{Keys: 1, Header: []string{"classes", "accuracy", "F1"}}
 	for _, c := range []struct {
 		name string
 		ds   *ml.Dataset
 	}{{"12 (paper's)", ds12}, {"5 (merged)", ds6}} {
-		res := cvAccuracy(c.ds, runs, 60, 23)
-		t.rowf("%s\t%.2f (%.2f)\t%.2f (%.2f)",
-			c.name, res.Accuracy.Mean, res.Accuracy.Std, res.F1.Mean, res.F1.Std)
+		t.row(append([]Cell{str(c.name)}, cvCells(s, c.ds, 60, 23)...)...)
 	}
-	out += t.String()
-	out += "expected shape: fewer classes ⇒ higher accuracy, at the cost of less useful labels (§IV-C)\n"
-	return out
+	return tableResult("Ablation: 12 classes vs 5 merged groups (Dataset: JP-ditl)", t,
+		"expected shape: fewer classes ⇒ higher accuracy, at the cost of less useful labels (§IV-C)")
 }

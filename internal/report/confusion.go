@@ -16,12 +16,12 @@ import (
 // ad-tracker, cdn) lack training data, and misbehaving p2p looks like
 // scanning. It accumulates a confusion matrix over repeated 60/40 splits
 // of the JP-ditl ground truth.
-func Confusion(s *Store) string {
+func Confusion(s *Store) Result {
 	d := s.Get(backscatter.JPDitl())
 	p := classify.NewPipeline()
 	ds, _, err := p.TrainingSet(d.Whole(), d.Labels)
 	if err != nil {
-		return header("Per-class confusion (§IV-C)") + "untrainable\n"
+		return untrainable("Per-class confusion (§IV-C)", "untrainable")
 	}
 
 	runs := ablationRuns(s)
@@ -36,20 +36,16 @@ func Confusion(s *Store) string {
 		}
 	}
 
-	out := header(fmt.Sprintf("Per-class accuracy and confusion (§IV-C; Dataset: JP-ditl, RF, %d splits)", runs))
-	t := &tw{}
-	t.row("class", "support", "precision", "recall", "F1")
+	t := &Table{Keys: 1, Header: []string{"class", "support", "precision", "recall", "F1"}}
 	for _, m := range conf.PerClass() {
-		t.rowf("%s\t%d\t%.2f\t%.2f\t%.2f",
-			activity.Class(m.Class), m.Support, m.Precision, m.Recall, m.F1)
+		t.row(str(activity.Class(m.Class).String()), Cell{m.Support, "%d"},
+			Cell{m.Precision, "%.2f"}, Cell{m.Recall, "%.2f"}, Cell{m.F1, "%.2f"})
 	}
-	out += t.String()
+	r := Result{Title: fmt.Sprintf("Per-class accuracy and confusion (§IV-C; Dataset: JP-ditl, RF, %d splits)", runs)}
+	r.table(t)
 
 	// The dominant confusions, descending.
-	type pair struct {
-		truth, pred int
-		n           int
-	}
+	type pair struct{ truth, pred, n int }
 	var offDiag []pair
 	for i, row := range conf.Counts {
 		for j, n := range row {
@@ -65,14 +61,14 @@ func Confusion(s *Store) string {
 			}
 		}
 	}
-	out += "\ntop confusions (truth → predicted):\n"
+	r.text("", "top confusions (truth → predicted):")
 	for i, c := range offDiag {
 		if i == 6 {
 			break
 		}
-		out += fmt.Sprintf("  %-11s → %-11s %d\n",
-			activity.Class(c.truth), activity.Class(c.pred), c.n)
+		r.text(fmt.Sprintf("  %-11s → %-11s %d", activity.Class(c.truth), activity.Class(c.pred), c.n))
 	}
-	out += "expected shape: sparse classes (ntp, update, crawler) score lowest;\nspam↔mail and p2p↔scan are the natural confusions (§IV-C)\n"
-	return out
+	r.text("expected shape: sparse classes (ntp, update, crawler) score lowest;",
+		"spam↔mail and p2p↔scan are the natural confusions (§IV-C)")
+	return r
 }

@@ -15,11 +15,8 @@ import (
 // reveal the originator to root or national authorities, so as deployment
 // grows, both the visible signal and classification accuracy at upper
 // sensors decay. Only the final authority keeps full visibility.
-func ExtensionQMin(s *Store) string {
-	runs := ablationRuns(s)
-	out := header("Extension: QNAME minimization vs sensor signal (Dataset: M-ditl variant)")
-	t := &tw{}
-	t.row("qmin deployment", "reverse queries", "analyzable originators", "accuracy", "F1")
+func ExtensionQMin(s *Store) Result {
+	t := &Table{Keys: 1, Header: []string{"qmin deployment", "reverse queries", "analyzable originators", "accuracy", "F1"}}
 	for _, frac := range []float64{0, 0.25, 0.5, 0.75} {
 		spec := backscatter.MDitl().Scaled(s.Scale)
 		spec.Name = fmt.Sprintf("M-ditl-qmin-%.0f", frac*100)
@@ -28,31 +25,28 @@ func ExtensionQMin(s *Store) string {
 		snap := d.Whole()
 		p := classify.NewPipeline()
 		ds, _, err := p.TrainingSet(snap, d.Labels)
+		row := []Cell{{frac * 100, "%.0f%%"}, {d.ReverseQueries(), "%d"}, {len(snap.Vectors), "%d"}}
 		if err != nil {
-			t.rowf("%.0f%%\t%d\t%d\t(untrainable)", frac*100, d.ReverseQueries(), len(snap.Vectors))
+			t.row(append(row, str("(untrainable)"))...)
 			continue
 		}
-		res := cvAccuracy(ds, runs, 60, 29)
-		t.rowf("%.0f%%\t%d\t%d\t%.2f (%.2f)\t%.2f (%.2f)",
-			frac*100, d.ReverseQueries(), len(snap.Vectors),
-			res.Accuracy.Mean, res.Accuracy.Std, res.F1.Mean, res.F1.Std)
+		t.row(append(row, cvCells(s, ds, 60, 29)...)...)
 	}
-	out += t.String()
-	out += "expected shape: signal and analyzable population shrink as deployment grows;\nthe root sensor goes dark long before full deployment\n"
-	return out
+	return tableResult("Extension: QNAME minimization vs sensor signal (Dataset: M-ditl variant)", t,
+		"expected shape: signal and analyzable population shrink as deployment grows;",
+		"the root sensor goes dark long before full deployment")
 }
 
 // ExtensionFusion tests the paper's §III-F suggestion that backscatter
 // "will benefit from combining it with other sources of information (such
 // as small darknets)": external evidence — darknet hit counts and
 // blacklist listings — joins the feature vector as three extra columns.
-func ExtensionFusion(s *Store) string {
+func ExtensionFusion(s *Store) Result {
 	d := s.Get(backscatter.JPDitl())
-	runs := ablationRuns(s)
 	p := classify.NewPipeline()
 	base, addrs, err := p.TrainingSet(d.Whole(), d.Labels)
 	if err != nil {
-		return header("Extension: external-evidence fusion") + "untrainable\n"
+		return untrainable("Extension: external-evidence fusion", "untrainable")
 	}
 
 	// Fused matrix: backscatter features + log-scaled darknet hits +
@@ -71,12 +65,10 @@ func ExtensionFusion(s *Store) string {
 	}
 	fused, err := ml.NewDataset(fx, base.Y, base.NumClasses)
 	if err != nil {
-		return header("Extension: external-evidence fusion") + err.Error() + "\n"
+		return untrainable("Extension: external-evidence fusion", err.Error())
 	}
 
-	out := header("Extension: fusing darknet + blacklist evidence into the classifier (Dataset: JP-ditl)")
-	t := &tw{}
-	t.row("features", "columns", "accuracy", "F1")
+	t := &Table{Keys: 1, Header: []string{"features", "columns", "accuracy", "F1"}}
 	for _, c := range []struct {
 		name string
 		ds   *ml.Dataset
@@ -84,11 +76,8 @@ func ExtensionFusion(s *Store) string {
 		{"backscatter only (paper)", base},
 		{"backscatter + external evidence", fused},
 	} {
-		res := cvAccuracy(c.ds, runs, 60, 31)
-		t.rowf("%s\t%d\t%.2f (%.2f)\t%.2f (%.2f)",
-			c.name, c.ds.NumFeatures(), res.Accuracy.Mean, res.Accuracy.Std, res.F1.Mean, res.F1.Std)
+		t.row(append([]Cell{str(c.name), {c.ds.NumFeatures(), "%d"}}, cvCells(s, c.ds, 60, 31)...)...)
 	}
-	out += t.String()
-	out += "expected shape: external evidence helps, chiefly by separating scan from spam\n"
-	return out
+	return tableResult("Extension: fusing darknet + blacklist evidence into the classifier (Dataset: JP-ditl)", t,
+		"expected shape: external evidence helps, chiefly by separating scan from spam")
 }

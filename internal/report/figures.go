@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"time"
 
 	backscatter "dnsbackscatter"
@@ -14,42 +15,39 @@ import (
 )
 
 // Figure3 regenerates the static-feature case studies.
-func Figure3(s *Store) string {
+func Figure3(s *Store) Result {
 	d := s.Get(backscatter.JPDitl())
 	cats := []qname.Category{
 		qname.Home, qname.Mail, qname.NS, qname.FW, qname.Antispam,
 		qname.NXDomain, qname.Unreach, qname.Other,
 	}
-	t := &tw{}
-	head := []string{"case"}
+	t := &Table{Keys: 1, Header: []string{"case"}}
 	for _, c := range cats {
-		head = append(head, c.String())
+		t.Header = append(t.Header, c.String())
 	}
-	t.row(head...)
 	for _, cs := range caseStudies(d) {
 		v, ok := d.Whole().Vector(cs.addr)
 		if !ok {
 			continue
 		}
-		row := []string{cs.name}
+		row := []Cell{str(cs.name)}
 		for _, c := range cats {
-			row = append(row, fmt.Sprintf("%.2f", v.Static(c)))
+			row = append(row, Cell{v.Static(c), "%.2f"})
 		}
 		t.row(row...)
 	}
-	return header("Figure 3: static features for case studies (Dataset: JP-ditl)") + t.String()
+	return tableResult("Figure 3: static features for case studies (Dataset: JP-ditl)", t)
 }
 
 // Figure4 regenerates the controlled-scan attenuation experiment with its
 // power-law fit.
-func Figure4(s *Store) string {
+func Figure4(s *Store) Result {
 	fracs := []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2}
 	if s.Heavy {
 		fracs = append(fracs, 1e-1)
 	}
 	const react = 0.002
-	t := &tw{}
-	t.row("scan fraction", "targets", "reacting", "final queriers", "final queries", "root queriers")
+	t := &Table{Header: []string{"scan fraction", "targets", "reacting", "final queriers", "final queries", "root queriers"}}
 	var xs, ys []float64
 	for i, f := range fracs {
 		// Three trials per size, like the paper's repeats.
@@ -59,8 +57,8 @@ func Figure4(s *Store) string {
 		}
 		for k := 0; k < trials; k++ {
 			res := backscatter.ControlledScan(uint64(1000+10*i+k), f, react)
-			t.rowf("%.4g%%\t%d\t%d\t%d\t%d\t%d",
-				f*100, res.Targets, res.Reacting, res.FinalQueriers, res.FinalQueries, res.RootQueriers)
+			t.row(Cell{f * 100, "%.4g%%"}, Cell{res.Targets, "%d"}, Cell{res.Reacting, "%d"},
+				Cell{res.FinalQueriers, "%d"}, Cell{res.FinalQueries, "%d"}, Cell{res.RootQueriers, "%d"})
 			if res.FinalQueriers > 0 {
 				xs = append(xs, float64(res.Targets))
 				ys = append(ys, float64(res.FinalQueriers))
@@ -68,33 +66,13 @@ func Figure4(s *Store) string {
 		}
 	}
 	c, alpha := backscatter.PowerLawFit(xs, ys)
-	out := header("Figure 4: queriers vs controlled scan size (final authority, PTR TTL=0)") + t.String()
-	out += fmt.Sprintf("\npower-law fit: queriers ≈ %.3g · targets^%.2f (paper: exponent 0.71)\n", c, alpha)
-	out += "detection threshold: 20 queriers\n"
-	return out
-}
-
-// decayLine summarizes a reappearance series relative to its curation
-// value: counts at curation, one month before/after, six months after.
-func decayLine(re []backscatter.Reappearance, curIdx int, pick func(backscatter.Reappearance) int, intervalsPerMonth int) string {
-	at := func(i int) int {
-		if i < 0 || i >= len(re) {
-			return -1
-		}
-		return pick(re[i])
-	}
-	base := at(curIdx)
-	frac := func(v int) string {
-		if v < 0 || base <= 0 {
-			return "n/a"
-		}
-		return fmt.Sprintf("%d (%.0f%%)", v, 100*float64(v)/float64(base))
-	}
-	return fmt.Sprintf("at curation: %d   -1mo: %s   +1mo: %s   +6mo: %s",
-		base,
-		frac(at(curIdx-intervalsPerMonth)),
-		frac(at(curIdx+intervalsPerMonth)),
-		frac(at(curIdx+6*intervalsPerMonth)))
+	r := Result{Title: "Figure 4: queriers vs controlled scan size (final authority, PTR TTL=0)"}
+	r.table(t)
+	r.text("", fmt.Sprintf("power-law fit: queriers ≈ %.3g · targets^%.2f (paper: exponent 0.71)", c, alpha),
+		"detection threshold: 20 queriers")
+	r.measure("fit/coefficient", c)
+	r.measure("fit/exponent", alpha)
+	return r
 }
 
 // multiYearContext prepares B-multi-year with labels curated at the
@@ -115,61 +93,50 @@ func multiYearContext(s *Store) (*backscatter.Dataset, *backscatter.LabeledSet, 
 	return d, labels, curIdx, perMonth
 }
 
-// reappearancesFor counts labeled-example activity with a specific set.
-func reappearancesFor(d *backscatter.Dataset, labels *backscatter.LabeledSet) []backscatter.Reappearance {
-	saved := d.Labels
-	d.Labels = labels
-	defer func() { d.Labels = saved }()
-	return d.Reappearances()
-}
-
-// Figure5 regenerates benign labeled-example stability.
-func Figure5(s *Store) string {
-	d, labels, curIdx, perMonth := multiYearContext(s)
-	re := reappearancesFor(d, labels)
-	series := make([]int, len(re))
-	for i, r := range re {
-		series[i] = r.Benign
+// labelActivity regenerates Figure 5 (benign) or Figure 6 (malicious):
+// how many of the labeled examples curated at one date stay active,
+// with counts one month before and one and six months after curation.
+func labelActivity(malicious bool) func(*Store) Result {
+	fig, kind, note := 5, "benign", "expected shape: slow decay (paper: ~10%/month)"
+	if malicious {
+		fig, kind, note = 6, "malicious", "expected shape: sharp falloff (paper: ~50% within a month)"
 	}
-	out := header("Figure 5: benign labeled-example activity over time (Dataset: B-multi-year)")
-	out += fmt.Sprintf("curation at interval %d (%s)\n", curIdx, re[curIdx].Start)
-	out += "benign  " + obs.Sparkline(series) + "\n"
-	out += decayLine(re, curIdx, func(r backscatter.Reappearance) int { return r.Benign }, perMonth) + "\n"
-	out += "expected shape: slow decay (paper: ~10%/month)\n"
-	return out
-}
-
-// Figure6 regenerates malicious labeled-example churn.
-func Figure6(s *Store) string {
-	d, labels, curIdx, perMonth := multiYearContext(s)
-	re := reappearancesFor(d, labels)
-	series := make([]int, len(re))
-	for i, r := range re {
-		series[i] = r.Malicious
+	return func(s *Store) Result {
+		d, labels, curIdx, perMonth := multiYearContext(s)
+		re := d.Reappearances(labels)
+		series := make([]int, len(re))
+		for i, x := range re {
+			series[i] = x.Benign
+			if malicious {
+				series[i] = x.Malicious
+			}
+		}
+		r := Result{Title: fmt.Sprintf("Figure %d: %s labeled-example activity over time (Dataset: B-multi-year)", fig, kind)}
+		base := series[curIdx]
+		r.measure("at curation", float64(base))
+		decay := []string{fmt.Sprintf("at curation: %d", base)}
+		for k, at := range []int{curIdx - perMonth, curIdx + perMonth, curIdx + 6*perMonth} {
+			label, frac := []string{"-1mo", "+1mo", "+6mo"}[k], "n/a"
+			if at >= 0 && at < len(series) {
+				r.measure(label, float64(series[at]))
+				if base > 0 {
+					frac = fmt.Sprintf("%d (%.0f%%)", series[at], 100*float64(series[at])/float64(base))
+				}
+			}
+			decay = append(decay, label+": "+frac)
+		}
+		r.text(fmt.Sprintf("curation at interval %d (%s)", curIdx, re[curIdx].Start),
+			kind+"  "+obs.Sparkline(series), strings.Join(decay, "   "), note)
+		return r
 	}
-	out := header("Figure 6: malicious labeled-example activity over time (Dataset: B-multi-year)")
-	out += fmt.Sprintf("curation at interval %d (%s)\n", curIdx, re[curIdx].Start)
-	out += "malicious  " + obs.Sparkline(series) + "\n"
-	out += decayLine(re, curIdx, func(r backscatter.Reappearance) int { return r.Malicious }, perMonth) + "\n"
-	out += "expected shape: sharp falloff (paper: ~50% within a month)\n"
-	return out
 }
 
 // Figure7 regenerates the strategy comparison.
-func Figure7(s *Store) string {
+func Figure7(s *Store) Result {
 	d, labels, curIdx, perMonth := multiYearContext(s)
-	out := header("Figure 7: f-score over time by training strategy (Dataset: B-multi-year)")
-	out += fmt.Sprintf("curation at interval %d; one column per interval (%s each)\n",
-		curIdx, fmtDur(d.Spec.Interval))
-	type summary struct {
-		name    string
-		atCur   float64
-		plus1mo float64
-		plus6mo float64
-		mean    float64
-		trained int
-	}
-	var sums []summary
+	r := Result{Title: "Figure 7: f-score over time by training strategy (Dataset: B-multi-year)"}
+	r.text(fmt.Sprintf("curation at interval %d; one column per interval (%s each)", curIdx, fmtDur(d.Spec.Interval)))
+	t := &Table{Keys: 1, Header: []string{"strategy", "f@curation", "f@+1mo", "f@+6mo", "mean f (trained)", "intervals trained"}}
 	for _, strat := range []backscatter.TrainingStrategy{
 		backscatter.TrainOnce, backscatter.RetrainDaily, backscatter.AutoGrow,
 	} {
@@ -194,28 +161,19 @@ func Figure7(s *Store) string {
 		if trained > 0 {
 			mean = sum / float64(trained)
 		}
-		sums = append(sums, summary{
-			name: strat.String(), atCur: at(curIdx),
-			plus1mo: at(curIdx + perMonth), plus6mo: at(curIdx + 6*perMonth),
-			mean: mean, trained: trained,
-		})
-		out += fmt.Sprintf("%-12s %s\n", strat.String(), obs.Sparkline(series))
+		t.row(str(strat.String()), Cell{at(curIdx), "%.2f"}, Cell{at(curIdx + perMonth), "%.2f"},
+			Cell{at(curIdx + 6*perMonth), "%.2f"}, Cell{mean, "%.2f"},
+			Cell{trained, fmt.Sprintf("%%d/%d", len(d.Snapshots))})
+		r.text(fmt.Sprintf("%-12s %s", strat.String(), obs.Sparkline(series)))
 	}
-	t := &tw{}
-	t.row("strategy", "f@curation", "f@+1mo", "f@+6mo", "mean f (trained)", "intervals trained")
-	for _, u := range sums {
-		t.rowf("%s\t%.2f\t%.2f\t%.2f\t%.2f\t%d/%d",
-			u.name, u.atCur, u.plus1mo, u.plus6mo, u.mean, u.trained, len(d.Snapshots))
-	}
-	out += t.String()
-	out += "expected shape: train-daily ≥ train-once ≥ auto-grow away from curation\n"
-	return out
+	r.table(t)
+	r.text("expected shape: train-daily ≥ train-once ≥ auto-grow away from curation")
+	return r
 }
 
-// weeklyClassesFiltered classifies each interval and keeps originators
-// with at least q queriers that interval.
-func weeklyClassesFiltered(d *backscatter.Dataset, q int) []map[backscatter.Addr]backscatter.Class {
-	weekly := d.ClassifyIntervals()
+// weeklyClassesFiltered keeps, of each interval's classifications, the
+// originators with at least q queriers that interval.
+func weeklyClassesFiltered(d *backscatter.Dataset, weekly []map[backscatter.Addr]backscatter.Class, q int) []map[backscatter.Addr]backscatter.Class {
 	out := make([]map[backscatter.Addr]backscatter.Class, len(weekly))
 	for i, wk := range weekly {
 		if wk == nil {
@@ -233,34 +191,28 @@ func weeklyClassesFiltered(d *backscatter.Dataset, q int) []map[backscatter.Addr
 }
 
 // Figure8 regenerates the consistency CDF at several querier thresholds.
-func Figure8(s *Store) string {
+func Figure8(s *Store) Result {
 	d := s.Get(backscatter.MSampled())
-	out := header("Figure 8: CDF of majority-class ratio r (Dataset: M-sampled, ≥4 weeks present)")
-	t := &tw{}
-	t.row("q", "originators", "frac r=1 (consistent)", "frac r>0.5 (majority)", "median r")
+	weekly := d.ClassifyIntervals()
+	t := &Table{Keys: 1, Header: []string{"q", "originators", "frac r=1 (consistent)", "frac r>0.5 (majority)", "median r"}}
 	for _, q := range []int{20, 50, 75, 100} {
-		weekly := weeklyClassesFiltered(d, q)
-		rs := backscatter.ConsistencyCDF(weekly, 4)
+		rs := backscatter.ConsistencyCDF(weeklyClassesFiltered(d, weekly, q), 4)
 		if len(rs) == 0 {
-			t.rowf("%d\t0\tn/a\tn/a\tn/a", q)
+			t.row(Cell{q, "%d"}, Cell{0, "%d"}, str("n/a"), str("n/a"), str("n/a"))
 			continue
 		}
-		t.rowf("%d\t%d\t%.2f\t%.2f\t%.2f",
-			q, len(rs),
-			backscatter.FractionAtLeast(rs, 1),
-			backscatter.FractionAtLeast(rs, 0.5001),
-			rs[len(rs)/2])
+		t.row(Cell{q, "%d"}, Cell{len(rs), "%d"},
+			Cell{backscatter.FractionAtLeast(rs, 1), "%.2f"},
+			Cell{backscatter.FractionAtLeast(rs, 0.5001), "%.2f"},
+			Cell{rs[len(rs)/2], "%.2f"})
 	}
-	out += t.String()
-	out += "expected shape: more queriers ⇒ more consistent; 85-90% have a strict majority class\n"
-	return out
+	return tableResult("Figure 8: CDF of majority-class ratio r (Dataset: M-sampled, ≥4 weeks present)", t,
+		"expected shape: more queriers ⇒ more consistent; 85-90% have a strict majority class")
 }
 
 // Figure9 regenerates the footprint-size distributions.
-func Figure9(s *Store) string {
-	out := header("Figure 9: distribution of originator footprint size")
-	t := &tw{}
-	t.row("dataset", "originators", "p50", "p90", "p99", "max", "CCDF@100", "CCDF@1000")
+func Figure9(s *Store) Result {
+	t := &Table{Keys: 1, Header: []string{"dataset", "originators", "p50", "p90", "p99", "max", "CCDF@100", "CCDF@1000"}}
 	for _, spec := range []backscatter.DatasetSpec{
 		backscatter.JPDitl(), backscatter.BPostDitl(), backscatter.MDitl(), backscatter.MSampled(),
 	} {
@@ -268,7 +220,7 @@ func Figure9(s *Store) string {
 		snap := d.Whole()
 		pts := backscatter.FootprintCCDF(snap)
 		if len(pts) == 0 {
-			t.rowf("%s\t0", spec.Name)
+			t.row(str(spec.Name), Cell{0, "%d"})
 			continue
 		}
 		sizes := make([]float64, len(snap.Vectors))
@@ -287,13 +239,11 @@ func Figure9(s *Store) string {
 			return frac
 		}
 		maxSize := pts[len(pts)-1].Size
-		t.rowf("%s\t%d\t%.0f\t%.0f\t%.0f\t%d\t%.3f\t%.4f",
-			spec.Name, len(snap.Vectors), qs.P50, qs.P90, quantile(sizes, 0.99), maxSize,
-			ccdfAt(100), ccdfAt(1000))
+		t.row(str(spec.Name), Cell{len(snap.Vectors), "%d"}, Cell{qs.P50, "%.0f"}, Cell{qs.P90, "%.0f"},
+			Cell{quantile(sizes, 0.99), "%.0f"}, Cell{maxSize, "%d"}, Cell{ccdfAt(100), "%.3f"}, Cell{ccdfAt(1000), "%.4f"})
 	}
-	out += t.String()
-	out += "expected shape: heavy tail — a few originators reach 10-100x the median footprint\n"
-	return out
+	return tableResult("Figure 9: distribution of originator footprint size", t,
+		"expected shape: heavy tail — a few originators reach 10-100x the median footprint")
 }
 
 func quantile(xs []float64, p float64) float64 {
@@ -307,50 +257,46 @@ func quantile(xs []float64, p float64) float64 {
 }
 
 // Figure10 regenerates the top-N class fractions.
-func Figure10(s *Store) string {
-	out := header("Figure 10: fraction of originator classes among top-N originators")
+func Figure10(s *Store) Result {
+	r := Result{Title: "Figure 10: fraction of originator classes among top-N originators"}
 	for _, spec := range []backscatter.DatasetSpec{
 		backscatter.JPDitl(), backscatter.BPostDitl(), backscatter.MDitl(),
 	} {
 		d := s.Get(spec)
 		classes, err := classifyWhole(d)
 		if err != nil {
-			out += spec.Name + ": untrainable\n"
+			r.text(spec.Name + ": untrainable")
 			continue
 		}
 		ranked := d.Whole().Ranked()
-		t := &tw{}
-		head := []string{spec.Name}
-		for _, c := range classOrder() {
-			head = append(head, c.String())
-		}
-		t.row(head...)
+		t := &Table{Name: spec.Name, Keys: 1, Header: classHeader(spec.Name)}
 		for _, n := range []int{100, 1000, 10000} {
 			if n > len(ranked) {
 				n = len(ranked)
 			}
 			fr := backscatter.ClassFractions(classes, ranked, n)
-			row := []string{fmt.Sprintf("top-%d", n)}
-			for _, c := range classOrder() {
-				row = append(row, fmt.Sprintf("%.2f", fr[c]))
+			row := []Cell{{n, "top-%d"}}
+			for _, f := range fr {
+				row = append(row, Cell{f, "%.2f"})
 			}
 			t.row(row...)
 			if n == len(ranked) {
 				break
 			}
 		}
-		out += t.String() + "\n"
+		r.table(t)
+		r.text("")
 	}
-	out += "expected shape: biggest footprints skew malicious (spam at JP, scan at roots);\nmail/crawler rise only in the broader top-N\n"
-	return out
+	r.text("expected shape: biggest footprints skew malicious (spam at JP, scan at roots);",
+		"mail/crawler rise only in the broader top-N")
+	return r
 }
 
 // Figure11 regenerates originator counts over time with the Heartbleed
 // window highlighted.
-func Figure11(s *Store) string {
+func Figure11(s *Store) Result {
 	d := s.Get(backscatter.MSampled())
-	weekly := weeklyClassesFiltered(d, d.Extractor.MinQueriers)
-	out := header("Figure 11: number of originators over time (Dataset: M-sampled)")
+	weekly := weeklyClassesFiltered(d, d.ClassifyIntervals(), d.Extractor.MinQueriers)
 	totals := make([]int, len(weekly))
 	scans := make([]int, len(weekly))
 	spams := make([]int, len(weekly))
@@ -364,10 +310,9 @@ func Figure11(s *Store) string {
 		spams[i] = counts[backscatter.Spam]
 		mails[i] = counts[backscatter.Mail]
 	}
-	out += fmt.Sprintf("total %s\n", obs.Sparkline(totals))
-	out += fmt.Sprintf("scan  %s\n", obs.Sparkline(scans))
-	out += fmt.Sprintf("spam  %s\n", obs.Sparkline(spams))
-	out += fmt.Sprintf("mail  %s\n", obs.Sparkline(mails))
+	r := Result{Title: "Figure 11: number of originators over time (Dataset: M-sampled)"}
+	r.text("total "+obs.Sparkline(totals), "scan  "+obs.Sparkline(scans),
+		"spam  "+obs.Sparkline(spams), "mail  "+obs.Sparkline(mails))
 
 	// Heartbleed: compare scan counts in the four weeks after 2014-04-07
 	// against the four weeks before.
@@ -382,20 +327,22 @@ func Figure11(s *Store) string {
 			n++
 		}
 	}
-	if n > 0 && pre > 0 {
-		out += fmt.Sprintf("Heartbleed (week %d): scanners %.0f/wk before → %.0f/wk after (%+.0f%%; paper: ≈+25%%)\n",
-			hbIdx, pre/float64(n), post/float64(n), 100*(post-pre)/pre)
+	if n > 0 {
+		r.measure("heartbleed/before", pre/float64(n))
+		r.measure("heartbleed/after", post/float64(n))
 	}
-	return out
+	if n > 0 && pre > 0 {
+		r.text(fmt.Sprintf("Heartbleed (week %d): scanners %.0f/wk before → %.0f/wk after (%+.0f%%; paper: ≈+25%%)",
+			hbIdx, pre/float64(n), post/float64(n), 100*(post-pre)/pre))
+	}
+	return r
 }
 
 // Figure12 regenerates the scanner-footprint box plot over time.
-func Figure12(s *Store) string {
+func Figure12(s *Store) Result {
 	d := s.Get(backscatter.MSampled())
-	weekly := weeklyClassesFiltered(d, d.Extractor.MinQueriers)
-	out := header("Figure 12: originator footprint (queriers per scanner) over time (Dataset: M-sampled)")
-	t := &tw{}
-	t.row("week", "n", "p10", "p25", "median", "p75", "p90")
+	weekly := weeklyClassesFiltered(d, d.ClassifyIntervals(), d.Extractor.MinQueriers)
+	t := &Table{Keys: 1, Header: []string{"week", "n", "p10", "p25", "median", "p75", "p90"}}
 	step := len(weekly) / 12
 	if step < 1 {
 		step = 1
@@ -411,62 +358,53 @@ func Figure12(s *Store) string {
 			}
 		}
 		q := backscatter.Quantiles(sizes)
-		t.rowf("%d\t%d\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f", i, q.N, q.P10, q.P25, q.P50, q.P75, q.P90)
+		t.row(Cell{i, "%d"}, Cell{q.N, "%d"}, Cell{q.P10, "%.0f"}, Cell{q.P25, "%.0f"},
+			Cell{q.P50, "%.0f"}, Cell{q.P75, "%.0f"}, Cell{q.P90, "%.0f"})
 	}
-	out += t.String()
-	out += "expected shape: stable median/quartiles, volatile p90 (big scanners come and go)\n"
-	return out
+	return tableResult("Figure 12: originator footprint (queriers per scanner) over time (Dataset: M-sampled)", t,
+		"expected shape: stable median/quartiles, volatile p90 (big scanners come and go)")
 }
 
 // Figure13 regenerates example scanner time series.
-func Figure13(s *Store) string {
+func Figure13(s *Store) Result {
 	d := s.Get(backscatter.MSampled())
 	weeks := int(d.Spec.Duration / simtime.Week)
-	out := header("Figure 13: example originators of class scan (weekly queriers; Dataset: M-sampled + darknet)")
+	r := Result{Title: "Figure 13: example originators of class scan (weekly queriers; Dataset: M-sampled + darknet)"}
 
-	// Pick up to five scanners with distinct ports, preferring large
-	// footprints and darknet confirmation.
-	type cand struct {
-		addr backscatter.Addr
-		port string
-		dark int
-	}
-	var cands []cand
-	seenPort := map[string]int{}
+	// Show up to five scanners, at most two per port, largest footprints
+	// first.
+	seenPort, shown := map[string]int{}, 0
 	for _, v := range d.Whole().Vectors {
 		tr, ok := d.World.Truth(v.Originator)
-		if !ok || tr.Class != backscatter.Scan {
-			continue
-		}
-		if seenPort[tr.Port] >= 2 {
+		if !ok || tr.Class != backscatter.Scan || seenPort[tr.Port] >= 2 {
 			continue
 		}
 		seenPort[tr.Port]++
-		cands = append(cands, cand{v.Originator, tr.Port, d.OriginatorEvidence(v.Originator).DarknetHits})
-		if len(cands) == 5 {
-			break
-		}
-	}
-	for _, c := range cands {
-		series := backscatter.UniqueQueriersPerWeek(d.Records, c.addr, d.Spec.Start, weeks)
+		dark := d.OriginatorEvidence(v.Originator).DarknetHits
+		series := backscatter.UniqueQueriersPerWeek(d.Records, v.Originator, d.Spec.Start, weeks)
 		active := 0
-		for _, v := range series {
-			if v > 0 {
+		for _, n := range series {
+			if n > 0 {
 				active++
 			}
 		}
-		out += fmt.Sprintf("%-16s %-6s dark=%d active %d/%d wk  %s\n",
-			c.addr, c.port, c.dark, active, weeks, obs.Sparkline(series))
+		r.text(fmt.Sprintf("%-16s %-6s dark=%d active %d/%d wk  %s",
+			v.Originator, tr.Port, dark, active, weeks, obs.Sparkline(series)))
+		r.measure(v.Originator.String()+"/dark", float64(dark))
+		r.measure(v.Originator.String()+"/active weeks", float64(active))
+		if shown++; shown == 5 {
+			break
+		}
 	}
-	out += "expected shape: persistent ssh/multi scanners plus short-lived burst scanners\n"
-	return out
+	r.text("expected shape: persistent ssh/multi scanners plus short-lived burst scanners")
+	return r
 }
 
 // Figure14 regenerates per-/24-block scanning activity.
-func Figure14(s *Store) string {
+func Figure14(s *Store) Result {
 	d := s.Get(backscatter.MSampled())
-	weekly := weeklyClassesFiltered(d, d.Extractor.MinQueriers)
-	out := header("Figure 14: scanning addresses per /24 block over time (Dataset: M-sampled)")
+	weekly := weeklyClassesFiltered(d, d.ClassifyIntervals(), d.Extractor.MinQueriers)
+	r := Result{Title: "Figure 14: scanning addresses per /24 block over time (Dataset: M-sampled)"}
 
 	// Count scan-class IPs per block per week; show the five busiest.
 	blocks := make(map[uint32][]int)
@@ -507,21 +445,20 @@ func Figure14(s *Store) string {
 		top = top[:5]
 	}
 	for _, b := range top {
-		addr := backscatter.Addr(b.id << 8)
-		out += fmt.Sprintf("%-18s peak=%-3d %s\n", addr.String()+"/24", b.peak, obs.Sparkline(b.ser))
+		block := backscatter.Addr(b.id<<8).String() + "/24"
+		r.text(fmt.Sprintf("%-18s peak=%-3d %s", block, b.peak, obs.Sparkline(b.ser)))
+		r.measure(block+"/peak", float64(b.peak))
 	}
-	out += "expected shape: a few blocks host many concurrent scanners (teams), others single\n"
-	return out
+	r.text("expected shape: a few blocks host many concurrent scanners (teams), others single")
+	return r
 }
 
 // Figure15 regenerates week-by-week churn for scanners.
-func Figure15(s *Store) string {
+func Figure15(s *Store) Result {
 	d := s.Get(backscatter.MSampled())
-	weekly := weeklyClassesFiltered(d, d.Extractor.MinQueriers)
+	weekly := weeklyClassesFiltered(d, d.ClassifyIntervals(), d.Extractor.MinQueriers)
 	churn := backscatter.Churn(weekly, backscatter.Scan)
-	out := header("Figure 15: week-by-week churn for originators of class scan (Dataset: M-sampled)")
-	t := &tw{}
-	t.row("week", "new", "continuing", "departing", "turnover")
+	t := &Table{Keys: 1, Header: []string{"week", "new", "continuing", "departing", "turnover"}}
 	var turn []float64
 	for _, p := range churn[1:] { // week 0 is all-new by construction
 		total := p.New + p.Continuing
@@ -530,32 +467,31 @@ func Figure15(s *Store) string {
 		}
 		tv := float64(p.Departing) / float64(total)
 		turn = append(turn, tv)
-		t.rowf("%d\t%d\t%d\t%d\t%.0f%%", p.Week, p.New, p.Continuing, p.Departing, 100*tv)
+		t.row(Cell{p.Week, "%d"}, Cell{p.New, "%d"}, Cell{p.Continuing, "%d"}, Cell{p.Departing, "%d"}, Cell{100 * tv, "%.0f%%"})
 	}
-	out += t.String()
+	r := Result{Title: "Figure 15: week-by-week churn for originators of class scan (Dataset: M-sampled)"}
+	r.table(t)
 	if len(turn) > 0 {
 		var sum float64
 		for _, v := range turn {
 			sum += v
 		}
-		out += fmt.Sprintf("mean weekly turnover: %.0f%% (paper: ≈20%% with a stable core)\n", 100*sum/float64(len(turn)))
+		mean := 100 * sum / float64(len(turn))
+		r.text(fmt.Sprintf("mean weekly turnover: %.0f%% (paper: ≈20%% with a stable core)", mean))
+		r.measure("mean weekly turnover", mean)
 	}
-	return out
+	return r
 }
 
 // Figure16 regenerates the diurnal case studies.
-func Figure16(s *Store) string {
+func Figure16(s *Store) Result {
 	d := s.Get(backscatter.JPDitl())
-	out := header("Figure 16: diurnal variation in queriers for case studies (Dataset: JP-ditl)")
 	bucket := simtime.Hour
-	t := &tw{}
-	t.row("case", "diurnal amplitude", "hourly series")
+	t := &Table{Keys: 1, Header: []string{"case", "diurnal amplitude", "hourly series"}}
 	for _, cs := range caseStudies(d) {
 		series := backscatter.TimeSeries(d.Records, cs.addr, d.Spec.Start, d.Spec.Duration, bucket)
-		amp := backscatter.DiurnalAmplitude(series, bucket)
-		t.rowf("%s\t%.2f\t%s", cs.name, amp, obs.Sparkline(series))
+		t.row(str(cs.name), Cell{backscatter.DiurnalAmplitude(series, bucket), "%.2f"}, str(obs.Sparkline(series)))
 	}
-	out += t.String()
-	out += "expected shape: ad-tracker/cdn/mail diurnal; scan-ssh/spam flat\n"
-	return out
+	return tableResult("Figure 16: diurnal variation in queriers for case studies (Dataset: JP-ditl)", t,
+		"expected shape: ad-tracker/cdn/mail diurnal; scan-ssh/spam flat")
 }

@@ -1,7 +1,10 @@
 // Package report regenerates every table and figure of the paper's
-// evaluation from simulated datasets. Each experiment function returns the
-// paper-style rows/series as formatted text; cmd/bsrepro prints them and
-// the repository's benchmark harness drives them as named benchmarks.
+// evaluation from simulated datasets. Each experiment function returns a
+// Result: tables of typed cells, preformatted lines for sparklines and
+// notes, and a few named measurements. Result.String renders the
+// paper-style text cmd/bsrepro prints, and Result.Measures reads every
+// reproduced number back as a key and a value. The repository's
+// benchmark harness drives the experiments as named benchmarks.
 //
 // A Store caches built datasets so one bsrepro or benchmark run builds
 // each dataset once. Store.Scale shrinks populations for quick runs.
@@ -10,12 +13,14 @@ package report
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
 	backscatter "dnsbackscatter"
 
 	"dnsbackscatter/internal/activity"
+	"dnsbackscatter/internal/ml"
 )
 
 // Store lazily builds and caches datasets.
@@ -95,7 +100,7 @@ func (s *Store) Datasets() []*backscatter.Dataset {
 type Experiment struct {
 	Name string
 	Desc string
-	Run  func(*Store) string
+	Run  func(*Store) Result
 }
 
 // All returns every experiment in paper order.
@@ -107,8 +112,8 @@ func All() []Experiment {
 		{"table3", "Classification validation (Table III)", Table3},
 		{"table4", "Top discriminative features (Table IV)", Table4},
 		{"figure4", "Controlled-scan attenuation (Figure 4)", Figure4},
-		{"figure5", "Benign label stability (Figure 5)", Figure5},
-		{"figure6", "Malicious label churn (Figure 6)", Figure6},
+		{"figure5", "Benign label stability (Figure 5)", labelActivity(false)},
+		{"figure6", "Malicious label churn (Figure 6)", labelActivity(true)},
 		{"figure7", "Training strategies over time (Figure 7)", Figure7},
 		{"figure8", "Classification consistency CDF (Figure 8)", Figure8},
 		{"figure9", "Footprint-size distribution (Figure 9)", Figure9},
@@ -145,52 +150,179 @@ func Find(name string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// tw is a minimal column formatter for paper-style tables.
-type tw struct {
-	b    strings.Builder
-	rows [][]string
+// Result is what one experiment reproduces: a titled sequence of
+// blocks, and the measurements no table cell carries.
+type Result struct {
+	Title  string
+	Blocks []Block
+	Named  []Measure // standalone, such as an exponent printed in a sentence
 }
 
-func (t *tw) row(cells ...string) { t.rows = append(t.rows, cells) }
-
-func (t *tw) rowf(format string, args ...any) {
-	t.rows = append(t.rows, strings.Split(fmt.Sprintf(format, args...), "\t"))
+// Block is a table or, when Table is nil, one line of preformatted text
+// (a sparkline, a note).
+type Block struct {
+	Table *Table
+	Text  string
 }
 
-func (t *tw) String() string {
-	widths := map[int]int{}
-	for _, r := range t.rows {
-		for i, c := range r {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
+// Table is a block of aligned columns. Its leading Keys columns name a
+// row; Measures keys every other numeric cell by the table's Name, the
+// row's name (its 1-based position when Keys is 0) and the cell's
+// column name.
+type Table struct {
+	Name   string   // not printed
+	Header []string // printed as the first row when non-empty
+	Cols   []string // column names for Measures where they differ from Header
+	Keys   int
+	Rows   [][]Cell
+}
+
+// Cell is a table value and the fmt verb it prints with; the verb may
+// carry literal text ("%.0f%%", "top-%d"). V is a string, an int, a
+// uint64, a float64, or an ml.MeanStd printed by a two-verb format.
+type Cell struct {
+	V    any
+	Verb string
+}
+
+// Measure is one reproduced number.
+type Measure struct {
+	Key   string
+	Value float64
+}
+
+func str(s string) Cell         { return Cell{s, "%s"} }
+func meanStd(m ml.MeanStd) Cell { return Cell{m, "%.2f (%.2f)"} }
+
+// String prints the cell with its verb.
+func (c Cell) String() string {
+	if m, ok := c.V.(ml.MeanStd); ok {
+		return fmt.Sprintf(c.Verb, m.Mean, m.Std)
+	}
+	return fmt.Sprintf(c.Verb, c.V)
+}
+
+func (t *Table) row(cells ...Cell) { t.Rows = append(t.Rows, cells) }
+
+func (r *Result) table(t *Table) { r.Blocks = append(r.Blocks, Block{Table: t}) }
+
+func (r *Result) text(lines ...string) {
+	for _, l := range lines {
+		r.Blocks = append(r.Blocks, Block{Text: l})
+	}
+}
+
+// tableResult is a result holding one table followed by lines of text.
+func tableResult(title string, t *Table, lines ...string) Result {
+	r := Result{Title: title}
+	r.table(t)
+	r.text(lines...)
+	return r
+}
+
+// untrainable is the result of an experiment whose classifier could not
+// be trained.
+func untrainable(title, msg string) Result { return Result{Title: title, Blocks: []Block{{Text: msg}}} }
+
+func (r *Result) measure(key string, v float64) { r.Named = append(r.Named, Measure{key, v}) }
+
+// String renders the result as paper-style text: the title underlined,
+// then each block. Table columns are as wide as their widest cell, in
+// bytes, with two spaces between them.
+func (r Result) String() string {
+	var b strings.Builder
+	b.WriteString(r.Title + "\n" + strings.Repeat("=", len(r.Title)) + "\n")
+	for _, blk := range r.Blocks {
+		if blk.Table == nil {
+			b.WriteString(blk.Text + "\n")
+			continue
+		}
+		rows := [][]string{blk.Table.Header}
+		for _, row := range blk.Table.Rows {
+			cells := make([]string, len(row))
+			for i, c := range row {
+				cells[i] = c.String()
+			}
+			rows = append(rows, cells)
+		}
+		var widths []int
+		for _, row := range rows {
+			for i, c := range row {
+				if i == len(widths) {
+					widths = append(widths, 0)
+				}
+				widths[i] = max(widths[i], len(c))
+			}
+		}
+		for _, row := range rows {
+			for i, c := range row {
+				if i > 0 {
+					b.WriteString("  ")
+				}
+				b.WriteString(c)
+				if i < len(row)-1 {
+					b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
+				}
+			}
+			if len(row) > 0 {
+				b.WriteByte('\n')
 			}
 		}
 	}
-	for _, r := range t.rows {
-		for i, c := range r {
-			if i > 0 {
-				t.b.WriteString("  ")
+	return b.String()
+}
+
+// Measures returns every number the result reproduces, keyed
+// "name/row/column" for table cells (a MeanStd adds "column/std"), then
+// the named measurements. Empty key parts are dropped.
+func (r Result) Measures() []Measure {
+	var out []Measure
+	for _, blk := range r.Blocks {
+		t := blk.Table
+		if t == nil {
+			continue
+		}
+		cols := t.Cols
+		if cols == nil {
+			cols = t.Header
+		}
+		for i, row := range t.Rows {
+			name := strconv.Itoa(i + 1)
+			if t.Keys > 0 {
+				parts := make([]string, t.Keys)
+				for j, c := range row[:t.Keys] {
+					parts[j] = strings.TrimSpace(c.String())
+				}
+				name = strings.Join(parts, "/")
 			}
-			t.b.WriteString(c)
-			if i < len(r)-1 {
-				t.b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
+			for j := t.Keys; j < len(row); j++ {
+				col := ""
+				if j < len(cols) {
+					col = cols[j]
+				}
+				k := strings.Trim(t.Name+"/"+name+"/"+col, "/")
+				switch v := row[j].V.(type) {
+				case int:
+					out = append(out, Measure{k, float64(v)})
+				case uint64:
+					out = append(out, Measure{k, float64(v)})
+				case float64:
+					out = append(out, Measure{k, v})
+				case ml.MeanStd:
+					out = append(out, Measure{k, v.Mean}, Measure{k + "/std", v.Std})
+				}
 			}
 		}
-		t.b.WriteByte('\n')
 	}
-	return t.b.String()
+	return append(out, r.Named...)
 }
 
-// header formats an experiment banner.
-func header(title string) string {
-	return title + "\n" + strings.Repeat("=", len(title)) + "\n"
-}
-
-// classOrder returns all classes in the paper's column order.
-func classOrder() []backscatter.Class {
-	out := make([]backscatter.Class, activity.NumClasses)
-	for i := range out {
-		out[i] = activity.Class(i)
+// classHeader returns a header with one column per class, in the
+// paper's column order, between first and the optional last.
+func classHeader(first string, last ...string) []string {
+	head := []string{first}
+	for c := range activity.NumClasses {
+		head = append(head, c.String())
 	}
-	return out
+	return append(head, last...)
 }

@@ -3,9 +3,13 @@ package report
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
+	"dnsbackscatter/internal/ml"
 	"dnsbackscatter/internal/obs"
 )
 
@@ -33,18 +37,40 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-func TestTableWriter(t *testing.T) {
-	w := &tw{}
-	w.row("a", "bb", "c")
-	w.rowf("%d\t%s\t%d", 1, "x", 2)
-	out := w.String()
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d", len(lines))
+// TestRender pins the renderer: the title underlined to its byte length,
+// columns as wide as their widest cell in bytes with a two-space gutter,
+// no padding after a row's last cell, rows shorter than others, text
+// lines verbatim, and each cell printed with its own verb.
+func TestRender(t *testing.T) {
+	tab := &Table{Header: []string{"a", "bb", "c"}}
+	tab.row(Cell{1, "%d"}, str("x"), Cell{2.5, "%.2f"})
+	tab.row(Cell{ml.MeanStd{Mean: 0.756, Std: 0.1}, "%.2f (%.2f)"})
+	r := tableResult("Title ≥", tab, "", Cell{12.5, "%.0f%%"}.String())
+	want := "Title ≥\n=========\n" +
+		"a            bb  c\n" +
+		"1            x   2.50\n" +
+		"0.76 (0.10)\n" +
+		"\n" +
+		"12%\n"
+	if got := r.String(); got != want {
+		t.Errorf("rendered\n%s\nwant\n%s", got, want)
 	}
-	// Columns align on the widest cell plus two spaces of gutter.
-	if !strings.HasPrefix(lines[0], "a  bb  c") || !strings.HasPrefix(lines[1], "1  x   2") {
-		t.Errorf("alignment wrong:\n%s", out)
+}
+
+// TestMeasures pins how table cells become keys: the table name, the
+// row's key cells (trimmed) or its position, the column name, a MeanStd
+// split in two, strings skipped, then the named measurements.
+func TestMeasures(t *testing.T) {
+	keyed := &Table{Name: "JP", Keys: 1, Header: []string{"case", "n", "acc", "note"}, Cols: []string{"", "count"}}
+	keyed.row(str(" spam "), Cell{uint64(3), "%d"}, Cell{ml.MeanStd{Mean: 0.5, Std: 0.25}, "%.2f (%.2f)"}, str("x"))
+	r := tableResult("T", keyed)
+	byPos := &Table{Header: []string{"f"}}
+	byPos.row(Cell{0.125, "%.4g%%"})
+	r.table(byPos)
+	r.measure("fit/exponent", 0.81)
+	want := []Measure{{"JP/spam/count", 3}, {"JP/spam", 0.5}, {"JP/spam/std", 0.25}, {"1/f", 0.125}, {"fit/exponent", 0.81}}
+	if got := r.Measures(); !reflect.DeepEqual(got, want) {
+		t.Errorf("measures = %v, want %v", got, want)
 	}
 }
 
@@ -66,13 +92,6 @@ func TestSparkline(t *testing.T) {
 	}
 }
 
-func TestHeader(t *testing.T) {
-	h := header("Title")
-	if !strings.HasPrefix(h, "Title\n=====") {
-		t.Errorf("header = %q", h)
-	}
-}
-
 // quick experiments touch only the two-day datasets and finish in seconds.
 var quickExperiments = []string{
 	"figure3", "table2", "figure16", "table7", "table8", "table4",
@@ -86,31 +105,27 @@ func TestQuickExperiments(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing experiment %q", name)
 		}
-		out := e.Run(s)
-		if len(out) < 40 {
-			t.Errorf("%s: suspiciously short output:\n%s", name, out)
-		}
-		if !strings.Contains(out, "\n") {
-			t.Errorf("%s: no rows", name)
+		if r := e.Run(s); len(r.Measures()) == 0 {
+			t.Errorf("%s: no table row or measurement:\n%s", name, r)
 		}
 	}
 }
 
 func TestFigure4Shape(t *testing.T) {
-	s := NewStore(0.3)
-	out := Figure4(s)
-	if !strings.Contains(out, "power-law fit") {
-		t.Fatalf("no fit line:\n%s", out)
+	for _, m := range Figure4(NewStore(0.3)).Measures() {
+		if m.Key == "fit/exponent" {
+			return
+		}
 	}
-	if !strings.Contains(out, "detection threshold") {
-		t.Error("missing threshold note")
-	}
+	t.Error("figure4 has no fit/exponent measurement")
 }
 
 // TestAllExperiments is the full sweep at a small scale: every experiment
-// runs, even on thin data, and their concatenated output, as bsrepro
-// prints it, must equal testdata/experiments.golden byte for byte.
-// Regenerate deliberately with
+// runs, even on thin data. Their concatenated output, as bsrepro prints
+// it, must equal testdata/experiments.golden byte for byte, and their
+// measurements, keyed "experiment/key" and sorted, testdata/measures.tsv.
+// Every experiment contributes a measurement and no key repeats.
+// Regenerate both deliberately with
 // BS_UPDATE_GOLDEN=1 go test -run TestAllExperiments ./internal/report.
 // Skipped with -short.
 func TestAllExperiments(t *testing.T) {
@@ -118,15 +133,28 @@ func TestAllExperiments(t *testing.T) {
 		t.Skip("full experiment sweep skipped in -short mode")
 	}
 	s := NewStore(0.2)
-	var all strings.Builder
+	var out strings.Builder
+	var tsv []string
+	seen := map[string]bool{}
 	for _, e := range All() {
-		out := e.Run(s)
-		if len(out) == 0 {
-			t.Errorf("%s: empty output", e.Name)
+		r := e.Run(s)
+		out.WriteString(r.String() + "\n")
+		ms := r.Measures()
+		if len(ms) == 0 {
+			t.Errorf("%s: no measurement", e.Name)
 		}
-		all.WriteString(out + "\n")
+		for _, m := range ms {
+			key := e.Name + "/" + m.Key
+			if seen[key] {
+				t.Errorf("measurement key %q repeats", key)
+			}
+			seen[key] = true
+			tsv = append(tsv, key+"\t"+strconv.FormatFloat(m.Value, 'g', -1, 64)+"\n")
+		}
 	}
-	checkGolden(t, filepath.Join("testdata", "experiments.golden"), all.String())
+	sort.Strings(tsv)
+	checkGolden(t, filepath.Join("testdata", "experiments.golden"), out.String())
+	checkGolden(t, filepath.Join("testdata", "measures.tsv"), strings.Join(tsv, ""))
 }
 
 // checkGolden compares got with the file at path, rewriting the file

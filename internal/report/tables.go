@@ -26,9 +26,8 @@ func forwardRatio(authority string) float64 {
 }
 
 // Table1 regenerates the dataset catalog.
-func Table1(s *Store) string {
-	t := &tw{}
-	t.row("type", "dataset", "operator", "start (UTC)", "duration", "sampling", "queries(all,est)", "(reverse)", "qps(rev)")
+func Table1(s *Store) Result {
+	t := &Table{Keys: 2, Header: []string{"type", "dataset", "operator", "start (UTC)", "duration", "sampling", "queries(all,est)", "(reverse)", "qps(rev)"}}
 	for _, spec := range []backscatter.DatasetSpec{
 		backscatter.JPDitl(), backscatter.BPostDitl(), backscatter.BLong(),
 		backscatter.BMultiYear(), backscatter.MDitl(), backscatter.MDitl2015(),
@@ -49,11 +48,10 @@ func Table1(s *Store) string {
 			sampling = fmt.Sprintf("1:%d", spec.Sample)
 		}
 		secs := float64(spec.Duration)
-		t.rowf("%s\t%s\t%s\t%s\t%s\t%s\t%.2e\t%.2e\t%.3f",
-			typ, spec.Name, op, spec.Start.String(), fmtDur(spec.Duration), sampling,
-			float64(rev)*forwardRatio(spec.Authority), float64(rev), float64(rev)/secs)
+		t.row(str(typ), str(spec.Name), str(op), str(spec.Start.String()), str(fmtDur(spec.Duration)), str(sampling),
+			Cell{float64(rev) * forwardRatio(spec.Authority), "%.2e"}, Cell{float64(rev), "%.2e"}, Cell{float64(rev) / secs, "%.3f"})
 	}
-	return header("Table I: DNS datasets (simulated; volumes at simulation scale)") + t.String()
+	return tableResult("Table I: DNS datasets (simulated; volumes at simulation scale)", t)
 }
 
 func fmtDur(d simtime.Duration) string {
@@ -68,32 +66,30 @@ func fmtDur(d simtime.Duration) string {
 }
 
 // Table2 regenerates the dynamic-feature case studies.
-func Table2(s *Store) string {
+func Table2(s *Store) Result {
 	d := s.Get(backscatter.JPDitl())
-	t := &tw{}
-	t.row("case", "queries/querier", "global entropy", "local entropy", "queriers/country")
+	t := &Table{Keys: 1, Header: []string{"case", "queries/querier", "global entropy", "local entropy", "queriers/country"}}
 	for _, cs := range caseStudies(d) {
 		v, ok := d.Whole().Vector(cs.addr)
 		if !ok {
 			continue
 		}
-		t.rowf("%s\t%.1f\t%.2f\t%.2f\t%.4f", cs.name,
-			v.Dynamic(features.DynQueriesPerQuerier),
-			v.Dynamic(features.DynGlobalEntropy),
-			v.Dynamic(features.DynLocalEntropy),
-			v.Dynamic(features.DynQueriersPerCountry))
+		t.row(str(cs.name),
+			Cell{v.Dynamic(features.DynQueriesPerQuerier), "%.1f"},
+			Cell{v.Dynamic(features.DynGlobalEntropy), "%.2f"},
+			Cell{v.Dynamic(features.DynLocalEntropy), "%.2f"},
+			Cell{v.Dynamic(features.DynQueriersPerCountry), "%.4f"})
 	}
-	return header("Table II: dynamic features for case studies (Dataset: JP-ditl)") + t.String()
+	return tableResult("Table II: dynamic features for case studies (Dataset: JP-ditl)", t)
 }
 
 // Table3 regenerates the validation table: datasets × algorithms.
-func Table3(s *Store) string {
+func Table3(s *Store) Result {
 	runs := 15
 	if s.Heavy {
 		runs = 50
 	}
-	t := &tw{}
-	t.row("dataset", "algorithm", "accuracy", "precision", "recall", "F1-score")
+	t := &Table{Keys: 2, Header: []string{"dataset", "algorithm", "accuracy", "precision", "recall", "F1-score"}}
 	for _, spec := range []backscatter.DatasetSpec{
 		backscatter.JPDitl(), backscatter.BPostDitl(), backscatter.MDitl(), backscatter.MSampled(),
 	} {
@@ -101,33 +97,30 @@ func Table3(s *Store) string {
 		for _, alg := range []backscatter.Algorithm{backscatter.AlgCART, backscatter.AlgRandomForest, backscatter.AlgSVM} {
 			res, err := d.Validate(alg, 0.6, runs)
 			if err != nil {
-				t.rowf("%s\t%s\t(untrainable: %v)", spec.Name, alg, err)
+				t.row(str(spec.Name), str(alg.String()), Cell{err.Error(), "(untrainable: %s)"})
 				continue
 			}
-			t.rowf("%s\t%s\t%.2f (%.2f)\t%.2f (%.2f)\t%.2f (%.2f)\t%.2f (%.2f)",
-				spec.Name, alg,
-				res.Accuracy.Mean, res.Accuracy.Std,
-				res.Precision.Mean, res.Precision.Std,
-				res.Recall.Mean, res.Recall.Std,
-				res.F1.Mean, res.F1.Std)
+			t.row(str(spec.Name), str(alg.String()),
+				meanStd(res.Accuracy), meanStd(res.Precision), meanStd(res.Recall), meanStd(res.F1))
 		}
 	}
-	return header(fmt.Sprintf("Table III: validation against labeled ground truth (%d runs, 60/40 splits)", runs)) + t.String()
+	return tableResult(fmt.Sprintf("Table III: validation against labeled ground truth (%d runs, 60/40 splits)", runs), t)
 }
 
 // Table4 regenerates the discriminative-feature ranking.
-func Table4(s *Store) string {
-	t := &tw{}
-	t.row("rank", "JP-ditl feature", "importance", "M-ditl feature", "importance")
+func Table4(s *Store) Result {
 	jpN, jpV, err1 := s.Get(backscatter.JPDitl()).FeatureImportance(6)
 	mN, mV, err2 := s.Get(backscatter.MDitl()).FeatureImportance(6)
 	if err1 != nil || err2 != nil {
-		return header("Table IV") + fmt.Sprintf("untrainable: %v %v\n", err1, err2)
+		return untrainable("Table IV", fmt.Sprintf("untrainable: %v %v", err1, err2))
 	}
+	t := &Table{Keys: 1,
+		Header: []string{"rank", "JP-ditl feature", "importance", "M-ditl feature", "importance"},
+		Cols:   []string{"", "", "JP-ditl importance", "", "M-ditl importance"}}
 	for i := 0; i < 6; i++ {
-		t.rowf("%d\t%s\t%.3f\t%s\t%.3f", i+1, jpN[i], jpV[i], mN[i], mV[i])
+		t.row(Cell{i + 1, "%d"}, str(jpN[i]), Cell{jpV[i], "%.3f"}, str(mN[i]), Cell{mV[i], "%.3f"})
 	}
-	return header("Table IV: top discriminative features (classifier: RF, Gini importance)") + t.String()
+	return tableResult("Table IV: top discriminative features (classifier: RF, Gini importance)", t)
 }
 
 // classifyWhole trains the preferred classifier and labels the whole span.
@@ -165,74 +158,53 @@ func cumulativeClasses(d *backscatter.Dataset) map[backscatter.Addr]backscatter.
 }
 
 // Table5 regenerates per-class originator counts for all datasets.
-func Table5(s *Store) string {
-	t := &tw{}
-	head := []string{"data"}
-	for _, c := range classOrder() {
-		head = append(head, c.String())
-	}
-	head = append(head, "total")
-	t.row(head...)
-	for _, spec := range []backscatter.DatasetSpec{
-		backscatter.JPDitl(), backscatter.BPostDitl(), backscatter.MDitl(), backscatter.MSampled(),
-	} {
-		d := s.Get(spec)
-		var classes map[backscatter.Addr]backscatter.Class
-		if spec.Name == "M-sampled" {
-			classes = cumulativeClasses(d)
-		} else {
-			var err error
-			classes, err = classifyWhole(d)
-			if err != nil {
-				t.row(spec.Name, "(untrainable)")
-				continue
+func Table5(s *Store) Result {
+	return classCounts(s, "Table V: number of originators in each class (classifier: RF)", "data",
+		func(d *backscatter.Dataset) ([activity.NumClasses]int, error) {
+			if d.Spec.Name == "M-sampled" {
+				return backscatter.ClassCounts(cumulativeClasses(d)), nil
 			}
-		}
-		counts := backscatter.ClassCounts(classes)
-		row := []string{spec.Name}
-		total := 0
-		for _, c := range classOrder() {
-			row = append(row, fmt.Sprintf("%d", counts[c]))
-			total += counts[c]
-		}
-		row = append(row, fmt.Sprintf("%d", total))
-		t.row(row...)
-	}
-	return header("Table V: number of originators in each class (classifier: RF)") + t.String()
+			classes, err := classifyWhole(d)
+			return backscatter.ClassCounts(classes), err
+		})
 }
 
 // Table6 regenerates the labeled ground-truth sizes.
-func Table6(s *Store) string {
-	t := &tw{}
-	head := []string{"dataset"}
-	for _, c := range classOrder() {
-		head = append(head, c.String())
-	}
-	head = append(head, "total")
-	t.row(head...)
+func Table6(s *Store) Result {
+	return classCounts(s, "Table VI: labeled ground-truth examples per class", "dataset",
+		func(d *backscatter.Dataset) ([activity.NumClasses]int, error) { return d.Labels.Counts(), nil })
+}
+
+// classCounts tabulates count's per-class counts and their total for the
+// four classified datasets.
+func classCounts(s *Store, title, first string, count func(*backscatter.Dataset) ([activity.NumClasses]int, error)) Result {
+	t := &Table{Keys: 1, Header: classHeader(first, "total")}
 	for _, spec := range []backscatter.DatasetSpec{
 		backscatter.JPDitl(), backscatter.BPostDitl(), backscatter.MDitl(), backscatter.MSampled(),
 	} {
-		d := s.Get(spec)
-		counts := d.Labels.Counts()
-		row := []string{spec.Name}
-		for _, c := range classOrder() {
-			row = append(row, fmt.Sprintf("%d", counts[c]))
+		counts, err := count(s.Get(spec))
+		if err != nil {
+			t.row(str(spec.Name), str("(untrainable)"))
+			continue
 		}
-		row = append(row, fmt.Sprintf("%d", d.Labels.Total()))
-		t.row(row...)
+		row := []Cell{str(spec.Name)}
+		total := 0
+		for _, n := range counts {
+			row = append(row, Cell{n, "%d"})
+			total += n
+		}
+		t.row(append(row, Cell{total, "%d"})...)
 	}
-	return header("Table VI: labeled ground-truth examples per class") + t.String()
+	return tableResult(title, t)
 }
 
-// topOriginators renders Table VII/VIII-style rows for a dataset.
-func topOriginators(d *backscatter.Dataset, n int) string {
+// topOriginators regenerates Table VII/VIII for a dataset.
+func topOriginators(title string, d *backscatter.Dataset, n int) Result {
 	classes, err := classifyWhole(d)
 	if err != nil {
-		return fmt.Sprintf("untrainable: %v\n", err)
+		return untrainable(title, fmt.Sprintf("untrainable: %v", err))
 	}
-	t := &tw{}
-	t.row("rank", "originator", "queriers", "TTL", "DarkIP", "BLS", "BLO", "class", "truth")
+	t := &Table{Keys: 1, Header: []string{"rank", "originator", "queriers", "TTL", "DarkIP", "BLS", "BLO", "class", "truth"}}
 	vs := d.Whole().Vectors
 	if n > len(vs) {
 		n = len(vs)
@@ -248,11 +220,12 @@ func topOriginators(d *backscatter.Dataset, n int) string {
 				truth += "/" + tr.Port
 			}
 		}
-		t.rowf("%d\t%s\t%d\t%s\t%d\t%d\t%d\t%s\t%s",
-			i+1, v.Originator, v.Queriers, ttlFlavor(d.World.ProfileOf(v.Originator)),
-			ev.DarknetHits, ev.SpamLists, ev.OtherLists, cls, truth)
+		t.row(Cell{i + 1, "%d"}, str(v.Originator.String()), Cell{v.Queriers, "%d"},
+			str(ttlFlavor(d.World.ProfileOf(v.Originator))),
+			Cell{ev.DarknetHits, "%d"}, Cell{ev.SpamLists, "%d"}, Cell{ev.OtherLists, "%d"},
+			str(cls.String()), str(truth))
 	}
-	return t.String()
+	return tableResult(title, t)
 }
 
 // ttlFlavor renders the TTL column of Tables VII/VIII: a duration, a
@@ -280,28 +253,26 @@ func fmtTTL(d simtime.Duration) string {
 }
 
 // Table7 regenerates the top JP-ditl originators.
-func Table7(s *Store) string {
-	return header("Table VII: most prolific originators (Dataset: JP-ditl)") +
-		topOriginators(s.Get(backscatter.JPDitl()), 30)
+func Table7(s *Store) Result {
+	return topOriginators("Table VII: most prolific originators (Dataset: JP-ditl)", s.Get(backscatter.JPDitl()), 30)
 }
 
 // Table8 regenerates the top M-ditl originators.
-func Table8(s *Store) string {
-	return header("Table VIII: most prolific originators (Dataset: M-ditl)") +
-		topOriginators(s.Get(backscatter.MDitl()), 30)
+func Table8(s *Store) Result {
+	return topOriginators("Table VIII: most prolific originators (Dataset: M-ditl)", s.Get(backscatter.MDitl()), 30)
 }
 
 // Teams regenerates the §VI-B coordinated-scanner analysis.
-func Teams(s *Store) string {
+func Teams(s *Store) Result {
 	d := s.Get(backscatter.MSampled())
 	classes := cumulativeClasses(d)
 	st := backscatter.ScannerTeams(classes, 4)
-	t := &tw{}
-	t.rowf("unique scan originators\t%d", st.UniqueScanners)
-	t.rowf("distinct /24 blocks with scanners\t%d", st.Blocks)
-	t.rowf("blocks with ≥4 originators\t%d", st.BlocksWithNPlus)
-	t.rowf("  all same class (likely teams)\t%d", st.SameClassBlocks)
-	t.rowf("  mixed classes\t%d", st.MixedClassBlocks)
+	t := &Table{Keys: 1}
+	t.row(str("unique scan originators"), Cell{st.UniqueScanners, "%d"})
+	t.row(str("distinct /24 blocks with scanners"), Cell{st.Blocks, "%d"})
+	t.row(str("blocks with ≥4 originators"), Cell{st.BlocksWithNPlus, "%d"})
+	t.row(str("  all same class (likely teams)"), Cell{st.SameClassBlocks, "%d"})
+	t.row(str("  mixed classes"), Cell{st.MixedClassBlocks, "%d"})
 
 	// Compare against planted ground-truth teams.
 	planted := make(map[int]int)
@@ -316,8 +287,8 @@ func Teams(s *Store) string {
 			big++
 		}
 	}
-	t.rowf("planted teams with ≥4 members (truth)\t%d", big)
-	return header("Scanner teams by /24 block (§VI-B, Dataset: M-sampled)") + t.String()
+	t.row(str("planted teams with ≥4 members (truth)"), Cell{big, "%d"})
+	return tableResult("Scanner teams by /24 block (§VI-B, Dataset: M-sampled)", t)
 }
 
 // caseStudy identifies a named exemplar originator.

@@ -55,10 +55,13 @@ func (d *Dataset) CurateAt(interval int) *LabeledSet {
 	return groundtruth.Curate(d.Snapshots[interval].Ranked(), d.Oracle, groundtruth.DefaultCuration(), st)
 }
 
-// Reappearances counts the dataset's labeled examples active per interval
-// (Figures 5 and 6).
-func (d *Dataset) Reappearances() []Reappearance {
-	return classify.CountReappearances(d.Snapshots, d.Labels)
+// Reappearances counts the examples of a labeled set active per interval
+// (Figures 5 and 6). A nil labels counts d.Labels.
+func (d *Dataset) Reappearances(labels *LabeledSet) []Reappearance {
+	if labels == nil {
+		labels = d.Labels
+	}
+	return classify.CountReappearances(d.Snapshots, labels)
 }
 
 // ClassifyIntervals labels every analyzable originator in each interval,

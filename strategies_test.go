@@ -1,6 +1,7 @@
 package backscatter
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -54,7 +55,7 @@ func TestRunStrategyNilLabelsUsesDatasetLabels(t *testing.T) {
 
 func TestReappearances(t *testing.T) {
 	d := multiDS(t)
-	re := d.Reappearances()
+	re := d.Reappearances(nil)
 	if len(re) != len(d.Snapshots) {
 		t.Fatal("length mismatch")
 	}
@@ -64,6 +65,16 @@ func TestReappearances(t *testing.T) {
 	}
 	if total == 0 {
 		t.Error("no labeled examples ever reappear")
+	}
+	if !reflect.DeepEqual(re, d.Reappearances(d.Labels)) {
+		t.Error("nil labels do not count d.Labels")
+	}
+	own, counts := d.Labels, d.Labels.Counts()
+	if curated := d.Reappearances(d.CurateAt(len(d.Snapshots) - 1)); len(curated) != len(d.Snapshots) {
+		t.Error("curated-set length mismatch")
+	}
+	if d.Labels != own || d.Labels.Counts() != counts {
+		t.Error("counting a curated set changed d.Labels")
 	}
 }
 
