@@ -237,7 +237,7 @@ func (r Result) String() string {
 			b.WriteString(blk.Text + "\n")
 			continue
 		}
-		rows := [][]string{blk.Table.Header}
+		rows := [][]string{blk.Table.Header} // empty when headerless: not printed
 		for _, row := range blk.Table.Rows {
 			cells := make([]string, len(row))
 			for i, c := range row {
