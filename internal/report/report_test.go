@@ -37,6 +37,30 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestHeader pins the title banner: the title underlined with '=' to its
+// byte length.
+func TestHeader(t *testing.T) {
+	r := Result{Title: "Title"}
+	if got := r.String(); !strings.HasPrefix(got, "Title\n=====\n") {
+		t.Errorf("header = %q", got)
+	}
+}
+
+// TestTableWriter pins table alignment: columns as wide as their widest
+// cell plus two spaces of gutter, no padding after a row's last cell.
+func TestTableWriter(t *testing.T) {
+	tab := &Table{Header: []string{"a", "bb", "c"}}
+	tab.row(Cell{1, "%d"}, str("x"), Cell{2, "%d"})
+	out := tableResult("T", tab).String()
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("lines = %d:\n%s", len(lines), out)
+	}
+	if lines[2] != "a  bb  c" || lines[3] != "1  x   2" {
+		t.Errorf("alignment wrong:\n%s", out)
+	}
+}
+
 // TestRender pins the renderer: the title underlined to its byte length,
 // columns as wide as their widest cell in bytes with a two-space gutter,
 // no padding after a row's last cell, rows shorter than others, text
