@@ -35,9 +35,7 @@ type Cache struct {
 // New returns a cache holding at most max entries. max <= 0 means
 // unbounded.
 func New(max int) *Cache {
-	t := newTable[string](max, 64)
-	t.NewOwner()
-	return &Cache{t: t}
+	return &Cache{t: newTable[string](max, 64)}
 }
 
 // SetMetrics instruments the cache under cache_*_total{cache=name}; see
@@ -67,14 +65,3 @@ func (c *Cache) PutNegative(key uint64, ttl simtime.Duration, now simtime.Time) 
 
 // Len returns the number of stored entries, counting expired-but-unswept.
 func (c *Cache) Len() int { return c.t.used }
-
-// Stats returns cumulative hit/miss/expiry counters.
-func (c *Cache) Stats() (hits, misses, expired uint64) {
-	return c.t.hits, c.t.misses, c.t.expired
-}
-
-// Flush drops every entry.
-func (c *Cache) Flush() {
-	clear(c.t.slots)
-	c.t.used, c.t.owned[0] = 0, 0
-}

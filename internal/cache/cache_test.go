@@ -116,27 +116,6 @@ func TestOverwriteAtCapacityKeepsKey(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	c := New(0)
-	c.Put(7, "v", 100, 0)
-	c.Get(7, 10)  // hit
-	c.Get(99, 10) // miss
-	c.Get(7, 200) // expired miss
-	hits, misses, expired := c.Stats()
-	if hits != 1 || misses != 2 || expired != 1 {
-		t.Errorf("stats = %d/%d/%d, want 1/2/1", hits, misses, expired)
-	}
-}
-
-func TestFlush(t *testing.T) {
-	c := New(0)
-	c.Put(7, "v", 100, 0)
-	c.Flush()
-	if c.Len() != 0 {
-		t.Error("Flush left entries")
-	}
-}
-
 func BenchmarkGetHit(b *testing.B) {
 	c := New(0)
 	c.Put(1001, "x.example.jp", simtime.Duration(1<<40), 0)
@@ -195,6 +174,15 @@ func TestTierMetrics(t *testing.T) {
 	evictions := reg.Counter("cache_evictions_total", obs.L("cache", "test")).Value()
 	if evictions != 1 {
 		t.Errorf("evictions = %d, want 1", evictions)
+	}
+	// A read at or past expiry is a miss, not a hit.
+	z16 := uint64(3)<<40 | 5
+	c.Put(z16, "c", 60, 0)
+	if _, ok := c.Get(z16, 60); ok {
+		t.Error("entry read at its expiry instant")
+	}
+	if hit, miss := get("cache_hits_total", "z16"), get("cache_misses_total", "z16"); hit != 0 || miss != 1 {
+		t.Errorf("expired z16 read counted %d hits and %d misses, want 0 and 1", hit, miss)
 	}
 	// Uninstrumenting stops counting without touching entries.
 	c.SetMetrics(nil, "")

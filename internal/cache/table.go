@@ -23,13 +23,11 @@ type Table[V any] struct {
 	slots []slot[V] // power-of-two length, at most three-quarters full
 	hash  uint      // home slot = key * phi >> hash
 	used  int
-	owned []int32 // live entries per owner, for the bound
+	owned []int32 // live entries per owner, for the bound; grown by put
 	max   int     // per-owner bound; <= 0 is unbounded
 	// shift is ownerBits, or 64 for a one-owner table whose keys use the
 	// whole uint64 (Go defines x<<64 and x>>64 as 0).
 	shift uint
-
-	hits, misses, expired uint64
 
 	m *cacheMetrics
 
@@ -54,7 +52,9 @@ func (s *slot[V]) negative() bool        { return s.exp&1 != 0 }
 const minSlots = 8
 
 // NewTable returns an empty shared table whose owners each hold at most max
-// entries (max <= 0 is unbounded). Keys must stay below 1<<42.
+// entries (max <= 0 is unbounded). Keys must stay below 1<<42. Owners are
+// small non-negative ids the caller assigns, ideally densely; the table
+// learns an owner at its first Put, so assigning one writes nothing here.
 func NewTable[V any](max int) *Table[V] {
 	return newTable[V](max, ownerBits)
 }
@@ -69,12 +69,6 @@ func (t *Table[V]) alloc(n int) {
 	t.slots = make([]slot[V], n)
 	t.hash = uint(64 - bits.TrailingZeros(uint(n)))
 	t.used = 0
-}
-
-// NewOwner registers one more owner and returns its id.
-func (t *Table[V]) NewOwner() int {
-	t.owned = append(t.owned, 0)
-	return len(t.owned) - 1
 }
 
 func (t *Table[V]) home(k uint64) int {
@@ -100,18 +94,14 @@ func (t *Table[V]) find(k uint64) (int, *slot[V]) {
 func (t *Table[V]) live(owner int, key uint64, now simtime.Time) *slot[V] {
 	i, s := t.find(uint64(owner)<<t.shift | key)
 	if s == nil {
-		t.misses++
 		t.m.miss(key)
 		return nil
 	}
 	if !now.Before(s.expires()) {
 		t.remove(i)
-		t.expired++
-		t.misses++
 		t.m.miss(key)
 		return nil
 	}
-	t.hits++
 	t.m.hit(key, s.negative())
 	return s
 }
@@ -155,6 +145,9 @@ func (t *Table[V]) put(owner int, key uint64, v V, negative bool, ttl simtime.Du
 	if s != nil {
 		s.val, s.exp = v, exp
 		return
+	}
+	if owner >= len(t.owned) {
+		t.owned = append(t.owned, make([]int32, owner+1-len(t.owned))...)
 	}
 	if t.max > 0 && int(t.owned[owner]) >= t.max {
 		t.evict(owner, k, now)
@@ -219,7 +212,6 @@ func (t *Table[V]) evict(owner int, k uint64, now simtime.Time) {
 		}
 		if !now.Before(s.expires()) {
 			victim = i
-			t.expired++
 			break
 		}
 		if victim < 0 {

@@ -23,9 +23,6 @@ func TestTableMatchesMapOracle(t *testing.T) {
 	tab := NewTable[struct{}](0)
 	oracle := make([]map[uint64]entry, owners)
 	for i := range oracle {
-		if tab.NewOwner() != i {
-			t.Fatal("owner ids are not dense")
-		}
 		oracle[i] = make(map[uint64]entry)
 	}
 	st := rng.New(11)
@@ -61,8 +58,8 @@ func TestTableMatchesMapOracle(t *testing.T) {
 		if op%5000 == 0 {
 			total := 0
 			for i, m := range oracle {
-				if int(tab.owned[i]) != len(m) {
-					t.Fatalf("op %d: owner %d holds %d entries, oracle %d", op, i, tab.owned[i], len(m))
+				if held := tab.held(i); held != len(m) {
+					t.Fatalf("op %d: owner %d holds %d entries, oracle %d", op, i, held, len(m))
 				}
 				total += len(m)
 			}
@@ -78,19 +75,59 @@ func TestTableMatchesMapOracle(t *testing.T) {
 // against it.
 func TestSharedTableBoundIsPerOwner(t *testing.T) {
 	tab := NewTable[struct{}](8)
-	a, b := tab.NewOwner(), tab.NewOwner()
+	const a, b = 0, 1
 	for k := uint64(0); k < 5; k++ {
 		tab.Put(b, k, struct{}{}, 1000, 0)
 	}
 	for k := uint64(0); k < 100; k++ {
 		tab.Put(a, k, struct{}{}, 1000, 0)
 	}
-	if tab.owned[a] != 8 || tab.owned[b] != 5 {
-		t.Errorf("owners hold %d and %d entries, want 8 and 5", tab.owned[a], tab.owned[b])
+	if tab.held(a) != 8 || tab.held(b) != 5 {
+		t.Errorf("owners hold %d and %d entries, want 8 and 5", tab.held(a), tab.held(b))
 	}
 	for k := uint64(0); k < 5; k++ {
 		if _, _, ok := tab.Get(b, k, 1); !ok {
 			t.Errorf("owner b lost key %d to owner a's evictions", k)
+		}
+	}
+}
+
+// held is owner's live-entry count: 0 for an owner the table has not seen.
+func (t *Table[V]) held(owner int) int {
+	if owner >= len(t.owned) {
+		return 0
+	}
+	return int(t.owned[owner])
+}
+
+// TestOwnerFirstSeenAtPut: owners are never registered, so an owner whose
+// first appearance is a Put — one far above every id used so far, then one
+// in the gap it skipped — is held to the bound like any other, and the ids
+// nobody used hold nothing.
+func TestOwnerFirstSeenAtPut(t *testing.T) {
+	tab := NewTable[struct{}](8)
+	for k := uint64(0); k < 3; k++ {
+		tab.Put(0, k, struct{}{}, 1000, 0)
+	}
+	const late, gap = 1000, 500
+	if _, _, ok := tab.Get(late, 1, 0); ok {
+		t.Fatal("an owner nobody has written holds an entry")
+	}
+	for k := uint64(0); k < 100; k++ {
+		tab.Put(late, k, struct{}{}, 1000, 0)
+	}
+	for k := uint64(0); k < 20; k++ {
+		tab.PutNegative(gap, k, 1000, 0)
+	}
+	for _, o := range []struct{ id, want int }{{0, 3}, {1, 0}, {gap, 8}, {late, 8}} {
+		live := 0
+		for k := uint64(0); k < 100; k++ {
+			if _, _, ok := tab.Get(o.id, k, 1); ok {
+				live++
+			}
+		}
+		if live != o.want || tab.held(o.id) != o.want {
+			t.Errorf("owner %d: %d live entries, %d counted, want %d", o.id, live, tab.held(o.id), o.want)
 		}
 	}
 }
@@ -136,7 +173,6 @@ func BenchmarkTableGetHit(b *testing.B) {
 	tab := NewTable[struct{}](2048)
 	const owners, keys = 4096, 16
 	for o := 0; o < owners; o++ {
-		tab.NewOwner()
 		for k := uint64(0); k < keys; k++ {
 			tab.Put(o, 1<<40|k, struct{}{}, 1<<40, 0)
 		}

@@ -304,13 +304,15 @@ func NewCaches(perResolverMax int, reg *obs.Registry) *Caches {
 // NewResolver returns a resolver with a private cache table and its own
 // random stream.
 func NewResolver(addr ipaddr.Addr, busyness, preferM float64, cacheMax int, st *rng.Stream) *Resolver {
-	return NewResolverIn(NewCaches(cacheMax, nil), addr, busyness, preferM, st)
+	return NewResolverIn(NewCaches(cacheMax, nil), 0, addr, busyness, preferM, st)
 }
 
-// NewResolverIn returns a resolver caching in the shared table c.
-func NewResolverIn(c *Caches, addr ipaddr.Addr, busyness, preferM float64, st *rng.Stream) *Resolver {
+// NewResolverIn returns a resolver caching in the shared table c as owner,
+// an id no other resolver in c uses. It does not touch c, so a resolver can
+// be created while others walk c on another goroutine.
+func NewResolverIn(c *Caches, owner int, addr ipaddr.Addr, busyness, preferM float64, st *rng.Stream) *Resolver {
 	return &Resolver{Addr: addr, Busyness: busyness, PreferM: preferM,
-		caches: c, owner: c.NewOwner(), st: st}
+		caches: c, owner: owner, st: st}
 }
 
 func (r *Resolver) cached(key uint64, now simtime.Time) bool {

@@ -342,7 +342,7 @@ func TestHierarchyMetricsAttenuation(t *testing.T) {
 			// Zero PTR TTL isolates delegation caching.
 			return OriginatorProfile{HasName: true, Name: "x", TTL: 0, NegTTL: 0}
 		})
-	r := NewResolverIn(NewCaches(1024, reg), ipaddr.MustParse("10.0.0.53"), 0, 0, rng.New(7))
+	r := NewResolverIn(NewCaches(1024, reg), 0, ipaddr.MustParse("10.0.0.53"), 0, 0, rng.New(7))
 
 	for i := 0; i < 10; i++ {
 		h.Resolve(r, orig, simtime.Time(i)*60)
