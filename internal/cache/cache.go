@@ -10,7 +10,9 @@
 //
 // Table is the store itself, shared by all simulated resolvers of a
 // shard; Cache is one resolver's private table that also keeps the cached
-// values, which the live recursor answers from.
+// values, which the live recursor answers from. A world's shard tables
+// get a horizon, the start of the day being resolved, and sweep out what
+// expired by it before they grow: they hold what can still be read.
 package cache
 
 import (

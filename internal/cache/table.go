@@ -19,12 +19,17 @@ const ownerBits = 42
 // layout, and with it the eviction victim, is a pure function of the
 // operation sequence. With a pointer-free V the whole table is invisible
 // to the garbage collector. Not safe for concurrent use.
+// A table with a horizon sweeps out what expired by it before it grows:
+// no later lookup could read that, so the sweep changes no answer or
+// counter, only what the per-owner bound counts and eviction sees.
 type Table[V any] struct {
 	slots []slot[V] // power-of-two length, at most three-quarters full
 	hash  uint      // home slot = key * phi >> hash
 	used  int
 	owned []int32 // live entries per owner, for the bound; grown by put
 	max   int     // per-owner bound; <= 0 is unbounded
+	// horizon is a time no later operation precedes; 0 is none.
+	horizon simtime.Time
 	// shift is ownerBits, or 64 for a one-owner table whose keys use the
 	// whole uint64 (Go defines x<<64 and x>>64 as 0).
 	shift uint
@@ -75,8 +80,11 @@ func (t *Table[V]) home(k uint64) int {
 	return int(k * 0x9e3779b97f4a7c15 >> t.hash)
 }
 
-// find returns the slot holding k, or nil.
-func (t *Table[V]) find(k uint64) (int, *slot[V]) {
+// find returns the slot holding k, or nil, for an operation at now.
+func (t *Table[V]) find(k uint64, now simtime.Time) (int, *slot[V]) {
+	if now < t.horizon {
+		t.beforeHorizon(now)
+	}
 	mask := len(t.slots) - 1
 	for i := t.home(k); ; i = (i + 1) & mask {
 		s := &t.slots[i]
@@ -89,10 +97,23 @@ func (t *Table[V]) find(k uint64) (int, *slot[V]) {
 	}
 }
 
+// SetHorizon promises that no later Get or put comes before h; one that
+// does panics, and so does a horizon that moves back.
+func (t *Table[V]) SetHorizon(h simtime.Time) {
+	if h < t.horizon {
+		panic("cache: horizon moved back from " + t.horizon.String() + " to " + h.String())
+	}
+	t.horizon = h
+}
+
+func (t *Table[V]) beforeHorizon(now simtime.Time) {
+	panic("cache: operation at " + now.String() + " before the horizon " + t.horizon.String())
+}
+
 // live is the lookup behind Get: the slot of owner's live entry for key at
 // time now, or nil. Expired entries are removed and count as misses.
 func (t *Table[V]) live(owner int, key uint64, now simtime.Time) *slot[V] {
-	i, s := t.find(uint64(owner)<<t.shift | key)
+	i, s := t.find(uint64(owner)<<t.shift|key, now)
 	if s == nil {
 		t.m.miss(key)
 		return nil
@@ -130,7 +151,7 @@ func (t *Table[V]) PutNegative(owner int, key uint64, ttl simtime.Duration, now 
 
 func (t *Table[V]) put(owner int, key uint64, v V, negative bool, ttl simtime.Duration, now simtime.Time) {
 	k := uint64(owner)<<t.shift | key
-	i, s := t.find(k)
+	i, s := t.find(k, now)
 	expires := now.Add(ttl)
 	if ttl <= 0 || expires <= 0 {
 		if s != nil {
@@ -153,7 +174,10 @@ func (t *Table[V]) put(owner int, key uint64, v V, negative bool, ttl simtime.Du
 		t.evict(owner, k, now)
 	}
 	if (t.used+1)*4 > len(t.slots)*3 {
-		t.grow()
+		t.sweep()
+		if (t.used+1)*2 > len(t.slots) {
+			t.grow()
+		}
 	}
 	t.place(slot[V]{val: v, key: k, exp: exp})
 	t.owned[owner]++
@@ -176,6 +200,19 @@ func (t *Table[V]) grow() {
 	for i := range old {
 		if old[i].exp != 0 {
 			t.place(old[i])
+		}
+	}
+}
+
+// sweep removes, in place, every entry that expires by the horizon. A
+// removal shifts later entries of the run back over slot i, so i is read
+// again; a run wrapping past the end shifts back only slots already read.
+func (t *Table[V]) sweep() {
+	for i := 0; i < len(t.slots); {
+		if s := &t.slots[i]; s.exp != 0 && !t.horizon.Before(s.expires()) {
+			t.remove(i)
+		} else {
+			i++
 		}
 	}
 }

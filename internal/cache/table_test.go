@@ -15,12 +15,33 @@ import (
 // backward-shift deletion must never lose, duplicate or misattribute an
 // entry.
 func TestTableMatchesMapOracle(t *testing.T) {
+	matchOracle(t, NewTable[struct{}](0), false, false)
+}
+
+// TestHorizonTableMatchesMapOracle is the same run on keys that drift
+// through a growing key space, with a horizon raised to each operation's
+// time every thousand operations. The answers must still match the
+// oracle's, and the table must stay within a fixed multiple of the
+// entries that outlive the horizon — its working set — where a table
+// without a horizon keeps every key it was ever given.
+func TestHorizonTableMatchesMapOracle(t *testing.T) {
+	withHorizon, without := NewTable[struct{}](0), NewTable[struct{}](0)
+	matchOracle(t, withHorizon, true, true)
+	matchOracle(t, without, true, false)
+	if len(withHorizon.slots)*8 > len(without.slots) {
+		t.Errorf("the table with a horizon ends at %d slots, one without at %d: want 1/8 or less",
+			len(withHorizon.slots), len(without.slots))
+	}
+}
+
+// matchOracle runs the oracle comparison on tab; drift moves the keys
+// through a growing key space, horizon raises tab's horizon as it goes.
+func matchOracle(t *testing.T, tab *Table[struct{}], drift, horizon bool) {
 	type entry struct {
 		neg     bool
 		expires simtime.Time
 	}
 	const owners = 37
-	tab := NewTable[struct{}](0)
 	oracle := make([]map[uint64]entry, owners)
 	for i := range oracle {
 		oracle[i] = make(map[uint64]entry)
@@ -28,8 +49,15 @@ func TestTableMatchesMapOracle(t *testing.T) {
 	st := rng.New(11)
 	for op := 0; op < 200_000; op++ {
 		o := st.Intn(owners)
-		key := uint64(1+st.Intn(3))<<40 | uint64(st.Intn(400))
+		base := 0
+		if drift {
+			base = op / 50 // 20 new keys per simulated second: history grows
+		}
+		key := uint64(1+st.Intn(3))<<40 | uint64(base+st.Intn(400))
 		now := simtime.Time(op / 20)
+		if horizon && op%1000 == 0 {
+			tab.SetHorizon(now)
+		}
 		switch st.Intn(4) {
 		case 0:
 			ttl := simtime.Duration(st.Intn(900) - 50) // some <= 0: clears
@@ -55,18 +83,61 @@ func TestTableMatchesMapOracle(t *testing.T) {
 					op, o, key, now, neg, ok, want, present)
 			}
 		}
-		if op%5000 == 0 {
-			total := 0
-			for i, m := range oracle {
-				if held := tab.held(i); held != len(m) {
-					t.Fatalf("op %d: owner %d holds %d entries, oracle %d", op, i, held, len(m))
-				}
-				total += len(m)
-			}
-			if tab.used != total {
-				t.Fatalf("op %d: table holds %d entries, oracle %d", op, tab.used, total)
-			}
+		if op%5000 != 0 {
+			continue
 		}
+		// The table holds the oracle's entries less some of those that
+		// expired by the horizon (all of them where there is none).
+		total, alive := 0, 0
+		for i, m := range oracle {
+			live := 0
+			for _, e := range m {
+				if tab.horizon.Before(e.expires) {
+					live++
+				}
+			}
+			if held := tab.held(i); held < live || held > len(m) {
+				t.Fatalf("op %d: owner %d holds %d entries, oracle %d of which %d outlive the horizon",
+					op, i, held, len(m), live)
+			}
+			total += len(m)
+			alive += live
+		}
+		if !horizon && tab.used != total {
+			t.Fatalf("op %d: table holds %d entries, oracle %d", op, tab.used, total)
+		}
+		if horizon && tab.used > 4*alive+minSlots {
+			t.Fatalf("op %d: table holds %d entries for a working set of %d", op, tab.used, alive)
+		}
+	}
+}
+
+// TestHorizonIsEnforced: the horizon is a promise the table checks, not
+// one it trusts — a Get or put before it panics, and so does a horizon that
+// moves back, whereas an operation at the horizon itself is allowed.
+func TestHorizonIsEnforced(t *testing.T) {
+	const h = simtime.Time(1000)
+	for name, op := range map[string]func(*Table[struct{}]){
+		"Get before":         func(tab *Table[struct{}]) { tab.Get(0, 1, h-1) },
+		"Put before":         func(tab *Table[struct{}]) { tab.Put(0, 1, struct{}{}, 10, h-1) },
+		"PutNegative before": func(tab *Table[struct{}]) { tab.PutNegative(0, 1, 10, h-1) },
+		"SetHorizon back":    func(tab *Table[struct{}]) { tab.SetHorizon(h - 1) },
+	} {
+		tab := NewTable[struct{}](8)
+		tab.SetHorizon(h)
+		tab.Put(0, 1, struct{}{}, 10, h)
+		tab.SetHorizon(h) // a horizon may stay where it is
+		if _, _, ok := tab.Get(0, 1, h); !ok {
+			t.Fatalf("%s: the entry put at the horizon is gone", name)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s the horizon: no panic", name)
+				}
+			}()
+			op(tab)
+		}()
 	}
 }
 

@@ -71,7 +71,9 @@ type querierPool struct {
 	names *intern.Table
 }
 
-// resolverCacheMax bounds each simulated resolver's cache entries.
+// resolverCacheMax bounds each simulated resolver's cache entries. Shard
+// tables sweep out what expired before the day being resolved, so the
+// bound counts little beyond entries that can still be read.
 const resolverCacheMax = 2048
 
 // newQuerierPool returns an empty pool whose resolver caches, materialized

@@ -57,9 +57,13 @@ type request struct {
 // batch is a run of consecutive events in generation order, split by
 // resolver shard.
 type batch struct {
-	ctxs   []campaignCtx
-	order  []uint8 // order[seq] is the shard holding request seq
-	shards [simShards]struct {
+	// horizon is the start of the day the batch's first event was
+	// generated in: no later lookup precedes it, unlike the batch's
+	// earliest event (DESIGN.md §5).
+	horizon simtime.Time
+	ctxs    []campaignCtx
+	order   []uint8 // order[seq] is the shard holding request seq
+	shards  [simShards]struct {
 		reqs []request
 		taps []dnssim.Tap // in request order, hence ascending Seq
 	}
@@ -73,11 +77,14 @@ type batch struct {
 // misbehaving-P2P touches each stand for a much larger raw probe volume,
 // thinned at the darknet's space fraction with draws from one shared
 // stream.
-func (w *World) touch(c *activity.Campaign, e activity.Event) {
+func (w *World) touch(c *activity.Campaign, day simtime.Time, e activity.Event) {
 	if len(w.bufs[w.cur].order) == batchEvents {
 		w.flush()
 	}
 	b := &w.bufs[w.cur]
+	if len(b.order) == 0 {
+		b.horizon = day
+	}
 	n := len(b.ctxs)
 	if n == 0 || b.ctxs[n-1].c != c {
 		b.ctxs = append(b.ctxs, campaignCtx{c: c, mix: w.mixes[c.Originator], sub: w.Hier.Subject(c.Originator)})
@@ -145,6 +152,12 @@ func (w *World) wait() {
 
 // resolveAndMerge runs the resolve and merge phases over b and empties it.
 func (w *World) resolveAndMerge(b *batch) {
+	if w.staged != nil {
+		w.staged(b)
+	}
+	for _, c := range w.pool.caches {
+		c.SetHorizon(b.horizon)
+	}
 	pool := parallel.Pool{Workers: w.Cfg.Workers, Obs: w.Cfg.Obs, Stage: "world-sim", Acct: w.Cfg.Acct}
 	pool.Each(simShards, func(s int) { w.resolve(b, s) })
 
@@ -365,7 +378,7 @@ func (w *World) Run() {
 			}
 			events = c.EventsIn(day, dayEnd, w.pickTarget, events[:0])
 			for _, e := range events {
-				w.touch(c, e)
+				w.touch(c, day, e)
 			}
 		}
 	}

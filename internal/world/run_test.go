@@ -2,9 +2,11 @@ package world
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
+	"dnsbackscatter/internal/activity"
 	"dnsbackscatter/internal/dnslog"
 	"dnsbackscatter/internal/dnssim"
 	"dnsbackscatter/internal/faults"
@@ -69,6 +71,54 @@ func TestRunWorkerInvariant(t *testing.T) {
 		if got := run(workers); !reflect.DeepEqual(got, want) {
 			t.Errorf("workers=%d: outputs differ from the one-worker run", workers)
 		}
+	}
+}
+
+// TestHorizonNeverPassesALookup builds a world of M-Root DITL's shape,
+// which generates several batches per simulated day, and checks the
+// promise behind every shard table's horizon: it never moves back, and no
+// lookup comes before the horizon in force. The hook checks each batch's
+// first walks; the tables themselves panic on any cache operation before
+// their horizon, which covers the TTL-violator re-queries and the writes
+// of each walk. The world must also have a batch that reaches back before
+// an earlier batch's earliest event, the case for which a horizon at the
+// batch's earliest event would be wrong.
+func TestHorizonNeverPassesALookup(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = 1415
+	cfg.RateScale = 0.8
+	cfg.JPShare = 0.12
+	cfg.DarknetSlash8 = 150
+	cfg.ClassPopulation[activity.Spam] = 36
+	cfg.ClassPopulation[activity.Scan] = 30
+	cfg.ClassPopulation[activity.Mail] = 22
+	cfg.ClassPopulation[activity.CDN] = 14
+	cfg.ClassPopulation[activity.P2P] = 12
+	w := New(cfg)
+	var horizon, latest simtime.Time
+	batches, reachBack := 0, false
+	w.staged = func(b *batch) {
+		if b.horizon < horizon {
+			t.Errorf("batch %d: horizon %v moved back from %v", batches, b.horizon, horizon)
+		}
+		horizon = b.horizon
+		earliest := simtime.Time(math.MaxInt64)
+		for s := range b.shards {
+			for _, rq := range b.shards[s].reqs {
+				if rq.t < horizon {
+					t.Errorf("batch %d: a lookup at %v precedes the horizon %v", batches, rq.t, horizon)
+				}
+				earliest = min(earliest, rq.t)
+			}
+		}
+		reachBack = reachBack || earliest < latest
+		latest = max(latest, earliest)
+		batches++
+	}
+	w.Run()
+	if days := int(cfg.Duration/simtime.Day) + 1; batches < 2*days || !reachBack {
+		t.Errorf("%d batches over %d days, reaching back %v: want several a day, one reaching back",
+			batches, days, reachBack)
 	}
 }
 

@@ -29,6 +29,10 @@ type ScanResult struct {
 // The scan runs over a window proportional to its size (the paper's 0.1%
 // scan took 13 hours), which matters for delegation-cache dynamics at the
 // upper tree.
+//
+// The scan resolves outside Run, so it is meant for a fresh world: after
+// Run the shard tables keep the last batch's horizon, and a scan lookup
+// before it panics.
 func (w *World) ControlledScan(origin ipaddr.Addr, frac, react float64, at simtime.Time) ScanResult {
 	final := w.AttachFinal(origin.Slash16())
 	w.SetProfile(origin, dnssim.OriginatorProfile{

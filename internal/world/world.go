@@ -202,6 +202,8 @@ type World struct {
 	cur  int
 	done chan any
 	ran  bool
+	// staged, set by tests, sees each batch before the shards resolve it.
+	staged func(*batch)
 }
 
 // worldMetrics holds the world's pre-resolved counters and gauges. All
