@@ -1,7 +1,8 @@
 # Tier-1 verification for the dnsbackscatter reproduction.
 #
 #   make verify      # everything below, in order — the pre-merge gate
-#   make lint        # just the project static-analysis suite (bslint)
+#   make lint        # just the project static-analysis suite (bslint),
+#                    # Markdown integrity and the prose budget included
 #   make race        # race detector on the concurrent packages (slow:
 #                    # internal/report rebuilds datasets under -race)
 #
@@ -15,9 +16,9 @@ RACE_PKGS = ./internal/cache ./internal/dnsserver ./internal/obs ./internal/repo
 	./internal/stream ./internal/alert ./internal/world ./internal/dnssim \
 	./internal/dnslog ./internal/dnscap ./internal/trace ./cmd/bsserve
 
-.PHONY: verify fmt vet lint build test race bench-check budget prof-artifacts docs determinism chaos fuzz cover tracecheck trace-artifacts soak loc
+.PHONY: verify fmt vet lint build test race bench-check budget prof-artifacts determinism chaos fuzz cover tracecheck trace-artifacts soak loc
 
-verify: fmt loc vet lint build test race fuzz tracecheck budget docs
+verify: fmt loc vet lint build test race fuzz tracecheck budget
 	@echo "verify: all checks passed"
 
 fmt:
@@ -29,6 +30,10 @@ fmt:
 vet:
 	$(GO) vet ./...
 
+# bslint's module checks include docs: every relative link and back-ticked
+# file reference in the Markdown resolves, every //bslint:hotpath
+# declaration is named in PERFORMANCE.md, and the root *.md stay within
+# the 200 KiB prose budget.
 lint:
 	$(GO) run ./cmd/bslint ./...
 
@@ -50,11 +55,11 @@ race:
 # higher floor: the linters gate every other invariant, so their own
 # coverage must not rot. cmd/bsserve holds a lower one: its handler
 # mux is fully tested, but main() is an operational UDP/signal loop no
-# unit test can drive.
+# unit test can drive. bsprof -cover is the gate.
 cover:
 	$(GO) test -coverprofile=coverage.out ./... > cover-packages.txt \
 		|| { cat cover-packages.txt; rm -f cover-packages.txt; exit 1; }
-	$(GO) run ./cmd/covercheck -floor 80 \
+	$(GO) run ./cmd/bsprof -cover -floor 80 \
 		-pkgfloor dnsbackscatter/internal/lint=85 \
 		-pkgfloor dnsbackscatter/internal/prof=85 \
 		-pkgfloor dnsbackscatter/internal/stream=85 \
@@ -89,12 +94,6 @@ fuzz:
 # snapshot, and windowed series — the CI soak job uploads them.
 soak:
 	BS_SOAK=1 $(GO) test ./internal/stream -run TestStreamSoak -count=1 -v
-
-# Docs lint: Markdown relative-link and file-reference integrity, plus
-# the hotpath inventory in PERFORMANCE.md (cmd/mdlint). Exported-API doc
-# comments are bslint's apidoc check, which `make lint` already runs.
-docs:
-	$(GO) run ./cmd/mdlint
 
 # End-to-end worker-count determinism under the race detector — the
 # CI job runs this with GOMAXPROCS=2 so parallel paths really interleave.
@@ -142,8 +141,8 @@ tracecheck:
 # Reference tracing artifacts: a small faulted reproduction run whose
 # end-to-end traces, windowed time series, and alert transition log CI
 # uploads from the chaos job. Render the traces with `go run
-# ./cmd/bstrace -in traces.jsonl`; replay the alerts with `go run
-# ./cmd/bswatch -timeseries timeseries.json -traces traces.jsonl`.
+# ./cmd/bsview trace -in traces.jsonl`; replay the alerts with `go run
+# ./cmd/bsview alerts -timeseries timeseries.json -traces traces.jsonl`.
 trace-artifacts:
 	$(GO) run ./cmd/bsrepro -scale 0.08 -experiment figure3 -faults lossy@7 \
 		-trace traces.jsonl -trace-sample 8 \
@@ -177,10 +176,10 @@ define budget-check
 endef
 
 # Resource-observatory artifacts for CI: a scaled reproduction run's
-# per-stage resource report (ops channel, scheduling-dependent) plus
-# heap and CPU profiles from the benchmark suite, read with go tool
-# pprof: the flat allocation ranking, then the extract path's sites
-# (stacks crossing features, qname or geo).
+# per-stage resource report (ops channel, scheduling-dependent), printed
+# by bsprof -report, plus heap and CPU profiles from the benchmark suite,
+# read with go tool pprof: the flat allocation ranking, then the extract
+# path's sites (stacks crossing features, qname or geo).
 prof-artifacts:
 	$(GO) run ./cmd/bsrepro -scale 0.08 -experiment figure3 -resources resources.json > /dev/null
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelExtract' -benchmem -benchtime 1x \

@@ -1,8 +1,8 @@
 // Command bslint runs the project's static-analysis suite: the
 // per-package checks (determinism, locksafe, errcheck, apidoc,
-// concurrency, hotalloc, nolintreason) and the interprocedural module
-// checks (dettaint) defined in internal/lint. It prints one finding per
-// line as
+// concurrency, hotalloc, nolintreason) and the module checks (dettaint,
+// and docs over the module's Markdown) defined in internal/lint. It
+// prints one finding per line as
 //
 //	file:line:col: [check] message
 //
@@ -15,8 +15,10 @@
 //
 //	bslint ./...                    # whole module (the default)
 //	bslint -json ./internal/...     # machine-readable findings
-//	bslint -determinism=false ./... # disable one check
 //	bslint -list                    # show registered checks
+//
+// Every check always runs; `//nolint:<check> — reason` on the offending
+// line is the one way to silence a finding.
 //
 // Any package that fails to parse or type-check is fatal: bslint reports
 // every broken package and exits 2 without linting, because findings in
@@ -43,13 +45,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
 	list := fs.Bool("list", false, "list registered checks and exit")
 	dir := fs.String("C", ".", "directory inside the module to lint")
-	enabled := map[string]*bool{}
-	for _, c := range lint.Checks() {
-		enabled[c.Name] = fs.Bool(c.Name, true, "enable the "+c.Name+" check: "+c.Doc)
-	}
-	for _, c := range lint.ModuleChecks() {
-		enabled[c.Name] = fs.Bool(c.Name, true, "enable the "+c.Name+" module check: "+c.Doc)
-	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -59,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-14s %s\n", c.Name, c.Doc)
 		}
 		for _, c := range lint.ModuleChecks() {
-			fmt.Fprintf(stdout, "%-14s %s (interprocedural)\n", c.Name, c.Doc)
+			fmt.Fprintf(stdout, "%-14s %s (module)\n", c.Name, c.Doc)
 		}
 		return 0
 	}
@@ -83,11 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	flags := make(map[string]bool, len(enabled))
-	for name, on := range enabled {
-		flags[name] = *on
-	}
-	findings := lint.Run(pkgs, flags)
+	findings := lint.Run(pkgs)
 
 	if *jsonOut {
 		type jsonFinding struct {

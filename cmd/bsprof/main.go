@@ -1,6 +1,7 @@
-// Command bsprof reads two of the repo's resource-observatory artifacts:
-// per-stage resource reports (bsrepro -resources) and the checked-in
-// allocation budgets. Profiles (bsserve's /debug/pprof/ handlers, CI's
+// Command bsprof reads the repo's resource-observatory artifacts and
+// holds `go test` runs to their checked-in ceilings: per-stage resource
+// reports (bsrepro -resources), the allocation budgets, and the
+// per-package coverage floors. Profiles (bsserve's /debug/pprof/ handlers, CI's
 // heap.pprof and cpu.pprof, `go test -memprofile`) are read with `go
 // tool pprof`; PERFORMANCE.md lists the commands.
 //
@@ -8,12 +9,17 @@
 //
 //	bsprof -report resources.json                    # per-stage resource table
 //	bsprof -check -budgets alloc.budgets <bench.txt  # allocation-budget gate
+//	go test -cover ./... | bsprof -cover -floor 80 -pkgfloor path/to/pkg=85
 //
 // The -check gate reads raw `go test -bench -benchmem` output and fails
 // when any budgeted benchmark exceeds its max B/op or allocs/op, or
 // reports neither (a run without -benchmem), or when no budgeted
 // benchmark ran at all. Budgets live in alloc.budgets; entries on only
 // one side are logged, never silently dropped.
+//
+// The -cover gate reads `go test -cover` output and fails when a tested
+// package is below -floor, or below its own -pkgfloor (repeatable), or
+// when a -pkgfloor package has no coverage line.
 package main
 
 import (
@@ -41,14 +47,19 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	check := fs.Bool("check", false, "enforce alloc.budgets against bench output (stdin or -bench)")
 	budgets := fs.String("budgets", "alloc.budgets", "budget file for -check")
 	bench := fs.String("bench", "", "raw `go test -bench -benchmem` output for -check (empty = stdin)")
+	cover := fs.Bool("cover", false, "enforce coverage floors against `go test -cover` output on stdin")
+	floor := fs.Float64("floor", 80, "minimum per-package coverage percent for tested packages, for -cover")
+	pkgFloors := floorMap{}
+	fs.Var(pkgFloors, "pkgfloor", "per-package floor as pkg=pct, overriding -floor; repeatable")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	if *report == "" && !*check {
-		fmt.Fprintln(stderr, "bsprof: nothing to do (want -report or -check; see -h)")
+	if *report == "" && !*check && !*cover {
+		fmt.Fprintln(stderr, "bsprof: nothing to do (want -report, -check or -cover; see -h)")
 		return 2
 	}
+
 	if *report != "" {
 		if code := runReport(*report, stdout, stderr); code != 0 {
 			return code
@@ -56,6 +67,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	if *check {
 		return runCheck(*budgets, *bench, stdin, stdout, stderr)
+	}
+	if *cover {
+		return runCover(*floor, pkgFloors, stdin, stdout, stderr)
 	}
 	return 0
 }

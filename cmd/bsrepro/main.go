@@ -20,11 +20,10 @@
 // state-machine transition log; with -trace active, firing transitions
 // carry worst-offender trace IDs. Trace JSONL, the windowed time-series
 // JSON, and the alert transition log are byte-identical at any -workers
-// count; render traces with cmd/bstrace and replay rules offline with
-// cmd/bswatch. The -resources report
-// is the ops channel: alloc deltas, GC cycles, and worker peaks per
-// pipeline stage, scheduling-dependent by design; inspect it with
-// cmd/bsprof -report.
+// count; render traces with bsview trace and replay rules offline with
+// bsview alerts. The -resources report is the ops channel: alloc deltas,
+// GC cycles, and worker peaks per pipeline stage, scheduling-dependent
+// by design; inspect it with bsprof -report.
 //
 // Batch-vs-stream replay:
 //

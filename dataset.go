@@ -7,7 +7,6 @@ import (
 
 	"dnsbackscatter/internal/activity"
 	"dnsbackscatter/internal/classify"
-	"dnsbackscatter/internal/dnslog"
 	"dnsbackscatter/internal/dnssim"
 	"dnsbackscatter/internal/faults"
 	"dnsbackscatter/internal/features"
@@ -458,6 +457,3 @@ func (d *Dataset) sensor() *dnssim.Sensor {
 	}
 	panic(fmt.Sprintf("backscatter: unknown authority %q", d.Spec.Authority))
 }
-
-// LogRecord re-exports dnslog parsing for tools.
-func LogRecord(line string) (Record, error) { return dnslog.ParseRecord(line) }

@@ -382,7 +382,7 @@ const DefaultRulesText = `# Alert and SLO rules for the DNS backscatter observab
 # ignored. Durations are simulated seconds; holds quantize to the bucket
 # width of the series under evaluation. See DESIGN.md section 13 for the
 # grammar and determinism contract. Replay this file offline with
-# "go run ./cmd/bswatch -timeseries timeseries.json" or serve it live
+# "go run ./cmd/bsview alerts -timeseries timeseries.json" or serve it live
 # with "bsserve -http ... -alerts default".
 
 # A SERVFAIL fault burst concentrated inside a single bucket.

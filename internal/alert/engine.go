@@ -376,7 +376,7 @@ func (f Filter) match(r Rule, st ruleState) bool {
 	return true
 }
 
-// RuleStatus is one rule's current position, for /alerts and bswatch.
+// RuleStatus is one rule's current position, for /alerts and bsview alerts.
 type RuleStatus struct {
 	// Rule is the stanza name; Kind is alert or slo.
 	Rule string `json:"rule"`

@@ -11,7 +11,6 @@ package darknet
 
 import (
 	"math"
-	"sort"
 
 	"dnsbackscatter/internal/ipaddr"
 	"dnsbackscatter/internal/rng"
@@ -107,26 +106,3 @@ func (d *Darknet) ObserveThinned(source ipaddr.Addr, rawProbes float64, st *rng.
 
 // Hits returns the distinct-address count for a source.
 func (d *Darknet) Hits(source ipaddr.Addr) int { return d.hits[source] }
-
-// ConfirmedScanner applies the paper's rule: more than 1024 darknet
-// addresses probed. The threshold is configurable for downscaled worlds.
-func (d *Darknet) ConfirmedScanner(source ipaddr.Addr, threshold int) bool {
-	return d.hits[source] > threshold
-}
-
-// Sources returns all sources with at least min hits, by descending count.
-func (d *Darknet) Sources(min int) []ipaddr.Addr {
-	var out []ipaddr.Addr
-	for a, n := range d.hits {
-		if n >= min {
-			out = append(out, a)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if d.hits[out[i]] != d.hits[out[j]] {
-			return d.hits[out[i]] > d.hits[out[j]]
-		}
-		return out[i] < out[j]
-	})
-	return out
-}

@@ -50,19 +50,24 @@ func TestObserve(t *testing.T) {
 }
 
 func TestObserveThinnedMean(t *testing.T) {
-	d := NewPaperDarknets(150)
-	src := ipaddr.MustParse("1.2.3.4")
-	st := rng.New(7)
-	// 10M raw probes at fraction ~1.14e-5 => ~114 expected hits; repeat
+	// At fraction ~1.14e-5, 10M raw probes expect ~114 hits (the normal
+	// approximation) and 500k expect ~5.7 (Knuth's Poisson draw); repeat
 	// to tighten the estimate.
-	const rounds = 50
-	for i := 0; i < rounds; i++ {
-		d.ObserveThinned(src, 1e7, st)
-	}
-	want := 1e7 * d.Fraction() * rounds
-	got := float64(d.Hits(src))
-	if math.Abs(got-want)/want > 0.1 {
-		t.Errorf("thinned hits = %v, want ≈%v", got, want)
+	for _, c := range []struct {
+		raw    float64
+		rounds int
+	}{{1e7, 50}, {5e5, 400}} {
+		d := NewPaperDarknets(150)
+		src := ipaddr.MustParse("1.2.3.4")
+		st := rng.New(7)
+		for i := 0; i < c.rounds; i++ {
+			d.ObserveThinned(src, c.raw, st)
+		}
+		want := c.raw * d.Fraction() * float64(c.rounds)
+		got := float64(d.Hits(src))
+		if math.Abs(got-want)/want > 0.1 {
+			t.Errorf("%g raw probes: thinned hits = %v, want ≈%v", c.raw, got, want)
+		}
 	}
 }
 
@@ -72,35 +77,5 @@ func TestObserveThinnedZero(t *testing.T) {
 	d.ObserveThinned(ipaddr.MustParse("1.2.3.4"), 0, st)
 	if d.Hits(ipaddr.MustParse("1.2.3.4")) != 0 {
 		t.Error("zero probes produced hits")
-	}
-}
-
-func TestConfirmedScanner(t *testing.T) {
-	d := NewPaperDarknets(150)
-	src := ipaddr.MustParse("1.2.3.4")
-	for i := 0; i < 1025; i++ {
-		d.Observe(src, ipaddr.FromOctets(150, 0, byte(i/256), byte(i%256)))
-	}
-	if !d.ConfirmedScanner(src, 1024) {
-		t.Error("1025 hits not confirmed at threshold 1024")
-	}
-	if d.ConfirmedScanner(ipaddr.MustParse("5.5.5.5"), 1024) {
-		t.Error("unseen source confirmed")
-	}
-}
-
-func TestSourcesSorted(t *testing.T) {
-	d := NewPaperDarknets(150)
-	a, b, c := ipaddr.Addr(1), ipaddr.Addr(2), ipaddr.Addr(3)
-	st := rng.New(1)
-	d.ObserveThinned(a, 5e6, st)
-	d.ObserveThinned(b, 5e7, st)
-	d.ObserveThinned(c, 5e5, st)
-	srcs := d.Sources(1)
-	if len(srcs) != 3 || srcs[0] != b {
-		t.Errorf("sources = %v (hits %d/%d/%d)", srcs, d.Hits(a), d.Hits(b), d.Hits(c))
-	}
-	if got := d.Sources(d.Hits(b) + 1); len(got) != 0 {
-		t.Error("threshold filter failed")
 	}
 }

@@ -4,9 +4,8 @@
 // Each reverse query observed at the authority yields one Record — the
 // (originator, querier, authority) tuple plus timestamp and response code.
 // The package provides a line-oriented text codec (one record per line, in
-// the spirit of dnstap/TSV logging), streaming reader/writer, the paper's
-// 30-second per-(originator, querier) deduplication window, and the
-// 10-minute persistence bucketing used by dynamic features.
+// the spirit of dnstap/TSV logging), streaming reader/writer, and the
+// paper's 30-second per-(originator, querier) deduplication window.
 package dnslog
 
 import (
@@ -244,15 +243,4 @@ func Dedup(recs []Record, window simtime.Duration) []Record {
 		}
 	}
 	return out
-}
-
-// PersistenceBuckets returns how many distinct 10-minute periods contain at
-// least one of the given record times — the paper's query-persistence
-// dynamic feature.
-func PersistenceBuckets(times []simtime.Time) int {
-	seen := make(map[int]struct{}, len(times))
-	for _, t := range times {
-		seen[t.TenMinuteBucket()] = struct{}{}
-	}
-	return len(seen)
 }

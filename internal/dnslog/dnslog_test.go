@@ -221,20 +221,6 @@ func TestDedupSlice(t *testing.T) {
 	}
 }
 
-func TestPersistenceBuckets(t *testing.T) {
-	times := []simtime.Time{
-		0, 1, 599, // one bucket
-		600,        // second bucket
-		1200, 1201, // third
-	}
-	if got := PersistenceBuckets(times); got != 3 {
-		t.Errorf("PersistenceBuckets = %d, want 3", got)
-	}
-	if got := PersistenceBuckets(nil); got != 0 {
-		t.Errorf("empty input: %d, want 0", got)
-	}
-}
-
 func BenchmarkAppendText(b *testing.B) {
 	r := rec(1397559600, "203.178.141.194", "10.0.0.1")
 	buf := make([]byte, 0, 64)

@@ -155,15 +155,6 @@ func (r *Registry) ASN(a ipaddr.Addr) int {
 	return int(r.asOf[a.Slash16()])
 }
 
-// Slash8sIn returns the /8 first-octets allocated to the country code, in
-// ascending order. It returns nil for unknown or unallocated countries.
-func (r *Registry) Slash8sIn(code string) []byte {
-	blocks := r.byCountry[code]
-	out := make([]byte, len(blocks))
-	copy(out, blocks)
-	return out
-}
-
 // RandomAddrIn draws a uniform address inside the country's allocation
 // using st. It returns false if the country holds no space.
 func (r *Registry) RandomAddrIn(code string, st *rng.Stream) (ipaddr.Addr, bool) {

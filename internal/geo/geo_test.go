@@ -94,9 +94,9 @@ func TestCountsPositive(t *testing.T) {
 func TestSlash8sInMatchesCountry(t *testing.T) {
 	r := NewRegistry(7)
 	for _, c := range Countries {
-		for _, b8 := range r.Slash8sIn(c.Code) {
+		for _, b8 := range r.byCountry[c.Code] {
 			if got := r.Country(ipaddr.Addr(uint32(b8) << 24)); got != c.Code {
-				t.Errorf("Slash8sIn(%q) contains %d owned by %q", c.Code, b8, got)
+				t.Errorf("byCountry[%q] contains %d owned by %q", c.Code, b8, got)
 			}
 		}
 	}
@@ -106,7 +106,7 @@ func TestSlash8sInCoversAllBlocks(t *testing.T) {
 	r := NewRegistry(7)
 	n := 0
 	for _, c := range Countries {
-		n += len(r.Slash8sIn(c.Code))
+		n += len(r.byCountry[c.Code])
 	}
 	if n != 256 {
 		t.Errorf("country allocations cover %d /8s, want 256", n)
@@ -134,7 +134,7 @@ func TestMajorCountriesAllocated(t *testing.T) {
 	r := NewRegistry(7)
 	// High-weight countries should essentially always receive space.
 	for _, code := range []string{"us", "cn", "jp"} {
-		if len(r.Slash8sIn(code)) == 0 {
+		if len(r.byCountry[code]) == 0 {
 			t.Errorf("country %q received no /8s", code)
 		}
 	}
@@ -142,7 +142,7 @@ func TestMajorCountriesAllocated(t *testing.T) {
 
 func TestCCTLD(t *testing.T) {
 	r := NewRegistry(7)
-	blocks := r.Slash8sIn("jp")
+	blocks := r.byCountry["jp"]
 	if len(blocks) == 0 {
 		t.Skip("jp empty under this seed")
 	}

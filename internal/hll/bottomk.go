@@ -29,9 +29,6 @@ func NewBottomK[V any](k int) *BottomK[V] {
 	return &BottomK[V]{k: k}
 }
 
-// K returns the sample capacity.
-func (b *BottomK[V]) K() int { return b.k }
-
 // Len returns the current number of sampled items.
 func (b *BottomK[V]) Len() int { return len(b.hashes) }
 
@@ -85,10 +82,6 @@ func (b *BottomK[V]) Merge(other *BottomK[V]) {
 // copy: it is valid until the next Add, Merge or Reset, and callers must
 // not write to it.
 func (b *BottomK[V]) Values() []V { return b.vals }
-
-// Hashes returns the retained hashes in ascending order, a view under the
-// same terms as Values.
-func (b *BottomK[V]) Hashes() []uint64 { return b.hashes }
 
 // Reset clears the sample for reuse, keeping capacity.
 func (b *BottomK[V]) Reset() {

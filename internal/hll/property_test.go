@@ -156,16 +156,16 @@ func TestBottomKIsExactBottomK(t *testing.T) {
 					}
 				}
 				want := oracleBottomK(items, k)
-				if got := b.Hashes(); !slices.Equal(got, want) {
+				if got := b.hashes; !slices.Equal(got, want) {
 					t.Fatalf("k=%d n=%d seed=%d: sample is not the exact bottom-k (%d vs %d hashes)",
 						k, n, seed, len(got), len(want))
 				}
-				if b.Len() != len(want) || b.K() != k {
-					t.Fatalf("k=%d n=%d: Len=%d K=%d want %d/%d", k, n, b.Len(), b.K(), len(want), k)
+				if b.Len() != len(want) || b.k != k {
+					t.Fatalf("k=%d n=%d: Len=%d K=%d want %d/%d", k, n, b.Len(), b.k, len(want), k)
 				}
 				// Values must come back in ascending hash order.
 				vals := b.Values()
-				for i, h := range b.Hashes() {
+				for i, h := range b.hashes {
 					if Hash64(vals[i]) != h {
 						t.Fatalf("Values order diverges from Hashes order at %d", i)
 					}
@@ -190,7 +190,7 @@ func TestBottomKMergeIsUnion(t *testing.T) {
 			}
 			a.Merge(b)
 			a.Merge(nil) // nil merge is a no-op
-			if got, want := a.Hashes(), oracleBottomK(items, 128); !slices.Equal(got, want) {
+			if got, want := a.hashes, oracleBottomK(items, 128); !slices.Equal(got, want) {
 				t.Fatalf("seed=%d cut=%d: merged sample is not the union bottom-k", seed, cut)
 			}
 		}
@@ -206,7 +206,7 @@ func TestBottomKOrderInvariance(t *testing.T) {
 		for _, v := range in {
 			b.Add(Hash64(v), v)
 		}
-		return b.Hashes()
+		return b.hashes
 	}
 	fwd := build(items)
 	rev := slices.Clone(items)
@@ -221,8 +221,8 @@ func TestBottomKOrderInvariance(t *testing.T) {
 // TestBottomKClampAndReset covers the k<1 clamp and Reset reuse.
 func TestBottomKClampAndReset(t *testing.T) {
 	b := NewBottomK[uint64](0)
-	if b.K() != 1 {
-		t.Fatalf("K=%d, want clamp to 1", b.K())
+	if b.k != 1 {
+		t.Fatalf("K=%d, want clamp to 1", b.k)
 	}
 	b.Add(Hash64(1), 1)
 	b.Add(Hash64(2), 2)
@@ -240,38 +240,39 @@ func TestBottomKClampAndReset(t *testing.T) {
 }
 
 // TestBottomKAddContracts pins what a caller with an expensive value
-// relies on: Add reports a change exactly when Hashes() changed, Admits
-// predicts that report without a value, a refused or duplicate hash leaves
-// the sample alone, and a duplicate keeps the value that came first.
+// relies on: Add reports a change exactly when the retained hashes
+// changed, Admits predicts that report without a value, a refused or
+// duplicate hash leaves the sample alone, and a duplicate keeps the value
+// that came first.
 func TestBottomKAddContracts(t *testing.T) {
 	for _, k := range []int{1, 8, 64} {
 		b := NewBottomK[int](k)
 		st := rng.New(uint64(k))
 		for i := 0; i < 2000; i++ {
 			h := Hash64(uint64(st.Intn(300))) // ~300 distinct items, so most offers repeat
-			before := slices.Clone(b.Hashes())
+			before := slices.Clone(b.hashes)
 			kept, held := 0, slices.Contains(before, h)
 			if held {
 				kept = b.Values()[slices.Index(before, h)]
 			}
 			admits := b.Admits(h)
-			if !slices.Equal(b.Hashes(), before) {
+			if !slices.Equal(b.hashes, before) {
 				t.Fatalf("k=%d: Admits changed the sample", k)
 			}
 			changed := b.Add(h, i+1)
 			if changed != admits {
 				t.Fatalf("k=%d offer %d: Admits said %v, Add reported %v", k, i, admits, changed)
 			}
-			if changed == slices.Equal(b.Hashes(), before) {
-				t.Fatalf("k=%d offer %d: Add reported %v, Hashes() changed: %v", k, i, changed, !changed)
+			if changed == slices.Equal(b.hashes, before) {
+				t.Fatalf("k=%d offer %d: Add reported %v, hashes changed: %v", k, i, changed, !changed)
 			}
 			if len(before) == k && h >= before[k-1] && changed {
 				t.Fatalf("k=%d offer %d: a hash at or above the k-th smallest was admitted", k, i)
 			}
-			if held && b.Values()[slices.Index(b.Hashes(), h)] != kept {
+			if held && b.Values()[slices.Index(b.hashes, h)] != kept {
 				t.Fatalf("k=%d offer %d: a duplicate replaced the first value", k, i)
 			}
-			if len(b.Values()) != len(b.Hashes()) || !slices.IsSorted(b.Hashes()) {
+			if len(b.Values()) != len(b.hashes) || !slices.IsSorted(b.hashes) {
 				t.Fatalf("k=%d offer %d: views out of step or out of order", k, i)
 			}
 		}
@@ -288,7 +289,7 @@ func TestBottomKGrowsOnDemand(t *testing.T) {
 	for v := uint64(0); v < 3; v++ {
 		b.Add(Hash64(v), v)
 	}
-	if c := cap(b.Values()) + cap(b.Hashes()); c > 16 {
+	if c := cap(b.Values()) + cap(b.hashes); c > 16 {
 		t.Fatalf("a 3-item sample of capacity 256 holds %d slots", c)
 	}
 }

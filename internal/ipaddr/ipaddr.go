@@ -144,23 +144,6 @@ func (p Prefix) String() string {
 	return p.Base.String() + "/" + strconv.Itoa(p.Bits)
 }
 
-// ParsePrefix parses CIDR notation such as "10.2.0.0/16".
-func ParsePrefix(s string) (Prefix, error) {
-	i := strings.IndexByte(s, '/')
-	if i < 0 {
-		return Prefix{}, fmt.Errorf("%w: missing '/' in %q", ErrBadAddr, s)
-	}
-	a, err := Parse(s[:i])
-	if err != nil {
-		return Prefix{}, err
-	}
-	bits, err := strconv.Atoi(s[i+1:])
-	if err != nil || bits < 0 || bits > 32 {
-		return Prefix{}, fmt.Errorf("%w: bad prefix length in %q", ErrBadAddr, s)
-	}
-	return NewPrefix(a, bits), nil
-}
-
 // ReverseName returns the in-addr.arpa PTR query name for a, e.g.
 // 1.2.3.4 -> "4.3.2.1.in-addr.arpa".
 func (a Addr) ReverseName() string {

@@ -104,21 +104,6 @@ func TestPrefixZeroBits(t *testing.T) {
 	}
 }
 
-func TestParsePrefix(t *testing.T) {
-	p, err := ParsePrefix("172.16.0.0/12")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Bits != 12 || p.Base != MustParse("172.16.0.0") {
-		t.Errorf("got %v", p)
-	}
-	for _, bad := range []string{"1.2.3.4", "1.2.3.4/33", "1.2.3.4/-1", "1.2.3.4/x", "bad/8"} {
-		if _, err := ParsePrefix(bad); err == nil {
-			t.Errorf("ParsePrefix(%q) succeeded", bad)
-		}
-	}
-}
-
 func TestReverseName(t *testing.T) {
 	a := MustParse("1.2.3.4")
 	want := "4.3.2.1.in-addr.arpa"

@@ -116,13 +116,13 @@ func (g *Graph) sortedNodes() []*FuncNode {
 // `//bslint:detroot`.
 const directivePrefix = "//bslint:"
 
-// hasDirective reports whether the declaration's doc comment carries the
+// hasDirective reports whether a declaration's doc comment carries the
 // named bslint directive.
-func hasDirective(fd *ast.FuncDecl, name string) bool {
-	if fd.Doc == nil {
+func hasDirective(doc *ast.CommentGroup, name string) bool {
+	if doc == nil {
 		return false
 	}
-	for _, c := range fd.Doc.List {
+	for _, c := range doc.List {
 		text := strings.TrimSpace(c.Text)
 		if rest, ok := strings.CutPrefix(text, directivePrefix); ok {
 			if field := strings.Fields(rest); len(field) > 0 && field[0] == name {

@@ -51,7 +51,7 @@ func runDetTaint(g *Graph, pkgs []*Package) []Finding {
 			continue
 		}
 		if strings.HasPrefix(node.Fn.Name(), "Build") && node.Fn.Exported() ||
-			hasDirective(node.Decl, "detroot") {
+			hasDirective(node.Decl.Doc, "detroot") {
 			roots = append(roots, node)
 		}
 	}

@@ -27,7 +27,7 @@ func runHotalloc(pkg *Package) []Finding {
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !hasDirective(fd, "hotpath") {
+			if !ok || fd.Body == nil || !hasDirective(fd.Doc, "hotpath") {
 				continue
 			}
 			out = append(out, escapingLiteralFindings(pkg, fd)...)

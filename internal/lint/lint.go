@@ -4,8 +4,10 @@
 // determinism (no wall clock or global randomness outside sanctioned
 // bridges), lock discipline on shared state, and errors never silently
 // discarded — that ordinary review misses and go vet does not cover. Each
-// invariant is a Check registered here; cmd/bslint runs them over every
-// package in the module and fails the build on findings.
+// invariant is a Check registered here, and the docs ModuleCheck holds the
+// Markdown to its references, the hotpath inventory and the prose budget;
+// cmd/bslint runs them all over the module and fails the build on
+// findings.
 //
 // The framework is stdlib-only: packages load through go/parser and
 // type-check through go/types, so checks see resolved types, not just
@@ -18,6 +20,7 @@ import (
 	"go/ast"
 	"go/token"
 	"regexp"
+	"slices"
 	"sort"
 )
 
@@ -37,7 +40,7 @@ func (f Finding) String() string {
 // Check is one analyzer: a named rule plus the function that applies it to
 // a loaded, type-checked package.
 type Check struct {
-	// Name identifies the check in output, flags, and nolint comments.
+	// Name identifies the check in output and nolint comments.
 	Name string
 	// Doc is a one-line description shown by bslint -list.
 	Doc string
@@ -45,11 +48,12 @@ type Check struct {
 	Run func(pkg *Package) []Finding
 }
 
-// ModuleCheck is one interprocedural analyzer. Unlike Check it sees every
+// ModuleCheck is one module-level analyzer. Unlike Check it sees every
 // loaded package at once plus the call graph built over them, so it can
-// reason about reachability and cross-function contracts.
+// reason about reachability, cross-function contracts and the module's
+// files beyond Go.
 type ModuleCheck struct {
-	// Name identifies the check in output, flags, and nolint comments.
+	// Name identifies the check in output and nolint comments.
 	Name string
 	// Doc is a one-line description shown by bslint -list.
 	Doc string
@@ -58,7 +62,7 @@ type ModuleCheck struct {
 }
 
 // registry holds the built-in per-package checks in registration order;
-// moduleRegistry holds the interprocedural ones.
+// moduleRegistry holds the module-level ones.
 var (
 	registry       []Check
 	moduleRegistry []ModuleCheck
@@ -70,86 +74,44 @@ func Register(c Check) {
 	registry = append(registry, c)
 }
 
-// RegisterModule adds an interprocedural check to the suite.
+// RegisterModule adds a module-level check to the suite.
 func RegisterModule(c ModuleCheck) {
 	moduleRegistry = append(moduleRegistry, c)
 }
 
 // Checks returns the registered per-package checks in registration order.
-func Checks() []Check {
-	out := make([]Check, len(registry))
-	copy(out, registry)
-	return out
-}
+func Checks() []Check { return slices.Clone(registry) }
 
-// ModuleChecks returns the registered interprocedural checks in
-// registration order.
-func ModuleChecks() []ModuleCheck {
-	out := make([]ModuleCheck, len(moduleRegistry))
-	copy(out, moduleRegistry)
-	return out
-}
+// ModuleChecks returns the registered module checks in registration
+// order.
+func ModuleChecks() []ModuleCheck { return slices.Clone(moduleRegistry) }
 
-// CheckNames returns every registered check name — per-package and
-// module-level — in registration order, for flag plumbing.
-func CheckNames() []string {
-	var names []string
-	for _, c := range registry {
-		names = append(names, c.Name)
-	}
-	for _, c := range moduleRegistry {
-		names = append(names, c.Name)
-	}
-	return names
-}
-
-// Run applies the enabled checks — per-package analyzers first, then the
-// interprocedural suite over a call graph of all packages — and returns
-// the surviving findings sorted by position. enabled maps check name ->
-// on/off; a name absent from the map defaults to on. nolint suppressions
-// are applied before returning.
-func Run(pkgs []*Package, enabled map[string]bool) []Finding {
-	on := func(name string) bool {
-		v, ok := enabled[name]
-		return !ok || v
-	}
+// Run applies every registered check — per-package analyzers first, then
+// the module checks over a call graph of all packages — and returns the
+// surviving findings sorted by position. nolint suppressions are applied
+// before returning.
+func Run(pkgs []*Package) []Finding {
 	sup := suppressionSet{}
 	for _, pkg := range pkgs {
 		sup.merge(suppressions(pkg))
 	}
 	var all []Finding
+	keep := func(name string, fs []Finding) {
+		for _, f := range fs {
+			f.Check = name
+			if !sup.suppressed(f) {
+				all = append(all, f)
+			}
+		}
+	}
 	for _, pkg := range pkgs {
 		for _, c := range registry {
-			if !on(c.Name) {
-				continue
-			}
-			for _, f := range c.Run(pkg) {
-				f.Check = c.Name
-				if !sup.suppressed(f) {
-					all = append(all, f)
-				}
-			}
+			keep(c.Name, c.Run(pkg))
 		}
 	}
-	anyModule := false
+	g := BuildGraph(pkgs)
 	for _, c := range moduleRegistry {
-		if on(c.Name) {
-			anyModule = true
-		}
-	}
-	if anyModule {
-		g := BuildGraph(pkgs)
-		for _, c := range moduleRegistry {
-			if !on(c.Name) {
-				continue
-			}
-			for _, f := range c.Run(g, pkgs) {
-				f.Check = c.Name
-				if !sup.suppressed(f) {
-					all = append(all, f)
-				}
-			}
-		}
+		keep(c.Name, c.Run(g, pkgs))
 	}
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i].Pos, all[j].Pos

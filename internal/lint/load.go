@@ -55,16 +55,9 @@ func LoadModule(dir string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	root := abs
-	for {
-		if _, err := os.Stat(filepath.Join(root, "go.mod")); err == nil {
-			break
-		}
-		parent := filepath.Dir(root)
-		if parent == root {
-			return nil, fmt.Errorf("lint: no go.mod found above %s", abs)
-		}
-		root = parent
+	root := moduleRoot(abs)
+	if root == "" {
+		return nil, fmt.Errorf("lint: no go.mod found above %s", abs)
 	}
 	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {

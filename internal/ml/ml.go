@@ -427,12 +427,6 @@ type Majority struct {
 	Members []Classifier
 }
 
-// TrainMajority trains n instances of tr on d sequentially. It is
-// TrainMajorityWorkers with one worker; the ensemble is identical.
-func TrainMajority(tr Trainer, d *Dataset, n int, st *rng.Stream) *Majority {
-	return TrainMajorityWorkers(tr, d, n, 1, st)
-}
-
 // TrainMajorityWorkers trains the n ensemble members across workers.
 // Each member derives its own rng stream from st, seeded in member order
 // before fan-out, so the ensemble is byte-identical for every worker

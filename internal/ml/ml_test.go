@@ -384,7 +384,7 @@ func TestDeterministicTraining(t *testing.T) {
 func TestMajorityVote(t *testing.T) {
 	d := blobs(3, 30, 5, 1.5, 0.5, 70)
 	st := rng.New(71)
-	m := TrainMajority(Forest{Config: ForestConfig{Trees: 10}}, d, 5, st)
+	m := TrainMajorityWorkers(Forest{Config: ForestConfig{Trees: 10}}, d, 5, 1, st)
 	if len(m.Members) != 5 {
 		t.Fatal("wrong member count")
 	}

@@ -49,7 +49,7 @@ func TestForestWorkerCountInvariant(t *testing.T) {
 func TestMajorityWorkerCountInvariant(t *testing.T) {
 	d := blobs(3, 25, 5, 1.5, 0.5, 13)
 	tr := Forest{Config: ForestConfig{Trees: 10}}
-	want := TrainMajority(tr, d, 5, rng.New(21))
+	want := TrainMajorityWorkers(tr, d, 5, 1, rng.New(21))
 	for _, w := range []int{2, 8} {
 		got := TrainMajorityWorkers(tr, d, 5, w, rng.New(21))
 		for i, row := range d.X {

@@ -97,8 +97,8 @@ type Series struct {
 }
 
 // Timeseries is the windowed snapshot document: what SnapshotJSON writes
-// and ParseTimeseries reads. bsserve's /timeseries and bswatch's replay
-// both speak exactly this document, so they cannot disagree.
+// and ParseTimeseries reads. bsserve's /timeseries and bsview alerts'
+// replay both speak exactly this document, so they cannot disagree.
 type Timeseries struct {
 	// Width is the bucket width in simulated seconds.
 	Width simtime.Duration `json:"width"`
@@ -169,8 +169,8 @@ func (w *Window) SnapshotJSON() []byte {
 	return append(out, '\n')
 }
 
-// ParseTimeseries parses a SnapshotJSON document. Consumers (cmd/bswatch)
-// read the rendered document rather than re-aggregating, so every view of
+// ParseTimeseries parses a SnapshotJSON document. Consumers (bsview
+// alerts) read the rendered document rather than re-aggregating, so every view of
 // a run's time series comes from one artifact.
 func ParseTimeseries(data []byte) (Timeseries, error) {
 	var doc Timeseries

@@ -12,8 +12,7 @@
 //
 // A Pool with Workers <= 0 uses runtime.GOMAXPROCS(0); Workers == 1 runs
 // the plain sequential loop (no goroutines). Panics inside workers are
-// captured and re-raised on the calling goroutine, and Run supports
-// context cancellation for long batches.
+// captured and re-raised on the calling goroutine.
 //
 // When a Pool carries an obs registry and stage name, every batch
 // records parallel_shards_total{stage=...} (the number of work items —
@@ -29,7 +28,6 @@
 package parallel
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -64,21 +62,6 @@ type Pool struct {
 	Acct *prof.Accountant
 }
 
-// Each runs fn(i) for every i in [0, n), using at most p.Workers
-// goroutines. It returns when all items completed. A panic in any item
-// is re-raised on the calling goroutine after the remaining workers
-// drain. fn must not depend on execution order.
-func (p Pool) Each(n int, fn func(i int)) {
-	err := p.run(nil, n, func(i int) error {
-		fn(i)
-		return nil
-	})
-	if err != nil {
-		// Unreachable: fn never errors and no context is installed.
-		panic("parallel: unexpected error from infallible batch: " + err.Error())
-	}
-}
-
 // Map runs fn over [0, n) under the pool and returns the results in
 // index order — the deterministic merge: results[i] is fn(i) no matter
 // which worker computed it or when.
@@ -88,34 +71,13 @@ func Map[T any](p Pool, n int, fn func(i int) T) []T {
 	return out
 }
 
-// Run is Each with error and cancellation support: it stops claiming new
-// items once fn returns an error or ctx is cancelled, waits for in-flight
-// items, and returns the error of the lowest-indexed failed item (or
-// ctx.Err()). Items after a failure may be skipped. A nil ctx never
-// cancels.
-func (p Pool) Run(ctx context.Context, n int, fn func(i int) error) error {
-	return p.run(ctx, n, fn)
-}
-
-// batchErr records the lowest-indexed error of a batch.
-type batchErr struct {
-	mu  sync.Mutex
-	idx int
-	err error
-}
-
-// record keeps err if it is the lowest-indexed failure so far.
-func (b *batchErr) record(idx int, err error) {
-	b.mu.Lock()
-	if b.err == nil || idx < b.idx {
-		b.idx, b.err = idx, err
-	}
-	b.mu.Unlock()
-}
-
-func (p Pool) run(ctx context.Context, n int, fn func(i int) error) error {
+// Each runs fn(i) for every i in [0, n), using at most p.Workers
+// goroutines. It returns when all items completed. A panic in any item
+// is re-raised on the calling goroutine after the remaining workers
+// drain. fn must not depend on execution order.
+func (p Pool) Each(n int, fn func(i int)) {
 	if n <= 0 {
-		return nil
+		return
 	}
 	var gauge *obs.Gauge
 	var sacct *prof.StageAcct
@@ -137,16 +99,9 @@ func (p Pool) run(ctx context.Context, n int, fn func(i int) error) error {
 		sacct.EnterWorker()
 		defer sacct.LeaveWorker()
 		for i := 0; i < n; i++ {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
+			fn(i)
 		}
-		return nil
+		return
 	}
 
 	// Workers claim chunks of consecutive indices from an atomic cursor;
@@ -160,7 +115,6 @@ func (p Pool) run(ctx context.Context, n int, fn func(i int) error) error {
 	var (
 		cursor atomic.Int64
 		stop   atomic.Bool
-		errs   batchErr
 		wg     sync.WaitGroup
 		pOnce  sync.Once
 		pVal   any
@@ -180,13 +134,6 @@ func (p Pool) run(ctx context.Context, n int, fn func(i int) error) error {
 				}
 			}()
 			for !stop.Load() {
-				if ctx != nil {
-					if err := ctx.Err(); err != nil {
-						errs.record(n, err)
-						stop.Store(true)
-						return
-					}
-				}
 				hi := int(cursor.Add(int64(chunk)))
 				lo := hi - chunk
 				if lo >= n {
@@ -196,11 +143,7 @@ func (p Pool) run(ctx context.Context, n int, fn func(i int) error) error {
 					hi = n
 				}
 				for i := lo; i < hi; i++ {
-					if err := fn(i); err != nil {
-						errs.record(i, err)
-						stop.Store(true)
-						return
-					}
+					fn(i)
 				}
 			}
 		}()
@@ -209,5 +152,4 @@ func (p Pool) run(ctx context.Context, n int, fn func(i int) error) error {
 	if pVal != nil {
 		panic(pVal)
 	}
-	return errs.err
 }

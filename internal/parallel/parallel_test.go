@@ -2,8 +2,6 @@ package parallel
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -89,52 +87,6 @@ func TestPanicPropagation(t *testing.T) {
 				}
 			})
 		}()
-	}
-}
-
-func TestRunErrorLowestIndexWins(t *testing.T) {
-	errA := errors.New("a")
-	errB := errors.New("b")
-	// With one worker the scan is in order, so the lowest-indexed error
-	// is returned exactly; with many workers it is still the lowest
-	// among the items that ran.
-	err := Pool{Workers: 1}.Run(nil, 100, func(i int) error {
-		switch i {
-		case 10:
-			return errA
-		case 50:
-			return errB
-		}
-		return nil
-	})
-	if !errors.Is(err, errA) {
-		t.Errorf("sequential Run error = %v, want %v", err, errA)
-	}
-	err = Pool{Workers: 8}.Run(nil, 100, func(i int) error {
-		if i >= 10 {
-			return fmt.Errorf("item %d: %w", i, errA)
-		}
-		return nil
-	})
-	if !errors.Is(err, errA) {
-		t.Errorf("parallel Run error = %v, want wrapped %v", err, errA)
-	}
-}
-
-func TestRunContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int32
-	err := Pool{Workers: 2}.Run(ctx, 10000, func(i int) error {
-		if ran.Add(1) == 5 {
-			cancel()
-		}
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("Run after cancel = %v, want context.Canceled", err)
-	}
-	if ran.Load() == 10000 {
-		t.Error("cancellation did not stop the batch early")
 	}
 }
 

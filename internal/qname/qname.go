@@ -57,16 +57,6 @@ func (c Category) String() string {
 	return categoryNames[c]
 }
 
-// ParseCategory maps a short feature name back to its Category.
-func ParseCategory(s string) (Category, bool) {
-	for i, n := range categoryNames {
-		if n == s {
-			return Category(i), true
-		}
-	}
-	return 0, false
-}
-
 // tokenRules are the keyword lists from §III-C, in rule order. A keyword
 // matches a token exactly, or by prefix when the paper's list has a
 // trailing '*' (send*).

@@ -117,18 +117,6 @@ func TestCategoryString(t *testing.T) {
 	}
 }
 
-func TestParseCategory(t *testing.T) {
-	for c := Category(0); c < NumCategories; c++ {
-		got, ok := ParseCategory(c.String())
-		if !ok || got != c {
-			t.Errorf("ParseCategory(%q) = %v, %v", c.String(), got, ok)
-		}
-	}
-	if _, ok := ParseCategory("bogus"); ok {
-		t.Error("ParseCategory accepted bogus name")
-	}
-}
-
 // TestGeneratorMatchesClassifier is the central consistency property: every
 // generated name must classify back to the category it was generated for.
 func TestGeneratorMatchesClassifier(t *testing.T) {

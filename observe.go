@@ -2,7 +2,6 @@ package backscatter
 
 import (
 	"dnsbackscatter/internal/obs"
-	"dnsbackscatter/internal/simtime"
 	"dnsbackscatter/internal/trace"
 )
 
@@ -25,11 +24,6 @@ func NewRegistry() *Registry { return obs.NewRegistry() }
 // reading, so stage "durations" count clock readings — identical runs
 // report identical numbers.
 func TickClock(step Duration) obs.Clock { return obs.TickClock(step) }
-
-// WallClock returns a span clock backed by the wall clock in whole seconds
-// (simtime.Wall) — for operational use in mains, where determinism rules
-// do not apply.
-func WallClock() obs.Clock { return simtime.Wall }
 
 // Metrics returns the registry this dataset records into, or nil when the
 // dataset was built without one (plain Build).
