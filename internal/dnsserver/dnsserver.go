@@ -11,12 +11,14 @@ package dnsserver
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -388,7 +390,8 @@ func (s *Server) exchange(wire []byte, peer *net.UDPAddr, tcp bool, msg *dnswire
 	}
 	var tc *trace.Ctx
 	if tr != nil {
-		tc = tr.Begin(peerQuerier(peer), queryOrig(msg), qnow)
+		orig, _ := ipaddr.FromReverseName(msg.Questions[0].Name) // 0 off in-addr.arpa
+		tc = tr.Begin(peerQuerier(peer), orig, qnow)
 		if tcp {
 			tc.TCP("server", 1, qnow)
 		}
@@ -457,19 +460,6 @@ func peerQuerier(peer *net.UDPAddr) ipaddr.Addr {
 		return ipaddr.FromOctets(v4[0], v4[1], v4[2], v4[3])
 	}
 	return 0
-}
-
-// queryOrig parses the originator out of a reverse query's qname (0 when
-// the question is not an in-addr.arpa PTR name — referral traffic).
-func queryOrig(msg *dnswire.Message) ipaddr.Addr {
-	if len(msg.Questions) != 1 {
-		return 0
-	}
-	orig, err := ipaddr.FromReverseName(msg.Questions[0].Name)
-	if err != nil {
-		return 0
-	}
-	return orig
 }
 
 // serveTCP accepts truncation-fallback connections. Each connection gets
@@ -595,9 +585,21 @@ func FinalHandler(profile dnssim.ProfileFunc) Handler {
 			rec.RCode = dnswire.RCodeNXDomain
 			resp := dnswire.NewResponse(q, dnswire.RCodeNXDomain)
 			resp.Header.AA = true
+			resp.Authority = append(resp.Authority, soa(q.Questions[0].Name, p.NegTTL))
 			return resp, rec, true
 		}
 	}
+}
+
+// soa is the SOA record an NXDOMAIN carries (RFC 2308 §3): owned by the
+// /16 zone (qname less two labels), naming the root as server and mailbox,
+// with negTTL as both TTL and MINIMUM.
+func soa(qname string, negTTL simtime.Duration) dnswire.RR {
+	zone := qname[strings.IndexByte(qname, '.')+1:]
+	rdata := make([]byte, 22) // MNAME, RNAME, SERIAL, REFRESH, RETRY, EXPIRE, MINIMUM
+	binary.BigEndian.PutUint32(rdata[18:], uint32(negTTL))
+	return dnswire.RR{Name: zone[strings.IndexByte(zone, '.')+1:], Type: dnswire.TypeSOA,
+		Class: dnswire.ClassIN, TTL: uint32(negTTL), RData: rdata}
 }
 
 // Client performs PTR lookups against a server, with the retransmit

@@ -115,7 +115,7 @@ func TestServerServFailFault(t *testing.T) {
 	if tr.Queries == 0 {
 		t.Error("recursor sent no queries")
 	}
-	// The failure is negative-cached: no new queries inside NegTTL.
+	// The failure is negative-cached: no new queries inside ServFailTTL.
 	_, tr, _ = r.ResolvePTR(ipaddr.MustParse("100.50.3.4"), 1060)
 	if tr.Queries != 0 {
 		t.Errorf("SERVFAIL not negative-cached: %d queries on retry", tr.Queries)

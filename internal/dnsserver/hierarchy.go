@@ -1,9 +1,11 @@
 package dnsserver
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"time"
 
 	"dnsbackscatter/internal/cache"
@@ -135,46 +137,37 @@ type Trace struct {
 
 // Recursor is a caching recursive resolver walking the live hierarchy —
 // the querier-side machinery whose caches attenuate what upper-level
-// sensors see (§II, §IV-D).
+// sensors see (§II, §IV-D). Where it starts and what it caches come from
+// the simulated walk's decision table (dnssim.StartLevel and the rest).
 type Recursor struct {
-	// Roots are the root server addresses (host:port), tried in order.
+	// Roots are the root server addresses (host:port); a walk asks the
+	// first.
 	Roots []string
 	// Client performs the individual queries.
 	Client Client
-	// NegTTL caches NXDomain answers (default 5 minutes).
-	NegTTL simtime.Duration
 
 	cache  *cache.Cache
-	m      recursorMetrics
+	m      dnssim.Metrics
 	tracer *trace.Tracer
 }
 
-// recursorMetrics holds the recursor's pre-resolved counters: all nil, and
-// so no-ops, on an uninstrumented recursor.
-type recursorMetrics struct {
-	hits     *obs.Counter
-	misses   *obs.Counter
-	upstream [3]*obs.Counter // by dnssim.Levels index
-}
+// servFailTTL is how long a give-up holds: the simulator's default, so
+// both walks rate-limit a failing name alike.
+var servFailTTL = dnssim.DefaultConfig().ServFailTTL
 
 // NewRecursor returns a recursor with a fresh cache, rooted at the given
-// server addresses. reg, when non-nil, counts full-answer cache hits and
-// misses (recursor_cache_{hits,misses}_total), upstream queries by
-// hierarchy level (recursor_upstream_queries_total{level=root|national|
-// final}, retransmits included — the live view of §IV-D attenuation),
-// per-tier cache traffic and the client's retransmits. tr, when non-nil,
-// begins a trace for every ResolvePTR whose events are the hops of the
-// live referral chain; the recursor itself is the querier, so the trace's
-// querier address is zero.
+// server addresses. reg, when non-nil, counts lookups, full-answer cache
+// hits and upstream queries by level, retransmits included, under the
+// simulated walk's names (dnssim_resolves_total, dnssim_cached_total,
+// dnssim_queries_total{level=root|national|final}: the live view of
+// §IV-D attenuation), plus per-tier cache traffic and the client's
+// retransmits. tr, when non-nil, begins a trace for every ResolvePTR whose
+// events are the hops of the live referral chain; the recursor itself is
+// the querier, so the trace's querier address is zero.
 func NewRecursor(reg *obs.Registry, tr *trace.Tracer, roots ...string) *Recursor {
-	r := &Recursor{Roots: roots, NegTTL: 5 * simtime.Minute, cache: cache.New(8192), tracer: tr}
+	r := &Recursor{Roots: roots, cache: cache.New(8192), m: dnssim.NewMetrics(reg), tracer: tr}
 	r.Client.Obs = reg
 	r.cache.SetMetrics(reg, "recursor")
-	r.m.hits = reg.Counter("recursor_cache_hits_total")
-	r.m.misses = reg.Counter("recursor_cache_misses_total")
-	for i, level := range dnssim.Levels {
-		r.m.upstream[i] = reg.Counter("recursor_upstream_queries_total", obs.L("level", level))
-	}
 	return r
 }
 
@@ -184,36 +177,43 @@ const maxChase = 8
 // ResolvePTR recursively resolves the reverse name of addr at the given
 // simulated instant (the recursor's caches run on simtime so tests control
 // expiry). It returns the PTR target ("" for NXDomain) and a trace of the
-// authorities contacted.
+// authorities contacted. Every failure is a give-up, negative-cached like
+// the simulated walk's.
 func (r *Recursor) ResolvePTR(addr ipaddr.Addr, now simtime.Time) (string, Trace, error) {
 	var tr Trace
 	tc := r.tracer.Begin(0, addr, now)
+	target, level, err := r.walk(addr, now, tc, &tr)
+	if err != nil {
+		r.store(dnssim.GiveUp(addr, servFailTTL, now), "")
+		tc.GiveUp(dnssim.Levels[level], now)
+	}
+	tc.Finish(now, tr.Queries)
+	return target, tr, err
+}
+
+// walk is ResolvePTR's resolution; it returns the level it ended at.
+func (r *Recursor) walk(addr ipaddr.Addr, now simtime.Time, tc *trace.Ctx, tr *Trace) (string, int, error) {
 	if e, ok := r.cache.Get(cache.PTRKey(addr), now); ok {
-		r.m.hits.Inc()
+		r.m.Resolve(true, now)
 		tc.CacheHit(now)
-		tc.Finish(now, 0)
-		if e.Negative {
-			return "", tr, nil
-		}
-		return e.Value, tr, nil
+		return e.Value, 0, nil
 	}
-	r.m.misses.Inc()
-
-	// Deepest cached delegation wins; otherwise start at a root.
-	server := ""
-	level := 0 // index into dnssim.Levels
-	if e, ok := r.cache.Get(cache.Zone16Key(addr), now); ok {
-		server, level = e.Value, 2
-	} else if e, ok := r.cache.Get(cache.Zone8Key(addr), now); ok {
-		server, level = e.Value, 1
-	} else {
-		if len(r.Roots) == 0 {
-			return "", tr, fmt.Errorf("dnsserver: recursor has no roots")
-		}
-		server, level = r.Roots[0], 0
+	r.m.Resolve(false, now)
+	z16, have16 := r.cache.Get(cache.Zone16Key(addr), now)
+	z8, have8 := r.cache.Get(cache.Zone8Key(addr), now)
+	level := dnssim.StartLevel(have8, have16)
+	server := z16.Value
+	switch {
+	case level == 1:
+		server = z8.Value
+	case level == 0 && len(r.Roots) == 0:
+		return "", level, errors.New("dnsserver: recursor has no roots")
+	case level == 0:
+		server = r.Roots[0]
 	}
 
-	for hop := 0; hop < maxChase; hop++ {
+	for hop := 1; hop <= maxChase; hop++ {
+		lv := dnssim.Levels[level]
 		switch level {
 		case 0:
 			tr.Root = true
@@ -222,69 +222,62 @@ func (r *Recursor) ResolvePTR(addr ipaddr.Addr, now simtime.Time) (string, Trace
 		default:
 			tr.Final = true
 		}
-		tc.Query(dnssim.Levels[level], hop+1, now)
+		tc.Query(lv, hop, now)
 		msg, sent, err := r.Client.queryPTR(server, addr)
 		tr.Queries += sent
-		r.m.upstream[level].Add(uint64(sent))
+		r.m.Queries(level, uint64(sent), false, now)
 		if err != nil {
-			// Unreachable authority: remember briefly, as stubs do.
-			r.cache.PutNegative(cache.PTRKey(addr), r.NegTTL, now)
-			tc.Fault(dnssim.Levels[level], hop+1, "unreachable", now)
-			tc.GiveUp(dnssim.Levels[level], now)
-			tc.Finish(now, tr.Queries)
-			return "", tr, err
+			tc.Fault(lv, hop, "unreachable", now)
+			return "", level, err
 		}
-		tc.Answer(dnssim.Levels[level], msg.Header.RCode, 0, now)
+		tc.Answer(lv, msg.Header.RCode, 0, now)
 		switch {
 		case len(msg.Answers) > 0 && msg.Answers[0].Type == dnswire.TypePTR:
-			ttl := simtime.Duration(msg.Answers[0].TTL)
-			r.cache.Put(cache.PTRKey(addr), msg.Answers[0].Target, ttl, now)
-			tc.Finish(now, tr.Queries)
-			return msg.Answers[0].Target, tr, nil
+			a := msg.Answers[0]
+			r.store(dnssim.Answer(addr, true, simtime.Duration(a.TTL), now), a.Target)
+			return a.Target, level, nil
 		case msg.Header.RCode == dnswire.RCodeNXDomain:
-			r.cache.PutNegative(cache.PTRKey(addr), r.NegTTL, now)
-			tc.Finish(now, tr.Queries)
-			return "", tr, nil
+			r.store(dnssim.Answer(addr, false, negativeTTL(msg), now), "")
+			return "", level, nil
 		case msg.Header.RCode == dnswire.RCodeServFail:
-			// A storming authority: remember the failure briefly (the
-			// live ServFailTTL analogue) instead of chasing referrals.
-			r.cache.PutNegative(cache.PTRKey(addr), r.NegTTL, now)
-			tc.Fault(dnssim.Levels[level], hop+1, "servfail", now)
-			tc.Finish(now, tr.Queries)
-			return "", tr, fmt.Errorf("dnsserver: SERVFAIL from %s", server)
-		default:
-			zone, next, ttl, ok := referralTarget(msg)
-			if !ok {
-				return "", tr, fmt.Errorf("dnsserver: lame response from %s", server)
-			}
-			// Zone depth tells the cache tier: "1.in-addr.arpa" has 3
-			// labels (a /8 zone), "2.1.in-addr.arpa" has 4 (a /16 zone).
-			if labelCount(zone) >= 4 {
-				r.cache.Put(cache.Zone16Key(addr), next.String(), ttl, now)
-				level = 2
-			} else {
-				r.cache.Put(cache.Zone8Key(addr), next.String(), ttl, now)
-				level = 1
-			}
-			server = next.String()
+			tc.Fault(lv, hop, "servfail", now)
+			return "", level, fmt.Errorf("dnsserver: SERVFAIL from %s", server)
 		}
+		zone, next, ttl, ok := referralTarget(msg)
+		if !ok {
+			return "", level, fmt.Errorf("dnsserver: lame response from %s", server)
+		}
+		// Zone depth names the level referred to: "1.in-addr.arpa" (a /8
+		// zone) has two dots, "2.1.in-addr.arpa" (a /16 zone) three.
+		level = 1
+		if strings.Count(zone, ".") >= 3 {
+			level = 2
+		}
+		server = next.String()
+		r.store(dnssim.Referral(addr, level, ttl, now), server)
 	}
-	tc.GiveUp(dnssim.Levels[level], now)
-	tc.Finish(now, tr.Queries)
-	return "", tr, fmt.Errorf("dnsserver: referral chain exceeded %d hops", maxChase)
+	return "", level, fmt.Errorf("dnsserver: referral chain exceeded %d hops", maxChase)
 }
 
-func labelCount(name string) int {
-	if name == "" {
-		return 0
+// store applies one of the walk's cache writes; value is what a positive
+// entry answers with.
+func (r *Recursor) store(w dnssim.Write, value string) {
+	if w.Negative {
+		r.cache.PutNegative(w.Key, w.TTL, w.At)
+	} else {
+		r.cache.Put(w.Key, value, w.TTL, w.At)
 	}
-	n := 1
-	for i := 0; i < len(name); i++ {
-		if name[i] == '.' {
-			n++
+}
+
+// negativeTTL is how long an NXDOMAIN holds: the TTL of the SOA record it
+// carries (RFC 2308 §5), or a give-up's when it carries none.
+func negativeTTL(m *dnswire.Message) simtime.Duration {
+	for _, rr := range m.Authority {
+		if rr.Type == dnswire.TypeSOA {
+			return simtime.Duration(rr.TTL)
 		}
 	}
-	return n
+	return servFailTTL
 }
 
 // queryPTR sends one PTR query and returns the parsed response message.

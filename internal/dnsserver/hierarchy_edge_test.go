@@ -13,6 +13,7 @@ import (
 	"dnsbackscatter/internal/faults"
 	"dnsbackscatter/internal/ipaddr"
 	"dnsbackscatter/internal/simtime"
+	"dnsbackscatter/internal/trace"
 )
 
 // referralOf runs one question through a ReferralHandler and returns the
@@ -79,8 +80,9 @@ func TestReferralTargetMalformed(t *testing.T) {
 	}
 }
 
-// TestRecursorLameDelegation pins the error path for an authority that
-// answers NoError with no referral and no answer.
+// TestRecursorLameDelegation pins the give-up for an authority that
+// answers NoError with no referral and no answer: an error, a committed
+// trace with a give-up, and no second query inside ServFailTTL.
 func TestRecursorLameDelegation(t *testing.T) {
 	lame, err := Listen("127.0.0.1:0", Config{Authority: "lame",
 		Handler: func(q *dnswire.Message, peer *net.UDPAddr) (*dnswire.Message, *dnslog.Record, bool) {
@@ -91,11 +93,16 @@ func TestRecursorLameDelegation(t *testing.T) {
 	}
 	t.Cleanup(func() { lame.Close() })
 
-	r := NewRecursor(nil, nil, lame.Addr().String())
+	tr := trace.New(1, 1)
+	r := NewRecursor(nil, tr, lame.Addr().String())
 	r.Client.Timeout = 300 * time.Millisecond
 	_, _, rerr := r.ResolvePTR(ipaddr.MustParse("100.50.3.4"), 0)
 	if rerr == nil || !strings.Contains(rerr.Error(), "lame") {
 		t.Fatalf("err = %v, want lame-response error", rerr)
+	}
+	gaveUp(t, tr)
+	if _, q, _ := r.ResolvePTR(ipaddr.MustParse("100.50.3.4"), simtime.Time(servFailTTL-1)); q.Queries != 0 || lame.Queries() != 1 {
+		t.Errorf("retry inside ServFailTTL sent %d queries, the lame server saw %d; want 0 and 1", q.Queries, lame.Queries())
 	}
 }
 
@@ -124,6 +131,10 @@ func TestRecursorDelegationLoop(t *testing.T) {
 	}
 	if tr.Queries != maxChase {
 		t.Errorf("loop sent %d queries, want %d", tr.Queries, maxChase)
+	}
+	// The exhausted chase is negative-cached like every give-up.
+	if _, tr, _ = r.ResolvePTR(ipaddr.MustParse("100.50.3.4"), 60); tr.Queries != 0 {
+		t.Errorf("retry of an exhausted chase sent %d queries, want 0", tr.Queries)
 	}
 }
 

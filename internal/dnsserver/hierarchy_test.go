@@ -1,6 +1,7 @@
 package dnsserver
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -34,6 +35,7 @@ func startHierarchy(t *testing.T) *liveHierarchy {
 func startHierarchyWith(t *testing.T, wire func(level string, cfg *Config)) *liveHierarchy {
 	t.Helper()
 	h := &liveHierarchy{records: make(map[string][]dnslog.Record)}
+	sim := dnssim.DefaultConfig()
 	listen := func(name string, handler Handler) *Server {
 		cfg := Config{Authority: name, Handler: handler, Sink: func(rs []dnslog.Record) {
 			h.mu.Lock()
@@ -61,24 +63,25 @@ func startHierarchyWith(t *testing.T, wire func(level string, cfg *Config)) *liv
 	h.final = final
 
 	// National registry: refers every /16 it covers to the final server,
-	// with a 6 h delegation TTL.
+	// for the simulator's /16 delegation TTL (6 h).
 	national := listen("national", ReferralHandler(func(a ipaddr.Addr) (Delegation, bool) {
 		if a.Slash8() != 100 && a.Slash8() != 101 {
 			return Delegation{}, false
 		}
 		o0, o1, _, _ := a.Octets()
 		zone := itoa(int(o1)) + "." + itoa(int(o0)) + ".in-addr.arpa"
-		return Delegation{Zone: zone, NS: "ns.final.example", Addr: final.Addr(), TTL: 6 * simtime.Hour}, true
+		return Delegation{Zone: zone, NS: "ns.final.example", Addr: final.Addr(), TTL: sim.FinalNSTTL}, true
 	}))
 	h.national = national
 
-	// Root: refers /8s 100-101 to the national registry, 2 d TTL.
+	// Root: refers /8s 100-101 to the national registry for the
+	// simulator's /8 delegation TTL (2 d).
 	root := listen("root", ReferralHandler(func(a ipaddr.Addr) (Delegation, bool) {
 		if a.Slash8() != 100 && a.Slash8() != 101 {
 			return Delegation{}, false
 		}
 		zone := itoa(int(a.Slash8())) + ".in-addr.arpa"
-		return Delegation{Zone: zone, NS: "ns.registry.example", Addr: national.Addr(), TTL: 2 * simtime.Day}, true
+		return Delegation{Zone: zone, NS: "ns.registry.example", Addr: national.Addr(), TTL: sim.NationalNSTTL}, true
 	}))
 	h.root = root
 	return h
@@ -221,7 +224,7 @@ func TestRecursorOutsideDelegation(t *testing.T) {
 	if target != "" || !tr.Root || tr.National {
 		t.Errorf("undelegated resolve: target=%q trace=%+v", target, tr)
 	}
-	// The NXDomain is negative-cached.
+	// The NXDomain, which carries no SOA, is negative-cached for ServFailTTL.
 	_, tr, err = r.ResolvePTR(ipaddr.MustParse("200.1.2.3"), 60)
 	if err != nil {
 		t.Fatal(err)
@@ -232,9 +235,49 @@ func TestRecursorOutsideDelegation(t *testing.T) {
 }
 
 func TestRecursorNoRoots(t *testing.T) {
-	r := NewRecursor(nil, nil)
+	tr := trace.New(1, 1)
+	r := NewRecursor(nil, tr)
 	if _, _, err := r.ResolvePTR(ipaddr.MustParse("100.1.2.3"), 0); err == nil {
 		t.Error("rootless recursor resolved")
+	}
+	gaveUp(t, tr)
+}
+
+// gaveUp fails t unless tr holds exactly one committed trace and that
+// trace ended in a give-up.
+func gaveUp(t *testing.T, tr *trace.Tracer) {
+	t.Helper()
+	ts := tr.Traces(trace.Filter{})
+	if len(ts) != 1 || !slices.ContainsFunc(ts[0].Events, func(ev trace.Event) bool { return ev.Kind == trace.KindGiveUp }) {
+		t.Errorf("committed traces %+v, want one with a give-up", ts)
+	}
+}
+
+// TestRecursorHonorsNegTTL pins RFC 2308 on the live walk: the final's
+// NXDOMAIN carries an SOA whose TTL is the zone's NegTTL, and the
+// recursor caches the NXDOMAIN for exactly that long, as the simulated
+// walk does.
+func TestRecursorHonorsNegTTL(t *testing.T) {
+	const negTTL = 20 * simtime.Minute
+	h := startHierarchyWith(t, func(level string, cfg *Config) {
+		if level == "final" {
+			cfg.Handler = FinalHandler(func(ipaddr.Addr) dnssim.OriginatorProfile {
+				return dnssim.OriginatorProfile{NegTTL: negTTL}
+			})
+		}
+	})
+	r := newRecursor(h)
+	orig := ipaddr.MustParse("100.50.3.4")
+	for _, c := range []struct {
+		at     simtime.Time
+		finals int
+	}{{0, 1}, {simtime.Time(negTTL - 1), 1}, {simtime.Time(negTTL + 1), 2}} {
+		if target, _, err := r.ResolvePTR(orig, c.at); err != nil || target != "" {
+			t.Fatalf("lookup at %d s: %q, %v; want NXDOMAIN", c.at, target, err)
+		}
+		if got := h.count("final"); got != c.finals {
+			t.Errorf("at %d s the final has seen %d queries, want %d", c.at, got, c.finals)
+		}
 	}
 }
 
@@ -266,8 +309,8 @@ func TestConcurrentRecursors(t *testing.T) {
 	}
 }
 
-// TestRecursorMetrics pins the live hierarchy's observability: per-level
-// upstream-query counters, recursor cache hit/miss counters, and the
+// TestRecursorMetrics pins the live hierarchy's observability: the
+// simulated walk's lookup, cache-hit and per-level query counters, and the
 // instrumented servers' query/response counters.
 func TestRecursorMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -295,11 +338,11 @@ func TestRecursorMetrics(t *testing.T) {
 	if got := tr.Len(); got != 3 {
 		t.Errorf("recursor committed %d traces, want one per resolution", got)
 	}
-	if got := counter("recursor_cache_hits_total"); got != 1 {
+	if got := counter("dnssim_cached_total"); got != 1 {
 		t.Errorf("recursor hits = %d, want 1", got)
 	}
-	if got := counter("recursor_cache_misses_total"); got != 2 {
-		t.Errorf("recursor misses = %d, want 2", got)
+	if got := counter("dnssim_resolves_total"); got != 3 {
+		t.Errorf("recursor lookups = %d, want 3", got)
 	}
 	// Attenuation in the counters themselves: root and national saw the
 	// cold walk only, final also the post-TTL re-fetch.
@@ -307,7 +350,7 @@ func TestRecursorMetrics(t *testing.T) {
 		level string
 		want  uint64
 	}{{"root", 1}, {"national", 1}, {"final", 2}} {
-		if got := counter("recursor_upstream_queries_total", obs.L("level", c.level)); got != c.want {
+		if got := counter("dnssim_queries_total", obs.L("level", c.level)); got != c.want {
 			t.Errorf("upstream queries at %s = %d, want %d", c.level, got, c.want)
 		}
 	}

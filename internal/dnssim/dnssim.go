@@ -108,16 +108,10 @@ func (p RetryPolicy) Backoff(n int) simtime.Duration {
 		return 0
 	}
 	d := p.Base
-	for i := 1; i < n; i++ {
+	for i := 1; i < n && d < p.Cap; i++ {
 		d *= 2
-		if d >= p.Cap {
-			return p.Cap
-		}
 	}
-	if d > p.Cap {
-		return p.Cap
-	}
-	return d
+	return min(d, p.Cap)
 }
 
 // DefaultConfig mirrors common operational TTLs: /8 delegations about two
@@ -320,12 +314,13 @@ func (r *Resolver) cached(key uint64, now simtime.Time) bool {
 	return ok
 }
 
-func (r *Resolver) put(key uint64, ttl simtime.Duration, now simtime.Time) {
-	r.caches.Put(r.owner, key, struct{}{}, r.capTTL(ttl), now)
-}
-
-func (r *Resolver) putNegative(key uint64, ttl simtime.Duration, now simtime.Time) {
-	r.caches.PutNegative(r.owner, key, ttl, now)
+// store applies one of the walk's cache writes.
+func (r *Resolver) store(w Write) {
+	if w.Negative {
+		r.caches.PutNegative(r.owner, w.Key, w.TTL, w.At)
+	} else {
+		r.caches.Put(r.owner, w.Key, struct{}{}, w.TTL, w.At)
+	}
 }
 
 // Hierarchy is the simulated reverse-DNS tree with attached sensors.
@@ -339,13 +334,15 @@ type Hierarchy struct {
 	national map[string]*Sensor // country code -> sensor
 	finals   map[uint16]*Sensor // /16 -> sensor (instrumented final zones)
 
-	m    *hierMetrics
+	m    Metrics
 	taps []Tap // Resolve's scratch
 }
 
-// hierMetrics holds the hierarchy's pre-resolved counters. Nil receiver =
-// uninstrumented; every method is then a no-op.
-type hierMetrics struct {
+// Metrics holds a walk's counters, the simulated walk's and the live
+// dnsserver.Recursor's alike: all nil, and so no-ops, when uninstrumented.
+// Each count carries its event's simulated instant, so a Window attached
+// to the registry buckets it into time series.
+type Metrics struct {
 	resolves      *obs.Counter
 	cached        *obs.Counter
 	hidden        *obs.Counter
@@ -361,11 +358,9 @@ type hierMetrics struct {
 // simulated walk and the live recursor label metrics and trace hops by it.
 var Levels = [3]string{"root", "national", "final"}
 
-func newHierMetrics(reg *obs.Registry) *hierMetrics {
-	if reg == nil {
-		return nil
-	}
-	m := &hierMetrics{
+// NewMetrics resolves the walk counters in reg, which may be nil.
+func NewMetrics(reg *obs.Registry) Metrics {
+	m := Metrics{
 		resolves:      reg.Counter("dnssim_resolves_total"),
 		cached:        reg.Counter("dnssim_cached_total"),
 		hidden:        reg.Counter("dnssim_qmin_hidden_total"),
@@ -380,54 +375,33 @@ func newHierMetrics(reg *obs.Registry) *hierMetrics {
 	return m
 }
 
-// The metric methods carry the simulated instant of the event they count
-// so a Window attached to the registry buckets them into time series
-// (totals are unchanged without one).
-
-func (m *hierMetrics) resolve(cached bool, now simtime.Time) {
-	if m == nil {
-		return
+// Resolve counts one lookup, and whether the cache answered it whole.
+func (m *Metrics) Resolve(cached bool, now simtime.Time) {
+	if m.resolves != nil { // uninstrumented: no call at all
+		m.resolve(cached, now)
 	}
+}
+
+func (m *Metrics) resolve(cached bool, now simtime.Time) {
 	m.resolves.IncAt(now)
 	if cached {
 		m.cached.IncAt(now)
 	}
 }
 
-// query counts one authority query at level li (index into Levels);
+// Queries counts n authority queries at level li (index into Levels);
 // hidden marks upper-tree queries whose reverse name QNAME minimization
 // stripped of the originator.
-func (m *hierMetrics) query(li int, hidden bool, now simtime.Time) {
-	if m == nil {
-		return
+func (m *Metrics) Queries(li int, n uint64, hidden bool, now simtime.Time) {
+	if m.resolves != nil {
+		m.queries(li, n, hidden, now)
 	}
-	m.level[li].IncAt(now)
+}
+
+func (m *Metrics) queries(li int, n uint64, hidden bool, now simtime.Time) {
+	m.level[li].AddAt(n, now)
 	if hidden {
-		m.hidden.IncAt(now)
-	}
-}
-
-func (m *hierMetrics) retry(now simtime.Time) {
-	if m != nil {
-		m.retries.IncAt(now)
-	}
-}
-
-func (m *hierMetrics) giveup(now simtime.Time) {
-	if m != nil {
-		m.gaveup.IncAt(now)
-	}
-}
-
-func (m *hierMetrics) tcpFallback(now simtime.Time) {
-	if m != nil {
-		m.tcpFallbacks.IncAt(now)
-	}
-}
-
-func (m *hierMetrics) finalTimeout(now simtime.Time) {
-	if m != nil {
-		m.finalTimeouts.IncAt(now)
+		m.hidden.AddAt(n, now)
 	}
 }
 
@@ -447,7 +421,7 @@ func NewHierarchy(g *geo.Registry, cfg Config, profile ProfileFunc) *Hierarchy {
 		Profile:  profile,
 		national: make(map[string]*Sensor),
 		finals:   make(map[uint16]*Sensor),
-		m:        newHierMetrics(cfg.Obs),
+		m:        NewMetrics(cfg.Obs),
 	}
 }
 
@@ -597,7 +571,7 @@ func (x *lookup) finish(now simtime.Time, queries int) int {
 // giveUp negative-caches the name after a level exhausted its retries —
 // the same rate limit the dead-final path always used.
 func (x *lookup) giveUp(now simtime.Time, queries int) int {
-	x.r.putNegative(cache.PTRKey(x.orig), x.h.Cfg.ServFailTTL, now)
+	x.r.store(GiveUp(x.orig, x.h.Cfg.ServFailTTL, now))
 	return x.finish(now, queries)
 }
 
@@ -617,10 +591,10 @@ func (x *lookup) exchange(li int, zone uint64, hidden bool, rcode uint8, unreach
 	h, tc, fp := x.h, x.tc, x.h.Cfg.Faults
 	lv := Levels[li]
 	if fp == nil {
-		h.m.query(li, hidden, now)
+		h.m.Queries(li, 1, hidden, now)
 		tc.Query(lv, 1, now)
 		if unreachable {
-			h.m.giveup(now)
+			h.m.gaveup.IncAt(now)
 			tc.Fault(lv, 1, "unreachable", now)
 			tc.GiveUp(lv, now)
 			return false, now, 1
@@ -635,10 +609,10 @@ func (x *lookup) exchange(li int, zone uint64, hidden bool, rcode uint8, unreach
 	t := now
 	for attempt := 0; attempt < pol.Attempts; attempt++ {
 		if attempt > 0 {
-			h.m.retry(t)
+			h.m.retries.IncAt(t)
 			t = t.Add(pol.Backoff(attempt))
 		}
-		h.m.query(li, hidden, t)
+		h.m.Queries(li, 1, hidden, t)
 		tc.Query(lv, attempt+1, t)
 		sent++
 		if unreachable || fp.IsDead(li, zone, t) {
@@ -671,10 +645,10 @@ func (x *lookup) exchange(li int, zone uint64, hidden bool, rcode uint8, unreach
 		if fp.TruncateAnswer(li, res, sub, at) {
 			// TC answer: re-ask the same authority over TCP. The TCP
 			// exchange succeeds and the authority logs a second query.
-			h.m.tcpFallback(at)
+			h.m.tcpFallbacks.IncAt(at)
 			tc.Fault(lv, attempt+1, "truncate", at)
 			tc.TCP(lv, attempt+1, at)
-			h.m.query(li, hidden, at)
+			h.m.Queries(li, 1, hidden, at)
 			sent++
 			at = at.Add(1)
 			x.observe(s, at, rcode)
@@ -682,7 +656,7 @@ func (x *lookup) exchange(li int, zone uint64, hidden bool, rcode uint8, unreach
 		}
 		return true, at, sent
 	}
-	h.m.giveup(t)
+	h.m.gaveup.IncAt(t)
 	tc.GiveUp(lv, t)
 	return false, t, sent
 }
@@ -718,7 +692,7 @@ func (h *Hierarchy) Walk(out *[]Tap, seq uint32, r *Resolver, sub *Subject, now 
 	if !r.cached(cache.PTRKey(sub.Orig), now) {
 		return h.walkUp(out, seq, r, sub, now, tc)
 	}
-	h.m.resolve(true, now)
+	h.m.Resolve(true, now)
 	tc.CacheHit(now)
 	endTrace(out, seq, tc, now, 0)
 	return 0
@@ -729,7 +703,7 @@ func (h *Hierarchy) Walk(out *[]Tap, seq uint32, r *Resolver, sub *Subject, now 
 // is apart from Walk so the common cached lookup does not pay for this
 // function's frame.
 func (h *Hierarchy) walkUp(out *[]Tap, seq uint32, r *Resolver, sub *Subject, now simtime.Time, tc *trace.Ctx) int {
-	h.m.resolve(false, now)
+	h.m.Resolve(false, now)
 	if !sub.ready {
 		h.fill(sub)
 	}
@@ -737,71 +711,48 @@ func (h *Hierarchy) walkUp(out *[]Tap, seq uint32, r *Resolver, sub *Subject, no
 	x := lookup{h: h, out: out, seq: seq, r: r, orig: orig, tc: tc}
 	x.dup = r.RetransmitProb > 0 && r.st.Bool(r.RetransmitProb)
 
-	queries := 0
-	cur := now
-	// Find the most specific cached (or background-warmed) delegation.
+	// Start below the most specific cached (or background-warmed)
+	// delegation. A minimizing resolver asks the upper levels only for
+	// "1.in-addr.arpa" or "2.1.in-addr.arpa", which no sensor attributes.
 	have16 := r.cached(cache.Zone16Key(orig), now)
-	have8 := r.cached(cache.Zone8Key(orig), now)
-	if !have8 && bgWarm(r, cache.Zone8Key(orig), h.Cfg.NationalNSTTL, now) {
-		have8 = true
-	}
-
-	if !have8 && !have16 {
-		// Root-level query: the resolver learns the /8 delegation. A
-		// minimizing resolver asks only for "1.in-addr.arpa", which the
-		// sensor cannot attribute to any originator.
-		root := h.rootB
-		if r.st.Bool(r.PreferM) {
-			root = h.rootM
+	have8 := r.cached(cache.Zone8Key(orig), now) || bgWarm(r, cache.Zone8Key(orig), h.Cfg.NationalNSTTL, now)
+	queries, cur := 0, now
+	for li := StartLevel(have8, have16); li < 2; li++ {
+		s, ttl := sub.national, h.Cfg.FinalNSTTL
+		if li == 0 {
+			s, ttl = h.rootB, h.Cfg.NationalNSTTL
+			if r.st.Bool(r.PreferM) {
+				s = h.rootM
+			}
 		}
 		if r.QNameMin {
-			root = nil
+			s = nil
 		}
-		ok, done, sent := x.exchange(0, cache.Zone8Key(orig), r.QNameMin, dnswire.RCodeNoError, false, root, cur)
+		ok, done, sent := x.exchange(li, cache.Zone8Key(orig), r.QNameMin, dnswire.RCodeNoError, false, s, cur)
 		queries += sent
 		if !ok {
 			return x.giveUp(cur, queries)
 		}
 		cur = done
-		r.put(cache.Zone8Key(orig), h.Cfg.NationalNSTTL, now)
-	}
-	if !have16 {
-		// National registry query: learn the /16 delegation. Minimizing
-		// resolvers reveal only the /16 here — not attributable.
-		nat := sub.national
-		if r.QNameMin {
-			nat = nil
-		}
-		ok, done, sent := x.exchange(1, cache.Zone8Key(orig), r.QNameMin, dnswire.RCodeNoError, false, nat, cur)
-		queries += sent
-		if !ok {
-			return x.giveUp(cur, queries)
-		}
-		cur = done
-		r.put(cache.Zone16Key(orig), h.Cfg.FinalNSTTL, now)
+		r.store(Referral(orig, li+1, r.capTTL(ttl), now))
 	}
 
 	// Final authority query for the PTR record itself.
 	p := &sub.profile
-	rcode := dnswire.RCodeNoError
+	rcode, ttl := dnswire.RCodeNoError, p.TTL
 	if !p.HasName {
-		rcode = dnswire.RCodeNXDomain
+		rcode, ttl = dnswire.RCodeNXDomain, p.NegTTL
 	}
 	ok, done, sent := x.exchange(2, cache.Zone16Key(orig), false, rcode, p.FinalUnreachable, sub.final, cur)
 	queries += sent
 	if !ok {
 		// Timeout at the dead (or fault-exhausted) final: nothing arrives
 		// to record, but the failure itself is now visible as
-		// dnssim_final_timeouts_total; remember it briefly so retries are
-		// rate-limited.
-		h.m.finalTimeout(cur)
+		// dnssim_final_timeouts_total.
+		h.m.finalTimeouts.IncAt(cur)
 		return x.giveUp(cur, queries)
 	}
-	if p.HasName {
-		r.put(cache.PTRKey(orig), p.TTL, done)
-	} else {
-		r.putNegative(cache.PTRKey(orig), r.capTTL(p.NegTTL), done)
-	}
+	r.store(Answer(orig, p.HasName, r.capTTL(ttl), done))
 	return x.finish(done, queries)
 }
 
@@ -810,4 +761,51 @@ func (r *Resolver) capTTL(ttl simtime.Duration) simtime.Duration {
 		return r.MaxPTRTTL
 	}
 	return ttl
+}
+
+// The walk's decisions, one table for walkUp and the live
+// dnsserver.Recursor, which call them directly: where a walk starts, and
+// the cache write (key, TTL as honored, date) each answer and give-up leaves.
+
+// StartLevel returns the level (an index into Levels) a walk past a
+// PTR-cache miss asks first: the final authority when the /16 delegation
+// is cached, the national registry when only the /8 one is, else a root.
+func StartLevel(have8, have16 bool) int {
+	if have16 {
+		return 2
+	} else if have8 {
+		return 1
+	}
+	return 0
+}
+
+// Write is one cache entry a walk leaves at its resolver.
+type Write struct {
+	Key      uint64
+	TTL      simtime.Duration
+	At       simtime.Time
+	Negative bool
+}
+
+// Referral is what a referral toward level next (1 national, 2 final)
+// leaves: orig's /8 or /16 zone delegation, dated at the lookup's start.
+func Referral(orig ipaddr.Addr, next int, ttl simtime.Duration, start simtime.Time) Write {
+	key := cache.Zone8Key(orig)
+	if next == 2 {
+		key = cache.Zone16Key(orig)
+	}
+	return Write{Key: key, TTL: ttl, At: start}
+}
+
+// Answer is what the final authority's answer leaves: the PTR record, or
+// the NXDOMAIN as a negative entry, dated when the answer arrived.
+func Answer(orig ipaddr.Addr, named bool, ttl simtime.Duration, arrived simtime.Time) Write {
+	return Write{Key: cache.PTRKey(orig), TTL: ttl, At: arrived, Negative: !named}
+}
+
+// GiveUp is what a walk that got no usable answer leaves: a negative entry
+// for servFailTTL, dated when the failing level was first asked, so
+// retries of a dead name are rate-limited.
+func GiveUp(orig ipaddr.Addr, servFailTTL simtime.Duration, asked simtime.Time) Write {
+	return Write{Key: cache.PTRKey(orig), TTL: servFailTTL, At: asked, Negative: true}
 }
