@@ -19,8 +19,6 @@ import (
 type Querier struct {
 	Addr     ipaddr.Addr
 	Category qname.Category
-	Name     string // reverse name; empty for NXDomain/Unreach
-	Country  string
 	Resolver *dnssim.Resolver
 
 	shard uint8 // which of the world's simShards walks this resolver
@@ -40,6 +38,14 @@ func (k poolKey) packed() uint64 {
 	return uint64(k.cat)<<48 | uint64(k.country)<<32 | uint64(uint32(k.rank))
 }
 
+// querierName is all a run world keeps of a querier: the reverse name the
+// sensor looks up (empty for NXDomain/Unreach) and whether its reverse zone
+// is unreachable.
+type querierName struct {
+	name    string
+	unreach bool
+}
+
 // querierPool lazily materializes the world's querier population. A slot's
 // querier is a pure function of (world seed, category, country, rank), so
 // pools are reproducible regardless of materialization order, and the same
@@ -54,8 +60,11 @@ type querierPool struct {
 	// zipf[k] is the smallest 53-bit draw whose rank is <= k; see zipfRank.
 	zipf []uint64
 
-	byKey  map[uint64]*Querier // by poolKey.packed
-	byAddr map[ipaddr.Addr]*Querier
+	byKey map[uint64]*Querier // by poolKey.packed
+	// named answers nameOf and keeps materialized addresses distinct; n
+	// counts materializations. Only these two survive collapse.
+	named map[ipaddr.Addr]querierName
+	n     int
 
 	// caches[s] holds the resolver caches of every querier in shard s;
 	// owners[s] is the owner id there of the next querier materialized in
@@ -81,14 +90,14 @@ const resolverCacheMax = 2048
 func newQuerierPool(g *geo.Registry, src *rng.Source, ranks int, zipfS float64, reg *obs.Registry) *querierPool {
 	seed := src.Stream("querier-pool").Uint64()
 	p := &querierPool{
-		geo:    g,
-		seed:   seed,
-		ranks:  ranks,
-		zipfS:  zipfS,
-		zipf:   zipfThresholds(ranks, zipfS),
-		byKey:  make(map[uint64]*Querier),
-		byAddr: make(map[ipaddr.Addr]*Querier),
-		names:  intern.New(seed),
+		geo:   g,
+		seed:  seed,
+		ranks: ranks,
+		zipfS: zipfS,
+		zipf:  zipfThresholds(ranks, zipfS),
+		byKey: make(map[uint64]*Querier),
+		named: make(map[ipaddr.Addr]querierName),
+		names: intern.New(seed),
 	}
 	for s := range p.caches {
 		p.caches[s] = dnssim.NewCaches(resolverCacheMax, reg)
@@ -117,7 +126,7 @@ func (p *querierPool) get(k poolKey) *Querier {
 		if !ok {
 			a = ipaddr.Addr(st.Uint64())
 		}
-		if _, taken := p.byAddr[a]; !taken || i >= 32 {
+		if _, taken := p.named[a]; !taken || i >= 32 {
 			addr = a
 			break
 		}
@@ -146,8 +155,6 @@ func (p *querierPool) get(k poolKey) *Querier {
 	q := &Querier{
 		Addr:     addr,
 		Category: k.cat,
-		Name:     name,
-		Country:  geo.CountryCode(k.country),
 		Resolver: dnssim.NewResolverIn(p.caches[shard], p.owners[shard], addr, busy, preferM(p.geo.Region(addr)), rng.New(st.Uint64())),
 		shard:    shard,
 	}
@@ -175,7 +182,8 @@ func (p *querierPool) get(k poolKey) *Querier {
 		q.Resolver.QNameMin = true
 	}
 	p.byKey[k.packed()] = q
-	p.byAddr[addr] = q
+	p.named[addr] = querierName{name, k.cat == qname.Unreach}
+	p.n++
 	return q
 }
 
@@ -270,12 +278,14 @@ func (p *querierPool) zipfRank(h uint64) int {
 // nameOf resolves a querier address back to its reverse name. Unknown
 // addresses (never materialized) report as having no name.
 func (p *querierPool) nameOf(a ipaddr.Addr) (string, bool) {
-	q, ok := p.byAddr[a]
-	if !ok {
-		return "", false
-	}
-	return q.Name, q.Category == qname.Unreach
+	q := p.named[a]
+	return q.name, q.unreach
 }
 
 // size returns how many queriers have been materialized.
-func (p *querierPool) size() int { return len(p.byKey) }
+func (p *querierPool) size() int { return p.n }
+
+// collapse drops all but the name table and the count: the queriers with
+// their resolvers, the shard caches, the Zipf table and the name interner.
+// Only nameOf and size answer afterwards.
+func (p *querierPool) collapse() { *p = querierPool{named: p.named, n: p.n} }

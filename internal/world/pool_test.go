@@ -66,14 +66,14 @@ func TestPoolAddressesUnique(t *testing.T) {
 func TestPoolNamesMatchCategory(t *testing.T) {
 	p := newTestPool(42)
 	for cat := qname.Category(0); cat < qname.NumCategories; cat++ {
-		q := p.get(poolKey{cat: cat, country: 2, rank: 1})
-		got := qname.Classify(q.Name)
+		name, unreach := p.nameOf(p.get(poolKey{cat: cat, country: 2, rank: 1}).Addr)
+		got := qname.Classify(name)
 		want := cat
 		if cat == qname.Unreach {
 			want = qname.NXDomain // nameless; unreach is flagged separately
 		}
-		if got != want {
-			t.Errorf("cat %v: name %q classifies as %v", cat, q.Name, got)
+		if got != want || unreach != (cat == qname.Unreach) {
+			t.Errorf("cat %v: name %q (unreach %v) classifies as %v", cat, name, unreach, got)
 		}
 	}
 }
@@ -159,5 +159,45 @@ func TestViolatorRatesByCategory(t *testing.T) {
 	}
 	if fw < 0.4 {
 		t.Errorf("FW violator fraction %.2f, want ≈0.55", fw)
+	}
+}
+
+// TestCollapseKeepsNames: collapsing a pool keeps every name answer and the
+// materialized count, and an address never materialized still has no name.
+func TestCollapseKeepsNames(t *testing.T) {
+	p := newTestPool(42)
+	mix := classMixes[activity.Scan]
+	st := rng.New(3)
+	for i := 0; i < 5000; i++ {
+		p.forTarget(ipaddr.MustParse("1.2.3.4"), &mix, ipaddr.Addr(st.Uint64()))
+	}
+	want := make(map[ipaddr.Addr]querierName)
+	for _, q := range p.byKey {
+		name, unreach := p.nameOf(q.Addr)
+		want[q.Addr] = querierName{name, unreach}
+	}
+	size := p.size()
+	if size != len(p.byKey) {
+		t.Fatalf("size %d, %d slots materialized", size, len(p.byKey))
+	}
+
+	p.collapse()
+	if p.byKey != nil || p.caches[0] != nil || p.zipf != nil || p.names != nil {
+		t.Fatal("collapse kept the simulator's part of the pool")
+	}
+	if got := p.size(); got != size {
+		t.Errorf("size %d after collapse, %d before", got, size)
+	}
+	for a, q := range want {
+		if name, unreach := p.nameOf(a); name != q.name || unreach != q.unreach {
+			t.Errorf("%v: (%q, %v) after collapse, (%q, %v) before", a, name, unreach, q.name, q.unreach)
+		}
+	}
+	unknown := ipaddr.MustParse("203.0.113.1")
+	if _, taken := want[unknown]; taken {
+		t.Fatal("test address was materialized")
+	}
+	if name, unreach := p.nameOf(unknown); name != "" || unreach {
+		t.Errorf("unmaterialized address answers (%q, %v)", name, unreach)
 	}
 }

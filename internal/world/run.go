@@ -87,7 +87,7 @@ func (w *World) touch(c *activity.Campaign, day simtime.Time, e activity.Event) 
 	}
 	n := len(b.ctxs)
 	if n == 0 || b.ctxs[n-1].c != c {
-		b.ctxs = append(b.ctxs, campaignCtx{c: c, mix: w.mixes[c.Originator], sub: w.Hier.Subject(c.Originator)})
+		b.ctxs = append(b.ctxs, campaignCtx{c: c, mix: w.mixes[c.Originator], sub: w.hier.Subject(c.Originator)})
 		n++
 	}
 	cc := &b.ctxs[n-1]
@@ -197,7 +197,7 @@ func (w *World) resolve(b *batch, s int) {
 	// Append through a local slice header: the shards' headers sit side by
 	// side in the batch, and neighbours are written from different cores.
 	taps := sh.taps
-	h, tr := w.Hier, w.Cfg.Tracer
+	h, tr := w.hier, w.Cfg.Tracer
 	end := w.Cfg.Start.Add(w.Cfg.Duration)
 	for i := range sh.reqs {
 		rq := &sh.reqs[i]
@@ -337,8 +337,8 @@ func (w *World) register(c *activity.Campaign, st *rng.Stream) {
 	w.mixes[c.Originator] = blendMix(&classMixes[c.Class], &classMixes[other], lambda)
 }
 
-// Run simulates the configured span, filling every attached sensor. It is
-// idempotent: a second call is a no-op.
+// Run simulates the configured span, filling every attached sensor, then
+// drops the simulator. It is idempotent: a second call is a no-op.
 func (w *World) Run() {
 	if w.ran {
 		return
@@ -384,7 +384,6 @@ func (w *World) Run() {
 	}
 	w.flush()
 	w.wait()
-	w.bufs = [2]batch{} // a built world lives on for its sensors, not its scratch
 
 	if w.m != nil {
 		for _, c := range w.Campaigns {
@@ -395,6 +394,15 @@ func (w *World) Run() {
 		w.m.campaigns.SetAt(int64(len(w.Campaigns)), end)
 		w.m.queriers.SetAt(int64(w.pool.size()), end)
 	}
+	w.release()
+}
+
+// release drops the simulator once the last batch is merged and its stage
+// goroutine has exited: the hierarchy, the querier pool down to its name
+// table, the campaign mixes and the batch buffers. Nothing reads them again.
+func (w *World) release() {
+	w.hier, w.mixes, w.bufs = nil, nil, [2]batch{}
+	w.pool.collapse()
 }
 
 // births replaces departed campaigns to hold each class population steady.

@@ -153,18 +153,18 @@ func TestShardPanicReachesRun(t *testing.T) {
 func TestSetProfileAfterLookup(t *testing.T) {
 	w := New(smallConfig())
 	origin := ipaddr.MustParse("100.64.7.9")
-	final := w.AttachFinal(origin.Slash16())
+	final := w.attachFinal(origin.Slash16())
 	r := dnssim.NewResolver(ipaddr.MustParse("10.9.8.7"), 0, 0.5, 64, rng.New(1))
 	t0 := w.Cfg.Start
 
 	w.SetProfile(origin, dnssim.OriginatorProfile{HasName: true, Name: "old.example", TTL: simtime.Hour})
-	w.Hier.Resolve(r, origin, t0)
+	w.hier.Resolve(r, origin, t0)
 	w.SetProfile(origin, dnssim.OriginatorProfile{HasName: true, Name: "prober.example", TTL: 0})
 
 	before := final.Seen()
 	t1 := t0.Add(2 * simtime.Hour) // the first answer has expired
-	w.Hier.Resolve(r, origin, t1)
-	w.Hier.Resolve(r, origin, t1.Add(1))
+	w.hier.Resolve(r, origin, t1)
+	w.hier.Resolve(r, origin, t1.Add(1))
 	if got := final.Seen() - before; got != 2 {
 		t.Errorf("final authority saw %d of 2 lookups after SetProfile(TTL 0); the new profile was ignored", got)
 	}

@@ -1,6 +1,8 @@
 package world
 
 import (
+	"errors"
+
 	"dnsbackscatter/internal/activity"
 	"dnsbackscatter/internal/dnslog"
 	"dnsbackscatter/internal/dnssim"
@@ -30,11 +32,13 @@ type ScanResult struct {
 // scan took 13 hours), which matters for delegation-cache dynamics at the
 // upper tree.
 //
-// The scan resolves outside Run, so it is meant for a fresh world: after
-// Run the shard tables keep the last batch's horizon, and a scan lookup
-// before it panics.
-func (w *World) ControlledScan(origin ipaddr.Addr, frac, react float64, at simtime.Time) ScanResult {
-	final := w.AttachFinal(origin.Slash16())
+// The scan resolves outside Run on the world's resolvers, which Run drops
+// when it returns: on a world that has run it returns an error.
+func (w *World) ControlledScan(origin ipaddr.Addr, frac, react float64, at simtime.Time) (ScanResult, error) {
+	if w.ran {
+		return ScanResult{}, errors.New("world: ControlledScan on a world that has run: its resolvers are gone")
+	}
+	final := w.attachFinal(origin.Slash16())
 	w.SetProfile(origin, dnssim.OriginatorProfile{
 		HasName: true,
 		Name:    "prober." + w.Geo.CCTLD(origin),
@@ -68,7 +72,7 @@ func (w *World) ControlledScan(origin ipaddr.Addr, frac, react float64, at simti
 		target := ipaddr.Addr(st.Uint64())
 		t := at.Add(simtime.Duration(st.Int63() % int64(dur)))
 		q := w.pool.forTarget(origin, &classMixes[activity.Scan], target)
-		w.Hier.Resolve(q.Resolver, origin, t)
+		w.hier.Resolve(q.Resolver, origin, t)
 	}
 
 	final.Range(finalBase, func(r dnslog.Record) {
@@ -94,5 +98,5 @@ func (w *World) ControlledScan(origin ipaddr.Addr, frac, react float64, at simti
 		FinalQueriers: len(finalQ),
 		RootQueries:   (w.BRoot.Seen() - startB) + (w.MRoot.Seen() - startM),
 		RootQueriers:  len(rootQ),
-	}
+	}, nil
 }

@@ -165,11 +165,12 @@ type Truth struct {
 	Team  int    // scanner team id, 0 = none
 }
 
-// World is a runnable synthetic Internet.
+// World is a runnable synthetic Internet. Run drops the simulator when it
+// returns: a run world is its sensors, campaigns, truth, profiles and
+// querier names (DESIGN.md, "A run world is data").
 type World struct {
-	Cfg  Config
-	Geo  *geo.Registry
-	Hier *dnssim.Hierarchy
+	Cfg Config
+	Geo *geo.Registry
 
 	// Sensors. BRoot/MRoot always exist; National holds one sensor per
 	// country that was attached (jp by default).
@@ -184,6 +185,7 @@ type World struct {
 	// the external scan evidence of Appendix A.
 	Dark *darknet.Darknet
 
+	hier     *dnssim.Hierarchy // nil once Run returns
 	pool     *querierPool
 	truth    map[ipaddr.Addr]Truth
 	mixes    map[ipaddr.Addr]classMix
@@ -285,11 +287,11 @@ func New(cfg Config) *World {
 	}
 	hc := cfg.Hierarchy
 	hc.Faults, hc.Obs, hc.Tracer = cfg.Faults, cfg.Obs, cfg.Tracer
-	w.Hier = dnssim.NewHierarchy(g, hc, w.profileFor)
+	w.hier = dnssim.NewHierarchy(g, hc, w.profileFor)
 	w.BRoot = w.newSensor("b-root", 1)
 	w.MRoot = w.newSensor("m-root", cfg.MSample)
-	w.Hier.AttachRoots(w.BRoot, w.MRoot)
-	w.AttachNational("jp")
+	w.hier.AttachRoots(w.BRoot, w.MRoot)
+	w.attachNational("jp")
 	w.pool = newQuerierPool(g, src, cfg.QuerierRanks, cfg.ZipfS, cfg.Obs)
 	w.pool.qminFraction = cfg.QMinFraction
 	return w
@@ -304,25 +306,25 @@ func (w *World) newSensor(name string, sample int) *dnssim.Sensor {
 	return s
 }
 
-// AttachNational adds a sensor for one country's registry zone.
-func (w *World) AttachNational(country string) *dnssim.Sensor {
+// attachNational adds a sensor for one country's registry zone.
+func (w *World) attachNational(country string) *dnssim.Sensor {
 	if s, ok := w.National[country]; ok {
 		return s
 	}
 	s := w.newSensor(country, 1)
 	w.National[country] = s
-	w.Hier.AttachNational(country, s)
+	w.hier.AttachNational(country, s)
 	return s
 }
 
-// AttachFinal instruments the final authority of a /16 reverse zone.
-func (w *World) AttachFinal(slash16 uint16) *dnssim.Sensor {
+// attachFinal instruments the final authority of a /16 reverse zone.
+func (w *World) attachFinal(slash16 uint16) *dnssim.Sensor {
 	if s, ok := w.Finals[slash16]; ok {
 		return s
 	}
 	s := w.newSensor(fmt.Sprintf("final-%04x", slash16), 1)
 	w.Finals[slash16] = s
-	w.Hier.AttachFinal(slash16, s)
+	w.hier.AttachFinal(slash16, s)
 	return s
 }
 

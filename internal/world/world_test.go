@@ -303,8 +303,10 @@ func TestControlledScanGrowsWithSize(t *testing.T) {
 		cfg.ClassPopulation = [activity.NumClasses]int{} // quiet world
 		cfg.Start = at
 		cfg.Duration = simtime.Days(30) // sensor window covers the scan
-		w := New(cfg)
-		res := w.ControlledScan(origin, f, 0.002, at)
+		res, err := New(cfg).ControlledScan(origin, f, 0.002, at)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if res.FinalQueriers < prev {
 			t.Errorf("frac %v: final queriers %d below smaller scan's %d", f, res.FinalQueriers, prev)
 		}
@@ -326,8 +328,11 @@ func TestControlledScanSublinear(t *testing.T) {
 		cfg.ClassPopulation = [activity.NumClasses]int{}
 		cfg.Start = at
 		cfg.Duration = simtime.Days(30)
-		w := New(cfg)
-		return w.ControlledScan(origin, frac, 0.002, at)
+		res, err := New(cfg).ControlledScan(origin, frac, 0.002, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
 	small := run(0.0001)
 	big := run(0.01) // 100x more targets
@@ -386,5 +391,19 @@ func TestDarknetSeesScanners(t *testing.T) {
 	}
 	if mailHits > scanHits/10 {
 		t.Errorf("darknet mail hits %d rival scan hits %d", mailHits, scanHits)
+	}
+}
+
+// TestControlledScanAfterRun: Run drops the resolvers a scan walks, so a
+// scan on a run world is an error, not a nil dereference.
+func TestControlledScanAfterRun(t *testing.T) {
+	w := New(smallConfig())
+	w.Run()
+	if w.hier != nil || w.mixes != nil || w.pool.byKey != nil {
+		t.Fatal("Run kept the simulator")
+	}
+	res, err := w.ControlledScan(ipaddr.MustParse("198.51.100.77"), 0.0001, 0.002, w.Cfg.Start)
+	if err == nil {
+		t.Fatalf("ControlledScan on a run world returned %+v and no error", res)
 	}
 }

@@ -25,7 +25,11 @@ func ControlledScan(seed uint64, frac, react float64) ScanTrial {
 	cfg.Duration = simtime.Days(60)
 	w := world.New(cfg)
 	origin := ipaddr.MustParse("198.51.100.77")
-	return w.ControlledScan(origin, frac, react, cfg.Start)
+	res, err := w.ControlledScan(origin, frac, react, cfg.Start)
+	if err != nil {
+		panic(err) // w has not run
+	}
+	return res
 }
 
 // QuerierName returns the reverse name of a querier seen in this
