@@ -219,6 +219,23 @@ func TestBuildPanicsOnBadAuthority(t *testing.T) {
 	Build(s)
 }
 
+// TestBuildRejectsNonPositiveInterval: a spec that cannot be cut into
+// intervals is refused before anything is simulated, by name.
+func TestBuildRejectsNonPositiveInterval(t *testing.T) {
+	for _, iv := range []Duration{0, -3600} {
+		func() {
+			defer func() {
+				if got := recover(); got != "backscatter: Interval must be positive" {
+					t.Errorf("Interval %d: recovered %v", iv, got)
+				}
+			}()
+			s := MDitl().Scaled(0.05)
+			s.Interval = iv
+			Build(s)
+		}()
+	}
+}
+
 // TestCaptureRoundTripPipeline drives the full operational loop: simulate,
 // serialize to the wire-capture format, parse back, and verify the
 // classification pipeline sees identical data.

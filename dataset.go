@@ -328,7 +328,11 @@ func BuildObserved(spec DatasetSpec, reg *obs.Registry) *Dataset {
 // simulated lookup also threads through a tracer created from spec.Seed
 // (activity annotation, cache hits, per-level hops, faults, sensor taps)
 // and the pipeline stages annotate record provenance; see Dataset.Tracer.
+// A spec with a non-positive Interval or an invalid Faults plan panics.
 func BuildWith(spec DatasetSpec, in Instruments) *Dataset {
+	if spec.Interval <= 0 {
+		panic("backscatter: Interval must be positive")
+	}
 	if spec.Scale <= 0 {
 		spec.Scale = 1
 	}

@@ -65,7 +65,7 @@ func (s *Snapshot) Ranked() []ipaddr.Addr {
 // SnapIntervals splits a time-ordered record stream into consecutive
 // intervals of length dur starting at start and snapshots each. Intervals
 // with no analyzable originator still appear (empty), so time series stay
-// aligned.
+// aligned. dur must be positive.
 func SnapIntervals(recs []dnslog.Record, x *features.Extractor, start simtime.Time, total, dur simtime.Duration) []*Snapshot {
 	n := int((total + dur - 1) / dur)
 	// Two passes — count, prefix-sum, fill — partition the records into
@@ -86,6 +86,11 @@ func SnapIntervals(recs []dnslog.Record, x *features.Extractor, start simtime.Ti
 			counts[b]++
 			total2++
 		}
+	}
+	// One interval that holds every record is cut in place: the records
+	// are already the interval's.
+	if n == 1 && total2 == len(recs) {
+		return []*Snapshot{Snap(recs, x, start, dur)}
 	}
 	offs := make([]int, n+1)
 	for i := 0; i < n; i++ {

@@ -1,9 +1,11 @@
 package classify
 
 import (
+	"reflect"
 	"testing"
 
 	"dnsbackscatter/internal/activity"
+	"dnsbackscatter/internal/dnslog"
 	"dnsbackscatter/internal/features"
 	"dnsbackscatter/internal/groundtruth"
 	"dnsbackscatter/internal/ipaddr"
@@ -186,6 +188,33 @@ func TestSnapIntervals(t *testing.T) {
 	// Interval vectors exist in both days (continuous activity).
 	if len(snaps[0].Vectors) == 0 || len(snaps[1].Vectors) == 0 {
 		t.Error("daily snapshots empty")
+	}
+}
+
+// TestSnapIntervalsOneInterval: an interval that holds every record
+// snapshots the records as given, exactly as Snap does; one that leaves a
+// record out drops it, as the copying path does for several intervals.
+func TestSnapIntervalsOneInterval(t *testing.T) {
+	f := getFixture(t)
+	cfg := f.w.Cfg
+	recs := f.w.National["jp"].Records()
+	whole := SnapIntervals(recs, f.x, cfg.Start, cfg.Duration, cfg.Duration)
+	if len(whole) != 1 || !reflect.DeepEqual(whole[0].Vectors, f.snap.Vectors) {
+		t.Error("one whole-span interval differs from Snap over the same records")
+	}
+	var day1 []dnslog.Record
+	for _, r := range recs {
+		if r.Time.Before(cfg.Start.Add(simtime.Day)) {
+			day1 = append(day1, r)
+		}
+	}
+	if len(day1) == len(recs) {
+		t.Fatal("fixture has no record past its first day")
+	}
+	got := SnapIntervals(recs, f.x, cfg.Start, simtime.Day, simtime.Day)
+	want := Snap(day1, f.x, cfg.Start, simtime.Day)
+	if len(got) != 1 || !reflect.DeepEqual(got[0].Vectors, want.Vectors) {
+		t.Error("records past the one interval reached its snapshot")
 	}
 }
 

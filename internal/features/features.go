@@ -135,7 +135,7 @@ type Extractor struct {
 	// per-shard entries are touched by at most one worker per call
 	// because shards fan out by index.
 	scratch struct {
-		recs   []dnslog.Record
+		idx    []int32
 		shards [Shards]*shardScratch
 		work   []*originatorAgg
 		uq     []ipaddr.Addr
@@ -183,26 +183,28 @@ func ShardOf(a ipaddr.Addr) int {
 	return int(z % Shards)
 }
 
-// Partition splits recs by originator shard into *buf, which it grows as
-// needed and otherwise reuses, and returns each shard's records (slices of
-// *buf, valid until the next call with the same buf). Count, prefix-sum,
-// fill: stable, so each shard keeps the stream's order.
-func Partition(recs []dnslog.Record, buf *[]dnslog.Record) (parts [Shards][]dnslog.Record) {
+// Partition splits recs by originator shard, writing each record's index
+// into *buf, which it grows as needed and otherwise reuses, and returns
+// each shard's indices (slices of *buf, valid until the next call with the
+// same buf). Count, prefix-sum, fill: stable, so each shard lists its
+// records in stream order. Indices are int32, so len(recs) must not exceed
+// math.MaxInt32.
+func Partition(recs []dnslog.Record, buf *[]int32) (parts [Shards][]int32) {
 	var counts [Shards]int
 	for i := range recs {
 		counts[ShardOf(recs[i].Originator)]++
 	}
 	if cap(*buf) < len(recs) {
-		*buf = make([]dnslog.Record, len(recs))
+		*buf = make([]int32, len(recs))
 	}
 	off := 0
 	for s, n := range counts {
 		parts[s] = (*buf)[off : off : off+n]
 		off += n
 	}
-	for _, r := range recs {
-		s := ShardOf(r.Originator)
-		parts[s] = append(parts[s], r)
+	for i := range recs {
+		s := ShardOf(recs[i].Originator)
+		parts[s] = append(parts[s], int32(i))
 	}
 	return parts
 }
@@ -309,13 +311,12 @@ func (c countrySet) len() int { return bits.OnesCount64(uint64(c)) }
 func (x *Extractor) Extract(recs []dnslog.Record, start simtime.Time, dur simtime.Duration) []*Vector {
 	pool := parallel.Pool{Workers: x.Workers, Obs: x.Obs, Acct: x.Acct}
 
-	// Dedup stage: partition the stream by originator into one shared
-	// backing array (each shard stays time-ordered per pair), then dedup
-	// and aggregate each shard independently into its reusable columnar
-	// scratch.
+	// Dedup stage: partition the stream's indices by originator (each
+	// shard stays time-ordered per pair), then dedup and aggregate each
+	// shard independently into its reusable columnar scratch.
 	sp := x.Obs.StartSpan("dedup")
 	tok := x.Acct.Start("dedup")
-	parts := Partition(recs, &x.scratch.recs)
+	parts := Partition(recs, &x.scratch.idx)
 	var shards [Shards]*shardScratch
 	for s := range shards {
 		shards[s] = x.shardFor(s)
@@ -323,7 +324,8 @@ func (x *Extractor) Extract(recs []dnslog.Record, start simtime.Time, dur simtim
 	pool.Stage = "dedup"
 	pool.Each(Shards, func(s int) {
 		sh := shards[s]
-		for _, r := range parts[s] {
+		for _, i := range parts[s] {
+			r := recs[i]
 			var id trace.ID
 			var t0 simtime.Time
 			traced := false

@@ -100,3 +100,33 @@ func TestExtractShardingPreservesDedup(t *testing.T) {
 		t.Errorf("dedup parallel_shards_total = %d, want %d", got, Shards)
 	}
 }
+
+// TestPartition: every record's index lands exactly once, in its
+// originator's shard, ascending within the shard; a shorter second call
+// through the same buffer reports none of the first call's indices.
+func TestPartition(t *testing.T) {
+	var buf []int32
+	for _, recs := range [][]dnslog.Record{multiOrigRecs(40, 5, 2), multiOrigRecs(3, 4, 1), nil} {
+		parts := Partition(recs, &buf)
+		seen := make([]bool, len(recs))
+		for s, part := range parts {
+			for k, i := range part {
+				if int(i) >= len(recs) || seen[i] {
+					t.Fatalf("%d records: index %d out of range or repeated", len(recs), i)
+				}
+				seen[i] = true
+				if ShardOf(recs[i].Originator) != s {
+					t.Errorf("%d records: record %d in shard %d, want %d", len(recs), i, s, ShardOf(recs[i].Originator))
+				}
+				if k > 0 && part[k-1] >= i {
+					t.Errorf("%d records: shard %d lists %d after %d", len(recs), s, i, part[k-1])
+				}
+			}
+		}
+		for i, ok := range seen {
+			if !ok {
+				t.Errorf("%d records: index %d in no shard", len(recs), i)
+			}
+		}
+	}
+}

@@ -35,14 +35,24 @@ type SketchNorms struct {
 	TotalBuckets  int
 }
 
+// NormScratch is NormsFromStats' working memory: the gathered sampled
+// addresses, the radix sort's second buffer and the ASN run list. A caller
+// that computes norms every epoch keeps one and passes it each time, as
+// Partition's caller keeps its index buffer.
+type NormScratch struct {
+	all, tmp []uint32
+	asns     []int
+}
+
 // NormsFromStats computes interval normalizers from every originator's
 // sketch stats (analyzable or not — the paper's normalizers count all
 // observed queriers). They are sizes of sets over the union of the
 // samples, which no sample's own change updates in place, so every epoch
 // recomputes them: one radix sort of all sampled addresses, then a scan.
 // Set sizes and integer-valued sums are order-insensitive, so the result
-// is identical however stats is ordered.
-func NormsFromStats(g *geo.Registry, stats []SketchStats, dur simtime.Duration) SketchNorms {
+// is identical however stats is ordered. buf is grown as needed and
+// otherwise reused; nothing in it is read before it is written.
+func NormsFromStats(g *geo.Registry, stats []SketchStats, dur simtime.Duration, buf *NormScratch) SketchNorms {
 	norms := SketchNorms{TotalBuckets: max(1, int(dur/(10*simtime.Minute)))}
 	total := 0
 	var hllMass float64
@@ -50,14 +60,17 @@ func NormsFromStats(g *geo.Registry, stats []SketchStats, dur simtime.Duration) 
 		hllMass += float64(st.Estimate)
 		total += len(st.Sample)
 	}
-	all := make([]uint32, 0, total)
+	if cap(buf.all) < total {
+		buf.all, buf.tmp = make([]uint32, 0, total), make([]uint32, total)
+	}
+	all := buf.all[:0]
 	for _, st := range stats {
 		for _, sq := range st.Sample {
 			all = append(all, uint32(sq.Addr()))
 		}
 	}
-	all = radixSort(all, make([]uint32, total))
-	var asns []int
+	all = radixSort(all, buf.tmp[:total])
+	asns := buf.asns[:0]
 	var countries countrySet
 	for i, q := range all {
 		if i > 0 && q == all[i-1] {
@@ -69,6 +82,7 @@ func NormsFromStats(g *geo.Registry, stats []SketchStats, dur simtime.Duration) 
 		}
 		countries.add(g, ipaddr.Addr(q))
 	}
+	buf.asns = asns
 	norms.TotalAS, norms.TotalCountry = len(sortUniq(asns)), countries.len()
 	if total > 0 {
 		norms.TotalQueriers = int(float64(norms.TotalQueriers) * hllMass / float64(total))

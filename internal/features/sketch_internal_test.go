@@ -48,10 +48,13 @@ func TestRadixSortMatchesSort(t *testing.T) {
 // TestNormsFromStatsMatchesSets holds the sort-and-scan normalizers to
 // their definition: sizes of the sets of distinct sampled queriers, their
 // ASes and their countries, the first rescaled by HLL mass over sample mass.
+// One scratch serves every population, a small one after a large one, as an
+// engine's does epoch after epoch.
 func TestNormsFromStatsMatchesSets(t *testing.T) {
 	g := geo.NewRegistry(42)
 	st := rng.New(9)
-	for _, nOrig := range []int{0, 1, 40} {
+	var buf NormScratch
+	for _, nOrig := range []int{0, 1, 40, 3} {
 		var stats []SketchStats
 		queriers, ases, countries := map[ipaddr.Addr]bool{}, map[int]bool{}, map[string]bool{}
 		hllMass, sampleMass := 0, 0
@@ -71,7 +74,7 @@ func TestNormsFromStatsMatchesSets(t *testing.T) {
 		if sampleMass > 0 {
 			want.TotalQueriers = int(float64(len(queriers)) * float64(hllMass) / float64(sampleMass))
 		}
-		if got := NormsFromStats(g, stats, simtime.Hour); got != want {
+		if got := NormsFromStats(g, stats, simtime.Hour, &buf); got != want {
 			t.Errorf("%d originators: norms %+v, want %+v", nOrig, got, want)
 		}
 	}

@@ -162,8 +162,12 @@ type Engine struct {
 
 	mu     sync.Mutex
 	shards [engineShards]*shard
-	// partBuf backs ingestLocked's per-shard record runs. Guarded by mu.
-	partBuf []dnslog.Record
+	// partBuf backs ingestLocked's per-shard index runs; stats and norms
+	// are rescoreLocked's gather and normalizer scratch, kept across
+	// epochs. Guarded by mu.
+	partBuf []int32
+	stats   []features.SketchStats
+	norms   features.NormScratch
 	// epochStart is the current epoch's start (floored to Epoch);
 	// watermark the maximum record time seen. Guarded by mu.
 	epochStart simtime.Time
@@ -292,8 +296,8 @@ func (e *Engine) ingestLocked(recs []dnslog.Record) {
 	pool := parallel.Pool{Workers: e.cfg.Workers, Obs: e.cfg.Obs, Stage: "stream-ingest", Acct: e.cfg.Acct}
 	pool.Each(engineShards, func(s int) {
 		sh := e.shards[s]
-		for _, r := range parts[s] {
-			sh.observe(r, &e.cfg)
+		for _, i := range parts[s] {
+			sh.observe(recs[i], &e.cfg)
 		}
 	})
 	tok.End()
@@ -423,13 +427,18 @@ func (e *Engine) rescoreLocked(at simtime.Time) {
 	// on a worker of its own as in ingest, then sort: the input to norm
 	// and vector computation is canonical whatever the map iteration
 	// produced. The gather is uninstrumented: parallel_shards_total of
-	// this stage counts analyzable originators.
+	// this stage counts analyzable originators. The buffer outlives the
+	// epoch; its tail past tracked is cleared so it pins no evicted sample.
 	var off [engineShards + 1]int
 	for s, sh := range e.shards {
 		off[s+1] = off[s] + len(sh.aggs)
 	}
 	tracked := off[engineShards]
-	stats := make([]features.SketchStats, tracked)
+	if cap(e.stats) < tracked {
+		e.stats = make([]features.SketchStats, tracked)
+	}
+	clear(e.stats[tracked:cap(e.stats)])
+	stats := e.stats[:tracked]
 	parallel.Pool{Workers: e.cfg.Workers}.Each(engineShards, func(s int) {
 		e.shards[s].gather(stats[off[s]:off[s]:off[s+1]])
 	})
@@ -440,7 +449,7 @@ func (e *Engine) rescoreLocked(at simtime.Time) {
 	if dur < e.cfg.Epoch {
 		dur = e.cfg.Epoch
 	}
-	norms := features.NormsFromStats(e.cfg.Geo, stats, dur)
+	norms := features.NormsFromStats(e.cfg.Geo, stats, dur, &e.norms)
 
 	analyzable := stats[:0]
 	for _, st := range stats {

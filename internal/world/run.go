@@ -2,6 +2,7 @@ package world
 
 import (
 	"math"
+	"runtime"
 
 	"dnsbackscatter/internal/activity"
 	"dnsbackscatter/internal/dnssim"
@@ -400,9 +401,13 @@ func (w *World) Run() {
 // release drops the simulator once the last batch is merged and its stage
 // goroutine has exited: the hierarchy, the querier pool down to its name
 // table, the campaign mixes and the batch buffers. Nothing reads them again.
+// It then collects them: the simulator is the largest object graph a build
+// makes, and the heap goal it left would otherwise let what follows Run
+// pile up on top of it before the next collection.
 func (w *World) release() {
 	w.hier, w.mixes, w.bufs = nil, nil, [2]batch{}
 	w.pool.collapse()
+	runtime.GC()
 }
 
 // births replaces departed campaigns to hold each class population steady.
