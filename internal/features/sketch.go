@@ -50,7 +50,7 @@ type NormScratch struct {
 // samples, which no sample's own change updates in place, so every epoch
 // recomputes them: one radix sort of all sampled addresses, then a scan.
 // Set sizes and integer-valued sums are order-insensitive, so the result
-// is identical however stats is ordered. buf is grown as needed and
+// is identical however stats is ordered. buf grows as append does and is
 // otherwise reused; nothing in it is read before it is written.
 func NormsFromStats(g *geo.Registry, stats []SketchStats, dur simtime.Duration, buf *NormScratch) SketchNorms {
 	norms := SketchNorms{TotalBuckets: max(1, int(dur/(10*simtime.Minute)))}
@@ -60,15 +60,13 @@ func NormsFromStats(g *geo.Registry, stats []SketchStats, dur simtime.Duration, 
 		hllMass += float64(st.Estimate)
 		total += len(st.Sample)
 	}
-	if cap(buf.all) < total {
-		buf.all, buf.tmp = make([]uint32, 0, total), make([]uint32, total)
-	}
 	all := buf.all[:0]
 	for _, st := range stats {
 		for _, sq := range st.Sample {
 			all = append(all, uint32(sq.Addr()))
 		}
 	}
+	buf.all, buf.tmp = all, slices.Grow(buf.tmp[:0], total)
 	all = radixSort(all, buf.tmp[:total])
 	asns := buf.asns[:0]
 	var countries countrySet

@@ -434,9 +434,7 @@ func (e *Engine) rescoreLocked(at simtime.Time) {
 		off[s+1] = off[s] + len(sh.aggs)
 	}
 	tracked := off[engineShards]
-	if cap(e.stats) < tracked {
-		e.stats = make([]features.SketchStats, tracked)
-	}
+	e.stats = slices.Grow(e.stats[:0], tracked)
 	clear(e.stats[tracked:cap(e.stats)])
 	stats := e.stats[:tracked]
 	parallel.Pool{Workers: e.cfg.Workers}.Each(engineShards, func(s int) {
