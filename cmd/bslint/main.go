@@ -1,8 +1,8 @@
 // Command bslint runs the project's static-analysis suite: the
 // per-package checks (determinism, locksafe, errcheck, apidoc,
-// concurrency, hotalloc, nolintreason) and the module checks (dettaint,
-// and docs over the module's Markdown) defined in internal/lint. It
-// prints one finding per line as
+// concurrency, hotalloc, nolintreason) and the docs module check over
+// the module's Markdown, all defined in internal/lint. It prints one
+// finding per line as
 //
 //	file:line:col: [check] message
 //
@@ -18,7 +18,7 @@
 //	bslint -list                    # show registered checks
 //
 // Every check always runs; `//nolint:<check> — reason` on the offending
-// line is the one way to silence a finding.
+// line silences any finding but a determinism one, which nothing does.
 //
 // Any package that fails to parse or type-check is fatal: bslint reports
 // every broken package and exits 2 without linting, because findings in

@@ -128,7 +128,7 @@ func TestRunList(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d from -list", code)
 	}
-	for _, want := range []string{"determinism", "concurrency", "hotalloc", "nolintreason", "dettaint", "docs", "(module)"} {
+	for _, want := range []string{"determinism", "concurrency", "hotalloc", "nolintreason", "docs", "(module)"} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("-list output missing %q:\n%s", want, stdout)
 		}

@@ -117,8 +117,6 @@ func New(rules []Rule) *Engine {
 // finished artifact take exactly the same transitions. Mixed bucket
 // widths are not supported: the engine adopts the first width it sees
 // and ignores documents with a different one.
-//
-//bslint:detroot
 func (e *Engine) Eval(d Data) {
 	if e == nil {
 		return

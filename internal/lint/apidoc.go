@@ -50,17 +50,8 @@ func runAPIDoc(pkg *Package) []Finding {
 // exportedRecv reports whether fd is a plain function or a method on an
 // exported type; methods on unexported types are not API surface.
 func exportedRecv(fd *ast.FuncDecl) bool {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return true
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.IsExported()
-	}
-	return true
+	r := recvName(fd)
+	return r == "" || ast.IsExported(r)
 }
 
 // genDeclFindings checks type/const/var declarations. A doc comment on the

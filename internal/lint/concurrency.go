@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 func init() {
@@ -25,15 +24,6 @@ var concurrencyExempt = []string{
 	"/examples/",
 }
 
-func concurrencySpawnExempt(path string) bool {
-	for _, frag := range concurrencyExempt {
-		if strings.Contains(path+"/", frag) {
-			return true
-		}
-	}
-	return false
-}
-
 func runConcurrency(pkg *Package) []Finding {
 	var out []Finding
 	for _, file := range pkg.Files {
@@ -42,7 +32,7 @@ func runConcurrency(pkg *Package) []Finding {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if !concurrencySpawnExempt(pkg.Path) {
+			if !under(pkg.Path, concurrencyExempt) {
 				out = append(out, goInLoopFindings(pkg, fd)...)
 			}
 			out = append(out, wgAddInGoroutineFindings(pkg, fd)...)

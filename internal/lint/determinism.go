@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 func init() {
@@ -59,17 +58,8 @@ var randGlobal = map[string]bool{
 	"Read": true,
 }
 
-func determinismExempt(path string) bool {
-	for _, frag := range determinismAllowed {
-		if strings.Contains(path+"/", frag) {
-			return true
-		}
-	}
-	return false
-}
-
 func runDeterminism(pkg *Package) []Finding {
-	if determinismExempt(pkg.Path) {
+	if under(pkg.Path, determinismAllowed) {
 		return nil
 	}
 	var out []Finding
@@ -146,31 +136,12 @@ func callOf(pkg *Package, sel *ast.SelectorExpr) (*ast.CallExpr, bool) {
 	return nil, false
 }
 
-// mapOrderSite is one unsorted map-range-into-returned-slice occurrence.
-type mapOrderSite struct {
-	rng *ast.RangeStmt
-	obj types.Object
-}
-
 // mapOrderFindings flags the map-order nondeterminism pattern: a range
 // over a map whose body appends to a slice that the function later
 // returns, with no sort call on that slice between the loop and the
 // return. Go randomizes map iteration order, so such a function emits a
 // different permutation every run.
 func mapOrderFindings(pkg *Package, fd *ast.FuncDecl) []Finding {
-	var out []Finding
-	for _, site := range mapOrderSites(pkg, fd) {
-		out = append(out, Finding{
-			Pos: pkg.Fset.Position(site.rng.Pos()),
-			Message: "range over map appends to returned slice " + site.obj.Name() +
-				" without a sort; map order makes output nondeterministic",
-		})
-	}
-	return out
-}
-
-// mapOrderSites locates every unsorted map-range emission in fd.
-func mapOrderSites(pkg *Package, fd *ast.FuncDecl) []mapOrderSite {
 	type appendLoop struct {
 		rng *ast.RangeStmt
 		obj types.Object
@@ -224,12 +195,16 @@ func mapOrderSites(pkg *Package, fd *ast.FuncDecl) []mapOrderSite {
 		}
 	}
 
-	var out []mapOrderSite
+	var out []Finding
 	for _, l := range loops {
 		if !returned[l.obj] || sortedAfter(pkg, fd, l.obj, l.rng.End()) {
 			continue
 		}
-		out = append(out, mapOrderSite{l.rng, l.obj})
+		out = append(out, Finding{
+			Pos: pkg.Fset.Position(l.rng.Pos()),
+			Message: "range over map appends to returned slice " + l.obj.Name() +
+				" without a sort; map order makes output nondeterministic",
+		})
 	}
 	return out
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -37,7 +36,7 @@ var (
 // the nearest directory at or above each package holding a go.mod — and
 // the hotpath inventory of the loaded packages against that module's
 // PERFORMANCE.md.
-func runDocs(_ *Graph, pkgs []*Package) []Finding {
+func runDocs(pkgs []*Package) []Finding {
 	byRoot := map[string][]*Package{}
 	var roots []string // first-seen order, which follows pkgs
 	for _, pkg := range pkgs {
@@ -185,8 +184,11 @@ func hotpathFindings(root string, pkgs []*Package) []Finding {
 			for _, decl := range file.Decls {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
-					if fn, ok := pkg.Info.Defs[d.Name].(*types.Func); ok && hasDirective(d.Doc, "hotpath") {
-						_, name, _ := strings.Cut(funcDisplayName(fn), ".") // drop the package
+					if hasDirective(d.Doc, "hotpath") {
+						name := d.Name.Name
+						if r := recvName(d); r != "" {
+							name = r + "." + name
+						}
 						need(d.Name, name)
 					}
 				case *ast.GenDecl:

@@ -75,23 +75,11 @@ func runErrcheck(pkg *Package) []Finding {
 // fully-qualified type for methods ("bytes.Buffer") and the import path
 // for package-level functions ("encoding/json").
 func calleeInfo(pkg *Package, call *ast.CallExpr) (name, qualifier string, returnsErr bool) {
-	var fnObj types.Object
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		fnObj = pkg.Info.Uses[fun.Sel]
-	case *ast.Ident:
-		fnObj = pkg.Info.Uses[fun]
-	default:
+	fn := calleeFunc(pkg, call)
+	if fn == nil {
 		return "", "", false
 	}
-	fn, ok := fnObj.(*types.Func)
-	if !ok {
-		return "", "", false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return "", "", false
-	}
+	sig := fn.Type().(*types.Signature)
 	if recv := sig.Recv(); recv != nil {
 		qualifier = qualifiedTypeName(recv.Type())
 	} else if fn.Pkg() != nil {

@@ -12,16 +12,19 @@
 // The framework is stdlib-only: packages load through go/parser and
 // type-check through go/types, so checks see resolved types, not just
 // syntax. Findings may be suppressed with a trailing `//nolint:<check>`
-// comment on the offending line (or the line directly above it).
+// comment on the offending line (or the line directly above it), except
+// determinism's: the contract every golden rests on has no waiver.
 package lint
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"regexp"
 	"slices"
 	"sort"
+	"strings"
 )
 
 // Finding is one rule violation at a source position.
@@ -49,16 +52,15 @@ type Check struct {
 }
 
 // ModuleCheck is one module-level analyzer. Unlike Check it sees every
-// loaded package at once plus the call graph built over them, so it can
-// reason about reachability, cross-function contracts and the module's
-// files beyond Go.
+// loaded package at once, so it can check the module's files beyond Go
+// against what the packages declare.
 type ModuleCheck struct {
 	// Name identifies the check in output and nolint comments.
 	Name string
 	// Doc is a one-line description shown by bslint -list.
 	Doc string
 	// Run reports every violation across the loaded packages.
-	Run func(g *Graph, pkgs []*Package) []Finding
+	Run func(pkgs []*Package) []Finding
 }
 
 // registry holds the built-in per-package checks in registration order;
@@ -87,9 +89,9 @@ func Checks() []Check { return slices.Clone(registry) }
 func ModuleChecks() []ModuleCheck { return slices.Clone(moduleRegistry) }
 
 // Run applies every registered check — per-package analyzers first, then
-// the module checks over a call graph of all packages — and returns the
-// surviving findings sorted by position. nolint suppressions are applied
-// before returning.
+// the module checks over all packages — and returns the surviving
+// findings sorted by position. nolint suppressions are applied before
+// returning.
 func Run(pkgs []*Package) []Finding {
 	sup := suppressionSet{}
 	for _, pkg := range pkgs {
@@ -109,9 +111,8 @@ func Run(pkgs []*Package) []Finding {
 			keep(c.Name, c.Run(pkg))
 		}
 	}
-	g := BuildGraph(pkgs)
 	for _, c := range moduleRegistry {
-		keep(c.Name, c.Run(g, pkgs))
+		keep(c.Name, c.Run(pkgs))
 	}
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i].Pos, all[j].Pos
@@ -182,7 +183,12 @@ func suppressions(pkg *Package) suppressionSet {
 
 func (s suppressionSet) suppressed(f Finding) bool {
 	checks := s[f.Pos.Filename][f.Pos.Line]
-	if f.Check == "nolintreason" {
+	switch f.Check {
+	case "determinism":
+		// Byte-determinism is the contract every golden rests on: no
+		// comment waives a wall-clock read, a global draw or map order.
+		return false
+	case "nolintreason":
 		// The suppression audit is only explicitly suppressible: a bare
 		// or blanket nolint comment must not absolve itself.
 		return checks["nolintreason"]
@@ -208,6 +214,69 @@ func (s suppressionSet) merge(other suppressionSet) {
 			}
 		}
 	}
+}
+
+// under reports whether an import path lies under any of frags, path
+// fragments such as "/internal/rng" or "/cmd/".
+func under(path string, frags []string) bool {
+	for _, frag := range frags {
+		if strings.Contains(path+"/", frag) {
+			return true
+		}
+	}
+	return false
+}
+
+// hasDirective reports whether a declaration's doc comment carries the
+// bslint directive //bslint:<name>, e.g. //bslint:hotpath.
+func hasDirective(doc *ast.CommentGroup, name string) bool {
+	if doc == nil {
+		return false
+	}
+	for _, c := range doc.List {
+		if f := strings.Fields(c.Text); len(f) > 0 && f[0] == "//bslint:"+name {
+			return true
+		}
+	}
+	return false
+}
+
+// calleeFunc resolves a call to the function or method it calls, or nil
+// for builtins, conversions and calls through function values.
+func calleeFunc(pkg *Package, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, _ := pkg.Info.Uses[id].(*types.Func)
+	return fn
+}
+
+// recvName returns the name of a method's receiver type, pointer and
+// type parameters stripped, or "" for a plain function.
+func recvName(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return ""
+	}
+	t := fd.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	switch x := t.(type) {
+	case *ast.IndexExpr:
+		t = x.X
+	case *ast.IndexListExpr:
+		t = x.X
+	}
+	if id, ok := t.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
 }
 
 // exprString renders a (small) expression for use in messages.

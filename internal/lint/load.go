@@ -227,10 +227,9 @@ func (m *Module) loadDir(dir string) (*Package, error) {
 	}
 
 	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
 	}
 	conf := types.Config{Importer: (*moduleImporter)(m)}
 	tpkg, err := conf.Check(path, m.fset, files, info)

@@ -167,8 +167,8 @@ func summarizeFn(pkg *Package, fd *ast.FuncDecl, fn *types.Func, structs map[str
 		locks:   map[string]map[string]bool{},
 		creates: map[string]bool{},
 	}
-	if fd.Recv != nil {
-		if recvName, ls := receiverOf(pkg, fd, structs); ls != nil && recvName != "" {
+	if fd.Recv != nil && len(fd.Recv.List) == 1 && len(fd.Recv.List[0].Names) == 1 {
+		if ls := structs[recvName(fd)]; ls != nil {
 			info.ls = ls
 			info.recvObj = pkg.Info.Defs[fd.Recv.List[0].Names[0]]
 		}
@@ -188,7 +188,7 @@ func summarizeFn(pkg *Package, fd *ast.FuncDecl, fn *types.Func, structs map[str
 				}
 			}
 		case *ast.CompositeLit:
-			if st := guardedLitName(pkg, n, structs); st != "" {
+			if st := guardedStructName(pkg, n, structs); st != "" {
 				info.creates[st] = true
 			}
 		case *ast.CallExpr:
@@ -219,12 +219,6 @@ func guardedStructName(pkg *Package, e ast.Expr, structs map[string]*lockedStruc
 		return ""
 	}
 	return named.Obj().Name()
-}
-
-// guardedLitName resolves a composite literal to a tracked struct name,
-// or "".
-func guardedLitName(pkg *Package, lit *ast.CompositeLit, structs map[string]*lockedStruct) string {
-	return guardedStructName(pkg, lit, structs)
 }
 
 // guardedAccess is one guarded-field access through the receiver.
@@ -306,27 +300,6 @@ func guardAnnotation(field *ast.Field) string {
 		}
 	}
 	return ""
-}
-
-// receiverOf resolves fd's receiver to a tracked struct, returning the
-// receiver variable name.
-func receiverOf(pkg *Package, fd *ast.FuncDecl, structs map[string]*lockedStruct) (string, *lockedStruct) {
-	if len(fd.Recv.List) != 1 || len(fd.Recv.List[0].Names) != 1 {
-		return "", nil
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	id, ok := t.(*ast.Ident)
-	if !ok {
-		return "", nil
-	}
-	ls, ok := structs[id.Name]
-	if !ok {
-		return "", nil
-	}
-	return fd.Recv.List[0].Names[0].Name, ls
 }
 
 // lockMethods are the sync calls that count as acquiring the guard.

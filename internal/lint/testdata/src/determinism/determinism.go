@@ -45,8 +45,8 @@ func seededRandOK() int {
 	return r.Intn(10)
 }
 
-func suppressed() int64 {
-	return time.Now().Unix() //nolint:determinism
+func waived() int64 {
+	return time.Now().Unix() //nolint:determinism — fixture // want "wall-clock read time.Now"
 }
 
 func mapOrderLeak(m map[string]int) []string {

@@ -185,8 +185,6 @@ type Engine struct {
 }
 
 // New returns an engine for the given config, applying defaults.
-//
-//bslint:detroot
 func New(cfg Config) *Engine {
 	if cfg.MinQueriers == 0 {
 		cfg.MinQueriers = 20
@@ -239,8 +237,6 @@ func nextPow2(n int) int {
 // current epoch boundary. Records need not be globally ordered; the
 // epoch clock only moves forward (a far-future record advances it, and
 // stragglers behind it still land in the sketches).
-//
-//bslint:detroot
 func (e *Engine) Ingest(recs []dnslog.Record) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -62,8 +62,6 @@ func DefaultStreamSpec() StreamSpec {
 // querier's name once, when the querier enters an originator's sample, so
 // it must be fed after the world is built: World.QuerierName is a pure
 // function of the address from then on (stream.Config.NameOf).
-//
-//bslint:detroot
 func (d *Dataset) NewStream(spec StreamSpec, scorer StreamScorer) *StreamEngine {
 	if spec.Epoch == 0 {
 		spec.Epoch = d.Spec.Interval
@@ -118,8 +116,6 @@ type StreamComparison struct {
 // driven by model, classifies the batch path with the same model, and
 // scores both against ground truth. The result is deterministic for a
 // given dataset, spec, and model at any worker count.
-//
-//bslint:detroot
 func (d *Dataset) CompareStream(spec StreamSpec, model *Model) StreamComparison {
 	batch := model.ClassifyAll(d.Whole())
 
