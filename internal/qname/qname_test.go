@@ -1,6 +1,9 @@
 package qname
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"hash"
 	"strings"
 	"testing"
 
@@ -171,6 +174,48 @@ func TestDomainUsesCCTLD(t *testing.T) {
 	d := g.Domain("jp", 12)
 	if len(d) < 4 || d[len(d)-3:] != ".jp" {
 		t.Errorf("Domain = %q, want .jp suffix", d)
+	}
+}
+
+// TestGeneratorNamesPinned holds Name's output, and so the order of its
+// draws, to digests recorded before the registered domain was assembled
+// inline: one shared generator under seed 42 and ccTLD "jp" names 300
+// addresses per category, the categories interleaved, each category's
+// names hashed in order.
+func TestGeneratorNamesPinned(t *testing.T) {
+	want := [NumCategories]string{
+		Home:     "b77a9bb100df79ff",
+		Mail:     "80b4544122c71c47",
+		NS:       "be9cb0a6fd79d48e",
+		FW:       "5a00668e30d895ae",
+		Antispam: "6029d48645b2a78a",
+		WWW:      "4421f6329bf7a8ba",
+		NTP:      "bc3ac9cba6010d8e",
+		CDN:      "1b7b374f9e24e957",
+		AWS:      "e024682f10974272",
+		MS:       "803fd30dcfee9f0f",
+		Google:   "6c724d7879d25dbf",
+		Other:    "b087487d3d2b4f55",
+		Unreach:  "12e1056a17c3c88f", // no names: the digest of 300 empty lines
+		NXDomain: "12e1056a17c3c88f",
+	}
+	g := NewGenerator(rng.New(42))
+	addrs := rng.New(43)
+	var h [NumCategories]hash.Hash
+	for i := range h {
+		h[i] = sha256.New()
+	}
+	for i := 0; i < 300; i++ {
+		for cat := Category(0); cat < NumCategories; cat++ {
+			name := g.Name(cat, ipaddr.Addr(addrs.Uint64()), "jp")
+			h[cat].Write([]byte(name))
+			h[cat].Write([]byte{'\n'})
+		}
+	}
+	for cat := Category(0); cat < NumCategories; cat++ {
+		if got := hex.EncodeToString(h[cat].Sum(nil))[:16]; got != want[cat] {
+			t.Errorf("%v: names digest %s, want %s", cat, got, want[cat])
+		}
 	}
 }
 
