@@ -160,20 +160,26 @@ bench-check:
 # suite (seconds, and it covers the pipeline's hot fan-out paths) plus
 # BenchmarkProfOverhead, whose off case pins the zero-cost-when-disabled
 # accounting contract, BenchmarkForestPredict (internal/ml), which
-# pins an allocation-free vote, and BenchmarkEngine* (internal/stream),
-# which holds the engine's per-batch and per-epoch scratch reuse. Budgets
-# for the rest of the suite are enforced by bench-check / CI; budgeted
-# benchmarks outside the subset are logged as skipped.
+# pins an allocation-free vote, BenchmarkEngine* (internal/stream),
+# which holds the engine's per-batch and per-epoch scratch reuse, the
+# wire codec's encode and decode paths (internal/dnswire) and querier-name
+# generation (internal/qname). Budgets for the rest of the suite are
+# enforced by bench-check / CI; budgeted benchmarks outside the subset are
+# logged as skipped.
 budget:
-	$(call budget-check,BenchmarkParallel|BenchmarkProfOverhead|BenchmarkForestPredict|BenchmarkEngine)
+	$(call budget-check,BenchmarkParallel|BenchmarkProfOverhead|BenchmarkForestPredict|BenchmarkEngine|BenchmarkEncoderReused|BenchmarkEncodePTRQuery|BenchmarkDecodeInto|BenchmarkGenerate)
 
-# budget-check runs the benchmarks matching $(1) in the root package,
-# internal/ml and internal/stream once with -benchmem and hands the output
-# to bsprof -check. The run goes through a file, so a failing benchmark
-# fails the gate instead of reading as skipped budgets.
+# budget-check runs the benchmarks matching $(1) with -benchmem and hands
+# the output to bsprof -check: once in the root package, internal/ml and
+# internal/stream, and 10000 times in internal/dnswire and internal/qname,
+# whose operations allocate a few bytes each, so that a stray allocation
+# of the runtime's during one operation averages away. The run goes
+# through a file, so a failing benchmark fails the gate instead of reading
+# as skipped budgets.
 define budget-check
 	@out=$$(mktemp); \
 	$(GO) test -run '^$$' -bench '$(1)' -benchmem -benchtime 1x . ./internal/ml ./internal/stream > $$out || { cat $$out; rm -f $$out; exit 1; }; \
+	$(GO) test -run '^$$' -bench '$(1)' -benchmem -benchtime 10000x ./internal/dnswire ./internal/qname >> $$out || { cat $$out; rm -f $$out; exit 1; }; \
 	$(GO) run ./cmd/bsprof -check -budgets alloc.budgets -bench $$out; code=$$?; rm -f $$out; exit $$code
 endef
 

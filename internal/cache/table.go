@@ -1,3 +1,18 @@
+// Package cache implements the TTL caches of recursive resolvers.
+//
+// DNS caching is the dominant attenuator of backscatter (§II, §IV-D):
+// whether an authority sees a reverse query at all depends on what the
+// querier's resolver still holds — the final PTR record, or any NS
+// delegation along the in-addr.arpa chain. Entries are positive or
+// negative (NXDomain results are cached too, per RFC 2308), run on the
+// simulator's explicit clock, and are bounded per owner with
+// expired-first eviction.
+//
+// Table is the store itself: shared by all simulated resolvers of a
+// shard, one owner each, or held by the live recursor alone as owner 0
+// with the cached values it answers from. A world's shard tables get a
+// horizon, the start of the day being resolved, and sweep out what
+// expired by it before they grow: they hold what can still be read.
 package cache
 
 import (
@@ -30,9 +45,6 @@ type Table[V any] struct {
 	max   int     // per-owner bound; <= 0 is unbounded
 	// horizon is a time no later operation precedes; 0 is none.
 	horizon simtime.Time
-	// shift is ownerBits, or 64 for a one-owner table whose keys use the
-	// whole uint64 (Go defines x<<64 and x>>64 as 0).
-	shift uint
 
 	m *cacheMetrics
 
@@ -61,11 +73,7 @@ const minSlots = 8
 // small non-negative ids the caller assigns, ideally densely; the table
 // learns an owner at its first Put, so assigning one writes nothing here.
 func NewTable[V any](max int) *Table[V] {
-	return newTable[V](max, ownerBits)
-}
-
-func newTable[V any](max int, shift uint) *Table[V] {
-	t := &Table[V]{max: max, shift: shift}
+	t := &Table[V]{max: max}
 	t.alloc(minSlots)
 	return t
 }
@@ -113,7 +121,7 @@ func (t *Table[V]) beforeHorizon(now simtime.Time) {
 // live is the lookup behind Get: the slot of owner's live entry for key at
 // time now, or nil. Expired entries are removed and count as misses.
 func (t *Table[V]) live(owner int, key uint64, now simtime.Time) *slot[V] {
-	i, s := t.find(uint64(owner)<<t.shift|key, now)
+	i, s := t.find(uint64(owner)<<ownerBits|key, now)
 	if s == nil {
 		t.m.miss(key)
 		return nil
@@ -150,7 +158,7 @@ func (t *Table[V]) PutNegative(owner int, key uint64, ttl simtime.Duration, now 
 }
 
 func (t *Table[V]) put(owner int, key uint64, v V, negative bool, ttl simtime.Duration, now simtime.Time) {
-	k := uint64(owner)<<t.shift | key
+	k := uint64(owner)<<ownerBits | key
 	i, s := t.find(k, now)
 	expires := now.Add(ttl)
 	if ttl <= 0 || expires <= 0 {
@@ -220,7 +228,7 @@ func (t *Table[V]) sweep() {
 // remove empties slot i and shifts the rest of its probe run back over the
 // hole, so lookups never need tombstones.
 func (t *Table[V]) remove(i int) {
-	t.owned[t.slots[i].key>>t.shift]--
+	t.owned[t.slots[i].key>>ownerBits]--
 	t.used--
 	mask := len(t.slots) - 1
 	for j := (i + 1) & mask; t.slots[j].exp != 0; j = (j + 1) & mask {
@@ -244,7 +252,7 @@ func (t *Table[V]) evict(owner int, k uint64, now simtime.Time) {
 	victim, seen := -1, 0
 	for n, i := 0, t.home(k); n < len(t.slots) && seen < 8; n, i = n+1, (i+1)&mask {
 		s := &t.slots[i]
-		if s.exp == 0 || int(s.key>>t.shift) != owner {
+		if s.exp == 0 || int(s.key>>ownerBits) != owner {
 			continue
 		}
 		if !now.Before(s.expires()) {

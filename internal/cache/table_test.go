@@ -210,15 +210,15 @@ func TestOwnerFirstSeenAtPut(t *testing.T) {
 // map iteration, and evicting a live entry changes later answers.)
 func TestEvictionDeterministic(t *testing.T) {
 	run := func() string {
-		c := New(8)
+		c := NewTable[string](8)
 		st := rng.New(3)
 		var log []byte
 		for op := 0; op < 4000; op++ {
 			key := uint64(st.Intn(64))
 			now := simtime.Time(op)
 			if st.Bool(0.5) {
-				c.Put(key, "v", simtime.Duration(20+st.Intn(200)), now)
-			} else if _, ok := c.Get(key, now); ok {
+				c.Put(0, key, "v", simtime.Duration(20+st.Intn(200)), now)
+			} else if _, _, ok := c.Get(0, key, now); ok {
 				log = append(log, '1')
 			} else {
 				log = append(log, '0')
@@ -226,7 +226,7 @@ func TestEvictionDeterministic(t *testing.T) {
 		}
 		survivors := ""
 		for key := uint64(0); key < 64; key++ {
-			if _, ok := c.Get(key, 4000); ok {
+			if _, _, ok := c.Get(0, key, 4000); ok {
 				survivors += fmt.Sprint(key, " ")
 			}
 		}

@@ -146,14 +146,14 @@ type Recursor struct {
 	// Client performs the individual queries.
 	Client Client
 
-	cache  *cache.Cache
+	cache  *cache.Table[string] // owner 0 is this recursor
 	m      dnssim.Metrics
 	tracer *trace.Tracer
 }
 
-// servFailTTL is how long a give-up holds: the simulator's default, so
-// both walks rate-limit a failing name alike.
-var servFailTTL = dnssim.DefaultConfig().ServFailTTL
+// servFailTTL is how long a give-up holds: the simulator's, so both walks
+// rate-limit a failing name alike.
+const servFailTTL = dnssim.ServFailTTL
 
 // NewRecursor returns a recursor with a fresh cache, rooted at the given
 // server addresses. reg, when non-nil, counts lookups, full-answer cache
@@ -165,7 +165,7 @@ var servFailTTL = dnssim.DefaultConfig().ServFailTTL
 // events are the hops of the live referral chain; the recursor itself is
 // the querier, so the trace's querier address is zero.
 func NewRecursor(reg *obs.Registry, tr *trace.Tracer, roots ...string) *Recursor {
-	r := &Recursor{Roots: roots, cache: cache.New(8192), m: dnssim.NewMetrics(reg), tracer: tr}
+	r := &Recursor{Roots: roots, cache: cache.NewTable[string](8192), m: dnssim.NewMetrics(reg), tracer: tr}
 	r.Client.Obs = reg
 	r.cache.SetMetrics(reg, "recursor")
 	return r
@@ -193,19 +193,19 @@ func (r *Recursor) ResolvePTR(addr ipaddr.Addr, now simtime.Time) (string, Trace
 
 // walk is ResolvePTR's resolution; it returns the level it ended at.
 func (r *Recursor) walk(addr ipaddr.Addr, now simtime.Time, tc *trace.Ctx, tr *Trace) (string, int, error) {
-	if e, ok := r.cache.Get(cache.PTRKey(addr), now); ok {
+	if target, _, ok := r.cache.Get(0, cache.PTRKey(addr), now); ok {
 		r.m.Resolve(true, now)
 		tc.CacheHit(now)
-		return e.Value, 0, nil
+		return target, 0, nil
 	}
 	r.m.Resolve(false, now)
-	z16, have16 := r.cache.Get(cache.Zone16Key(addr), now)
-	z8, have8 := r.cache.Get(cache.Zone8Key(addr), now)
+	z16, _, have16 := r.cache.Get(0, cache.Zone16Key(addr), now)
+	z8, _, have8 := r.cache.Get(0, cache.Zone8Key(addr), now)
 	level := dnssim.StartLevel(have8, have16)
-	server := z16.Value
+	server := z16
 	switch {
 	case level == 1:
-		server = z8.Value
+		server = z8
 	case level == 0 && len(r.Roots) == 0:
 		return "", level, errors.New("dnsserver: recursor has no roots")
 	case level == 0:
@@ -263,9 +263,9 @@ func (r *Recursor) walk(addr ipaddr.Addr, now simtime.Time, tc *trace.Ctx, tr *T
 // entry answers with.
 func (r *Recursor) store(w dnssim.Write, value string) {
 	if w.Negative {
-		r.cache.PutNegative(w.Key, w.TTL, w.At)
+		r.cache.PutNegative(0, w.Key, w.TTL, w.At)
 	} else {
-		r.cache.Put(w.Key, value, w.TTL, w.At)
+		r.cache.Put(0, w.Key, value, w.TTL, w.At)
 	}
 }
 

@@ -35,7 +35,6 @@ func startHierarchy(t *testing.T) *liveHierarchy {
 func startHierarchyWith(t *testing.T, wire func(level string, cfg *Config)) *liveHierarchy {
 	t.Helper()
 	h := &liveHierarchy{records: make(map[string][]dnslog.Record)}
-	sim := dnssim.DefaultConfig()
 	listen := func(name string, handler Handler) *Server {
 		cfg := Config{Authority: name, Handler: handler, Sink: func(rs []dnslog.Record) {
 			h.mu.Lock()
@@ -70,7 +69,7 @@ func startHierarchyWith(t *testing.T, wire func(level string, cfg *Config)) *liv
 		}
 		o0, o1, _, _ := a.Octets()
 		zone := itoa(int(o1)) + "." + itoa(int(o0)) + ".in-addr.arpa"
-		return Delegation{Zone: zone, NS: "ns.final.example", Addr: final.Addr(), TTL: sim.FinalNSTTL}, true
+		return Delegation{Zone: zone, NS: "ns.final.example", Addr: final.Addr(), TTL: dnssim.FinalNSTTL}, true
 	}))
 	h.national = national
 
@@ -81,7 +80,7 @@ func startHierarchyWith(t *testing.T, wire func(level string, cfg *Config)) *liv
 			return Delegation{}, false
 		}
 		zone := itoa(int(a.Slash8())) + ".in-addr.arpa"
-		return Delegation{Zone: zone, NS: "ns.registry.example", Addr: national.Addr(), TTL: sim.NationalNSTTL}, true
+		return Delegation{Zone: zone, NS: "ns.registry.example", Addr: national.Addr(), TTL: dnssim.NationalNSTTL}, true
 	}))
 	h.root = root
 	return h

@@ -156,15 +156,14 @@ func simWalks(seq []walkLookup, traits func(*dnssim.Resolver)) []walkResult {
 // live one.
 func TestSimAndLiveWalksAgree(t *testing.T) {
 	seq := walkSequence()
-	cfg := dnssim.DefaultConfig()
 	byAddr := func(a ipaddr.Addr) uint32 { return uint32(a) }
 	by16 := func(a ipaddr.Addr) uint32 { return uint32(a.Slash16()) }
 	by8 := func(a ipaddr.Addr) uint32 { return uint32(a.Slash8()) }
 	for _, c := range []struct {
 		key func(ipaddr.Addr) uint32
 		ttl simtime.Duration
-	}{{byAddr, 10 * simtime.Minute}, {byAddr, simtime.Hour}, {byAddr, simtime.Day}, {byAddr, cfg.ServFailTTL},
-		{by16, cfg.FinalNSTTL}, {by8, cfg.NationalNSTTL}} {
+	}{{byAddr, 10 * simtime.Minute}, {byAddr, simtime.Hour}, {byAddr, simtime.Day}, {byAddr, dnssim.ServFailTTL},
+		{by16, dnssim.FinalNSTTL}, {by8, dnssim.NationalNSTTL}} {
 		if !straddles(seq, c.key, c.ttl) {
 			t.Fatalf("the sequence repeats nothing both inside and past %d s", c.ttl)
 		}

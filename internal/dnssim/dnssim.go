@@ -33,28 +33,48 @@ import (
 	"dnsbackscatter/internal/trace"
 )
 
-// Config sets the hierarchy's caching behavior.
-type Config struct {
+// The hierarchy's caching and retry behaviour mirrors 2014 operational
+// practice (§II, §IV-D).
+const (
 	// NationalNSTTL is how long resolvers cache a /8 zone delegation.
 	// It governs attenuation at the roots.
-	NationalNSTTL simtime.Duration
+	NationalNSTTL = 2 * simtime.Day
 	// FinalNSTTL is how long resolvers cache a /16 zone delegation.
 	// It governs attenuation at national authorities.
-	FinalNSTTL simtime.Duration
-	// ServFailTTL is how long a resolver remembers that a final
-	// authority is unreachable before retrying.
-	ServFailTTL simtime.Duration
-	// Retry is the per-level query retry policy, consulted only when a
-	// fault plan is installed (a fault-free network answers the first
-	// try, as all earlier PRs assumed).
-	Retry RetryPolicy
+	FinalNSTTL = 6 * simtime.Hour
+	// ServFailTTL is how long a resolver remembers that a lookup gave up
+	// before retrying.
+	ServFailTTL = 5 * simtime.Minute
 
+	// Authority queries retry like a common stub, consulted only when a
+	// fault plan is installed (a fault-free network answers the first
+	// try): RetryAttempts tries in all, the first included, RetryBase
+	// before the first retry, the delay doubling up to RetryCap.
+	RetryAttempts = 3
+	RetryBase     = 2 * simtime.Second
+	RetryCap      = 8 * simtime.Second
+)
+
+// Backoff returns the delay between attempt n-1 and attempt n (1-based
+// retries): RetryBase<<(n-1), capped at RetryCap.
+func Backoff(n int) simtime.Duration {
+	if n <= 0 {
+		return 0
+	}
+	d := RetryBase
+	for i := 1; i < n && d < RetryCap; i++ {
+		d *= 2
+	}
+	return min(d, RetryCap)
+}
+
+// Config wires a hierarchy to its fault plan and instruments.
+type Config struct {
 	// Faults, when non-nil, is a deterministic fault plan applied to every
-	// authority exchange. Faults activate the Retry backoff policy: dropped
-	// or dead exchanges retry up to Retry.Attempts times, each retry
-	// counted in resolver_retries_total, exhaustion in
-	// resolver_gaveup_total, truncation-forced TCP re-asks in
-	// resolver_tcp_fallbacks_total.
+	// authority exchange. Faults activate the retry backoff: dropped or
+	// dead exchanges retry up to RetryAttempts times, each retry counted
+	// in resolver_retries_total, exhaustion in resolver_gaveup_total,
+	// truncation-forced TCP re-asks in resolver_tcp_fallbacks_total.
 	Faults *faults.Plan
 	// Obs, when non-nil, counts lookups started, lookups answered wholly
 	// from the resolver cache, authority queries per hierarchy level
@@ -68,62 +88,8 @@ type Config struct {
 	Tracer *trace.Tracer
 }
 
-// RetryPolicy is a capped exponential backoff for authority queries:
-// attempt n (0-based) waits Base<<(n-1) seconds after attempt n-1,
-// never more than Cap. The zero value means the DefaultRetry policy.
-type RetryPolicy struct {
-	// Attempts is the total number of tries, first included.
-	Attempts int
-	// Base is the delay before the first retry.
-	Base simtime.Duration
-	// Cap bounds the exponentially growing delay.
-	Cap simtime.Duration
-}
-
-// DefaultRetry mirrors common stub behavior: three tries, 2 s initial
-// backoff, capped at 8 s.
-func DefaultRetry() RetryPolicy {
-	return RetryPolicy{Attempts: 3, Base: 2 * simtime.Second, Cap: 8 * simtime.Second}
-}
-
-// normalized fills zero fields with the DefaultRetry values.
-func (p RetryPolicy) normalized() RetryPolicy {
-	d := DefaultRetry()
-	if p.Attempts <= 0 {
-		p.Attempts = d.Attempts
-	}
-	if p.Base <= 0 {
-		p.Base = d.Base
-	}
-	if p.Cap <= 0 {
-		p.Cap = d.Cap
-	}
-	return p
-}
-
-// Backoff returns the delay between attempt n-1 and attempt n (1-based
-// retries): Base<<(n-1), capped at Cap.
-func (p RetryPolicy) Backoff(n int) simtime.Duration {
-	if n <= 0 {
-		return 0
-	}
-	d := p.Base
-	for i := 1; i < n && d < p.Cap; i++ {
-		d *= 2
-	}
-	return min(d, p.Cap)
-}
-
-// DefaultConfig mirrors common operational TTLs: /8 delegations about two
-// days, /16 delegations six hours, servfail retry after five minutes.
-func DefaultConfig() Config {
-	return Config{
-		NationalNSTTL: 2 * simtime.Day,
-		FinalNSTTL:    6 * simtime.Hour,
-		ServFailTTL:   5 * simtime.Minute,
-		Retry:         DefaultRetry(),
-	}
-}
+// DefaultConfig returns a hierarchy with no faults and no instruments.
+func DefaultConfig() Config { return Config{} }
 
 // OriginatorProfile describes the reverse-DNS posture of one originator,
 // fixed by whoever runs its final authority.
@@ -571,12 +537,12 @@ func (x *lookup) finish(now simtime.Time, queries int) int {
 // giveUp negative-caches the name after a level exhausted its retries —
 // the same rate limit the dead-final path always used.
 func (x *lookup) giveUp(now simtime.Time, queries int) int {
-	x.r.store(GiveUp(x.orig, x.h.Cfg.ServFailTTL, now))
+	x.r.store(GiveUp(x.orig, ServFailTTL, now))
 	return x.finish(now, queries)
 }
 
 // exchange runs the query/retry loop against one authority level. It
-// sends up to Retry.Attempts queries (exactly one when no fault plan is
+// sends up to RetryAttempts queries (exactly one when no fault plan is
 // installed — the polite network of earlier PRs is byte-identical),
 // backing off with the capped exponential policy between tries. Each
 // answer that actually arrives is tapped for sensor s with the instant it
@@ -604,13 +570,12 @@ func (x *lookup) exchange(li int, zone uint64, hidden bool, rcode uint8, unreach
 		return true, now, 1
 	}
 
-	pol := h.Cfg.Retry.normalized()
 	res, sub := uint64(x.r.Addr), uint64(x.orig)
 	t := now
-	for attempt := 0; attempt < pol.Attempts; attempt++ {
+	for attempt := 0; attempt < RetryAttempts; attempt++ {
 		if attempt > 0 {
 			h.m.retries.IncAt(t)
-			t = t.Add(pol.Backoff(attempt))
+			t = t.Add(Backoff(attempt))
 		}
 		h.m.Queries(li, 1, hidden, t)
 		tc.Query(lv, attempt+1, t)
@@ -715,12 +680,12 @@ func (h *Hierarchy) walkUp(out *[]Tap, seq uint32, r *Resolver, sub *Subject, no
 	// delegation. A minimizing resolver asks the upper levels only for
 	// "1.in-addr.arpa" or "2.1.in-addr.arpa", which no sensor attributes.
 	have16 := r.cached(cache.Zone16Key(orig), now)
-	have8 := r.cached(cache.Zone8Key(orig), now) || bgWarm(r, cache.Zone8Key(orig), h.Cfg.NationalNSTTL, now)
+	have8 := r.cached(cache.Zone8Key(orig), now) || bgWarm(r, cache.Zone8Key(orig), NationalNSTTL, now)
 	queries, cur := 0, now
 	for li := StartLevel(have8, have16); li < 2; li++ {
-		s, ttl := sub.national, h.Cfg.FinalNSTTL
+		s, ttl := sub.national, FinalNSTTL
 		if li == 0 {
-			s, ttl = h.rootB, h.Cfg.NationalNSTTL
+			s, ttl = h.rootB, NationalNSTTL
 			if r.st.Bool(r.PreferM) {
 				s = h.rootM
 			}

@@ -321,7 +321,11 @@ func TestMutatedMessagesNeverPanic(t *testing.T) {
 
 func BenchmarkEncodePTRQuery(b *testing.B) {
 	buf := make([]byte, 0, 64)
+	if _, err := NewPTRQuery(0, "4.3.2.1.in-addr.arpa").Encode(buf); err != nil { // fill the encoder pool
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = buf[:0]
 		var err error
@@ -338,7 +342,11 @@ func BenchmarkDecodeInto(b *testing.B) {
 		b.Fatal(err)
 	}
 	var m Message
+	if err := DecodeInto(wire, &m); err != nil { // warm m's slices
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := DecodeInto(wire, &m); err != nil {
 			b.Fatal(err)

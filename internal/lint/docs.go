@@ -130,11 +130,8 @@ func brokenReferences(path, text string) []Finding {
 	}
 	inFence := false
 	for i, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(strings.TrimSpace(line), "```") {
-			inFence = !inFence
-			continue
-		}
-		if inFence {
+		if fence := strings.HasPrefix(strings.TrimSpace(line), "```"); fence || inFence {
+			inFence = inFence != fence // a fence line toggles; lines inside are skipped
 			continue
 		}
 		for _, m := range linkRe.FindAllStringSubmatchIndex(line, -1) {

@@ -208,7 +208,7 @@ func fmtAndStringFindings(pkg *Package, fd *ast.FuncDecl) []Finding {
 		if conversionCopies(dst, src.Underlying()) {
 			out = append(out, Finding{
 				Pos:     pkg.Fset.Position(call.Pos()),
-				Message: "conversion " + exprString(pkg.Fset, call.Fun) + "(...) copies its operand on the hotpath; reuse a scratch buffer or intern the value",
+				Message: "conversion " + exprString(pkg.Fset, call.Fun) + "(...) copies its operand on the hotpath; reuse a scratch buffer",
 			})
 		}
 		return true

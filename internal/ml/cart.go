@@ -11,9 +11,11 @@ import (
 type CARTConfig struct {
 	MaxDepth    int // 0 = unlimited
 	MinLeaf     int // minimum samples per leaf (default 1)
-	MinSplit    int // minimum samples to attempt a split (default 2)
 	MaxFeatures int // features examined per split; 0 = all (forests subsample)
 }
+
+// minSplit is the fewest samples a node needs to attempt a split.
+const minSplit = 2
 
 // CART trains a single classification tree with Gini-impurity splits
 // (Breiman et al. 1984), the first of the paper's three algorithms.
@@ -91,9 +93,6 @@ func (c CART) trainTree(d *Dataset, st *rng.Stream, bootstrap bool) *Tree {
 	cfg := c.Config
 	if cfg.MinLeaf < 1 {
 		cfg.MinLeaf = 1
-	}
-	if cfg.MinSplit < 2 {
-		cfg.MinSplit = 2
 	}
 	r := d.ranked()
 	t := &Tree{importance: make([]float64, r.nf)}
@@ -213,7 +212,7 @@ func (b *treeBuilder) grow(lo, hi, rows, depth int) {
 	label := majorityLabel(counts)
 	at := len(b.nodes)
 	b.nodes = append(b.nodes, node{feature: -1, label: int16(label)})
-	if n < b.cfg.MinSplit || (b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) {
+	if n < minSplit || (b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) {
 		return
 	}
 	// Gini impurity, summed over the classes present: an absent class's

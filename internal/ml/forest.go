@@ -11,11 +11,10 @@ import (
 )
 
 // ForestConfig controls Random Forest training.
+// Its trees grow without a depth cap down to one-row leaves and examine
+// round(√F) of the F features at each split.
 type ForestConfig struct {
-	Trees       int // number of trees (default 100)
-	MaxDepth    int // per-tree depth cap (0 = unlimited)
-	MinLeaf     int // per-tree leaf minimum (default 1)
-	MaxFeatures int // features per split; 0 = round(sqrt(F))
+	Trees int // number of trees (default 100)
 
 	// Workers bounds tree-training goroutines; <= 0 uses GOMAXPROCS(0)
 	// and 1 trains sequentially. Every tree draws from its own seeded
@@ -63,18 +62,8 @@ func (f Forest) TrainForest(d *Dataset, st *rng.Stream) *ForestModel {
 	if cfg.Trees <= 0 {
 		cfg.Trees = 100
 	}
-	mf := cfg.MaxFeatures
-	if mf <= 0 {
-		mf = int(math.Round(math.Sqrt(float64(d.NumFeatures()))))
-		if mf < 1 {
-			mf = 1
-		}
-	}
-	cart := CART{Config: CARTConfig{
-		MaxDepth:    cfg.MaxDepth,
-		MinLeaf:     cfg.MinLeaf,
-		MaxFeatures: mf,
-	}}
+	mf := max(1, int(math.Round(math.Sqrt(float64(d.NumFeatures())))))
+	cart := CART{Config: CARTConfig{MaxFeatures: mf}}
 
 	m := &ForestModel{
 		numClasses: d.NumClasses,

@@ -8,12 +8,15 @@ import (
 
 // SVMConfig controls kernel-SVM training.
 type SVMConfig struct {
-	C        float64 // soft-margin penalty (default 10)
-	Gamma    float64 // RBF width; 0 = 1/numFeatures
-	Tol      float64 // KKT tolerance (default 1e-3)
-	MaxPass  int     // passes without alpha changes before stopping (default 5)
-	MaxIters int     // hard iteration cap (default 200 sweeps)
+	MaxIters int // hard iteration cap (default 200 sweeps)
 }
+
+// SMO's fixed settings; the RBF width is 1/F for F features.
+const (
+	svmC       = 10   // soft-margin penalty
+	svmTol     = 1e-3 // KKT tolerance
+	svmMaxPass = 5    // passes without alpha changes before stopping
+)
 
 // SVM trains a one-vs-one multiclass support-vector machine with an RBF
 // kernel, optimized by simplified SMO (Platt 1998 as reduced in the
@@ -87,22 +90,11 @@ func (s SVM) Train(d *Dataset, st *rng.Stream) Classifier {
 
 // TrainSVM trains and returns the concrete model.
 func (s SVM) TrainSVM(d *Dataset, st *rng.Stream) *SVMModel {
-	cfg := s.Config
-	if cfg.C <= 0 {
-		cfg.C = 10
+	maxIters := s.Config.MaxIters
+	if maxIters <= 0 {
+		maxIters = 200
 	}
-	if cfg.Gamma <= 0 {
-		cfg.Gamma = 1 / float64(max(1, d.NumFeatures()))
-	}
-	if cfg.Tol <= 0 {
-		cfg.Tol = 1e-3
-	}
-	if cfg.MaxPass <= 0 {
-		cfg.MaxPass = 5
-	}
-	if cfg.MaxIters <= 0 {
-		cfg.MaxIters = 200
-	}
+	gamma := 1 / float64(max(1, d.NumFeatures()))
 
 	// Standardize the design matrix: per-column z-scores.
 	nf := d.NumFeatures()
@@ -146,7 +138,7 @@ func (s SVM) TrainSVM(d *Dataset, st *rng.Stream) *SVMModel {
 			if len(byClass[a]) == 0 || len(byClass[b]) == 0 {
 				continue
 			}
-			m := trainBinary(zd, byClass[a], byClass[b], cfg, st)
+			m := trainBinary(zd, byClass[a], byClass[b], gamma, maxIters, st)
 			model.pairs = append(model.pairs, svmPair{a: a, b: b, m: m})
 		}
 	}
@@ -171,13 +163,13 @@ func (m *SVMModel) Predict(x []float64) int {
 
 // trainBinary runs simplified SMO on the rows of classes a (label +1) and
 // b (label -1).
-func trainBinary(d *Dataset, aRows, bRows []int, cfg SVMConfig, st *rng.Stream) *binarySVM {
+func trainBinary(d *Dataset, aRows, bRows []int, gamma float64, maxIters int, st *rng.Stream) *binarySVM {
 	n := len(aRows) + len(bRows)
 	m := &binarySVM{
 		x:     make([][]float64, 0, n),
 		y:     make([]float64, 0, n),
 		alpha: make([]float64, n),
-		gamma: cfg.Gamma,
+		gamma: gamma,
 	}
 	for _, i := range aRows {
 		m.x = append(m.x, d.X[i])
@@ -209,12 +201,12 @@ func trainBinary(d *Dataset, aRows, bRows []int, cfg SVMConfig, st *rng.Stream) 
 	}
 
 	passes, iters := 0, 0
-	for passes < cfg.MaxPass && iters < cfg.MaxIters {
+	for passes < svmMaxPass && iters < maxIters {
 		iters++
 		changed := 0
 		for i := 0; i < n; i++ {
 			ei := f(i) - m.y[i]
-			if !((m.y[i]*ei < -cfg.Tol && m.alpha[i] < cfg.C) || (m.y[i]*ei > cfg.Tol && m.alpha[i] > 0)) {
+			if !((m.y[i]*ei < -svmTol && m.alpha[i] < svmC) || (m.y[i]*ei > svmTol && m.alpha[i] > 0)) {
 				continue
 			}
 			j := st.Intn(n - 1)
@@ -226,10 +218,10 @@ func trainBinary(d *Dataset, aRows, bRows []int, cfg SVMConfig, st *rng.Stream) 
 			var lo, hi float64
 			if m.y[i] != m.y[j] {
 				lo = math.Max(0, aj-ai)
-				hi = math.Min(cfg.C, cfg.C+aj-ai)
+				hi = math.Min(svmC, svmC+aj-ai)
 			} else {
-				lo = math.Max(0, ai+aj-cfg.C)
-				hi = math.Min(cfg.C, ai+aj)
+				lo = math.Max(0, ai+aj-svmC)
+				hi = math.Min(svmC, ai+aj)
 			}
 			if lo == hi {
 				continue
@@ -253,9 +245,9 @@ func trainBinary(d *Dataset, aRows, bRows []int, cfg SVMConfig, st *rng.Stream) 
 			b1 := m.b + ei + m.y[i]*(aiNew-ai)*k[i][i] + m.y[j]*(ajNew-aj)*k[i][j]
 			b2 := m.b + ej + m.y[i]*(aiNew-ai)*k[i][j] + m.y[j]*(ajNew-aj)*k[j][j]
 			switch {
-			case aiNew > 0 && aiNew < cfg.C:
+			case aiNew > 0 && aiNew < svmC:
 				m.b = b1
-			case ajNew > 0 && ajNew < cfg.C:
+			case ajNew > 0 && ajNew < svmC:
 				m.b = b2
 			default:
 				m.b = (b1 + b2) / 2

@@ -16,7 +16,6 @@ import (
 	"strconv"
 	"strings"
 
-	"dnsbackscatter/internal/intern"
 	"dnsbackscatter/internal/ipaddr"
 	"dnsbackscatter/internal/rng"
 )
@@ -190,13 +189,7 @@ func isAlpha(c byte) bool {
 // each category. All choices come from the supplied stream, so a seeded
 // generator is fully reproducible.
 type Generator struct {
-	st *rng.Stream
-	// Intern, when non-nil, canonicalizes the registered domains Name
-	// and Domain build — a small vocabulary (≤ 97 ids × 20 words per
-	// ccTLD) reconstructed for every querier otherwise. Generated names
-	// are byte-identical with or without a table.
-	Intern *intern.Table
-
+	st  *rng.Stream
 	buf []byte // scratch for assembling names in one allocation
 }
 
@@ -221,24 +214,6 @@ func init() {
 	}
 }
 
-// Domain returns a registered domain under the given ccTLD, e.g.
-// "metro3.jp". The id diversifies organizations within a country. The
-// domain is assembled in the generator's scratch buffer and, with an
-// intern table installed, canonicalized — repeat draws of the same
-// (word, id, ccTLD) combination return one shared string.
-func (g *Generator) Domain(cctld string, id int) string {
-	w := domainWords[g.st.Intn(len(domainWords))]
-	b := append(g.buf[:0], w...)
-	b = strconv.AppendInt(b, int64(id%97), 10)
-	b = append(b, '.')
-	b = append(b, cctld...)
-	g.buf = b
-	if g.Intern != nil {
-		return g.Intern.InternBytes(b)
-	}
-	return string(b)
-}
-
 var (
 	homeKeywords   = []string{"home", "dsl", "cable", "dynamic", "cpe", "customer", "pool", "fiber", "flets", "user", "retail"}
 	mailHosts      = []string{"mail", "mx", "smtp", "post", "zimbra", "mta", "imap", "sendnode", "lists", "newsletter", "correo", "poczta"}
@@ -256,9 +231,10 @@ var (
 // callers track unreachability separately.
 func (g *Generator) Name(cat Category, addr ipaddr.Addr, cctld string) string {
 	o0, o1, o2, o3 := addr.Octets()
-	// Domain is drawn unconditionally — even for categories that ignore
-	// it — so the stream advances identically for every category.
-	dom := g.Domain(cctld, int(addr.Slash16()))
+	// The registered domain's word is drawn first and unconditionally —
+	// even for categories that ignore it — so the stream advances
+	// identically for every category.
+	word := domainWords[g.st.Intn(len(domainWords))]
 	pick := func(xs []string) string { return xs[g.st.Intn(len(xs))] }
 
 	// The name is assembled into the generator's scratch buffer and
@@ -274,6 +250,14 @@ func (g *Generator) Name(cat Category, addr ipaddr.Addr, cctld string) string {
 		b = append(b, '-')
 		return strconv.AppendInt(b, int64(o3), 10)
 	}
+	// dom appends the registered domain under cctld, e.g. "metro3.jp";
+	// the /16 diversifies organizations within a country.
+	dom := func(b []byte) []byte {
+		b = append(b, word...)
+		b = strconv.AppendInt(b, int64(addr.Slash16()%97), 10)
+		b = append(b, '.')
+		return append(b, cctld...)
+	}
 	done := func(b []byte) string {
 		g.buf = b
 		return string(b)
@@ -287,7 +271,7 @@ func (g *Generator) Name(cat Category, addr ipaddr.Addr, cctld string) string {
 		}
 		b = quad(b)
 		b = append(b, '.')
-		return done(append(b, dom...))
+		return done(dom(b))
 	case Mail:
 		b = append(b, pick(mailHosts)...)
 		if g.st.Bool(0.3) {
@@ -299,36 +283,36 @@ func (g *Generator) Name(cat Category, addr ipaddr.Addr, cctld string) string {
 			b = strconv.AppendInt(b, int64(g.st.Intn(4)), 10)
 		}
 		b = append(b, '.')
-		return done(append(b, dom...))
+		return done(dom(b))
 	case NS:
 		b = append(b, pick(nsHosts)...)
 		if g.st.Bool(0.4) {
 			b = strconv.AppendInt(b, int64(1+g.st.Intn(4)), 10)
 		}
 		b = append(b, '.')
-		return done(append(b, dom...))
+		return done(dom(b))
 	case FW:
 		b = append(b, pick(fwHosts)...)
 		b = strconv.AppendInt(b, int64(g.st.Intn(3)), 10)
 		b = append(b, '.')
-		return done(append(b, dom...))
+		return done(dom(b))
 	case Antispam:
 		b = append(b, pick(antispamHosts)...)
 		b = strconv.AppendInt(b, int64(1+g.st.Intn(4)), 10)
 		b = append(b, '.')
-		return done(append(b, dom...))
+		return done(dom(b))
 	case WWW:
 		b = append(b, "www"...)
 		if g.st.Bool(0.3) {
 			b = strconv.AppendInt(b, int64(1+g.st.Intn(4)), 10)
 		}
 		b = append(b, '.')
-		return done(append(b, dom...))
+		return done(dom(b))
 	case NTP:
 		b = append(b, "ntp"...)
 		b = strconv.AppendInt(b, int64(g.st.Intn(4)), 10)
 		b = append(b, '.')
-		return done(append(b, dom...))
+		return done(dom(b))
 	case CDN:
 		b = append(b, 'a')
 		b = quad(b)
@@ -354,7 +338,7 @@ func (g *Generator) Name(cat Category, addr ipaddr.Addr, cctld string) string {
 		b = append(b, pick(otherHosts)...)
 		b = strconv.AppendInt(b, int64(g.st.Intn(40)), 10)
 		b = append(b, '.')
-		return done(append(b, dom...))
+		return done(dom(b))
 	case NXDomain, Unreach:
 		return ""
 	default:

@@ -5,7 +5,6 @@ import (
 
 	"dnsbackscatter/internal/dnssim"
 	"dnsbackscatter/internal/geo"
-	"dnsbackscatter/internal/intern"
 	"dnsbackscatter/internal/ipaddr"
 	"dnsbackscatter/internal/obs"
 	"dnsbackscatter/internal/qname"
@@ -53,8 +52,6 @@ type querierName struct {
 type querierPool struct {
 	geo          *geo.Registry
 	seed         uint64
-	ranks        int
-	zipfS        float64
 	qminFraction float64
 
 	// zipf[k] is the smallest 53-bit draw whose rank is <= k; see zipfRank.
@@ -71,13 +68,6 @@ type querierPool struct {
 	// it, counted here because generation runs beside the shard's walks.
 	caches [simShards]*dnssim.Caches
 	owners [simShards]int
-
-	// names canonicalizes the registered domains inside generated
-	// querier names across the whole pool — one shared copy per
-	// (word, org-id, ccTLD) instead of one per querier. Seeded from the
-	// pool seed; value-transparent, so names are byte-identical with or
-	// without it.
-	names *intern.Table
 }
 
 // resolverCacheMax bounds each simulated resolver's cache entries. Shard
@@ -87,17 +77,13 @@ const resolverCacheMax = 2048
 
 // newQuerierPool returns an empty pool whose resolver caches, materialized
 // or not, count into reg (nil: uninstrumented).
-func newQuerierPool(g *geo.Registry, src *rng.Source, ranks int, zipfS float64, reg *obs.Registry) *querierPool {
-	seed := src.Stream("querier-pool").Uint64()
+func newQuerierPool(g *geo.Registry, src *rng.Source, reg *obs.Registry) *querierPool {
 	p := &querierPool{
 		geo:   g,
-		seed:  seed,
-		ranks: ranks,
-		zipfS: zipfS,
-		zipf:  zipfThresholds(ranks, zipfS),
+		seed:  src.Stream("querier-pool").Uint64(),
+		zipf:  zipfThresholds(),
 		byKey: make(map[uint64]*Querier),
 		named: make(map[ipaddr.Addr]querierName),
-		names: intern.New(seed),
 	}
 	for s := range p.caches {
 		p.caches[s] = dnssim.NewCaches(resolverCacheMax, reg)
@@ -132,9 +118,7 @@ func (p *querierPool) get(k poolKey) *Querier {
 		}
 	}
 
-	gen := qname.NewGenerator(st)
-	gen.Intern = p.names
-	name := gen.Name(k.cat, addr, p.geo.CCTLD(addr))
+	name := qname.NewGenerator(st).Name(k.cat, addr, p.geo.CCTLD(addr))
 
 	// Popular slots (low rank) and shared resolvers (NS category) carry
 	// more background traffic, keeping the upper reverse tree warm.
@@ -223,27 +207,27 @@ func (p *querierPool) forTarget(orig ipaddr.Addr, mix *classMix, target ipaddr.A
 
 // zipfDraw is the inverse-CDF of the continuous power law, rank ~
 // u^{-1/(s-1)}, on a 53-bit draw x (u = x / 2^53). The result is at or
-// beyond ranks when the draw falls outside the pool.
-func zipfDraw(x uint64, s float64) int {
+// beyond querierRanks when the draw falls outside the pool.
+func zipfDraw(x uint64) int {
 	u := float64(x) / (1 << 53)
 	if u == 0 {
 		u = 1e-12
 	}
-	return int(math.Pow(u, -1/(s-1))) - 1
+	return int(math.Pow(u, -1/(zipfS-1))) - 1
 }
 
 // zipfThresholds tabulates zipfDraw: entry k is the smallest draw whose
 // rank is <= k (ranks fall as draws grow). Each entry starts from the
 // analytic inverse and is then walked to the exact boundary of zipfDraw
 // itself, so a table lookup returns precisely what the formula would.
-func zipfThresholds(ranks int, s float64) []uint64 {
-	th := make([]uint64, ranks)
+func zipfThresholds() []uint64 {
+	th := make([]uint64, querierRanks)
 	for k := range th {
-		x := uint64(math.Pow(float64(k+2), -(s-1)) * (1 << 53))
-		for x > 0 && zipfDraw(x-1, s) <= k {
+		x := uint64(math.Pow(float64(k+2), -(zipfS-1)) * (1 << 53))
+		for x > 0 && zipfDraw(x-1) <= k {
 			x--
 		}
-		for zipfDraw(x, s) > k {
+		for zipfDraw(x) > k {
 			x++
 		}
 		th[k] = x
@@ -251,7 +235,7 @@ func zipfThresholds(ranks int, s float64) []uint64 {
 	return th
 }
 
-// zipfRank draws a Zipf(s)-distributed rank in [0, ranks) from a hash:
+// zipfRank draws a Zipf(zipfS)-distributed rank in [0, querierRanks) from a hash:
 // the smallest k whose threshold the draw reaches. Out-of-range draws
 // re-hash (rejection), preserving the tail shape.
 func (p *querierPool) zipfRank(h uint64) int {
@@ -272,7 +256,7 @@ func (p *querierPool) zipfRank(h uint64) int {
 		}
 		h = mix64(h, uint64(i)+1)
 	}
-	return p.ranks - 1
+	return querierRanks - 1
 }
 
 // nameOf resolves a querier address back to its reverse name. Unknown

@@ -12,7 +12,7 @@ import (
 
 func newTestPool(seed uint64) *querierPool {
 	g := geo.NewRegistry(seed)
-	return newQuerierPool(g, rng.NewSource(seed), 4096, 1.4, nil)
+	return newQuerierPool(g, rng.NewSource(seed), nil)
 }
 
 // TestPoolOrderIndependence: a querier's identity must be a pure function
@@ -119,7 +119,7 @@ func TestZipfRankDistribution(t *testing.T) {
 	const draws = 200000
 	for i := 0; i < draws; i++ {
 		r := p.zipfRank(st.Uint64())
-		if r < 0 || r >= p.ranks {
+		if r < 0 || r >= querierRanks {
 			t.Fatalf("rank %d out of range", r)
 		}
 		counts[r]++
@@ -182,7 +182,7 @@ func TestCollapseKeepsNames(t *testing.T) {
 	}
 
 	p.collapse()
-	if p.byKey != nil || p.caches[0] != nil || p.zipf != nil || p.names != nil {
+	if p.byKey != nil || p.caches[0] != nil || p.zipf != nil {
 		t.Fatal("collapse kept the simulator's part of the pool")
 	}
 	if got := p.size(); got != size {

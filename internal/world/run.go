@@ -102,17 +102,9 @@ func (w *World) touch(c *activity.Campaign, day simtime.Time, e activity.Event) 
 	if w.Dark != nil {
 		switch c.Class {
 		case activity.Scan:
-			raw := w.Cfg.RawProbesPerTouch
-			if raw <= 0 {
-				raw = 2000
-			}
-			w.Dark.ObserveThinned(c.Originator, raw, w.darkSt)
+			w.Dark.ObserveThinned(c.Originator, scanRawProbes, w.darkSt)
 		case activity.P2P:
-			raw := w.Cfg.RawProbesPerTouch / 20
-			if raw <= 0 {
-				raw = 100
-			}
-			w.Dark.ObserveThinned(c.Originator, raw, w.darkSt)
+			w.Dark.ObserveThinned(c.Originator, p2pRawProbes, w.darkSt)
 		default:
 			w.Dark.Observe(c.Originator, e.Target)
 		}

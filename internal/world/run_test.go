@@ -176,18 +176,18 @@ func TestZipfTableExact(t *testing.T) {
 	p := newTestPool(1)
 	formula := func(h uint64) int {
 		for i := 0; i < 64; i++ {
-			if r := zipfDraw(h>>11, p.zipfS); r < p.ranks {
+			if r := zipfDraw(h >> 11); r < querierRanks {
 				return r
 			}
 			h = mix64(h, uint64(i)+1)
 		}
-		return p.ranks - 1
+		return querierRanks - 1
 	}
 	for k, th := range p.zipf {
 		for d := -2; d <= 2; d++ {
 			x := uint64(int64(th) + int64(d))
-			want := zipfDraw(x, p.zipfS)
-			if want >= p.ranks {
+			want := zipfDraw(x)
+			if want >= querierRanks {
 				continue // rejected draws re-hash; covered below
 			}
 			if got := p.zipfRank(x << 11); got != want {

@@ -37,6 +37,19 @@ type Burst struct {
 	Extra    int // additional concurrent campaigns at the burst peak
 }
 
+// The querier population and the darknet's view of it are fixed.
+const (
+	// querierRanks is the pool depth per (category, country).
+	querierRanks = 4096
+	// zipfS is the querier popularity exponent: unique queriers grow as
+	// draws^(1/zipfS), giving Figure 4's sublinear footprint.
+	zipfS = 1.4
+	// scanRawProbes and p2pRawProbes are the raw probes behind one
+	// reaction-producing scan or p2p touch, which the darknets thin.
+	scanRawProbes = 2000
+	p2pRawProbes  = 100
+)
+
 // Config parameterizes a world.
 type Config struct {
 	Seed     uint64
@@ -56,12 +69,6 @@ type Config struct {
 	// population of jp-space originators). 0 uses geography alone.
 	JPShare float64
 
-	// QuerierRanks is the pool depth per (category, country). Default 4096.
-	QuerierRanks int
-	// ZipfS is the querier popularity exponent; unique queriers grow as
-	// draws^(1/ZipfS), giving Figure 4's sublinear footprint. Default 1.4.
-	ZipfS float64
-
 	// MSample is the M-Root sensor's sampling divisor (M-sampled is 10).
 	// 1 or 0 records everything.
 	MSample int
@@ -77,11 +84,6 @@ type Config struct {
 	// Empty keeps the records of all.
 	Keep string
 
-	// Hierarchy overrides dnssim caching parameters when non-zero. New
-	// fills its Faults, Obs and Tracer from the fields of the same name
-	// below.
-	Hierarchy dnssim.Config
-
 	// Faults, when non-nil, degrades the DNS path with the plan's seeded
 	// schedule of losses, latency, truncation, SERVFAILs, and dead
 	// authorities. The schedule is a pure function of (profile, seed), so
@@ -91,10 +93,6 @@ type Config struct {
 	// DarknetSlash8 places the paper's /17+/18 darknets in that /8 and
 	// enables darknet observation of scan/p2p raw probes. 0 disables.
 	DarknetSlash8 byte
-	// RawProbesPerTouch converts one reaction-producing touch into the
-	// raw probe volume behind it for darknet thinning. Default 2000 for
-	// scans, 100 for p2p.
-	RawProbesPerTouch float64
 
 	// QMinFraction is the share of resolvers performing QNAME
 	// minimization (RFC 7816); minimized lookups are invisible to root
@@ -150,11 +148,8 @@ func DefaultConfig() Config {
 		ClassPopulation: pop,
 		RateScale:       1,
 		JPShare:         0.25,
-		QuerierRanks:    4096,
-		ZipfS:           1.4,
 		MSample:         1,
 		Teams:           0.08,
-		Hierarchy:       dnssim.DefaultConfig(),
 	}
 }
 
@@ -254,17 +249,8 @@ func New(cfg Config) *World {
 	if cfg.RateScale <= 0 {
 		cfg.RateScale = 1
 	}
-	if cfg.QuerierRanks <= 0 {
-		cfg.QuerierRanks = 4096
-	}
-	if cfg.ZipfS <= 1.01 {
-		cfg.ZipfS = 1.4
-	}
 	if cfg.MSample < 1 {
 		cfg.MSample = 1
-	}
-	if cfg.Hierarchy == (dnssim.Config{}) {
-		cfg.Hierarchy = dnssim.DefaultConfig()
 	}
 	src := rng.NewSource(cfg.Seed)
 	g := geo.NewRegistry(cfg.Seed)
@@ -285,14 +271,13 @@ func New(cfg Config) *World {
 		w.Dark = darknet.NewPaperDarknets(cfg.DarknetSlash8)
 		w.darkSt = src.Stream("darknet")
 	}
-	hc := cfg.Hierarchy
-	hc.Faults, hc.Obs, hc.Tracer = cfg.Faults, cfg.Obs, cfg.Tracer
+	hc := dnssim.Config{Faults: cfg.Faults, Obs: cfg.Obs, Tracer: cfg.Tracer}
 	w.hier = dnssim.NewHierarchy(g, hc, w.profileFor)
 	w.BRoot = w.newSensor("b-root", 1)
 	w.MRoot = w.newSensor("m-root", cfg.MSample)
 	w.hier.AttachRoots(w.BRoot, w.MRoot)
 	w.attachNational("jp")
-	w.pool = newQuerierPool(g, src, cfg.QuerierRanks, cfg.ZipfS, cfg.Obs)
+	w.pool = newQuerierPool(g, src, cfg.Obs)
 	w.pool.qminFraction = cfg.QMinFraction
 	return w
 }
