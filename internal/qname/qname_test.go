@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"dnsbackscatter/internal/golden"
 	"dnsbackscatter/internal/ipaddr"
 	"dnsbackscatter/internal/rng"
 )
@@ -182,27 +183,12 @@ func TestDomainUsesCCTLD(t *testing.T) {
 }
 
 // TestGeneratorNamesPinned holds Name's output, and so the order of its
-// draws, to digests recorded before the registered domain was assembled
-// inline: one shared generator under seed 42 and ccTLD "jp" names 300
-// addresses per category, the categories interleaved, each category's
-// names hashed in order.
+// draws, to the qname/ digests in the module's testdata/digests.txt,
+// recorded before the registered domain was assembled inline: one shared
+// generator under seed 42 and ccTLD "jp" names 300 addresses per
+// category, the categories interleaved, each category's names hashed in
+// order. The nameless categories pin the digest of 300 empty lines.
 func TestGeneratorNamesPinned(t *testing.T) {
-	want := [NumCategories]string{
-		Home:     "b77a9bb100df79ff",
-		Mail:     "80b4544122c71c47",
-		NS:       "be9cb0a6fd79d48e",
-		FW:       "5a00668e30d895ae",
-		Antispam: "6029d48645b2a78a",
-		WWW:      "4421f6329bf7a8ba",
-		NTP:      "bc3ac9cba6010d8e",
-		CDN:      "1b7b374f9e24e957",
-		AWS:      "e024682f10974272",
-		MS:       "803fd30dcfee9f0f",
-		Google:   "6c724d7879d25dbf",
-		Other:    "b087487d3d2b4f55",
-		Unreach:  "12e1056a17c3c88f", // no names: the digest of 300 empty lines
-		NXDomain: "12e1056a17c3c88f",
-	}
 	g := NewGenerator(rng.New(42))
 	addrs := rng.New(43)
 	var h [NumCategories]hash.Hash
@@ -217,9 +203,7 @@ func TestGeneratorNamesPinned(t *testing.T) {
 		}
 	}
 	for cat := Category(0); cat < NumCategories; cat++ {
-		if got := hex.EncodeToString(h[cat].Sum(nil))[:16]; got != want[cat] {
-			t.Errorf("%v: names digest %s, want %s", cat, got, want[cat])
-		}
+		golden.Digest(t, "qname/"+cat.String(), hex.EncodeToString(h[cat].Sum(nil))[:16])
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"dnsbackscatter/internal/golden"
 	"dnsbackscatter/internal/ml"
 	"dnsbackscatter/internal/obs"
 )
@@ -185,12 +186,7 @@ func TestAllExperiments(t *testing.T) {
 // first under BS_UPDATE_GOLDEN=1.
 func checkGolden(t *testing.T, path, got string) {
 	t.Helper()
-	if os.Getenv("BS_UPDATE_GOLDEN") == "1" {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatalf("write golden: %v", err)
-		}
-		t.Logf("updated %s", path)
-	}
+	golden.Record(t, path, []byte(got))
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read golden (regenerate with BS_UPDATE_GOLDEN=1): %v", err)

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dnsbackscatter/internal/golden"
 )
 
 // streamSpec is the configuration every root stream test replays: small
@@ -87,18 +89,13 @@ func TestCompareStreamGolden(t *testing.T) {
 		t.Fatal("comparison has no per-class rows")
 	}
 
-	golden := filepath.Join("testdata", "stream_delta.json")
-	if os.Getenv("BS_UPDATE_GOLDEN") == "1" {
-		js, err := json.MarshalIndent(cmp, "", "  ")
-		if err != nil {
-			t.Fatalf("marshal: %v", err)
-		}
-		if err := os.WriteFile(golden, append(js, '\n'), 0o644); err != nil {
-			t.Fatalf("write golden: %v", err)
-		}
-		t.Logf("updated %s", golden)
+	path := filepath.Join("testdata", "stream_delta.json")
+	js, err := json.MarshalIndent(cmp, "", "  ")
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
 	}
-	raw, err := os.ReadFile(golden)
+	golden.Record(t, path, append(js, '\n'))
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read golden (regenerate with BS_UPDATE_GOLDEN=1): %v", err)
 	}
