@@ -13,6 +13,8 @@ import (
 	"testing"
 
 	backscatter "dnsbackscatter"
+	"dnsbackscatter/internal/alert"
+	"dnsbackscatter/internal/obs"
 )
 
 // alertTestRules tunes the built-in shapes to the seed-matrix scale: at
@@ -41,19 +43,19 @@ slo lookup-success
 // alertRun builds one seed-matrix cell under servfail-storm with a
 // 450 s window and tracing, and evaluates the rules over the build's
 // window and traces through the span's end.
-func alertRun(t *testing.T, seed uint64, workers int) *backscatter.AlertEngine {
+func alertRun(t *testing.T, seed uint64, workers int) *alert.Engine {
 	t.Helper()
-	rules, err := backscatter.ParseAlertRules(alertTestRules)
+	rules, err := alert.Parse(alertTestRules)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := backscatter.NewRegistry()
-	reg.SetClock(backscatter.TickClock(1))
-	reg.SetWindow(backscatter.NewWindow(450))
+	reg.SetClock(obs.TickClock(1))
+	reg.SetWindow(obs.NewWindow(450))
 	spec := seedMatrixSpec(seed, workers, "servfail-storm@1").WithTracing(4)
 	ds := backscatter.BuildObserved(spec, reg)
-	eng := backscatter.NewAlertEngine(rules)
-	eng.Eval(backscatter.AlertData{
+	eng := alert.New(rules)
+	eng.Eval(alert.Data{
 		Series:    reg.Window().Timeseries(),
 		Exemplars: ds.Tracer().Exemplars,
 		Through:   spec.Start.Add(spec.Duration),
@@ -77,7 +79,7 @@ func TestAlertDeterminism(t *testing.T) {
 		states := map[string]map[string]bool{} // rule → state set
 		exemplars := 0
 		for _, line := range bytes.Split(bytes.TrimSpace(want), []byte("\n")) {
-			var tr backscatter.AlertTransition
+			var tr alert.Transition
 			if err := json.Unmarshal(line, &tr); err != nil {
 				t.Fatalf("seed=%d: bad JSONL line %q: %v", seed, line, err)
 			}
@@ -111,30 +113,30 @@ func TestAlertRulesFilePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(disk) != backscatter.DefaultAlertRulesText {
-		t.Fatal("alerts.rules differs from DefaultAlertRulesText; regenerate the file")
+	if string(disk) != alert.DefaultRulesText {
+		t.Fatal("alerts.rules differs from alert.DefaultRulesText; regenerate the file")
 	}
-	rules, err := backscatter.ParseAlertRules(string(disk))
+	rules, err := alert.Parse(string(disk))
 	if err != nil {
 		t.Fatalf("checked-in rules do not parse: %v", err)
 	}
-	if len(rules) != len(backscatter.DefaultAlertRules()) {
-		t.Fatalf("parsed %d rules, want %d", len(rules), len(backscatter.DefaultAlertRules()))
+	if len(rules) != len(alert.DefaultRules()) {
+		t.Fatalf("parsed %d rules, want %d", len(rules), len(alert.DefaultRules()))
 	}
 }
 
 // TestAlertsDisabled pins the nil-engine contract: no rules yield a nil
 // engine whose every method is a safe no-op.
 func TestAlertsDisabled(t *testing.T) {
-	nilEng := backscatter.NewAlertEngine(nil)
+	nilEng := alert.New(nil)
 	if nilEng != nil {
 		t.Fatal("engine without rules is not nil")
 	}
-	nilEng.Eval(backscatter.AlertData{})
+	nilEng.Eval(alert.Data{})
 	if nilEng.JSONL() != nil || nilEng.Log() != nil || nilEng.Firing() != 0 {
 		t.Error("nil engine leaked state")
 	}
-	if got := string(nilEng.RenderText(backscatter.AlertFilter{})); !strings.Contains(got, "disabled") {
+	if got := string(nilEng.RenderText(alert.Filter{})); !strings.Contains(got, "disabled") {
 		t.Errorf("nil engine render = %q", got)
 	}
 }
@@ -142,7 +144,7 @@ func TestAlertsDisabled(t *testing.T) {
 // TestParseAlertRulesInvalid pins that a malformed rule file is rejected
 // with the offending line.
 func TestParseAlertRulesInvalid(t *testing.T) {
-	_, err := backscatter.ParseAlertRules("alert broken\n  op ??\n")
+	_, err := alert.Parse("alert broken\n  op ??\n")
 	if err == nil || !strings.Contains(err.Error(), "line ") {
 		t.Fatalf("err = %v, want one carrying a line number", err)
 	}

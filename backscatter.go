@@ -39,16 +39,13 @@ package backscatter
 
 import (
 	"io"
-	"time"
 
 	"dnsbackscatter/internal/activity"
 	"dnsbackscatter/internal/classify"
 	"dnsbackscatter/internal/dnscap"
 	"dnsbackscatter/internal/dnslog"
-	"dnsbackscatter/internal/features"
 	"dnsbackscatter/internal/ipaddr"
 	"dnsbackscatter/internal/ml"
-	"dnsbackscatter/internal/qname"
 	"dnsbackscatter/internal/simtime"
 )
 
@@ -60,22 +57,14 @@ type (
 	Class = activity.Class
 	// Record is one observed reverse query at an authority.
 	Record = dnslog.Record
-	// Vector is one originator's feature vector over an interval.
-	Vector = features.Vector
 	// Snapshot is one observation interval's analyzable originators.
 	Snapshot = classify.Snapshot
-	// Metrics holds accuracy / precision / recall / F1.
-	Metrics = ml.Metrics
 	// ValidationResult aggregates repeated random-split validation.
 	ValidationResult = ml.ValidationResult
-	// MeanStd summarizes repeated measurements.
-	MeanStd = ml.MeanStd
 	// Time is a simulated instant (Unix seconds UTC).
 	Time = simtime.Time
 	// Duration is a simulated time span in seconds.
 	Duration = simtime.Duration
-	// NameCategory is a static querier-name class (home, mail, ns, ...).
-	NameCategory = qname.Category
 )
 
 // Application classes, in the paper's order (§III-D).
@@ -97,16 +86,6 @@ const (
 
 // ParseAddr parses a dotted-quad IPv4 address.
 func ParseAddr(s string) (Addr, error) { return ipaddr.Parse(s) }
-
-// ParseClass maps a class label ("spam", "scan", ...) to its Class.
-func ParseClass(s string) (Class, bool) { return activity.ParseClass(s) }
-
-// ClassifyName maps a querier reverse name to its static name category
-// using the paper's §III-C keyword rules.
-func ClassifyName(name string) NameCategory { return qname.Classify(name) }
-
-// FeatureNames returns the feature-vector column names in order.
-func FeatureNames() []string { return features.Names() }
 
 // ReadLog parses a query log (one record per line, as written by
 // WriteLog) into records.
@@ -142,9 +121,4 @@ func WriteCapture(w io.Writer, recs []Record) error {
 // that are not reverse PTR queries (forward traffic is not backscatter).
 func ReadCapture(r io.Reader) ([]Record, error) {
 	return dnscap.NewReader(r).ReadAll()
-}
-
-// Date constructs a Time from a UTC calendar date.
-func Date(year, month, day, hour, min int) Time {
-	return simtime.Date(year, time.Month(month), day, hour, min)
 }

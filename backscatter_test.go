@@ -179,18 +179,6 @@ func TestPublicHelpers(t *testing.T) {
 	if err != nil || a.String() != "192.0.2.7" {
 		t.Error("ParseAddr broken")
 	}
-	if cls, ok := ParseClass("spam"); !ok || cls != Spam {
-		t.Error("ParseClass broken")
-	}
-	if ClassifyName("mail.example.jp").String() != "mail" {
-		t.Error("ClassifyName broken")
-	}
-	if len(FeatureNames()) == 0 {
-		t.Error("FeatureNames empty")
-	}
-	if Date(2014, 4, 7, 0, 0).String() != "2014-04-07T00:00:00Z" {
-		t.Error("Date broken")
-	}
 }
 
 func TestBuildDeterministic(t *testing.T) {

@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	backscatter "dnsbackscatter"
+	"dnsbackscatter/internal/obs"
+	"dnsbackscatter/internal/prof"
 )
 
 // counterValue pulls one counter out of a SnapshotJSON document by its
@@ -80,8 +82,8 @@ func TestChaosMatrix(t *testing.T) {
 func tracedRun(t *testing.T, seed uint64, workers int, fspec string) (jsonl, series []byte) {
 	t.Helper()
 	reg := backscatter.NewRegistry()
-	reg.SetClock(backscatter.TickClock(1))
-	reg.SetWindow(backscatter.NewWindow(6 * 3600))
+	reg.SetClock(obs.TickClock(1))
+	reg.SetWindow(obs.NewWindow(6 * 3600))
 	spec := seedMatrixSpec(seed, workers, fspec).WithTracing(4)
 	ds := backscatter.BuildObserved(spec, reg)
 	tr := ds.Tracer()
@@ -147,11 +149,11 @@ func TestChaosTraceDeterminism(t *testing.T) {
 // stragglers (finalizer, scavenger).
 func TestChaosNoGoroutineLeak(t *testing.T) {
 	pipelineRun(t, 1, 8, "")
-	before := backscatter.StableGoroutines()
+	before := prof.StableGoroutines()
 	for _, fspec := range []string{"", "lossy@1"} {
 		pipelineRun(t, 1, 8, fspec)
 	}
-	after := backscatter.StableGoroutines()
+	after := prof.StableGoroutines()
 	if after > before+2 {
 		t.Errorf("stable goroutines grew %d -> %d across chaos runs; a pipeline goroutine leaked", before, after)
 	}

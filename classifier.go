@@ -2,6 +2,7 @@ package backscatter
 
 import (
 	"dnsbackscatter/internal/classify"
+	"dnsbackscatter/internal/features"
 	"dnsbackscatter/internal/groundtruth"
 	"dnsbackscatter/internal/ml"
 	"dnsbackscatter/internal/rng"
@@ -31,8 +32,8 @@ func (a Algorithm) String() string {
 	}
 }
 
-// Trainer returns the underlying ml.Trainer.
-func (a Algorithm) Trainer() ml.Trainer {
+// trainer returns the underlying ml.Trainer.
+func (a Algorithm) trainer() ml.Trainer {
 	switch a {
 	case AlgCART:
 		return ml.CART{Config: ml.CARTConfig{MaxDepth: 12}}
@@ -61,7 +62,7 @@ func (d *Dataset) TrainClassifier(votes int) (*Model, error) {
 // into the dataset's registry as the "train" and "classify" stages.
 func (d *Dataset) TrainWith(alg Algorithm, votes int, labels *LabeledSet) (*Model, error) {
 	p := classify.NewPipeline()
-	p.Trainer = alg.Trainer()
+	p.Trainer = alg.trainer()
 	p.Obs = d.obs
 	p.Acct = d.acct
 	p.Workers = d.Spec.Workers
@@ -82,7 +83,7 @@ func (d *Dataset) Validate(alg Algorithm, trainFrac float64, runs int) (ml.Valid
 	}
 	st := rng.NewSource(d.Spec.Seed).Stream("validate-" + alg.String())
 	v := ml.Validator{
-		Trainer:   alg.Trainer(),
+		Trainer:   alg.trainer(),
 		TrainFrac: trainFrac,
 		Runs:      runs,
 		Workers:   d.Spec.Workers,
@@ -104,7 +105,7 @@ func (d *Dataset) FeatureImportance(k int) ([]string, []float64, error) {
 	st := rng.NewSource(d.Spec.Seed).Stream("importance")
 	cfg := ml.ForestConfig{Trees: 100, Workers: d.Spec.Workers, Obs: d.obs, Acct: d.acct}
 	forest := ml.Forest{Config: cfg}.TrainForest(ds, st)
-	names := FeatureNames()
+	names := features.Names()
 	var outNames []string
 	var outVals []float64
 	for _, fr := range forest.TopFeatures(k) {

@@ -50,9 +50,11 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"expvar"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -76,19 +78,26 @@ import (
 	"dnsbackscatter/internal/trace"
 )
 
+// serveDoc answers with the text document by default and the JSON one
+// with ?format=json.
+func serveDoc(text, doc func(*http.Request) []byte) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("format") == "json" {
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = w.Write(doc(r))
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		_, _ = w.Write(text(r))
+	}
+}
+
 // serveStream exposes the streaming engine on /stream: the canonical
 // text snapshot (verdicts, sketch summaries, heavy hitters) by default,
 // the status document with ?format=json.
 func serveStream(e *stream.Engine) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			_, _ = w.Write(e.StatusJSON())
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = w.Write(e.Snapshot())
-	}
+	return serveDoc(func(*http.Request) []byte { return e.Snapshot() },
+		func(*http.Request) []byte { return e.StatusJSON() })
 }
 
 // serveTraces exposes the tracer's ring on /traces: span trees by
@@ -138,30 +147,15 @@ func serveTraces(tr *trace.Tracer) http.HandlerFunc {
 // serveTimeseries exposes the window's buckets on /timeseries: sorted
 // text plus sparklines by default, the JSON document with ?format=json.
 func serveTimeseries(win *obs.Window) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			_, _ = w.Write(win.SnapshotJSON())
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = w.Write(win.Snapshot())
-		_, _ = w.Write([]byte("\n"))
-		_, _ = w.Write(win.Sparklines())
-	}
+	return serveDoc(func(*http.Request) []byte { return append(append(win.Snapshot(), '\n'), win.Sparklines()...) },
+		func(*http.Request) []byte { return win.SnapshotJSON() })
 }
 
 // serveMetricsText exposes the registry snapshot on /metrics: sorted
 // text by default, JSON with ?format=json.
 func serveMetricsText(reg *obs.Registry) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("format") == "json" {
-			serveMetricsJSON(reg)(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = w.Write(reg.Snapshot())
-	}
+	return serveDoc(func(*http.Request) []byte { return reg.Snapshot() },
+		func(*http.Request) []byte { return reg.SnapshotJSON() })
 }
 
 // serveMetricsJSON exposes the registry snapshot on /metrics.json:
@@ -177,17 +171,11 @@ func serveMetricsJSON(reg *obs.Registry) http.HandlerFunc {
 // (summary, per-rule sparklines, transition tail) by default, the status
 // document with ?format=json, both narrowed by state= and severity=.
 func serveAlerts(al *alert.Engine) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		f := alert.Filter{State: q.Get("state"), Severity: q.Get("severity")}
-		if q.Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			_, _ = w.Write(al.StatusJSON(f))
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = w.Write(al.RenderText(f))
+	filter := func(r *http.Request) alert.Filter {
+		return alert.Filter{State: r.URL.Query().Get("state"), Severity: r.URL.Query().Get("severity")}
 	}
+	return serveDoc(func(r *http.Request) []byte { return al.RenderText(filter(r)) },
+		func(r *http.Request) []byte { return al.StatusJSON(filter(r)) })
 }
 
 // serveIndex answers / with a plain-text directory of the routes this
@@ -271,10 +259,7 @@ func newMux(reg *obs.Registry, win *obs.Window, tr *trace.Tracer, eng *stream.En
 func alertLoop(al *alert.Engine, win *obs.Window, tr *trace.Tracer, eng *stream.Engine, every time.Duration) {
 	for {
 		time.Sleep(every)
-		d := alert.Data{
-			Series:  win.Timeseries(),
-			Through: simtime.Wall(),
-		}
+		d := alert.Data{Series: win.Timeseries(), Through: simtime.Wall()}
 		if tr != nil {
 			d.Exemplars = tr.Exemplars
 		}
@@ -427,15 +412,13 @@ func main() {
 	}
 
 	var lw *dnslog.Writer
+	var logFile *os.File
 	if *logPath != "" {
-		f, err := os.OpenFile(*logPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
+		if logFile, err = os.OpenFile(*logPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "bsserve:", err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		lw = dnslog.NewWriter(f)
-		defer lw.Flush()
+		lw = dnslog.NewWriter(logFile)
 	}
 
 	// Zone, faults, metrics, tracer and sink are all part of the server
@@ -453,15 +436,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bsserve:", err)
 		os.Exit(1)
 	}
-	defer s.Close()
 
 	ready.Store(true)
 
 	fmt.Fprintf(os.Stderr, "bsserve: authoritative for in-addr.arpa on %s (seed %d)\n", s.Addr(), *seed)
 	fmt.Fprintf(os.Stderr, "bsserve: try: go run ./cmd/bsdig -server %s 8.8.8.8\n", s.Addr())
 
-	// SIGTERM drains as SIGINT does: the deferred Close hands over every
-	// loop's batch, then the log is flushed.
+	// SIGTERM drains as SIGINT does: Close hands over every loop's batch,
+	// then the log is flushed and closed, and a log that did not reach
+	// the disk exits non-zero.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
@@ -471,4 +454,18 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bsserve: stream tracked %d/%d originators over %d records (%d epochs)\n",
 			st.Tracked, st.MaxTracked, st.Records, st.Epochs)
 	}
+	_ = s.Close() // every batch reaches the sink before the sockets close
+	if err := closeLog(lw, logFile); err != nil {
+		fmt.Fprintln(os.Stderr, "bsserve: log:", err)
+		os.Exit(1)
+	}
+}
+
+// closeLog flushes lw and closes the file under it; a nil lw has nothing
+// to close.
+func closeLog(lw *dnslog.Writer, f io.Closer) error {
+	if lw == nil {
+		return nil
+	}
+	return errors.Join(lw.Flush(), f.Close())
 }

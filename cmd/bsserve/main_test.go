@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -287,5 +288,44 @@ func TestTallyMatchesLogFromFirstDatagram(t *testing.T) {
 	}
 	if got := reg.Counter("served_records_total").Value(); got != logged {
 		t.Errorf("served_records_total = %d, log has %d", got, logged)
+	}
+}
+
+// failingFile fails every write, or only its Close.
+type failingFile struct{ writeErr, closeErr error }
+
+func (f failingFile) Write(p []byte) (int, error) {
+	if f.writeErr != nil {
+		return 0, f.writeErr
+	}
+	return len(p), nil
+}
+
+func (f failingFile) Close() error { return f.closeErr }
+
+// TestCloseLogReportsErrors pins the exit path: a log whose buffered
+// records never reach the file, or whose file fails to close, returns the
+// error main exits non-zero on.
+func TestCloseLogReportsErrors(t *testing.T) {
+	diskFull, closeFailed := errors.New("no space left on device"), errors.New("close failed")
+	for _, tc := range []struct {
+		name string
+		file failingFile
+		want error
+	}{
+		{"flush", failingFile{writeErr: diskFull}, diskFull},
+		{"close", failingFile{closeErr: closeFailed}, closeFailed},
+		{"both", failingFile{writeErr: diskFull, closeErr: closeFailed}, diskFull},
+	} {
+		lw := dnslog.NewWriter(tc.file)
+		if err := lw.Write(dnslog.Record{Time: 1, Originator: 2, Querier: 3}); err != nil {
+			t.Fatalf("%s: buffered write failed early: %v", tc.name, err)
+		}
+		if err := closeLog(lw, tc.file); !errors.Is(err, tc.want) {
+			t.Errorf("%s: closeLog = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	if err := closeLog(nil, nil); err != nil {
+		t.Errorf("no log: closeLog = %v", err)
 	}
 }

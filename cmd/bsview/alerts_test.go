@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	backscatter "dnsbackscatter"
+	"dnsbackscatter/internal/obs"
 )
 
 // artifacts builds one small faulted run and writes its time-series and
@@ -15,8 +16,8 @@ import (
 func artifacts(t *testing.T, dir string) (tsPath, trPath string) {
 	t.Helper()
 	reg := backscatter.NewRegistry()
-	reg.SetClock(backscatter.TickClock(1))
-	reg.SetWindow(backscatter.NewWindow(450))
+	reg.SetClock(obs.TickClock(1))
+	reg.SetWindow(obs.NewWindow(450))
 	spec := backscatter.JPDitl().Scaled(0.05).WithFaults("servfail-storm@1").WithTracing(4)
 	spec.MinQueriers = 10
 	ds := backscatter.BuildObserved(spec, reg)

@@ -71,9 +71,9 @@ type DatasetSpec struct {
 
 	// Faults degrades the simulated DNS path with a seeded fault plan,
 	// written as "profile" or "profile@seed" (e.g. "lossy@42"; see
-	// FaultProfiles). Empty or "none" keeps the fault-free network. The
-	// schedule is a pure function of the spec, so a faulted dataset is
-	// byte-identical at any worker count.
+	// faults.Profiles). Empty or "none" keeps the fault-free network.
+	// The schedule is a pure function of the spec, so a faulted dataset
+	// is byte-identical at any worker count.
 	Faults string
 
 	// Trace enables end-to-end query tracing with head-based sampling:
@@ -301,7 +301,7 @@ type Instruments struct {
 	// hierarchy, resolver caches, and the Figure 2 pipeline stages
 	// (dedup/filter/extract, and classify via TrainClassifier); later
 	// pipeline runs on the dataset keep recording. With a deterministic
-	// clock (TickClock), the full snapshot is a pure function of the spec.
+	// clock (obs.TickClock), the full snapshot is a pure function of the spec.
 	Obs *obs.Registry
 	// Acct, when non-nil, accumulates per-stage resource accounting for
 	// the simulation and the pipeline stages (dedup, filter, extract, and
@@ -309,7 +309,7 @@ type Instruments struct {
 	// alloc deltas, GC cycles, goroutine and pool-worker high-water marks.
 	// The accountant is the repository's *ops* channel: its readings
 	// depend on scheduling and GC timing, so they are reported only via
-	// Resources(), never folded into the deterministic obs snapshot,
+	// Acct.Report(), never folded into the deterministic obs snapshot,
 	// traces, or time series.
 	Acct *prof.Accountant
 }
@@ -423,13 +423,6 @@ func (d *Dataset) Whole() *Snapshot {
 func (d *Dataset) Truth(a Addr) (Class, bool) {
 	tr, ok := d.World.Truth(a)
 	return tr.Class, ok
-}
-
-// FullTruth returns an originator's class, scan-port label, and scanner
-// team id (0 = none).
-func (d *Dataset) FullTruth(a Addr) (cls Class, port string, team int, ok bool) {
-	tr, ok := d.World.Truth(a)
-	return tr.Class, tr.Port, tr.Team, ok
 }
 
 // TruthMap returns all originator classes. The map is built once and

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	backscatter "dnsbackscatter"
+	"dnsbackscatter/internal/obs"
 )
 
 // seedMatrixSpec is JPDitl shrunk to 5% scale. The default populations
@@ -35,7 +36,7 @@ func seedMatrixSpec(seed uint64, workers int, fspec string) backscatter.DatasetS
 func pipelineRun(t *testing.T, seed uint64, workers int, fspec string) (snapJSON, report []byte) {
 	t.Helper()
 	reg := backscatter.NewRegistry()
-	reg.SetClock(backscatter.TickClock(1))
+	reg.SetClock(obs.TickClock(1))
 	ds := backscatter.BuildObserved(seedMatrixSpec(seed, workers, fspec), reg)
 
 	model, err := ds.TrainClassifier(3)

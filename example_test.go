@@ -6,35 +6,6 @@ import (
 	backscatter "dnsbackscatter"
 )
 
-// ExampleClassifyName shows the §III-C static name rules: components are
-// scanned left to right and the first matching rule wins, so compound
-// names resolve the way the paper specifies.
-func ExampleClassifyName() {
-	for _, name := range []string{
-		"home1-2-3-4.example.com",
-		"mail.ns.example.com", // both mail and ns: mail wins
-		"a96-7-0-1.deploy.akamaitechnologies.com",
-		"zeus17.example.com", // no rule: other-unclassified
-		"",                   // no reverse name
-	} {
-		fmt.Printf("%-42q %s\n", name, backscatter.ClassifyName(name))
-	}
-	// Output:
-	// "home1-2-3-4.example.com"                  home
-	// "mail.ns.example.com"                      mail
-	// "a96-7-0-1.deploy.akamaitechnologies.com"  cdn
-	// "zeus17.example.com"                       other
-	// ""                                         nxdomain
-}
-
-// ExampleParseClass round-trips the paper's application-class labels.
-func ExampleParseClass() {
-	cls, ok := backscatter.ParseClass("spam")
-	fmt.Println(cls, ok, cls.Malicious())
-	// Output:
-	// spam true true
-}
-
 // ExampleDatasetSpec_Scaled shows sizing a paper dataset for a quick run.
 func ExampleDatasetSpec_Scaled() {
 	spec := backscatter.JPDitl().Scaled(0.25)

@@ -6,19 +6,9 @@ import "dnsbackscatter/internal/faults"
 // DNS path (packet loss, latency, TC truncation, SERVFAIL bursts, dead
 // authorities). A spec string "profile@seed" selects a plan; the same
 // spec replays the identical storm at any worker count. See DESIGN §8.
-type (
-	// FaultProfile parameterizes one failure regime (loss rate, burst
-	// windows, flap periods).
-	FaultProfile = faults.Profile
-	// FaultPlan is an immutable seeded fault schedule; nil injects
-	// nothing. Live servers take one as dnsserver.Config.Faults
-	// (bsserve -faults).
-	FaultPlan = faults.Plan
-)
-
-// FaultProfiles returns the built-in failure regimes (none, lossy,
-// middlebox, servfail-storm, flaky-auth, chaos), mildest first.
-func FaultProfiles() []FaultProfile { return faults.Profiles() }
+// A FaultPlan is an immutable seeded fault schedule; nil injects nothing.
+// Live servers take one as dnsserver.Config.Faults (bsserve -faults).
+type FaultPlan = faults.Plan
 
 // ParseFaults builds a fault plan from a "profile" or "profile@seed"
 // spec. "" and "none" return a nil plan (no faults); unknown profiles or

@@ -51,11 +51,24 @@ func getFixture(t *testing.T) *fixture {
 		truth[a] = tr.Class
 	}
 	oracle := groundtruth.NewOracle(truth, w.Dark, cfg.Seed)
-	cur := groundtruth.DefaultCuration()
-	cur.LabelNoise = 0
-	labels := groundtruth.Curate(snap.Ranked(), oracle, cur, rng.New(99))
+	labels := truthLabels(snap.Ranked(), oracle)
 	shared = &fixture{w: w, x: x, snap: snap, oracle: oracle, labels: labels}
 	return shared
+}
+
+// truthLabels is curation without mistakes: the oracle's class for each
+// of the top groundtruth.CandidateLimit candidates, at most MaxPerClass a
+// class.
+func truthLabels(ranked []ipaddr.Addr, o *groundtruth.Oracle) *groundtruth.LabeledSet {
+	set := &groundtruth.LabeledSet{Labels: make(map[ipaddr.Addr]activity.Class)}
+	var counts [activity.NumClasses]int
+	for _, a := range ranked[:min(len(ranked), groundtruth.CandidateLimit)] {
+		if cls, ok := o.Lookup(a); ok && counts[cls] < groundtruth.DefaultCuration().MaxPerClass {
+			set.Labels[a] = cls
+			counts[cls]++
+		}
+	}
+	return set
 }
 
 func TestSnapshotIndex(t *testing.T) {
@@ -257,15 +270,13 @@ func TestManualRecurationStrategy(t *testing.T) {
 	f := getFixture(t)
 	cfg := f.w.Cfg
 	snaps := SnapIntervals(f.w.National["jp"].Records(), f.x, cfg.Start, cfg.Duration, simtime.Day)
-	cur := groundtruth.DefaultCuration()
-	cur.LabelNoise = 0
 	run := &StrategyRun{
 		Pipeline:      NewPipeline(),
 		Strategy:      ManualRecuration,
 		CurationIndex: 0,
 		RecurateEvery: 1,
 		Oracle:        f.oracle,
-		Curation:      cur,
+		Curation:      groundtruth.DefaultCuration(),
 	}
 	pts := run.Run(snaps, f.labels, f.labels, rng.New(3))
 	for i, p := range pts {

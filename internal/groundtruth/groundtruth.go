@@ -123,69 +123,43 @@ type CurationConfig struct {
 	// MaxPerClass caps labels per class (the paper's sets run 5-136 per
 	// class; default 64).
 	MaxPerClass int
-	// CandidateLimit restricts curation to the top-N ranked originators
-	// (the paper intersects with the top 10000). 0 = all.
-	CandidateLimit int
-	// LabelNoise is the probability of a curation mistake (assigning a
-	// uniformly random wrong class). Default 0.
-	LabelNoise float64
-	// RequireEvidence demands blacklist or darknet corroboration for
-	// malicious labels, as the paper's workflow does.
-	RequireEvidence bool
-	// DarknetThreshold is the confirmed-scanner hit threshold when
-	// RequireEvidence is set (the paper uses 1024 on full-size darknets;
-	// downscaled worlds use less).
-	DarknetThreshold int
 }
+
+const (
+	// CandidateLimit restricts curation to the top-N ranked originators:
+	// the paper intersects its external sources with the top 10000.
+	CandidateLimit = 10000
+	// LabelNoise is the probability of a curation mistake (assigning a
+	// uniformly random wrong class).
+	LabelNoise = 0.02
+)
 
 // DefaultCuration mirrors the paper's workflow at simulation scale.
-func DefaultCuration() CurationConfig {
-	return CurationConfig{
-		MaxPerClass:      64,
-		CandidateLimit:   10000,
-		LabelNoise:       0.02,
-		RequireEvidence:  false,
-		DarknetThreshold: 8,
-	}
-}
+func DefaultCuration() CurationConfig { return CurationConfig{MaxPerClass: 64} }
 
 // Curate builds a labeled set from ranked candidates (most queriers
-// first). The curator consults the oracle per candidate, applies evidence
-// requirements for malicious classes, and stops filling a class at
-// MaxPerClass.
+// first). The curator consults the oracle for each of the top
+// CandidateLimit candidates and stops filling a class at MaxPerClass.
 func Curate(ranked []ipaddr.Addr, o *Oracle, cfg CurationConfig, st *rng.Stream) *LabeledSet {
-	if cfg.MaxPerClass <= 0 {
-		cfg.MaxPerClass = 64
-	}
-	limit := len(ranked)
-	if cfg.CandidateLimit > 0 && cfg.CandidateLimit < limit {
-		limit = cfg.CandidateLimit
+	return curate(ranked, o, cfg.MaxPerClass, CandidateLimit, LabelNoise, st)
+}
+
+func curate(ranked []ipaddr.Addr, o *Oracle, maxPerClass, candidates int, noise float64, st *rng.Stream) *LabeledSet {
+	if maxPerClass <= 0 {
+		maxPerClass = 64
 	}
 	set := &LabeledSet{Labels: make(map[ipaddr.Addr]activity.Class)}
 	var counts [activity.NumClasses]int
-	for _, a := range ranked[:limit] {
+	for _, a := range ranked[:min(candidates, len(ranked))] {
 		cls, ok := o.Lookup(a)
 		if !ok {
 			continue // not an originator the curator can verify
 		}
-		if cfg.RequireEvidence && cls.Malicious() {
-			e := o.Evidence(a)
-			switch cls {
-			case activity.Spam:
-				if e.SpamLists == 0 {
-					continue
-				}
-			case activity.Scan:
-				if e.DarknetHits <= cfg.DarknetThreshold && e.OtherLists == 0 {
-					continue
-				}
-			}
-		}
-		if counts[cls] >= cfg.MaxPerClass {
+		if counts[cls] >= maxPerClass {
 			continue
 		}
 		label := cls
-		if cfg.LabelNoise > 0 && st.Bool(cfg.LabelNoise) {
+		if noise > 0 && st.Bool(noise) {
 			// A curation mistake: any other class.
 			off := 1 + st.Intn(int(activity.NumClasses)-1)
 			label = activity.Class((int(cls) + off) % int(activity.NumClasses))

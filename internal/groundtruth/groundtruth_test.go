@@ -103,8 +103,7 @@ func TestCurateBasics(t *testing.T) {
 	o := NewOracle(truth, nil, 42)
 	ranked := rankedOf(truth)
 	cfg := DefaultCuration()
-	cfg.LabelNoise = 0
-	set := Curate(ranked, o, cfg, rng.New(7))
+	set := curate(ranked, o, cfg.MaxPerClass, CandidateLimit, 0, rng.New(7))
 	if set.Total() == 0 {
 		t.Fatal("empty labeled set")
 	}
@@ -126,10 +125,7 @@ func TestCurateBasics(t *testing.T) {
 func TestCurateNoise(t *testing.T) {
 	truth := buildTruth()
 	o := NewOracle(truth, nil, 42)
-	cfg := DefaultCuration()
-	cfg.LabelNoise = 0.5
-	cfg.MaxPerClass = 1000
-	set := Curate(rankedOf(truth), o, cfg, rng.New(7))
+	set := curate(rankedOf(truth), o, 1000, CandidateLimit, 0.5, rng.New(7))
 	wrong := 0
 	for a, label := range set.Labels {
 		if truth[a] != label {
@@ -146,9 +142,7 @@ func TestCurateCandidateLimit(t *testing.T) {
 	truth := buildTruth()
 	o := NewOracle(truth, nil, 42)
 	ranked := rankedOf(truth)
-	cfg := DefaultCuration()
-	cfg.CandidateLimit = 5
-	set := Curate(ranked, o, cfg, rng.New(7))
+	set := curate(ranked, o, 64, 5, LabelNoise, rng.New(7))
 	if set.Total() > 5 {
 		t.Errorf("curated %d labels beyond the candidate limit", set.Total())
 	}
@@ -161,25 +155,6 @@ func TestCurateSkipsUnknown(t *testing.T) {
 	set := Curate(ranked, o, DefaultCuration(), rng.New(7))
 	if _, ok := set.Labels[ipaddr.MustParse("203.0.113.99")]; ok {
 		t.Error("unverifiable candidate labeled")
-	}
-}
-
-func TestCurateRequireEvidence(t *testing.T) {
-	truth := buildTruth()
-	o := NewOracle(truth, nil, 42) // no darknet
-	cfg := DefaultCuration()
-	cfg.RequireEvidence = true
-	cfg.LabelNoise = 0
-	cfg.MaxPerClass = 1000
-	set := Curate(rankedOf(truth), o, cfg, rng.New(7))
-	counts := set.Counts()
-	// Without a darknet, scanners need blacklist corroboration (~50%).
-	if counts[activity.Scan] >= 60 || counts[activity.Scan] == 0 {
-		t.Errorf("scan labels = %d, want a corroborated subset of 60", counts[activity.Scan])
-	}
-	// Spam coverage ~85%.
-	if counts[activity.Spam] < 50 || counts[activity.Spam] >= 80 {
-		t.Errorf("spam labels = %d, want ≈0.85×80", counts[activity.Spam])
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 
 	backscatter "dnsbackscatter"
 	"dnsbackscatter/internal/features"
+	"dnsbackscatter/internal/obs"
 )
 
 // TestWarmExtractorMatchesFresh runs workers {1, 8} with tracing on. Two
@@ -26,7 +27,7 @@ func TestWarmExtractorMatchesFresh(t *testing.T) {
 	for _, w := range []int{1, 8} {
 		build := func() (*backscatter.Dataset, *backscatter.Registry) {
 			reg := backscatter.NewRegistry()
-			reg.SetClock(backscatter.TickClock(1))
+			reg.SetClock(obs.TickClock(1))
 			return backscatter.BuildObserved(seedMatrixSpec(1404, w, "").WithTracing(4), reg), reg
 		}
 		warmDS, warmReg := build()

@@ -18,14 +18,10 @@ type (
 	// AuthoritySink receives observed records in batches of at most 64,
 	// all of them by the server's Flush or Close; it must not keep the slice.
 	AuthoritySink = dnsserver.Sink
-	// PTRClient is a stub resolver performing reverse lookups.
-	PTRClient = dnsserver.Client
 	// Recursor is a caching recursive resolver walking a live hierarchy.
 	Recursor = dnsserver.Recursor
 	// Delegation names the authoritative server for a child reverse zone.
 	Delegation = dnsserver.Delegation
-	// ScanTrace reports which hierarchy levels one resolution contacted.
-	ScanTrace = dnsserver.Trace
 )
 
 // ListenFinalAuthority starts a UDP final authority answering PTR queries

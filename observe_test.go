@@ -14,7 +14,7 @@ import (
 func buildObservedRun(t *testing.T) *Registry {
 	t.Helper()
 	reg := NewRegistry()
-	reg.SetClock(TickClock(1))
+	reg.SetClock(obs.TickClock(1))
 	spec := JPDitl().Scaled(0.6)
 	spec.Duration = Duration(24 * 3600)
 	spec.Interval = spec.Duration
@@ -70,7 +70,7 @@ func TestPipelineStageSpans(t *testing.T) {
 func TestBuildObservedCounters(t *testing.T) {
 	reg := buildObservedRun(t)
 	snap := string(reg.Snapshot())
-	get := func(name string, labels ...Label) uint64 {
+	get := func(name string, labels ...obs.Label) uint64 {
 		t.Helper()
 		return reg.Counter(name, labels...).Value()
 	}

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	backscatter "dnsbackscatter"
+	"dnsbackscatter/internal/obs"
+	"dnsbackscatter/internal/prof"
 )
 
 // instrumentedRun executes the traced chaos pipeline with an optional
@@ -16,8 +18,8 @@ import (
 func instrumentedRun(t *testing.T, acct *backscatter.Accountant) (snap, jsonl, series []byte) {
 	t.Helper()
 	reg := backscatter.NewRegistry()
-	reg.SetClock(backscatter.TickClock(1))
-	reg.SetWindow(backscatter.NewWindow(6 * 3600))
+	reg.SetClock(obs.TickClock(1))
+	reg.SetWindow(obs.NewWindow(6 * 3600))
 	spec := seedMatrixSpec(7, 4, "lossy@1").WithTracing(4)
 	ds := backscatter.BuildWith(spec, backscatter.Instruments{Obs: reg, Acct: acct})
 	m, err := ds.TrainClassifier(3)
@@ -51,14 +53,14 @@ func TestProfDoesNotPerturbArtifacts(t *testing.T) {
 	}
 }
 
-// TestResourcesReport pins the dataset-level accounting surface: the
-// pipeline stages land in Resources(), and a dataset built without an
-// accountant reports nothing rather than failing.
+// TestResourcesReport pins the dataset-level accounting surface: every
+// pipeline stage lands in the accountant's report, with pool accounting
+// for the sharded ones.
 func TestResourcesReport(t *testing.T) {
 	acct := backscatter.NewAccountant()
 	_, _, _ = instrumentedRun(t, acct)
 	report := acct.Report()
-	byStage := make(map[string]backscatter.StageStats, len(report.Stages))
+	byStage := make(map[string]prof.StageStats, len(report.Stages))
 	for _, s := range report.Stages {
 		byStage[s.Stage] = s
 	}
@@ -76,13 +78,5 @@ func TestResourcesReport(t *testing.T) {
 		if s := byStage[stage]; s.Shards == 0 || s.WorkerPeak == 0 {
 			t.Errorf("%s stage missed pool accounting: %+v", stage, s)
 		}
-	}
-
-	plain := backscatter.Build(seedMatrixSpec(7, 1, ""))
-	if plain.Accountant() != nil {
-		t.Error("plain Build attached an accountant")
-	}
-	if got := plain.Resources(); len(got.Stages) != 0 {
-		t.Errorf("plain Build reported stages: %+v", got.Stages)
 	}
 }

@@ -170,23 +170,6 @@ func TestAnalysisWrappers(t *testing.T) {
 	}
 }
 
-func TestFullTruth(t *testing.T) {
-	d := multiDS(t)
-	for a := range d.TruthMap() {
-		cls, port, team, ok := d.FullTruth(a)
-		if !ok {
-			t.Fatal("truth missing")
-		}
-		if cls == Scan && port == "" {
-			t.Error("scan campaign without port")
-		}
-		if team < 0 {
-			t.Error("negative team id")
-		}
-		break
-	}
-}
-
 func TestAlgorithmStrings(t *testing.T) {
 	if AlgCART.String() != "CART" || AlgRandomForest.String() != "RF" || AlgSVM.String() != "SVM" {
 		t.Error("algorithm names wrong")
@@ -195,7 +178,7 @@ func TestAlgorithmStrings(t *testing.T) {
 		t.Error("unknown algorithm name")
 	}
 	for _, a := range []Algorithm{AlgCART, AlgRandomForest, AlgSVM} {
-		if a.Trainer() == nil {
+		if a.trainer() == nil {
 			t.Errorf("%v has no trainer", a)
 		}
 	}
