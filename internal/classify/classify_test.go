@@ -276,7 +276,6 @@ func TestManualRecurationStrategy(t *testing.T) {
 		CurationIndex: 0,
 		RecurateEvery: 1,
 		Oracle:        f.oracle,
-		Curation:      groundtruth.DefaultCuration(),
 	}
 	pts := run.Run(snaps, f.labels, f.labels, rng.New(3))
 	for i, p := range pts {

@@ -61,10 +61,9 @@ type StrategyRun struct {
 	// ManualRecuration); 0 disables.
 	RecurateEvery int
 	// Oracle supplies labels for (re-)curation; required for
-	// ManualRecuration, ignored otherwise.
+	// ManualRecuration, ignored otherwise. Recuration uses
+	// groundtruth.DefaultCuration.
 	Oracle *groundtruth.Oracle
-	// Curation parameters for recuration.
-	Curation groundtruth.CurationConfig
 }
 
 // Run evaluates the strategy. snaps are consecutive interval snapshots;
@@ -106,7 +105,7 @@ func (r *StrategyRun) Run(snaps []*Snapshot, initial, validation *groundtruth.La
 		case ManualRecuration:
 			if r.RecurateEvery > 0 && r.Oracle != nil && i > r.CurationIndex &&
 				(i-r.CurationIndex)%r.RecurateEvery == 0 {
-				fresh := groundtruth.Curate(s.Ranked(), r.Oracle, r.Curation, st)
+				fresh := groundtruth.Curate(s.Ranked(), r.Oracle, groundtruth.DefaultCuration(), st)
 				labels.Merge(fresh)
 				labels.Prune(func(a ipaddr.Addr) bool {
 					_, ok := s.Vector(a)

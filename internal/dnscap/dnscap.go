@@ -190,17 +190,5 @@ func (r *Reader) Read() (dnslog.Record, error) {
 	}
 }
 
-// ReadAll drains the stream.
-func (r *Reader) ReadAll() ([]dnslog.Record, error) {
-	var out []dnslog.Record
-	for {
-		rec, err := r.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
-}
+// ReadAll drains the stream; see dnslog.Drain.
+func (r *Reader) ReadAll() ([]dnslog.Record, error) { return dnslog.Drain(r.Read) }

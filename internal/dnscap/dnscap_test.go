@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"dnsbackscatter/internal/dnslog"
 	"dnsbackscatter/internal/dnswire"
@@ -232,9 +234,54 @@ func TestAuthorityDefinedInStream(t *testing.T) {
 		"name with a tab":       frameOf(7, kindDefine, []byte("a\tb")),
 		"name too long":         frameOf(7, kindDefine, bytes.Repeat([]byte("n"), 256)),
 	} {
-		if _, err := NewReader(bytes.NewReader(bad)).ReadAll(); !errors.Is(err, ErrBadFrame) {
-			t.Errorf("%s: err = %v, want ErrBadFrame", name, err)
+		good := frameOf(2, kindQuery, q)
+		if got, err := NewReader(bytes.NewReader(append(good, bad...))).ReadAll(); len(got) != 1 || !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: ReadAll = %d records, %v; want the record before it and ErrBadFrame", name, len(got), err)
 		}
+	}
+}
+
+// TestReadAllAllocatesOnce bounds what ReadAll allocates for a capture
+// of 100 k records beyond what reading them one by one allocates (the
+// buffers, and each frame's decoded question name): each record's
+// storage in the Buffer and the one exact-size result, about 2× the
+// records, where a growing slice leaves a geometric series of dead
+// arrays behind (about 5×). Not parallel: TotalAlloc counts the
+// allocations of every goroutine.
+func TestReadAllAllocatesOnce(t *testing.T) {
+	const n = 100_000
+	want := sample(n)
+	var capture bytes.Buffer
+	w := NewWriter(&capture)
+	for _, r := range want {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	var m0, m1, m2 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	r := NewReader(bytes.NewReader(capture.Bytes()))
+	for {
+		if _, err := r.Read(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	got, err := NewReader(bytes.NewReader(capture.Bytes())).ReadAll()
+	runtime.ReadMemStats(&m2)
+	if err != nil || !slices.Equal(got, want) {
+		t.Fatalf("ReadAll returned %d of %d records in order? %v, err %v", len(got), n, slices.Equal(got, want), err)
+	}
+	reading := m1.TotalAlloc - m0.TotalAlloc
+	limit := reading + uint64(2.2*n*float64(unsafe.Sizeof(dnslog.Record{})))
+	if alloc := m2.TotalAlloc - m1.TotalAlloc; alloc > limit {
+		t.Errorf("ReadAll of %d records allocated %d B, want at most %d (%d B of reading plus 2.2× the records)", n, alloc, limit, reading)
 	}
 }
 

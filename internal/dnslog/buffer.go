@@ -9,9 +9,9 @@ const bufChunk = 4096
 // chunks instead of reallocating one contiguous slice. A contiguous
 // append loop allocates a geometric series of dead backing arrays —
 // roughly 5× the final size in total — where the chunked buffer
-// allocates each record's storage exactly once. Sensors in dnssim
-// collect into a Buffer; consumers either walk it in place with Range
-// or pay one exact-size allocation with Flatten.
+// allocates each record's storage exactly once. Sensors in dnssim and
+// both log readers collect into a Buffer; consumers walk it in place
+// with Range or pay one exact-size allocation with Flatten.
 //
 // The zero value is ready to use. A Buffer is not safe for concurrent
 // use.

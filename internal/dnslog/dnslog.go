@@ -183,18 +183,22 @@ func (r *Reader) Read() (Record, error) {
 	return Record{}, io.EOF
 }
 
-// ReadAll drains the reader into a slice.
-func (r *Reader) ReadAll() ([]Record, error) {
-	var out []Record
+// ReadAll drains the reader; see Drain.
+func (r *Reader) ReadAll() ([]Record, error) { return Drain(r.Read) }
+
+// Drain collects read's records in a Buffer until io.EOF or an error,
+// which it returns with the records before it, in one exact-size slice.
+func Drain(read func() (Record, error)) ([]Record, error) {
+	var b Buffer
 	for {
-		rec, err := r.Read()
-		if err == io.EOF {
-			return out, nil
-		}
+		rec, err := read()
 		if err != nil {
-			return out, err
+			if err == io.EOF {
+				err = nil
+			}
+			return b.Flatten(), err
 		}
-		out = append(out, rec)
+		b.Append(rec)
 	}
 }
 

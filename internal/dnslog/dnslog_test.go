@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"dnsbackscatter/internal/ipaddr"
 	"dnsbackscatter/internal/simtime"
@@ -143,6 +146,50 @@ func TestReaderReportsLineNumber(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("error = %v, want line 2 mention", err)
 	}
+	got, err := NewReader(strings.NewReader(in)).ReadAll()
+	if len(got) != 1 || err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Errorf("ReadAll = %d records, %v; want the record before line 2 and its error", len(got), err)
+	}
+}
+
+// TestReadAllAllocatesOnce bounds what ReadAll allocates for a log of
+// 100 k records: each record's storage in the Buffer and the one
+// exact-size result, about 2× the records, where a growing slice leaves
+// a geometric series of dead arrays behind (about 5×). Not parallel:
+// TotalAlloc counts the allocations of every goroutine.
+func TestReadAllAllocatesOnce(t *testing.T) {
+	const n = 100_000
+	want := make([]Record, n)
+	var log bytes.Buffer
+	w := NewWriter(&log)
+	for i := range want {
+		want[i] = Record{
+			Time:       simtime.Time(i),
+			Originator: ipaddr.Addr(uint32(i) * 2654435761),
+			Querier:    ipaddr.Addr(i % 5000),
+			Authority:  Authority(1 + i%len(StandardAuthorities)),
+			RCode:      uint8(i % 4),
+		}
+		if err := w.Write(want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := NewReader(bytes.NewReader(log.Bytes())).ReadAll()
+	runtime.ReadMemStats(&after)
+	if err != nil || !slices.Equal(got, want) {
+		t.Fatalf("ReadAll returned %d of %d records in order? %v, err %v", len(got), n, slices.Equal(got, want), err)
+	}
+	const scanner = 1 << 16 // NewReader's line buffer
+	limit := uint64(2.2*n*float64(unsafe.Sizeof(Record{}))) + scanner
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > limit {
+		t.Errorf("ReadAll of %d records allocated %d B, want at most %d (2.2× the records plus the scanner buffer)", n, alloc, limit)
+	}
 }
 
 func TestReaderEOF(t *testing.T) {
@@ -184,6 +231,18 @@ func TestDeduperSlidesWithKeptRecords(t *testing.T) {
 	}
 	if !d.Keep(rec(131, "1.2.3.4", "10.0.0.1")) {
 		t.Error("131 dropped; suppression anchor slid to a dropped record")
+	}
+}
+
+// TestDeduperKeepAllocs holds Keep on a key it has seen to no allocation:
+// the lookup and the rewrite of an existing map entry, kept and dropped
+// in turn.
+func TestDeduperKeepAllocs(t *testing.T) {
+	d := NewDeduper(30)
+	r := rec(100, "1.2.3.4", "10.0.0.1")
+	d.Keep(r)
+	if n := testing.AllocsPerRun(1000, func() { r.Time += 20; d.Keep(r) }); n != 0 {
+		t.Errorf("Deduper.Keep allocates %v times a record on a seen key, want 0", n)
 	}
 }
 

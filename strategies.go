@@ -41,7 +41,6 @@ func (d *Dataset) RunStrategy(strat TrainingStrategy, labels *LabeledSet, curati
 		CurationIndex: curationIndex,
 		RecurateEvery: recurateEvery,
 		Oracle:        d.Oracle,
-		Curation:      groundtruth.DefaultCuration(),
 	}
 	st := rng.NewSource(d.Spec.Seed).Stream("strategy-" + strat.String())
 	return run.Run(d.Snapshots, labels, labels, st)
