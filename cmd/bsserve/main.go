@@ -31,9 +31,9 @@
 // `.../debug/pprof/heap`, and -diff_base for growth between snapshots.
 //
 // With -stream, every observed record also feeds a bounded-memory
-// streaming classification engine (sliding dedup, per-originator
-// sketches, hierarchical heavy hitters) that re-scores at -stream-epoch
-// boundaries of record time:
+// streaming engine (sliding dedup sized by the pairs it holds, 16 MiB at
+// most; per-originator sketches; hierarchical heavy hitters) that
+// re-scores at -stream-epoch boundaries of record time:
 //
 //	bsserve -addr 127.0.0.1:5353 -http 127.0.0.1:8080 -stream
 //	curl http://127.0.0.1:8080/stream                # canonical snapshot

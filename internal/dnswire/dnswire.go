@@ -423,9 +423,9 @@ func (d *decoder) name() (string, error) {
 // decodeName reads a name at off, returning the dotted string and the
 // offset just past the name's first (non-pointer-target) encoding.
 func decodeName(data []byte, off int) (string, int, error) {
-	var b strings.Builder
-	next := -1             // position after the first pointer, if any
-	ptrBudget := len(data) // any valid chain is shorter than the message
+	buf := make([]byte, 0, 255) // on the stack: the name's string is its one allocation
+	next := -1                  // position after the first pointer, if any
+	ptrBudget := len(data)      // any valid chain is shorter than the message
 	total := 0
 	for {
 		if off >= len(data) {
@@ -437,7 +437,7 @@ func decodeName(data []byte, off int) (string, int, error) {
 			if next < 0 {
 				next = off + 1
 			}
-			return b.String(), next, nil
+			return string(buf), next, nil
 		case c&0xc0 == 0xc0:
 			if off+1 >= len(data) {
 				return "", 0, ErrTruncated
@@ -470,10 +470,10 @@ func decodeName(data []byte, off int) (string, int, error) {
 			if bytes.IndexByte(data[off+1:off+1+l], '.') >= 0 {
 				return "", 0, ErrDotInLabel
 			}
-			if b.Len() > 0 {
-				b.WriteByte('.')
+			if len(buf) > 0 {
+				buf = append(buf, '.')
 			}
-			b.Write(data[off+1 : off+1+l])
+			buf = append(buf, data[off+1:off+1+l]...)
 			off += 1 + l
 		}
 	}

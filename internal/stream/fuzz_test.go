@@ -41,6 +41,25 @@ func decodeFuzz(data []byte) (batch, maxOrig int, recs []dnslog.Record) {
 	return batch, maxOrig, recs
 }
 
+// appendFuzzRecord appends one record in decodeFuzz's encoding.
+func appendFuzzRecord(data []byte, t, orig, querier uint32) []byte {
+	data = binary.LittleEndian.AppendUint32(data, t)
+	data = binary.LittleEndian.AppendUint32(data, orig)
+	return binary.LittleEndian.AppendUint32(data, querier)
+}
+
+// fuzzDedupSlots bounds each shard's dedup table in the fuzzer, so that
+// a few hundred records reach the bound and its strict sweeps.
+const fuzzDedupSlots = 64
+
+// boundDedup bounds every shard's dedup table of e at n slots.
+func boundDedup(e *Engine, n int) *Engine {
+	for _, sh := range e.shards {
+		sh.dedup.max = n
+	}
+	return e
+}
+
 // hostileNames fabricates reverse names straight from the querier's
 // bytes — embedded NULs, non-UTF-8, absurd label shapes — so the static
 // feature path sees genuinely malformed input.
@@ -63,22 +82,33 @@ func FuzzStreamIngest(f *testing.F) {
 	f.Add([]byte{})
 	burst := []byte{3, 8}
 	for i := 0; i < 8; i++ {
-		rec := make([]byte, fuzzRecordSize)
-		binary.LittleEndian.PutUint32(rec[0:], uint32(i*40))
-		binary.LittleEndian.PutUint32(rec[4:], uint32(0x0a000001+i%2))
-		binary.LittleEndian.PutUint32(rec[8:], uint32(0xc0a80000+i))
-		burst = append(burst, rec...)
+		burst = appendFuzzRecord(burst, uint32(i*40), uint32(0x0a000001+i%2), uint32(0xc0a80000+i))
 	}
 	f.Add(burst)
 	rev := []byte{1, 0}
 	for i := 8; i > 0; i-- {
-		rec := make([]byte, fuzzRecordSize)
-		binary.LittleEndian.PutUint32(rec[0:], uint32(i*7)) // re-used times
-		binary.LittleEndian.PutUint32(rec[4:], 0x7f000001)
-		binary.LittleEndian.PutUint32(rec[8:], uint32(i%3))
-		rev = append(rev, rec...)
+		rev = appendFuzzRecord(rev, uint32(i*7), 0x7f000001, uint32(i%3)) // re-used times
 	}
 	f.Add(rev)
+	// Two stragglers behind a dedup sweep, where the cold score (one long
+	// epoch) must agree with the ten-minute one. far, one record a call: a
+	// pair at 100 s, 29 pairs a day later (they sweep), the pair again at
+	// 110 s; an expiry allowing one epoch of lateness fails it. split, one
+	// 64-record call: 30 pairs at 100 s, another originator a day later,
+	// then the straggler; an expiry reckoned from the engine's watermark
+	// fails it, since the ten-minute engine raises that once per epoch of
+	// the call and the cold one once for the whole call.
+	far := []byte{0, 0}
+	split := []byte{63, 0}
+	far = appendFuzzRecord(far, 100, 0x0a000001, 1)
+	split = appendFuzzRecord(split, 100, 0x0a000001, 1)
+	for q := uint32(2); q <= 30; q++ {
+		far = appendFuzzRecord(far, 100000, 0x0a000001, q)
+		split = appendFuzzRecord(split, 100, 0x0a000001, q)
+	}
+	split = appendFuzzRecord(split, 100000, 0x0a000002, 1)
+	f.Add(appendFuzzRecord(far, 110, 0x0a000001, 1))
+	f.Add(appendFuzzRecord(split, 110, 0x0a000001, 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		batch, maxOrig, recs := decodeFuzz(data)
@@ -90,7 +120,6 @@ func FuzzStreamIngest(f *testing.F) {
 			MaxOriginators: maxOrig,
 			SampleK:        8,
 			HHHCapacity:    16,
-			DedupSlots:     1 << 10,
 			Epoch:          10 * simtime.Minute,
 			Seed:           1,
 			Workers:        1, // worker invariance is pinned by TestWorkerDeterminism
@@ -117,18 +146,18 @@ func FuzzStreamIngest(f *testing.F) {
 			}
 			e.Tick(final)
 		}
-		e1 := New(cfg)
+		e1 := boundDedup(New(cfg), fuzzDedupSlots)
 		run(e1)
 		snap := e1.Snapshot()
 		if again := e1.Snapshot(); !bytes.Equal(snap, again) {
 			t.Fatal("snapshot is not idempotent")
 		}
-		e2 := New(cfg)
+		e2 := boundDedup(New(cfg), fuzzDedupSlots)
 		run(e2)
 		if replay := e2.Snapshot(); !bytes.Equal(snap, replay) {
 			t.Fatal("replaying identical batches changed snapshot bytes")
 		}
-		if d := diffVectors(e1.Vectors(), coldScore(t, cfg, recs, batch, final)); d != "" {
+		if d := diffVectors(e1.Vectors(), coldScore(t, cfg, fuzzDedupSlots, recs, batch, final)); d != "" {
 			t.Fatalf("%d re-scores and one cold score disagree: %s", e1.Status().Epochs, d)
 		}
 	})

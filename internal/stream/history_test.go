@@ -45,11 +45,12 @@ func cloneVectors(vs []*features.Vector) []*features.Vector {
 // coldScore runs recs through a second engine whose one epoch spans the
 // whole stream, so that its only score, at final, starts from nothing
 // cached. Both engines must have started at time 0, and final must be a
-// multiple of the first engine's epoch beyond every record.
-func coldScore(t testing.TB, cfg Config, recs []dnslog.Record, batch int, final simtime.Time) []*features.Vector {
+// multiple of the first engine's epoch beyond every record. Its dedup
+// tables are bounded at dedupMax slots, as the first engine's were.
+func coldScore(t testing.TB, cfg Config, dedupMax int, recs []dnslog.Record, batch int, final simtime.Time) []*features.Vector {
 	t.Helper()
 	cfg.Epoch = simtime.Duration(final)
-	e := New(cfg)
+	e := boundDedup(New(cfg), dedupMax)
 	feedIn(e, recs, batch)
 	e.Tick(final)
 	if got := e.Status().Epochs; got != 1 {
@@ -133,7 +134,7 @@ func TestRescoreHistoryInvariant(t *testing.T) {
 			if d := diffVectors(held, kept); d != "" {
 				t.Errorf("%s workers=%d: a later epoch wrote to a slice Vectors() had returned: %s", tc.name, workers, d)
 			}
-			if d := diffVectors(e.Vectors(), coldScore(t, cfg, tc.recs, 1024, final)); d != "" {
+			if d := diffVectors(e.Vectors(), coldScore(t, cfg, dedupMaxSlots, tc.recs, 1024, final)); d != "" {
 				t.Errorf("%s workers=%d: hourly re-scoring and one cold score disagree: %s", tc.name, workers, d)
 			}
 		}

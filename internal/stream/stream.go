@@ -8,8 +8,9 @@
 // exceed any per-originator budget by orders of magnitude. The engine
 // bounds all of it:
 //
-//   - a fixed-size sliding dedup table per shard (last-seen pair slots
-//     that expire by window, never grow),
+//   - a sliding dedup table per shard (last-seen pair slots, open
+//     addressed), sized by the unexpired pairs it holds and bounded at
+//     dedupMaxSlots, exact below the bound (see dedupTable),
 //   - per-originator HLL + bottom-k sketches (internal/hll), capped at
 //     MaxOriginators across 16 originator shards with deterministic
 //     smallest-footprint eviction,
@@ -70,7 +71,10 @@ type Config struct {
 	// (default 20, the paper's §III-B threshold).
 	MinQueriers int
 	// DedupWindow suppresses repeat (originator, querier) pairs
-	// (default 30 s).
+	// (default 30 s). Below the dedup tables' bound, 2^20 slots (16 MiB)
+	// engine-wide, a pair is remembered until its last sighting falls
+	// DedupWindow + 1 h behind its shard's latest record, so a straggler
+	// up to an hour late is still suppressed.
 	DedupWindow simtime.Duration
 	// SampleK is the bottom-k sample size per originator (default 256).
 	SampleK int
@@ -82,9 +86,6 @@ type Config struct {
 	// HHHCapacity is the per-level slot budget of the heavy-hitters
 	// sketches (default 1024).
 	HHHCapacity int
-	// DedupSlots is the total sliding dedup table size, rounded down to
-	// a power of two per shard (default 1 << 20 slots across shards).
-	DedupSlots int
 	// Seed drives every seeded hash in the engine (HHH tiebreaks).
 	Seed uint64
 	// Workers bounds re-scoring and ingest fan-out; output bytes are
@@ -102,12 +103,6 @@ type Config struct {
 // one partition routine serves both — independent of Workers so all
 // intermediate state is worker-count invariant.
 const engineShards = features.Shards
-
-// dedupSlot is one sliding-window last-seen entry.
-type dedupSlot struct {
-	key  uint64
-	last simtime.Time
-}
 
 // agg is one originator's bounded evidence. Persistence uses a monotone
 // bucket counter instead of a bucket set so state stays O(1) over
@@ -140,12 +135,11 @@ func (a *agg) estimate() uint64 {
 	return a.est
 }
 
-// shard is one originator partition: its slice of the dedup table, its
+// shard is one originator partition: its dedup table, its
 // tracked originators, and its heavy-hitters views. Each shard is
 // touched by exactly one worker per engine call.
 type shard struct {
-	dedup     []dedupSlot
-	mask      uint64
+	dedup     dedupTable
 	aggs      map[ipaddr.Addr]*agg
 	cap       int
 	hhhOrig   *hhh.Sketch
@@ -204,16 +198,11 @@ func New(cfg Config) *Engine {
 	if cfg.HHHCapacity <= 0 {
 		cfg.HHHCapacity = 1024
 	}
-	if cfg.DedupSlots <= 0 {
-		cfg.DedupSlots = 1 << 20
-	}
 	e := &Engine{cfg: cfg, verdicts: make(map[ipaddr.Addr]activity.Class)}
-	perShardSlots := nextPow2(cfg.DedupSlots / engineShards)
 	perShardCap := (cfg.MaxOriginators + engineShards - 1) / engineShards
 	for s := range e.shards {
 		e.shards[s] = &shard{
-			dedup:   make([]dedupSlot, perShardSlots),
-			mask:    uint64(perShardSlots - 1),
+			dedup:   newDedupTable(),
 			aggs:    make(map[ipaddr.Addr]*agg),
 			cap:     perShardCap,
 			hhhOrig: hhh.New(cfg.HHHCapacity, cfg.Seed),
@@ -221,15 +210,6 @@ func New(cfg Config) *Engine {
 		}
 	}
 	return e
-}
-
-// nextPow2 rounds n up to a power of two, minimum 1.
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // Ingest feeds a batch of records through dedup into the sketches,
@@ -308,12 +288,9 @@ func (e *Engine) ingestLocked(recs []dnslog.Record) {
 func (sh *shard) observe(r dnslog.Record, cfg *Config) {
 	if cfg.DedupWindow > 0 {
 		key := hll.Hash64(uint64(r.Originator)<<32 ^ uint64(r.Querier))
-		slot := &sh.dedup[key&sh.mask]
-		if slot.key == key && r.Time >= slot.last && r.Time.Sub(slot.last) < cfg.DedupWindow {
+		if sh.dedup.seen(key, r.Time, cfg.DedupWindow) {
 			return
 		}
-		slot.key = key
-		slot.last = r.Time
 	}
 	sh.kept++
 	a := sh.aggs[r.Originator]

@@ -10,6 +10,7 @@ import (
 	"dnsbackscatter/internal/dnslog"
 	"dnsbackscatter/internal/features"
 	"dnsbackscatter/internal/geo"
+	"dnsbackscatter/internal/hll"
 	"dnsbackscatter/internal/ipaddr"
 	"dnsbackscatter/internal/obs"
 	"dnsbackscatter/internal/prof"
@@ -301,6 +302,102 @@ func TestDedupWindow(t *testing.T) {
 	})
 	if got := e.Status().Kept; got != 2 {
 		t.Fatalf("kept = %d, want 2", got)
+	}
+}
+
+// TestDedupExactOnCollision alternates two pairs whose hashes share their
+// low 16 bits, the home slot they would share in a table of 2^16 slots or
+// fewer, inside one window: both repeats are suppressed. A direct-mapped
+// window keeps all four records, each overwriting the other pair.
+func TestDedupExactOnCollision(t *testing.T) {
+	o, a := ipaddr.MustParse("10.3.3.3"), ipaddr.MustParse("172.16.0.1")
+	key := func(q ipaddr.Addr) uint64 { return hll.Hash64(uint64(o)<<32 ^ uint64(q)) }
+	b := a + 1
+	for key(b)&0xffff != key(a)&0xffff {
+		b++
+	}
+	e := New(testConfig(1))
+	e.Ingest([]dnslog.Record{
+		{Time: 100, Originator: o, Querier: a},
+		{Time: 101, Originator: o, Querier: b},
+		{Time: 102, Originator: o, Querier: a},
+		{Time: 103, Originator: o, Querier: b},
+	})
+	if got := e.Status().Kept; got != 2 {
+		t.Fatalf("kept %d of two pairs seen twice each within 30 s, want 2", got)
+	}
+}
+
+// shardOf returns the engine shard that holds o's pairs.
+func shardOf(e *Engine, o ipaddr.Addr) *shard {
+	return e.shards[features.ShardOf(o)]
+}
+
+// TestDedupStraggler grows a shard's table with pairs sighted an hour and
+// 29 s after a pair P, then replays P 29 s after its sighting, exactly
+// dedupLateness late: the sweeps that ran while the table grew kept P,
+// so the straggler is suppressed.
+func TestDedupStraggler(t *testing.T) {
+	e := New(testConfig(1))
+	o, p := ipaddr.MustParse("10.4.4.4"), ipaddr.MustParse("172.16.0.1")
+	const at = 1000
+	high := simtime.Time(at + 29).Add(dedupLateness)
+	recs := []dnslog.Record{{Time: at, Originator: o, Querier: p}}
+	for q := 0; q < 100; q++ {
+		recs = append(recs, dnslog.Record{Time: high, Originator: o, Querier: ipaddr.FromOctets(192, 168, 0, byte(q))})
+	}
+	e.Ingest(recs)
+	d := &shardOf(e, o).dedup
+	if len(d.slots) <= dedupMinSlots || d.swept == 0 {
+		t.Fatalf("table of %d slots after %d slot reads by sweeps, want it grown", len(d.slots), d.swept)
+	}
+	e.Ingest([]dnslog.Record{{Time: at + 29, Originator: o, Querier: p}})
+	if got := e.Status().Kept; got != 101 {
+		t.Fatalf("kept %d, want 101: a straggler %v late was not suppressed", got, high.Sub(at+29))
+	}
+}
+
+// TestDedupFlood sends more distinct pairs than a shard's table may hold
+// within one window, then a second wave 100 s later, when the first has
+// passed the window but not the lateness allowance. The table never
+// passes dedupMaxSlots; sweeps read at most 12 slots per new pair (a
+// sweep reads the table up to three times and comes after at least a
+// quarter-table of new pairs); and once a sweep with no lateness
+// allowance has cleared the first wave, the second wave's repeats within
+// the window are suppressed.
+func TestDedupFlood(t *testing.T) {
+	e := New(testConfig(1))
+	o := ipaddr.MustParse("10.5.5.5")
+	d := &shardOf(e, o).dedup
+	wave := func(at simtime.Time, from, n int) {
+		recs := make([]dnslog.Record, 0, 4096)
+		for i := from; i < from+n; i++ {
+			recs = append(recs, dnslog.Record{Time: at + simtime.Time(i%20), Originator: o, Querier: ipaddr.Addr(i)})
+			if len(recs) == cap(recs) || i == from+n-1 {
+				e.Ingest(recs)
+				recs = recs[:0]
+				if len(d.slots) > dedupMaxSlots {
+					t.Fatalf("dedup table grew to %d slots, past the bound %d", len(d.slots), dedupMaxSlots)
+				}
+			}
+		}
+	}
+	first, second := dedupMaxSlots+10000, 30000
+	wave(1000, 0, first)
+	if len(d.slots) != dedupMaxSlots {
+		t.Fatalf("table of %d slots after %d pairs in one window, want the bound %d", len(d.slots), first, dedupMaxSlots)
+	}
+	wave(1100, first, second)
+	inserts := uint64(first + second)
+	if d.swept > 12*inserts {
+		t.Errorf("sweeps read %d slots for %d new pairs, more than 12 a pair", d.swept, inserts)
+	}
+	kept := e.Status().Kept
+	// The last 1000 of the second wave came after its first sweep, at most
+	// a quarter-table of new pairs into it; each repeat within 30 s.
+	wave(1100+20, first+second-1000, 1000)
+	if got := e.Status().Kept; got != kept {
+		t.Fatalf("%d of 1000 in-window repeats kept after a sweep", got-kept)
 	}
 }
 

@@ -36,8 +36,6 @@ type StreamSpec struct {
 	// HHHCapacity is the per-level heavy-hitter slot budget
 	// (default 1024).
 	HHHCapacity int
-	// DedupSlots sizes the sliding dedup table (default 1 << 20).
-	DedupSlots int
 	// Workers overrides the dataset's worker budget when > 0.
 	Workers int
 }
@@ -50,7 +48,6 @@ func DefaultStreamSpec() StreamSpec {
 		SampleK:        256,
 		MaxOriginators: 1 << 16,
 		HHHCapacity:    1024,
-		DedupSlots:     1 << 20,
 	}
 }
 
@@ -79,7 +76,6 @@ func (d *Dataset) NewStream(spec StreamSpec, scorer StreamScorer) *StreamEngine 
 		SampleK:        spec.SampleK,
 		MaxOriginators: spec.MaxOriginators,
 		HHHCapacity:    spec.HHHCapacity,
-		DedupSlots:     spec.DedupSlots,
 		Seed:           d.Spec.Seed,
 		Workers:        workers,
 		Obs:            d.obs,
