@@ -28,6 +28,7 @@ import (
 	"dnsbackscatter/internal/groundtruth"
 	"dnsbackscatter/internal/ipaddr"
 	"dnsbackscatter/internal/ml"
+	"dnsbackscatter/internal/qname"
 	"dnsbackscatter/internal/rng"
 	"dnsbackscatter/internal/simtime"
 )
@@ -58,7 +59,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	names, err := readQueriers(*qPath)
+	cats, err := readQueriers(*qPath)
 	if err != nil {
 		fatal(err)
 	}
@@ -71,12 +72,11 @@ func main() {
 	}
 
 	g := geo.NewRegistry(*seed)
-	x := features.NewExtractor(g, func(a ipaddr.Addr) (string, bool) {
-		e, ok := names[a]
-		if !ok {
-			return "", false
+	x := features.NewExtractor(g, func(a ipaddr.Addr) qname.Category {
+		if c, ok := cats[a]; ok {
+			return c
 		}
-		return e.name, e.unreach
+		return qname.NXDomain
 	})
 	x.MinQueriers = *minQ
 	x.Workers = *workers
@@ -167,18 +167,14 @@ func readLog(path string) ([]backscatter.Record, error) {
 	return backscatter.ReadLog(f)
 }
 
-type querierEntry struct {
-	name    string
-	unreach bool
-}
-
-func readQueriers(path string) (map[ipaddr.Addr]querierEntry, error) {
+// readQueriers reads the querier table, classifying each name once.
+func readQueriers(path string) (map[ipaddr.Addr]qname.Category, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	out := make(map[ipaddr.Addr]querierEntry)
+	out := make(map[ipaddr.Addr]qname.Category)
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
@@ -192,11 +188,11 @@ func readQueriers(path string) (map[ipaddr.Addr]querierEntry, error) {
 		}
 		switch fields[1] {
 		case "!nxdomain":
-			out[a] = querierEntry{}
+			out[a] = qname.NXDomain
 		case "!unreach":
-			out[a] = querierEntry{unreach: true}
+			out[a] = qname.Unreach
 		default:
-			out[a] = querierEntry{name: fields[1]}
+			out[a] = qname.Classify(fields[1])
 		}
 	}
 	return out, sc.Err()

@@ -73,6 +73,7 @@ import (
 	"dnsbackscatter/internal/geo"
 	"dnsbackscatter/internal/ipaddr"
 	"dnsbackscatter/internal/obs"
+	"dnsbackscatter/internal/qname"
 	"dnsbackscatter/internal/simtime"
 	"dnsbackscatter/internal/stream"
 	"dnsbackscatter/internal/trace"
@@ -364,12 +365,9 @@ func main() {
 	mkEngine := func(reg *obs.Registry) *stream.Engine {
 		return stream.New(stream.Config{
 			Geo: geo.NewRegistry(*seed),
-			NameOf: func(a ipaddr.Addr) (string, bool) {
+			CategoryOf: func(a ipaddr.Addr) qname.Category {
 				p := profile(a)
-				if !p.HasName {
-					return "", p.FinalUnreachable
-				}
-				return p.Name, p.FinalUnreachable
+				return qname.ClassifyQuerier(p.Name, p.FinalUnreachable)
 			},
 			Epoch:          simtime.Duration(*streamEp / time.Second),
 			MaxOriginators: *streamMax,

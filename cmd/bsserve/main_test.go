@@ -17,6 +17,7 @@ import (
 	"dnsbackscatter/internal/geo"
 	"dnsbackscatter/internal/ipaddr"
 	"dnsbackscatter/internal/obs"
+	"dnsbackscatter/internal/qname"
 	"dnsbackscatter/internal/rng"
 	"dnsbackscatter/internal/simtime"
 	"dnsbackscatter/internal/stream"
@@ -110,10 +111,10 @@ func TestTracesRoute(t *testing.T) {
 // snapshot, the JSON status, and the 404 when -stream is off.
 func TestStreamRoute(t *testing.T) {
 	eng := stream.New(stream.Config{
-		Geo:    geo.NewRegistry(1),
-		NameOf: func(ipaddr.Addr) (string, bool) { return "host.example.net", false },
-		Epoch:  simtime.Hour,
-		Seed:   1,
+		Geo:        geo.NewRegistry(1),
+		CategoryOf: func(ipaddr.Addr) qname.Category { return qname.Home },
+		Epoch:      simtime.Hour,
+		Seed:       1,
 	})
 	st := rng.New(3)
 	recs := make([]dnslog.Record, 0, 64)

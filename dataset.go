@@ -390,7 +390,7 @@ func BuildWith(spec DatasetSpec, in Instruments) *Dataset {
 	d.Records = sensor.Records()
 	sensor.Reset() // the dataset owns them now
 
-	d.Extractor = features.NewExtractor(w.Geo, w.QuerierName)
+	d.Extractor = features.NewExtractor(w.Geo, w.QuerierCategory)
 	d.Extractor.Obs = in.Obs
 	d.Extractor.Tracer = tr
 	d.Extractor.Acct = in.Acct

@@ -39,7 +39,7 @@ func getFixture(t *testing.T) *fixture {
 	w := world.New(cfg)
 	w.Run()
 
-	x := features.NewExtractor(w.Geo, w.QuerierName)
+	x := features.NewExtractor(w.Geo, w.QuerierCategory)
 	x.MinQueriers = 10 // downscaled world, downscaled threshold
 	snap := Snap(w.National["jp"].Records(), x, cfg.Start, cfg.Duration)
 	if len(snap.Vectors) < 30 {

@@ -2,6 +2,7 @@ package dnsserver
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -131,15 +132,18 @@ func TestRecursorSurvivesLossyPath(t *testing.T) {
 	reg := obs.NewRegistry()
 	h := startHierarchyWith(t, func(level string, cfg *Config) {
 		cfg.Faults = plan
+		// A server draws a datagram's loss per (peer, name, clock
+		// second), and a lookup retransmits from one socket. On the wall
+		// clock, retransmits inside one second share a fate; a clock that
+		// ticks a second per read gives every datagram its own draw.
+		var now atomic.Int64
+		cfg.Clock = func() simtime.Time { return simtime.Time(now.Add(1)) }
 		if level == "final" {
 			cfg.Obs = reg
 		}
 	})
 
 	r := newRecursor(h)
-	// The server's drop draw is keyed by wall second, so retransmits
-	// inside one second share its fate; the backoff must span a second
-	// boundary for retries to help.
 	r.Client.Timeout = 120 * time.Millisecond
 	r.Client.Retries = 3
 	r.Client.Obs = reg

@@ -88,14 +88,14 @@ func (v *Vector) String() string {
 		v.Dynamic(DynGlobalEntropy))
 }
 
-// NameFunc resolves a querier address to its reverse name and whether its
-// reverse zone authority is unreachable.
-type NameFunc func(ipaddr.Addr) (name string, unreach bool)
+// CategoryFunc returns the category of a querier's reverse name, as
+// qname.ClassifyQuerier makes it.
+type CategoryFunc func(ipaddr.Addr) qname.Category
 
 // Extractor computes feature vectors from interval logs.
 type Extractor struct {
-	Geo    *geo.Registry
-	NameOf NameFunc
+	Geo        *geo.Registry
+	CategoryOf CategoryFunc
 	// MinQueriers is the analyzability threshold (§III-B; the paper uses
 	// 20 unique queriers). Originators below it are dropped.
 	MinQueriers int
@@ -116,7 +116,7 @@ type Extractor struct {
 	// Workers bounds the goroutines Extract fans originators across;
 	// <= 0 uses runtime.GOMAXPROCS(0) and 1 runs sequentially. Output
 	// is byte-identical for every worker count (the determinism
-	// contract of ARCHITECTURE.md); with Workers != 1, Geo and NameOf
+	// contract of ARCHITECTURE.md); with Workers != 1, Geo and CategoryOf
 	// must be safe for concurrent read-only use.
 	Workers int
 	// Tracer, when non-nil, joins records back to their lookup traces
@@ -143,9 +143,19 @@ type Extractor struct {
 	}
 }
 
-// NewExtractor returns an extractor with the paper's defaults.
-func NewExtractor(g *geo.Registry, nameOf NameFunc) *Extractor {
-	return &Extractor{Geo: g, NameOf: nameOf, MinQueriers: 20, DedupWindow: 30 * simtime.Second}
+// NewExtractor returns an extractor with the paper's defaults that reads
+// queriers' categories from of: a category function, or a function that
+// returns a querier's reverse name and whether its zone is unreachable,
+// whose names are then classified on every lookup.
+func NewExtractor[F func(ipaddr.Addr) qname.Category | func(ipaddr.Addr) (string, bool)](g *geo.Registry, of F) *Extractor {
+	x := &Extractor{Geo: g, MinQueriers: 20, DedupWindow: 30 * simtime.Second}
+	switch f := any(of).(type) {
+	case func(ipaddr.Addr) qname.Category:
+		x.CategoryOf = f
+	case func(ipaddr.Addr) (string, bool):
+		x.CategoryOf = func(a ipaddr.Addr) qname.Category { return qname.ClassifyQuerier(f(a)) }
+	}
+	return x
 }
 
 // originatorAgg accumulates one originator's interval state. Queriers
@@ -478,19 +488,13 @@ func (x *Extractor) emitRefs(a *originatorAgg, stage, outcome string, queriers i
 
 // Sampled is one distinct querier as the vector computation reads it: the
 // address in the high bits, the category of its reverse name in the low
-// eight — so a set of them sorts by address as plain integers, and a name
-// is classified once however often its querier is scanned.
+// eight — so a set of them sorts by address as plain integers, and a
+// category is looked up once however often its querier is scanned.
 type Sampled uint64
 
-// SampleOf names and classifies q. A querier whose reverse authority cannot
-// be reached is Unreach whatever nameOf made of it.
-func SampleOf(nameOf NameFunc, q ipaddr.Addr) Sampled {
-	name, unreach := nameOf(q)
-	cat := qname.Classify(name)
-	if unreach {
-		cat = qname.Unreach
-	}
-	return Sampled(q)<<8 | Sampled(cat)
+// SampleOf pairs q with its category.
+func SampleOf(categoryOf CategoryFunc, q ipaddr.Addr) Sampled {
+	return Sampled(q)<<8 | Sampled(categoryOf(q))
 }
 
 // Addr returns the querier's address.
@@ -583,7 +587,7 @@ func (x *Extractor) vector(a *originatorAgg, totalAS, totalCountry, totalQuerier
 	defer vecScratchPool.Put(s)
 	s.sample = s.sample[:0]
 	for _, q := range a.queriers {
-		s.sample = append(s.sample, SampleOf(x.NameOf, q))
+		s.sample = append(s.sample, SampleOf(x.CategoryOf, q))
 	}
 	sm := s.summarize(x.Geo)
 	sm.fill(v)

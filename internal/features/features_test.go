@@ -11,19 +11,19 @@ import (
 	"dnsbackscatter/internal/simtime"
 )
 
-// testNames maps a querier's last octet to a synthetic name so tests can
-// steer static features precisely.
-func testNames(a ipaddr.Addr) (string, bool) {
+// testCategories maps a querier's last octet to a name category so tests
+// can steer static features precisely.
+func testCategories(a ipaddr.Addr) qname.Category {
 	_, _, _, o3 := a.Octets()
 	switch o3 % 4 {
 	case 0:
-		return "mail.example.jp", false
+		return qname.Mail
 	case 1:
-		return "home1-2-3-4.example.jp", false
+		return qname.Home
 	case 2:
-		return "", false // nxdomain
+		return qname.NXDomain
 	default:
-		return "ns1.example.jp", false
+		return qname.NS
 	}
 }
 
@@ -44,7 +44,7 @@ func mkRecs(orig string, nQueriers, queriesEach int) []dnslog.Record {
 }
 
 func newTestExtractor() *Extractor {
-	return NewExtractor(geo.NewRegistry(42), testNames)
+	return NewExtractor(geo.NewRegistry(42), testCategories)
 }
 
 func TestNamesShape(t *testing.T) {

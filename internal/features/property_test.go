@@ -8,6 +8,7 @@ import (
 	"dnsbackscatter/internal/dnslog"
 	"dnsbackscatter/internal/geo"
 	"dnsbackscatter/internal/ipaddr"
+	"dnsbackscatter/internal/qname"
 	"dnsbackscatter/internal/rng"
 	"dnsbackscatter/internal/simtime"
 )
@@ -32,19 +33,20 @@ func randomRecords(seed uint64, nOrig, maxQueriers int) []dnslog.Record {
 	return recs
 }
 
-// names half the queriers, leaves the rest nameless, marks a few unreach.
-func fuzzNames(a ipaddr.Addr) (string, bool) {
+// fuzzCategories names half the queriers, leaves the rest nameless, marks
+// a few unreach.
+func fuzzCategories(a ipaddr.Addr) qname.Category {
 	switch a % 5 {
 	case 0:
-		return "", false
+		return qname.NXDomain
 	case 1:
-		return "", true
+		return qname.Unreach
 	case 2:
-		return "mail.fuzz.example.jp", false
+		return qname.Mail
 	case 3:
-		return "weird..name..", false // malformed names must not break anything
+		return qname.Classify("weird..name..") // malformed names must not break anything
 	default:
-		return "home1-2-3-4.fuzz.example.jp", false
+		return qname.Home
 	}
 }
 
@@ -55,7 +57,7 @@ func TestVectorInvariants(t *testing.T) {
 	g := geo.NewRegistry(1)
 	if err := quick.Check(func(seed uint64) bool {
 		recs := randomRecords(seed, 5, 60)
-		x := NewExtractor(g, fuzzNames)
+		x := NewExtractor(g, fuzzCategories)
 		x.MinQueriers = 1
 		for _, v := range x.Extract(recs, 0, simtime.Day) {
 			sum := 0.0
@@ -105,7 +107,7 @@ func TestExtractIsOrderInsensitive(t *testing.T) {
 			Querier:    ipaddr.FromOctets(10, 1, byte(q), 1),
 		})
 	}
-	x := NewExtractor(g, fuzzNames)
+	x := NewExtractor(g, fuzzCategories)
 	x.MinQueriers = 1
 	before := x.Extract(recs, 0, simtime.Day)
 
@@ -122,7 +124,7 @@ func TestExtractIsOrderInsensitive(t *testing.T) {
 // global entropy.
 func TestEntropyMonotonicity(t *testing.T) {
 	g := geo.NewRegistry(1)
-	x := NewExtractor(g, fuzzNames)
+	x := NewExtractor(g, fuzzCategories)
 	x.MinQueriers = 1
 	build := func(slash8s int) float64 {
 		var recs []dnslog.Record

@@ -13,16 +13,16 @@ import (
 
 func TestSampledRoundTrip(t *testing.T) {
 	for _, a := range []ipaddr.Addr{0, 1, ipaddr.MustParse("10.20.30.40"), 1<<32 - 1} {
-		unreach := func(ipaddr.Addr) (string, bool) { return "mail.example.com", true }
+		unreach := func(ipaddr.Addr) qname.Category { return qname.Unreach }
 		if s := SampleOf(unreach, a); s.Addr() != a || s.Category() != qname.Unreach {
 			t.Errorf("unreachable %v sampled as (%v, %v)", a, s.Addr(), s.Category())
 		}
-		if s := SampleOf(fuzzNames, a); s.Addr() != a {
+		if s := SampleOf(fuzzCategories, a); s.Addr() != a {
 			t.Errorf("%v came back as %v", a, s.Addr())
 		}
 	}
 	// Packed samples order by address: the scan relies on it.
-	lo, hi := SampleOf(fuzzNames, 5), SampleOf(fuzzNames, 6)
+	lo, hi := SampleOf(fuzzCategories, 5), SampleOf(fuzzCategories, 6)
 	if lo >= hi {
 		t.Error("a lower address sorts after a higher one")
 	}
@@ -63,7 +63,7 @@ func TestNormsFromStatsMatchesSets(t *testing.T) {
 			for q := st.Intn(60); q > 0; q-- {
 				// A small address pool, so samples overlap within and across /16s.
 				a := ipaddr.FromOctets(byte(20+st.Intn(3)), byte(st.Intn(4)), byte(st.Intn(2)), byte(st.Intn(8)))
-				s.Sample = append(s.Sample, SampleOf(fuzzNames, a))
+				s.Sample = append(s.Sample, SampleOf(fuzzCategories, a))
 				queriers[a], ases[g.ASN(a)], countries[g.Country(a)] = true, true, true
 			}
 			hllMass += s.Estimate

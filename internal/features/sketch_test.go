@@ -16,9 +16,9 @@ import (
 // SketchVector) over one day, both at a 10-querier threshold.
 func batchAndStream(recs []dnslog.Record) (batch, sketched []*features.Vector) {
 	g := geo.NewRegistry(42)
-	x := features.NewExtractor(g, features.SyntheticNames)
+	x := features.NewExtractor(g, features.SyntheticCategories)
 	x.MinQueriers = 10
-	e := stream.New(stream.Config{Geo: g, NameOf: features.SyntheticNames, MinQueriers: 10, Epoch: simtime.Day})
+	e := stream.New(stream.Config{Geo: g, CategoryOf: features.SyntheticCategories, MinQueriers: 10, Epoch: simtime.Day})
 	e.Ingest(recs)
 	e.Tick(simtime.Time(simtime.Day))
 	return x.Extract(recs, 0, simtime.Day), e.Vectors()

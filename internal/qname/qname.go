@@ -123,6 +123,16 @@ func Classify(name string) Category {
 	return Other
 }
 
+// ClassifyQuerier is the category of a querier with the given reverse name:
+// Classify's, or Unreach whatever the name when the querier's reverse zone
+// authority cannot be reached.
+func ClassifyQuerier(name string, unreach bool) Category {
+	if unreach {
+		return Unreach
+	}
+	return Classify(name)
+}
+
 // exactRule maps a keyword to the index of the first token rule listing
 // it ("pop" is both home and mail: home, the earlier rule, owns it);
 // prefixRules holds the trailing-'*' keywords with theirs.

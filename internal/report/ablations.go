@@ -33,7 +33,7 @@ func AblationDedup(s *Store) Result {
 	d := s.Get(backscatter.JPDitl())
 	t := &Table{Keys: 1, Header: []string{"window", "analyzable", "mean queries/querier", "accuracy", "F1"}}
 	for _, win := range []simtime.Duration{0, 30 * simtime.Second, 300 * simtime.Second} {
-		x := features.NewExtractor(d.World.Geo, d.World.QuerierName)
+		x := features.NewExtractor(d.World.Geo, d.World.QuerierCategory)
 		x.MinQueriers = d.Extractor.MinQueriers
 		x.DedupWindow = win
 		snap := classify.Snap(d.Records, x, d.Spec.Start, d.Spec.Duration)
@@ -61,7 +61,7 @@ func AblationThreshold(s *Store) Result {
 	d := s.Get(backscatter.JPDitl())
 	t := &Table{Keys: 1, Header: []string{"min queriers", "analyzable", "accuracy", "F1"}}
 	for _, min := range []int{5, 10, 20, 50} {
-		x := features.NewExtractor(d.World.Geo, d.World.QuerierName)
+		x := features.NewExtractor(d.World.Geo, d.World.QuerierCategory)
 		x.MinQueriers = min
 		snap := classify.Snap(d.Records, x, d.Spec.Start, d.Spec.Duration)
 		p := classify.NewPipeline()

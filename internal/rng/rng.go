@@ -12,7 +12,10 @@
 // key material.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Stream is a deterministic pseudo-random stream. The zero value is a valid
 // stream seeded with 0; prefer New or Source.Stream for anything real.
@@ -46,28 +49,11 @@ func (s *Stream) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := s.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo * bLo
-	lo = t & mask
-	c := t >> 32
-	t = aHi*bLo + c
-	m := t & mask
-	c = t >> 32
-	t = aLo*bHi + m
-	lo |= (t & mask) << 32
-	hi = aHi*bHi + c + (t >> 32)
-	return hi, lo
 }
 
 // Int63 returns a non-negative 63-bit random integer.

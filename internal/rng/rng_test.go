@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -186,6 +187,8 @@ func TestShufflePreservesElements(t *testing.T) {
 	}
 }
 
+// TestMul64 pins, at the edges of its range, the 128-bit product that
+// Intn's rejection step reads.
 func TestMul64(t *testing.T) {
 	cases := []struct {
 		a, b, hi, lo uint64
@@ -197,9 +200,9 @@ func TestMul64(t *testing.T) {
 		{1 << 32, 1 << 32, 1, 0},
 	}
 	for _, c := range cases {
-		hi, lo := mul64(c.a, c.b)
+		hi, lo := bits.Mul64(c.a, c.b)
 		if hi != c.hi || lo != c.lo {
-			t.Errorf("mul64(%d, %d) = (%d, %d), want (%d, %d)", c.a, c.b, hi, lo, c.hi, c.lo)
+			t.Errorf("bits.Mul64(%d, %d) = (%d, %d), want (%d, %d)", c.a, c.b, hi, lo, c.hi, c.lo)
 		}
 	}
 }

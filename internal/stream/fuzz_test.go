@@ -8,6 +8,7 @@ import (
 	"dnsbackscatter/internal/dnslog"
 	"dnsbackscatter/internal/geo"
 	"dnsbackscatter/internal/ipaddr"
+	"dnsbackscatter/internal/qname"
 	"dnsbackscatter/internal/simtime"
 )
 
@@ -60,13 +61,13 @@ func boundDedup(e *Engine, n int) *Engine {
 	return e
 }
 
-// hostileNames fabricates reverse names straight from the querier's
-// bytes — embedded NULs, non-UTF-8, absurd label shapes — so the static
-// feature path sees genuinely malformed input.
-func hostileNames(a ipaddr.Addr) (string, bool) {
+// hostileCategories classifies reverse names fabricated straight from
+// the querier's bytes — embedded NULs, non-UTF-8, absurd label shapes — so
+// the static feature path sees genuinely malformed input.
+func hostileCategories(a ipaddr.Addr) qname.Category {
 	o0, o1, o2, o3 := a.Octets()
 	raw := []byte{o0, '.', o1, 0x00, o2, 0xff, '-', o3, '.', 'j', 'p'}
-	return string(raw[:2+int(o3)%9]), o2%7 == 0
+	return qname.ClassifyQuerier(string(raw[:2+int(o3)%9]), o2%7 == 0)
 }
 
 // FuzzStreamIngest feeds arbitrary record interleavings through the
@@ -114,7 +115,7 @@ func FuzzStreamIngest(f *testing.F) {
 		batch, maxOrig, recs := decodeFuzz(data)
 		cfg := Config{
 			Geo:            geo.NewRegistry(9),
-			NameOf:         hostileNames,
+			CategoryOf:     hostileCategories,
 			Scorer:         parityScorer{},
 			MinQueriers:    2,
 			MaxOriginators: maxOrig,

@@ -12,6 +12,7 @@ import (
 	"dnsbackscatter/internal/ipaddr"
 	"dnsbackscatter/internal/obs"
 	"dnsbackscatter/internal/prof"
+	"dnsbackscatter/internal/qname"
 	"dnsbackscatter/internal/rng"
 	"dnsbackscatter/internal/simtime"
 )
@@ -52,7 +53,7 @@ func TestStreamSoak(t *testing.T) {
 	before := prof.StableGoroutines()
 	e := New(Config{
 		Geo:            geo.NewRegistry(42),
-		NameOf:         soakNames,
+		CategoryOf:     soakCategories,
 		Scorer:         parityScorer{},
 		MaxOriginators: soakCap,
 		SampleK:        128,
@@ -181,20 +182,22 @@ func soakEpochRecords(st *rng.Stream, ep int, base simtime.Time) []dnslog.Record
 	return recs
 }
 
-// soakNames gives the soak population a static-feature mix.
-func soakNames(a ipaddr.Addr) (string, bool) {
+// soakCategories gives the soak population a static-feature mix.
+func soakCategories(a ipaddr.Addr) qname.Category {
 	_, _, _, o3 := a.Octets()
-	switch o3 % 5 {
-	case 0:
-		return "mail.example.jp", false
-	case 1:
-		return "home1-2-3-4.example.jp", false
-	case 2:
-		return "crawl-1-2.example.com", false
-	case 3:
-		return "", false
+	switch {
+	case o3%5 == 0:
+		return qname.Mail
+	case o3%5 == 1:
+		return qname.Home
+	case o3%5 == 2:
+		return qname.Other
+	case o3%5 == 3:
+		return qname.NXDomain
+	case o3%31 == 0:
+		return qname.Unreach
 	default:
-		return "ns1.example.jp", o3%31 == 0
+		return qname.NS
 	}
 }
 

@@ -53,17 +53,17 @@ type Scorer interface {
 }
 
 // Config parameterizes an Engine. Zero values take the documented
-// defaults; Geo and NameOf are required, and both must be pure for the
-// engine's lifetime: a querier's name is read once, when it enters an
+// defaults; Geo and CategoryOf are required, and both must be pure for the
+// engine's lifetime: a querier's category is read once, when it enters an
 // originator's sample, and its AS and country whenever a sample is
 // summarized, so an answer that changed later would make a vector depend
 // on when its originator was last touched.
 type Config struct {
 	// Geo resolves querier addresses to AS and country.
 	Geo *geo.Registry
-	// NameOf resolves querier reverse names for static features. It runs
-	// on the ingest workers, so it must be safe for concurrent use.
-	NameOf features.NameFunc
+	// CategoryOf resolves querier name categories for static features. It
+	// runs on the ingest workers, so it must be safe for concurrent use.
+	CategoryOf features.CategoryFunc
 	// Scorer, when non-nil, classifies analyzable originators at every
 	// epoch tick. Nil keeps sketches without verdicts.
 	Scorer Scorer
@@ -281,8 +281,8 @@ func (e *Engine) ingestLocked(recs []dnslog.Record) {
 }
 
 // observe feeds one record into a shard: sliding dedup, then sketches. A
-// querier is named and classified here, and only when the originator's
-// sample admits it — every later epoch reads the category from the sample.
+// querier's category is looked up here, and only when the originator's
+// sample admits it — every later epoch reads it from the sample.
 //
 //bslint:hotpath
 func (sh *shard) observe(r dnslog.Record, cfg *Config) {
@@ -303,7 +303,7 @@ func (sh *shard) observe(r dnslog.Record, cfg *Config) {
 		a.estStale = true
 	}
 	if a.sample.Admits(h) {
-		a.sample.Add(h, features.SampleOf(cfg.NameOf, r.Querier))
+		a.sample.Add(h, features.SampleOf(cfg.CategoryOf, r.Querier))
 		a.summaryStale = true
 	}
 	if b := r.Time.TenMinuteBucket(); b > a.lastBucket {

@@ -14,20 +14,21 @@ import (
 	"dnsbackscatter/internal/ipaddr"
 	"dnsbackscatter/internal/obs"
 	"dnsbackscatter/internal/prof"
+	"dnsbackscatter/internal/qname"
 	"dnsbackscatter/internal/rng"
 	"dnsbackscatter/internal/simtime"
 )
 
-// testNames steers static features from the querier's last octet.
-func testNames(a ipaddr.Addr) (string, bool) {
+// testCategories steers static features from the querier's last octet.
+func testCategories(a ipaddr.Addr) qname.Category {
 	_, _, _, o3 := a.Octets()
 	switch o3 % 3 {
 	case 0:
-		return "mail.example.jp", false
+		return qname.Mail
 	case 1:
-		return "home1-2-3-4.example.jp", false
+		return qname.Home
 	default:
-		return "ns1.example.jp", false
+		return qname.NS
 	}
 }
 
@@ -68,7 +69,7 @@ func genRecords(seed uint64, nOrig, perOrig int) []dnslog.Record {
 func testConfig(workers int) Config {
 	return Config{
 		Geo:            geo.NewRegistry(42),
-		NameOf:         testNames,
+		CategoryOf:     testCategories,
 		Scorer:         parityScorer{},
 		MinQueriers:    10,
 		Epoch:          simtime.Hour,
@@ -260,7 +261,7 @@ func TestEpochJump(t *testing.T) {
 // TestDefaultsAndEmpty covers config defaulting, empty ingest, ticks
 // before start, and the unscored snapshot path (nil Scorer).
 func TestDefaultsAndEmpty(t *testing.T) {
-	e := New(Config{Geo: geo.NewRegistry(1), NameOf: testNames})
+	e := New(Config{Geo: geo.NewRegistry(1), CategoryOf: testCategories})
 	if max := e.Status().MaxTracked; max < 1<<16 {
 		t.Fatalf("default MaxTracked %d < 2^16", max)
 	}

@@ -37,13 +37,35 @@ func (k poolKey) packed() uint64 {
 	return uint64(k.cat)<<48 | uint64(k.country)<<32 | uint64(uint32(k.rank))
 }
 
-// querierName is all a run world keeps of a querier: the reverse name the
-// sensor looks up (empty for NXDomain/Unreach) and whether its reverse zone
-// is unreachable.
-type querierName struct {
-	name    string
-	unreach bool
+// slot is all a run world keeps of a querier, packed into one word: the
+// pool key that made it (category in bits 0-3, country in 4-9, rank in
+// 10-21), which of its address draws was accepted (bits 22-27), and the
+// category the extractor reads (bits 28-31): what its name classifies as,
+// or Unreach. The querier's reverse name is a pure function of the first
+// four, which nameOf replays. The last is the key's category except where
+// a name without a keyword in its host ends in a ccTLD that is one: an
+// Other name under "mx" classifies as Mail (qname's
+// TestGeneratorMatchesClassifier).
+type slot uint32
+
+// maxAddrDraws is the last address draw a slot makes before it accepts a
+// collision with an already materialized querier.
+const maxAddrDraws = 32
+
+// packSlot packs a key, a draw index and a classified category;
+// TestSlotPacking holds every field's range to its bits.
+func packSlot(k poolKey, draw int, classified qname.Category) slot {
+	return slot(k.cat) | slot(k.country)<<4 | slot(k.rank)<<10 | slot(draw)<<22 | slot(classified)<<28
 }
+
+// category is the querier's name category as the extractor reads it.
+func (s slot) category() qname.Category { return qname.Category(s >> 28) }
+
+func (s slot) key() poolKey {
+	return poolKey{cat: qname.Category(s & 0xf), country: int(s >> 4 & 0x3f), rank: int(s >> 10 & 0xfff)}
+}
+
+func (s slot) draw() int { return int(s >> 22 & 0x3f) }
 
 // querierPool lazily materializes the world's querier population. A slot's
 // querier is a pure function of (world seed, category, country, rank), so
@@ -58,9 +80,10 @@ type querierPool struct {
 	zipf []uint64
 
 	byKey map[uint64]*Querier // by poolKey.packed
-	// named answers nameOf and keeps materialized addresses distinct; n
-	// counts materializations. Only these two survive collapse.
-	named map[ipaddr.Addr]querierName
+	// named answers nameOf and categoryOf and keeps materialized addresses
+	// distinct; n counts materializations. Only these two, the seed and
+	// the geo registry (which nameOf replays with) survive collapse.
+	named map[ipaddr.Addr]slot
 	n     int
 
 	// caches[s] holds the resolver caches of every querier in shard s;
@@ -83,7 +106,7 @@ func newQuerierPool(g *geo.Registry, src *rng.Source, reg *obs.Registry) *querie
 		seed:  src.Stream("querier-pool").Uint64(),
 		zipf:  zipfThresholds(),
 		byKey: make(map[uint64]*Querier),
-		named: make(map[ipaddr.Addr]querierName),
+		named: make(map[ipaddr.Addr]slot),
 	}
 	for s := range p.caches {
 		p.caches[s] = dnssim.NewCaches(resolverCacheMax, reg)
@@ -102,23 +125,22 @@ func (p *querierPool) get(k poolKey) *Querier {
 	if q, ok := p.byKey[k.packed()]; ok {
 		return q
 	}
-	st := rng.New(mix64(p.seed, mix64(uint64(k.cat)<<32|uint64(k.rank), uint64(k.country)+0x1b3)))
+	st := p.stream(k)
 
 	// Draw an address in the country, avoiding collisions with already
 	// materialized queriers (two slots must stay distinguishable).
 	var addr ipaddr.Addr
-	for i := 0; ; i++ {
-		a, ok := p.geo.RandomAddrIn(geo.CountryCode(k.country), st)
-		if !ok {
-			a = ipaddr.Addr(st.Uint64())
-		}
-		if _, taken := p.named[a]; !taken || i >= 32 {
-			addr = a
+	draw := 0
+	for ; ; draw++ {
+		addr = p.drawAddr(k, st)
+		if _, taken := p.named[addr]; !taken || draw >= maxAddrDraws {
 			break
 		}
 	}
-
+	// The table keeps the name's category, not the name: nameOf replays
+	// the name from the slot.
 	name := qname.NewGenerator(st).Name(k.cat, addr, p.geo.CCTLD(addr))
+	classified := qname.ClassifyQuerier(name, k.cat == qname.Unreach)
 
 	// Popular slots (low rank) and shared resolvers (NS category) carry
 	// more background traffic, keeping the upper reverse tree warm.
@@ -166,9 +188,25 @@ func (p *querierPool) get(k poolKey) *Querier {
 		q.Resolver.QNameMin = true
 	}
 	p.byKey[k.packed()] = q
-	p.named[addr] = querierName{name, k.cat == qname.Unreach}
+	p.named[addr] = packSlot(k, draw, classified)
 	p.n++
 	return q
+}
+
+// stream returns a slot's stream: its address draws, then its name, then
+// its resolver's parameters.
+func (p *querierPool) stream(k poolKey) *rng.Stream {
+	return rng.New(mix64(p.seed, mix64(uint64(k.cat)<<32|uint64(k.rank), uint64(k.country)+0x1b3)))
+}
+
+// drawAddr draws a slot's next candidate address: uniform in its country's
+// allocation, or anywhere when the country holds no space.
+func (p *querierPool) drawAddr(k poolKey, st *rng.Stream) ipaddr.Addr {
+	a, ok := p.geo.RandomAddrIn(geo.CountryCode(k.country), st)
+	if !ok {
+		a = ipaddr.Addr(st.Uint64())
+	}
+	return a
 }
 
 // preferM maps a querier's region to its probability of reaching M-Root
@@ -262,14 +300,41 @@ func (p *querierPool) zipfRank(h uint64) int {
 // nameOf resolves a querier address back to its reverse name. Unknown
 // addresses (never materialized) report as having no name.
 func (p *querierPool) nameOf(a ipaddr.Addr) (string, bool) {
-	q := p.named[a]
-	return q.name, q.unreach
+	s, ok := p.named[a]
+	if !ok {
+		return "", false
+	}
+	_, name := p.replay(s)
+	return name, s.key().cat == qname.Unreach
+}
+
+// replay redraws a slot's accepted address and its name from the slot's
+// stream, as get drew them.
+func (p *querierPool) replay(s slot) (ipaddr.Addr, string) {
+	k := s.key()
+	st := p.stream(k)
+	addr := p.drawAddr(k, st)
+	for i := 0; i < s.draw(); i++ {
+		addr = p.drawAddr(k, st)
+	}
+	return addr, qname.NewGenerator(st).Name(k.cat, addr, p.geo.CCTLD(addr))
+}
+
+// categoryOf is what qname.Classify makes of nameOf's name, Unreach when
+// the querier's reverse zone is unreachable.
+func (p *querierPool) categoryOf(a ipaddr.Addr) qname.Category {
+	if s, ok := p.named[a]; ok {
+		return s.category()
+	}
+	return qname.NXDomain // Classify("")
 }
 
 // size returns how many queriers have been materialized.
 func (p *querierPool) size() int { return p.n }
 
-// collapse drops all but the name table and the count: the queriers with
-// their resolvers, the shard caches, the Zipf table and the name interner.
-// Only nameOf and size answer afterwards.
-func (p *querierPool) collapse() { *p = querierPool{named: p.named, n: p.n} }
+// collapse drops all but the name table, what nameOf replays it with and
+// the count: the queriers with their resolvers, the shard caches and the
+// Zipf table. Only nameOf, categoryOf and size answer afterwards.
+func (p *querierPool) collapse() {
+	*p = querierPool{geo: p.geo, seed: p.seed, named: p.named, n: p.n}
+}

@@ -162,25 +162,100 @@ func TestViolatorRatesByCategory(t *testing.T) {
 	}
 }
 
-// TestCollapseKeepsNames: collapsing a pool keeps every name answer and the
-// materialized count, and an address never materialized still has no name.
+// refName is how the pool named a querier before it kept slots: the
+// slot's stream, address draws that skip the addresses in taken (at most
+// 32 of them), then the name. It returns the address and the name.
+func refName(p *querierPool, k poolKey, taken map[ipaddr.Addr]bool) (ipaddr.Addr, string) {
+	st := rng.New(mix64(p.seed, mix64(uint64(k.cat)<<32|uint64(k.rank), uint64(k.country)+0x1b3)))
+	var addr ipaddr.Addr
+	for i := 0; ; i++ {
+		a, ok := p.geo.RandomAddrIn(geo.CountryCode(k.country), st)
+		if !ok {
+			a = ipaddr.Addr(st.Uint64())
+		}
+		if !taken[a] || i >= 32 {
+			addr = a
+			break
+		}
+	}
+	return addr, qname.NewGenerator(st).Name(k.cat, addr, p.geo.CCTLD(addr))
+}
+
+// TestCollapseKeepsNames: every materialized querier's name, regenerated
+// from its slot, is byte for byte the name the pool drew when it made the
+// querier, before and after collapse; so is its category, and the
+// materialized count survives. Beside thousands of ordinary slots, it
+// covers a slot in a country without address space (the RandomAddrIn
+// fallback) and one whose first two draws were taken (draw index 2). An
+// address never materialized still has no name.
 func TestCollapseKeepsNames(t *testing.T) {
 	p := newTestPool(42)
-	mix := classMixes[activity.Scan]
 	st := rng.New(3)
-	for i := 0; i < 5000; i++ {
-		p.forTarget(ipaddr.MustParse("1.2.3.4"), &mix, ipaddr.Addr(st.Uint64()))
+	taken := make(map[ipaddr.Addr]bool)
+	want := make(map[ipaddr.Addr]string)
+	get := func(k poolKey) *Querier {
+		n := p.size()
+		addr, name := refName(p, k, taken)
+		q := p.get(k)
+		if p.size() > n {
+			if q.Addr != addr {
+				t.Fatalf("%+v: materialized at %v, drawn at %v", k, q.Addr, addr)
+			}
+			taken[addr] = true
+			want[addr] = name
+		}
+		return q
 	}
-	want := make(map[ipaddr.Addr]querierName)
-	for _, q := range p.byKey {
-		name, unreach := p.nameOf(q.Addr)
-		want[q.Addr] = querierName{name, unreach}
+	for i := 0; i < 5000; i++ {
+		get(poolKey{
+			cat:     qname.Category(st.Intn(int(qname.NumCategories))),
+			country: p.geo.CountryIndex(ipaddr.Addr(st.Uint64())),
+			rank:    st.Intn(querierRanks),
+		})
+	}
+
+	empty := -1
+	for ci := range geo.Countries {
+		if _, ok := p.geo.RandomAddrIn(geo.CountryCode(ci), rng.New(1)); !ok {
+			empty = ci
+			break
+		}
+	}
+	if empty < 0 {
+		t.Fatal("every country holds space: no slot exercises the fallback")
+	}
+	get(poolKey{cat: qname.Mail, country: empty, rank: 3})
+
+	// Occupy the first two addresses a slot draws, as two other queriers
+	// would, so that it accepts its third.
+	busy := poolKey{cat: qname.Home, country: p.geo.CountryIndex(ipaddr.MustParse("10.0.0.1")), rank: 11}
+	bst := p.stream(busy)
+	for i := 0; i < 2; i++ {
+		a := p.drawAddr(busy, bst)
+		p.named[a] = packSlot(poolKey{cat: qname.NXDomain}, 0, qname.NXDomain)
+		taken[a] = true
+	}
+	if q := get(busy); p.named[q.Addr].draw() != 2 {
+		t.Fatalf("slot accepted draw %d, want 2", p.named[q.Addr].draw())
+	}
+
+	check := func(when string) {
+		t.Helper()
+		for a, name := range want {
+			got, unreach := p.nameOf(a)
+			if got != name {
+				t.Errorf("%s: %v named %q, drawn as %q", when, a, got, name)
+			}
+			if cat := qname.ClassifyQuerier(got, unreach); cat != p.categoryOf(a) {
+				t.Errorf("%s: %v (%q) has category %v, its name classifies as %v", when, a, got, p.categoryOf(a), cat)
+			}
+		}
 	}
 	size := p.size()
 	if size != len(p.byKey) {
 		t.Fatalf("size %d, %d slots materialized", size, len(p.byKey))
 	}
-
+	check("before collapse")
 	p.collapse()
 	if p.byKey != nil || p.caches[0] != nil || p.zipf != nil {
 		t.Fatal("collapse kept the simulator's part of the pool")
@@ -188,16 +263,35 @@ func TestCollapseKeepsNames(t *testing.T) {
 	if got := p.size(); got != size {
 		t.Errorf("size %d after collapse, %d before", got, size)
 	}
-	for a, q := range want {
-		if name, unreach := p.nameOf(a); name != q.name || unreach != q.unreach {
-			t.Errorf("%v: (%q, %v) after collapse, (%q, %v) before", a, name, unreach, q.name, q.unreach)
-		}
-	}
+	check("after collapse")
 	unknown := ipaddr.MustParse("203.0.113.1")
-	if _, taken := want[unknown]; taken {
+	if taken[unknown] {
 		t.Fatal("test address was materialized")
 	}
-	if name, unreach := p.nameOf(unknown); name != "" || unreach {
-		t.Errorf("unmaterialized address answers (%q, %v)", name, unreach)
+	if name, unreach := p.nameOf(unknown); name != "" || unreach || p.categoryOf(unknown) != qname.NXDomain {
+		t.Errorf("unmaterialized address answers (%q, %v, %v)", name, unreach, p.categoryOf(unknown))
+	}
+}
+
+// TestSlotPacking: every field of a slot round-trips at the extremes of
+// its range, and the ranges fit their bits.
+func TestSlotPacking(t *testing.T) {
+	if qname.NumCategories > 1<<4 || len(geo.Countries) > 1<<6 || querierRanks > 1<<12 || maxAddrDraws >= 1<<6 {
+		t.Fatalf("a slot field outgrew its bits: %d categories, %d countries, %d ranks, %d draws",
+			qname.NumCategories, len(geo.Countries), querierRanks, maxAddrDraws)
+	}
+	for _, k := range []poolKey{
+		{},
+		{cat: qname.NumCategories - 1, country: len(geo.Countries) - 1, rank: querierRanks - 1},
+		{cat: qname.Unreach, country: 7, rank: 1234},
+	} {
+		for _, draw := range []int{0, 1, maxAddrDraws} {
+			for _, cat := range []qname.Category{0, k.cat, qname.NumCategories - 1} {
+				s := packSlot(k, draw, cat)
+				if s.key() != k || s.draw() != draw || s.category() != cat {
+					t.Errorf("packSlot(%+v, %d, %v) unpacks as (%+v, %d, %v)", k, draw, cat, s.key(), s.draw(), s.category())
+				}
+			}
+		}
 	}
 }

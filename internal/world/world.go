@@ -22,6 +22,7 @@ import (
 	"dnsbackscatter/internal/ipaddr"
 	"dnsbackscatter/internal/obs"
 	"dnsbackscatter/internal/prof"
+	"dnsbackscatter/internal/qname"
 	"dnsbackscatter/internal/rng"
 	"dnsbackscatter/internal/simtime"
 	"dnsbackscatter/internal/trace"
@@ -328,6 +329,15 @@ func (w *World) TruthMap() map[ipaddr.Addr]Truth { return w.truth }
 // lookup the sensor performs when computing static features.
 func (w *World) QuerierName(a ipaddr.Addr) (name string, unreach bool) {
 	return w.pool.nameOf(a)
+}
+
+// QuerierCategory returns the reverse-name category of a querier observed
+// in the logs, Unreach when its reverse zone is unreachable: what
+// qname.Classify makes of QuerierName, from one table lookup.
+//
+//bslint:hotpath
+func (w *World) QuerierCategory(a ipaddr.Addr) qname.Category {
+	return w.pool.categoryOf(a)
 }
 
 // profileFor answers the hierarchy's profile queries: campaign originators

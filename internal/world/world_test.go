@@ -152,6 +152,47 @@ func TestQuerierNamesResolvable(t *testing.T) {
 	}
 }
 
+// TestQuerierCategoryMatchesName: after Run, which collapses the pool,
+// every materialized querier's slot replays to its own address, and its
+// category is what its regenerated name classifies as (Unreach when its
+// reverse zone is unreachable) — so a table that stored a wrong category
+// fails here. Seed 3 gives Mexico address space, so some of its 26,000
+// queriers have Other names under "mx", which classify as Mail: the slot's
+// key category would be wrong for them.
+func TestQuerierCategoryMatchesName(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = 3
+	w := New(cfg)
+	w.Run()
+	rekeyed := 0
+	for a, s := range w.pool.named {
+		if addr, _ := w.pool.replay(s); addr != a {
+			t.Fatalf("%v: slot %#x replays to %v", a, s, addr)
+		}
+		name, unreach := w.QuerierName(a)
+		if got, want := w.QuerierCategory(a), qname.ClassifyQuerier(name, unreach); got != want {
+			t.Errorf("%v (%q, unreach %v): category %v, classifies as %v", a, name, unreach, got, want)
+		}
+		if s.category() != s.key().cat {
+			rekeyed++
+		}
+	}
+	if rekeyed == 0 {
+		t.Error("no querier's name classifies away from its slot's category")
+	}
+}
+
+// TestQuerierCategoryAllocates0: the extractor reads a category per
+// distinct querier of every originator; the lookup must not allocate.
+func TestQuerierCategoryAllocates0(t *testing.T) {
+	w := &World{pool: newTestPool(42)}
+	a := w.pool.get(poolKey{cat: qname.Mail, country: 3, rank: 5}).Addr
+	w.pool.collapse()
+	if allocs := testing.AllocsPerRun(100, func() { w.QuerierCategory(a) }); allocs != 0 {
+		t.Errorf("QuerierCategory allocates %v times", allocs)
+	}
+}
+
 func TestRootAttenuation(t *testing.T) {
 	w := New(smallConfig())
 	w.Run()

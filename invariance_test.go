@@ -46,7 +46,7 @@ func TestWarmExtractorMatchesFresh(t *testing.T) {
 					recs = append(recs, r)
 				}
 			}
-			fresh := features.NewExtractor(freshDS.World.Geo, freshDS.World.QuerierName)
+			fresh := features.NewExtractor(freshDS.World.Geo, freshDS.World.QuerierCategory)
 			fresh.MinQueriers, fresh.Workers = warmDS.Extractor.MinQueriers, w
 			fresh.Obs, fresh.Tracer = freshReg, freshDS.Tracer()
 

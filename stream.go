@@ -52,13 +52,13 @@ func DefaultStreamSpec() StreamSpec {
 }
 
 // NewStream returns a streaming engine wired to this dataset's geo
-// registry, querier-name source, analyzability threshold, seed, and
+// registry, querier-category source, analyzability threshold, seed, and
 // observability sinks. scorer may be a trained *Model or nil (sketches
 // without verdicts). Feed records with Ingest; epoch boundaries re-score
 // automatically and Tick forces a final score. The engine reads a
-// querier's name once, when the querier enters an originator's sample, so
-// it must be fed after the world is built: World.QuerierName is a pure
-// function of the address from then on (stream.Config.NameOf).
+// querier's name category once, when the querier enters an originator's
+// sample, so it must be fed after the world is built: World.QuerierCategory
+// is a pure function of the address from then on (stream.Config.CategoryOf).
 func (d *Dataset) NewStream(spec StreamSpec, scorer StreamScorer) *StreamEngine {
 	if spec.Epoch == 0 {
 		spec.Epoch = d.Spec.Interval
@@ -69,7 +69,7 @@ func (d *Dataset) NewStream(spec StreamSpec, scorer StreamScorer) *StreamEngine 
 	}
 	return stream.New(stream.Config{
 		Geo:            d.World.Geo,
-		NameOf:         d.World.QuerierName,
+		CategoryOf:     d.World.QuerierCategory,
 		Scorer:         scorer,
 		MinQueriers:    d.Extractor.MinQueriers,
 		Epoch:          spec.Epoch,
