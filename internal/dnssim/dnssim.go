@@ -210,9 +210,12 @@ func (s *Sensor) Range(from int, fn func(dnslog.Record)) { s.records().Range(fro
 // took Records() owns the only copy.
 func (s *Sensor) Reset() { s.buf = dnslog.Buffer{} }
 
-// Resolver is one querier's recursive resolution state.
+// Resolver is one querier's recursive resolution state. It is a value
+// with no heap object of its own (the stream is held by value), so a
+// population of resolvers can live in arrays.
 type Resolver struct {
-	Addr ipaddr.Addr
+	Addr  ipaddr.Addr
+	owner int32 // this resolver's id in caches
 	// Busyness in [0, 1] is the chance per TTL epoch that background
 	// traffic already warmed an upper-tree delegation.
 	Busyness float64
@@ -239,8 +242,7 @@ type Resolver struct {
 	QNameMin bool
 
 	caches *Caches
-	owner  int // this resolver's id in caches
-	st     *rng.Stream
+	st     rng.Stream
 }
 
 // Caches is the flat cache table a group of resolvers share (one per
@@ -261,31 +263,33 @@ func NewCaches(perResolverMax int, reg *obs.Registry) *Caches {
 	return c
 }
 
-// NewResolver returns a resolver with a private cache table and its own
-// random stream.
+// NewResolver returns a resolver with a private cache table, drawing from
+// a copy of st.
 func NewResolver(addr ipaddr.Addr, busyness, preferM float64, cacheMax int, st *rng.Stream) *Resolver {
-	return NewResolverIn(NewCaches(cacheMax, nil), 0, addr, busyness, preferM, st)
+	r := new(Resolver)
+	r.Init(NewCaches(cacheMax, nil), 0, addr, busyness, preferM, *st)
+	return r
 }
 
-// NewResolverIn returns a resolver caching in the shared table c as owner,
-// an id no other resolver in c uses. It does not touch c, so a resolver can
-// be created while others walk c on another goroutine.
-func NewResolverIn(c *Caches, owner int, addr ipaddr.Addr, busyness, preferM float64, st *rng.Stream) *Resolver {
-	return &Resolver{Addr: addr, Busyness: busyness, PreferM: preferM,
-		caches: c, owner: owner, st: st}
+// Init makes r a fresh resolver caching in the shared table c as owner, an
+// id no other resolver in c uses, and drawing from st. It does not touch
+// c, so a resolver can be set up in place while others walk c on another
+// goroutine.
+func (r *Resolver) Init(c *Caches, owner int, addr ipaddr.Addr, busyness, preferM float64, st rng.Stream) {
+	*r = Resolver{Addr: addr, owner: int32(owner), Busyness: busyness, PreferM: preferM, caches: c, st: st}
 }
 
 func (r *Resolver) cached(key uint64, now simtime.Time) bool {
-	_, _, ok := r.caches.Get(r.owner, key, now)
+	_, _, ok := r.caches.Get(int(r.owner), key, now)
 	return ok
 }
 
 // store applies one of the walk's cache writes.
 func (r *Resolver) store(w Write) {
 	if w.Negative {
-		r.caches.PutNegative(r.owner, w.Key, w.TTL, w.At)
+		r.caches.PutNegative(int(r.owner), w.Key, w.TTL, w.At)
 	} else {
-		r.caches.Put(r.owner, w.Key, struct{}{}, w.TTL, w.At)
+		r.caches.Put(int(r.owner), w.Key, struct{}{}, w.TTL, w.At)
 	}
 }
 

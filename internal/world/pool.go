@@ -12,16 +12,19 @@ import (
 	"dnsbackscatter/internal/simtime"
 )
 
-// Querier is one reacting party: the resolver that contacts authorities on
+// querier is one reacting party: the resolver that contacts authorities on
 // behalf of targets (a shared ISP cache, a self-resolving mail server, a
-// firewall doing log lookups, ...).
-type Querier struct {
-	Addr     ipaddr.Addr
-	Category qname.Category
-	Resolver *dnssim.Resolver
-
+// firewall doing log lookups, ...). Its address is the resolver's.
+type querier struct {
+	dnssim.Resolver
+	cat   uint8 // the slot's qname.Category
 	shard uint8 // which of the world's simShards walks this resolver
 }
+
+func (q *querier) category() qname.Category { return qname.Category(q.cat) }
+
+// chunkLen is how many queriers one arena chunk holds (18 KiB a chunk).
+const chunkLen = 256
 
 // poolKey identifies a querier slot by (category, country, popularity
 // rank).
@@ -79,17 +82,24 @@ type querierPool struct {
 	// zipf[k] is the smallest 53-bit draw whose rank is <= k; see zipfRank.
 	zipf []uint64
 
-	byKey map[uint64]*Querier // by poolKey.packed
+	// byKey indexes the arena by poolKey.packed: a querier's index is its
+	// owner id in its shard's cache table times simShards, plus the shard.
+	byKey map[uint64]uint32
 	// named answers nameOf and categoryOf and keeps materialized addresses
 	// distinct; n counts materializations. Only these two, the seed and
 	// the geo registry (which nameOf replays with) survive collapse.
 	named map[ipaddr.Addr]slot
 	n     int
 
-	// caches[s] holds the resolver caches of every querier in shard s;
-	// owners[s] is the owner id there of the next querier materialized in
-	// it, counted here because generation runs beside the shard's walks.
+	// caches[s] holds the resolver caches of every querier in shard s, and
+	// arena[s] the queriers, owner id i at arena[s][i/chunkLen][i%chunkLen];
+	// owners[s] counts them, here because generation runs beside the
+	// shard's walks. Chunks never move: generation materializes queriers
+	// while the stage goroutine walks the previous batch's through pointers
+	// into the arena, and a slice grown by append would leave those walks
+	// advancing streams in a dead copy.
 	caches [simShards]*dnssim.Caches
+	arena  [simShards][]*[chunkLen]querier
 	owners [simShards]int
 }
 
@@ -105,7 +115,7 @@ func newQuerierPool(g *geo.Registry, src *rng.Source, reg *obs.Registry) *querie
 		geo:   g,
 		seed:  src.Stream("querier-pool").Uint64(),
 		zipf:  zipfThresholds(),
-		byKey: make(map[uint64]*Querier),
+		byKey: make(map[uint64]uint32),
 		named: make(map[ipaddr.Addr]slot),
 	}
 	for s := range p.caches {
@@ -120,10 +130,16 @@ func mix64(a, b uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// at returns the querier at an arena index.
+func (p *querierPool) at(i uint32) *querier {
+	owner := i / simShards
+	return &p.arena[i%simShards][owner/chunkLen][owner%chunkLen]
+}
+
 // get returns the querier for a slot, creating it on first use.
-func (p *querierPool) get(k poolKey) *Querier {
-	if q, ok := p.byKey[k.packed()]; ok {
-		return q
+func (p *querierPool) get(k poolKey) *querier {
+	if i, ok := p.byKey[k.packed()]; ok {
+		return p.at(i)
 	}
 	st := p.stream(k)
 
@@ -158,13 +174,15 @@ func (p *querierPool) get(k poolKey) *Querier {
 	// count, so which resolvers share a walk never depends on the worker
 	// count (determinism rule 4).
 	shard := uint8(mix64(uint64(addr), 0x5a17) % simShards)
-	q := &Querier{
-		Addr:     addr,
-		Category: k.cat,
-		Resolver: dnssim.NewResolverIn(p.caches[shard], p.owners[shard], addr, busy, preferM(p.geo.Region(addr)), rng.New(st.Uint64())),
-		shard:    shard,
-	}
+	owner := p.owners[shard]
 	p.owners[shard]++
+	if owner%chunkLen == 0 {
+		p.arena[shard] = append(p.arena[shard], new([chunkLen]querier))
+	}
+	i := uint32(owner)*simShards + uint32(shard)
+	q := p.at(i)
+	q.Init(p.caches[shard], owner, addr, busy, preferM(p.geo.Region(addr)), *rng.New(st.Uint64()))
+	q.cat, q.shard = uint8(k.cat), shard
 	// Some queriers ignore DNS timeout rules and re-query aggressively
 	// (§III-C). Firewalls and home gear logging per connection are the
 	// usual offenders; shared resolvers and real mail servers cache
@@ -181,13 +199,13 @@ func (p *querierPool) get(k poolKey) *Querier {
 		violator = 0.45
 	}
 	if st.Bool(violator) {
-		q.Resolver.MaxPTRTTL = simtime.Duration(60 + st.Intn(240))
-		q.Resolver.RetransmitProb = 0.35
+		q.MaxPTRTTL = simtime.Duration(60 + st.Intn(240))
+		q.RetransmitProb = 0.35
 	}
 	if p.qminFraction > 0 && st.Bool(p.qminFraction) {
-		q.Resolver.QNameMin = true
+		q.QNameMin = true
 	}
-	p.byKey[k.packed()] = q
+	p.byKey[k.packed()] = i
 	p.named[addr] = packSlot(k, draw, classified)
 	p.n++
 	return q
@@ -233,7 +251,7 @@ func preferM(region string) float64 {
 // re-touching a target reaches the same querier; the popularity rank is
 // keyed by the target alone, so shared resolvers absorb many targets
 // across campaigns.
-func (p *querierPool) forTarget(orig ipaddr.Addr, mix *classMix, target ipaddr.Addr) *Querier {
+func (p *querierPool) forTarget(orig ipaddr.Addr, mix *classMix, target ipaddr.Addr) *querier {
 	h := mix64(p.seed^uint64(orig), uint64(target))
 	u := float64(h>>11) / (1 << 53)
 	cat := drawCategory(mix, u)

@@ -1,6 +1,7 @@
 package world
 
 import (
+	"runtime"
 	"testing"
 
 	"dnsbackscatter/internal/activity"
@@ -146,7 +147,7 @@ func TestViolatorRatesByCategory(t *testing.T) {
 		for rank := 0; rank < 400; rank++ {
 			q := p.get(poolKey{cat: cat, country: rank % 8, rank: rank})
 			n++
-			if q.Resolver.MaxPTRTTL > 0 {
+			if q.MaxPTRTTL > 0 {
 				v++
 			}
 		}
@@ -193,7 +194,7 @@ func TestCollapseKeepsNames(t *testing.T) {
 	st := rng.New(3)
 	taken := make(map[ipaddr.Addr]bool)
 	want := make(map[ipaddr.Addr]string)
-	get := func(k poolKey) *Querier {
+	get := func(k poolKey) *querier {
 		n := p.size()
 		addr, name := refName(p, k, taken)
 		q := p.get(k)
@@ -257,7 +258,7 @@ func TestCollapseKeepsNames(t *testing.T) {
 	}
 	check("before collapse")
 	p.collapse()
-	if p.byKey != nil || p.caches[0] != nil || p.zipf != nil {
+	if p.byKey != nil || p.caches[0] != nil || p.arena[0] != nil || p.zipf != nil {
 		t.Fatal("collapse kept the simulator's part of the pool")
 	}
 	if got := p.size(); got != size {
@@ -294,4 +295,42 @@ func TestSlotPacking(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPoolCostPerQuerier: a materialized querier costs at most 145 B of
+// live heap and 5 allocations, its name's and the maps' growth included,
+// which holds only while queriers are values in the arena, and finding
+// one already materialized allocates nothing.
+func TestPoolCostPerQuerier(t *testing.T) {
+	const n = 60000
+	p := newTestPool(42)
+	keys := make([]poolKey, n)
+	for i := range keys {
+		keys[i] = poolKey{
+			cat:     qname.Category(i % int(qname.NumCategories)),
+			country: i / int(qname.NumCategories) % len(geo.Countries),
+			rank:    i / (int(qname.NumCategories) * len(geo.Countries)),
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, k := range keys {
+		p.get(k)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if p.size() != n {
+		t.Fatalf("%d queriers materialized, want %d", p.size(), n)
+	}
+	live := float64(after.HeapAlloc-before.HeapAlloc) / n
+	mallocs := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("%.1f B live, %.2f allocations a querier", live, mallocs)
+	if live > 145 || mallocs > 5 {
+		t.Errorf("%.1f B live and %.2f allocations a querier, want at most 145 B and 5", live, mallocs)
+	}
+	if a := testing.AllocsPerRun(100, func() { p.get(keys[n/2]) }); a != 0 {
+		t.Errorf("finding a materialized querier: %.1f allocations, want 0", a)
+	}
+	runtime.KeepAlive(p)
 }

@@ -52,7 +52,7 @@ type request struct {
 	seq uint32 // position in the batch: the global order key
 	ctx int32  // index into batch.ctxs
 	t   simtime.Time
-	q   *Querier
+	q   *querier
 }
 
 // batch is a run of consecutive events in generation order, split by
@@ -195,7 +195,7 @@ func (w *World) resolve(b *batch, s int) {
 	for i := range sh.reqs {
 		rq := &sh.reqs[i]
 		cc := &b.ctxs[rq.ctx]
-		r, orig := rq.q.Resolver, cc.sub.Orig
+		r, orig := &rq.q.Resolver, cc.sub.Orig
 		// Begin the lookup's trace here rather than inside the walk so the
 		// campaign activity that provoked it is annotated on the span.
 		tc := tr.Begin(r.Addr, orig, rq.t)
@@ -206,7 +206,7 @@ func (w *World) resolve(b *batch, s int) {
 		// paper's queries-per-querier to 3-5 for hammering activity.
 		if ttl := r.MaxPTRTTL; ttl > 0 {
 			requeries := 1
-			if rq.q.Category == qname.FW || rq.q.Category == qname.Home {
+			if c := rq.q.category(); c == qname.FW || c == qname.Home {
 				requeries = 3 // per-connection log lookups
 			}
 			for k := 1; k <= requeries; k++ {

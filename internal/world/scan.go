@@ -72,7 +72,7 @@ func (w *World) ControlledScan(origin ipaddr.Addr, frac, react float64, at simti
 		target := ipaddr.Addr(st.Uint64())
 		t := at.Add(simtime.Duration(st.Int63() % int64(dur)))
 		q := w.pool.forTarget(origin, &classMixes[activity.Scan], target)
-		w.hier.Resolve(q.Resolver, origin, t)
+		w.hier.Resolve(&q.Resolver, origin, t)
 	}
 
 	final.Range(finalBase, func(r dnslog.Record) {
