@@ -29,15 +29,18 @@ func fuzzAddr(x, y byte) ipaddr.Addr {
 	return ipaddr.Addr(uint32(x&3)<<24 | uint32(x>>2&3)<<16 | uint32(x>>4&3)<<8 | uint32(y&7))
 }
 
-// FuzzSketchOps decodes bytes into Add/Merge/Reset on a sketch of capacity
-// 1–8, where almost every newcomer evicts, and after each operation holds
-// the sketch to the reference slot for slot and to the space-saving
-// contract against exact counts: true ∈ [Count−Err, Count] for every slot.
-// Byte 0 picks the capacity; then each operation is an opcode byte and two
-// operand bytes. Zero weights are in-domain (they must change nothing).
+// FuzzSketchOps decodes bytes into Add/Fold/Merge/Reset on a sketch of
+// capacity 1–8, where almost every newcomer evicts, and after each
+// operation holds the sketch to the reference slot for slot and to the
+// space-saving contract against exact counts: true ∈ [Count−Err, Count]
+// for every slot. Byte 0 picks the capacity; then each operation is an
+// opcode byte and two operand bytes, and a fold takes up to nine more
+// addresses of two bytes each. Zero weights are in-domain (they must
+// change nothing).
 func FuzzSketchOps(f *testing.F) {
 	// The seed corpus is testdata/fuzz/FuzzSketchOps: capacity 1, merge and
-	// reset, zero weights, and a 120-operation churn at capacity 4.
+	// reset, zero weights, a 120-operation churn at capacity 4, and folds
+	// that evict inside the run at capacity 2.
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		capacity := 1
@@ -48,9 +51,19 @@ func FuzzSketchOps(f *testing.F) {
 		const seed = 42
 		p, other := newRefPair(capacity, seed), newRefPair(capacity, seed)
 		var truth, otherTruth fuzzTruth
-		for ; len(data) >= 3; data = data[3:] {
+		for len(data) >= 3 {
 			op, x, y := data[0], data[1], data[2]
+			data = data[3:]
 			switch {
+			case op >= 240 && op < 250: // a run of 1 + op−240 addresses, folded at once
+				run := []ipaddr.Addr{fuzzAddr(x, y)}
+				for ; len(run) <= int(op-240) && len(data) >= 2; data = data[2:] {
+					run = append(run, fuzzAddr(data[0], data[1]))
+				}
+				p.fold(run)
+				for _, a := range run {
+					truth.add(a, 1)
+				}
 			case op < 250: // most of the space: an Add, weight 0–9 with the odd large one
 				n := uint64(op % 10)
 				if op%50 == 49 {

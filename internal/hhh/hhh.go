@@ -265,8 +265,9 @@ func prefixAt(a ipaddr.Addr, li int) uint32 {
 
 // Add observes address a with weight n at every level; n = 0 observes
 // nothing and changes nothing. Unlike RHHH's randomized single-level
-// update, all levels update on every call: deterministic, and cheap at
-// four levels.
+// update, all levels update on every call, which keeps the sketch
+// deterministic. A caller holding many unit-weight addresses folds them
+// with Fold instead, as the stream engine does with its kept records.
 func (s *Sketch) Add(a ipaddr.Addr, n uint64) {
 	if n == 0 {
 		return
@@ -274,6 +275,24 @@ func (s *Sketch) Add(a ipaddr.Addr, n uint64) {
 	s.total += n
 	for li := range s.levels {
 		s.levels[li].add(prefixAt(a, li), n, s.seed, li)
+	}
+}
+
+// Fold observes each address of run with weight 1, leaving the sketch
+// exactly as Add(a, 1) for each a in run order would: levels share
+// nothing, so each receives the same update sequence. It walks the run
+// once per level, so one summary's slots, heap and index stay hot for
+// the whole run instead of four summaries taking turns per address. The
+// stream engine buffers its kept records and folds them in runs.
+//
+//bslint:hotpath
+func (s *Sketch) Fold(run []ipaddr.Addr) {
+	s.total += uint64(len(run))
+	for li := range s.levels {
+		su, mask := &s.levels[li], prefixAt(^ipaddr.Addr(0), li)
+		for _, a := range run {
+			su.add(uint32(a)&mask, 1, s.seed, li)
+		}
 	}
 }
 

@@ -147,10 +147,19 @@ func (p refPair) add(a ipaddr.Addr, n uint64) {
 	p.r.add(a, n)
 }
 
+// fold folds run into the sketch at once and feeds the reference the same
+// addresses one Add at a time.
+func (p refPair) fold(run []ipaddr.Addr) {
+	p.s.Fold(run)
+	for _, a := range run {
+		p.r.add(a, 1)
+	}
+}
+
 // TestAddMatchesReference drives a sketch and the reference through random
-// Add/Merge/Reset sequences over an address pool a few times the capacity
-// (so hits, fills and evictions all occur, at every level) and compares
-// every slot after every operation.
+// Add/Fold/Merge/Reset sequences over an address pool a few times the
+// capacity (so hits, fills and evictions all occur, at every level, inside
+// a fold too) and compares every slot after every operation.
 func TestAddMatchesReference(t *testing.T) {
 	for _, capacity := range []int{1, 2, 3, 8, 32} {
 		for seed := uint64(1); seed <= 4; seed++ {
@@ -173,8 +182,14 @@ func TestAddMatchesReference(t *testing.T) {
 			p := newRefPair(capacity, seed)
 			for op := 0; op < 1500; op++ {
 				switch k := st.Intn(100); {
-				case k < 92:
+				case k < 88:
 					p.add(draw())
+				case k < 92:
+					run := make([]ipaddr.Addr, 1+st.Intn(3*capacity))
+					for i := range run {
+						run[i] = pool[st.Intn(len(pool))]
+					}
+					p.fold(run)
 				case k < 98:
 					o := newRefPair(capacity, seed)
 					for i := st.Intn(6 * capacity); i > 0; i-- {

@@ -11,10 +11,12 @@ import (
 // TestObserveAllocs holds a shard's per-record path to no allocation in
 // steady state: 64 queriers of one originator in turn, one a second, so
 // every record misses the 30 s window and runs through dedup, the
-// footprint, the sample and both heavy-hitter views; and the same record
-// twice a second, so every other one is suppressed. AllocsPerRun reports
-// whole allocations per run averaged over its runs, so the occasional
-// growth of a map cannot fail a correct path, and a fmt.Sprint can.
+// footprint, the sample and the heavy-hitter run; and the same record
+// twice a second, so every other one is suppressed. Each measurement
+// crosses a fold of the run into both heavy-hitter views. AllocsPerRun
+// reports whole allocations per run averaged over its runs, so the
+// occasional growth of a map cannot fail a correct path, and a fmt.Sprint
+// can.
 func TestObserveAllocs(t *testing.T) {
 	e := New(testConfig(1))
 	o := ipaddr.MustParse("10.6.6.6")
@@ -25,14 +27,18 @@ func TestObserveAllocs(t *testing.T) {
 		r.Querier = ipaddr.FromOctets(172, 16, 0, byte(r.Time%64))
 		sh.observe(r, &e.cfg)
 	}
-	for range 1000 {
+	for range hhhRun + 1000 {
 		next()
 	}
-	if n := testing.AllocsPerRun(1000, next); n != 0 {
+	folded := sh.hhhQry.Total()
+	if n := testing.AllocsPerRun(hhhRun, next); n != 0 {
 		t.Errorf("shard.observe allocates %v times a kept record, want 0", n)
 	}
-	if n := testing.AllocsPerRun(1000, func() { next(); sh.observe(r, &e.cfg) }); n != 0 {
+	if n := testing.AllocsPerRun(hhhRun, func() { next(); sh.observe(r, &e.cfg) }); n != 0 {
 		t.Errorf("shard.observe allocates %v times a kept and a suppressed record, want 0", n)
+	}
+	if got, want := sh.hhhQry.Total(), folded+2*hhhRun; got != want {
+		t.Errorf("heavy hitters hold %d records after two measured runs, want %d: a measurement crossed no fold", got, want)
 	}
 }
 

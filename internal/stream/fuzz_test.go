@@ -61,6 +61,23 @@ func boundDedup(e *Engine, n int) *Engine {
 	return e
 }
 
+// fuzzRunPairs bounds each shard's heavy-hitter run in the fuzzer, so that
+// a few hundred records fold mid-stream, many times and inside a call.
+const fuzzRunPairs = 3
+
+// boundRun bounds every shard's heavy-hitter run of e at n pairs.
+func boundRun(e *Engine, n int) *Engine {
+	for _, sh := range e.shards {
+		sh.origRun, sh.qryRun = sh.origRun[:0:n], sh.qryRun[:0:n]
+	}
+	return e
+}
+
+// hhhLines returns the heavy-hitter part of a snapshot, its last lines.
+func hhhLines(snap []byte) []byte {
+	return snap[bytes.Index(snap, []byte("\nhhh "))+1:]
+}
+
 // hostileCategories classifies reverse names fabricated straight from
 // the querier's bytes — embedded NULs, non-UTF-8, absurd label shapes — so
 // the static feature path sees genuinely malformed input.
@@ -76,7 +93,11 @@ func hostileCategories(a ipaddr.Addr) qname.Category {
 // snapshots stay canonical — repeated rendering and a fresh replay of
 // the same batches are byte-identical. It also holds the engine to
 // TestRescoreHistoryInvariant on the same input: the last of however many
-// ten-minute re-scores the records forced equals one cold score.
+// ten-minute re-scores the records forced equals one cold score. Its
+// engines fold their heavy-hitter runs every few records, and the
+// snapshot's heavy hitters must equal those of the records ingested in
+// one call and folded once: dedup is shard-local, so the kept sequence of
+// each shard does not depend on how the records were split.
 func FuzzStreamIngest(f *testing.F) {
 	// Seeds: empty, an ordered burst, duplicate+reversed timestamps, and
 	// a boundary-hopping pair (also checked in as files under testdata).
@@ -147,16 +168,25 @@ func FuzzStreamIngest(f *testing.F) {
 			}
 			e.Tick(final)
 		}
-		e1 := boundDedup(New(cfg), fuzzDedupSlots)
+		e1 := boundRun(boundDedup(New(cfg), fuzzDedupSlots), fuzzRunPairs)
 		run(e1)
 		snap := e1.Snapshot()
 		if again := e1.Snapshot(); !bytes.Equal(snap, again) {
 			t.Fatal("snapshot is not idempotent")
 		}
-		e2 := boundDedup(New(cfg), fuzzDedupSlots)
+		e2 := boundRun(boundDedup(New(cfg), fuzzDedupSlots), fuzzRunPairs)
 		run(e2)
 		if replay := e2.Snapshot(); !bytes.Equal(snap, replay) {
 			t.Fatal("replaying identical batches changed snapshot bytes")
+		}
+		// One call into one epoch: the run folds once, at the snapshot.
+		one := cfg
+		one.Epoch = simtime.Duration(final)
+		whole := boundDedup(New(one), fuzzDedupSlots)
+		whole.Ingest(recs)
+		whole.Tick(final)
+		if got, want := hhhLines(snap), hhhLines(whole.Snapshot()); !bytes.Equal(got, want) {
+			t.Fatalf("heavy hitters folded every %d records differ from one call's:\n%s\nwant\n%s", fuzzRunPairs, got, want)
 		}
 		if d := diffVectors(e1.Vectors(), coldScore(t, cfg, fuzzDedupSlots, recs, batch, final)); d != "" {
 			t.Fatalf("%d re-scores and one cold score disagree: %s", e1.Status().Epochs, d)

@@ -16,7 +16,8 @@
 //     smallest-footprint eviction,
 //   - hierarchical heavy-hitters sketches (internal/hhh) over both the
 //     originator and querier address spaces, so mass evicted from the
-//     per-originator table stays visible as prefix aggregates.
+//     per-originator table stays visible as prefix aggregates; each shard
+//     buffers up to hhhRun kept records' addresses and folds them in.
 //
 // Determinism contract: for a given record sequence (same batching and
 // order), snapshots and verdicts are byte-identical at any Workers
@@ -135,6 +136,11 @@ func (a *agg) estimate() uint64 {
 	return a.est
 }
 
+// hhhRun bounds a shard's buffered run of heavy-hitter addresses, 8 KiB
+// a shard: long enough that a fold pays for its summary updates, not for
+// bringing each level summary back into cache.
+const hhhRun = 1024
+
 // shard is one originator partition: its dedup table, its
 // tracked originators, and its heavy-hitters views. Each shard is
 // touched by exactly one worker per engine call.
@@ -146,6 +152,9 @@ type shard struct {
 	hhhQry    *hhh.Sketch
 	kept      uint64
 	evictions uint64
+	// origRun and qryRun hold the kept records' addresses not yet folded
+	// into hhhOrig and hhhQry; their capacity is the run's bound.
+	origRun, qryRun []ipaddr.Addr
 }
 
 // Engine is the streaming classifier. Create with New; all methods are
@@ -207,6 +216,8 @@ func New(cfg Config) *Engine {
 			cap:     perShardCap,
 			hhhOrig: hhh.New(cfg.HHHCapacity, cfg.Seed),
 			hhhQry:  hhh.New(cfg.HHHCapacity, cfg.Seed),
+			origRun: make([]ipaddr.Addr, 0, hhhRun),
+			qryRun:  make([]ipaddr.Addr, 0, hhhRun),
 		}
 	}
 	return e
@@ -312,8 +323,19 @@ func (sh *shard) observe(r dnslog.Record, cfg *Config) {
 	}
 	// Heavy-hitter views take every deduplicated record, so mass from
 	// originators later evicted from the agg table stays aggregated.
-	sh.hhhOrig.Add(r.Originator, 1)
-	sh.hhhQry.Add(r.Querier, 1)
+	sh.origRun = append(sh.origRun, r.Originator)
+	sh.qryRun = append(sh.qryRun, r.Querier)
+	if len(sh.origRun) == cap(sh.origRun) {
+		sh.fold()
+	}
+}
+
+// fold feeds the shard's buffered run into its heavy-hitter views, which
+// then read as if each record had been added as it was kept.
+func (sh *shard) fold() {
+	sh.hhhOrig.Fold(sh.origRun)
+	sh.hhhQry.Fold(sh.qryRun)
+	sh.origRun, sh.qryRun = sh.origRun[:0], sh.qryRun[:0]
 }
 
 // track starts an originator's evidence, evicting first if the shard is
@@ -505,10 +527,12 @@ const hhhTop = 20
 // Snapshot renders the engine's state as canonical text: an epoch
 // header, the verdict table in vector order, and the top heavy-hitter
 // prefixes per level for both address spaces. Byte-identical for a
-// given record sequence at any worker count.
+// given record sequence at any worker count. It is the heavy-hitter
+// sketches' only reader, so it folds every shard's run first.
 func (e *Engine) Snapshot() []byte {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	parallel.Pool{Workers: e.cfg.Workers}.Each(engineShards, func(s int) { e.shards[s].fold() })
 	var b []byte
 	b = append(b, "stream epoch="...)
 	b = strconv.AppendInt(b, int64(e.epochs), 10)
