@@ -45,9 +45,9 @@ type PairKey struct {
 func (r Record) AppendText(dst []byte) []byte {
 	dst = strconv.AppendInt(dst, int64(r.Time), 10)
 	dst = append(dst, '\t')
-	dst = append(dst, r.Originator.String()...)
+	dst = r.Originator.AppendTo(dst)
 	dst = append(dst, '\t')
-	dst = append(dst, r.Querier.String()...)
+	dst = r.Querier.AppendTo(dst)
 	dst = append(dst, '\t')
 	dst = append(dst, r.Authority.String()...)
 	dst = append(dst, '\t')

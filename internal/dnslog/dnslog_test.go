@@ -308,3 +308,11 @@ func BenchmarkDeduper(b *testing.B) {
 		d.Keep(r)
 	}
 }
+
+func TestWriterWriteAllocs(t *testing.T) {
+	w := NewWriter(io.Discard)
+	r := rec(1_400_000_000, "192.0.2.1", "198.51.100.53")
+	if n := testing.AllocsPerRun(1000, func() { _ = w.Write(r) }); n != 0 {
+		t.Errorf("Writer.Write makes %.0f allocations a record, want 0", n)
+	}
+}

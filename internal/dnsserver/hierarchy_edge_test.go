@@ -2,6 +2,7 @@ package dnsserver
 
 import (
 	"net"
+	"net/netip"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -22,8 +23,8 @@ func referralOf(t *testing.T, del Delegation, ok bool) *dnswire.Message {
 	t.Helper()
 	h := ReferralHandler(func(ipaddr.Addr) (Delegation, bool) { return del, ok })
 	q := dnswire.NewPTRQuery(1, ipaddr.MustParse("100.50.3.4").ReverseName())
-	resp, _, answer := h(q, &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 5353})
-	if !answer || resp == nil {
+	resp := new(dnswire.Message)
+	if _, _, answer := h(q, netip.MustParseAddrPort("127.0.0.1:5353"), resp); !answer {
 		t.Fatal("referral handler stayed silent")
 	}
 	return resp
@@ -85,8 +86,9 @@ func TestReferralTargetMalformed(t *testing.T) {
 // trace with a give-up, and no second query inside ServFailTTL.
 func TestRecursorLameDelegation(t *testing.T) {
 	lame, err := Listen("127.0.0.1:0", Config{Authority: "lame",
-		Handler: func(q *dnswire.Message, peer *net.UDPAddr) (*dnswire.Message, *dnslog.Record, bool) {
-			return dnswire.NewResponse(q, dnswire.RCodeNoError), nil, true
+		Handler: func(q *dnswire.Message, _ netip.AddrPort, resp *dnswire.Message) (dnslog.Record, bool, bool) {
+			resp.SetResponse(q, dnswire.RCodeNoError)
+			return dnslog.Record{}, false, true
 		}})
 	if err != nil {
 		t.Fatal(err)

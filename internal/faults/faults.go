@@ -274,9 +274,10 @@ func mix(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// KeyString hashes a string subject (an authority name, a question name)
-// into a decision key, FNV-1a like the rng package's stream naming.
-func KeyString(s string) uint64 {
+// KeyString hashes a string subject (an authority name, a question name,
+// a peer's ip:port) into a decision key, FNV-1a like the rng package's
+// stream naming. Text in a byte slice hashes as the same string would.
+func KeyString[S ~string | ~[]byte](s S) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211

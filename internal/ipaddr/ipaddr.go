@@ -28,17 +28,20 @@ func (a Addr) Octets() (o0, o1, o2, o3 byte) {
 
 // String formats a in dotted-quad notation.
 func (a Addr) String() string {
+	var b [15]byte
+	return string(a.AppendTo(b[:0]))
+}
+
+// AppendTo appends a's dotted-quad form, as String writes it, to dst.
+func (a Addr) AppendTo(dst []byte) []byte {
 	o0, o1, o2, o3 := a.Octets()
-	var b strings.Builder
-	b.Grow(15)
-	b.WriteString(strconv.Itoa(int(o0)))
-	b.WriteByte('.')
-	b.WriteString(strconv.Itoa(int(o1)))
-	b.WriteByte('.')
-	b.WriteString(strconv.Itoa(int(o2)))
-	b.WriteByte('.')
-	b.WriteString(strconv.Itoa(int(o3)))
-	return b.String()
+	dst = strconv.AppendUint(dst, uint64(o0), 10)
+	dst = append(dst, '.')
+	dst = strconv.AppendUint(dst, uint64(o1), 10)
+	dst = append(dst, '.')
+	dst = strconv.AppendUint(dst, uint64(o2), 10)
+	dst = append(dst, '.')
+	return strconv.AppendUint(dst, uint64(o3), 10)
 }
 
 // ErrBadAddr reports a malformed dotted-quad string.

@@ -154,3 +154,15 @@ func BenchmarkReverseName(b *testing.B) {
 		_ = a.ReverseName()
 	}
 }
+
+func TestAppendToAllocs(t *testing.T) {
+	buf := make([]byte, 0, 15)
+	for _, a := range []Addr{0, MustParse("192.0.2.1"), MustParse("255.255.255.255")} {
+		if got := string(a.AppendTo(buf[:0])); got != a.String() {
+			t.Errorf("AppendTo = %q, String = %q", got, a.String())
+		}
+		if n := testing.AllocsPerRun(1000, func() { buf = a.AppendTo(buf[:0]) }); n != 0 {
+			t.Errorf("AppendTo(%v) makes %.0f allocations, want 0", a, n)
+		}
+	}
+}

@@ -56,7 +56,7 @@ type Event struct {
 	Level string `json:"level,omitempty"`
 	// Authority is the sensor authority for sensor/serve events.
 	Authority string `json:"authority,omitempty"`
-	// Querier is the resolver address (lookup and serve events).
+	// Querier is the resolver address (lookup events).
 	Querier string `json:"querier,omitempty"`
 	// Orig is the originator whose reverse name is queried.
 	Orig string `json:"orig,omitempty"`

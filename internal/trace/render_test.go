@@ -113,7 +113,7 @@ func TestRenderTreeCacheHitAndGiveUp(t *testing.T) {
 	g.Finish(13, 1)
 	ts := tr.Traces(Filter{})
 	out := RenderTree(ts[0]) + RenderTree(ts[1])
-	for _, want := range []string{"cache hit", "gave up", "serve[jp]", "rcode=silent"} {
+	for _, want := range []string{"cache hit", "gave up", "\n  serve[jp] rcode=silent\n"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trees missing %q:\n%s", want, out)
 		}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"dnsbackscatter/internal/ipaddr"
@@ -228,12 +229,19 @@ func TestSensorJoinAndPipeline(t *testing.T) {
 	}
 }
 
+// TestSensorIndexFirstWriteWins: the join index holds committed traces,
+// and a record key two traces kept stays with the first one committed.
 func TestSensorIndexFirstWriteWins(t *testing.T) {
 	tr := New(3, 1)
 	a := tr.Begin(1, 2, 10)
 	a.Sensor("jp", 2, 1, 0, 11)
 	b := tr.Begin(3, 2, 10)
 	b.Sensor("jp", 2, 1, 0, 11) // same record key from another trace
+	if _, _, ok := tr.RecordID(2, 1, 11); ok {
+		t.Fatal("RecordID joined a trace before its commit")
+	}
+	a.Finish(12, 1)
+	b.Finish(12, 1)
 	id, _, ok := tr.RecordID(2, 1, 11)
 	if !ok || id != a.ID() {
 		t.Fatalf("RecordID = (%s, %v), want first writer %s", id, ok, a.ID())
@@ -352,5 +360,55 @@ func TestTapKeepCommit(t *testing.T) {
 	}
 	if _, _, ok := tr.RecordID(2, 1, 10); ok {
 		t.Errorf("tap %d was never kept but its record is indexed", dropped)
+	}
+}
+
+// TestRingReadWhileCommitting reads a bounded ring through Traces, JSONL
+// and Exemplars while two goroutines commit through it, as /traces and
+// the alert loop do while a server serves: every trace read is whole
+// (run it under -race: the ring reuses evicted traces' events).
+func TestRingReadWhileCommitting(t *testing.T) {
+	tr := New(1, 1)
+	tr.SetMax(16)
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				q, o, now := ipaddr.Addr(w+1), ipaddr.Addr(i), simtime.Time(i)
+				c := tr.Begin(q, o, now)
+				c.Sensor("final", o, q, 0, now)
+				c.Serve("final", "noerror", now)
+				c.Finish(now, 1)
+			}
+		}(w)
+	}
+	go func() { wg.Wait(); close(done) }()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		for _, x := range tr.Traces(Filter{}) {
+			if len(x.Events) != 4 || x.Events[0].Kind != KindLookup || x.Events[3].Trace != x.ID ||
+				x.Events[0].Orig != ipaddr.Addr(x.T0).String() {
+				t.Fatalf("torn trace: %+v", x)
+			}
+		}
+		_ = tr.JSONL()
+		_ = tr.Exemplars(0, 2000, 3)
+	}
+}
+
+// TestLookupRendersAddresses: the lookup event renders both addresses,
+// the recursor's querier 0 as well.
+func TestLookupRendersAddresses(t *testing.T) {
+	tr := New(1, 1)
+	tr.Begin(0, addr("192.0.2.7"), 5).Finish(5, 0)
+	if out := string(tr.JSONL()); !strings.Contains(out, `"kind":"lookup","querier":"0.0.0.0","orig":"192.0.2.7"`) {
+		t.Errorf("lookup event:\n%s", out)
 	}
 }

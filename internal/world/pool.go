@@ -14,16 +14,16 @@ import (
 
 // querier is one reacting party: the resolver that contacts authorities on
 // behalf of targets (a shared ISP cache, a self-resolving mail server, a
-// firewall doing log lookups, ...). Its address is the resolver's.
-type querier struct {
-	dnssim.Resolver
-	cat   uint8 // the slot's qname.Category
-	shard uint8 // which of the world's simShards walks this resolver
-}
+// firewall doing log lookups, ...). Its address is the resolver's; the
+// resolver's Tag holds the slot's qname.Category and which of the world's
+// simShards walks it, so a querier is 64 bytes.
+type querier struct{ dnssim.Resolver }
 
-func (q *querier) category() qname.Category { return qname.Category(q.cat) }
+func (q *querier) category() qname.Category { return qname.Category(q.Tag[0]) }
 
-// chunkLen is how many queriers one arena chunk holds (18 KiB a chunk).
+func (q *querier) shard() uint8 { return q.Tag[1] }
+
+// chunkLen is how many queriers one arena chunk holds (16 KiB a chunk).
 const chunkLen = 256
 
 // poolKey identifies a querier slot by (category, country, popularity
@@ -182,7 +182,7 @@ func (p *querierPool) get(k poolKey) *querier {
 	i := uint32(owner)*simShards + uint32(shard)
 	q := p.at(i)
 	q.Init(p.caches[shard], owner, addr, busy, preferM(p.geo.Region(addr)), *rng.New(st.Uint64()))
-	q.cat, q.shard = uint8(k.cat), shard
+	q.Tag = [2]uint8{uint8(k.cat), shard}
 	// Some queriers ignore DNS timeout rules and re-query aggressively
 	// (§III-C). Firewalls and home gear logging per connection are the
 	// usual offenders; shared resolvers and real mail servers cache

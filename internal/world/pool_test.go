@@ -297,7 +297,7 @@ func TestSlotPacking(t *testing.T) {
 	}
 }
 
-// TestPoolCostPerQuerier: a materialized querier costs at most 145 B of
+// TestPoolCostPerQuerier: a materialized querier costs at most 140 B of
 // live heap and 5 allocations, its name's and the maps' growth included,
 // which holds only while queriers are values in the arena, and finding
 // one already materialized allocates nothing.
@@ -326,8 +326,8 @@ func TestPoolCostPerQuerier(t *testing.T) {
 	live := float64(after.HeapAlloc-before.HeapAlloc) / n
 	mallocs := float64(after.Mallocs-before.Mallocs) / n
 	t.Logf("%.1f B live, %.2f allocations a querier", live, mallocs)
-	if live > 145 || mallocs > 5 {
-		t.Errorf("%.1f B live and %.2f allocations a querier, want at most 145 B and 5", live, mallocs)
+	if live > 140 || mallocs > 5 {
+		t.Errorf("%.1f B live and %.2f allocations a querier, want at most 140 B and 5", live, mallocs)
 	}
 	if a := testing.AllocsPerRun(100, func() { p.get(keys[n/2]) }); a != 0 {
 		t.Errorf("finding a materialized querier: %.1f allocations, want 0", a)

@@ -95,9 +95,9 @@ func (w *World) touch(c *activity.Campaign, day simtime.Time, e activity.Event) 
 
 	w.m.event(e.Time)
 	q := w.pool.forTarget(c.Originator, &cc.mix, e.Target)
-	sh := &b.shards[q.shard]
+	sh := &b.shards[q.shard()]
 	sh.reqs = append(sh.reqs, request{seq: uint32(len(b.order)), ctx: int32(n - 1), t: e.Time, q: q})
-	b.order = append(b.order, q.shard)
+	b.order = append(b.order, q.shard())
 
 	if w.Dark != nil {
 		switch c.Class {
