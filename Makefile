@@ -31,8 +31,7 @@ vet:
 	$(GO) vet ./...
 
 # bslint's module checks include docs: every relative link and back-ticked
-# file reference in the Markdown resolves, every //bslint:hotpath
-# declaration is named in PERFORMANCE.md, and the root *.md stay within
+# file reference in the Markdown resolves, and the root *.md stay within
 # the 200 KiB prose budget.
 lint:
 	$(GO) run ./cmd/bslint ./...
@@ -159,26 +158,22 @@ bench-check:
 # Fast allocation-budget gate, part of verify: the BenchmarkParallel*
 # suite (seconds, and it covers the pipeline's hot fan-out paths) plus
 # BenchmarkProfOverhead, whose off case pins the zero-cost-when-disabled
-# accounting contract, BenchmarkEngine* (internal/stream),
-# which holds the engine's per-batch and per-epoch scratch reuse, the
-# wire codec's encode and decode paths (internal/dnswire) and querier-name
-# generation (internal/qname). Budgets for the rest of the suite are
-# enforced by bench-check / CI; budgeted benchmarks outside the subset are
-# logged as skipped.
+# accounting contract, and BenchmarkEngine* (internal/stream), which
+# holds the engine's per-batch and per-epoch scratch reuse. Budgets for
+# the rest of the suite are enforced by bench-check / CI; budgeted
+# benchmarks outside the subset are logged as skipped. A single hot-path
+# operation is held by an AllocsPerRun test in plain go test instead
+# (PERFORMANCE.md, "Allocation tests").
 budget:
-	$(call budget-check,BenchmarkParallel|BenchmarkProfOverhead|BenchmarkEngine|BenchmarkEncoderReused|BenchmarkEncodePTRQuery|BenchmarkDecodeInto|BenchmarkGenerate)
+	$(call budget-check,BenchmarkParallel|BenchmarkProfOverhead|BenchmarkEngine)
 
-# budget-check runs the benchmarks matching $(1) with -benchmem and hands
-# the output to bsprof -check: once in the root package and
-# internal/stream, and 10000 times in internal/dnswire and internal/qname,
-# whose operations allocate a few bytes each, so that a stray allocation
-# of the runtime's during one operation averages away. The run goes
-# through a file, so a failing benchmark fails the gate instead of reading
-# as skipped budgets.
+# budget-check runs the benchmarks matching $(1) in the root package and
+# internal/stream once with -benchmem and hands the output to bsprof
+# -check. The run goes through a file, so a failing benchmark fails the
+# gate instead of reading as skipped budgets.
 define budget-check
 	@out=$$(mktemp); \
 	$(GO) test -run '^$$' -bench '$(1)' -benchmem -benchtime 1x . ./internal/stream > $$out || { cat $$out; rm -f $$out; exit 1; }; \
-	$(GO) test -run '^$$' -bench '$(1)' -benchmem -benchtime 10000x ./internal/dnswire ./internal/qname >> $$out || { cat $$out; rm -f $$out; exit 1; }; \
 	$(GO) run ./cmd/bsprof -check -budgets alloc.budgets -bench $$out; code=$$?; rm -f $$out; exit $$code
 endef
 

@@ -1,7 +1,7 @@
 // Command bslint runs the project's static-analysis suite: the
 // per-package checks (determinism, locksafe, errcheck, apidoc,
-// concurrency, hotalloc, nolintreason) and the docs module check over
-// the module's Markdown, all defined in internal/lint. It prints one
+// concurrency, nolintreason) and the docs module check over the
+// module's Markdown, all defined in internal/lint. It prints one
 // finding per line as
 //
 //	file:line:col: [check] message

@@ -64,8 +64,6 @@ func ParseRecord(line string) (Record, error) { return parseRecord([]byte(line))
 
 // parseRecord is ParseRecord on the reader's line buffer: no string per
 // line, no field slice.
-//
-//bslint:hotpath
 func parseRecord(line []byte) (Record, error) {
 	var r Record
 	var f [5][]byte
@@ -218,8 +216,6 @@ func NewDeduper(window simtime.Duration) *Deduper {
 
 // Keep reports whether r survives deduplication, updating state. Records
 // must be fed in non-decreasing time order for exact window semantics.
-//
-//bslint:hotpath
 func (d *Deduper) Keep(r Record) bool {
 	if d.Window <= 0 {
 		return true

@@ -313,8 +313,6 @@ type scratch struct {
 // the batch before its reply is written; the batch goes to the sink at
 // maxBatch records, at the read deadline batchWait after its first
 // record, on Flush (which moves that deadline to now) and on Close.
-//
-//bslint:hotpath
 func (s *Server) serve(l *loop) {
 	defer s.done.Done()
 	defer close(l.flushed)

@@ -1,8 +1,10 @@
 package dnsserver
 
 import (
+	"net"
 	"net/netip"
 	"testing"
+	"time"
 
 	"dnsbackscatter/internal/dnslog"
 	"dnsbackscatter/internal/dnssim"
@@ -69,5 +71,47 @@ func TestExchangeAllocs(t *testing.T) {
 				t.Errorf("traced=%v %s: %.0f allocations a query, want at most %.0f", traced, kind, got, bound)
 			}
 		}
+	}
+}
+
+// TestServeAllocs holds a datagram's trip through a running serve loop —
+// read, exchange, batch, reply, and the sink's batch every 256 records —
+// to the one allocation of an NXDOMAIN exchange, measured over loopback
+// from a client whose reads and writes allocate nothing.
+func TestServeAllocs(t *testing.T) {
+	served := 0
+	s, err := Listen("127.0.0.1:0", Config{Authority: "final", Handler: FinalHandler(testProfile),
+		Sink: func(rs []dnslog.Record) { served += len(rs) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	wire, err := dnswire.NewPTRQuery(1, ipaddr.FromOctets(198, 51, 100, 2).ReverseName()).Encode(nil) // no name in testProfile
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := net.DialUDP("udp", nil, s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.SetReadDeadline(time.Now().Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 512)
+	query := func() {
+		if _, err := c.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Read(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(1000, query); n > 1 {
+		t.Errorf("a served NXDOMAIN query makes %.0f allocations, want 1", n)
+	}
+	s.Flush()
+	if served == 0 {
+		t.Error("the sink saw no record")
 	}
 }

@@ -178,8 +178,6 @@ func NewSensor(name string, sample int) *Sensor {
 // Observe records one query, subject to sampling and the collection
 // horizon. It reports whether a record was actually kept — tracing uses
 // this to emit sensor events only for records the pipeline will see.
-//
-//bslint:hotpath
 func (s *Sensor) Observe(now simtime.Time, orig, querier ipaddr.Addr, rcode uint8) bool {
 	if s == nil {
 		return false

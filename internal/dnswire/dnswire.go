@@ -206,8 +206,6 @@ type written struct {
 // messages can hold one Encoder (AcquireEncoder) and call its Encode
 // method directly to skip even the pool round-trip. Output bytes are
 // identical either way.
-//
-//bslint:hotpath
 func (m *Message) Encode(dst []byte) ([]byte, error) {
 	enc := AcquireEncoder()
 	out, err := enc.Encode(m, dst)
@@ -219,8 +217,6 @@ func (m *Message) Encode(dst []byte) ([]byte, error) {
 // slice, exactly as Message.Encode does. The encoder's compression table
 // is cleared and rebuilt per call, so output bytes never depend on what
 // the Encoder encoded before.
-//
-//bslint:hotpath
 func (enc *Encoder) Encode(m *Message, dst []byte) ([]byte, error) {
 	enc.names = enc.names[:0]
 	e := encoder{buf: dst, enc: enc}
@@ -264,8 +260,6 @@ func (e *encoder) u32(v uint32) {
 }
 
 // name encodes a domain name with compression against earlier occurrences.
-//
-//bslint:hotpath
 func (e *encoder) name(name string) error {
 	name = strings.TrimSuffix(name, ".")
 	if name == "" {
@@ -313,7 +307,6 @@ func (e *encoder) name(name string) error {
 	return nil
 }
 
-//bslint:hotpath
 func (e *encoder) rr(rr *RR) error {
 	if err := e.name(rr.Name); err != nil {
 		return err

@@ -319,6 +319,36 @@ func TestMutatedMessagesNeverPanic(t *testing.T) {
 	}
 }
 
+// TestCodecAllocs holds the two operations a resolver pays per query:
+// building and encoding a PTR query (one allocation, the message's
+// question slice) and decoding one into a reused Message (one, the
+// question name's string, which the message keeps).
+func TestCodecAllocs(t *testing.T) {
+	const name = "4.3.2.1.in-addr.arpa"
+	buf := make([]byte, 0, 64)
+	id := uint16(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		id++
+		if _, err := NewPTRQuery(id, name).Encode(buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("NewPTRQuery(...).Encode makes %.0f allocations, want 1", n)
+	}
+	wire, err := NewPTRQuery(1, name).Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Message
+	if n := testing.AllocsPerRun(1000, func() {
+		if err := DecodeInto(wire, &m); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("DecodeInto makes %.0f allocations, want 1", n)
+	}
+}
+
 func BenchmarkEncodePTRQuery(b *testing.B) {
 	buf := make([]byte, 0, 64)
 	if _, err := NewPTRQuery(0, "4.3.2.1.in-addr.arpa").Encode(buf); err != nil { // fill the encoder pool

@@ -316,8 +316,6 @@ func (c countrySet) len() int { return bits.OnesCount64(uint64(c)) }
 // by originator and extract fans out per originator, all across Workers
 // goroutines with index-ordered merges, so the returned vectors are
 // byte-identical for every worker count.
-//
-//bslint:hotpath
 func (x *Extractor) Extract(recs []dnslog.Record, start simtime.Time, dur simtime.Duration) []*Vector {
 	pool := parallel.Pool{Workers: x.Workers, Obs: x.Obs, Acct: x.Acct}
 
@@ -532,8 +530,6 @@ var vecScratchPool = sync.Pool{New: func() any { return new(vecScratch) }}
 // Sorting groups equal /24 and /8 prefixes contiguously, so the entropy
 // inputs are run lengths and need no per-originator count maps; it groups
 // most of an AS too, so sortUniq is left with one entry per run.
-//
-//bslint:hotpath
 func (s *vecScratch) summarize(g *geo.Registry) Summary {
 	sm := Summary{N: len(s.sample)}
 	cs24, cs8, asns := s.cs24[:0], s.cs8[:0], s.asns[:0]

@@ -97,8 +97,6 @@ type summary struct {
 
 // siftDown restores heap order below i after heap[i]'s key rose. Counts
 // only grow and a newcomer enters at the root, so nothing ever sifts up.
-//
-//bslint:hotpath
 func (su *summary) siftDown(i int) {
 	h := su.heap
 	e := h[i]
@@ -136,8 +134,6 @@ func (su *summary) heapify() {
 
 // add offers n observations of prefix, whose tiebreak is hashed from seed
 // and level only if it has to be inserted.
-//
-//bslint:hotpath
 func (su *summary) add(prefix uint32, n, seed uint64, li int) {
 	if i, ok := su.pos[prefix]; ok {
 		sl := &su.slots[i]
@@ -284,8 +280,6 @@ func (s *Sketch) Add(a ipaddr.Addr, n uint64) {
 // once per level, so one summary's slots, heap and index stay hot for
 // the whole run instead of four summaries taking turns per address. The
 // stream engine buffers its kept records and folds them in runs.
-//
-//bslint:hotpath
 func (s *Sketch) Fold(run []ipaddr.Addr) {
 	s.total += uint64(len(run))
 	for li := range s.levels {

@@ -45,8 +45,6 @@ func (b *BottomK[V]) Admits(h uint64) bool {
 // Hash64); a duplicate of a retained hash is a no-op that keeps the first
 // value, so hot items occupy at most one slot, and a hash at or above the
 // k-th smallest of a full sample is refused.
-//
-//bslint:hotpath
 func (b *BottomK[V]) Add(h uint64, v V) bool {
 	i, dup := slices.BinarySearch(b.hashes, h)
 	if dup || i == b.k {

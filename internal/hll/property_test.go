@@ -294,6 +294,26 @@ func TestBottomKGrowsOnDemand(t *testing.T) {
 	}
 }
 
+// TestBottomKAddAllocs holds Add on a full sample to no allocation: every
+// run offers a hash below all retained ones, which shifts both slices and
+// drops the largest, and one above them, which is refused.
+func TestBottomKAddAllocs(t *testing.T) {
+	b := NewBottomK[uint64](64)
+	for v := uint64(0); v < 64; v++ {
+		b.Add(1<<40+v, v)
+	}
+	h := uint64(1 << 40)
+	n := testing.AllocsPerRun(1000, func() {
+		h--
+		if !b.Add(h, h) || b.Add(1<<41, 0) {
+			t.Fatal("a smallest hash was refused or a largest admitted")
+		}
+	})
+	if n != 0 {
+		t.Errorf("BottomK.Add on a full sample makes %.0f allocations, want 0", n)
+	}
+}
+
 // TestSketchAddReportsRegisterChange: Add is true exactly when a register
 // rose, and while it is false the estimate cannot move.
 func TestSketchAddReportsRegisterChange(t *testing.T) {

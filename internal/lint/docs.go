@@ -2,7 +2,6 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"io/fs"
 	"os"
@@ -14,7 +13,7 @@ import (
 func init() {
 	RegisterModule(ModuleCheck{
 		Name: "docs",
-		Doc:  "Markdown integrity: relative links and back-ticked file references resolve, every //bslint:hotpath declaration is named in PERFORMANCE.md, and the module root's *.md stay within the prose budget",
+		Doc:  "Markdown integrity: relative links and back-ticked file references resolve, and the module root's *.md stay within the prose budget",
 		Run:  runDocs,
 	})
 }
@@ -32,24 +31,16 @@ var (
 	pathy = regexp.MustCompile(`^[\w./-]+$`)
 )
 
-// runDocs checks the Markdown of every module the packages belong to —
-// the nearest directory at or above each package holding a go.mod — and
-// the hotpath inventory of the loaded packages against that module's
-// PERFORMANCE.md.
+// runDocs checks the Markdown of every module the packages belong to:
+// the nearest directory at or above each package holding a go.mod.
 func runDocs(pkgs []*Package) []Finding {
-	byRoot := map[string][]*Package{}
-	var roots []string // first-seen order, which follows pkgs
-	for _, pkg := range pkgs {
-		root := moduleRoot(pkg.Dir)
-		if _, seen := byRoot[root]; !seen && root != "" {
-			roots = append(roots, root)
-		}
-		byRoot[root] = append(byRoot[root], pkg)
-	}
+	seen := map[string]bool{}
 	var out []Finding
-	for _, root := range roots {
-		out = append(out, markdownFindings(root)...)
-		out = append(out, hotpathFindings(root, byRoot[root])...)
+	for _, pkg := range pkgs {
+		if root := moduleRoot(pkg.Dir); root != "" && !seen[root] {
+			seen[root] = true
+			out = append(out, markdownFindings(root)...)
+		}
 	}
 	return out
 }
@@ -157,44 +148,6 @@ func brokenReferences(path, text string) []Finding {
 			doc := strings.HasSuffix(ref, ".md") || strings.HasSuffix(ref, ".json")
 			if (doc || strings.Contains(ref, "/") && strings.HasSuffix(ref, ".go")) && !exists(ref) {
 				report(i+1, m[2]+1, fmt.Sprintf("broken file reference %q", ref))
-			}
-		}
-	}
-	return out
-}
-
-// hotpathFindings reports every //bslint:hotpath declaration in pkgs
-// whose name — Recv.Name for methods, generic receivers included, the
-// bare identifier for functions and types — root's PERFORMANCE.md does
-// not mention, so the allocation playbook cannot drift from the set of
-// paths hotalloc guards.
-func hotpathFindings(root string, pkgs []*Package) []Finding {
-	text, _ := os.ReadFile(filepath.Join(root, "PERFORMANCE.md")) // a missing inventory names nothing
-	var out []Finding
-	for _, pkg := range pkgs {
-		need := func(id *ast.Ident, name string) {
-			if !strings.Contains(string(text), name) {
-				out = append(out, Finding{Pos: pkg.Fset.Position(id.Pos()), Message: "hotpath " + name + " not mentioned in PERFORMANCE.md"})
-			}
-		}
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					if hasDirective(d.Doc, "hotpath") {
-						name := d.Name.Name
-						if r := recvName(d); r != "" {
-							name = r + "." + name
-						}
-						need(d.Name, name)
-					}
-				case *ast.GenDecl:
-					for _, spec := range d.Specs {
-						if ts, ok := spec.(*ast.TypeSpec); ok && (hasDirective(d.Doc, "hotpath") || hasDirective(ts.Doc, "hotpath")) {
-							need(ts.Name, ts.Name.Name)
-						}
-					}
-				}
 			}
 		}
 	}

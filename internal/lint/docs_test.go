@@ -8,10 +8,9 @@ import (
 )
 
 // TestDocs runs the docs check over its fixture module and asserts every
-// finding: the broken link, the link whose #fragment is stripped, the
-// two broken back-ticked references, and one unlisted hotpath of each
-// kind. What the fixture skips (resolving links, fences, URLs, prose
-// with slashes, listed hotpaths) must stay silent.
+// finding: the broken link, the link whose #fragment is stripped and the
+// two broken back-ticked references. What the fixture skips (resolving
+// links, fences, URLs, prose with slashes) must stay silent.
 func TestDocs(t *testing.T) {
 	pkg := loadFixture(t, "docs")
 	var got []string
@@ -23,10 +22,6 @@ func TestDocs(t *testing.T) {
 		`README.md:5: broken link "gone.md#section"`,
 		`README.md:13: broken file reference "missing/file.go"`,
 		`README.md:13: broken file reference "ABSENT.md"`,
-		`docs.go:15: hotpath orphan not mentioned in PERFORMANCE.md`,
-		`docs.go:28: hotpath Recv.Hot not mentioned in PERFORMANCE.md`,
-		`docs.go:37: hotpath Sample.Add not mentioned in PERFORMANCE.md`,
-		`docs.go:55: hotpath scratch not mentioned in PERFORMANCE.md`,
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("docs findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))

@@ -5,9 +5,8 @@
 // bridges), lock discipline on shared state, and errors never silently
 // discarded — that ordinary review misses and go vet does not cover. Each
 // invariant is a Check registered here, and the docs ModuleCheck holds the
-// Markdown to its references, the hotpath inventory and the prose budget;
-// cmd/bslint runs them all over the module and fails the build on
-// findings.
+// Markdown to its references and the prose budget; cmd/bslint runs them
+// all over the module and fails the build on findings.
 //
 // The framework is stdlib-only: packages load through go/parser and
 // type-check through go/types, so checks see resolved types, not just
@@ -227,20 +226,6 @@ func under(path string, frags []string) bool {
 	return false
 }
 
-// hasDirective reports whether a declaration's doc comment carries the
-// bslint directive //bslint:<name>, e.g. //bslint:hotpath.
-func hasDirective(doc *ast.CommentGroup, name string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if f := strings.Fields(c.Text); len(f) > 0 && f[0] == "//bslint:"+name {
-			return true
-		}
-	}
-	return false
-}
-
 // calleeFunc resolves a call to the function or method it calls, or nil
 // for builtins, conversions and calls through function values.
 func calleeFunc(pkg *Package, call *ast.CallExpr) *types.Func {
@@ -288,8 +273,6 @@ func exprString(fset *token.FileSet, e ast.Expr) string {
 		return exprString(fset, e.X) + "." + e.Sel.Name
 	case *ast.CallExpr:
 		return exprString(fset, e.Fun) + "(...)"
-	case *ast.ArrayType:
-		return "[]" + exprString(fset, e.Elt)
 	case *ast.StarExpr:
 		return "*" + exprString(fset, e.X)
 	case *ast.ParenExpr:

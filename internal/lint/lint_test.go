@@ -159,11 +159,11 @@ func TestFindingString(t *testing.T) {
 }
 
 // TestRegistry asserts the shipped analyzers are registered under their
-// documented names: seven per-package checks plus the docs module check.
+// documented names: six per-package checks plus the docs module check.
 func TestRegistry(t *testing.T) {
 	want := map[string]bool{
 		"determinism": true, "locksafe": true, "errcheck": true, "apidoc": true,
-		"concurrency": true, "hotalloc": true, "nolintreason": true,
+		"concurrency": true, "nolintreason": true,
 	}
 	for _, c := range Checks() {
 		delete(want, c.Name)

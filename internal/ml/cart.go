@@ -161,8 +161,6 @@ func sized[T any](s []T, n int) []T {
 // sorted after the dataset's one ranking. A list whose values are all
 // equal over a node's range is not partitioned: its range holds that one
 // value in every descendant, where the split scan skips it.
-//
-//bslint:hotpath
 type treeBuilder struct {
 	r     *ranked
 	y     []int
@@ -198,8 +196,6 @@ func majorityLabel(counts []int) int {
 // ranges of the lists that are not constant there between its children.
 // rows names a list holding exactly the node's rows in that range: the
 // parent's split feature's, which splits as a prefix and a suffix.
-//
-//bslint:hotpath
 func (b *treeBuilder) grow(lo, hi, rows, depth int) {
 	counts := b.counts
 	clear(counts)
@@ -264,8 +260,6 @@ func (b *treeBuilder) grow(lo, hi, rows, depth int) {
 // child's range is still ascending by the list's own feature. Every row is
 // written to both sides and only the cursors depend on the comparison: the
 // loop has no branch to mispredict.
-//
-//bslint:hotpath
 func (b *treeBuilder) partition(seg []int32, col []float64, thr float64) {
 	spill := b.spill[:len(seg)]
 	nl, nr := 0, 0
@@ -300,8 +294,6 @@ const screenMargin = 1e-9
 // start), kept as integers row by row. A boundary that this shows cannot
 // come within screenMargin of the best gain is skipped without a division;
 // at the others the float gain and the strict g > gain decide.
-//
-//bslint:hotpath
 func (b *treeBuilder) bestSplit(lo, hi, n, sq int, present []int, parentGini float64) (feat int, thr, gain float64) {
 	nf := b.r.nf
 	feats := b.feats

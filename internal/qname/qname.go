@@ -89,8 +89,6 @@ var suffixRules = []struct {
 
 // Classify maps a querier reverse name to its static category. Empty input
 // is NXDomain (no reverse name). Names are lowercased before matching.
-//
-//bslint:hotpath
 func Classify(name string) Category {
 	if name == "" {
 		return NXDomain

@@ -334,21 +334,50 @@ func FuzzClassify(f *testing.F) {
 	})
 }
 
-// BenchmarkClassify covers the spread of costs: a first-rule hit, a
-// one-token mail name, a suffix hit, and — the expensive end — names no
-// rule matches, whose every token of every component is looked up.
-func BenchmarkClassify(b *testing.B) {
-	names := []string{
-		"home1-2-3-4.telecom5.jp",
-		"mail.example.com",
-		"a10-2-3-4.deploy.akamaitechnologies.com",
-		"zeus17.example.com",
-		"srv12-core.vpn3.metro41.co.jp", // other, five components
-		"db7.node-eagle.orbit9.de",      // other, three components ahead of the TLD
+// classifyCases are BenchmarkClassify's names: a first-rule hit, a
+// one-token mail name, a suffix hit and two names no rule matches.
+var classifyCases = []string{
+	"home1-2-3-4.telecom5.jp",
+	"mail.example.com",
+	"a10-2-3-4.deploy.akamaitechnologies.com",
+	"zeus17.example.com",
+	"srv12-core.vpn3.metro41.co.jp", // other, five components
+	"db7.node-eagle.orbit9.de",      // other, three components ahead of the TLD
+}
+
+// TestClassifyAllocs holds Classify of a lowercase name to no allocation,
+// whichever rule decides it.
+func TestClassifyAllocs(t *testing.T) {
+	for _, name := range classifyCases {
+		if n := testing.AllocsPerRun(1000, func() { _ = Classify(name) }); n != 0 {
+			t.Errorf("Classify(%q) makes %.0f allocations, want 0", name, n)
+		}
 	}
+}
+
+// TestGenerateAllocs holds Generator.Name to one allocation a name, the
+// returned string: the name is assembled in the generator's scratch
+// buffer. The runs cycle through every category that has a name.
+func TestGenerateAllocs(t *testing.T) {
+	g := NewGenerator(rng.New(1))
+	addr := ipaddr.MustParse("10.20.30.40")
+	i := 0
+	n := testing.AllocsPerRun(1000, func() {
+		_ = g.Name(Category(i%int(Unreach)), addr, "jp") // Home through Other
+		i++
+	})
+	if n > 1 {
+		t.Errorf("Generator.Name makes %.0f allocations a name, want 1", n)
+	}
+}
+
+// BenchmarkClassify covers the spread of costs, up to the expensive end:
+// names no rule matches, whose every token of every component is looked
+// up.
+func BenchmarkClassify(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = Classify(names[i%len(names)])
+		_ = Classify(classifyCases[i%len(classifyCases)])
 	}
 }
 
@@ -361,6 +390,6 @@ func BenchmarkGenerate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.Name(Category(i%int(Other)), addr, "jp")
+		_ = g.Name(Category(i%int(Unreach)), addr, "jp") // Home through Other
 	}
 }

@@ -62,8 +62,6 @@ func newDedupTable() dedupTable {
 // seen reports whether the pair key was sighted within window before t
 // and, when it was not, records t as its last sighting. A sighting before
 // the last one is never suppressed; it moves the last sighting back.
-//
-//bslint:hotpath
 func (d *dedupTable) seen(key uint64, t simtime.Time, window simtime.Duration) bool {
 	if key == 0 {
 		key = 1 // 0 marks an empty slot

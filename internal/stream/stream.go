@@ -294,8 +294,6 @@ func (e *Engine) ingestLocked(recs []dnslog.Record) {
 // observe feeds one record into a shard: sliding dedup, then sketches. A
 // querier's category is looked up here, and only when the originator's
 // sample admits it — every later epoch reads it from the sample.
-//
-//bslint:hotpath
 func (sh *shard) observe(r dnslog.Record, cfg *Config) {
 	if cfg.DedupWindow > 0 {
 		key := hll.Hash64(uint64(r.Originator)<<32 ^ uint64(r.Querier))

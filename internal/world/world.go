@@ -334,8 +334,6 @@ func (w *World) QuerierName(a ipaddr.Addr) (name string, unreach bool) {
 // QuerierCategory returns the reverse-name category of a querier observed
 // in the logs, Unreach when its reverse zone is unreachable: what
 // qname.Classify makes of QuerierName, from one table lookup.
-//
-//bslint:hotpath
 func (w *World) QuerierCategory(a ipaddr.Addr) qname.Category {
 	return w.pool.categoryOf(a)
 }
