@@ -390,6 +390,6 @@ func BenchmarkGenerate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.Name(Category(i%int(Unreach)), addr, "jp") // Home through Other
+		_ = g.Name(Category(i%int(Other)), addr, "jp")
 	}
 }
