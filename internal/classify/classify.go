@@ -242,6 +242,24 @@ func (m *Model) Classify(v *features.Vector) activity.Class {
 	return activity.Class(m.clf.Predict(v.X[:]))
 }
 
+// ClassifyBatch labels vs into classes, in one ml.PredictBatch across the
+// pipeline's workers: a stream engine's epoch (stream.Scorer). It records
+// nothing; the labels are identical for every worker count.
+func (m *Model) ClassifyBatch(vs []*features.Vector, classes []activity.Class) {
+	for i, pred := range m.predict(vs, parallel.Pool{Workers: m.workers}) {
+		classes[i] = activity.Class(pred)
+	}
+}
+
+// predict runs vs through ml.PredictBatch under pool.
+func (m *Model) predict(vs []*features.Vector, pool parallel.Pool) []int {
+	rows := make([][]float64, len(vs))
+	for i, v := range vs {
+		rows[i] = v.X[:]
+	}
+	return ml.PredictBatch(m.clf, rows, nil, pool)
+}
+
 // ClassifyAll labels every analyzable originator in the snapshot — the
 // final stage of the Figure 2 pipeline, timed under the "classify" span
 // when the training pipeline was instrumented. Originators are predicted
@@ -250,12 +268,7 @@ func (m *Model) Classify(v *features.Vector) activity.Class {
 func (m *Model) ClassifyAll(s *Snapshot) map[ipaddr.Addr]activity.Class {
 	sp := m.obs.StartSpan("classify")
 	tok := m.acct.Start("classify")
-	rows := make([][]float64, len(s.Vectors))
-	for i, v := range s.Vectors {
-		rows[i] = v.X[:]
-	}
-	pool := parallel.Pool{Workers: m.workers, Obs: m.obs, Stage: "classify", Acct: m.acct}
-	preds := ml.PredictBatch(m.clf, rows, pool)
+	preds := m.predict(s.Vectors, parallel.Pool{Workers: m.workers, Obs: m.obs, Stage: "classify", Acct: m.acct})
 	out := make(map[ipaddr.Addr]activity.Class, len(s.Vectors))
 	for i, v := range s.Vectors {
 		out[v.Originator] = activity.Class(preds[i])

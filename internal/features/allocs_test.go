@@ -17,12 +17,12 @@ import (
 // Extract's allocations once its scratch is warm: perCall for the three
 // stages' closures and the returned slice, perVector for each vector,
 // and, for each stage that runs on w > 1 goroutines, perFanOut for
-// parallel.Pool.Each's shared cursor, flags and wait group plus one
-// closure a goroutine. None grows with the records of an interval.
+// parallel.Pool.Each's shared batch state and the one closure its w - 1
+// goroutines run. None grows with the records of an interval.
 const (
-	perCall   = 12
+	perCall   = 6
 	perVector = 1
-	perFanOut = 6
+	perFanOut = 2
 )
 
 // fanOut is the allocations of one stage run on w goroutines.
@@ -30,7 +30,7 @@ func fanOut(w int) int {
 	if w <= 1 {
 		return 0
 	}
-	return perFanOut + w
+	return perFanOut
 }
 
 // TestExtractAllocs holds Extract, and vecScratch.summarize under it, to
@@ -38,8 +38,8 @@ func fanOut(w int) int {
 // queriers each: twice the records must not cost one allocation more.
 // Workers is pinned, since AllocsPerRun measures at GOMAXPROCS 1, where
 // Workers 0 would take the sequential path on every machine; at 4 the
-// dedup and filter stages fan out over 4 goroutines and extract over one
-// a vector, up to 4. AllocsPerRun warms up once and reports whole
+// dedup and filter stages fan out over 4 workers, the caller among them,
+// and extract over one a vector, up to 4. AllocsPerRun warms up once and reports whole
 // allocations per run averaged over 1000 runs, so the odd refill of a
 // pool after a GC cannot fail a correct call, and a fmt.Sprint per call
 // or per vector can.

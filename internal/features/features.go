@@ -492,8 +492,13 @@ type Sampled uint64
 
 // SampleOf pairs q with its category.
 func SampleOf(categoryOf CategoryFunc, q ipaddr.Addr) Sampled {
-	return Sampled(q)<<8 | Sampled(categoryOf(q))
+	return SampleKey(q) | Sampled(categoryOf(q))
 }
+
+// SampleKey is q with no category: it sorts at or below q's Sampled and
+// above every lower address's, so it finds q in a set in address order
+// before q's category is looked up.
+func SampleKey(q ipaddr.Addr) Sampled { return Sampled(q) << 8 }
 
 // Addr returns the querier's address.
 func (s Sampled) Addr() ipaddr.Addr { return ipaddr.Addr(s >> 8) }
@@ -513,8 +518,8 @@ type Summary struct {
 	ASes, Countries             int
 }
 
-// vecScratch is per-worker scratch for one summary: the querier set in
-// address order, /24 and /8 run-length counts, and an AS gather buffer.
+// vecScratch is per-worker scratch for one summary: the batch querier set
+// in address order, /24 and /8 run-length counts, and an AS gather buffer.
 // Pooled because the fan-outs have no per-worker identity; pooling is
 // ops-only and invisible to output bytes.
 type vecScratch struct {
@@ -526,17 +531,17 @@ type vecScratch struct {
 
 var vecScratchPool = sync.Pool{New: func() any { return new(vecScratch) }}
 
-// summarize reads s.sample, a set of distinct queriers in address order.
-// Sorting groups equal /24 and /8 prefixes contiguously, so the entropy
+// summarize reads sample, a set of distinct queriers in address order.
+// That order groups equal /24 and /8 prefixes contiguously, so the entropy
 // inputs are run lengths and need no per-originator count maps; it groups
 // most of an AS too, so sortUniq is left with one entry per run.
-func (s *vecScratch) summarize(g *geo.Registry) Summary {
-	sm := Summary{N: len(s.sample)}
+func (s *vecScratch) summarize(g *geo.Registry, sample []Sampled) Summary {
+	sm := Summary{N: len(sample)}
 	cs24, cs8, asns := s.cs24[:0], s.cs8[:0], s.asns[:0]
 	var ccs countrySet
 	var prev24 uint32
 	var prev8 byte
-	for i, sq := range s.sample {
+	for i, sq := range sample {
 		q := sq.Addr()
 		sm.Static[sq.Category()]++
 		if p := q.Slash24(); i == 0 || p != prev24 {
@@ -585,7 +590,7 @@ func (x *Extractor) vector(a *originatorAgg, totalAS, totalCountry, totalQuerier
 	for _, q := range a.queriers {
 		s.sample = append(s.sample, SampleOf(x.CategoryOf, q))
 	}
-	sm := s.summarize(x.Geo)
+	sm := s.summarize(x.Geo, s.sample)
 	sm.fill(v)
 
 	n := float64(a.nq)

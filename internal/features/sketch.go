@@ -109,16 +109,16 @@ func radixSort(a, tmp []uint32) []uint32 {
 	return a
 }
 
-// Summarize scans a querier sample, in any order, into its Summary — the
-// only part of a sketch vector whose cost grows with the sample, and a
-// function of the sample alone: a holder may keep it until the sample
-// changes.
+// Summarize scans a querier sample into its Summary — the only part of a
+// sketch vector whose cost grows with the sample, and a function of the
+// sample alone: a holder may keep it until the sample changes. The sample
+// must be in ascending order, which is address order, as a stream
+// originator's hll.BottomK keeps it; Summarize neither copies nor sorts
+// it.
 func Summarize(g *geo.Registry, sample []Sampled) Summary {
 	s := vecScratchPool.Get().(*vecScratch)
 	defer vecScratchPool.Put(s)
-	s.sample = append(s.sample[:0], sample...)
-	slices.Sort(s.sample)
-	return s.summarize(g)
+	return s.summarize(g, sample)
 }
 
 // SketchVector computes one originator's feature vector from its sketch

@@ -21,10 +21,14 @@ func TestSampledRoundTrip(t *testing.T) {
 			t.Errorf("%v came back as %v", a, s.Addr())
 		}
 	}
-	// Packed samples order by address: the scan relies on it.
+	// Packed samples order by address: the scan relies on it, and a
+	// sample finds an address by its key before its category is known.
 	lo, hi := SampleOf(fuzzCategories, 5), SampleOf(fuzzCategories, 6)
 	if lo >= hi {
 		t.Error("a lower address sorts after a higher one")
+	}
+	if SampleKey(5) > lo || lo >= SampleKey(6) {
+		t.Error("an address's key does not sort between it and the next address")
 	}
 }
 

@@ -1,6 +1,7 @@
 package hll
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -118,6 +119,14 @@ func TestHLLMergeErrors(t *testing.T) {
 	}
 }
 
+// sortedHashes returns b's retained hashes ascending: the sample keeps
+// them in value order.
+func sortedHashes[V cmp.Ordered](b *BottomK[V]) []uint64 {
+	hs := slices.Clone(b.hashes)
+	slices.Sort(hs)
+	return hs
+}
+
 // oracleBottomK computes the exact bottom-k of the distinct hash set.
 func oracleBottomK(items []uint64, k int) []uint64 {
 	hs := make([]uint64, 0, len(items))
@@ -156,18 +165,18 @@ func TestBottomKIsExactBottomK(t *testing.T) {
 					}
 				}
 				want := oracleBottomK(items, k)
-				if got := b.hashes; !slices.Equal(got, want) {
+				if got := sortedHashes(b); !slices.Equal(got, want) {
 					t.Fatalf("k=%d n=%d seed=%d: sample is not the exact bottom-k (%d vs %d hashes)",
 						k, n, seed, len(got), len(want))
 				}
-				if b.Len() != len(want) || b.k != k {
-					t.Fatalf("k=%d n=%d: Len=%d K=%d want %d/%d", k, n, b.Len(), b.k, len(want), k)
+				if b.Len() != len(want) || b.k != k || b.top != want[len(want)-1] {
+					t.Fatalf("k=%d n=%d: Len=%d K=%d top=%x want %d/%d/%x", k, n, b.Len(), b.k, b.top, len(want), k, want[len(want)-1])
 				}
-				// Values must come back in ascending hash order.
+				// Values come back strictly ascending, each beside its hash.
 				vals := b.Values()
 				for i, h := range b.hashes {
-					if Hash64(vals[i]) != h {
-						t.Fatalf("Values order diverges from Hashes order at %d", i)
+					if Hash64(vals[i]) != h || i > 0 && vals[i-1] >= vals[i] {
+						t.Fatalf("k=%d n=%d: value %d out of order or apart from its hash", k, n, i)
 					}
 				}
 			}
@@ -190,7 +199,7 @@ func TestBottomKMergeIsUnion(t *testing.T) {
 			}
 			a.Merge(b)
 			a.Merge(nil) // nil merge is a no-op
-			if got, want := a.hashes, oracleBottomK(items, 128); !slices.Equal(got, want) {
+			if got, want := sortedHashes(a), oracleBottomK(items, 128); !slices.Equal(got, want) {
 				t.Fatalf("seed=%d cut=%d: merged sample is not the union bottom-k", seed, cut)
 			}
 		}
@@ -241,39 +250,44 @@ func TestBottomKClampAndReset(t *testing.T) {
 
 // TestBottomKAddContracts pins what a caller with an expensive value
 // relies on: Add reports a change exactly when the retained hashes
-// changed, Admits predicts that report without a value, a refused or
-// duplicate hash leaves the sample alone, and a duplicate keeps the value
-// that came first.
+// changed, Admits predicts that report from a key that sorts like the
+// value (here the item shifted above an eight-bit tag, as the stream's
+// samples pack an address above its category), a refused or duplicate
+// item leaves the sample alone, an admission into a full sample drops the
+// largest hash, and the values stay ascending with the largest hash
+// tracked.
 func TestBottomKAddContracts(t *testing.T) {
 	for _, k := range []int{1, 8, 64} {
-		b := NewBottomK[int](k)
+		b := NewBottomK[uint64](k)
 		st := rng.New(uint64(k))
 		for i := 0; i < 2000; i++ {
-			h := Hash64(uint64(st.Intn(300))) // ~300 distinct items, so most offers repeat
+			item := uint64(st.Intn(300)) // ~300 distinct items, so most offers repeat
+			h, v := Hash64(item), item<<8|item%7
 			before := slices.Clone(b.hashes)
-			kept, held := 0, slices.Contains(before, h)
-			if held {
-				kept = b.Values()[slices.Index(before, h)]
-			}
-			admits := b.Admits(h)
+			admits := b.Admits(h, item<<8)
 			if !slices.Equal(b.hashes, before) {
 				t.Fatalf("k=%d: Admits changed the sample", k)
 			}
-			changed := b.Add(h, i+1)
+			changed := b.Add(h, v)
 			if changed != admits {
 				t.Fatalf("k=%d offer %d: Admits said %v, Add reported %v", k, i, admits, changed)
 			}
 			if changed == slices.Equal(b.hashes, before) {
 				t.Fatalf("k=%d offer %d: Add reported %v, hashes changed: %v", k, i, changed, !changed)
 			}
-			if len(before) == k && h >= before[k-1] && changed {
-				t.Fatalf("k=%d offer %d: a hash at or above the k-th smallest was admitted", k, i)
+			if changed && slices.Contains(before, h) {
+				t.Fatalf("k=%d offer %d: a retained item was admitted again", k, i)
 			}
-			if held && b.Values()[slices.Index(b.hashes, h)] != kept {
-				t.Fatalf("k=%d offer %d: a duplicate replaced the first value", k, i)
+			if len(before) == k && changed {
+				if h >= slices.Max(before) {
+					t.Fatalf("k=%d offer %d: a hash at or above the largest retained was admitted", k, i)
+				}
+				if slices.Contains(b.hashes, slices.Max(before)) {
+					t.Fatalf("k=%d offer %d: an admission kept the largest hash", k, i)
+				}
 			}
-			if len(b.Values()) != len(b.hashes) || !slices.IsSorted(b.hashes) {
-				t.Fatalf("k=%d offer %d: views out of step or out of order", k, i)
+			if len(b.Values()) != len(b.hashes) || !slices.IsSorted(b.Values()) || b.top != slices.Max(b.hashes) {
+				t.Fatalf("k=%d offer %d: views out of step, out of order, or the top untracked", k, i)
 			}
 		}
 		if b.Len() != k {

@@ -25,6 +25,19 @@ func TestForestPredictAllocs(t *testing.T) {
 	}
 }
 
+// TestVotesAllocs holds the tree-major vote of a block of rows to no
+// allocation once the caller's tally has grown: nine rows, so the
+// four-row walk and the rows left over both run.
+func TestVotesAllocs(t *testing.T) {
+	d := blobs(6, 30, 22, 1.5, 0.5, 100)
+	m := Forest{Config: ForestConfig{Trees: 50}}.TrainForest(d, rng.New(101))
+	dst := m.Votes(d.X[:9], nil)
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() { dst = m.Votes(d.X[i%50:i%50+9], dst); i++ }); n != 0 {
+		t.Errorf("ForestModel.Votes allocates %v times a block, want 0", n)
+	}
+}
+
 // TestTrainTreeAllocs holds a tree's growth — treeBuilder's grow,
 // bestSplit and partition over every node — to three allocations a tree:
 // the Tree, its importances and the copy of its nodes. The builder and

@@ -93,14 +93,24 @@ func (f Forest) TrainForest(d *Dataset, st *rng.Stream) *ForestModel {
 }
 
 // Predict implements Classifier by majority vote over trees, ties to the
-// lowest label. Up to 64 classes the tally lives on the stack.
+// lowest label: the one-row case of Votes, its tally on the stack up to
+// 64 classes.
 func (m *ForestModel) Predict(x []float64) int {
 	var buf [64]int
-	votes := append(buf[:0], make([]int, m.numClasses)...)
+	return majorityLabel(m.Votes([][]float64{x}, buf[:0]))
+}
+
+// Votes returns dst resized to hold every tree's vote for every row of X,
+// row r's tally over the k trained classes at dst[r·k:(r+1)·k]. Every row
+// goes through tree t before tree t+1, so the tree's nodes are read from
+// cache; blocks of about 64 rows, as PredictBatch passes, stay there too.
+func (m *ForestModel) Votes(X [][]float64, dst []int) []int {
+	dst = slices.Grow(dst[:0], len(X)*m.numClasses)[:len(X)*m.numClasses]
+	clear(dst)
 	for _, t := range m.trees {
-		votes[t.Predict(x)]++
+		t.vote(X, dst, m.numClasses)
 	}
-	return majorityLabel(votes)
+	return dst
 }
 
 // Importance returns mean per-feature Gini importance across trees,

@@ -302,9 +302,9 @@ func (c *Confusion) PerClass() []ClassMetrics {
 // EvaluateConfusion runs clf over the test rows of d and returns the raw
 // confusion matrix.
 func EvaluateConfusion(clf Classifier, d *Dataset, rows []int) *Confusion {
-	conf := NewConfusion(d.NumClasses)
-	for _, i := range rows {
-		conf.Add(d.Y[i], clf.Predict(d.X[i]))
+	conf, test := NewConfusion(d.NumClasses), d.Subset(rows)
+	for i, pred := range PredictBatch(clf, test.X, nil, parallel.Pool{Workers: 1}) {
+		conf.Add(test.Y[i], pred)
 	}
 	return conf
 }
@@ -314,13 +314,41 @@ func Evaluate(clf Classifier, d *Dataset, rows []int) Metrics {
 	return EvaluateConfusion(clf, d, rows).Score()
 }
 
-// PredictBatch classifies every row of xs under the pool, returning
-// labels in row order. Rows are independent, so predictions are
-// identical for every worker count; clf.Predict must be safe for
-// concurrent calls (all of this package's models are: prediction only
-// reads trained state).
-func PredictBatch(clf Classifier, xs [][]float64, pool parallel.Pool) []int {
-	return parallel.Map(pool, len(xs), func(i int) int { return clf.Predict(xs[i]) })
+// PredictBatch labels every row of xs under the pool into dst, resized to
+// len(xs): the one batch entry point. A forest votes tree-major in blocks
+// of 64 rows, a Majority runs each member's rows as here, other models
+// predict row by row. Predictions are identical for every worker count:
+// prediction only reads trained state.
+func PredictBatch(clf Classifier, xs [][]float64, dst []int, pool parallel.Pool) []int {
+	dst = slices.Grow(dst[:0], len(xs))[:len(xs)]
+	pool.EachRange(len(xs), func(lo, hi int) { predictRows(clf, xs[lo:hi], dst[lo:hi]) })
+	return dst
+}
+
+// predictRows is PredictBatch on the calling goroutine.
+func predictRows(clf Classifier, X [][]float64, out []int) {
+	switch m := clf.(type) {
+	case *ForestModel:
+		var buf [64 * 16]int // a block's tally, on the stack up to 16 classes
+		for lo, nc := 0, m.numClasses; lo < len(X); lo += 64 {
+			votes := m.Votes(X[lo:min(lo+64, len(X))], buf[:0])
+			for r := range len(votes) / nc {
+				out[lo+r] = majorityLabel(votes[r*nc : (r+1)*nc])
+			}
+		}
+	case *Majority:
+		n, labels := len(X), make([]int, len(X)*len(m.Members))
+		for j, c := range m.Members {
+			predictRows(c, X, labels[j*n:(j+1)*n])
+		}
+		for r := range out {
+			out[r] = m.vote(func(j int) int { return labels[j*n+r] })
+		}
+	default:
+		for r, x := range X {
+			out[r] = clf.Predict(x)
+		}
+	}
 }
 
 // MeanStd summarizes repeated runs.
@@ -442,17 +470,23 @@ func TrainMajorityWorkers(tr Trainer, d *Dataset, n, workers int, st *rng.Stream
 	})}
 }
 
-// Predict returns the majority vote, ties to the lowest label. The tally
-// is indexed by label and, for labels below 64, lives on the stack.
+// Predict returns the majority vote, ties to the lowest label.
 func (m *Majority) Predict(x []float64) int {
+	return m.vote(func(j int) int { return m.Members[j].Predict(x) })
+}
+
+// vote tallies every member j's label(j) and returns the majority, ties to
+// the lowest label. The tally is indexed by label and, for labels below
+// 64, lives on the stack.
+func (m *Majority) vote(label func(j int) int) int {
 	var buf [64]int
 	votes := buf[:0]
-	for _, c := range m.Members {
-		label := c.Predict(x)
-		for len(votes) <= label {
+	for j := range m.Members {
+		l := label(j)
+		for len(votes) <= l {
 			votes = append(votes, 0)
 		}
-		votes[label]++
+		votes[l]++
 	}
 	return majorityLabel(votes)
 }

@@ -1,6 +1,8 @@
 package ml
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"dnsbackscatter/internal/parallel"
@@ -82,7 +84,7 @@ func TestValidatorWorkerCountInvariant(t *testing.T) {
 func TestPredictBatchMatchesSequential(t *testing.T) {
 	d := blobs(3, 30, 5, 1.5, 0.4, 31)
 	m := Forest{Config: ForestConfig{Trees: 20}}.TrainForest(d, rng.New(3))
-	got := PredictBatch(m, d.X, parallel.Pool{Workers: 4})
+	got := PredictBatch(m, d.X, nil, parallel.Pool{Workers: 4})
 	if len(got) != d.Len() {
 		t.Fatalf("PredictBatch returned %d labels for %d rows", len(got), d.Len())
 	}
@@ -91,4 +93,100 @@ func TestPredictBatchMatchesSequential(t *testing.T) {
 			t.Errorf("row %d: batch %d, sequential %d", i, got[i], want)
 		}
 	}
+}
+
+// TestVotesMatchPredict holds the tree-major kernel to the row-by-row
+// walk: Votes tallies what each tree's Predict says, and PredictBatch
+// labels what Predict does, for a forest, a Majority (of forests and a
+// tree) and a bare CART tree, at every row count from 0 to 9 — so groups
+// of fewer than four rows run too — and past a vote block. The rows
+// include NaN and ±Inf features and features exactly at a split's
+// threshold, which go left.
+func TestVotesMatchPredict(t *testing.T) {
+	d := blobs(3, 30, 5, 1.5, 0.4, 31)
+	forest := Forest{Config: ForestConfig{Trees: 20}}.TrainForest(d, rng.New(3))
+	tree := CART{}.TrainTree(d, rng.New(4))
+	maj := &Majority{Members: []Classifier{forest, tree, Forest{Config: ForestConfig{Trees: 7}}.TrainForest(d, rng.New(5))}}
+
+	rows := slices.Clone(d.X)
+	for f := range d.NumFeatures() {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			x := slices.Clone(d.X[f])
+			x[f] = v
+			rows = append(rows, x)
+		}
+	}
+	for _, tr := range append(slices.Clone(forest.trees), tree) {
+		for _, n := range tr.nodes[:min(len(tr.nodes), 9)] {
+			if n.feature >= 0 {
+				x := slices.Clone(d.X[len(rows)%d.Len()])
+				x[n.feature] = n.threshold
+				rows = append(rows, x)
+			}
+		}
+	}
+	// A row at a threshold goes left, as Predict's walk does.
+	root := tree.nodes[0]
+	x := slices.Clone(d.X[0])
+	x[root.feature] = root.threshold
+	if !descendsLeft(tree, x) {
+		t.Fatal("a feature at the root's threshold did not go left")
+	}
+
+	nc := forest.numClasses
+	var dst []int
+	for n := 0; n <= 9; n++ {
+		for off := 0; off+n <= len(rows); off += 7 {
+			X := rows[off : off+n]
+			dst = forest.Votes(X, dst)
+			want := make([]int, n*nc)
+			for r, x := range X {
+				for _, tr := range forest.trees {
+					want[r*nc+tr.Predict(x)]++
+				}
+			}
+			if !slices.Equal(dst, want) {
+				t.Fatalf("rows [%d, %d): Votes %v, trees one by one %v", off, off+n, dst, want)
+			}
+		}
+	}
+	for _, clf := range []Classifier{forest, maj, tree} {
+		for n := 0; n <= 9; n++ {
+			for _, w := range []int{1, 3} {
+				for off := 0; off+n <= len(rows); off += 11 {
+					checkBatch(t, clf, rows[off:off+n], w)
+				}
+			}
+		}
+		checkBatch(t, clf, rows, 1) // more rows than a vote block
+		checkBatch(t, clf, rows, 2)
+	}
+}
+
+// checkBatch fails t unless PredictBatch labels X as Predict does.
+func checkBatch(t *testing.T, clf Classifier, X [][]float64, workers int) {
+	t.Helper()
+	got := PredictBatch(clf, X, nil, parallel.Pool{Workers: workers})
+	if len(got) != len(X) {
+		t.Fatalf("%T: PredictBatch returned %d labels for %d rows", clf, len(got), len(X))
+	}
+	for r, x := range X {
+		if want := clf.Predict(x); got[r] != want {
+			t.Fatalf("%T, %d rows, workers %d: row %d batch %d, Predict %d", clf, len(X), workers, r, got[r], want)
+		}
+	}
+}
+
+// descendsLeft reports whether x reaches a leaf in the root's left
+// subtree, the nodes before its right child in pre-order.
+func descendsLeft(t *Tree, x []float64) bool {
+	i := 0
+	for t.nodes[i].feature >= 0 {
+		if x[t.nodes[i].feature] <= t.nodes[i].threshold {
+			i++
+		} else {
+			i = int(t.nodes[i].right)
+		}
+	}
+	return i < int(t.nodes[0].right)
 }

@@ -72,10 +72,19 @@ func Map[T any](p Pool, n int, fn func(i int) T) []T {
 }
 
 // Each runs fn(i) for every i in [0, n), using at most p.Workers
-// goroutines. It returns when all items completed. A panic in any item
-// is re-raised on the calling goroutine after the remaining workers
-// drain. fn must not depend on execution order.
-func (p Pool) Each(n int, fn func(i int)) {
+// goroutines, the caller's among them. It returns when all items
+// completed. A panic in any item is re-raised on the calling goroutine
+// after the remaining workers drain. fn must not depend on execution
+// order.
+func (p Pool) Each(n int, fn func(i int)) { p.run(n, fn, nil) }
+
+// EachRange is Each for items that are cheaper in runs: fn(lo, hi) covers
+// the items [lo, hi), and the runs cover [0, n) once each. Metrics count
+// items, as Each's do, whatever the runs.
+func (p Pool) EachRange(n int, fn func(lo, hi int)) { p.run(n, nil, fn) }
+
+// run is Each with one of item and span set.
+func (p Pool) run(n int, item func(i int), span func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -88,68 +97,81 @@ func (p Pool) Each(n int, fn func(i int)) {
 		sacct.AddShards(uint64(n))
 	}
 
-	w := Workers(p.Workers)
-	if w > n {
-		w = n
-	}
+	w := min(Workers(p.Workers), n)
 	if w == 1 {
-		// Sequential path: today's plain loop, no goroutines.
+		// Sequential path: the plain loop, no goroutines.
 		gauge.Add(1)
 		defer gauge.Add(-1)
 		sacct.EnterWorker()
 		defer sacct.LeaveWorker()
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
+		do(item, span, 0, n)
 		return
 	}
+	// The caller works a share and starts w-1 goroutines. Chunks amortize
+	// the cursor for cheap items while keeping the tail balanced.
+	b := &batch{n: n, chunk: max(1, n/(w*4)), item: item, span: span, gauge: gauge, sacct: sacct}
+	b.wg.Add(w - 1)
+	worker := func() {
+		defer b.wg.Done()
+		b.work()
+	}
+	for range w - 1 {
+		go worker()
+	}
+	b.work()
+	b.wg.Wait()
+	if b.pVal != nil {
+		panic(b.pVal)
+	}
+}
 
-	// Workers claim chunks of consecutive indices from an atomic cursor;
-	// results are keyed by index, so the claim order never shows in any
-	// output. Chunks amortize the cursor for cheap items while keeping
-	// the tail balanced.
-	chunk := n / (w * 4)
-	if chunk < 1 {
-		chunk = 1
+// batch is one fanned-out call's shared state. Workers claim chunks of
+// consecutive indices from an atomic cursor; results are keyed by index,
+// so the claim order never shows in any output.
+type batch struct {
+	n, chunk int
+	item     func(i int)
+	span     func(lo, hi int)
+	gauge    *obs.Gauge
+	sacct    *prof.StageAcct
+
+	cursor atomic.Int64
+	stop   atomic.Bool
+	wg     sync.WaitGroup
+	pOnce  sync.Once
+	pVal   any
+}
+
+// do runs the items [lo, hi) through whichever of item and span is set.
+func do(item func(i int), span func(lo, hi int), lo, hi int) {
+	if span != nil {
+		span(lo, hi)
+		return
 	}
-	var (
-		cursor atomic.Int64
-		stop   atomic.Bool
-		wg     sync.WaitGroup
-		pOnce  sync.Once
-		pVal   any
-	)
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			gauge.Add(1)
-			defer gauge.Add(-1)
-			sacct.EnterWorker()
-			defer sacct.LeaveWorker()
-			defer func() {
-				if r := recover(); r != nil {
-					pOnce.Do(func() { pVal = r })
-					stop.Store(true)
-				}
-			}()
-			for !stop.Load() {
-				hi := int(cursor.Add(int64(chunk)))
-				lo := hi - chunk
-				if lo >= n {
-					return
-				}
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					fn(i)
-				}
-			}
-		}()
+	for i := lo; i < hi; i++ {
+		item(i)
 	}
-	wg.Wait()
-	if pVal != nil {
-		panic(pVal)
+}
+
+// work claims and runs chunks until none is left or an item panicked,
+// whose value it keeps for the caller to re-raise.
+func (b *batch) work() {
+	b.gauge.Add(1)
+	defer b.gauge.Add(-1)
+	b.sacct.EnterWorker()
+	defer b.sacct.LeaveWorker()
+	defer func() {
+		if r := recover(); r != nil {
+			b.pOnce.Do(func() { b.pVal = r })
+			b.stop.Store(true)
+		}
+	}()
+	for !b.stop.Load() {
+		hi := int(b.cursor.Add(int64(b.chunk)))
+		lo := hi - b.chunk
+		if lo >= b.n {
+			return
+		}
+		do(b.item, b.span, lo, min(hi, b.n))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dnsbackscatter/internal/obs"
 )
@@ -69,24 +70,62 @@ func TestEachZeroItems(t *testing.T) {
 	Pool{Workers: 4}.Each(0, func(int) { t.Error("fn called for empty batch") })
 }
 
+// TestPanicPropagation panics at item 37 and at item 0, which the
+// caller's own share claims first: either way the panic is re-raised
+// once, on the caller, after every other worker has stopped.
 func TestPanicPropagation(t *testing.T) {
 	for _, w := range []int{1, 4} {
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("workers=%d: panic did not propagate", w)
-				}
-				if s, ok := r.(string); !ok || s != "boom" {
-					t.Fatalf("workers=%d: recovered %v, want \"boom\"", w, r)
-				}
+		for _, at := range []int{37, 0} {
+			var running atomic.Int32
+			func() {
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Fatalf("workers=%d: panic at %d did not propagate", w, at)
+					}
+					if s, ok := r.(string); !ok || s != "boom" {
+						t.Fatalf("workers=%d: recovered %v, want \"boom\"", w, r)
+					}
+					if n := running.Load(); n != 0 {
+						t.Fatalf("workers=%d: re-raised with %d items still running", w, n)
+					}
+				}()
+				Pool{Workers: w}.Each(100, func(i int) {
+					running.Add(1)
+					defer running.Add(-1)
+					if i == at {
+						panic("boom")
+					}
+					time.Sleep(time.Millisecond)
+				})
 			}()
-			Pool{Workers: w}.Each(100, func(i int) {
-				if i == 37 {
-					panic("boom")
-				}
-			})
-		}()
+		}
+	}
+}
+
+// TestEachRangeCoversItems checks the runs of EachRange cover every item
+// once, and that its metrics count items, not runs.
+func TestEachRangeCoversItems(t *testing.T) {
+	for _, w := range []int{1, 3, 8} {
+		const n = 211
+		var counts [n]atomic.Int32
+		reg := obs.NewRegistry()
+		Pool{Workers: w, Obs: reg, Stage: "classify"}.EachRange(n, func(lo, hi int) {
+			if lo >= hi {
+				t.Errorf("workers=%d: empty run [%d, %d)", w, lo, hi)
+			}
+			for i := lo; i < hi; i++ {
+				counts[i].Add(1)
+			}
+		})
+		for i := range counts {
+			if c := counts[i].Load(); c != 1 {
+				t.Fatalf("workers=%d: item %d ran %d times", w, i, c)
+			}
+		}
+		if c := reg.Counter("parallel_shards_total", obs.L("stage", "classify")).Value(); c != n {
+			t.Errorf("workers=%d: parallel_shards_total = %d, want %d", w, c, n)
+		}
 	}
 }
 

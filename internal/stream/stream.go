@@ -47,10 +47,11 @@ import (
 	"dnsbackscatter/internal/simtime"
 )
 
-// Scorer classifies one feature vector; *classify.Model satisfies it.
-// Implementations must be safe for concurrent read-only use.
+// Scorer classifies an epoch's feature vectors in one call, writing the
+// class of vs[i] to classes[i]; *classify.Model satisfies it. It keeps
+// neither slice, and a vector's class depends on that vector alone.
 type Scorer interface {
-	Classify(v *features.Vector) activity.Class
+	ClassifyBatch(vs []*features.Vector, classes []activity.Class)
 }
 
 // Config parameterizes an Engine. Zero values take the documented
@@ -166,11 +167,16 @@ type Engine struct {
 	mu     sync.Mutex
 	shards [engineShards]*shard
 	// partBuf backs ingestLocked's per-shard index runs; stats and norms
-	// are rescoreLocked's gather and normalizer scratch, kept across
-	// epochs. Guarded by mu.
+	// are rescoreLocked's gather and normalizer scratch, picked, aggs and
+	// stale its analyzable originators and their summaries to recompute,
+	// and classes its verdicts, all kept across epochs. Guarded by mu.
 	partBuf []int32
 	stats   []features.SketchStats
 	norms   features.NormScratch
+	picked  []int32
+	aggs    []*agg
+	stale   []*agg
+	classes []activity.Class
 	// epochStart is the current epoch's start (floored to Epoch);
 	// watermark the maximum record time seen. Guarded by mu.
 	epochStart simtime.Time
@@ -311,7 +317,7 @@ func (sh *shard) observe(r dnslog.Record, cfg *Config) {
 	if a.queriers.Add(h) {
 		a.estStale = true
 	}
-	if a.sample.Admits(h) {
+	if a.sample.Admits(h, features.SampleKey(r.Querier)) {
 		a.sample.Add(h, features.SampleOf(cfg.CategoryOf, r.Querier))
 		a.summaryStale = true
 	}
@@ -440,39 +446,48 @@ func (e *Engine) rescoreLocked(at simtime.Time) {
 	if dur < e.cfg.Epoch {
 		dur = e.cfg.Epoch
 	}
-	norms := features.NormsFromStats(e.cfg.Geo, stats, dur, &e.norms)
 
-	analyzable := stats[:0]
-	for _, st := range stats {
+	picked, aggs, stale := e.picked[:0], e.aggs[:0], e.stale[:0]
+	for i, st := range stats {
 		if st.Estimate >= e.cfg.MinQueriers {
-			analyzable = append(analyzable, st)
+			a := e.shards[features.ShardOf(st.Originator)].aggs[st.Originator]
+			picked, aggs = append(picked, int32(i)), append(aggs, a)
+			if a.summaryStale {
+				stale = append(stale, a)
+			}
 		}
 	}
-	// Vector and verdict per originator on the pool; the serial tail only
-	// tallies. A summary is recomputed only if its sample changed.
-	classes := make([]activity.Class, len(analyzable))
-	pool := parallel.Pool{Workers: e.cfg.Workers, Obs: e.cfg.Obs, Stage: "stream-rescore", Acct: e.cfg.Acct}
-	vecs := parallel.Map(pool, len(analyzable), func(i int) *features.Vector {
-		st := analyzable[i]
-		a := e.shards[features.ShardOf(st.Originator)].aggs[st.Originator]
-		if a.summaryStale {
-			a.summary, a.summaryStale = features.Summarize(e.cfg.Geo, st.Sample), false
+	// The norms and the summaries whose samples changed are pure
+	// functions of the gathered sketches, so they run as one batch, the
+	// norms as its first item: their radix sort overlaps summaries instead
+	// of running alone.
+	var norms features.SketchNorms
+	parallel.Pool{Workers: e.cfg.Workers}.Each(1+len(stale), func(i int) {
+		if i == 0 {
+			norms = features.NormsFromStats(e.cfg.Geo, stats, dur, &e.norms)
+			return
 		}
-		v := features.SketchVector(st, &a.summary, norms)
-		if v != nil && e.cfg.Scorer != nil {
-			classes[i] = e.cfg.Scorer.Classify(v)
-		}
-		return v
+		a := stale[i-1]
+		a.summary, a.summaryStale = features.Summarize(e.cfg.Geo, a.sample.Values()), false
 	})
+	pool := parallel.Pool{Workers: e.cfg.Workers, Obs: e.cfg.Obs, Stage: "stream-rescore", Acct: e.cfg.Acct}
+	vecs := parallel.Map(pool, len(picked), func(i int) *features.Vector {
+		return features.SketchVector(stats[picked[i]], &aggs[i].summary, norms)
+	})
+	clear(aggs)
+	clear(stale)
+	e.picked, e.aggs, e.stale = picked, aggs, stale
 	out := vecs[:0]
-	for i, v := range vecs {
+	for _, v := range vecs {
 		if v != nil {
-			classes[len(out)] = classes[i]
 			out = append(out, v)
 		}
 	}
 
 	if e.cfg.Scorer != nil {
+		classes := slices.Grow(e.classes[:0], len(out))[:len(out)]
+		e.cfg.Scorer.ClassifyBatch(out, classes)
+		e.classes = classes
 		verdicts := make(map[ipaddr.Addr]activity.Class, len(out))
 		var perClass [activity.NumClasses]uint64
 		churned := 0

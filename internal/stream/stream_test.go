@@ -2,7 +2,9 @@ package stream
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,14 +34,17 @@ func testCategories(a ipaddr.Addr) qname.Category {
 	}
 }
 
-// parityScorer is a deterministic stand-in for a trained model.
+// parityScorer is a deterministic stand-in for a trained model, scoring
+// an epoch in one call as the model does.
 type parityScorer struct{}
 
-func (parityScorer) Classify(v *features.Vector) activity.Class {
-	if v.Queriers%2 == 0 {
-		return activity.Scan
+func (parityScorer) ClassifyBatch(vs []*features.Vector, classes []activity.Class) {
+	for i, v := range vs {
+		classes[i] = activity.Mail
+		if v.Queriers%2 == 0 {
+			classes[i] = activity.Scan
+		}
 	}
-	return activity.Mail
 }
 
 // genRecords builds a seeded stream: nOrig originators with footprints
@@ -326,6 +331,72 @@ func TestDedupExactOnCollision(t *testing.T) {
 	})
 	if got := e.Status().Kept; got != 2 {
 		t.Fatalf("kept %d of two pairs seen twice each within 30 s, want 2", got)
+	}
+}
+
+// TestSampleIsExactBottomK drives one shard with random records: queriers
+// from a pool of 40, so most offers repeat and full samples of 8 see both
+// admissions and refusals, and six originators against a bound of four,
+// so evictions drop samples and later ones start afresh. After every
+// record each tracked originator's sample must be exactly the 8 smallest
+// distinct querier hashes kept since it was last tracked, in address
+// order, each with its category.
+func TestSampleIsExactBottomK(t *testing.T) {
+	cfg := testConfig(1)
+	cfg.SampleK = 8
+	cfg.MaxOriginators = 4 * engineShards
+	e := New(cfg)
+	st := rng.New(11)
+	origs := []ipaddr.Addr{ipaddr.MustParse("10.9.0.1")}
+	for o := origs[0] + 1; len(origs) < 6; o++ {
+		if features.ShardOf(o) == features.ShardOf(origs[0]) {
+			origs = append(origs, o)
+		}
+	}
+	sh := shardOf(e, origs[0])
+	pool := make([]ipaddr.Addr, 40)
+	for i := range pool {
+		pool[i] = ipaddr.Addr(st.Uint64())
+	}
+	seen := map[ipaddr.Addr]map[ipaddr.Addr]bool{} // queriers kept since tracked
+	evictions := 0
+	for i := range 3000 {
+		r := dnslog.Record{Time: simtime.Time(i), Originator: origs[st.Intn(len(origs))], Querier: pool[st.Intn(len(pool))]}
+		_, tracked := sh.aggs[r.Originator]
+		kept := sh.kept
+		sh.observe(r, &e.cfg)
+		if sh.kept != kept {
+			if !tracked {
+				seen[r.Originator] = map[ipaddr.Addr]bool{}
+			}
+			seen[r.Originator][r.Querier] = true
+		}
+		for o := range seen {
+			if _, ok := sh.aggs[o]; !ok {
+				delete(seen, o)
+				evictions++
+			}
+		}
+		for o, a := range sh.aggs {
+			qs := make([]ipaddr.Addr, 0, len(seen[o]))
+			for q := range seen[o] {
+				qs = append(qs, q)
+			}
+			slices.SortFunc(qs, func(a, b ipaddr.Addr) int { return cmp.Compare(hll.Hash64(uint64(a)), hll.Hash64(uint64(b))) })
+			qs = qs[:min(len(qs), cfg.SampleK)]
+			slices.Sort(qs)
+			want := make([]features.Sampled, len(qs))
+			for j, q := range qs {
+				want[j] = features.SampleOf(testCategories, q)
+			}
+			if got := a.sample.Values(); !slices.Equal(got, want) {
+				t.Fatalf("record %d: %v's sample %v, want the bottom %d of %d queriers in address order %v",
+					i, o, got, cfg.SampleK, len(seen[o]), want)
+			}
+		}
+	}
+	if evictions == 0 {
+		t.Fatal("no originator was evicted")
 	}
 }
 

@@ -16,7 +16,7 @@ type (
 	StreamEngine = stream.Engine
 	// StreamStatus is one point-in-time engine summary.
 	StreamStatus = stream.Status
-	// StreamScorer classifies one feature vector; *Model satisfies it.
+	// StreamScorer scores an epoch's vectors in one call; *Model does.
 	StreamScorer = stream.Scorer
 )
 
