@@ -168,7 +168,9 @@ func (d *Dataset) ClassCounts() []int {
 	return counts
 }
 
-// Classifier predicts a class label for a feature vector.
+// Classifier predicts a class label for a feature vector. Predict only
+// reads the model, so one model serves concurrent callers (PredictBatch's
+// workers).
 type Classifier interface {
 	Predict(x []float64) int
 }

@@ -80,17 +80,19 @@ func TestValidatorWorkerCountInvariant(t *testing.T) {
 }
 
 // TestPredictBatchMatchesSequential checks batch prediction is an
-// index-ordered fan-out of Predict.
+// index-ordered fan-out of Predict for every classifier kind, at one
+// worker and at several sharing the model: Predict only reads it (an SVM
+// that standardized rows into a buffer on the model gave other labels
+// here, and a race under -race).
 func TestPredictBatchMatchesSequential(t *testing.T) {
-	d := blobs(3, 30, 5, 1.5, 0.4, 31)
-	m := Forest{Config: ForestConfig{Trees: 20}}.TrainForest(d, rng.New(3))
-	got := PredictBatch(m, d.X, nil, parallel.Pool{Workers: 4})
-	if len(got) != d.Len() {
-		t.Fatalf("PredictBatch returned %d labels for %d rows", len(got), d.Len())
-	}
-	for i, row := range d.X {
-		if want := m.Predict(row); got[i] != want {
-			t.Errorf("row %d: batch %d, sequential %d", i, got[i], want)
+	d := blobs(3, 60, 5, 1.5, 0.4, 31)
+	forest := Forest{Config: ForestConfig{Trees: 20}}.TrainForest(d, rng.New(3))
+	tree := CART{}.TrainTree(d, rng.New(4))
+	svm := SVM{}.TrainSVM(d, rng.New(5))
+	maj := &Majority{Members: []Classifier{forest, tree, svm}}
+	for _, clf := range []Classifier{tree, forest, maj, svm} {
+		for _, w := range []int{1, 2, 8} {
+			checkBatch(t, clf, d.X, w)
 		}
 	}
 }

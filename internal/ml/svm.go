@@ -66,16 +66,15 @@ type SVMModel struct {
 	pairs      []svmPair
 	mean       []float64
 	invStd     []float64
-	scratch    []float64
 }
 
-// standardize z-scores a row into dst.
-func (m *SVMModel) standardize(x []float64, dst []float64) []float64 {
-	dst = dst[:0]
+// standardize returns a new row, x z-scored by the training columns.
+func (m *SVMModel) standardize(x []float64) []float64 {
+	z := make([]float64, len(x))
 	for i, v := range x {
-		dst = append(dst, (v-m.mean[i])*m.invStd[i])
+		z[i] = (v - m.mean[i]) * m.invStd[i]
 	}
-	return dst
+	return z
 }
 
 type svmPair struct {
@@ -121,11 +120,7 @@ func (s SVM) TrainSVM(d *Dataset, st *rng.Stream) *SVMModel {
 	}
 	z := make([][]float64, d.Len())
 	for i, row := range d.X {
-		zr := make([]float64, nf)
-		for j, v := range row {
-			zr[j] = (v - model.mean[j]) * model.invStd[j]
-		}
-		z[i] = zr
+		z[i] = model.standardize(row)
 	}
 	zd := &Dataset{X: z, Y: d.Y, NumClasses: d.NumClasses}
 
@@ -146,13 +141,12 @@ func (s SVM) TrainSVM(d *Dataset, st *rng.Stream) *SVMModel {
 }
 
 // Predict implements Classifier by pairwise voting; ties break to the
-// lowest label. Not safe for concurrent use (it reuses an internal
-// standardization buffer).
+// lowest label. It standardizes x into a buffer of its own.
 func (m *SVMModel) Predict(x []float64) int {
-	m.scratch = m.standardize(x, m.scratch)
+	z := m.standardize(x)
 	votes := make([]int, m.numClasses)
 	for _, p := range m.pairs {
-		if p.m.decision(m.scratch) > 0 {
+		if p.m.decision(z) > 0 {
 			votes[p.a]++
 		} else {
 			votes[p.b]++
