@@ -8,19 +8,20 @@ import (
 // BottomK is a KMV (k minimum values) distinct sample: it retains the k
 // items whose 64-bit hashes are smallest, which — under a uniform hash —
 // is a uniform random sample of the *distinct* items seen, however
-// skewed the raw stream is. The streaming pipeline uses it to estimate
-// static name fractions, entropies, and AS/country dispersion from a
-// bounded per-originator sample. The retained pairs are kept ascending by
-// value — querier address order, for the stream's samples, the order the
-// vector computation reads — hashes in one slice and values beside them
-// in another, and both grow on demand: a sample costs what it holds, not
-// k. The largest retained hash is tracked for the admission test.
+// skewed the raw stream is. The streaming engine counts an originator's
+// queriers with it (Estimate) and computes static name fractions,
+// entropies, and AS/country dispersion from the sample. The retained
+// pairs are kept ascending by value — querier address order, for the
+// stream's samples, the order the vector computation reads — hashes in
+// one slice and values beside them in another, and both grow on demand: a
+// sample costs what it holds, not k. The largest retained hash is tracked
+// for the admission test and the estimate.
 //
 // A value names its item: an item is always offered with the same value,
 // and distinct items have distinct values. The sample is then a pure
 // function of the distinct (hash, value) set fed in: insertion order
-// never changes the retained set, so merged or replayed streams produce
-// byte-identical samples.
+// never changes the retained set, so a stream replayed in any order
+// produces a byte-identical sample.
 type BottomK[V cmp.Ordered] struct {
 	k      int
 	top    uint64   // the largest retained hash; 0 when empty
@@ -39,6 +40,18 @@ func NewBottomK[V cmp.Ordered](k int) *BottomK[V] {
 
 // Len returns the current number of sampled items.
 func (b *BottomK[V]) Len() int { return len(b.hashes) }
+
+// Estimate returns the number of distinct items offered: exactly Len()
+// while the sample holds fewer than k, and after that the KMV estimate
+// (k − 1)/u, u the largest retained hash as a fraction of 2^64 (Beyer et
+// al., SIGMOD 2007), with a relative standard error near 1/√(k − 2). It
+// never reads below k, the count the full sample proves.
+func (b *BottomK[V]) Estimate() int {
+	if len(b.hashes) < b.k {
+		return len(b.hashes)
+	}
+	return max(b.k, int(float64(b.k-1)*0x1p64/(float64(b.top)+1)+0.5))
+}
 
 // Admits reports whether Add(h, v) would change the sample. A caller whose
 // value is expensive to derive asks first, with a key in its place: any
@@ -85,27 +98,8 @@ func (b *BottomK[V]) Add(h uint64, v V) bool {
 	return true
 }
 
-// Merge folds other's sample into b: the result is exactly the bottom-k
-// of the union of both distinct sets, so sharded samples recombine into
-// the sample a single stream would have produced.
-func (b *BottomK[V]) Merge(other *BottomK[V]) {
-	if other == nil {
-		return
-	}
-	for i, h := range other.hashes {
-		b.Add(h, other.vals[i])
-	}
-}
-
 // Values returns the sampled values in ascending order — a canonical,
 // deterministic iteration order for downstream feature computation and
 // snapshots. The slice is a view of the sample, not a copy: it is valid
-// until the next Add, Merge or Reset, and callers must not write to it.
+// until the next Add, and callers must not write to it.
 func (b *BottomK[V]) Values() []V { return b.vals }
-
-// Reset clears the sample for reuse, keeping capacity.
-func (b *BottomK[V]) Reset() {
-	b.hashes = b.hashes[:0]
-	b.vals = b.vals[:0]
-	b.top = 0
-}

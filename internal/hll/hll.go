@@ -1,20 +1,18 @@
-// Package hll implements HyperLogLog cardinality estimation (Flajolet et
-// al. 2007, with the small-range correction of HyperLogLog++).
+// Package hll implements the distinct-count sketches under the streaming
+// engine.
 //
 // The paper's sensors process billions of queries (Table I); counting
 // unique queriers per originator exactly needs a set per originator, which
-// dominates sensor memory. A 2^p-register HLL answers the only question
-// the pipeline asks of those sets — "how many unique queriers?" — in
-// fixed space with ~1.04/sqrt(2^p) relative error, comfortably inside the
-// ≥20-querier analyzability threshold's tolerance. The streaming extractor
-// uses it; the exact extractor remains the default for small datasets.
+// dominates sensor memory. BottomK, a KMV (k minimum values) sample of the
+// querier hashes, bounds that set at k: it knows the count exactly below k
+// and estimates it above, and the same sample is the uniform one the
+// static features are computed from. It is order-insensitive, so a
+// replayed stream rebuilds it byte for byte.
 //
-// The package also provides BottomK, the KMV (k minimum values) distinct
-// sample that pairs with the HLL in every streaming aggregate: the HLL
-// answers "how many distinct queriers", the bottom-k answers "which ones,
-// uniformly" in the same bounded space. Both sketches merge losslessly
-// (register max / bottom-k of the union), which is what lets sharded
-// streaming state recombine into byte-deterministic snapshots.
+// Sketch is a HyperLogLog counter (Flajolet et al. 2007, with the
+// small-range correction of HyperLogLog++) in 2^p one-byte registers:
+// nothing in the pipeline counts with it, and cmd/bsperf's hll.add_ns
+// times its Add.
 package hll
 
 import (
@@ -32,8 +30,8 @@ type Sketch struct {
 	hist [64]uint32
 }
 
-// New returns a sketch with 2^p registers. p must be in [4, 18]; p=11
-// (2048 registers, ~2.3% error) suits per-originator querier counting.
+// New returns a sketch with 2^p registers. p must be in [4, 18]; p = 11
+// gives 2048 registers and ~2.3% error.
 func New(p uint8) (*Sketch, error) {
 	if p < 4 || p > 18 {
 		return nil, fmt.Errorf("hll: precision %d outside [4, 18]", p)
@@ -52,22 +50,17 @@ func MustNew(p uint8) *Sketch {
 	return s
 }
 
-// Add observes a 64-bit hashed item and reports whether a register rose:
-// Estimate is a function of the registers alone, so it is unchanged after
-// any run of Adds that all reported false. Callers hash their values (the
-// sensor uses the splitmix finalizer over querier addresses).
-func (s *Sketch) Add(hash uint64) bool {
+// Add observes a 64-bit hashed item. Callers hash their values (with
+// Hash64, say).
+func (s *Sketch) Add(hash uint64) {
 	idx := hash >> (64 - s.p)
 	rest := hash<<s.p | 1<<(s.p-1) // guard bit keeps clz defined
 	rank := uint8(bits.LeadingZeros64(rest)) + 1
-	old := s.registers[idx]
-	if rank <= old {
-		return false
+	if old := s.registers[idx]; rank > old {
+		s.registers[idx] = rank
+		s.hist[old&63]--
+		s.hist[rank&63]++
 	}
-	s.registers[idx] = rank
-	s.hist[old&63]--
-	s.hist[rank&63]++
-	return true
 }
 
 // alpha is the bias-correction constant for m registers.
@@ -119,60 +112,9 @@ func (s *Sketch) harmonic() float64 {
 // pow2neg returns 2^−r for 0 ≤ r < 1023, exactly.
 func pow2neg(r int) float64 { return math.Float64frombits(uint64(1023-r) << 52) }
 
-// Merge folds other into s; both must share the precision.
-func (s *Sketch) Merge(other *Sketch) error {
-	if s.p != other.p {
-		return fmt.Errorf("hll: merging precision %d into %d", other.p, s.p)
-	}
-	for i, r := range other.registers {
-		if old := s.registers[i]; r > old {
-			s.registers[i] = r
-			s.hist[old&63]--
-			s.hist[r&63]++
-		}
-	}
-	return nil
-}
-
-// Clone returns an independent copy of the sketch.
-func (s *Sketch) Clone() *Sketch {
-	c := &Sketch{p: s.p, registers: make([]uint8, len(s.registers)), hist: s.hist}
-	copy(c.registers, s.registers)
-	return c
-}
-
-// Equal reports whether two sketches have identical precision and
-// register state — the byte-level identity that merge and snapshot
-// determinism tests pin.
-func (s *Sketch) Equal(other *Sketch) bool {
-	if other == nil || s.p != other.p {
-		return false
-	}
-	for i, r := range s.registers {
-		if r != other.registers[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// AppendBinary appends the sketch's canonical serialization (precision
-// byte followed by the raw registers) to dst. Two sketches serialize
-// identically iff Equal reports true, so snapshot artifacts built from
-// sketches are byte-deterministic.
-func (s *Sketch) AppendBinary(dst []byte) []byte {
-	dst = append(dst, s.p)
-	return append(dst, s.registers...)
-}
-
-// Reset clears the sketch for reuse.
-func (s *Sketch) Reset() {
-	clear(s.registers)
-	s.hist = [64]uint32{0: 1 << s.p}
-}
-
 // Hash64 is the mixing function the sensor applies to addresses before
-// Add: the splitmix64 finalizer, a strong 64-bit avalanche.
+// they enter a sketch: the splitmix64 finalizer, a strong 64-bit
+// avalanche.
 func Hash64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

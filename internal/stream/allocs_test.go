@@ -10,8 +10,8 @@ import (
 
 // TestObserveAllocs holds a shard's per-record path to no allocation in
 // steady state: 64 queriers of one originator in turn, one a second, so
-// every record misses the 30 s window and runs through dedup, the
-// footprint, the sample and the heavy-hitter run; and the same record
+// every record misses the 30 s window and runs through dedup, the sample
+// and the heavy-hitter run; and the same record
 // twice a second, so every other one is suppressed. Each measurement
 // crosses a fold of the run into both heavy-hitter views. AllocsPerRun
 // reports whole allocations per run averaged over its runs, so the

@@ -11,9 +11,9 @@
 //   - a sliding dedup table per shard (last-seen pair slots, open
 //     addressed), sized by the unexpired pairs it holds and bounded at
 //     dedupMaxSlots, exact below the bound (see dedupTable),
-//   - per-originator HLL + bottom-k sketches (internal/hll), capped at
-//     MaxOriginators across 16 originator shards with deterministic
-//     smallest-footprint eviction,
+//   - one bottom-k querier sample per originator (internal/hll), which
+//     also counts its footprint, capped at MaxOriginators across 16
+//     originator shards with deterministic smallest-footprint eviction,
 //   - hierarchical heavy-hitters sketches (internal/hhh) over both the
 //     originator and querier address spaces, so mass evicted from the
 //     per-originator table stays visible as prefix aggregates; each shard
@@ -69,8 +69,8 @@ type Config struct {
 	// Scorer, when non-nil, classifies analyzable originators at every
 	// epoch tick. Nil keeps sketches without verdicts.
 	Scorer Scorer
-	// MinQueriers is the analyzability threshold on the HLL estimate
-	// (default 20, the paper's §III-B threshold).
+	// MinQueriers is the analyzability threshold on the footprint, exact
+	// below SampleK (default 20, the paper's §III-B threshold).
 	MinQueriers int
 	// DedupWindow suppresses repeat (originator, querier) pairs
 	// (default 30 s). Below the dedup tables' bound, 2^20 slots (16 MiB)
@@ -112,29 +112,17 @@ const engineShards = features.Shards
 // bucket are not re-counted (a vanishing undercount on sensor feeds,
 // which are near-ordered).
 //
-// est and summary cache what a re-score derives from the two sketches;
-// ingest marks each stale when it changes the sketch under it, so an epoch
-// pays for the originators that moved, not for every one tracked.
+// summary caches what a re-score derives from the sample; ingest marks it
+// stale when it changes the sample, so an epoch pays for the originators
+// that moved, not for every one tracked.
 type agg struct {
-	queriers   *hll.Sketch
 	sample     *hll.BottomK[features.Sampled]
 	queries    int
 	lastBucket int
 	nbuckets   int
 
-	est          uint64
 	summary      features.Summary
-	estStale     bool
 	summaryStale bool
-}
-
-// estimate returns the HLL footprint, recomputed only if a register rose
-// since it was last read.
-func (a *agg) estimate() uint64 {
-	if a.estStale {
-		a.est, a.estStale = a.queriers.Estimate(), false
-	}
-	return a.est
 }
 
 // hhhRun bounds a shard's buffered run of heavy-hitter addresses, 8 KiB
@@ -313,11 +301,7 @@ func (sh *shard) observe(r dnslog.Record, cfg *Config) {
 		a = sh.track(r.Originator, cfg.SampleK)
 	}
 	a.queries++
-	h := hll.Hash64(uint64(r.Querier))
-	if a.queriers.Add(h) {
-		a.estStale = true
-	}
-	if a.sample.Admits(h, features.SampleKey(r.Querier)) {
+	if h := hll.Hash64(uint64(r.Querier)); a.sample.Admits(h, features.SampleKey(r.Querier)) {
 		a.sample.Add(h, features.SampleOf(cfg.CategoryOf, r.Querier))
 		a.summaryStale = true
 	}
@@ -349,8 +333,7 @@ func (sh *shard) track(orig ipaddr.Addr, sampleK int) *agg {
 		sh.evict()
 	}
 	a := &agg{
-		queriers: hll.MustNew(11),
-		sample:   hll.NewBottomK[features.Sampled](sampleK),
+		sample: hll.NewBottomK[features.Sampled](sampleK),
 		// lastBucket below any real bucket so the first record counts.
 		lastBucket: -1 << 62,
 	}
@@ -364,11 +347,11 @@ func (sh *shard) track(orig ipaddr.Addr, sampleK int) *agg {
 func (sh *shard) evict() {
 	type entry struct {
 		a ipaddr.Addr
-		n uint64
+		n int
 	}
 	all := make([]entry, 0, len(sh.aggs))
 	for a, ag := range sh.aggs {
-		all = append(all, entry{a, ag.estimate()})
+		all = append(all, entry{a, ag.sample.Estimate()})
 	}
 	slices.SortFunc(all, func(x, y entry) int {
 		if x.n != y.n {
@@ -407,7 +390,7 @@ func (sh *shard) gather(out []features.SketchStats) {
 	for orig, a := range sh.aggs {
 		out = append(out, features.SketchStats{
 			Originator: orig,
-			Estimate:   int(a.estimate()),
+			Estimate:   a.sample.Estimate(),
 			Queries:    a.queries,
 			Buckets:    a.nbuckets,
 			Sample:     a.sample.Values(),

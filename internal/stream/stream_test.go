@@ -221,6 +221,43 @@ func TestEpochRescoring(t *testing.T) {
 	}
 }
 
+// TestGateIsExact holds the analyzability gate at the paper's 20 queriers
+// and the default sample size: below SampleK the footprint is exact, so
+// an originator with 19 distinct queriers, each seen three times, gets no
+// verdict and one with 20 gets one, its vector counting 20.
+func TestGateIsExact(t *testing.T) {
+	cfg := testConfig(1)
+	cfg.MinQueriers, cfg.SampleK = 0, 0
+	e := New(cfg)
+	below, at := ipaddr.MustParse("10.0.0.19"), ipaddr.MustParse("10.0.0.20")
+	var recs []dnslog.Record
+	for rep := range 3 {
+		for q := range 20 {
+			r := dnslog.Record{Time: simtime.Time(rep*600 + q), Originator: at, Querier: ipaddr.FromOctets(172, 16, 0, byte(q))}
+			recs = append(recs, r)
+			if q < 19 {
+				r.Originator = below
+				recs = append(recs, r)
+			}
+		}
+	}
+	e.Ingest(recs)
+	e.Tick(simtime.Time(simtime.Hour))
+	if st := e.Status(); st.Kept != 3*39 || st.Tracked != 2 {
+		t.Fatalf("kept %d records of %d originators, want %d of 2", st.Kept, st.Tracked, 3*39)
+	}
+	verdicts := e.Verdicts()
+	if _, ok := verdicts[below]; ok {
+		t.Error("an originator with 19 distinct queriers got a verdict")
+	}
+	if _, ok := verdicts[at]; !ok {
+		t.Error("an originator with 20 distinct queriers got no verdict")
+	}
+	if vs := e.Vectors(); len(vs) != 1 || vs[0].Queriers != 20 {
+		t.Errorf("vectors %v, want one counting 20 queriers", vs)
+	}
+}
+
 // TestOutOfOrderAndDuplicates replays a shuffled, duplicated stream:
 // no panics, the watermark is the max time, and scoring still works.
 func TestOutOfOrderAndDuplicates(t *testing.T) {
