@@ -10,7 +10,7 @@ import (
 )
 
 // SketchStats is the sketch-derived summary of one originator over an
-// observation interval: the HLL footprint estimate, the exact
+// observation interval: the footprint estimate, the exact
 // deduplicated query count, the distinct 10-minute persistence buckets,
 // and the bottom-k uniform sample of distinct queriers, each classified
 // when it entered the sample. It is the hand-off type between the sketch
@@ -18,7 +18,7 @@ import (
 // be a view of the holder's state, read here and never kept.
 type SketchStats struct {
 	Originator ipaddr.Addr
-	Estimate   int // HLL unique-querier estimate
+	Estimate   int // unique-querier estimate, exact below the sample size
 	Queries    int // deduplicated query count
 	Buckets    int // distinct 10-minute buckets observed
 	Sample     []Sampled
@@ -26,7 +26,7 @@ type SketchStats struct {
 
 // SketchNorms holds the interval-level normalizers the dynamic features
 // divide by, estimated from the union of per-originator samples with the
-// querier total rescaled by HLL mass (samples undercount global
+// querier total rescaled by estimate mass (samples undercount global
 // uniques).
 type SketchNorms struct {
 	TotalAS       int
@@ -55,9 +55,9 @@ type NormScratch struct {
 func NormsFromStats(g *geo.Registry, stats []SketchStats, dur simtime.Duration, buf *NormScratch) SketchNorms {
 	norms := SketchNorms{TotalBuckets: max(1, int(dur/(10*simtime.Minute)))}
 	total := 0
-	var hllMass float64
+	var estMass float64
 	for _, st := range stats {
-		hllMass += float64(st.Estimate)
+		estMass += float64(st.Estimate)
 		total += len(st.Sample)
 	}
 	all := buf.all[:0]
@@ -83,7 +83,7 @@ func NormsFromStats(g *geo.Registry, stats []SketchStats, dur simtime.Duration, 
 	buf.asns = asns
 	norms.TotalAS, norms.TotalCountry = len(sortUniq(asns)), countries.len()
 	if total > 0 {
-		norms.TotalQueriers = int(float64(norms.TotalQueriers) * hllMass / float64(total))
+		norms.TotalQueriers = int(float64(norms.TotalQueriers) * estMass / float64(total))
 	}
 	return norms
 }
@@ -124,7 +124,7 @@ func Summarize(g *geo.Registry, sample []Sampled) Summary {
 // SketchVector computes one originator's feature vector from its sketch
 // stats and the Summary of st.Sample: static fractions, entropies, and
 // dispersion come from the bottom-k sample (scaled to the footprint
-// estimate where the feature is a count), Queriers carries the HLL
+// estimate where the feature is a count), Queriers carries the footprint
 // estimate. Returns nil when the sample is empty. The computation is a
 // pure function of (stats, norms): every accumulation is integer or
 // order-normalized (normEntropy sorts), so byte-identical inputs give

@@ -51,9 +51,9 @@ func TestRadixSortMatchesSort(t *testing.T) {
 
 // TestNormsFromStatsMatchesSets holds the sort-and-scan normalizers to
 // their definition: sizes of the sets of distinct sampled queriers, their
-// ASes and their countries, the first rescaled by HLL mass over sample mass.
-// One scratch serves every population, a small one after a large one, as an
-// engine's does epoch after epoch.
+// ASes and their countries, the first rescaled by estimate mass over
+// sample mass. One scratch serves every population, a small one after a
+// large one, as an engine's does epoch after epoch.
 func TestNormsFromStatsMatchesSets(t *testing.T) {
 	g := geo.NewRegistry(42)
 	st := rng.New(9)
@@ -61,7 +61,7 @@ func TestNormsFromStatsMatchesSets(t *testing.T) {
 	for _, nOrig := range []int{0, 1, 40, 3} {
 		var stats []SketchStats
 		queriers, ases, countries := map[ipaddr.Addr]bool{}, map[int]bool{}, map[string]bool{}
-		hllMass, sampleMass := 0, 0
+		estMass, sampleMass := 0, 0
 		for o := 0; o < nOrig; o++ {
 			s := SketchStats{Originator: ipaddr.Addr(o), Estimate: 1 + st.Intn(500)}
 			for q := st.Intn(60); q > 0; q-- {
@@ -70,13 +70,13 @@ func TestNormsFromStatsMatchesSets(t *testing.T) {
 				s.Sample = append(s.Sample, SampleOf(fuzzCategories, a))
 				queriers[a], ases[g.ASN(a)], countries[g.Country(a)] = true, true, true
 			}
-			hllMass += s.Estimate
+			estMass += s.Estimate
 			sampleMass += len(s.Sample)
 			stats = append(stats, s)
 		}
 		want := SketchNorms{TotalAS: len(ases), TotalCountry: len(countries), TotalQueriers: len(queriers), TotalBuckets: 6}
 		if sampleMass > 0 {
-			want.TotalQueriers = int(float64(len(queriers)) * float64(hllMass) / float64(sampleMass))
+			want.TotalQueriers = int(float64(len(queriers)) * float64(estMass) / float64(sampleMass))
 		}
 		if got := NormsFromStats(g, stats, simtime.Hour, &buf); got != want {
 			t.Errorf("%d originators: norms %+v, want %+v", nOrig, got, want)
